@@ -21,7 +21,6 @@ use vantage_core::{KnnCollector, Metric, MetricIndex, Neighbor, Result, VantageE
 
 /// Full O(n²) pre-computed distance table.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aesa<T, M> {
     items: Vec<T>,
     metric: M,
@@ -143,7 +142,6 @@ impl<T, M: Metric<T>> MetricIndex<T> for Aesa<T, M> {
 
 /// LAESA: pre-computed distances to `m` pivots (linear memory).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Laesa<T, M> {
     items: Vec<T>,
     metric: M,

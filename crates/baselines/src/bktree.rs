@@ -17,7 +17,6 @@ use vantage_core::{BoundedMetric, DiscreteMetric, KnnCollector, MetricIndex, Nei
 type NodeId = u32;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct BkNode {
     item: u32,
     /// Children keyed by exact distance to `item`, sorted by key.
@@ -26,7 +25,6 @@ struct BkNode {
 
 /// A Burkhard–Keller tree over items of type `T` under a discrete metric.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BkTree<T, M> {
     items: Vec<T>,
     metric: M,

@@ -30,7 +30,6 @@ type NodeId = u32;
 
 /// Construction parameters for [`FqTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FqTreeParams {
     /// Partitions per level (`≥ 2`).
     pub order: usize,
@@ -87,7 +86,6 @@ impl Default for FqTreeParams {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Node {
     Internal {
         /// Depth of this node = index of its pivot in `pivots`.
@@ -102,7 +100,6 @@ enum Node {
 
 /// A fixed-queries tree: one shared vantage point per level.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FqTree<T, M> {
     items: Vec<T>,
     metric: M,

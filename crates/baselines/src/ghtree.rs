@@ -24,7 +24,6 @@ type NodeId = u32;
 
 /// Construction parameters for [`GhTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GhTreeParams {
     /// Maximum number of points kept in a leaf bucket (`≥ 1`). Because an
     /// internal node needs two pivots, sets of two points always become
@@ -61,7 +60,6 @@ impl Default for GhTreeParams {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Node {
     Internal {
         p1: u32,
@@ -78,7 +76,6 @@ enum Node {
 
 /// A generalized hyperplane tree.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GhTree<T, M> {
     items: Vec<T>,
     metric: M,

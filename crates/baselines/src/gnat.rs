@@ -25,7 +25,6 @@ type NodeId = u32;
 
 /// Construction parameters for [`Gnat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GnatParams {
     /// Number of split points per node (`≥ 2`). Brin adapts this per
     /// subtree cardinality; a fixed degree (his default experiments use
@@ -72,7 +71,6 @@ impl Default for GnatParams {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Node {
     Internal {
         /// The split points (item ids), `2 ≤ len ≤ degree`.
@@ -93,7 +91,6 @@ enum Node {
 
 /// Brin's Geometric Near-neighbor Access Tree.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gnat<T, M> {
     items: Vec<T>,
     metric: M,

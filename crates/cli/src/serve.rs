@@ -371,62 +371,17 @@ macro_rules! impl_served_mapped {
 impl_served_mapped!(ServedMappedVp, MappedVpTree);
 impl_served_mapped!(ServedMappedMvp, MappedMvpTree);
 
-/// Decodes a snapshot into a boxed near+far queryable index plus a probe
-/// sharing the index's `Counted` tally.
-fn decode_query_index<T, M>(
-    bytes: &[u8],
-    kind: IndexKind,
-) -> CliResult<(Box<dyn ServedQuery<T>>, Counted<M>)>
-where
-    T: ItemCodec + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
-{
-    match kind {
-        IndexKind::VpTree => {
-            let tree: VpTree<T, Counted<M>> =
-                persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            Ok((
-                Box::new(ServedSingle {
-                    index: tree,
-                    probe: probe.clone(),
-                }),
-                probe,
-            ))
-        }
-        IndexKind::MvpTree => {
-            let tree: MvpTree<T, Counted<M>> =
-                persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            Ok((
-                Box::new(ServedSingle {
-                    index: tree,
-                    probe: probe.clone(),
-                }),
-                probe,
-            ))
-        }
-        IndexKind::Linear => {
-            let scan: LinearScan<T, Counted<M>> =
-                persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = scan.metric().clone();
-            Ok((
-                Box::new(ServedSingle {
-                    index: scan,
-                    probe: probe.clone(),
-                }),
-                probe,
-            ))
-        }
-    }
-}
-
-/// Like [`decode_query_index`], but when `shards > 1` the snapshot's
-/// dataset is re-partitioned round-robin and rebuilt as a
+/// Decodes a snapshot that is not served in place — a linear scan, or
+/// any structure under `shards > 1` — into a boxed near+far queryable
+/// index plus a probe sharing the index's `Counted` tally. Unsharded
+/// trees never come here: [`load_index_typed`] maps them.
+///
+/// A single-shard linear scan is served as decoded. Otherwise the
+/// snapshot's dataset is re-partitioned round-robin and rebuilt as a
 /// [`ShardedIndex`] of the same structure with the CLI's standard build
 /// parameters. Exact scatter-gather answers are bit-identical to the
 /// unsharded index, so clients (and the smoke harness's expected
-/// replies) cannot tell the difference. The decoded tree's `Counted`
+/// replies) cannot tell the difference. The decoded index's `Counted`
 /// metric is cloned into every shard, so the returned probe keeps
 /// reporting the cross-shard total.
 fn load_static_index<T, M>(
@@ -440,9 +395,6 @@ where
     T: ItemCodec + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
-    if shards == 1 {
-        return decode_query_index::<T, M>(bytes, kind);
-    }
     match kind {
         IndexKind::VpTree => {
             let tree: VpTree<T, Counted<M>> =
@@ -488,6 +440,15 @@ where
             let scan: LinearScan<T, Counted<M>> =
                 persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
             let probe = scan.metric().clone();
+            if shards == 1 {
+                return Ok((
+                    Box::new(ServedSingle {
+                        index: scan,
+                        probe: probe.clone(),
+                    }),
+                    probe,
+                ));
+            }
             let sharded = ShardedIndex::build(scan.items().to_vec(), shards, threads, |_, part| {
                 Ok(LinearScan::new(part, probe.clone()))
             })
@@ -587,8 +548,9 @@ where
     })
 }
 
-/// Like [`decode_query_index`], but also hands back a copy of the items
-/// (the smoke client derives its query workload from them).
+/// Decodes a snapshot into a boxed queryable index and also hands back
+/// a copy of the items (the smoke client derives its query workload
+/// from them).
 fn decode_with_items<T, M>(
     bytes: &[u8],
     kind: IndexKind,

@@ -209,6 +209,34 @@ fn sharded_server_replies_are_bit_identical_to_the_unsharded_snapshot() {
 }
 
 #[test]
+fn huge_k_answers_every_item_and_keeps_the_server_up() {
+    let data = temp_path("huge-k-data.csv");
+    let snap = temp_path("huge-k-index.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "50", "--dim", "3", "--seed", "5", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
+
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+
+    // k far beyond any allocation the server could make up front.
+    let knn = client(&addr, "KNN 100000000000000 0.5,0.5,0.5");
+    assert!(knn.starts_with("OK 50 "), "{knn}");
+    let kfn = client(&addr, "KFN 100000000000000 0.5,0.5,0.5");
+    assert!(kfn.starts_with("OK 50 "), "{kfn}");
+    assert_eq!(client(&addr, "PING"), "OK pong");
+
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn dynamic_mode_serves_ingest_and_far_queries() {
     let data = temp_path("dyn-data.csv");
     run_ok(&[

@@ -14,6 +14,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use crate::knn::heap_capacity;
 use crate::metric::Metric;
 use crate::query::Neighbor;
 use crate::shard::SharedLowerBound;
@@ -131,7 +132,7 @@ impl KfnCollector {
     pub fn new(k: usize) -> Self {
         KfnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(heap_capacity(k)),
             shared: None,
         }
     }
@@ -144,7 +145,7 @@ impl KfnCollector {
     pub fn with_shared(k: usize, shared: Arc<SharedLowerBound>) -> Self {
         KfnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(heap_capacity(k)),
             shared: Some(shared),
         }
     }
@@ -235,6 +236,17 @@ mod tests {
     use super::*;
     use crate::linear::LinearScan;
     use crate::metrics::minkowski::Euclidean;
+
+    #[test]
+    fn huge_k_reserves_a_bounded_heap() {
+        let mut c = KfnCollector::new(usize::MAX);
+        assert!(c.heap.capacity() <= heap_capacity(usize::MAX));
+        for id in 0..10_000 {
+            c.offer(id, id as f64);
+        }
+        assert_eq!(c.into_sorted().len(), 10_000);
+        assert_eq!(scan().k_farthest(&vec![0.0], usize::MAX).len(), 10);
+    }
 
     fn scan() -> LinearScan<Vec<f64>, Euclidean> {
         LinearScan::new((0..10).map(|i| vec![f64::from(i)]).collect(), Euclidean)

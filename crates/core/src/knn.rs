@@ -6,6 +6,17 @@ use std::sync::Arc;
 use crate::query::Neighbor;
 use crate::shard::SharedUpperBound;
 
+/// Most heap slots a collector reserves up front. `k` comes from the
+/// client, so reserving `k + 1` slots outright lets one request abort
+/// the process; past this cap the heap grows only as candidates
+/// arrive, which bounds it by the index size instead.
+const MAX_PREALLOCATED: usize = 4096;
+
+/// Initial heap capacity for a best-`k` collector.
+pub(crate) fn heap_capacity(k: usize) -> usize {
+    k.saturating_add(1).min(MAX_PREALLOCATED)
+}
+
 /// Collects the `k` smallest-distance neighbors seen so far and exposes the
 /// current pruning radius (the k-th best distance).
 ///
@@ -40,7 +51,7 @@ impl KnnCollector {
     pub fn new(k: usize) -> Self {
         KnnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(heap_capacity(k)),
             shared: None,
         }
     }
@@ -53,7 +64,7 @@ impl KnnCollector {
     pub fn with_shared(k: usize, shared: Arc<SharedUpperBound>) -> Self {
         KnnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(heap_capacity(k)),
             shared: Some(shared),
         }
     }
@@ -144,6 +155,18 @@ impl KnnCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn huge_k_reserves_a_bounded_heap() {
+        // A client-chosen k must not size the allocation.
+        let mut c = KnnCollector::new(usize::MAX);
+        assert!(c.heap.capacity() <= MAX_PREALLOCATED);
+        for id in 0..(2 * MAX_PREALLOCATED) {
+            c.offer(id, id as f64);
+        }
+        assert_eq!(c.radius(), f64::INFINITY);
+        assert_eq!(c.into_sorted().len(), 2 * MAX_PREALLOCATED);
+    }
 
     #[test]
     fn keeps_only_best_k() {

@@ -17,7 +17,6 @@ use crate::metric::{BoundedMetric, Metric};
 
 /// Angular (arc-cosine) distance between real vectors, in radians.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Angular;
 
 impl Metric<[f64]> for Angular {

@@ -18,7 +18,6 @@ use crate::metric::{BoundedMetric, DiscreteMetric, Metric};
 
 /// Unit-cost Levenshtein edit distance over strings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Levenshtein;
 
 impl Levenshtein {

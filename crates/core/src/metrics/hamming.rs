@@ -16,7 +16,6 @@ use crate::simd;
 
 /// Hamming distance over byte sequences and strings (by `char`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hamming;
 
 impl Hamming {

@@ -31,7 +31,6 @@ pub fn gray_histogram(image: &GrayImage) -> GrayHistogram {
 /// L1 metric between intensity histograms, with an optional normalization
 /// divisor (default 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HistogramL1 {
     norm: f64,
 }
@@ -95,7 +94,6 @@ impl BoundedMetric<GrayHistogram> for HistogramL1 {
 /// similarity; for repeated queries prefer extracting histograms once and
 /// indexing `GrayHistogram` values with [`HistogramL1`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ImageHistogramL1 {
     inner: HistogramL1,
 }

@@ -14,7 +14,6 @@ use crate::simd;
 
 /// An 8-bit single-channel (gray-level) raster image.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GrayImage {
     width: u32,
     height: u32,
@@ -117,7 +116,6 @@ fn check_same_shape(a: &GrayImage, b: &GrayImage) {
 /// Pixel-wise L1 metric between equal-shape gray images, divided by a
 /// normalization constant (paper default 10 000).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ImageL1 {
     norm: f64,
 }
@@ -195,7 +193,6 @@ impl BoundedMetric<GrayImage> for ImageL1 {
 /// Pixel-wise L2 (Euclidean) metric between equal-shape gray images,
 /// divided by a normalization constant (paper default 100).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ImageL2 {
     norm: f64,
 }

@@ -24,7 +24,6 @@ pub fn sorted_set(elements: impl IntoIterator<Item = u64>) -> SortedSet {
 
 /// Jaccard distance between sorted sets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Jaccard;
 
 impl Jaccard {

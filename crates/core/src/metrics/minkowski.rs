@@ -27,22 +27,18 @@ fn check_dims(a: &[f64], b: &[f64]) {
 
 /// The L1 (city-block / taxicab) metric: `Σ |x_i − y_i|`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Manhattan;
 
 /// The L2 (Euclidean) metric: `sqrt(Σ (x_i − y_i)²)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Euclidean;
 
 /// The L∞ (Chebyshev / maximum) metric: `max |x_i − y_i|`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Chebyshev;
 
 /// The general Lp metric for a fixed exponent `p ≥ 1`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Minkowski {
     p: f64,
 }

@@ -19,7 +19,6 @@ use crate::{Result, VantageError};
 /// A weighted Lp metric over `Vec<f64>` / `[f64]` of a fixed
 /// dimensionality.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeightedLp {
     weights: Vec<f64>,
     p: f64,

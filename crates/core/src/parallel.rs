@@ -35,7 +35,6 @@ pub const THREADS_ENV: &str = "VANTAGE_THREADS";
 /// (when set to a positive integer), then
 /// [`std::thread::available_parallelism`], then 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Threads {
     /// Use `VANTAGE_THREADS` or all available parallelism.
     #[default]

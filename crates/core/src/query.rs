@@ -9,7 +9,6 @@ use std::cmp::Ordering;
 /// built from, so results can be joined back to application payloads
 /// without the index storing them twice.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Neighbor {
     /// Insertion index of the matching object in the original dataset.
     pub id: usize,

@@ -16,7 +16,6 @@ use crate::{Result, VantageError};
 
 /// Strategy for choosing a vantage point among a set of candidate ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VantageSelector {
     /// Uniformly random choice (the paper's protocol). Distance cost: 0.
     Random,

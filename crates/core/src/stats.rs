@@ -15,7 +15,6 @@ use crate::{Result, VantageError};
 /// A fixed-bin-width histogram of distances with running summary
 /// statistics.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistanceHistogram {
     bin_width: f64,
     counts: Vec<u64>,

@@ -33,7 +33,6 @@
 /// Roles partition the [`Counted`](crate::Counted) total: every metric
 /// evaluation made by a traced search reports exactly one role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DistanceRole {
     /// Distance from the query to a vantage/split/routing point — the
     /// price of navigation (also the paper's `d(Q, Sv1)`, `d(Q, Sv2)`).
@@ -61,7 +60,6 @@ impl DistanceRole {
 /// The filter stage whose triangle-inequality bound excluded a subtree or
 /// a leaf candidate without computing its exact distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PruneReason {
     /// A shell around the (first) vantage point could not intersect the
     /// query ball (vp-tree cutoffs; mvp-tree `Sv1` shells).
@@ -183,7 +181,6 @@ impl TraceSink for NoTrace {
 /// events: how many there were and how decisively the triangle inequality
 /// excluded them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundStats {
     count: u64,
     min: f64,
@@ -243,7 +240,6 @@ impl BoundStats {
 /// Per-depth traversal counters: how many nodes were entered and how many
 /// subtrees were pruned at each level of the tree (root = level 0).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LevelStats {
     /// Nodes entered at this depth.
     pub visited: u64,
@@ -256,7 +252,6 @@ pub struct LevelStats {
 /// available).
 #[cfg(feature = "trace")]
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEvent {
     /// Depth of the pruned subtree's root (0 for leaf-candidate rejects,
     /// where depth is not meaningful).
@@ -273,14 +268,11 @@ pub struct TraceEvent {
 /// A [`TraceSink`] that aggregates one query (or, after
 /// [`merge`](QueryProfile::merge), several) into structured counters.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueryProfile {
     nodes_visited: u64,
     leaves_visited: u64,
     distances: [u64; DistanceRole::COUNT],
-    #[cfg_attr(feature = "serde", serde(default))]
     abandoned: [u64; DistanceRole::COUNT],
-    #[cfg_attr(feature = "serde", serde(default))]
     abandoned_work: [f64; DistanceRole::COUNT],
     prunes: [BoundStats; PruneReason::COUNT],
     rejects: [BoundStats; PruneReason::COUNT],
@@ -464,7 +456,6 @@ impl TraceSink for QueryProfile {
 /// merged counters — the same merge/quantile shape as
 /// [`DistanceHistogram`](crate::DistanceHistogram).
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SearchProfiler {
     totals: QueryProfile,
     per_query: Vec<u64>,

@@ -21,7 +21,6 @@ use vantage_core::{Result, VantageError};
 
 /// Configuration for the paper's clustered-vector generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusteredConfig {
     /// Number of clusters.
     pub clusters: usize,

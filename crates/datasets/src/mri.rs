@@ -33,7 +33,6 @@ use vantage_core::{Result, VantageError};
 
 /// Configuration for the synthetic MRI generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MriConfig {
     /// Number of distinct "people" (subjects with fixed anatomy).
     pub subjects: usize,

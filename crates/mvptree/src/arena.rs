@@ -1,9 +1,12 @@
 //! Flat, index-addressed node storage for mvp-trees.
 //!
-//! Like the vp-tree's arena, the mvp-tree's nodes live in contiguous,
-//! fixed-stride arrays instead of a `Vec` of enum nodes with per-node
-//! heap allocations. Every array is addressed by plain integer
-//! arithmetic:
+//! The arena is the mvp-tree's only node representation (paper §4.2,
+//! Figure 3): construction pushes nodes straight into it in DFS
+//! preorder, snapshots write its arrays verbatim, and every search runs
+//! over it. Like the vp-tree's arena, the nodes live in contiguous,
+//! fixed-stride arrays addressed by offsets into shared buffers, with
+//! no per-node heap allocation. Every array is addressed by plain
+//! integer arithmetic:
 //!
 //! * `meta[id]` — one `u32` per node: bit 31 set ⇒ leaf, the low 31 bits
 //!   are the node's *rank* among nodes of its class (its index into the
@@ -26,8 +29,6 @@
 //! validation and statistics code is written against the view, so the
 //! materialized and zero-copy paths run byte-for-byte the same kernel.
 
-use crate::node::Node;
-
 /// Child-slot sentinel for an empty partition; also marks an absent
 /// second vantage point in a leaf head.
 pub const NO_CHILD: u32 = u32::MAX;
@@ -49,7 +50,6 @@ fn pack_meta(is_leaf: bool, rank: u32) -> u32 {
 /// Owned flat node storage of an mvp-tree. See the module docs for the
 /// layout.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MvpArena {
     pub(crate) m: u32,
     pub(crate) meta: Vec<u32>,
@@ -66,20 +66,12 @@ pub struct MvpArena {
 }
 
 impl MvpArena {
-    /// Packs a built node list (the construction IR) into flat arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node shapes do not match `m` or the arena would
-    /// exceed 2³¹ − 1 nodes; construction can produce neither.
-    pub(crate) fn from_nodes(m: usize, nodes: &[Node]) -> MvpArena {
-        assert!(
-            nodes.len() < LEAF_BIT as usize,
-            "node arena exceeds 2^31 - 1 nodes"
-        );
-        let mut arena = MvpArena {
+    /// An empty arena of per-vantage-point fanout `m`, ready for
+    /// construction to push nodes into in DFS preorder.
+    pub(crate) fn new(m: usize) -> MvpArena {
+        MvpArena {
             m: m as u32,
-            meta: Vec::with_capacity(nodes.len()),
+            meta: Vec::new(),
             vp1: Vec::new(),
             vp2: Vec::new(),
             children: Vec::new(),
@@ -90,51 +82,143 @@ impl MvpArena {
             d1: Vec::new(),
             d2: Vec::new(),
             path: Vec::new(),
-        };
-        for node in nodes {
-            match node {
-                Node::Internal {
-                    vp1,
-                    vp2,
-                    cutoffs1,
-                    cutoffs2,
-                    children,
-                } => {
-                    assert_eq!(children.len(), m * m, "child slots match m²");
-                    assert_eq!(cutoffs1.len() + 1, m, "first-level cutoffs match m");
-                    assert_eq!(cutoffs2.len(), m, "one second-level row per group");
-                    arena.meta.push(pack_meta(false, arena.vp1.len() as u32));
-                    arena.vp1.push(*vp1);
-                    arena.vp2.push(*vp2);
-                    arena
-                        .children
-                        .extend(children.iter().map(|c| c.unwrap_or(NO_CHILD)));
-                    arena.cutoffs1.extend_from_slice(cutoffs1);
-                    for row in cutoffs2 {
-                        assert_eq!(row.len() + 1, m, "second-level cutoffs match m");
-                        arena.cutoffs2.extend_from_slice(row);
-                    }
-                }
-                Node::Leaf { vp1, vp2, entries } => {
-                    arena
-                        .meta
-                        .push(pack_meta(true, (arena.leaf_heads.len() / 6) as u32));
-                    arena.leaf_heads.push(*vp1);
-                    arena.leaf_heads.push(vp2.unwrap_or(NO_CHILD));
-                    arena.leaf_heads.push(arena.ids.len() as u32);
-                    arena.leaf_heads.push(entries.len() as u32);
-                    arena.leaf_heads.push(entries.path_len() as u32);
-                    arena.leaf_heads.push(arena.path.len() as u32);
-                    for i in 0..entries.len() {
-                        arena.ids.push(entries.id(i));
-                        arena.d1.push(entries.d1(i));
-                        arena.d2.push(entries.d2(i));
-                        arena.path.extend_from_slice(entries.path(i));
-                    }
-                }
-            }
         }
-        arena
+    }
+
+    /// Appends one `meta` word and returns the new node's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would exceed 2³¹ − 1 nodes.
+    fn push_meta(&mut self, is_leaf: bool, rank: usize) -> u32 {
+        let id = self.meta.len();
+        assert!(id < LEAF_BIT as usize, "node arena exceeds 2^31 - 1 nodes");
+        self.meta.push(pack_meta(is_leaf, rank as u32));
+        id as u32
+    }
+
+    /// Appends a leaf with no entries yet and returns its node id. The
+    /// leaf's entries, each carrying `path_len` PATH distances, follow
+    /// through [`push_leaf_entry`](Self::push_leaf_entry).
+    pub(crate) fn push_leaf(&mut self, vp1: u32, vp2: Option<u32>, path_len: usize) -> u32 {
+        let id = self.push_meta(true, self.leaf_heads.len() / 6);
+        self.leaf_heads.extend_from_slice(&[
+            vp1,
+            vp2.unwrap_or(NO_CHILD),
+            self.ids.len() as u32,
+            0,
+            path_len as u32,
+            self.path.len() as u32,
+        ]);
+        id
+    }
+
+    /// Appends one entry (Figure 3's `D1[i]`, `D2[i]` and `PATH[i]`) to
+    /// the most recently pushed leaf.
+    pub(crate) fn push_leaf_entry(&mut self, id: u32, d1: f64, d2: f64, path: &[f64]) {
+        debug_assert!(
+            self.meta.last().is_some_and(|&meta| meta & LEAF_BIT != 0),
+            "entries follow their leaf"
+        );
+        let head = self.leaf_heads.len() - 6;
+        debug_assert_eq!(
+            path.len(),
+            self.leaf_heads[head + 4] as usize,
+            "leaf PATH lengths are uniform"
+        );
+        self.leaf_heads[head + 3] += 1;
+        self.ids.push(id);
+        self.d1.push(d1);
+        self.d2.push(d2);
+        self.path.extend_from_slice(path);
+    }
+
+    /// Appends an interior node whose `m²` child slots all start as
+    /// [`NO_CHILD`], and returns its node id. `cutoffs2` holds the `m`
+    /// second-level rows back to back. Construction reserves the node
+    /// before recursing and fills the slots with
+    /// [`set_children`](Self::set_children) once the subtrees exist.
+    pub(crate) fn push_internal(
+        &mut self,
+        vp1: u32,
+        vp2: u32,
+        cutoffs1: &[f64],
+        cutoffs2: &[f64],
+    ) -> u32 {
+        let m = self.m as usize;
+        debug_assert_eq!(cutoffs1.len() + 1, m, "first-level cutoffs match m");
+        debug_assert_eq!(cutoffs2.len(), m * (m - 1), "m second-level rows");
+        let id = self.push_meta(false, self.vp1.len());
+        self.vp1.push(vp1);
+        self.vp2.push(vp2);
+        self.children.resize(self.children.len() + m * m, NO_CHILD);
+        self.cutoffs1.extend_from_slice(cutoffs1);
+        self.cutoffs2.extend_from_slice(cutoffs2);
+        id
+    }
+
+    /// Fills interior node `node`'s `m²` child slots (`None` stays
+    /// [`NO_CHILD`]).
+    pub(crate) fn set_children(&mut self, node: u32, children: &[Option<u32>]) {
+        let fanout = (self.m * self.m) as usize;
+        let rank = (self.meta[node as usize] & !LEAF_BIT) as usize;
+        debug_assert!(self.meta[node as usize] & LEAF_BIT == 0, "node is internal");
+        for (slot, child) in self.children[rank * fanout..(rank + 1) * fanout]
+            .iter_mut()
+            .zip(children)
+        {
+            *slot = child.unwrap_or(NO_CHILD);
+        }
+    }
+
+    /// Appends `local` (a subtree a worker built into its own arena)
+    /// after every node already here, and returns the id offset its
+    /// nodes moved by. Child ids, class ranks and the leaf heads' entry
+    /// and PATH starts are rebased, so splicing subtrees in child order
+    /// yields exactly the arrays a sequential build pushes.
+    pub(crate) fn splice(&mut self, local: MvpArena) -> u32 {
+        let offset = self.meta.len() as u32;
+        let internals = self.vp1.len() as u32;
+        let leaves = (self.leaf_heads.len() / 6) as u32;
+        let entries = self.ids.len() as u32;
+        let paths = self.path.len() as u32;
+        assert!(
+            self.meta.len() + local.meta.len() <= LEAF_BIT as usize,
+            "node arena exceeds 2^31 - 1 nodes"
+        );
+        self.meta.extend(local.meta.iter().map(|&meta| {
+            if meta & LEAF_BIT != 0 {
+                meta + leaves
+            } else {
+                meta + internals
+            }
+        }));
+        self.vp1.extend_from_slice(&local.vp1);
+        self.vp2.extend_from_slice(&local.vp2);
+        self.children.extend(
+            local
+                .children
+                .iter()
+                .map(|&c| if c == NO_CHILD { c } else { c + offset }),
+        );
+        self.cutoffs1.extend_from_slice(&local.cutoffs1);
+        self.cutoffs2.extend_from_slice(&local.cutoffs2);
+        self.leaf_heads
+            .extend(local.leaf_heads.chunks_exact(6).flat_map(|head| {
+                [
+                    head[0],
+                    head[1],
+                    head[2] + entries,
+                    head[3],
+                    head[4],
+                    head[5] + paths,
+                ]
+            }));
+        self.ids.extend_from_slice(&local.ids);
+        self.d1.extend_from_slice(&local.d1);
+        self.d2.extend_from_slice(&local.d2);
+        self.path.extend_from_slice(&local.path);
+        offset
     }
 
     /// Assembles an arena from raw flat arrays (the snapshot decode
@@ -218,8 +302,12 @@ pub struct MvpArenaView<'a> {
     pub(crate) path: &'a [f64],
 }
 
-/// One leaf's entry table resolved out of the shared columns — the
-/// borrowed counterpart of the construction-time `LeafEntries`.
+/// One leaf's entry table resolved out of the shared columns, in
+/// struct-of-arrays layout: Figure 3's `D1[·]`/`D2[·]` arrays plus a
+/// row-major `PATH` block. Every entry of a leaf has the same PATH
+/// length, because all of a leaf's points descend through the same
+/// ancestor vantage points and the accumulator is capped at `p`
+/// uniformly; entry `i`'s PATH is `path[i·path_len .. (i+1)·path_len]`.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafEntriesView<'a> {
     ids: &'a [u32],
@@ -483,42 +571,25 @@ impl<'a> MvpArenaView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::LeafEntries;
 
     fn sample() -> MvpArena {
         // root (internal, m = 2) -> [leaf {vp 1, vp 2, entries 3, 4},
         // leaf {vp 5}] in slots (0,0) and (1,1).
-        let mut entries = LeafEntries::new(2);
-        entries.push(3, 1.0, 2.0, &[0.5, 0.25]);
-        entries.push(4, 3.0, 4.0, &[0.125, 0.0625]);
-        MvpArena::from_nodes(
-            2,
-            &[
-                Node::Internal {
-                    vp1: 0,
-                    vp2: 6,
-                    cutoffs1: vec![1.5],
-                    cutoffs2: vec![vec![2.5], vec![3.5]],
-                    children: vec![Some(1), None, None, Some(2)],
-                },
-                Node::Leaf {
-                    vp1: 1,
-                    vp2: Some(2),
-                    entries,
-                },
-                Node::Leaf {
-                    vp1: 5,
-                    vp2: None,
-                    entries: LeafEntries::new(0),
-                },
-            ],
-        )
+        let mut arena = MvpArena::new(2);
+        let root = arena.push_internal(0, 6, &[1.5], &[2.5, 3.5]);
+        let full = arena.push_leaf(1, Some(2), 2);
+        arena.push_leaf_entry(3, 1.0, 2.0, &[0.5, 0.25]);
+        arena.push_leaf_entry(4, 3.0, 4.0, &[0.125, 0.0625]);
+        let single = arena.push_leaf(5, None, 0);
+        arena.set_children(root, &[Some(full), None, None, Some(single)]);
+        arena
     }
 
     #[test]
-    fn packs_nodes_into_flat_arrays() {
+    fn pushes_nodes_into_flat_arrays() {
         let arena = sample();
         assert_eq!(arena.len(), 3);
+        assert_eq!(arena.meta, vec![0, LEAF_BIT, LEAF_BIT | 1]);
         assert_eq!(arena.vp1, vec![0]);
         assert_eq!(arena.vp2, vec![6]);
         assert_eq!(arena.children, vec![1, NO_CHILD, NO_CHILD, 2]);
@@ -532,6 +603,43 @@ mod tests {
         assert_eq!(arena.d1, vec![1.0, 3.0]);
         assert_eq!(arena.d2, vec![2.0, 4.0]);
         assert_eq!(arena.path, vec![0.5, 0.25, 0.125, 0.0625]);
+    }
+
+    #[test]
+    fn splicing_matches_pushing_in_place() {
+        // The same tree with both leaves built in worker-local arenas,
+        // then spliced back in child order.
+        let mut arena = MvpArena::new(2);
+        let root = arena.push_internal(0, 6, &[1.5], &[2.5, 3.5]);
+        let mut first = MvpArena::new(2);
+        let full = first.push_leaf(1, Some(2), 2);
+        first.push_leaf_entry(3, 1.0, 2.0, &[0.5, 0.25]);
+        first.push_leaf_entry(4, 3.0, 4.0, &[0.125, 0.0625]);
+        let mut second = MvpArena::new(2);
+        let single = second.push_leaf(5, None, 0);
+        let full = full + arena.splice(first);
+        let single = single + arena.splice(second);
+        arena.set_children(root, &[Some(full), None, None, Some(single)]);
+        assert_eq!(arena, sample());
+    }
+
+    #[test]
+    fn splicing_rebases_child_ids_ranks_and_leaf_starts() {
+        let mut local = MvpArena::new(2);
+        let sub = local.push_internal(7, 8, &[0.5], &[0.25, 0.75]);
+        let leaf = local.push_leaf(9, Some(10), 2);
+        local.push_leaf_entry(11, 0.5, 0.5, &[1.0, 2.0]);
+        local.set_children(sub, &[None, None, Some(leaf), None]);
+        let mut arena = sample();
+        assert_eq!(arena.splice(local), 3);
+        assert_eq!(arena.meta, vec![0, LEAF_BIT, LEAF_BIT | 1, 1, LEAF_BIT | 2]);
+        assert_eq!(
+            arena.children,
+            vec![1, NO_CHILD, NO_CHILD, 2, NO_CHILD, NO_CHILD, 4, NO_CHILD]
+        );
+        assert_eq!(arena.leaf_heads[12..], [9, 10, 2, 1, 2, 4]);
+        assert_eq!(arena.ids, vec![3, 4, 11]);
+        assert_eq!(arena.path[4..], [1.0, 2.0]);
     }
 
     #[test]

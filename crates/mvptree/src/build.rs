@@ -28,10 +28,11 @@
 //! counts** (see `DESIGN.md`, "Threading model"): every node draws one
 //! seed per child in child order and each subtree builds from its own
 //! `StdRng`; workers fill local arenas that the parent splices back in
-//! child order. To make subtrees fully independent, each point's `PATH`
-//! accumulator travels *with* the point ([`PathedId`]) instead of living
-//! in a shared table — an id sits in exactly one branch, so ownership
-//! moves down the recursion for free.
+//! child order, rebasing node ids, class ranks and leaf row starts. To
+//! make subtrees fully independent, each point's `PATH` accumulator
+//! travels *with* the point ([`PathedId`]) instead of living in a shared
+//! table — an id sits in exactly one branch, so ownership moves down the
+//! recursion for free.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -41,7 +42,6 @@ use vantage_core::util::{checked_item_count, split_into_quantiles};
 use vantage_core::{Metric, Result};
 
 use crate::arena::MvpArena;
-use crate::node::{LeafEntries, Node, NodeId};
 use crate::params::{MvpParams, SecondVantage};
 use crate::tree::MvpTree;
 
@@ -80,16 +80,13 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut nodes = Vec::new();
+        let mut arena = MvpArena::new(params.m);
         let builder = Builder {
             items: &items,
             metric: &metric,
             params: &params,
         };
-        let root = builder.build_subtree(ids, &mut rng, workers, &mut nodes);
-        // Pack the build-time node IR into the flat arena the search
-        // kernels (and the zero-copy snapshot path) traverse.
-        let arena = MvpArena::from_nodes(params.m, &nodes);
+        let root = builder.build_subtree(ids, &mut rng, workers, &mut arena);
         Ok(MvpTree {
             items,
             metric,
@@ -137,15 +134,13 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         ids: Vec<PathedId>,
         rng: &mut StdRng,
         workers: usize,
-        arena: &mut Vec<Node>,
-    ) -> Option<NodeId> {
+        arena: &mut MvpArena,
+    ) -> Option<u32> {
         if ids.is_empty() {
             return None;
         }
         if ids.len() <= self.params.k + 2 {
-            let leaf = self.build_leaf(ids, rng);
-            arena.push(leaf);
-            return Some((arena.len() - 1) as NodeId);
+            return Some(self.build_leaf(ids, rng, arena));
         }
 
         let m = self.params.m;
@@ -194,14 +189,14 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
 
         // (3.7) Distances to vp2 for every remaining point, feeding PATH;
         // (3.8–3.9) split each group separately around vp2.
-        let mut cutoffs2: Vec<Vec<f64>> = Vec::with_capacity(m);
+        let mut cutoffs2: Vec<f64> = Vec::with_capacity(m * (m - 1));
         let mut subgroups: Vec<Vec<PathedId>> = Vec::with_capacity(m * m);
         for group in groups {
             let mut members: Vec<PathedId> = group.into_iter().map(|(e, _)| e).collect();
             let d2 = self.sweep(vp2, &mut members, workers);
             let d2_list: Vec<(PathedId, f64)> = members.into_iter().zip(d2).collect();
             let (subs, cuts) = split_into_quantiles(d2_list, m);
-            cutoffs2.push(cuts);
+            cutoffs2.extend(cuts);
             subgroups.extend(
                 subs.into_iter()
                     .map(|sub| sub.into_iter().map(|(e, _)| e).collect::<Vec<PathedId>>()),
@@ -214,21 +209,15 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         let child_seeds: Vec<u64> = subgroups.iter().map(|_| rng.random::<u64>()).collect();
 
         // Reserve the node slot before recursing (parents precede
-        // children in the arena).
-        let node_id = arena.len() as NodeId;
-        arena.push(Node::Internal {
-            vp1,
-            vp2,
-            cutoffs1,
-            cutoffs2,
-            children: Vec::new(),
-        });
+        // children in the arena); its child slots stay `NO_CHILD` until
+        // the subtrees below exist.
+        let node_id = arena.push_internal(vp1, vp2, &cutoffs1, &cutoffs2);
 
         let heavy_children = subgroups
             .iter()
             .filter(|sub| sub.len() > self.params.k + 2)
             .count();
-        let children: Vec<Option<NodeId>> = if workers > 1 && heavy_children >= 2 {
+        let children: Vec<Option<u32>> = if workers > 1 && heavy_children >= 2 {
             let shares =
                 share_workers(workers, &subgroups.iter().map(Vec::len).collect::<Vec<_>>());
             let jobs: Vec<_> = subgroups
@@ -237,7 +226,7 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .zip(shares)
                 .map(|((sub, seed), share)| {
                     move || {
-                        let mut local = Vec::new();
+                        let mut local = MvpArena::new(self.params.m);
                         let mut child_rng = StdRng::seed_from_u64(seed);
                         let local_root = self.build_subtree(sub, &mut child_rng, share, &mut local);
                         (local_root, local)
@@ -246,7 +235,10 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .collect();
             fork_join(jobs)
                 .into_iter()
-                .map(|(local_root, local)| splice(arena, local, local_root))
+                .map(|(local_root, local)| {
+                    let offset = arena.splice(local);
+                    local_root.map(|root| root + offset)
+                })
                 .collect()
         } else {
             subgroups
@@ -258,15 +250,13 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 })
                 .collect()
         };
-        match &mut arena[node_id as usize] {
-            Node::Internal { children: slot, .. } => *slot = children,
-            Node::Leaf { .. } => unreachable!("reserved slot is internal"),
-        }
+        arena.set_children(node_id, &children);
         Some(node_id)
     }
 
-    /// Builds a leaf from `1 ≤ ids.len() ≤ k + 2` points (paper step 2).
-    fn build_leaf(&self, ids: Vec<PathedId>, rng: &mut StdRng) -> Node {
+    /// Builds a leaf from `1 ≤ ids.len() ≤ k + 2` points (paper step 2)
+    /// into `arena` and returns its arena id.
+    fn build_leaf(&self, ids: Vec<PathedId>, rng: &mut StdRng, arena: &mut MvpArena) -> u32 {
         // (2.1) First vantage point, arbitrary.
         let id_view: Vec<u32> = ids.iter().map(|e| e.id).collect();
         let vp1_pos = self
@@ -276,11 +266,7 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         let vp1 = id_view[vp1_pos];
         let mut rest: Vec<PathedId> = ids.into_iter().filter(|e| e.id != vp1).collect();
         if rest.is_empty() {
-            return Node::Leaf {
-                vp1,
-                vp2: None,
-                entries: LeafEntries::new(0),
-            };
+            return arena.push_leaf(vp1, None, 0);
         }
 
         // (2.3) D1 distances.
@@ -304,40 +290,16 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         let mut d1: Vec<f64> = d1;
         d1.swap_remove(vp2_pos);
 
-        // (2.6) D2 distances and entry assembly into the flat
-        // struct-of-arrays layout. Every point in this leaf shares the
+        // (2.6) D2 distances and entry assembly into the arena's shared
+        // struct-of-arrays columns. Every point in this leaf shares the
         // same ancestors, so the PATH lengths are uniform.
         let path_len = rest.first().map_or(0, |e| e.path.len());
-        let mut entries = LeafEntries::new(path_len);
+        let leaf = arena.push_leaf(vp1, Some(vp2), path_len);
         for (e, d1) in rest.into_iter().zip(d1) {
-            entries.push(e.id, d1, self.distance_between(vp2, e.id), &e.path);
+            arena.push_leaf_entry(e.id, d1, self.distance_between(vp2, e.id), &e.path);
         }
-
-        Node::Leaf {
-            vp1,
-            vp2: Some(vp2),
-            entries,
-        }
+        leaf
     }
-}
-
-/// Appends a worker's local arena onto `arena`, rebasing every node id by
-/// the insertion offset, and returns the rebased subtree root.
-fn splice(
-    arena: &mut Vec<Node>,
-    mut local: Vec<Node>,
-    local_root: Option<NodeId>,
-) -> Option<NodeId> {
-    let offset = arena.len() as NodeId;
-    for node in &mut local {
-        if let Node::Internal { children, .. } = node {
-            for child in children.iter_mut().flatten() {
-                *child += offset;
-            }
-        }
-    }
-    arena.append(&mut local);
-    local_root.map(|root| root + offset)
 }
 
 #[cfg(test)]

@@ -48,7 +48,6 @@ mod budget;
 mod build;
 mod farthest;
 mod kernel;
-mod node;
 mod search;
 mod shard;
 mod stats;
@@ -60,13 +59,11 @@ pub mod arena;
 pub mod concurrent;
 pub mod dynamic;
 pub mod params;
-pub mod snapshot;
 
 pub use arena::{LeafEntriesView, MvpArena, MvpArenaView, MvpNodeView, NO_CHILD};
 pub use concurrent::{ConcurrentMvpTree, MvpReadSnapshot};
 pub use dynamic::DynamicMvpTree;
 pub use params::{MvpParams, SecondVantage};
-pub use snapshot::{MvpTreeParts, RawMvpLeafEntries, RawMvpNode};
 pub use stats::MvpTreeStats;
 pub use tree::MvpTree;
 pub use treeref::MvpTreeRef;

@@ -12,7 +12,6 @@ use vantage_core::{Result, VantageError};
 /// effectively partition the dataset."* The alternatives exist for the
 /// ablation study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SecondVantage {
     /// The paper's choice: in leaves, the farthest point from the first
     /// vantage point; in internal nodes, a point from the farthest
@@ -27,7 +26,6 @@ pub enum SecondVantage {
 /// Parameters of an mvp-tree: the paper's `(m, k, p)` triple plus
 /// selection knobs.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MvpParams {
     /// Number of partitions created by **each** vantage point (`m ≥ 2`).
     /// A node's fanout is `m²`.

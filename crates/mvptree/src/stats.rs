@@ -12,7 +12,6 @@ use crate::tree::MvpTree;
 /// perfectly full trees, but `vantage_points + leaf_entries` always equals
 /// the dataset size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MvpTreeStats {
     /// Number of interior nodes.
     pub internal_nodes: usize,

@@ -14,7 +14,6 @@ use crate::validate::validate_arena;
 /// §4.3). Nodes live in a flat, index-addressed [`MvpArena`]; see the
 /// crate docs for the algorithm.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MvpTree<T, M> {
     pub(crate) items: Vec<T>,
     pub(crate) metric: M,

@@ -481,9 +481,107 @@ fn collect_subtree(view: MvpArenaView<'_>, node: u32, out: &mut Vec<u32>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::arena::{MvpArena, NO_CHILD};
     use crate::params::{MvpParams, SecondVantage};
     use crate::tree::MvpTree;
     use vantage_core::prelude::*;
+    use vantage_core::VantageError;
+
+    fn points(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| vec![f64::from(i as u32 % 23), f64::from(i as u32 % 31)])
+            .collect()
+    }
+
+    fn tree() -> MvpTree<Vec<f64>, Euclidean> {
+        MvpTree::build(points(300), Euclidean, MvpParams::paper(3, 8, 4).seed(11)).unwrap()
+    }
+
+    /// Copies `tree`'s arena arrays out through the public view,
+    /// reassembles them with `from_raw_arrays` (the snapshot decode
+    /// path), lets `corrupt` break the arena or the params, and hands
+    /// the result to `from_arena`.
+    fn reassemble(
+        tree: &MvpTree<Vec<f64>, Euclidean>,
+        corrupt: impl FnOnce(&mut MvpArena, &mut MvpParams),
+    ) -> Result<MvpTree<Vec<f64>, Euclidean>> {
+        let view = tree.arena();
+        let mut arena = MvpArena::from_raw_arrays(
+            view.m() as u32,
+            view.meta().to_vec(),
+            view.vp1().to_vec(),
+            view.vp2().to_vec(),
+            view.children().to_vec(),
+            view.cutoffs1().to_vec(),
+            view.cutoffs2().to_vec(),
+            view.leaf_heads().to_vec(),
+            view.ids().to_vec(),
+            view.d1().to_vec(),
+            view.d2().to_vec(),
+            view.path().to_vec(),
+        );
+        let mut params = tree.params().clone();
+        corrupt(&mut arena, &mut params);
+        MvpTree::from_arena(tree.items().to_vec(), Euclidean, params, tree.root(), arena)
+    }
+
+    fn assert_corrupt(result: Result<MvpTree<Vec<f64>, Euclidean>>) {
+        let err = result.unwrap_err();
+        assert!(matches!(err, VantageError::CorruptSnapshot { .. }), "{err}");
+    }
+
+    #[test]
+    fn reassembled_arena_preserves_answers() {
+        let original = tree();
+        let rebuilt = reassemble(&original, |_, _| {}).unwrap();
+        let q = vec![11.0, 4.0];
+        assert_eq!(original.range(&q, 6.0), rebuilt.range(&q, 6.0));
+        assert_eq!(original.knn(&q, 7), rebuilt.knn(&q, 7));
+        assert_eq!(original.k_farthest(&q, 5), rebuilt.k_farthest(&q, 5));
+        rebuilt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn missing_entry_id_is_rejected() {
+        // Drop one entry id from a populated leaf but keep its D1/D2
+        // rows: the column shapes must catch this.
+        assert_corrupt(reassemble(&tree(), |arena, _| {
+            let start = arena
+                .leaf_heads
+                .chunks_exact(6)
+                .find(|head| head[3] > 0)
+                .expect("tree has a populated leaf")[2];
+            arena.ids.remove(start as usize);
+        }));
+    }
+
+    #[test]
+    fn short_path_buffer_is_rejected() {
+        assert_corrupt(reassemble(&tree(), |arena, _| {
+            assert!(!arena.path.is_empty(), "tree keeps PATH data");
+            arena.path.pop();
+        }));
+    }
+
+    #[test]
+    fn leaf_over_capacity_is_rejected() {
+        // Shrink the declared capacity below an existing leaf's size.
+        assert_corrupt(reassemble(&tree(), |_, params| params.k = 1));
+    }
+
+    #[test]
+    fn forward_link_violation_is_rejected() {
+        assert_corrupt(reassemble(&tree(), |arena, _| {
+            // Point a non-root internal node's first live child back at
+            // the root.
+            let fanout = (arena.m * arena.m) as usize;
+            let child = arena.children[fanout..]
+                .iter_mut()
+                .find(|c| **c != NO_CHILD)
+                .expect("tree has a non-root internal node");
+            *child = 0;
+        }));
+    }
 
     #[test]
     fn built_trees_satisfy_invariants() {

@@ -29,7 +29,8 @@
 //! Loading validates everything **before** an index is returned: magic
 //! and version, both checksum layers, every declared length against the
 //! bytes actually present, and finally the full structural invariants of
-//! the decoded tree (`from_parts`). Any failure — truncation, a single
+//! the decoded arena (`validate_arena`, run by `from_arena` and by the
+//! mapped `open_*` functions). Any failure — truncation, a single
 //! flipped bit, a fabricated length, an unknown enum tag — yields a
 //! typed [`VantageError`], never a panic and never an oversized
 //! allocation. The fault-injection suite in `tests/` drives exactly
@@ -168,9 +169,52 @@ fn read_file(path: &Path) -> Result<Vec<u8>> {
     std::fs::read(path).map_err(|e| VantageError::io(path.display().to_string(), e.to_string()))
 }
 
+/// Replaces the file at `path` with `bytes` atomically: writes a
+/// temporary file in the same directory, fsyncs it, renames it over
+/// `path`, then fsyncs the directory so the rename is durable too. A
+/// process that has the old snapshot mapped keeps reading the old
+/// inode, so saving over a live snapshot cannot shrink the file under
+/// its mapping (an in-place rewrite kills it with SIGBUS). The
+/// temporary file is removed on any error.
 fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
-    std::fs::write(path, bytes)
-        .map_err(|e| VantageError::io(path.display().to_string(), e.to_string()))
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+
+    let io_err = |e: std::io::Error| VantageError::io(path.display().to_string(), e.to_string());
+    let name = path
+        .file_name()
+        .ok_or_else(|| io_err(std::io::ErrorKind::InvalidInput.into()))?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.map_err(io_err)?;
+    // Only unix can open a directory as a file to fsync it; elsewhere
+    // the rename's durability is left to the OS.
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(io_err)?;
+    }
+    Ok(())
 }
 
 /// Saves a vp-tree snapshot to `path`, returning the bytes written.
@@ -275,8 +319,68 @@ mod tests {
         assert_eq!(info.bytes, written);
 
         let back: VpTree<Vec<f64>, Euclidean> = load_vp_tree(&path).unwrap();
-        assert_eq!(back.to_parts(), tree.to_parts());
+        assert_eq!(encode_vp_tree(&back), std::fs::read(&path).unwrap());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn save_over_a_mapped_snapshot_leaves_the_mapping_intact() {
+        use vantage_mvptree::MvpParams;
+        let points = |n: u32| -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|i| vec![f64::from(i % 19), f64::from(i % 7)])
+                .collect()
+        };
+        let old =
+            MvpTree::build(points(400), Euclidean, MvpParams::paper(3, 9, 4).seed(1)).unwrap();
+        let path = temp_path("live.vsnap");
+        save_mvp_tree(&old, &path).unwrap();
+        let mapped = open_mvp_tree::<F64Vectors, Euclidean>(&path).unwrap();
+        #[cfg(unix)]
+        assert!(mapped.is_mapped());
+        let queries = [vec![3.0, 2.0], vec![18.0, 0.5]];
+        type Answers = Vec<(Vec<Neighbor>, Vec<Neighbor>)>;
+        fn answers(tree: &MappedMvpTree<F64Vectors, Euclidean>, queries: &[Vec<f64>]) -> Answers {
+            let view = tree.view();
+            queries
+                .iter()
+                .map(|q| (view.knn(q.as_slice(), 7), view.range(q.as_slice(), 3.0)))
+                .collect()
+        }
+        let before = answers(&mapped, &queries);
+
+        // A smaller tree: an in-place rewrite would shrink the file
+        // under the live mapping.
+        let new = MvpTree::build(points(60), Euclidean, MvpParams::paper(2, 4, 2).seed(2)).unwrap();
+        save_mvp_tree(&new, &path).unwrap();
+
+        assert_eq!(answers(&mapped, &queries), before);
+        let fresh = open_mvp_tree::<F64Vectors, Euclidean>(&path).unwrap();
+        assert_eq!(fresh.len(), 60);
+        assert_eq!(
+            answers(&fresh, &queries),
+            queries
+                .iter()
+                .map(|q| (new.knn(q, 7), new.range(q, 3.0)))
+                .collect::<Vec<_>>()
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_leaves_no_temporary_file() {
+        let dir = temp_path("save-into-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tree = VpTree::build(vec![vec![1.0]], Euclidean, VpTreeParams::binary()).unwrap();
+        // Renaming a file over a directory fails after the temporary
+        // file was written.
+        let target = std::path::Path::new(&dir).join("occupied");
+        std::fs::create_dir_all(&target).unwrap();
+        let err = save_vp_tree(&tree, &target).unwrap_err();
+        assert!(matches!(err, VantageError::Io { .. }), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "only the occupied directory remains");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   process that truncates a snapshot while it is mapped can still
 //!   induce `SIGBUS` on access — documented in `DESIGN.md`, and the
 //!   reason atomic rename-into-place is the only supported way to
-//!   replace a live snapshot.
+//!   replace a live snapshot (the way the crate's `save_*` functions
+//!   write).
 //! * **Alignment** — the v2 format pads every `u64`/`f64` array to an
 //!   8-byte boundary *relative to the file start*, and both backing
 //!   stores are 8-aligned (mappings are page-aligned; the owned

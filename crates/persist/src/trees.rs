@@ -397,7 +397,7 @@ mod tests {
         .unwrap();
         let bytes = encode_vp_tree(&tree);
         let back: VpTree<Vec<f64>, Euclidean> = decode_vp_tree(&bytes).unwrap();
-        assert_eq!(back.to_parts(), tree.to_parts());
+        assert_eq!(encode_vp_tree(&back), bytes);
         assert_eq!(back.items(), tree.items());
         let q = vec![3.0, 2.0];
         assert_eq!(back.range(&q, 2.5), tree.range(&q, 2.5));
@@ -409,7 +409,7 @@ mod tests {
             MvpTree::build(points(200), Euclidean, MvpParams::paper(3, 6, 4).seed(2)).unwrap();
         let bytes = encode_mvp_tree(&tree);
         let back: MvpTree<Vec<f64>, Euclidean> = decode_mvp_tree(&bytes).unwrap();
-        assert_eq!(back.to_parts(), tree.to_parts());
+        assert_eq!(encode_mvp_tree(&back), bytes);
         assert_eq!(back.items(), tree.items());
         let q = vec![8.0, 1.0];
         assert_eq!(back.knn(&q, 6), tree.knn(&q, 6));
@@ -504,6 +504,7 @@ mod tests {
         let back: VpTree<Vec<f64>, Counted<Euclidean>> = decode_vp_tree(&bytes).unwrap();
         assert_eq!(back.metric().count(), 0);
         let plain: VpTree<Vec<f64>, Euclidean> = decode_vp_tree(&bytes).unwrap();
-        assert_eq!(plain.to_parts(), back.to_parts());
+        assert_eq!(encode_vp_tree(&plain), bytes);
+        assert_eq!(encode_vp_tree(&back), bytes);
     }
 }

@@ -1,7 +1,7 @@
 //! Corruption fault injection against the typed decode path.
 //!
 //! Every case feeds damaged bytes to the full `decode_*` pipeline
-//! (container parse → section checksums → structural `from_parts`
+//! (container parse → section checksums → structural `validate_arena`
 //! validation) and demands a **typed** [`VantageError`] — never a panic,
 //! never an oversized allocation, never a silently wrong tree. Damage
 //! classes: truncation at every prefix length, a flipped bit in every

@@ -1,9 +1,11 @@
 //! Flat, index-addressed node storage.
 //!
-//! The tree's nodes live in a handful of contiguous, fixed-stride
-//! arrays instead of a `Vec` of enum nodes with per-node heap
-//! allocations (the layout SNIPPETS' `MVPNode` start/end offsets point
-//! at). Every array is addressed by plain integer arithmetic:
+//! The arena is the vp-tree's only node representation: construction
+//! pushes nodes straight into it in DFS preorder, snapshots write its
+//! arrays verbatim, and every search runs over it. The nodes live in a
+//! handful of contiguous, fixed-stride arrays addressed by offsets
+//! into shared buffers, with no per-node heap allocation. Every array
+//! is addressed by plain integer arithmetic:
 //!
 //! * `meta[id]` — one `u32` per node: bit 31 set ⇒ leaf, the low
 //!   31 bits are the node's *rank* among nodes of its class (its index
@@ -21,10 +23,7 @@
 //! so the materialized and zero-copy paths run byte-for-byte the same
 //! kernel.
 
-use crate::node::Node;
-
-/// Child-slot sentinel for an empty partition (`Option<NodeId>::None`
-/// in the old pointer-rich layout).
+/// Child-slot sentinel for an empty partition.
 pub const NO_CHILD: u32 = u32::MAX;
 
 /// Bit 31 of `meta`: set for leaves.
@@ -44,7 +43,6 @@ fn pack_meta(is_leaf: bool, rank: u32) -> u32 {
 /// Owned flat node storage of a vp-tree. See the module docs for the
 /// layout.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VpArena {
     pub(crate) order: u32,
     pub(crate) meta: Vec<u32>,
@@ -56,55 +54,106 @@ pub struct VpArena {
 }
 
 impl VpArena {
-    /// Packs a built node list (the construction IR) into flat arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node shapes do not match `order` or the arena would
-    /// exceed 2³¹ − 1 nodes; construction can produce neither.
-    pub(crate) fn from_nodes(order: usize, nodes: &[Node]) -> VpArena {
-        assert!(
-            nodes.len() < LEAF_BIT as usize,
-            "node arena exceeds 2^31 - 1 nodes"
-        );
-        let mut arena = VpArena {
+    /// An empty arena of fanout `order`, ready for construction to push
+    /// nodes into in DFS preorder.
+    pub(crate) fn new(order: usize) -> VpArena {
+        VpArena {
             order: order as u32,
-            meta: Vec::with_capacity(nodes.len()),
+            meta: Vec::new(),
             vantage: Vec::new(),
             children: Vec::new(),
             cutoffs: Vec::new(),
             leaf_spans: Vec::new(),
             leaf_items: Vec::new(),
-        };
-        for node in nodes {
-            match node {
-                Node::Internal {
-                    vantage,
-                    cutoffs,
-                    children,
-                } => {
-                    assert_eq!(children.len(), order, "child slots match order");
-                    assert_eq!(cutoffs.len() + 1, order, "cutoffs match order");
-                    arena
-                        .meta
-                        .push(pack_meta(false, arena.vantage.len() as u32));
-                    arena.vantage.push(*vantage);
-                    arena
-                        .children
-                        .extend(children.iter().map(|c| c.unwrap_or(NO_CHILD)));
-                    arena.cutoffs.extend_from_slice(cutoffs);
-                }
-                Node::Leaf { items } => {
-                    arena
-                        .meta
-                        .push(pack_meta(true, (arena.leaf_spans.len() / 2) as u32));
-                    arena.leaf_spans.push(arena.leaf_items.len() as u32);
-                    arena.leaf_spans.push(items.len() as u32);
-                    arena.leaf_items.extend_from_slice(items);
-                }
-            }
         }
-        arena
+    }
+
+    /// Appends one `meta` word and returns the new node's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would exceed 2³¹ − 1 nodes.
+    fn push_meta(&mut self, is_leaf: bool, rank: usize) -> u32 {
+        let id = self.meta.len();
+        assert!(id < LEAF_BIT as usize, "node arena exceeds 2^31 - 1 nodes");
+        self.meta.push(pack_meta(is_leaf, rank as u32));
+        id as u32
+    }
+
+    /// Appends a leaf bucket holding `items` and returns its node id.
+    pub(crate) fn push_leaf(&mut self, items: &[u32]) -> u32 {
+        let id = self.push_meta(true, self.leaf_spans.len() / 2);
+        self.leaf_spans.push(self.leaf_items.len() as u32);
+        self.leaf_spans.push(items.len() as u32);
+        self.leaf_items.extend_from_slice(items);
+        id
+    }
+
+    /// Appends an interior node whose `order` child slots all start as
+    /// [`NO_CHILD`], and returns its node id. Construction reserves the
+    /// node before recursing and fills the slots with
+    /// [`set_children`](Self::set_children) once the subtrees exist.
+    pub(crate) fn push_internal(&mut self, vantage: u32, cutoffs: &[f64]) -> u32 {
+        let order = self.order as usize;
+        debug_assert_eq!(cutoffs.len() + 1, order, "cutoffs match order");
+        let id = self.push_meta(false, self.vantage.len());
+        self.vantage.push(vantage);
+        self.children.resize(self.children.len() + order, NO_CHILD);
+        self.cutoffs.extend_from_slice(cutoffs);
+        id
+    }
+
+    /// Fills interior node `node`'s child slots (`None` stays
+    /// [`NO_CHILD`]).
+    pub(crate) fn set_children(&mut self, node: u32, children: &[Option<u32>]) {
+        let order = self.order as usize;
+        let rank = (self.meta[node as usize] & !LEAF_BIT) as usize;
+        debug_assert!(self.meta[node as usize] & LEAF_BIT == 0, "node is internal");
+        for (slot, child) in self.children[rank * order..(rank + 1) * order]
+            .iter_mut()
+            .zip(children)
+        {
+            *slot = child.unwrap_or(NO_CHILD);
+        }
+    }
+
+    /// Appends `local` (a subtree a worker built into its own arena)
+    /// after every node already here, and returns the id offset its
+    /// nodes moved by. Child ids, class ranks and leaf bucket starts are
+    /// rebased, so splicing subtrees in child order yields exactly the
+    /// arrays a sequential build pushes.
+    pub(crate) fn splice(&mut self, local: VpArena) -> u32 {
+        let offset = self.meta.len() as u32;
+        let internals = self.vantage.len() as u32;
+        let leaves = (self.leaf_spans.len() / 2) as u32;
+        let items = self.leaf_items.len() as u32;
+        assert!(
+            self.meta.len() + local.meta.len() <= LEAF_BIT as usize,
+            "node arena exceeds 2^31 - 1 nodes"
+        );
+        self.meta.extend(local.meta.iter().map(|&meta| {
+            if meta & LEAF_BIT != 0 {
+                meta + leaves
+            } else {
+                meta + internals
+            }
+        }));
+        self.vantage.extend_from_slice(&local.vantage);
+        self.children.extend(
+            local
+                .children
+                .iter()
+                .map(|&c| if c == NO_CHILD { c } else { c + offset }),
+        );
+        self.cutoffs.extend_from_slice(&local.cutoffs);
+        self.leaf_spans.extend(
+            local
+                .leaf_spans
+                .chunks_exact(2)
+                .flat_map(|span| [span[0] + items, span[1]]),
+        );
+        self.leaf_items.extend_from_slice(&local.leaf_items);
+        offset
     }
 
     /// Assembles an arena from raw flat arrays (the snapshot decode
@@ -302,29 +351,52 @@ mod tests {
 
     fn sample() -> VpArena {
         // root (internal, order 2) -> [leaf {1,2}, leaf {3}]
-        VpArena::from_nodes(
-            2,
-            &[
-                Node::Internal {
-                    vantage: 0,
-                    cutoffs: vec![1.5],
-                    children: vec![Some(1), Some(2)],
-                },
-                Node::Leaf { items: vec![1, 2] },
-                Node::Leaf { items: vec![3] },
-            ],
-        )
+        let mut arena = VpArena::new(2);
+        let root = arena.push_internal(0, &[1.5]);
+        let left = arena.push_leaf(&[1, 2]);
+        let right = arena.push_leaf(&[3]);
+        arena.set_children(root, &[Some(left), Some(right)]);
+        arena
     }
 
     #[test]
-    fn packs_nodes_into_flat_arrays() {
+    fn pushes_nodes_into_flat_arrays() {
         let arena = sample();
         assert_eq!(arena.len(), 3);
+        assert_eq!(arena.meta, vec![0, LEAF_BIT, LEAF_BIT | 1]);
         assert_eq!(arena.vantage, vec![0]);
         assert_eq!(arena.children, vec![1, 2]);
         assert_eq!(arena.cutoffs, vec![1.5]);
         assert_eq!(arena.leaf_spans, vec![0, 2, 2, 1]);
         assert_eq!(arena.leaf_items, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn splicing_matches_pushing_in_place() {
+        // The same tree with its right leaf built in a worker-local
+        // arena, then spliced back after the left leaf.
+        let mut arena = VpArena::new(2);
+        let root = arena.push_internal(0, &[1.5]);
+        let left = arena.push_leaf(&[1, 2]);
+        let mut local = VpArena::new(2);
+        let local_root = local.push_leaf(&[3]);
+        let right = local_root + arena.splice(local);
+        arena.set_children(root, &[Some(left), Some(right)]);
+        assert_eq!(arena, sample());
+    }
+
+    #[test]
+    fn splicing_rebases_child_ids_and_ranks() {
+        let mut local = VpArena::new(2);
+        let sub = local.push_internal(4, &[0.5]);
+        let leaf = local.push_leaf(&[5]);
+        local.set_children(sub, &[None, Some(leaf)]);
+        let mut arena = sample();
+        assert_eq!(arena.splice(local), 3);
+        assert_eq!(arena.meta, vec![0, LEAF_BIT, LEAF_BIT | 1, 1, LEAF_BIT | 2]);
+        assert_eq!(arena.children, vec![1, 2, NO_CHILD, 4]);
+        assert_eq!(arena.leaf_spans, vec![0, 2, 2, 1, 3, 1]);
+        assert_eq!(arena.leaf_items, vec![1, 2, 3, 5]);
     }
 
     #[test]
@@ -352,17 +424,11 @@ mod tests {
 
     #[test]
     fn empty_partitions_are_no_child() {
-        let arena = VpArena::from_nodes(
-            2,
-            &[
-                Node::Internal {
-                    vantage: 0,
-                    cutoffs: vec![0.5],
-                    children: vec![None, Some(1)],
-                },
-                Node::Leaf { items: vec![1] },
-            ],
-        );
+        let mut arena = VpArena::new(2);
+        let root = arena.push_internal(0, &[0.5]);
+        assert_eq!(arena.children, vec![NO_CHILD, NO_CHILD]);
+        let leaf = arena.push_leaf(&[1]);
+        arena.set_children(root, &[None, Some(leaf)]);
         assert_eq!(arena.children, vec![NO_CHILD, 1]);
     }
 }

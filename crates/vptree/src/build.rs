@@ -23,8 +23,9 @@
 //!    stream a subtree sees is then a pure function of (params seed, path
 //!    from root), independent of traversal timing.
 //! 2. *Arena splicing.* Workers build subtrees into local arenas; the
-//!    parent splices them back in child order, offsetting node ids. The
-//!    result is exactly the DFS-preorder layout of a sequential build.
+//!    parent splices them back in child order, rebasing node ids, class
+//!    ranks and leaf bucket starts. The result is exactly the
+//!    DFS-preorder layout of a sequential build.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -34,7 +35,6 @@ use vantage_core::util::{checked_item_count, split_into_quantiles};
 use vantage_core::{Metric, Result};
 
 use crate::arena::VpArena;
-use crate::node::{Node, NodeId};
 use crate::params::VpTreeParams;
 use crate::tree::VpTree;
 
@@ -64,15 +64,13 @@ impl<T, M: Metric<T>> VpTree<T, M> {
         let workers = params.threads.resolve();
         let ids: Vec<u32> = (0..checked_item_count(items.len(), "vp-tree")?).collect();
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut nodes = Vec::new();
+        let mut arena = VpArena::new(params.order);
         let builder = Builder {
             items: &items,
             metric: &metric,
             params: &params,
         };
-        let root = builder.build_subtree(ids, &mut rng, workers, &mut nodes);
-        // Pack the construction IR into the flat arena the kernels run on.
-        let arena = VpArena::from_nodes(params.order, &nodes);
+        let root = builder.build_subtree(ids, &mut rng, workers, &mut arena);
         Ok(VpTree {
             items,
             metric,
@@ -98,14 +96,13 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         ids: Vec<u32>,
         rng: &mut StdRng,
         workers: usize,
-        arena: &mut Vec<Node>,
-    ) -> Option<NodeId> {
+        arena: &mut VpArena,
+    ) -> Option<u32> {
         if ids.is_empty() {
             return None;
         }
         if ids.len() <= self.params.leaf_capacity {
-            arena.push(Node::Leaf { items: ids });
-            return Some((arena.len() - 1) as NodeId);
+            return Some(arena.push_leaf(&ids));
         }
 
         // Select the vantage point and remove it from the working set.
@@ -140,19 +137,15 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         let child_seeds: Vec<u64> = child_sets.iter().map(|_| rng.random::<u64>()).collect();
 
         // Reserve this node's slot before recursing so parents precede
-        // children in the arena (handy for iteration/debugging).
-        let node_id = arena.len() as NodeId;
-        arena.push(Node::Internal {
-            vantage,
-            cutoffs,
-            children: Vec::new(),
-        });
+        // children in the arena; its child slots stay `NO_CHILD` until
+        // the subtrees below exist.
+        let node_id = arena.push_internal(vantage, &cutoffs);
 
         let heavy_children = child_sets
             .iter()
             .filter(|set| set.len() > self.params.leaf_capacity)
             .count();
-        let children: Vec<Option<NodeId>> = if workers > 1 && heavy_children >= 2 {
+        let children: Vec<Option<u32>> = if workers > 1 && heavy_children >= 2 {
             let shares = share_workers(
                 workers,
                 &child_sets.iter().map(Vec::len).collect::<Vec<_>>(),
@@ -163,7 +156,7 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .zip(shares)
                 .map(|((set, seed), share)| {
                     move || {
-                        let mut local = Vec::new();
+                        let mut local = VpArena::new(self.params.order);
                         let mut child_rng = StdRng::seed_from_u64(seed);
                         let local_root = self.build_subtree(set, &mut child_rng, share, &mut local);
                         (local_root, local)
@@ -172,7 +165,10 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .collect();
             fork_join(jobs)
                 .into_iter()
-                .map(|(local_root, local)| splice(arena, local, local_root))
+                .map(|(local_root, local)| {
+                    let offset = arena.splice(local);
+                    local_root.map(|root| root + offset)
+                })
                 .collect()
         } else {
             child_sets
@@ -184,31 +180,9 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 })
                 .collect()
         };
-        match &mut arena[node_id as usize] {
-            Node::Internal { children: slot, .. } => *slot = children,
-            Node::Leaf { .. } => unreachable!("reserved slot is internal"),
-        }
+        arena.set_children(node_id, &children);
         Some(node_id)
     }
-}
-
-/// Appends a worker's local arena onto `arena`, rebasing every node id by
-/// the insertion offset, and returns the rebased subtree root.
-fn splice(
-    arena: &mut Vec<Node>,
-    mut local: Vec<Node>,
-    local_root: Option<NodeId>,
-) -> Option<NodeId> {
-    let offset = arena.len() as NodeId;
-    for node in &mut local {
-        if let Node::Internal { children, .. } = node {
-            for child in children.iter_mut().flatten() {
-                *child += offset;
-            }
-        }
-    }
-    arena.append(&mut local);
-    local_root.map(|root| root + offset)
 }
 
 #[cfg(test)]

@@ -40,7 +40,6 @@ mod budget;
 mod build;
 mod farthest;
 mod kernel;
-mod node;
 mod search;
 mod shard;
 mod stats;
@@ -50,11 +49,9 @@ mod validate;
 
 pub mod arena;
 pub mod params;
-pub mod snapshot;
 
 pub use arena::{VpArena, VpArenaView, VpNodeView, NO_CHILD};
 pub use params::VpTreeParams;
-pub use snapshot::{RawVpNode, VpTreeParts};
 pub use stats::VpTreeStats;
 pub use tree::VpTree;
 pub use treeref::VpTreeRef;

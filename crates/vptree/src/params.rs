@@ -10,7 +10,6 @@ use vantage_core::select::VantageSelector;
 /// The paper's `vpt(m)` notation corresponds to `order = m` with the
 /// defaults for everything else.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VpTreeParams {
     /// Number of spherical cuts per vantage point (`m ≥ 2`); the tree
     /// fanout. §3.3: *"The order of the tree corresponds to the number of

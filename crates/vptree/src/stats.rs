@@ -5,7 +5,6 @@ use crate::tree::VpTree;
 
 /// Shape summary of a built vp-tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VpTreeStats {
     /// Number of interior nodes (= number of vantage points).
     pub internal_nodes: usize,

@@ -14,7 +14,6 @@ use crate::validate::validate_arena;
 /// flat, index-addressed [`VpArena`]; see the crate docs for the
 /// algorithm and the faithfulness notes.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VpTree<T, M> {
     pub(crate) items: Vec<T>,
     pub(crate) metric: M,

@@ -344,10 +344,111 @@ fn collect_subtree(view: VpArenaView<'_>, node: u32, out: &mut Vec<u32>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::arena::{VpArena, NO_CHILD};
     use crate::params::VpTreeParams;
     use crate::tree::VpTree;
     use vantage_core::prelude::*;
     use vantage_core::select::VantageSelector;
+    use vantage_core::VantageError;
+
+    fn points(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| vec![i as f64, (i * 7 % 13) as f64])
+            .collect()
+    }
+
+    fn tree() -> VpTree<Vec<f64>, Euclidean> {
+        VpTree::build(
+            points(120),
+            Euclidean,
+            VpTreeParams::with_order(3).leaf_capacity(4).seed(7),
+        )
+        .unwrap()
+    }
+
+    /// Copies `tree`'s arena arrays out through the public view,
+    /// reassembles them with `from_raw_arrays` (the snapshot decode
+    /// path), lets `corrupt` break one array, and hands the result to
+    /// `from_arena`.
+    fn reassemble(
+        tree: &VpTree<Vec<f64>, Euclidean>,
+        items: Vec<Vec<f64>>,
+        corrupt: impl FnOnce(&mut VpArena),
+    ) -> Result<VpTree<Vec<f64>, Euclidean>> {
+        let view = tree.arena();
+        let mut arena = VpArena::from_raw_arrays(
+            view.order() as u32,
+            view.meta().to_vec(),
+            view.vantage().to_vec(),
+            view.children().to_vec(),
+            view.cutoffs().to_vec(),
+            view.leaf_spans().to_vec(),
+            view.leaf_items().to_vec(),
+        );
+        corrupt(&mut arena);
+        VpTree::from_arena(items, Euclidean, tree.params().clone(), tree.root(), arena)
+    }
+
+    fn assert_corrupt(result: Result<VpTree<Vec<f64>, Euclidean>>) {
+        let err = result.unwrap_err();
+        assert!(matches!(err, VantageError::CorruptSnapshot { .. }), "{err}");
+    }
+
+    #[test]
+    fn reassembled_arena_preserves_answers() {
+        let original = tree();
+        let rebuilt = reassemble(&original, original.items().to_vec(), |_| {}).unwrap();
+        let q = vec![17.0, 3.0];
+        assert_eq!(original.range(&q, 5.0), rebuilt.range(&q, 5.0));
+        assert_eq!(original.knn(&q, 9), rebuilt.knn(&q, 9));
+        rebuilt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn out_of_range_item_id_is_rejected() {
+        // Fewer items than the arena references.
+        assert_corrupt(reassemble(&tree(), points(10), |_| {}));
+    }
+
+    #[test]
+    fn backward_child_link_is_rejected() {
+        let original = tree();
+        assert_corrupt(reassemble(&original, original.items().to_vec(), |arena| {
+            // Point a non-root internal node's first live child back at
+            // the root.
+            let order = arena.order as usize;
+            let child = arena.children[order..]
+                .iter_mut()
+                .find(|c| **c != NO_CHILD)
+                .expect("tree has a non-root internal node");
+            *child = 0;
+        }));
+    }
+
+    #[test]
+    fn duplicated_item_is_rejected() {
+        let original = tree();
+        assert_corrupt(reassemble(&original, original.items().to_vec(), |arena| {
+            let start = arena
+                .leaf_spans
+                .chunks_exact(2)
+                .find(|span| span[1] >= 2)
+                .expect("tree has a multi-item leaf")[0] as usize;
+            arena.leaf_items[start] = arena.leaf_items[start + 1];
+        }));
+    }
+
+    #[test]
+    fn reversed_cutoffs_are_rejected() {
+        let original = tree();
+        assert_corrupt(reassemble(&original, original.items().to_vec(), |arena| {
+            // The root (internal rank 0) of a 120-item order-3 tree has
+            // two distinct cutoffs; reversing them breaks their order.
+            let root = &mut arena.cutoffs[..2];
+            assert!(root[0] < root[1], "{root:?}");
+            root.reverse();
+        }));
+    }
 
     #[test]
     fn built_trees_satisfy_invariants() {
