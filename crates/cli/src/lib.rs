@@ -2147,7 +2147,7 @@ mod tests {
         ]);
         run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l1"]);
         let out = run_ok(&["stats", "--index", &snap]);
-        assert!(out.contains("format version: 2"), "{out}");
+        assert!(out.contains("format version: 3"), "{out}");
         assert!(out.contains("index:          mvp-tree"), "{out}");
         assert!(out.contains("items:          120 × f64-vector"), "{out}");
         assert!(out.contains("metric:         l1"), "{out}");

@@ -400,7 +400,8 @@ where
             let tree: VpTree<T, Counted<M>> =
                 persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
             let probe = tree.metric().clone();
-            let sharded = ShardedIndex::build(tree.items().to_vec(), shards, threads, |_, part| {
+            let items = tree.items_by_id().cloned().collect();
+            let sharded = ShardedIndex::build(items, shards, threads, |_, part| {
                 VpTree::build(
                     part,
                     probe.clone(),
@@ -420,7 +421,8 @@ where
             let tree: MvpTree<T, Counted<M>> =
                 persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
             let probe = tree.metric().clone();
-            let sharded = ShardedIndex::build(tree.items().to_vec(), shards, threads, |_, part| {
+            let items = tree.items_by_id().cloned().collect();
+            let sharded = ShardedIndex::build(items, shards, threads, |_, part| {
                 MvpTree::build(
                     part,
                     probe.clone(),
@@ -563,13 +565,13 @@ where
         IndexKind::VpTree => {
             let tree: VpTree<T, Counted<M>> =
                 persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let items = tree.items().to_vec();
+            let items = tree.items_by_id().cloned().collect();
             Ok((Box::new(tree), items))
         }
         IndexKind::MvpTree => {
             let tree: MvpTree<T, Counted<M>> =
                 persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let items = tree.items().to_vec();
+            let items = tree.items_by_id().cloned().collect();
             Ok((Box::new(tree), items))
         }
         IndexKind::Linear => {
@@ -915,12 +917,15 @@ where
     }
     eprintln!("vantage serve: listening on {local_addr}");
 
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Reap connection threads that already exited: an unjoined
+        // thread keeps its stack mapped until it is joined.
+        workers.retain(|w| !w.is_finished());
         let shared = Arc::clone(&shared);
         workers.push(std::thread::spawn(move || {
             handle_connection(stream, &shared)

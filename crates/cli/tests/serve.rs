@@ -338,3 +338,78 @@ fn metric_mismatch_is_a_typed_error_on_every_snapshot_path() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// The server's virtual size in KiB, from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn vm_size_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmSize:"))
+        .expect("VmSize line");
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// One connect / `PING` / close cycle against `addr`.
+#[cfg(target_os = "linux")]
+fn ping_once(addr: &str) {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.write_all(b"PING\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "OK pong");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connection_threads_are_reaped() {
+    // Each connection runs on its own thread; an exited thread that is
+    // never joined keeps its stack mapped. The server runs as its own
+    // process so its address space is measured alone, with glibc's
+    // per-thread malloc arenas (64 MiB of address space each, reserved
+    // whenever connection threads briefly overlap) folded into one so
+    // only thread stacks move the number.
+    let data = temp_path("reap-data.csv");
+    let snap = temp_path("reap-index.vantage");
+    let addr_file = temp_path("reap-addr");
+    let _ = std::fs::remove_file(&addr_file);
+    run_ok(&[
+        "generate", "uniform", "--n", "100", "--dim", "3", "--seed", "3", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
+    let mut server = std::process::Command::new(env!("CARGO_BIN_EXE_vantage"))
+        .args(["serve", "--index", &snap, "--addr", "127.0.0.1:0"])
+        .args(["--addr-file", &addr_file])
+        .env("MALLOC_ARENA_MAX", "1")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let addr = loop {
+        match std::fs::read_to_string(&addr_file) {
+            Ok(addr) if !addr.is_empty() => break addr,
+            _ => {
+                assert!(Instant::now() < deadline, "server did not start");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    };
+
+    let before = vm_size_kib(server.id());
+    for _ in 0..300 {
+        ping_once(&addr);
+    }
+    let after = vm_size_kib(server.id());
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    assert!(server.wait().unwrap().success());
+    let grown_mib = after.saturating_sub(before) / 1024;
+    assert!(
+        grown_mib < 64,
+        "VmSize grew {grown_mib} MiB over 300 connections ({before} -> {after} KiB)"
+    );
+    for p in [&data, &snap, &addr_file] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -1,13 +1,21 @@
 //! Item storage abstraction for search kernels.
 //!
-//! Every search kernel in the tree crates resolves an item id (`u32`)
-//! to a borrowed item exactly once per distance computation. Owned
-//! indexes keep their items in a `Vec<T>`; the zero-copy snapshot path
-//! keeps them as flat offset-indexed buffers borrowed straight from a
-//! memory-mapped file. [`ItemStore`] abstracts over both so a kernel is
-//! written once and answers bit-identically over either representation
-//! — the store only changes *where* the bytes live, never which item an
-//! id names.
+//! Every tree stores its items in **row order**: the order its leaf
+//! scans read them, so the candidates of one leaf sit in one contiguous
+//! block of the store instead of being scattered across it by item id.
+//! A search kernel reads a leaf entry's item straight from its row, and
+//! resolves a vantage point (or any caller-facing item id) through the
+//! tree's *id→row table*. Results always report the original item ids;
+//! the row order only changes where the bytes live.
+//!
+//! Owned indexes keep their items in a `Vec<T>` (permuted into row
+//! order once, in place, at build time — see [`permute_to_rows`]); the
+//! zero-copy snapshot path keeps them as flat offset-indexed buffers
+//! borrowed straight from a memory-mapped file, written in row order.
+//! [`ItemStore`] abstracts over both so a kernel is written once and
+//! answers bit-identically over either representation. The id→row
+//! table is never stored: each tree derives it from its node arena in
+//! one O(n) pass ([`id_rows`]).
 //!
 //! The borrowed stores ([`FlatF64s`], [`FlatStrs`]) have an **unsized**
 //! item type (`[f64]`, `str`): they hand out sub-slices of one
@@ -16,12 +24,12 @@
 //! implement `Metric<[f64]>` / `Metric<str>`, so the same metric value
 //! drives both representations.
 
-/// Resolves item ids to borrowed items.
+/// Resolves row indices to borrowed items.
 ///
-/// Implementations must be total over `0..len()`: `get(id)` may panic
-/// only for `id >= len()`, and every caller guarantees ids in range
+/// Implementations must be total over `0..len()`: `get(row)` may panic
+/// only for `row >= len()`, and every caller guarantees rows in range
 /// (tree validation rejects out-of-range ids before a kernel ever
-/// runs).
+/// runs, and a valid arena maps ids onto rows one to one).
 pub trait ItemStore {
     /// The borrowed item type (possibly unsized: `[f64]`, `str`).
     type Item: ?Sized;
@@ -34,8 +42,50 @@ pub trait ItemStore {
         self.len() == 0
     }
 
-    /// The item named by `id`.
-    fn get(&self, id: u32) -> &Self::Item;
+    /// The item stored at `row`.
+    fn get(&self, row: u32) -> &Self::Item;
+}
+
+/// Inverts a tree's row order — the item id stored at each row, in row
+/// order — into its id→row table (`rows[id]` is the row holding `id`).
+///
+/// `order` must name every id in `0..n` exactly once; the trees'
+/// structural validation guarantees that before any table is derived.
+///
+/// # Panics
+///
+/// Panics if an id is `>= n`.
+pub fn id_rows(order: impl IntoIterator<Item = u32>, n: usize) -> Vec<u32> {
+    let mut rows = vec![u32::MAX; n];
+    let mut row = 0u32;
+    for id in order {
+        debug_assert_eq!(rows[id as usize], u32::MAX, "id {id} appears twice");
+        rows[id as usize] = row;
+        row += 1;
+    }
+    debug_assert_eq!(row as usize, n, "row order covers every id");
+    rows
+}
+
+/// Moves `items` (in id order) into row order in place: afterwards
+/// `items[rows[id]]` is the item that was at `items[id]`. Items are
+/// only swapped, never cloned; the scratch is one copy of `rows`.
+///
+/// # Panics
+///
+/// Panics if `rows` is shorter than `items` or names a row out of
+/// range.
+pub fn permute_to_rows<T>(items: &mut [T], rows: &[u32]) {
+    // Follow each cycle of the permutation: `dest[i]` is where the item
+    // currently at `i` belongs, and every swap settles one item.
+    let mut dest = rows[..items.len()].to_vec();
+    for i in 0..items.len() {
+        while dest[i] as usize != i {
+            let j = dest[i] as usize;
+            items.swap(i, j);
+            dest.swap(i, j);
+        }
+    }
 }
 
 /// A slice of owned items — the store behind every materialized index.
@@ -46,8 +96,8 @@ impl<T> ItemStore for [T] {
         <[T]>::len(self)
     }
 
-    fn get(&self, id: u32) -> &T {
-        &self[id as usize]
+    fn get(&self, row: u32) -> &T {
+        &self[row as usize]
     }
 }
 
@@ -58,15 +108,15 @@ impl<S: ItemStore + ?Sized> ItemStore for &S {
         (**self).len()
     }
 
-    fn get(&self, id: u32) -> &S::Item {
-        (**self).get(id)
+    fn get(&self, row: u32) -> &S::Item {
+        (**self).get(row)
     }
 }
 
 /// Borrowed flat store of `f64` vectors: one contiguous value buffer
 /// plus `len + 1` offsets (in `f64` units) delimiting each vector.
 ///
-/// Item `i` is `data[offsets[i] .. offsets[i + 1]]`. The constructor
+/// The item at row `i` is `data[offsets[i] .. offsets[i + 1]]`. The constructor
 /// does not re-validate monotonicity or bounds — the snapshot loader
 /// checks both before any store is built (and covers the buffers with a
 /// section checksum), so `get` uses plain checked slicing.
@@ -96,8 +146,8 @@ impl ItemStore for FlatF64s<'_> {
         self.offsets.len() - 1
     }
 
-    fn get(&self, id: u32) -> &[f64] {
-        let i = id as usize;
+    fn get(&self, row: u32) -> &[f64] {
+        let i = row as usize;
         let start = self.offsets[i] as usize;
         let end = self.offsets[i + 1] as usize;
         &self.data[start..end]
@@ -105,7 +155,8 @@ impl ItemStore for FlatF64s<'_> {
 }
 
 /// Borrowed flat store of UTF-8 strings: one contiguous text buffer
-/// plus `len + 1` byte offsets delimiting each string.
+/// plus `len + 1` byte offsets delimiting each string (row `i` is
+/// `text[offsets[i] .. offsets[i + 1]]`).
 ///
 /// The loader validates that the whole buffer is UTF-8 and that every
 /// offset lands on a character boundary, so slicing here cannot panic
@@ -135,8 +186,8 @@ impl ItemStore for FlatStrs<'_> {
         self.offsets.len() - 1
     }
 
-    fn get(&self, id: u32) -> &str {
-        let i = id as usize;
+    fn get(&self, row: u32) -> &str {
+        let i = row as usize;
         let start = self.offsets[i] as usize;
         let end = self.offsets[i + 1] as usize;
         &self.text[start..end]
@@ -158,7 +209,24 @@ mod tests {
     }
 
     #[test]
-    fn flat_f64s_resolve_ids() {
+    fn id_rows_inverts_a_row_order() {
+        assert_eq!(id_rows([2, 0, 3, 1], 4), vec![1, 3, 0, 2]);
+        assert!(id_rows([], 0).is_empty());
+    }
+
+    #[test]
+    fn permute_to_rows_moves_each_item_to_its_row() {
+        let order = [4u32, 1, 3, 0, 2, 5];
+        let rows = id_rows(order, order.len());
+        let mut items: Vec<String> = (0..6).map(|i| format!("item{i}")).collect();
+        permute_to_rows(&mut items, &rows);
+        for (row, id) in order.iter().enumerate() {
+            assert_eq!(items[row], format!("item{id}"));
+        }
+    }
+
+    #[test]
+    fn flat_f64s_resolve_rows() {
         let offsets = [0u64, 2, 2, 5];
         let data = [1.0, 2.0, 9.0, 8.0, 7.0];
         let store = FlatF64s::new(&offsets, &data);
@@ -169,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_strs_resolve_ids() {
+    fn flat_strs_resolve_rows() {
         let offsets = [0u64, 5, 5, 11];
         let store = FlatStrs::new(&offsets, "hello world");
         assert_eq!(store.len(), 3);

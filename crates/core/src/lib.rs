@@ -92,7 +92,7 @@ pub use counting::{Counted, DistanceTotals};
 pub use error::{Result, VantageError};
 pub use farthest::{FarthestIndex, KfnCollector};
 pub use index::{BatchIndex, MetricIndex};
-pub use items::{FlatF64s, FlatStrs, ItemStore};
+pub use items::{id_rows, permute_to_rows, FlatF64s, FlatStrs, ItemStore};
 pub use knn::KnnCollector;
 pub use linear::LinearScan;
 pub use metric::{BoundedMetric, DiscreteMetric, Metric};

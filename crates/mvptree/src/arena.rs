@@ -23,6 +23,15 @@
 //!   columns and its `entry_len × path_len` block inside the shared
 //!   row-major `path` buffer.
 //!
+//! The tree's items are stored in **row order**
+//! ([`MvpArenaView::row_order`]): rows `0..E` are the leaf entries in
+//! `ids` column order, so entry `e`'s item is row `e` and each leaf
+//! scan reads one contiguous block of the item store; then come the
+//! interior vantage points `(vp1, vp2)` by internal rank, and last each
+//! leaf's `vp1`/`vp2` by leaf rank. The arrays above are unchanged by
+//! this — they still name items by their original ids, which is what
+//! results report — and the id→row table is derived from them.
+//!
 //! The same arrays exist in two forms: [`MvpArena`] owns them (`Vec`s,
 //! the materialized tree), [`MvpArenaView`] borrows them — possibly
 //! straight out of a memory-mapped snapshot section. All search,
@@ -310,6 +319,7 @@ pub struct MvpArenaView<'a> {
 /// uniformly; entry `i`'s PATH is `path[i·path_len .. (i+1)·path_len]`.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafEntriesView<'a> {
+    first_row: u32,
     ids: &'a [u32],
     d1: &'a [f64],
     d2: &'a [f64],
@@ -342,6 +352,13 @@ impl<'a> LeafEntriesView<'a> {
     #[inline]
     pub fn id(&self, i: usize) -> u32 {
         self.ids[i]
+    }
+
+    /// The item-store row holding entry `i`'s item: entries are stored
+    /// in `ids` column order, so a leaf's rows are one contiguous run.
+    #[inline]
+    pub fn row(&self, i: usize) -> u32 {
+        self.first_row + i as u32
     }
 
     /// Entry `i`'s pre-computed distance to the first vantage point.
@@ -527,6 +544,28 @@ impl<'a> MvpArenaView<'a> {
         self.path
     }
 
+    /// The item id stored at each row, in row order: every leaf entry
+    /// (`ids` column order), then the interior vantage points `(vp1,
+    /// vp2)` by internal rank, then each leaf's `vp1` and present `vp2`
+    /// by leaf rank. Over a valid arena this names every item exactly
+    /// once.
+    pub fn row_order(&self) -> impl Iterator<Item = u32> + 'a {
+        let internal = self.vp1.iter().zip(self.vp2).flat_map(|(&a, &b)| [a, b]);
+        let leaves = self
+            .leaf_heads
+            .chunks_exact(6)
+            .flat_map(|head| [head[0], head[1]])
+            .filter(|&vp| vp != NO_CHILD);
+        self.ids.iter().copied().chain(internal).chain(leaves)
+    }
+
+    /// The id→row table of an arena over `n` items: `rows[id]` is the
+    /// item-store row holding item `id`. The arena must have passed
+    /// [`validate_arena`](crate::validate_arena) for `n` items.
+    pub fn id_rows(&self, n: usize) -> Vec<u32> {
+        vantage_core::id_rows(self.row_order(), n)
+    }
+
     /// Resolves node `id` into its class arrays.
     #[inline]
     pub fn node(&self, id: u32) -> MvpNodeView<'a> {
@@ -542,6 +581,7 @@ impl<'a> MvpArenaView<'a> {
                 vp1: head[0],
                 vp2: (head[1] != NO_CHILD).then_some(head[1]),
                 entries: LeafEntriesView {
+                    first_row: start as u32,
                     ids: &self.ids[start..start + len],
                     d1: &self.d1[start..start + len],
                     d2: &self.d2[start..start + len],
@@ -643,6 +683,17 @@ mod tests {
     }
 
     #[test]
+    fn row_order_is_entries_then_internal_then_leaf_vantages() {
+        let arena = sample();
+        let order: Vec<u32> = arena.view().row_order().collect();
+        assert_eq!(order, vec![3, 4, 0, 6, 1, 2, 5]);
+        let rows = arena.view().id_rows(7);
+        for (row, &id) in order.iter().enumerate() {
+            assert_eq!(rows[id as usize], row as u32);
+        }
+    }
+
+    #[test]
     fn view_resolves_both_classes() {
         let arena = sample();
         let view = arena.view();
@@ -669,6 +720,7 @@ mod tests {
                 assert_eq!(vp2, Some(2));
                 assert_eq!(entries.len(), 2);
                 assert_eq!(entries.id(1), 4);
+                assert_eq!(entries.row(1), 1);
                 assert_eq!(entries.d1(0), 1.0);
                 assert_eq!(entries.d2(1), 4.0);
                 assert_eq!(entries.path(0), &[0.5, 0.25]);

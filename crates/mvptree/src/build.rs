@@ -33,6 +33,13 @@
 //! travels *with* the point ([`PathedId`]) instead of living in a shared
 //! table — an id sits in exactly one branch, so ownership moves down the
 //! recursion for free.
+//!
+//! ## Row order
+//!
+//! Once the arena is complete, the items are permuted in place into its
+//! row order (leaf entries first, in `ids` column order; see
+//! [`crate::arena`]). Construction itself reads items by id, so the
+//! tree is the same; only where each item is stored changes.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -66,7 +73,7 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
     /// # Errors
     ///
     /// Returns an error when `params` is invalid.
-    pub fn build(items: Vec<T>, metric: M, params: MvpParams) -> Result<Self>
+    pub fn build(mut items: Vec<T>, metric: M, params: MvpParams) -> Result<Self>
     where
         T: Sync,
         M: Sync,
@@ -87,8 +94,13 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
             params: &params,
         };
         let root = builder.build_subtree(ids, &mut rng, workers, &mut arena);
+        // Store the items in the arena's row order, so each leaf scan
+        // reads one contiguous block: one in-place permutation, no clone.
+        let rows = arena.view().id_rows(items.len());
+        vantage_core::permute_to_rows(&mut items, &rows);
         Ok(MvpTree {
             items,
+            rows,
             metric,
             arena,
             root,

@@ -158,7 +158,7 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
         let tree_items = self
             .tree
             .iter()
-            .flat_map(move |tree| tree.items().iter().enumerate())
+            .flat_map(move |tree| tree.items_by_id().enumerate())
             .filter_map(move |(internal, item)| {
                 let stable = self.tree_ids[internal];
                 (!self.tombstones.contains(&stable)).then_some((stable, item))

@@ -9,6 +9,11 @@
 //! monomorphized traversals, so the materialized and zero-copy paths
 //! answer bit-identically by construction: same arithmetic, same visit
 //! order, same tie-breaking.
+//!
+//! Items are read in row order (see [`crate::arena`]): a leaf entry's
+//! item sits at its own row, so one leaf's candidates are one contiguous
+//! block of the store, while vantage points resolve through the id→row
+//! table. Neighbors, tie-breaks and trace events name original ids.
 
 use vantage_core::budget::{finish_budgeted, BudgetMeter, BudgetedKnn, SearchBudget};
 use vantage_core::farthest::KfnCollector;
@@ -88,12 +93,14 @@ struct BudgetState {
     frontier: f64,
 }
 
-/// One query's traversal context: the node arena, the item store, the
-/// metric, the query point and the PATH cap `p`.
+/// One query's traversal context: the node arena, the row-ordered item
+/// store and its id→row table, the metric, the query point and the PATH
+/// cap `p`.
 pub(crate) struct Kernel<'k, I: ?Sized, M, T: ?Sized> {
     pub arena: MvpArenaView<'k>,
     pub root: Option<u32>,
     pub items: &'k I,
+    pub rows: &'k [u32],
     pub metric: &'k M,
     pub query: &'k T,
     /// [`MvpParams::p`](crate::MvpParams::p): the maximum PATH length a
@@ -106,6 +113,13 @@ where
     T: ?Sized,
     I: ItemStore<Item = T> + ?Sized,
 {
+    /// The item named by `id` (a vantage point), through the id→row
+    /// table.
+    #[inline]
+    fn item(&self, id: u32) -> &T {
+        self.items.get(self.rows[id as usize])
+    }
+
     /// Visits leaf `entries`, accumulating range hits via the paper's
     /// delayed major filtering (`D1`, `D2`, then PATH).
     #[allow(clippy::too_many_arguments)]
@@ -141,10 +155,11 @@ where
             }
             let id = entries.id(i);
             sink.distance(DistanceRole::Candidate);
-            match self
-                .metric
-                .distance_within_frac(self.query, self.items.get(id), radius)
-            {
+            match self.metric.distance_within_frac(
+                self.query,
+                self.items.get(entries.row(i)),
+                radius,
+            ) {
                 (Some(d), _) => out.push(Neighbor::new(id as usize, d)),
                 (None, work) => {
                     if S::ENABLED {
@@ -185,13 +200,13 @@ where
                 // Step 1: the vantage points are data points, checked
                 // directly.
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 if dq1 <= radius {
                     out.push(Neighbor::new(vp1 as usize, dq1));
                 }
                 let Some(vp2) = vp2 else { return };
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 if dq2 <= radius {
                     out.push(Neighbor::new(vp2 as usize, dq2));
                 }
@@ -210,12 +225,12 @@ where
                 sink.enter_node(level, false);
                 let m = self.arena.m();
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 if dq1 <= radius {
                     out.push(Neighbor::new(vp1 as usize, dq1));
                 }
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 if dq2 <= radius {
                     out.push(Neighbor::new(vp2 as usize, dq2));
                 }
@@ -301,11 +316,11 @@ where
             MvpNodeView::Leaf { vp1, vp2, entries } => {
                 sink.enter_node(level, true);
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 collector.offer(vp1 as usize, dq1);
                 let Some(vp2) = vp2 else { return };
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 collector.offer(vp2 as usize, dq2);
                 for i in 0..entries.len() {
                     let b1 = (dq1 - entries.d1(i)).abs();
@@ -322,7 +337,7 @@ where
                         // strict `<` would have discarded.
                         match self.metric.distance_within_frac(
                             self.query,
-                            self.items.get(id),
+                            self.items.get(entries.row(i)),
                             collector.radius(),
                         ) {
                             (Some(d), _) => {
@@ -349,10 +364,10 @@ where
                 sink.enter_node(level, false);
                 let m = self.arena.m();
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 collector.offer(vp1 as usize, dq1);
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 collector.offer(vp2 as usize, dq2);
                 let saved = path.len();
                 if path.len() < self.p {
@@ -438,13 +453,13 @@ where
             MvpNodeView::Leaf { vp1, vp2, entries } => {
                 sink.enter_node(level, true);
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 if dq1 >= radius {
                     out.push(Neighbor::new(vp1 as usize, dq1));
                 }
                 let Some(vp2) = vp2 else { return };
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 if dq2 >= radius {
                     out.push(Neighbor::new(vp2 as usize, dq2));
                 }
@@ -464,7 +479,9 @@ where
                     }
                     let id = entries.id(i);
                     sink.distance(DistanceRole::Candidate);
-                    let d = self.metric.distance(self.query, self.items.get(id));
+                    let d = self
+                        .metric
+                        .distance(self.query, self.items.get(entries.row(i)));
                     if d >= radius {
                         out.push(Neighbor::new(id as usize, d));
                     }
@@ -480,12 +497,12 @@ where
                 sink.enter_node(level, false);
                 let m = self.arena.m();
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 if dq1 >= radius {
                     out.push(Neighbor::new(vp1 as usize, dq1));
                 }
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 if dq2 >= radius {
                     out.push(Neighbor::new(vp2 as usize, dq2));
                 }
@@ -549,11 +566,11 @@ where
             MvpNodeView::Leaf { vp1, vp2, entries } => {
                 sink.enter_node(level, true);
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 collector.offer(vp1 as usize, dq1);
                 let Some(vp2) = vp2 else { return };
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 collector.offer(vp2 as usize, dq2);
                 for i in 0..entries.len() {
                     let u1 = dq1 + entries.d1(i);
@@ -568,7 +585,9 @@ where
                     if upper >= collector.radius() {
                         let id = entries.id(i);
                         sink.distance(DistanceRole::Candidate);
-                        let d = self.metric.distance(self.query, self.items.get(id));
+                        let d = self
+                            .metric
+                            .distance(self.query, self.items.get(entries.row(i)));
                         collector.offer(id as usize, d);
                     } else if S::ENABLED {
                         sink.reject(attribute_leaf_upper(u1, u2, upper), upper);
@@ -585,10 +604,10 @@ where
                 sink.enter_node(level, false);
                 let m = self.arena.m();
                 sink.distance(DistanceRole::Vantage);
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 collector.offer(vp1 as usize, dq1);
                 sink.distance(DistanceRole::Vantage);
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 collector.offer(vp2 as usize, dq2);
                 let saved = path.len();
                 if path.len() < self.p {
@@ -693,14 +712,14 @@ where
                     state.frontier = state.frontier.min(node_bound);
                     return false;
                 }
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 collector.offer(vp1 as usize, dq1);
                 let Some(vp2) = vp2 else { return true };
                 if !state.meter.try_charge() {
                     state.frontier = state.frontier.min(node_bound);
                     return false;
                 }
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 collector.offer(vp2 as usize, dq2);
                 let entry_bound = |i: usize| {
                     let mut bound = (dq1 - entries.d1(i)).abs().max((dq2 - entries.d2(i)).abs());
@@ -728,7 +747,7 @@ where
                     let id = entries.id(i);
                     if let (Some(d), _) = self.metric.distance_within_frac(
                         self.query,
-                        self.items.get(id),
+                        self.items.get(entries.row(i)),
                         collector.radius(),
                     ) {
                         collector.offer(id as usize, d);
@@ -748,7 +767,7 @@ where
                     state.frontier = state.frontier.min(node_bound);
                     return false;
                 }
-                let dq1 = self.metric.distance(self.query, self.items.get(vp1));
+                let dq1 = self.metric.distance(self.query, self.item(vp1));
                 collector.offer(vp1 as usize, dq1);
                 if !state.meter.try_charge() {
                     // vp2 and every child are still unexplored; the
@@ -756,7 +775,7 @@ where
                     state.frontier = state.frontier.min(node_bound);
                     return false;
                 }
-                let dq2 = self.metric.distance(self.query, self.items.get(vp2));
+                let dq2 = self.metric.distance(self.query, self.item(vp2));
                 collector.offer(vp2 as usize, dq2);
                 let saved = path.len();
                 if path.len() < self.p {

@@ -75,12 +75,14 @@ impl<T, M: BoundedMetric<T>> MvpTree<T, M> {
 }
 
 impl<T, M> MvpTree<T, M> {
-    /// Binds this tree's arena, items, metric and PATH cap to a query.
+    /// Binds this tree's arena, row-ordered items, id→row table, metric
+    /// and PATH cap to a query.
     pub(crate) fn kernel<'k>(&'k self, query: &'k T) -> Kernel<'k, [T], M, T> {
         Kernel {
             arena: self.arena.view(),
             root: self.root,
             items: self.items.as_slice(),
+            rows: &self.rows,
             metric: &self.metric,
             query,
             p: self.params.p,

@@ -12,10 +12,15 @@ use crate::validate::validate_arena;
 /// Built once from a dataset ([`MvpTree::build`], paper §4.2); answers
 /// range and k-nearest-neighbor queries through [`MetricIndex`] (paper
 /// §4.3). Nodes live in a flat, index-addressed [`MvpArena`]; see the
-/// crate docs for the algorithm.
+/// crate docs for the algorithm. Items are stored in the arena's row
+/// order (see [`crate::arena`]), so each leaf's candidates are one
+/// contiguous block; item ids keep naming the caller's original order.
 #[derive(Debug, Clone)]
 pub struct MvpTree<T, M> {
+    /// Items in row order: `items[rows[id]]` is item `id`.
     pub(crate) items: Vec<T>,
+    /// The id→row table, derived from the arena.
+    pub(crate) rows: Vec<u32>,
     pub(crate) metric: M,
     pub(crate) arena: MvpArena,
     pub(crate) root: Option<u32>,
@@ -33,8 +38,15 @@ impl<T, M> MvpTree<T, M> {
         &self.metric
     }
 
-    /// All indexed items, in insertion order (ids index into this slice).
-    pub fn items(&self) -> &[T] {
+    /// All indexed items in id order (the order they were built from).
+    pub fn items_by_id(&self) -> impl ExactSizeIterator<Item = &T> + '_ {
+        self.rows.iter().map(|&row| &self.items[row as usize])
+    }
+
+    /// All indexed items in row order — the layout the search kernels
+    /// and snapshots use ([`MvpArenaView::row_order`] names the id at
+    /// each row).
+    pub fn row_items(&self) -> &[T] {
         &self.items
     }
 
@@ -55,14 +67,16 @@ impl<T, M> MvpTree<T, M> {
             self.arena.view(),
             self.root,
             self.items.as_slice(),
+            &self.rows,
             &self.metric,
             self.params.p,
         )
     }
 
-    /// Assembles a tree from items, a metric, parameters and a flat node
-    /// arena, validating every structural invariant the search paths rely
-    /// on — the decode path of the persistence layer.
+    /// Assembles a tree from items in row order, a metric, parameters
+    /// and a flat node arena, validating every structural invariant the
+    /// search paths rely on — the decode path of the persistence layer.
+    /// The id→row table is derived from the validated arena.
     ///
     /// # Errors
     ///
@@ -79,8 +93,10 @@ impl<T, M> MvpTree<T, M> {
     ) -> Result<Self> {
         params.validate()?;
         validate_arena(arena.view(), root, items.len(), &params)?;
+        let rows = arena.view().id_rows(items.len());
         Ok(MvpTree {
             items,
+            rows,
             metric,
             arena,
             root,
@@ -95,7 +111,7 @@ impl<T, M: vantage_core::BoundedMetric<T>> MetricIndex<T> for MvpTree<T, M> {
     }
 
     fn get(&self, id: usize) -> Option<&T> {
-        self.items.get(id)
+        self.rows.get(id).map(|&row| &self.items[row as usize])
     }
 
     fn range(&self, query: &T, radius: f64) -> Vec<Neighbor> {

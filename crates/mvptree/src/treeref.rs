@@ -6,7 +6,9 @@
 //! [`MvpArenaView`] (typically resolved inside a memory-mapped snapshot
 //! section) and the items come from any [`ItemStore`] — a plain slice,
 //! or a flat offset-indexed buffer such as
-//! [`FlatF64s`](vantage_core::FlatF64s). Both forms drive the exact same
+//! [`FlatF64s`](vantage_core::FlatF64s) — laid out in the arena's row
+//! order, with the id→row table the arena derives
+//! ([`MvpArenaView::id_rows`]). Both forms drive the exact same
 //! kernels in [`crate::kernel`], so a borrowed view answers
 //! bit-identically to the materialized tree it mirrors.
 
@@ -18,7 +20,8 @@ use vantage_core::{BoundedMetric, ItemStore, KnnCollector, Metric, Neighbor};
 use crate::arena::MvpArenaView;
 use crate::kernel::Kernel;
 
-/// A borrowed mvp-tree: arena view + item store + metric + PATH cap.
+/// A borrowed mvp-tree: arena view + row-ordered item store + id→row
+/// table + metric + PATH cap.
 ///
 /// Construction performs no validation — the arena and store must
 /// describe a structurally valid tree (every id in range, spans in
@@ -29,17 +32,20 @@ pub struct MvpTreeRef<'a, S, M> {
     arena: MvpArenaView<'a>,
     root: Option<u32>,
     store: S,
+    rows: &'a [u32],
     metric: &'a M,
     p: usize,
 }
 
 impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
-    /// Binds a validated arena view, root, item store, metric and PATH
+    /// Binds a validated arena view, root, row-ordered item store, the
+    /// arena's id→row table ([`MvpArenaView::id_rows`]), metric and PATH
     /// cap (`MvpParams::p`).
     pub fn new(
         arena: MvpArenaView<'a>,
         root: Option<u32>,
         store: S,
+        rows: &'a [u32],
         metric: &'a M,
         p: usize,
     ) -> Self {
@@ -47,6 +53,7 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
             arena,
             root,
             store,
+            rows,
             metric,
             p,
         }
@@ -62,9 +69,9 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
         self.store.is_empty()
     }
 
-    /// The item named by `id`.
+    /// The item named by `id` (resolved through the id→row table).
     pub fn item(&self, id: u32) -> &S::Item {
-        self.store.get(id)
+        self.store.get(self.rows[id as usize])
     }
 
     /// The metric in use.
@@ -82,6 +89,7 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
             arena: self.arena,
             root: self.root,
             items: &self.store,
+            rows: self.rows,
             metric: self.metric,
             query,
             p: self.p,

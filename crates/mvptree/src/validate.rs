@@ -322,8 +322,8 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
     }
 
     fn dist(&self, a: u32, b: u32) -> f64 {
-        self.metric
-            .distance(&self.items[a as usize], &self.items[b as usize])
+        let item = |id: u32| &self.items[self.rows[id as usize] as usize];
+        self.metric.distance(item(a), item(b))
     }
 
     fn check_leaf(
@@ -522,7 +522,13 @@ mod tests {
         );
         let mut params = tree.params().clone();
         corrupt(&mut arena, &mut params);
-        MvpTree::from_arena(tree.items().to_vec(), Euclidean, params, tree.root(), arena)
+        MvpTree::from_arena(
+            tree.row_items().to_vec(),
+            Euclidean,
+            params,
+            tree.root(),
+            arena,
+        )
     }
 
     fn assert_corrupt(result: Result<MvpTree<Vec<f64>, Euclidean>>) {
@@ -614,7 +620,7 @@ mod tests {
         for (m, k, p) in [(2, 5, 2), (3, 9, 5), (4, 13, 0)] {
             let t = MvpTree::build(points.clone(), Euclidean, MvpParams::paper(m, k, p).seed(9))
                 .unwrap();
-            super::validate_arena(t.arena(), t.root(), t.items().len(), t.params()).unwrap();
+            super::validate_arena(t.arena(), t.root(), t.len(), t.params()).unwrap();
         }
     }
 
@@ -624,7 +630,7 @@ mod tests {
             let points: Vec<Vec<f64>> = (0..n).map(|i| vec![f64::from(i)]).collect();
             let t = MvpTree::build(points, Euclidean, MvpParams::binary(3, 2)).unwrap();
             t.check_invariants().unwrap();
-            super::validate_arena(t.arena(), t.root(), t.items().len(), t.params()).unwrap();
+            super::validate_arena(t.arena(), t.root(), t.len(), t.params()).unwrap();
         }
     }
 }

@@ -18,14 +18,24 @@
 //! covers the metadata itself — so truncation, bit flips and fabricated
 //! lengths all surface as typed [`VantageError`]s.
 //!
-//! Version 2 (the only version this build reads or writes) lays the
+//! Version 3 (the only version this build reads or writes) lays the
 //! items and structure payloads out as flat, 8-byte-aligned arrays so a
 //! memory map of the file can be served directly — see
-//! [`crate::layout`]. Payload-internal alignment is relative to the
-//! *file* start (each payload pads its own front up to the next 8-byte
-//! file offset), which is why [`parse`] reports each payload's absolute
-//! offset alongside its bytes. Version 1 stored pointer-rich per-node
-//! records; it is no longer readable and reports as unsupported.
+//! [`crate::layout`] — and writes a tree's items section in the tree's
+//! **row order**: leaf entries first, in the arena's leaf column order,
+//! then the vantage points (`MvpArenaView::row_order`,
+//! `VpArenaView::row_order`). Each leaf scan then reads one contiguous
+//! block of the mapped items. The structure payload is the node arena,
+//! byte-identical to version 2; the id→row table that resolves vantage
+//! points and caller-facing ids is derived from it at load in one
+//! O(n) pass and is not stored. Linear-scan snapshots keep id order.
+//!
+//! Payload-internal alignment is relative to the *file* start (each
+//! payload pads its own front up to the next 8-byte file offset), which
+//! is why [`parse`] reports each payload's absolute offset alongside its
+//! bytes. Version 2 stored the same arrays with tree items in id order,
+//! and version 1 stored pointer-rich per-node records; neither is
+//! readable any more, and both report as unsupported.
 
 use vantage_core::{Result, VantageError};
 
@@ -35,7 +45,7 @@ use crate::wire::{Cursor, Out};
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"VNTGSNAP";
 /// Newest container version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Upper bound on the header span in bytes: the fixed fields plus the
 /// largest possible metric identifier. Reading this many bytes (or the
@@ -208,7 +218,8 @@ pub(crate) fn assemble(
 /// * [`VantageError::UnsupportedSnapshot`] for any version other than
 ///   [`FORMAT_VERSION`] (recognized magic, so the file *is* a snapshot —
 ///   just not one this build reads; version 1's pointer-rich node
-///   records were dropped with the flat layout);
+///   records were dropped with the flat layout, and version 2's
+///   id-ordered tree items with the row-ordered layout);
 /// * [`VantageError::CorruptSnapshot`] for everything else that does not
 ///   parse or verify.
 pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header> {
@@ -392,23 +403,25 @@ mod tests {
     }
 
     #[test]
-    fn dropped_v1_is_unsupported_not_corrupt() {
-        let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let header_end = bytes.len() - (b"PARAMSITEMSTREE".len() + 3 * 13) - 4;
-        let crc = crc32(&bytes[..header_end]);
-        bytes[header_end..header_end + 4].copy_from_slice(&crc.to_le_bytes());
-        let err = parse(&bytes).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                VantageError::UnsupportedSnapshot {
-                    found: 1,
-                    supported: FORMAT_VERSION,
-                }
-            ),
-            "{err}"
-        );
+    fn dropped_v1_and_v2_are_unsupported_not_corrupt() {
+        for old in [1u32, 2] {
+            let mut bytes = sample();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            let header_end = bytes.len() - (b"PARAMSITEMSTREE".len() + 3 * 13) - 4;
+            let crc = crc32(&bytes[..header_end]);
+            bytes[header_end..header_end + 4].copy_from_slice(&crc.to_le_bytes());
+            let err = parse(&bytes).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    VantageError::UnsupportedSnapshot {
+                        found,
+                        supported: 3,
+                    } if found == old
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Byte-exact span parsing for the v2 flat payloads.
+//! Byte-exact span parsing for the flat payloads (format v2 onwards).
 //!
 //! Both loaders — the materializing `decode_*` path and the zero-copy
 //! `open_*` path — run the **same** parser over a section payload. The
@@ -96,7 +96,7 @@ pub(crate) fn f64s_in(payload: &[u8], r: &Range<usize>) -> Vec<f64> {
         .collect()
 }
 
-/// Validated spans of a v2 items payload.
+/// Validated spans of a flat items payload.
 #[derive(Debug)]
 pub(crate) struct ItemsLayout {
     /// Number of items (equals the header count).
@@ -111,7 +111,7 @@ pub(crate) struct ItemsLayout {
 }
 
 impl ItemsLayout {
-    /// Parses a v2 items payload. `base` is the payload's absolute file
+    /// Parses a flat items payload. `base` is the payload's absolute file
     /// offset (the alignment origin), `expect` the header's item count
     /// and `elem` the bytes per data element (8 for `f64` vectors, 1
     /// for UTF-8 strings).
@@ -156,7 +156,7 @@ impl ItemsLayout {
     }
 }
 
-/// Validated spans of a v2 vp-tree structure payload.
+/// Validated spans of a flat vp-tree structure payload.
 #[derive(Debug)]
 pub(crate) struct VpLayout {
     /// Root node id, `u32::MAX` for an empty tree.
@@ -176,7 +176,7 @@ pub(crate) struct VpLayout {
 }
 
 impl VpLayout {
-    /// Parses a v2 vp-tree structure payload laid out for fanout
+    /// Parses a flat vp-tree structure payload laid out for fanout
     /// `order`.
     pub(crate) fn parse(payload: &[u8], base: usize, order: usize) -> Result<Self> {
         if order < 2 {
@@ -214,7 +214,7 @@ impl VpLayout {
     }
 }
 
-/// Validated spans of a v2 mvp-tree structure payload.
+/// Validated spans of a flat mvp-tree structure payload.
 #[derive(Debug)]
 pub(crate) struct MvpLayout {
     /// Root node id, `u32::MAX` for an empty tree.
@@ -244,7 +244,7 @@ pub(crate) struct MvpLayout {
 }
 
 impl MvpLayout {
-    /// Parses a v2 mvp-tree structure payload laid out for fanout `m`.
+    /// Parses a flat mvp-tree structure payload laid out for fanout `m`.
     pub(crate) fn parse(payload: &[u8], base: usize, m: usize) -> Result<Self> {
         if m < 2 {
             return Err(corrupt(format!("mvp-tree fanout m = {m} (minimum 2)")));

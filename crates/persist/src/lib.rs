@@ -21,8 +21,9 @@
 //! * a header carrying magic bytes, a format version, the index kind,
 //!   the item encoding, the metric identifier, the item count and an
 //!   FNV-1a digest of the dataset payload — sealed by its own CRC-32;
-//! * three CRC-32-checked sections: construction params, items, node
-//!   structure.
+//! * three CRC-32-checked sections: construction params, items (for
+//!   vp- and mvp-trees in the tree's row order, leaf entries first, so
+//!   a leaf scan reads one contiguous block), node structure.
 //!
 //! ## Integrity
 //!

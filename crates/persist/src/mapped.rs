@@ -13,6 +13,12 @@
 //! bit-identical to the `decode_*` path, but cold start is `O(header +
 //! validation)` and the page cache, not the heap, holds the data.
 //!
+//! Tree items are mapped in the row order the file stores them in (see
+//! [`crate::format`]) and never permuted at load — a second copy would
+//! double a server's resident memory. The only per-item heap state is
+//! the id→row table (4 bytes per item), derived from the validated
+//! arena in one O(n) pass at open.
+//!
 //! Item access is typed through [`FlatItems`]: [`F64Vectors`] serves
 //! `[f64]` slices out of the mapped value buffer, [`Utf8Strings`]
 //! serves `&str` out of the mapped text (validated as UTF-8 once at
@@ -165,6 +171,7 @@ pub struct MappedVpTree<K: FlatItems, M> {
     count: usize,
     item_offsets: Range<usize>,
     item_data: Range<usize>,
+    rows: Vec<u32>,
     lay: VpLayout,
     _items: PhantomData<K>,
 }
@@ -199,8 +206,26 @@ impl<K: FlatItems, M> MappedVpTree<K, M> {
     /// A borrowed tree over the mapped bytes, ready to answer any
     /// query form bit-identically to the materialized tree.
     pub fn view(&self) -> VpTreeRef<'_, K::Store<'_>, M> {
+        VpTreeRef::new(
+            self.arena(),
+            self.root,
+            self.store(),
+            &self.rows,
+            &self.metric,
+        )
+    }
+
+    fn store(&self) -> K::Store<'_> {
         let b = self.storage.bytes();
-        let arena = VpArenaView::from_raw_parts(
+        K::store(
+            mem::u64s(&b[self.item_offsets.clone()]),
+            &b[self.item_data.clone()],
+        )
+    }
+
+    fn arena(&self) -> VpArenaView<'_> {
+        let b = self.storage.bytes();
+        VpArenaView::from_raw_parts(
             self.params.order,
             mem::u32s(&b[self.lay.meta.clone()]),
             mem::u32s(&b[self.lay.vantage.clone()]),
@@ -208,12 +233,7 @@ impl<K: FlatItems, M> MappedVpTree<K, M> {
             mem::f64s(&b[self.lay.cutoffs.clone()]),
             mem::u32s(&b[self.lay.leaf_spans.clone()]),
             mem::u32s(&b[self.lay.leaf_items.clone()]),
-        );
-        let store = K::store(
-            mem::u64s(&b[self.item_offsets.clone()]),
-            &b[self.item_data.clone()],
-        );
-        VpTreeRef::new(arena, self.root, store, &self.metric)
+        )
     }
 }
 
@@ -221,8 +241,9 @@ impl<K: FlatItems, M> MappedVpTree<K, M> {
 ///
 /// Runs the full verification pipeline once — container checksums,
 /// typed tag checks, layout bounds, item encoding checks and the tree
-/// crates' complete `validate_arena` — then returns a handle that
-/// builds borrowed views without touching the bulk of the file again.
+/// crates' complete `validate_arena` — then derives the id→row table
+/// from the validated arena and returns a handle that builds borrowed
+/// views without touching the bulk of the file again.
 ///
 /// # Errors
 ///
@@ -258,14 +279,14 @@ pub fn open_vp_tree<K: FlatItems, M: MetricTag>(
         count: spans.count,
         item_offsets: spans.offsets,
         item_data: spans.data,
+        rows: Vec::new(),
         lay,
         _items: PhantomData,
     };
-    {
-        let view = tree.view();
-        vantage_vptree::validate_arena(view.arena(), root, tree.count, &tree.params)?;
-    }
-    Ok(tree)
+    let arena = tree.arena();
+    vantage_vptree::validate_arena(arena, root, tree.count, &tree.params)?;
+    let rows = arena.id_rows(tree.count);
+    Ok(MappedVpTree { rows, ..tree })
 }
 
 /// An mvp-tree served directly out of a mapped snapshot file; the
@@ -279,6 +300,7 @@ pub struct MappedMvpTree<K: FlatItems, M> {
     count: usize,
     item_offsets: Range<usize>,
     item_data: Range<usize>,
+    rows: Vec<u32>,
     lay: MvpLayout,
     _items: PhantomData<K>,
 }
@@ -311,8 +333,27 @@ impl<K: FlatItems, M> MappedMvpTree<K, M> {
 
     /// A borrowed tree over the mapped bytes.
     pub fn view(&self) -> MvpTreeRef<'_, K::Store<'_>, M> {
+        MvpTreeRef::new(
+            self.arena(),
+            self.root,
+            self.store(),
+            &self.rows,
+            &self.metric,
+            self.params.p,
+        )
+    }
+
+    fn store(&self) -> K::Store<'_> {
         let b = self.storage.bytes();
-        let arena = MvpArenaView::from_raw_parts(
+        K::store(
+            mem::u64s(&b[self.item_offsets.clone()]),
+            &b[self.item_data.clone()],
+        )
+    }
+
+    fn arena(&self) -> MvpArenaView<'_> {
+        let b = self.storage.bytes();
+        MvpArenaView::from_raw_parts(
             self.params.m,
             mem::u32s(&b[self.lay.meta.clone()]),
             mem::u32s(&b[self.lay.vp1.clone()]),
@@ -325,12 +366,7 @@ impl<K: FlatItems, M> MappedMvpTree<K, M> {
             mem::f64s(&b[self.lay.d1.clone()]),
             mem::f64s(&b[self.lay.d2.clone()]),
             mem::f64s(&b[self.lay.path.clone()]),
-        );
-        let store = K::store(
-            mem::u64s(&b[self.item_offsets.clone()]),
-            &b[self.item_data.clone()],
-        );
-        MvpTreeRef::new(arena, self.root, store, &self.metric, self.params.p)
+        )
     }
 }
 
@@ -374,14 +410,14 @@ pub fn open_mvp_tree<K: FlatItems, M: MetricTag>(
         count: spans.count,
         item_offsets: spans.offsets,
         item_data: spans.data,
+        rows: Vec::new(),
         lay,
         _items: PhantomData,
     };
-    {
-        let view = tree.view();
-        vantage_mvptree::validate_arena(view.arena(), root, tree.count, &tree.params)?;
-    }
-    Ok(tree)
+    let arena = tree.arena();
+    vantage_mvptree::validate_arena(arena, root, tree.count, &tree.params)?;
+    let rows = arena.id_rows(tree.count);
+    Ok(MappedMvpTree { rows, ..tree })
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //!   reason atomic rename-into-place is the only supported way to
 //!   replace a live snapshot (the way the crate's `save_*` functions
 //!   write).
-//! * **Alignment** — the v2 format pads every `u64`/`f64` array to an
+//! * **Alignment** — the flat format (v2 onwards) pads every `u64`/`f64` array to an
 //!   8-byte boundary *relative to the file start*, and both backing
 //!   stores are 8-aligned (mappings are page-aligned; the owned
 //!   fallback buffer is a `Vec<u64>`), so the cast functions' runtime

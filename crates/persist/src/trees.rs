@@ -9,7 +9,8 @@
 //! invariant before a tree is handed back. The structure payloads are
 //! the arenas' flat arrays written verbatim, so encoding is a handful
 //! of `memcpy`-shaped appends and decoding is the reverse — no per-node
-//! record walking on either side.
+//! record walking on either side. Tree items are written in the tree's
+//! row order (see [`crate::format`]), exactly as the tree stores them.
 
 use vantage_core::parallel::Threads;
 use vantage_core::select::VantageSelector;
@@ -187,14 +188,14 @@ fn decode_vp_structure(
 pub fn encode_vp_tree<T: ItemCodec, M: MetricTag>(tree: &VpTree<T, M>) -> Vec<u8> {
     let params = encode_vp_params(tree.params());
     let items_off = items_payload_offset(M::TAG.len(), params.len());
-    let items = T::encode_section(tree.items(), items_off);
+    let items = T::encode_section(tree.row_items(), items_off);
     let structure_off = structure_payload_offset(items_off, items.len());
     let structure = encode_vp_structure(tree, structure_off);
     assemble(
         IndexKind::VpTree,
         T::TAG,
         M::TAG,
-        tree.items().len() as u64,
+        tree.row_items().len() as u64,
         &params,
         &items,
         &structure,
@@ -304,14 +305,14 @@ fn decode_mvp_structure(payload: &[u8], base: usize, m: usize) -> Result<(Option
 pub fn encode_mvp_tree<T: ItemCodec, M: MetricTag>(tree: &MvpTree<T, M>) -> Vec<u8> {
     let params = encode_mvp_params(tree.params());
     let items_off = items_payload_offset(M::TAG.len(), params.len());
-    let items = T::encode_section(tree.items(), items_off);
+    let items = T::encode_section(tree.row_items(), items_off);
     let structure_off = structure_payload_offset(items_off, items.len());
     let structure = encode_mvp_structure(tree, structure_off);
     assemble(
         IndexKind::MvpTree,
         T::TAG,
         M::TAG,
-        tree.items().len() as u64,
+        tree.row_items().len() as u64,
         &params,
         &items,
         &structure,
@@ -398,7 +399,8 @@ mod tests {
         let bytes = encode_vp_tree(&tree);
         let back: VpTree<Vec<f64>, Euclidean> = decode_vp_tree(&bytes).unwrap();
         assert_eq!(encode_vp_tree(&back), bytes);
-        assert_eq!(back.items(), tree.items());
+        assert_eq!(back.row_items(), tree.row_items());
+        assert!(back.items_by_id().eq(tree.items_by_id()));
         let q = vec![3.0, 2.0];
         assert_eq!(back.range(&q, 2.5), tree.range(&q, 2.5));
     }
@@ -410,7 +412,8 @@ mod tests {
         let bytes = encode_mvp_tree(&tree);
         let back: MvpTree<Vec<f64>, Euclidean> = decode_mvp_tree(&bytes).unwrap();
         assert_eq!(encode_mvp_tree(&back), bytes);
-        assert_eq!(back.items(), tree.items());
+        assert_eq!(back.row_items(), tree.row_items());
+        assert!(back.items_by_id().eq(tree.items_by_id()));
         let q = vec![8.0, 1.0];
         assert_eq!(back.knn(&q, 6), tree.knn(&q, 6));
     }

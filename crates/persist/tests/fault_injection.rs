@@ -107,6 +107,26 @@ fn future_format_version_is_unsupported_not_corrupt() {
 }
 
 #[test]
+fn forged_v2_header_is_refused() {
+    // Version 2 stored tree items in id order; a v2 file read with v3's
+    // row-order layout would pair every leaf entry with the wrong item,
+    // so it must be refused outright, not decoded.
+    let mut bytes = vector_snapshot();
+    patch_header(&mut bytes, 8, &2u32.to_le_bytes());
+    let err = persist::decode_mvp_tree::<Vec<f64>, Euclidean>(&bytes).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            VantageError::UnsupportedSnapshot {
+                found: 2,
+                supported: 3,
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
 fn wrong_index_kind_is_a_mismatch() {
     let bytes = vector_snapshot(); // an mvp-tree
     let err = persist::decode_vp_tree::<Vec<f64>, Euclidean>(&bytes).unwrap_err();

@@ -93,6 +93,28 @@ fn every_single_bit_flip_in_a_file_is_a_typed_error() {
 }
 
 #[test]
+fn forged_v2_header_is_refused_at_open() {
+    let mut bytes = vector_snapshot();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let crc = persist::check::crc32(&bytes[..34]);
+    bytes[34..38].copy_from_slice(&crc.to_le_bytes());
+    let err = with_file("forged-v2", &bytes, |p| {
+        persist::open_mvp_tree::<F64Vectors, Euclidean>(p).map(|_| ())
+    })
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            VantageError::UnsupportedSnapshot {
+                found: 2,
+                supported: 3,
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
 fn forged_future_version_is_unsupported_not_corrupt() {
     let mut bytes = vector_snapshot();
     // Header layout for an `l2` snapshot: version at 8..12, header CRC

@@ -16,6 +16,13 @@
 //! * leaf rank `r`: `leaf_spans[2r] .. +leaf_spans[2r+1]` delimits the
 //!   leaf's bucket inside one shared `leaf_items` buffer.
 //!
+//! The tree's items are stored in **row order**
+//! ([`VpArenaView::row_order`]): rows `0..L` are the leaf items in
+//! `leaf_items` order, so each leaf scan reads one contiguous block of
+//! the item store, then come the vantage points by internal rank. The
+//! arrays above still name items by their original ids — what results
+//! report — and the id→row table is derived from them.
+//!
 //! The same six arrays exist in two forms: [`VpArena`] owns them
 //! (`Vec`s, the materialized tree), [`VpArenaView`] borrows them —
 //! possibly straight out of a memory-mapped snapshot section. All
@@ -234,6 +241,9 @@ pub enum VpNodeView<'a> {
     Leaf {
         /// Item ids stored in this bucket.
         items: &'a [u32],
+        /// The item-store row of `items[0]`: buckets are stored in
+        /// `leaf_items` order, so `items[i]` sits at row `first_row + i`.
+        first_row: u32,
     },
 }
 
@@ -317,6 +327,20 @@ impl<'a> VpArenaView<'a> {
         self.leaf_items
     }
 
+    /// The item id stored at each row, in row order: every leaf item
+    /// (`leaf_items` order), then the vantage points by internal rank.
+    /// Over a valid arena this names every item exactly once.
+    pub fn row_order(&self) -> impl Iterator<Item = u32> + 'a {
+        self.leaf_items.iter().chain(self.vantage).copied()
+    }
+
+    /// The id→row table of an arena over `n` items: `rows[id]` is the
+    /// item-store row holding item `id`. The arena must have passed
+    /// [`validate_arena`](crate::validate_arena) for `n` items.
+    pub fn id_rows(&self, n: usize) -> Vec<u32> {
+        vantage_core::id_rows(self.row_order(), n)
+    }
+
     /// Resolves node `id` into its class arrays.
     #[inline]
     pub fn node(&self, id: u32) -> VpNodeView<'a> {
@@ -327,6 +351,7 @@ impl<'a> VpArenaView<'a> {
             let len = self.leaf_spans[2 * rank + 1] as usize;
             VpNodeView::Leaf {
                 items: &self.leaf_items[start..start + len],
+                first_row: start as u32,
             }
         } else {
             let m = self.order;
@@ -417,9 +442,20 @@ mod tests {
             VpNodeView::Leaf { .. } => panic!("node 0 is internal"),
         }
         match view.node(2) {
-            VpNodeView::Leaf { items } => assert_eq!(items, &[3]),
+            VpNodeView::Leaf { items, first_row } => {
+                assert_eq!(items, &[3]);
+                assert_eq!(first_row, 2);
+            }
             VpNodeView::Internal { .. } => panic!("node 2 is a leaf"),
         }
+    }
+
+    #[test]
+    fn row_order_is_leaf_items_then_vantages() {
+        let arena = sample();
+        let order: Vec<u32> = arena.view().row_order().collect();
+        assert_eq!(order, vec![1, 2, 3, 0]);
+        assert_eq!(arena.view().id_rows(4), vec![3, 0, 1, 2]);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //!    parent splices them back in child order, rebasing node ids, class
 //!    ranks and leaf bucket starts. The result is exactly the
 //!    DFS-preorder layout of a sequential build.
+//!
+//! Once the arena is complete, the items are permuted in place into its
+//! row order (leaf buckets first, in `leaf_items` order; see
+//! [`crate::arena`]). Construction itself reads items by id, so the
+//! tree is the same; only where each item is stored changes.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -55,7 +60,7 @@ impl<T, M: Metric<T>> VpTree<T, M> {
     /// # Errors
     ///
     /// Returns an error when `params` is invalid.
-    pub fn build(items: Vec<T>, metric: M, params: VpTreeParams) -> Result<Self>
+    pub fn build(mut items: Vec<T>, metric: M, params: VpTreeParams) -> Result<Self>
     where
         T: Sync,
         M: Sync,
@@ -71,8 +76,13 @@ impl<T, M: Metric<T>> VpTree<T, M> {
             params: &params,
         };
         let root = builder.build_subtree(ids, &mut rng, workers, &mut arena);
+        // Store the items in the arena's row order, so each leaf scan
+        // reads one contiguous block: one in-place permutation, no clone.
+        let rows = arena.view().id_rows(items.len());
+        vantage_core::permute_to_rows(&mut items, &rows);
         Ok(VpTree {
             items,
+            rows,
             metric,
             arena,
             root,
@@ -280,7 +290,7 @@ mod tests {
         .unwrap();
         let view = tree.arena();
         for id in 0..view.len() as u32 {
-            if let crate::arena::VpNodeView::Leaf { items } = view.node(id) {
+            if let crate::arena::VpNodeView::Leaf { items, .. } = view.node(id) {
                 assert!(items.len() <= 7);
             }
         }
@@ -299,7 +309,7 @@ mod tests {
         for id in 0..view.len() as u32 {
             match view.node(id) {
                 crate::arena::VpNodeView::Internal { vantage, .. } => seen[vantage as usize] += 1,
-                crate::arena::VpNodeView::Leaf { items } => {
+                crate::arena::VpNodeView::Leaf { items, .. } => {
                     for &id in items {
                         seen[id as usize] += 1;
                     }

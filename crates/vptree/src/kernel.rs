@@ -9,6 +9,11 @@
 //! monomorphized traversals, so the materialized and zero-copy paths
 //! answer bit-identically by construction: same arithmetic, same visit
 //! order, same tie-breaking.
+//!
+//! Items are read in row order (see [`crate::arena`]): a leaf bucket's
+//! items sit at consecutive rows, so one leaf scan reads one contiguous
+//! block of the store, while vantage points resolve through the id→row
+//! table. Neighbors, tie-breaks and trace events name original ids.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,12 +45,13 @@ fn shell(cutoffs: &[f64], i: usize) -> (f64, f64) {
     (lo, hi)
 }
 
-/// One query's traversal context: the node arena, the item store, the
-/// metric and the query point.
+/// One query's traversal context: the node arena, the row-ordered item
+/// store and its id→row table, the metric and the query point.
 pub(crate) struct Kernel<'k, I: ?Sized, M, T: ?Sized> {
     pub arena: VpArenaView<'k>,
     pub root: Option<u32>,
     pub items: &'k I,
+    pub rows: &'k [u32],
     pub metric: &'k M,
     pub query: &'k T,
 }
@@ -55,6 +61,13 @@ where
     T: ?Sized,
     I: ItemStore<Item = T> + ?Sized,
 {
+    /// The item named by `id` (a vantage point), through the id→row
+    /// table.
+    #[inline]
+    fn item(&self, id: u32) -> &T {
+        self.items.get(self.rows[id as usize])
+    }
+
     /// Range search (paper §3.3): all items within `radius` of the query.
     pub fn range<S: TraceSink>(&self, radius: f64, sink: &mut S) -> Vec<Neighbor>
     where
@@ -78,13 +91,13 @@ where
         M: BoundedMetric<T>,
     {
         match self.arena.node(node) {
-            VpNodeView::Leaf { items } => {
+            VpNodeView::Leaf { items, first_row } => {
                 sink.enter_node(level, true);
-                for &id in items {
+                for (row, &id) in (first_row..).zip(items) {
                     sink.distance(DistanceRole::Candidate);
                     match self
                         .metric
-                        .distance_within_frac(self.query, self.items.get(id), radius)
+                        .distance_within_frac(self.query, self.items.get(row), radius)
                     {
                         (Some(d), _) => out.push(Neighbor::new(id as usize, d)),
                         (None, work) => {
@@ -102,7 +115,7 @@ where
             } => {
                 sink.enter_node(level, false);
                 sink.distance(DistanceRole::Vantage);
-                let d = self.metric.distance(self.query, self.items.get(vantage));
+                let d = self.metric.distance(self.query, self.item(vantage));
                 if d <= radius {
                     out.push(Neighbor::new(vantage as usize, d));
                 }
@@ -147,16 +160,16 @@ where
                 break;
             }
             match self.arena.node(node) {
-                VpNodeView::Leaf { items } => {
+                VpNodeView::Leaf { items, first_row } => {
                     sink.enter_node(level, true);
-                    for &id in items {
+                    for (row, &id) in (first_row..).zip(items) {
                         sink.distance(DistanceRole::Candidate);
                         // Bounded by the current k-th best distance: a
                         // candidate the kernel abandons is one the
                         // collector's strict `<` would have discarded.
                         match self.metric.distance_within_frac(
                             self.query,
-                            self.items.get(id),
+                            self.items.get(row),
                             collector.radius(),
                         ) {
                             (Some(d), _) => {
@@ -177,7 +190,7 @@ where
                 } => {
                     sink.enter_node(level, false);
                     sink.distance(DistanceRole::Vantage);
-                    let d = self.metric.distance(self.query, self.items.get(vantage));
+                    let d = self.metric.distance(self.query, self.item(vantage));
                     collector.offer(vantage as usize, d);
                     for (i, &child) in children.iter().enumerate() {
                         if child == NO_CHILD {
@@ -221,11 +234,11 @@ where
         M: Metric<T>,
     {
         match self.arena.node(node) {
-            VpNodeView::Leaf { items } => {
+            VpNodeView::Leaf { items, first_row } => {
                 sink.enter_node(level, true);
-                for &id in items {
+                for (row, &id) in (first_row..).zip(items) {
                     sink.distance(DistanceRole::Candidate);
-                    let d = self.metric.distance(self.query, self.items.get(id));
+                    let d = self.metric.distance(self.query, self.items.get(row));
                     if d >= radius {
                         out.push(Neighbor::new(id as usize, d));
                     }
@@ -238,7 +251,7 @@ where
             } => {
                 sink.enter_node(level, false);
                 sink.distance(DistanceRole::Vantage);
-                let d = self.metric.distance(self.query, self.items.get(vantage));
+                let d = self.metric.distance(self.query, self.item(vantage));
                 if d >= radius {
                     out.push(Neighbor::new(vantage as usize, d));
                 }
@@ -279,11 +292,11 @@ where
         M: Metric<T>,
     {
         match self.arena.node(node) {
-            VpNodeView::Leaf { items } => {
+            VpNodeView::Leaf { items, first_row } => {
                 sink.enter_node(level, true);
-                for &id in items {
+                for (row, &id) in (first_row..).zip(items) {
                     sink.distance(DistanceRole::Candidate);
-                    let d = self.metric.distance(self.query, self.items.get(id));
+                    let d = self.metric.distance(self.query, self.items.get(row));
                     collector.offer(id as usize, d);
                 }
             }
@@ -294,7 +307,7 @@ where
             } => {
                 sink.enter_node(level, false);
                 sink.distance(DistanceRole::Vantage);
-                let d = self.metric.distance(self.query, self.items.get(vantage));
+                let d = self.metric.distance(self.query, self.item(vantage));
                 collector.offer(vantage as usize, d);
                 // Farthest-promising children first so the threshold
                 // rises early.
@@ -356,8 +369,8 @@ where
                 break;
             }
             match self.arena.node(node) {
-                VpNodeView::Leaf { items } => {
-                    for &id in items {
+                VpNodeView::Leaf { items, first_row } => {
+                    for (row, &id) in (first_row..).zip(items) {
                         if !meter.try_charge() {
                             // This candidate and the rest of the leaf
                             // sit in a subtree admitted at `bound`.
@@ -366,7 +379,7 @@ where
                         }
                         if let (Some(d), _) = self.metric.distance_within_frac(
                             self.query,
-                            self.items.get(id),
+                            self.items.get(row),
                             collector.radius(),
                         ) {
                             collector.offer(id as usize, d);
@@ -382,7 +395,7 @@ where
                         frontier = frontier.min(bound);
                         break 'search;
                     }
-                    let d = self.metric.distance(self.query, self.items.get(vantage));
+                    let d = self.metric.distance(self.query, self.item(vantage));
                     collector.offer(vantage as usize, d);
                     for (i, &child) in children.iter().enumerate() {
                         if child == NO_CHILD {

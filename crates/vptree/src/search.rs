@@ -71,12 +71,14 @@ impl<T, M: BoundedMetric<T>> VpTree<T, M> {
 }
 
 impl<T, M> VpTree<T, M> {
-    /// Binds this tree's arena, items and metric to a query.
+    /// Binds this tree's arena, row-ordered items, id→row table and
+    /// metric to a query.
     pub(crate) fn kernel<'k>(&'k self, query: &'k T) -> Kernel<'k, [T], M, T> {
         Kernel {
             arena: self.arena.view(),
             root: self.root,
             items: self.items.as_slice(),
+            rows: &self.rows,
             metric: &self.metric,
             query,
         }

@@ -41,7 +41,7 @@ impl<T, M> VpTree<T, M> {
 
 fn walk(view: VpArenaView<'_>, node: u32, s: &mut VpTreeStats) -> usize {
     match view.node(node) {
-        VpNodeView::Leaf { items } => {
+        VpNodeView::Leaf { items, .. } => {
             s.leaf_nodes += 1;
             s.leaf_items += items.len();
             s.max_leaf_len = s.max_leaf_len.max(items.len());

@@ -6,7 +6,9 @@
 //! [`VpArenaView`] (typically resolved inside a memory-mapped snapshot
 //! section) and the items come from any [`ItemStore`] — a plain slice,
 //! or a flat offset-indexed buffer such as
-//! [`FlatF64s`](vantage_core::FlatF64s). Both forms drive the exact same
+//! [`FlatF64s`](vantage_core::FlatF64s) — laid out in the arena's row
+//! order, with the id→row table the arena derives
+//! ([`VpArenaView::id_rows`]). Both forms drive the exact same
 //! kernels in [`crate::kernel`], so a borrowed view answers
 //! bit-identically to the materialized tree it mirrors.
 
@@ -18,7 +20,8 @@ use vantage_core::{BoundedMetric, ItemStore, KnnCollector, Metric, Neighbor};
 use crate::arena::VpArenaView;
 use crate::kernel::Kernel;
 
-/// A borrowed vp-tree: arena view + item store + metric.
+/// A borrowed vp-tree: arena view + row-ordered item store + id→row
+/// table + metric.
 ///
 /// Construction performs no validation — the arena and store must
 /// describe a structurally valid tree (every id in range, spans in
@@ -29,16 +32,25 @@ pub struct VpTreeRef<'a, S, M> {
     arena: VpArenaView<'a>,
     root: Option<u32>,
     store: S,
+    rows: &'a [u32],
     metric: &'a M,
 }
 
 impl<'a, S: ItemStore, M> VpTreeRef<'a, S, M> {
-    /// Binds a validated arena view, root, item store and metric.
-    pub fn new(arena: VpArenaView<'a>, root: Option<u32>, store: S, metric: &'a M) -> Self {
+    /// Binds a validated arena view, root, row-ordered item store, the
+    /// arena's id→row table ([`VpArenaView::id_rows`]) and metric.
+    pub fn new(
+        arena: VpArenaView<'a>,
+        root: Option<u32>,
+        store: S,
+        rows: &'a [u32],
+        metric: &'a M,
+    ) -> Self {
         VpTreeRef {
             arena,
             root,
             store,
+            rows,
             metric,
         }
     }
@@ -53,9 +65,9 @@ impl<'a, S: ItemStore, M> VpTreeRef<'a, S, M> {
         self.store.is_empty()
     }
 
-    /// The item named by `id`.
+    /// The item named by `id` (resolved through the id→row table).
     pub fn item(&self, id: u32) -> &S::Item {
-        self.store.get(id)
+        self.store.get(self.rows[id as usize])
     }
 
     /// The metric in use.
@@ -73,6 +85,7 @@ impl<'a, S: ItemStore, M> VpTreeRef<'a, S, M> {
             arena: self.arena,
             root: self.root,
             items: &self.store,
+            rows: self.rows,
             metric: self.metric,
             query,
         }

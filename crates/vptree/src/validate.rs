@@ -187,7 +187,7 @@ pub fn validate_arena(
                     referenced[child as usize] = true;
                 }
             }
-            VpNodeView::Leaf { items } => {
+            VpNodeView::Leaf { items, .. } => {
                 for &id in items {
                     mark(id)?;
                 }
@@ -260,7 +260,7 @@ impl<T, M: Metric<T>> VpTree<T, M> {
         seen: &mut [bool],
     ) -> std::result::Result<(), String> {
         match view.node(node) {
-            VpNodeView::Leaf { items } => {
+            VpNodeView::Leaf { items, .. } => {
                 if items.len() > self.params.leaf_capacity {
                     return Err(format!(
                         "leaf holds {} items, capacity is {}",
@@ -308,10 +308,9 @@ impl<T, M: Metric<T>> VpTree<T, M> {
                     };
                     let mut subtree = Vec::new();
                     collect_subtree(view, child, &mut subtree);
+                    let item = |id: u32| &self.items[self.rows[id as usize] as usize];
                     for id in subtree {
-                        let d = self
-                            .metric
-                            .distance(&self.items[vantage as usize], &self.items[id as usize]);
+                        let d = self.metric.distance(item(vantage), item(id));
                         // Tolerance-free: cutoffs are exact stored
                         // distances and the metric is deterministic.
                         if d < lo || d > hi {
@@ -330,7 +329,7 @@ impl<T, M: Metric<T>> VpTree<T, M> {
 
 fn collect_subtree(view: VpArenaView<'_>, node: u32, out: &mut Vec<u32>) {
     match view.node(node) {
-        VpNodeView::Leaf { items } => out.extend_from_slice(items),
+        VpNodeView::Leaf { items, .. } => out.extend_from_slice(items),
         VpNodeView::Internal {
             vantage, children, ..
         } => {
@@ -397,7 +396,7 @@ mod tests {
     #[test]
     fn reassembled_arena_preserves_answers() {
         let original = tree();
-        let rebuilt = reassemble(&original, original.items().to_vec(), |_| {}).unwrap();
+        let rebuilt = reassemble(&original, original.row_items().to_vec(), |_| {}).unwrap();
         let q = vec![17.0, 3.0];
         assert_eq!(original.range(&q, 5.0), rebuilt.range(&q, 5.0));
         assert_eq!(original.knn(&q, 9), rebuilt.knn(&q, 9));
@@ -413,7 +412,8 @@ mod tests {
     #[test]
     fn backward_child_link_is_rejected() {
         let original = tree();
-        assert_corrupt(reassemble(&original, original.items().to_vec(), |arena| {
+        let items = original.row_items().to_vec();
+        assert_corrupt(reassemble(&original, items, |arena| {
             // Point a non-root internal node's first live child back at
             // the root.
             let order = arena.order as usize;
@@ -428,7 +428,8 @@ mod tests {
     #[test]
     fn duplicated_item_is_rejected() {
         let original = tree();
-        assert_corrupt(reassemble(&original, original.items().to_vec(), |arena| {
+        let items = original.row_items().to_vec();
+        assert_corrupt(reassemble(&original, items, |arena| {
             let start = arena
                 .leaf_spans
                 .chunks_exact(2)
@@ -441,7 +442,8 @@ mod tests {
     #[test]
     fn reversed_cutoffs_are_rejected() {
         let original = tree();
-        assert_corrupt(reassemble(&original, original.items().to_vec(), |arena| {
+        let items = original.row_items().to_vec();
+        assert_corrupt(reassemble(&original, items, |arena| {
             // The root (internal rank 0) of a 120-item order-3 tree has
             // two distinct cutoffs; reversing them breaks their order.
             let root = &mut arena.cutoffs[..2];
@@ -492,7 +494,7 @@ mod tests {
                 VpTreeParams::with_order(order).leaf_capacity(3).seed(9),
             )
             .unwrap();
-            super::validate_arena(t.arena(), t.root(), t.items().len(), t.params()).unwrap();
+            super::validate_arena(t.arena(), t.root(), t.len(), t.params()).unwrap();
         }
     }
 
