@@ -387,16 +387,16 @@ fn budget_metrics(metrics: &mut BTreeMap<String, f64>) {
     );
 }
 
-/// Snapshot cold-start: wall-clock from `open(2)` on a written snapshot
-/// file to the first kNN answer, for the zero-copy mapped loader
-/// (`snapshot/cold_start_ns`) and the materializing decoder
-/// (`snapshot/decode_start_ns`) — the tentpole cliff this gate pins.
-/// Also records steady-state mapped vs decoded kNN cost per query
-/// (`snapshot/{mapped,decoded}_knn_ns`): the mapped path answers out of
-/// the page cache through the flat arena, so this is the
-/// cache-miss-sensitive number that would regress if the borrowed view
-/// ever grew a pointer-chasing indirection. All keys end in `_ns`
-/// (calibration-rescaled, loose wall tolerance).
+/// Snapshot cold-start: wall-clock from loading a written snapshot file
+/// to the first kNN answer, through the mapped loader
+/// (`snapshot/cold_start_ns`: `open_vp_tree`) and the owned-buffer
+/// loader (`snapshot/decode_start_ns`: `fs::read` plus
+/// `decode_vp_tree`, which copies the bytes once). Also records
+/// steady-state kNN cost per query through each handle's view
+/// (`snapshot/{mapped,decoded}_knn_ns`): both answer through the flat
+/// arena, so this is the cache-miss-sensitive number that would regress
+/// if the borrowed view ever grew a pointer-chasing indirection. All
+/// keys end in `_ns` (calibration-rescaled, loose wall tolerance).
 fn snapshot_metrics(metrics: &mut BTreeMap<String, f64>) {
     const COLD_REPS: usize = 9;
     let points = bench_vectors(N);
@@ -417,9 +417,8 @@ fn snapshot_metrics(metrics: &mut BTreeMap<String, f64>) {
         drop(mapped);
 
         let start = Instant::now();
-        let decoded: VpTree<Vec<f64>, Euclidean> =
-            vantage_persist::load_vp_tree(&path).expect("decode");
-        std::hint::black_box(decoded.knn(&queries[0], KNN_K));
+        let decoded = decode_snapshot(&path);
+        std::hint::black_box(decoded.view().knn(queries[0].as_slice(), KNN_K));
         decode.push(start.elapsed().as_nanos() as f64);
     }
     cold.sort_by(f64::total_cmp);
@@ -445,12 +444,12 @@ fn snapshot_metrics(metrics: &mut BTreeMap<String, f64>) {
         start.elapsed().as_nanos() as f64 / total,
     );
 
-    let decoded: VpTree<Vec<f64>, Euclidean> =
-        vantage_persist::load_vp_tree(&path).expect("decode");
+    let decoded = decode_snapshot(&path);
+    let view = decoded.view();
     let start = Instant::now();
     for _ in 0..REPS {
         for q in &queries {
-            std::hint::black_box(decoded.knn(q, KNN_K));
+            std::hint::black_box(view.knn(q.as_slice(), KNN_K));
         }
     }
     metrics.insert(
@@ -458,6 +457,14 @@ fn snapshot_metrics(metrics: &mut BTreeMap<String, f64>) {
         start.elapsed().as_nanos() as f64 / total,
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// Reads a snapshot file and loads it through the owned-buffer route.
+fn decode_snapshot(
+    path: &std::path::Path,
+) -> vantage_persist::MappedVpTree<vantage_persist::F64Vectors, Euclidean> {
+    let bytes = std::fs::read(path).expect("snapshot read");
+    vantage_persist::decode_vp_tree(&bytes).expect("decode")
 }
 
 /// Flattens the snapshot into the gated metric map.

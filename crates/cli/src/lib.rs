@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::fs;
 use std::sync::Arc;
@@ -32,12 +33,16 @@ use std::time::Instant;
 use vantage_core::prelude::*;
 use vantage_experiments::Scale;
 use vantage_mvptree::{MvpParams, MvpTree};
-use vantage_persist::{self as persist, IndexKind, ItemCodec, MetricTag, SnapshotInfo};
+use vantage_persist::{
+    self as persist, F64Vectors, IndexKind, ItemCodec, MetricTag, SnapshotInfo, Utf8Strings,
+};
 use vantage_telemetry::export::{self, thousands};
 use vantage_telemetry::{CostDelta, IndexMetrics, Instrumented, MetricsRegistry, OpKind};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 mod serve;
+
+use serve::{QueryCmd, TracedSearch};
 
 /// CLI failure: a message for the user (exit code 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,6 +326,16 @@ enum QueryKind {
     Knn(usize),
 }
 
+impl QueryKind {
+    /// The serve-side query verb this kind runs as.
+    fn cmd(&self) -> QueryCmd {
+        match *self {
+            QueryKind::Range(r) => QueryCmd::Range(r),
+            QueryKind::Knn(k) => QueryCmd::Knn(k),
+        }
+    }
+}
+
 fn query_kind(args: &Args<'_>) -> CliResult<QueryKind> {
     match (args.get("range"), args.get("knn")) {
         (Some(r), None) => {
@@ -382,7 +397,7 @@ struct BudgetOutcome {
 /// Answers one query against a (possibly instrumented, possibly sharded)
 /// index. `--budget` applies to kNN only: range queries have no
 /// best-effort mode.
-fn answer_query<T>(
+fn answer_query<T: ?Sized>(
     index: &dyn BudgetedSearch<T>,
     query: &T,
     kind: &QueryKind,
@@ -408,6 +423,111 @@ fn answer_query<T>(
                     estimated_recall: out.estimated_recall,
                 }),
             ))
+        }
+    }
+}
+
+/// What one `query` or `explain` run reports: the answers (at most
+/// 1 000), the `Counted` tally of the query phase, the index size, and
+/// the budget verdict (`query --budget`) or pruning profile (`explain`).
+struct Answer {
+    results: Vec<Neighbor>,
+    cost: u64,
+    n: usize,
+    budget: Option<BudgetOutcome>,
+    profile: QueryProfile,
+}
+
+/// Runs one query against an index whose metric is (a clone of)
+/// `probe`, counting only the query phase, and records it when
+/// `metrics` is set — the query phase shared by built and loaded
+/// indexes, so their reports diff clean.
+fn answer_counted<Q: ?Sized, M: Clone + Send + Sync + 'static>(
+    index: &dyn BudgetedSearch<Q>,
+    probe: &Counted<M>,
+    query: &Q,
+    kind: &QueryKind,
+    budget: Option<u64>,
+    metrics: &Option<Arc<IndexMetrics>>,
+) -> CliResult<Answer> {
+    probe.reset();
+    let (mut results, budget) = match metrics {
+        // The instrumented path answers through the same index; only
+        // timing and cost attribution are added.
+        Some(metrics) => {
+            let instrumented = Instrumented::with_probe(index, Arc::clone(metrics), probe.clone());
+            answer_query(&instrumented, query, kind, budget)?
+        }
+        None => answer_query(index, query, kind, budget)?,
+    };
+    let cost = probe.take();
+    results.truncate(1000); // terminal sanity for huge result sets
+    Ok(Answer {
+        results,
+        cost,
+        n: index.len(),
+        budget,
+        profile: QueryProfile::new(),
+    })
+}
+
+/// [`answer_counted`] for `explain`: runs the traced search with a
+/// [`QueryProfile`] attached. Traced searches are not part of the
+/// object-safe index traits, so telemetry is recorded directly rather
+/// than through `Instrumented`.
+fn explain_counted<Q: ?Sized, M>(
+    index: &(impl MetricIndex<Q> + TracedSearch<Q>),
+    probe: &Counted<M>,
+    query: &Q,
+    kind: &QueryKind,
+    metrics: &Option<Arc<IndexMetrics>>,
+) -> Answer {
+    probe.reset();
+    let mut profile = QueryProfile::new();
+    let query_start = Instant::now();
+    let mut results = index.query_traced(&kind.cmd(), query, &mut profile);
+    if let Some(metrics) = metrics {
+        let op = match kind {
+            QueryKind::Range(_) => OpKind::Range,
+            QueryKind::Knn(_) => OpKind::Knn,
+        };
+        metrics.record(op, query_start.elapsed(), probe.totals().into());
+    }
+    let cost = probe.take();
+    results.truncate(1000);
+    Answer {
+        results,
+        cost,
+        n: index.len(),
+        budget: None,
+        profile,
+    }
+}
+
+/// A `query` or `explain` request against a loaded snapshot.
+enum Ask<'a> {
+    Query {
+        kind: &'a QueryKind,
+        budget: Option<u64>,
+    },
+    Explain {
+        kind: &'a QueryKind,
+    },
+}
+
+impl Ask<'_> {
+    fn run<Q: ?Sized, M: Clone + Send + Sync + 'static>(
+        &self,
+        index: &(impl BudgetedSearch<Q> + TracedSearch<Q>),
+        probe: &Counted<M>,
+        query: &Q,
+        metrics: &Option<Arc<IndexMetrics>>,
+    ) -> CliResult<Answer> {
+        match *self {
+            Ask::Query { kind, budget } => {
+                answer_counted(index, probe, query, kind, budget, metrics)
+            }
+            Ask::Explain { kind } => Ok(explain_counted(index, probe, query, kind, metrics)),
         }
     }
 }
@@ -494,29 +614,15 @@ fn run_structure_query<
     kind: &QueryKind,
     budget: Option<u64>,
     metrics: Option<Arc<IndexMetrics>>,
-) -> CliResult<(Vec<Neighbor>, u64, usize, Option<BudgetOutcome>)> {
+) -> CliResult<Answer> {
     let counted = Counted::new(metric);
     let probe = counted.clone();
-    let n = items.len();
     let build_start = Instant::now();
     let index = build_query_index(items, counted, structure, seed, threads, shards)?;
     if let Some(metrics) = &metrics {
         metrics.record(OpKind::Build, build_start.elapsed(), probe.totals().into());
     }
-    probe.reset();
-    let (mut results, budget_outcome) = match &metrics {
-        // The instrumented path answers through the same boxed index;
-        // only timing and cost attribution are added.
-        Some(metrics) => {
-            let instrumented =
-                Instrumented::with_probe(&*index, Arc::clone(metrics), probe.clone());
-            answer_query(&instrumented, query, kind, budget)?
-        }
-        None => answer_query(&*index, query, kind, budget)?,
-    };
-    let cost = probe.take();
-    results.truncate(1000); // terminal sanity for huge result sets
-    Ok((results, cost, n, budget_outcome))
+    answer_counted(&*index, &probe, query, kind, budget, &metrics)
 }
 
 /// Writes a registry snapshot as JSON to `path` and notes it in `out`.
@@ -552,69 +658,49 @@ fn record_snapshot_load(
     }
 }
 
-/// Decodes a snapshot into a boxed queryable index plus a probe sharing
-/// the index's `Counted` tally (counters start at zero, matching the
-/// post-build `reset()` of the fresh-build path).
-fn decode_counted_index<T, M>(
-    bytes: &[u8],
-    kind: IndexKind,
-) -> CliResult<(Box<dyn BudgetedSearch<T>>, Counted<M>)>
+/// Loads a snapshot and answers `ask` through it: trees through the
+/// opened handle over the unsized item form (`&[f64]`, `&str`), exactly
+/// as `serve` answers, a linear scan through its copied-out items. The
+/// handle's `Counted` metric starts at zero, so the report (results and
+/// distance counts) diffs clean against a fresh build. The load is
+/// recorded as [`OpKind::SnapshotLoad`] in place of a build.
+fn run_loaded<K, M>(
+    path: &str,
+    info: &SnapshotInfo,
+    query: &<K::Item as ToOwned>::Owned,
+    ask: &Ask<'_>,
+    metrics: &Option<Arc<IndexMetrics>>,
+) -> CliResult<Answer>
 where
-    T: ItemCodec + Clone + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    K: persist::FlatItems,
+    K::Item: ToOwned,
+    M: MetricTag
+        + BoundedMetric<K::Item>
+        + BoundedMetric<<K::Item as ToOwned>::Owned>
+        + Clone
+        + Send
+        + Sync
+        + 'static,
 {
-    match kind {
+    let load_start = Instant::now();
+    let loaded = |e: VantageError| err(format!("{path}: {e}"));
+    match info.kind {
         IndexKind::VpTree => {
-            let tree: VpTree<T, Counted<M>> =
-                persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            Ok((Box::new(tree), probe))
+            let tree = persist::open_vp_tree::<K, Counted<M>>(path).map_err(loaded)?;
+            record_snapshot_load(metrics, info, load_start);
+            ask.run(&tree, tree.metric(), query.borrow(), metrics)
         }
         IndexKind::MvpTree => {
-            let tree: MvpTree<T, Counted<M>> =
-                persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            Ok((Box::new(tree), probe))
+            let tree = persist::open_mvp_tree::<K, Counted<M>>(path).map_err(loaded)?;
+            record_snapshot_load(metrics, info, load_start);
+            ask.run(&tree, tree.metric(), query.borrow(), metrics)
         }
         IndexKind::Linear => {
-            let scan: LinearScan<T, Counted<M>> =
-                persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = scan.metric().clone();
-            Ok((Box::new(scan), probe))
+            let scan = persist::load_linear_scan::<K, Counted<M>>(path).map_err(loaded)?;
+            record_snapshot_load(metrics, info, load_start);
+            ask.run(&scan, scan.metric(), query, metrics)
         }
     }
-}
-
-/// Answers a query against an index reloaded from a snapshot file. The
-/// query phase is identical to [`run_structure_query`]'s, so the output
-/// (results and distance counts) diffs clean against a fresh build.
-fn run_loaded_query<T, M>(
-    bytes: &[u8],
-    info: &SnapshotInfo,
-    load_start: Instant,
-    query: &T,
-    kind: &QueryKind,
-    budget: Option<u64>,
-    metrics: Option<Arc<IndexMetrics>>,
-) -> CliResult<(Vec<Neighbor>, u64, usize, Option<BudgetOutcome>)>
-where
-    T: ItemCodec + Clone + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
-{
-    let (index, probe) = decode_counted_index::<T, M>(bytes, info.kind)?;
-    record_snapshot_load(&metrics, info, load_start);
-    probe.reset();
-    let (mut results, budget_outcome) = match &metrics {
-        Some(metrics) => {
-            let instrumented =
-                Instrumented::with_probe(&*index, Arc::clone(metrics), probe.clone());
-            answer_query(&instrumented, query, kind, budget)?
-        }
-        None => answer_query(&*index, query, kind, budget)?,
-    };
-    let cost = probe.take();
-    results.truncate(1000);
-    Ok((results, cost, info.items as usize, budget_outcome))
 }
 
 /// Rejects a snapshot whose metric tag differs from an explicitly
@@ -642,52 +728,50 @@ fn parse_vector_query(query_text: &str) -> CliResult<Vec<f64>> {
         .map_err(|_| err("query must be a comma-separated float vector"))
 }
 
-/// Reads, verifies and dispatches a snapshot file for `query --index`:
-/// the index kind, item type and metric all come from the file, not
-/// from flags.
-#[allow(clippy::too_many_arguments)]
-fn run_snapshot_query(
+/// Dispatches `query --index` / `explain --index` on a snapshot file:
+/// the index kind, item type and metric all come from the file's
+/// header, not from flags. Also returns the structure label (for the
+/// `explain` profile header).
+fn run_snapshot(
     path: &str,
     query_text: &str,
-    kind: &QueryKind,
-    budget: Option<u64>,
+    ask: &Ask<'_>,
     requested_metric: Option<&str>,
     want_metrics: bool,
     registry: &MetricsRegistry,
-) -> CliResult<(Vec<Neighbor>, u64, usize, Option<BudgetOutcome>)> {
-    let load_start = Instant::now();
-    let bytes = fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let info = persist::inspect_bytes(&bytes).map_err(|e| err(format!("{path}: {e}")))?;
+) -> CliResult<(Answer, &'static str)> {
+    let info = persist::inspect(path).map_err(|e| err(format!("{path}: {e}")))?;
     check_snapshot_metric(&info, requested_metric)?;
-    let metrics = want_metrics.then(|| registry.index(structure_label(info.kind)));
-    match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => {
-            let query = query_text.to_string();
-            run_loaded_query::<String, Levenshtein>(
-                &bytes, &info, load_start, &query, kind, budget, metrics,
-            )
-        }
+    let label = structure_label(info.kind);
+    let metrics = want_metrics.then(|| registry.index(label));
+    let answer = match (info.item.as_str(), info.metric.as_str()) {
+        ("utf8-string", "edit") => run_loaded::<Utf8Strings, Levenshtein>(
+            path,
+            &info,
+            &query_text.to_string(),
+            ask,
+            &metrics,
+        )?,
         ("f64-vector", metric) => {
             let query = parse_vector_query(query_text)?;
             match metric {
-                "l2" => run_loaded_query::<Vec<f64>, Euclidean>(
-                    &bytes, &info, load_start, &query, kind, budget, metrics,
-                ),
-                "l1" => run_loaded_query::<Vec<f64>, Manhattan>(
-                    &bytes, &info, load_start, &query, kind, budget, metrics,
-                ),
-                "linf" => run_loaded_query::<Vec<f64>, Chebyshev>(
-                    &bytes, &info, load_start, &query, kind, budget, metrics,
-                ),
-                other => Err(err(format!(
-                    "{path}: snapshot metric `{other}` is not supported by this CLI"
-                ))),
+                "l2" => run_loaded::<F64Vectors, Euclidean>(path, &info, &query, ask, &metrics)?,
+                "l1" => run_loaded::<F64Vectors, Manhattan>(path, &info, &query, ask, &metrics)?,
+                "linf" => run_loaded::<F64Vectors, Chebyshev>(path, &info, &query, ask, &metrics)?,
+                other => {
+                    return Err(err(format!(
+                        "{path}: snapshot metric `{other}` is not supported by this CLI"
+                    )))
+                }
             }
         }
-        (item, metric) => Err(err(format!(
-            "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
-        ))),
-    }
+        (item, metric) => {
+            return Err(err(format!(
+                "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
+            )))
+        }
+    };
+    Ok((answer, label))
 }
 
 /// Builds the requested structure under a `Counted` metric and writes a
@@ -784,22 +868,25 @@ fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
     };
     let registry = MetricsRegistry::new();
 
-    let (results, cost, n, budget_outcome) = match (args.get("data"), args.get("index")) {
+    let answer = match (args.get("data"), args.get("index")) {
         (None, Some(snapshot)) => {
             if args.parsed("shards", 1usize)? != 1 {
                 return Err(err(
                     "--shards needs --data (to serve a snapshot sharded, use `vantage serve --index FILE --shards S`)",
                 ));
             }
-            run_snapshot_query(
+            run_snapshot(
                 snapshot,
                 query_text,
-                &kind,
-                budget,
+                &Ask::Query {
+                    kind: &kind,
+                    budget,
+                },
                 args.get("metric"),
                 args.get("metrics").is_some(),
                 &registry,
             )?
+            .0
         }
         (Some(data), None) => {
             let metric_name = args.get("metric").unwrap_or("l2");
@@ -860,8 +947,9 @@ fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
         }
     };
 
+    let (results, cost, n) = (&answer.results, answer.cost, answer.n);
     let _ = writeln!(out, "{} results:", results.len());
-    for r in &results {
+    for r in results {
         let _ = writeln!(out, "  id {:>6}  distance {:.6}", r.id, r.distance);
     }
     let _ = writeln!(
@@ -869,7 +957,7 @@ fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
         "cost: {cost} distance computations over {n} items ({:.1}% of linear scan)",
         100.0 * cost as f64 / n.max(1) as f64
     );
-    if let Some(b) = budget_outcome {
+    if let Some(b) = &answer.budget {
         let _ = writeln!(
             out,
             "budget: spent {} of {} ({}), estimated recall {:.3}",
@@ -890,12 +978,11 @@ fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
 }
 
 /// Builds the requested structure and runs the query once with a
-/// [`QueryProfile`] attached, returning answers, the `Counted` tally for
-/// the query phase, the dataset size and the profile.
+/// [`QueryProfile`] attached.
 #[allow(clippy::too_many_arguments)]
 fn run_structure_explain<
     T: Clone + Sync + 'static,
-    M: BoundedMetric<T> + Clone + Sync + 'static,
+    M: BoundedMetric<T> + Clone + Send + Sync + 'static,
 >(
     items: Vec<T>,
     metric: M,
@@ -905,192 +992,35 @@ fn run_structure_explain<
     query: &T,
     kind: &QueryKind,
     metrics: Option<Arc<IndexMetrics>>,
-) -> CliResult<(Vec<Neighbor>, u64, usize, QueryProfile)> {
+) -> CliResult<Answer> {
     let counted = Counted::new(metric);
     let probe = counted.clone();
-    let n = items.len();
-    let mut profile = QueryProfile::new();
-    // Traced searches are inherent methods on the concrete types, so each
-    // structure gets its own arm instead of a trait object (and telemetry
-    // is recorded directly rather than through `Instrumented`).
     let build_start = Instant::now();
-    let record_build = |elapsed| {
+    let record_build = || {
         if let Some(metrics) = &metrics {
-            metrics.record(OpKind::Build, elapsed, probe.totals().into());
+            metrics.record(OpKind::Build, build_start.elapsed(), probe.totals().into());
         }
-        probe.reset();
     };
-    let query_start;
-    let mut results = match structure {
+    Ok(match structure {
         "mvp" => {
             let tree = MvpTree::build(items, counted, mvp_build_params(seed, threads))
                 .map_err(|e| err(e.to_string()))?;
-            record_build(build_start.elapsed());
-            query_start = Instant::now();
-            match kind {
-                QueryKind::Range(r) => tree.range_traced(query, *r, &mut profile),
-                QueryKind::Knn(k) => tree.knn_traced(query, *k, &mut profile),
-            }
+            record_build();
+            explain_counted(&tree, &probe, query, kind, &metrics)
         }
         "vp" => {
             let tree = VpTree::build(items, counted, vp_build_params(seed, threads))
                 .map_err(|e| err(e.to_string()))?;
-            record_build(build_start.elapsed());
-            query_start = Instant::now();
-            match kind {
-                QueryKind::Range(r) => tree.range_traced(query, *r, &mut profile),
-                QueryKind::Knn(k) => tree.knn_traced(query, *k, &mut profile),
-            }
+            record_build();
+            explain_counted(&tree, &probe, query, kind, &metrics)
         }
         "linear" => {
             let scan = LinearScan::new(items, counted);
-            record_build(build_start.elapsed());
-            query_start = Instant::now();
-            match kind {
-                QueryKind::Range(r) => scan.range_traced(query, *r, &mut profile),
-                QueryKind::Knn(k) => scan.knn_traced(query, *k, &mut profile),
-            }
+            record_build();
+            explain_counted(&scan, &probe, query, kind, &metrics)
         }
         other => return Err(err(format!("unknown structure `{other}` (mvp|vp|linear)"))),
-    };
-    if let Some(metrics) = &metrics {
-        let op = match kind {
-            QueryKind::Range(_) => OpKind::Range,
-            QueryKind::Knn(_) => OpKind::Knn,
-        };
-        metrics.record(op, query_start.elapsed(), probe.totals().into());
-    }
-    let cost = probe.take();
-    if matches!(kind, QueryKind::Range(_)) {
-        results.sort_unstable();
-    }
-    results.truncate(1000);
-    Ok((results, cost, n, profile))
-}
-
-/// [`run_structure_explain`]'s twin for an index reloaded from a
-/// snapshot: same traced query phase, but the build is replaced by a
-/// verified load (recorded as [`OpKind::SnapshotLoad`]).
-fn run_loaded_explain<T, M>(
-    bytes: &[u8],
-    info: &SnapshotInfo,
-    load_start: Instant,
-    query: &T,
-    kind: &QueryKind,
-    metrics: Option<Arc<IndexMetrics>>,
-) -> CliResult<(Vec<Neighbor>, u64, usize, QueryProfile)>
-where
-    T: ItemCodec + Clone + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
-{
-    let mut profile = QueryProfile::new();
-    let query_start;
-    let (mut results, probe) = match info.kind {
-        IndexKind::VpTree => {
-            let tree: VpTree<T, Counted<M>> =
-                persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            record_snapshot_load(&metrics, info, load_start);
-            probe.reset();
-            query_start = Instant::now();
-            let results = match kind {
-                QueryKind::Range(r) => tree.range_traced(query, *r, &mut profile),
-                QueryKind::Knn(k) => tree.knn_traced(query, *k, &mut profile),
-            };
-            (results, probe)
-        }
-        IndexKind::MvpTree => {
-            let tree: MvpTree<T, Counted<M>> =
-                persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            record_snapshot_load(&metrics, info, load_start);
-            probe.reset();
-            query_start = Instant::now();
-            let results = match kind {
-                QueryKind::Range(r) => tree.range_traced(query, *r, &mut profile),
-                QueryKind::Knn(k) => tree.knn_traced(query, *k, &mut profile),
-            };
-            (results, probe)
-        }
-        IndexKind::Linear => {
-            let scan: LinearScan<T, Counted<M>> =
-                persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = scan.metric().clone();
-            record_snapshot_load(&metrics, info, load_start);
-            probe.reset();
-            query_start = Instant::now();
-            let results = match kind {
-                QueryKind::Range(r) => scan.range_traced(query, *r, &mut profile),
-                QueryKind::Knn(k) => scan.knn_traced(query, *k, &mut profile),
-            };
-            (results, probe)
-        }
-    };
-    if let Some(metrics) = &metrics {
-        let op = match kind {
-            QueryKind::Range(_) => OpKind::Range,
-            QueryKind::Knn(_) => OpKind::Knn,
-        };
-        metrics.record(op, query_start.elapsed(), probe.totals().into());
-    }
-    let cost = probe.take();
-    if matches!(kind, QueryKind::Range(_)) {
-        results.sort_unstable();
-    }
-    results.truncate(1000);
-    Ok((results, cost, info.items as usize, profile))
-}
-
-/// Reads, verifies and dispatches a snapshot file for `explain --index`.
-/// Also returns the structure label (for the profile header), which
-/// comes from the file rather than a flag.
-fn run_snapshot_explain(
-    path: &str,
-    query_text: &str,
-    kind: &QueryKind,
-    requested_metric: Option<&str>,
-    want_metrics: bool,
-    registry: &MetricsRegistry,
-) -> CliResult<(Vec<Neighbor>, u64, usize, QueryProfile, &'static str)> {
-    let load_start = Instant::now();
-    let bytes = fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let info = persist::inspect_bytes(&bytes).map_err(|e| err(format!("{path}: {e}")))?;
-    check_snapshot_metric(&info, requested_metric)?;
-    let label = structure_label(info.kind);
-    let metrics = want_metrics.then(|| registry.index(label));
-    let (results, cost, n, profile) = match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => {
-            let query = query_text.to_string();
-            run_loaded_explain::<String, Levenshtein>(
-                &bytes, &info, load_start, &query, kind, metrics,
-            )?
-        }
-        ("f64-vector", metric) => {
-            let query = parse_vector_query(query_text)?;
-            match metric {
-                "l2" => run_loaded_explain::<Vec<f64>, Euclidean>(
-                    &bytes, &info, load_start, &query, kind, metrics,
-                )?,
-                "l1" => run_loaded_explain::<Vec<f64>, Manhattan>(
-                    &bytes, &info, load_start, &query, kind, metrics,
-                )?,
-                "linf" => run_loaded_explain::<Vec<f64>, Chebyshev>(
-                    &bytes, &info, load_start, &query, kind, metrics,
-                )?,
-                other => {
-                    return Err(err(format!(
-                        "{path}: snapshot metric `{other}` is not supported by this CLI"
-                    )))
-                }
-            }
-        }
-        (item, metric) => {
-            return Err(err(format!(
-                "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
-            )))
-        }
-    };
-    Ok((results, cost, n, profile, label))
+    })
 }
 
 /// Renders one count as `1,234 role (56.7%)` — the percentage is the
@@ -1187,11 +1117,11 @@ fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
     let query_text = args.required("query")?;
     let registry = MetricsRegistry::new();
 
-    let (results, cost, n, profile, structure) = match (args.get("data"), args.get("index")) {
-        (None, Some(snapshot)) => run_snapshot_explain(
+    let (answer, structure) = match (args.get("data"), args.get("index")) {
+        (None, Some(snapshot)) => run_snapshot(
             snapshot,
             query_text,
-            &kind,
+            &Ask::Explain { kind: &kind },
             args.get("metric"),
             args.get("metrics").is_some(),
             &registry,
@@ -1202,7 +1132,7 @@ fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
             let seed: u64 = args.parsed("seed", 0)?;
             let threads = parse_threads(&args)?;
             let metrics = args.get("metrics").map(|_| registry.index(structure));
-            let (results, cost, n, profile) = if metric_name == "edit" {
+            let answer = if metric_name == "edit" {
                 let words = read_words(data)?;
                 run_structure_explain(
                     words,
@@ -1241,7 +1171,7 @@ fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
                     }
                 }
             };
-            (results, cost, n, profile, structure)
+            (answer, structure)
         }
         _ => {
             return Err(err(
@@ -1250,13 +1180,13 @@ fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
         }
     };
 
-    let _ = writeln!(out, "{} results:", results.len());
-    for r in &results {
+    let _ = writeln!(out, "{} results:", answer.results.len());
+    for r in &answer.results {
         let _ = writeln!(out, "  id {:>6}  distance {:.6}", r.id, r.distance);
     }
     let _ = writeln!(out, "--- query profile ({structure}) ---");
     let _ = writeln!(out, "simd path: {}", vantage_core::simd::active_name());
-    format_profile(&profile, cost, n, out);
+    format_profile(&answer.profile, answer.cost, answer.n, out);
     if let Some(path) = args.get("metrics") {
         write_metrics_snapshot(&registry, path, out)?;
     }
@@ -1635,35 +1565,33 @@ mod tests {
     #[test]
     fn budgeted_query_works_on_snapshots() {
         let data = temp_path("budget-snap.csv");
-        let snap = temp_path("budget-snap.vantage");
         run_ok(&[
             "generate", "uniform", "--n", "150", "--dim", "3", "--seed", "4", "--out", &data,
         ]);
-        run_ok(&[
-            "build",
-            "--data",
-            &data,
-            "--save",
-            &snap,
-            "--structure",
-            "mvp",
-        ]);
-        let out = run_ok(&[
-            "query",
-            "--index",
-            &snap,
-            "--knn",
-            "4",
-            "--query",
-            "0.5,0.5,0.5",
-            "--budget",
-            "10",
-        ]);
-        assert!(out.contains("budget: spent"), "{out}");
-        assert!(out.contains("(exhausted)"), "{out}");
-        for p in [&data, &snap] {
-            let _ = std::fs::remove_file(p);
+        for structure in ["mvp", "vp"] {
+            let snap = temp_path(&format!("budget-snap-{structure}.vantage"));
+            run_ok(&[
+                "build",
+                "--data",
+                &data,
+                "--save",
+                &snap,
+                "--structure",
+                structure,
+            ]);
+            let budgeted = ["--knn", "4", "--query", "0.5,0.5,0.5", "--budget", "10"];
+            let mut loaded_argv = vec!["query", "--index", &snap];
+            loaded_argv.extend_from_slice(&budgeted);
+            let mut fresh_argv = vec!["query", "--data", &data, "--structure", structure];
+            fresh_argv.extend_from_slice(&budgeted);
+            let out = run_ok(&loaded_argv);
+            assert!(out.contains("(exhausted)"), "{structure}: {out}");
+            // Best-effort answers, spend and recall estimate all match
+            // the freshly built tree's.
+            assert_eq!(out, run_ok(&fresh_argv), "{structure}");
+            let _ = std::fs::remove_file(&snap);
         }
+        let _ = std::fs::remove_file(&data);
     }
 
     #[test]
@@ -2097,45 +2025,39 @@ mod tests {
     #[test]
     fn explain_from_snapshot_matches_explain_from_data() {
         let data = temp_path("persist-explain.csv");
-        let snap = temp_path("persist-explain.vsnap");
         run_ok(&[
             "generate", "uniform", "--n", "300", "--dim", "4", "--seed", "9", "--out", &data,
         ]);
-        run_ok(&[
-            "build",
-            "--data",
-            &data,
-            "--save",
-            &snap,
-            "--structure",
-            "mvp",
-        ]);
-        let fresh = run_ok(&[
-            "explain",
-            "--data",
-            &data,
-            "--structure",
-            "mvp",
-            "--range",
-            "0.3",
-            "--query",
-            "0.5,0.5,0.5,0.5",
-        ]);
-        let loaded = run_ok(&[
-            "explain",
-            "--index",
-            &snap,
-            "--range",
-            "0.3",
-            "--query",
-            "0.5,0.5,0.5,0.5",
-        ]);
-        // Identical tree, identical traversal: the pruning breakdown and
-        // the cost lines diff clean.
-        assert_eq!(fresh, loaded);
-        assert!(loaded.contains("query profile (mvp)"), "{loaded}");
+        for structure in ["mvp", "vp", "linear"] {
+            let snap = temp_path(&format!("persist-explain-{structure}.vsnap"));
+            run_ok(&[
+                "build",
+                "--data",
+                &data,
+                "--save",
+                &snap,
+                "--structure",
+                structure,
+            ]);
+            for query in [["--range", "0.3"], ["--knn", "6"]] {
+                let mut fresh_argv = vec!["explain", "--data", &data, "--structure", structure];
+                fresh_argv.extend_from_slice(&query);
+                fresh_argv.extend_from_slice(&["--query", "0.5,0.5,0.5,0.5"]);
+                let mut loaded_argv = vec!["explain", "--index", &snap];
+                loaded_argv.extend_from_slice(&query);
+                loaded_argv.extend_from_slice(&["--query", "0.5,0.5,0.5,0.5"]);
+                let loaded = run_ok(&loaded_argv);
+                // Identical index, identical traversal: the pruning
+                // breakdown and the cost lines diff clean.
+                assert_eq!(run_ok(&fresh_argv), loaded, "{structure} {query:?}");
+                assert!(
+                    loaded.contains(&format!("query profile ({structure})")),
+                    "{loaded}"
+                );
+            }
+            let _ = std::fs::remove_file(&snap);
+        }
         let _ = std::fs::remove_file(&data);
-        let _ = std::fs::remove_file(&snap);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //!
 //! The served index lives in a [`SwapCell`]: each query pins the current
 //! generation with a guard and answers entirely against it. `RELOAD`
-//! reads, checksums and decodes the new snapshot on the admin
+//! loads and verifies the new snapshot on the admin
 //! connection's thread — concurrent readers keep answering on the old
 //! generation the whole time — then swaps atomically and waits for the
 //! displaced generation to drain (every in-flight query finished) before
@@ -69,6 +69,7 @@
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as IoWrite};
+use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -77,7 +78,7 @@ use std::time::{Duration, Instant};
 use vantage_core::prelude::*;
 use vantage_core::{MetricIndex, VantageError};
 use vantage_mvptree::{ConcurrentMvpTree, MvpTree};
-use vantage_persist::{self as persist, IndexKind, ItemCodec, MetricTag};
+use vantage_persist::{self as persist, F64Vectors, FlatItems, IndexKind, MetricTag, Utf8Strings};
 use vantage_telemetry::export;
 use vantage_telemetry::{
     chrome_from_trace_json, CostDelta, Gauge, IndexMetrics, Json, MetricsRegistry, OpKind,
@@ -101,7 +102,7 @@ pub(crate) trait WireItem: Sized {
     /// argument) into an item.
     fn parse_wire(text: &str) -> std::result::Result<Self, String>;
     /// Renders an item back into wire form (used by the smoke client to
-    /// derive query texts from a decoded snapshot's own items).
+    /// derive query texts from a loaded snapshot's own items).
     fn format_wire(&self) -> String;
 }
 
@@ -140,48 +141,66 @@ impl WireItem for String {
 
 /// Everything a served index must answer: near and far queries, behind
 /// one object-safe facade.
-pub(crate) trait QueryIndex<T>: MetricIndex<T> + FarthestIndex<T> + Send + Sync {}
+pub(crate) trait QueryIndex<T: ?Sized>:
+    MetricIndex<T> + FarthestIndex<T> + Send + Sync
+{
+}
 
-impl<T, I: MetricIndex<T> + FarthestIndex<T> + Send + Sync> QueryIndex<T> for I {}
+impl<T: ?Sized, I: MetricIndex<T> + FarthestIndex<T> + Send + Sync> QueryIndex<T> for I {}
 
 /// Dispatches a parsed query to one concrete structure's traced search
 /// variants, recording descent events (distances, prunes, rejects) into
 /// `profile`. Results are identical to the untraced search.
-trait TracedSearch<T> {
+pub(crate) trait TracedSearch<T: ?Sized> {
     fn query_traced(&self, cmd: &QueryCmd, query: &T, profile: &mut QueryProfile) -> Vec<Neighbor>;
 }
 
+/// Implements [`TracedSearch`] for an index type over query type `$q`,
+/// running the traced methods of `$searcher` (the index itself, or the
+/// borrowed view a loaded snapshot answers through).
 macro_rules! impl_traced_search {
-    ($index:ident) => {
-        impl<T, M: BoundedMetric<T>> TracedSearch<T> for $index<T, M> {
+    ([$($g:tt)*] $index:ty, $q:ty, |$this:ident| $searcher:expr) => {
+        impl<$($g)*> TracedSearch<$q> for $index {
             fn query_traced(
                 &self,
                 cmd: &QueryCmd,
-                query: &T,
+                query: &$q,
                 profile: &mut QueryProfile,
             ) -> Vec<Neighbor> {
+                let $this = self;
+                let searcher = $searcher;
                 match cmd {
                     QueryCmd::Range(radius) => {
-                        let mut v = self.range_traced(query, *radius, profile);
+                        let mut v = searcher.range_traced(query, *radius, profile);
                         v.sort_unstable();
                         v
                     }
-                    QueryCmd::Knn(k) => self.knn_traced(query, *k, profile),
+                    QueryCmd::Knn(k) => searcher.knn_traced(query, *k, profile),
                     QueryCmd::Beyond(radius) => {
-                        let mut v = self.beyond_traced(query, *radius, profile);
+                        let mut v = searcher.beyond_traced(query, *radius, profile);
                         v.sort_unstable();
                         v
                     }
-                    QueryCmd::Kfn(k) => self.kfn_traced(query, *k, profile),
+                    QueryCmd::Kfn(k) => searcher.kfn_traced(query, *k, profile),
                 }
             }
         }
     };
 }
 
-impl_traced_search!(VpTree);
-impl_traced_search!(MvpTree);
-impl_traced_search!(LinearScan);
+impl_traced_search!([T, M: BoundedMetric<T>] VpTree<T, M>, T, |t| t);
+impl_traced_search!([T, M: BoundedMetric<T>] MvpTree<T, M>, T, |t| t);
+impl_traced_search!([T, M: BoundedMetric<T>] LinearScan<T, M>, T, |t| t);
+impl_traced_search!(
+    [K: FlatItems, M: BoundedMetric<K::Item>] persist::MappedVpTree<K, M>,
+    K::Item,
+    |t| t.view()
+);
+impl_traced_search!(
+    [K: FlatItems, M: BoundedMetric<K::Item>] persist::MappedMvpTree<K, M>,
+    K::Item,
+    |t| t.view()
+);
 
 /// One published index behind the query verbs: the plain path for
 /// ordinary requests, and a span-recording traced path for sampled
@@ -198,22 +217,39 @@ trait ServedQuery<T>: Send + Sync {
         query: &T,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile);
+    /// A copy of the item with original id `id`.
+    fn item(&self, id: usize) -> Option<T>;
 }
 
-/// An unsharded index plus the probe sharing its `Counted` tally.
-struct ServedSingle<I, M: Clone> {
+/// An unsharded index plus the probe sharing its `Counted` tally. The
+/// index answers queries of type `Q`: the wire item itself, or the
+/// unsized form (`[f64]`, `str`) a loaded snapshot tree answers, which
+/// wire items are borrowed down to.
+struct ServedSingle<I, M: Clone, Q: ?Sized> {
     index: I,
     probe: Counted<M>,
+    query: PhantomData<fn(&Q)>,
 }
 
-impl<T, I, M> ServedQuery<T> for ServedSingle<I, M>
+impl<I, M: Clone, Q: ?Sized> ServedSingle<I, M, Q> {
+    fn new(index: I, probe: &Counted<M>) -> Self {
+        ServedSingle {
+            index,
+            probe: probe.clone(),
+            query: PhantomData,
+        }
+    }
+}
+
+impl<T, Q, I, M> ServedQuery<T> for ServedSingle<I, M, Q>
 where
-    T: Send + Sync,
-    I: QueryIndex<T> + TracedSearch<T>,
+    T: Borrow<Q> + Send + Sync,
+    Q: ToOwned<Owned = T> + ?Sized,
+    I: QueryIndex<Q> + TracedSearch<Q>,
     M: Clone + Send + Sync,
 {
     fn execute(&self, cmd: &QueryCmd, query: &T) -> Vec<Neighbor> {
-        execute_query(&self.index, cmd, query)
+        execute_query(&self.index, cmd, query.borrow())
     }
 
     fn execute_traced(
@@ -225,9 +261,13 @@ where
         let mut profile = QueryProfile::new();
         let timer = rec.begin();
         let before = self.probe.totals();
-        let results = self.index.query_traced(cmd, query, &mut profile);
+        let results = self.index.query_traced(cmd, query.borrow(), &mut profile);
         rec.record("search", None, timer, self.probe.totals().since(&before));
         (results, profile)
+    }
+
+    fn item(&self, id: usize) -> Option<T> {
+        self.index.get(id).map(ToOwned::to_owned)
     }
 }
 
@@ -239,7 +279,7 @@ struct ServedSharded<I, M: Clone> {
 
 impl<T, I, M> ServedQuery<T> for ServedSharded<I, M>
 where
-    T: Send + Sync,
+    T: Clone + Send + Sync,
     I: ShardSearch<T> + TracedSearch<T> + Send + Sync,
     M: Clone + Send + Sync,
 {
@@ -295,175 +335,54 @@ where
         rec.record("merge", None, timer, DistanceTotals::default());
         (all, profile)
     }
-}
 
-/// A zero-copy mapped snapshot behind the query verbs: each call
-/// assembles a borrowed view over the mapped bytes (pointer arithmetic,
-/// no allocation, no node materialization) and runs the same kernels
-/// the owned trees run, so replies are byte-identical to the decoded
-/// path. Queries arrive as owned wire items (`Vec<f64>`, `String`) and
-/// are borrowed down to the view's unsized item form.
-macro_rules! impl_served_mapped {
-    ($name:ident, $mapped:ident) => {
-        struct $name<K: persist::FlatItems, M: Clone> {
-            tree: persist::$mapped<K, Counted<M>>,
-            probe: Counted<M>,
-        }
-
-        impl<T, K, M> ServedQuery<T> for $name<K, M>
-        where
-            T: Borrow<K::Item> + Send + Sync,
-            K: persist::FlatItems + Send + Sync,
-            K::Item: Sync,
-            M: BoundedMetric<K::Item> + Clone + Send + Sync,
-        {
-            fn execute(&self, cmd: &QueryCmd, query: &T) -> Vec<Neighbor> {
-                let view = self.tree.view();
-                let q = query.borrow();
-                match cmd {
-                    QueryCmd::Range(radius) => {
-                        let mut v = view.range(q, *radius);
-                        v.sort_unstable();
-                        v
-                    }
-                    QueryCmd::Knn(k) => view.knn(q, *k),
-                    QueryCmd::Beyond(radius) => {
-                        let mut v = view.range_beyond(q, *radius);
-                        v.sort_unstable();
-                        v
-                    }
-                    QueryCmd::Kfn(k) => view.k_farthest(q, *k),
-                }
-            }
-
-            fn execute_traced(
-                &self,
-                cmd: &QueryCmd,
-                query: &T,
-                rec: &mut SpanRecorder,
-            ) -> (Vec<Neighbor>, QueryProfile) {
-                let mut profile = QueryProfile::new();
-                let timer = rec.begin();
-                let before = self.probe.totals();
-                let view = self.tree.view();
-                let q = query.borrow();
-                let results = match cmd {
-                    QueryCmd::Range(radius) => {
-                        let mut v = view.range_traced(q, *radius, &mut profile);
-                        v.sort_unstable();
-                        v
-                    }
-                    QueryCmd::Knn(k) => view.knn_traced(q, *k, &mut profile),
-                    QueryCmd::Beyond(radius) => {
-                        let mut v = view.beyond_traced(q, *radius, &mut profile);
-                        v.sort_unstable();
-                        v
-                    }
-                    QueryCmd::Kfn(k) => view.kfn_traced(q, *k, &mut profile),
-                };
-                rec.record("search", None, timer, self.probe.totals().since(&before));
-                (results, profile)
-            }
-        }
-    };
-}
-
-impl_served_mapped!(ServedMappedVp, MappedVpTree);
-impl_served_mapped!(ServedMappedMvp, MappedMvpTree);
-
-/// Decodes a snapshot that is not served in place — a linear scan, or
-/// any structure under `shards > 1` — into a boxed near+far queryable
-/// index plus a probe sharing the index's `Counted` tally. Unsharded
-/// trees never come here: [`load_index_typed`] maps them.
-///
-/// A single-shard linear scan is served as decoded. Otherwise the
-/// snapshot's dataset is re-partitioned round-robin and rebuilt as a
-/// [`ShardedIndex`] of the same structure with the CLI's standard build
-/// parameters. Exact scatter-gather answers are bit-identical to the
-/// unsharded index, so clients (and the smoke harness's expected
-/// replies) cannot tell the difference. The decoded index's `Counted`
-/// metric is cloned into every shard, so the returned probe keeps
-/// reporting the cross-shard total.
-fn load_static_index<T, M>(
-    bytes: &[u8],
-    kind: IndexKind,
-    shards: usize,
-    seed: u64,
-    threads: Threads,
-) -> CliResult<(Box<dyn ServedQuery<T>>, Counted<M>)>
-where
-    T: ItemCodec + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
-{
-    match kind {
-        IndexKind::VpTree => {
-            let tree: VpTree<T, Counted<M>> =
-                persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            let items = tree.items_by_id().cloned().collect();
-            let sharded = ShardedIndex::build(items, shards, threads, |_, part| {
-                VpTree::build(
-                    part,
-                    probe.clone(),
-                    vp_build_params(seed, Threads::SEQUENTIAL),
-                )
-            })
-            .map_err(|e| err(e.to_string()))?;
-            Ok((
-                Box::new(ServedSharded {
-                    index: sharded,
-                    probe: probe.clone(),
-                }),
-                probe,
-            ))
-        }
-        IndexKind::MvpTree => {
-            let tree: MvpTree<T, Counted<M>> =
-                persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = tree.metric().clone();
-            let items = tree.items_by_id().cloned().collect();
-            let sharded = ShardedIndex::build(items, shards, threads, |_, part| {
-                MvpTree::build(
-                    part,
-                    probe.clone(),
-                    mvp_build_params(seed, Threads::SEQUENTIAL),
-                )
-            })
-            .map_err(|e| err(e.to_string()))?;
-            Ok((
-                Box::new(ServedSharded {
-                    index: sharded,
-                    probe: probe.clone(),
-                }),
-                probe,
-            ))
-        }
-        IndexKind::Linear => {
-            let scan: LinearScan<T, Counted<M>> =
-                persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
-            let probe = scan.metric().clone();
-            if shards == 1 {
-                return Ok((
-                    Box::new(ServedSingle {
-                        index: scan,
-                        probe: probe.clone(),
-                    }),
-                    probe,
-                ));
-            }
-            let sharded = ShardedIndex::build(scan.items().to_vec(), shards, threads, |_, part| {
-                Ok(LinearScan::new(part, probe.clone()))
-            })
-            .map_err(|e| err(e.to_string()))?;
-            Ok((
-                Box::new(ServedSharded {
-                    index: sharded,
-                    probe: probe.clone(),
-                }),
-                probe,
-            ))
-        }
+    fn item(&self, id: usize) -> Option<T> {
+        self.index.get(id).cloned()
     }
+}
+
+/// Serves a loaded snapshot index: as is when `shards == 1`, otherwise
+/// re-partitioned. Sharding copies the items out of the loaded index by
+/// id, distributes them round-robin and rebuilds each part with
+/// `build` (the same structure under the CLI's standard build
+/// parameters). Exact scatter-gather answers are bit-identical to the
+/// unsharded index, so clients (and the smoke harness's expected
+/// replies) cannot tell the difference. `probe` is the loaded index's
+/// `Counted` metric; `build` clones it into every shard, so it keeps
+/// reporting the cross-shard total. Returns the index and its layout
+/// label (`layout` unsharded, `decoded` sharded).
+fn serve_loaded<T, Q, I, S, M>(
+    index: I,
+    probe: &Counted<M>,
+    layout: &'static str,
+    shards: usize,
+    threads: Threads,
+    build: impl Fn(Vec<T>) -> vantage_core::Result<S> + Sync,
+) -> CliResult<(Box<dyn ServedQuery<T>>, &'static str)>
+where
+    T: Borrow<Q> + Clone + Send + Sync + 'static,
+    Q: ToOwned<Owned = T> + ?Sized + 'static,
+    I: QueryIndex<Q> + TracedSearch<Q> + 'static,
+    S: ShardSearch<T> + TracedSearch<T> + Send + Sync + 'static,
+    M: Clone + Send + Sync + 'static,
+{
+    if shards == 1 {
+        return Ok((Box::new(ServedSingle::new(index, probe)), layout));
+    }
+    let items = (0..index.len())
+        .filter_map(|id| index.get(id))
+        .map(ToOwned::to_owned)
+        .collect();
+    drop(index);
+    let sharded = ShardedIndex::build(items, shards, threads, |_, part| build(part))
+        .map_err(|e| err(e.to_string()))?;
+    Ok((
+        Box::new(ServedSharded {
+            index: sharded,
+            probe: probe.clone(),
+        }),
+        "decoded",
+    ))
 }
 
 /// One loaded generation: the boxed index, its probe, and the labels
@@ -475,7 +394,7 @@ struct LoadedIndex<T, M> {
     structure: &'static str,
     /// How the generation holds its data: `mmap` (zero-copy file
     /// mapping), `read` (owned fallback behind the mapped API), or
-    /// `decoded` (fully materialized — sharded and linear layouts).
+    /// `decoded` (items copied out — sharded and linear layouts).
     layout: &'static str,
 }
 
@@ -483,11 +402,13 @@ struct LoadedIndex<T, M> {
 /// at server start so every swap rebuilds under the same layout.
 type Loader<T, M> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T, M>> + Send + Sync>;
 
-/// Loads a snapshot generation from `path`. Unsharded tree snapshots
-/// take the zero-copy route: the file is mapped, verified once, and
-/// served in place — `open(2)` to answering queries without
-/// materializing a node. Sharded layouts and linear scans decode as
-/// before (sharding re-partitions the dataset, so it has to own items).
+/// Loads a snapshot generation from `path` — the one snapshot loader
+/// behind gen0, `RELOAD`/`REINDEX` and `serve-smoke`. Tree snapshots
+/// are opened zero-copy: the file is mapped, verified once, and (with
+/// `shards == 1`) served in place — `open(2)` to answering queries
+/// without materializing a node. A linear scan's items are copied out.
+/// With `shards > 1` the loaded index is re-partitioned
+/// ([`serve_loaded`]).
 fn load_index_typed<T, M, K>(
     path: &str,
     shards: usize,
@@ -495,92 +416,58 @@ fn load_index_typed<T, M, K>(
     threads: Threads,
 ) -> CliResult<LoadedIndex<T, M>>
 where
-    T: ItemCodec + Clone + Send + Sync + 'static + Borrow<K::Item>,
+    T: Clone + Send + Sync + 'static + Borrow<K::Item>,
     M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
-    K: persist::FlatItems + Send + Sync + 'static,
-    K::Item: Sync,
+    K: FlatItems + Send + Sync + 'static,
+    K::Item: ToOwned<Owned = T> + Sync,
 {
+    let loaded = |e: VantageError| err(format!("{path}: {e}"));
     // O(header): decide the loading route without touching the payload.
-    let info = persist::inspect(path).map_err(|e| err(format!("{path}: {e}")))?;
-    if shards == 1 {
-        match info.kind {
-            IndexKind::VpTree => {
-                let tree = persist::open_vp_tree::<K, Counted<M>>(path)
-                    .map_err(|e| err(format!("{path}: {e}")))?;
-                let probe = tree.metric().clone();
-                let layout = if tree.is_mapped() { "mmap" } else { "read" };
-                return Ok(LoadedIndex {
-                    items: tree.len() as u64,
-                    structure: structure_label(info.kind),
-                    layout,
-                    index: Box::new(ServedMappedVp {
-                        tree,
-                        probe: probe.clone(),
-                    }),
-                    probe,
-                });
-            }
-            IndexKind::MvpTree => {
-                let tree = persist::open_mvp_tree::<K, Counted<M>>(path)
-                    .map_err(|e| err(format!("{path}: {e}")))?;
-                let probe = tree.metric().clone();
-                let layout = if tree.is_mapped() { "mmap" } else { "read" };
-                return Ok(LoadedIndex {
-                    items: tree.len() as u64,
-                    structure: structure_label(info.kind),
-                    layout,
-                    index: Box::new(ServedMappedMvp {
-                        tree,
-                        probe: probe.clone(),
-                    }),
-                    probe,
-                });
-            }
-            IndexKind::Linear => {}
+    let info = persist::inspect(path).map_err(loaded)?;
+    let storage = |mapped: bool| if mapped { "mmap" } else { "read" };
+    let (index, probe, layout) = match info.kind {
+        IndexKind::VpTree => {
+            let tree = persist::open_vp_tree::<K, Counted<M>>(path).map_err(loaded)?;
+            let probe = tree.metric().clone();
+            let layout = storage(tree.is_mapped());
+            let (index, layout) = serve_loaded(tree, &probe, layout, shards, threads, |part| {
+                VpTree::build(
+                    part,
+                    probe.clone(),
+                    vp_build_params(seed, Threads::SEQUENTIAL),
+                )
+            })?;
+            (index, probe, layout)
         }
-    }
-    let bytes = std::fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let (index, probe) = load_static_index::<T, M>(&bytes, info.kind, shards, seed, threads)?;
+        IndexKind::MvpTree => {
+            let tree = persist::open_mvp_tree::<K, Counted<M>>(path).map_err(loaded)?;
+            let probe = tree.metric().clone();
+            let layout = storage(tree.is_mapped());
+            let (index, layout) = serve_loaded(tree, &probe, layout, shards, threads, |part| {
+                MvpTree::build(
+                    part,
+                    probe.clone(),
+                    mvp_build_params(seed, Threads::SEQUENTIAL),
+                )
+            })?;
+            (index, probe, layout)
+        }
+        IndexKind::Linear => {
+            let scan = persist::load_linear_scan::<K, Counted<M>>(path).map_err(loaded)?;
+            let probe = scan.metric().clone();
+            let (index, layout) = serve_loaded(scan, &probe, "decoded", shards, threads, |part| {
+                Ok(LinearScan::new(part, probe.clone()))
+            })?;
+            (index, probe, layout)
+        }
+    };
     Ok(LoadedIndex {
         index,
         probe,
         items: info.items,
         structure: structure_label(info.kind),
-        layout: "decoded",
+        layout,
     })
-}
-
-/// Decodes a snapshot into a boxed queryable index and also hands back
-/// a copy of the items (the smoke client derives its query workload
-/// from them).
-fn decode_with_items<T, M>(
-    bytes: &[u8],
-    kind: IndexKind,
-) -> CliResult<(Box<dyn QueryIndex<T>>, Vec<T>)>
-where
-    T: ItemCodec + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
-{
-    match kind {
-        IndexKind::VpTree => {
-            let tree: VpTree<T, Counted<M>> =
-                persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let items = tree.items_by_id().cloned().collect();
-            Ok((Box::new(tree), items))
-        }
-        IndexKind::MvpTree => {
-            let tree: MvpTree<T, Counted<M>> =
-                persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
-            let items = tree.items_by_id().cloned().collect();
-            Ok((Box::new(tree), items))
-        }
-        IndexKind::Linear => {
-            let scan: LinearScan<T, Counted<M>> =
-                persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
-            let items = scan.items().to_vec();
-            Ok((Box::new(scan), items))
-        }
-    }
 }
 
 /// One published generation of the snapshot-serving engine.
@@ -737,11 +624,12 @@ fn unix_ms() -> i64 {
         .unwrap_or(0)
 }
 
-/// Serves an index loaded from a `vantage-persist` snapshot. Routing is
-/// decided from an **O(header)** inspection: unsharded tree snapshots
-/// are mapped and served zero-copy (the kernel pages nodes in on
-/// demand), everything else is read and decoded exactly once, here;
-/// queries never touch the loader again.
+/// Serves an index loaded from a `vantage-persist` snapshot. The item
+/// type and metric are decided from an **O(header)** inspection; the
+/// snapshot is then loaded exactly once, here, through
+/// [`load_index_typed`] (unsharded tree snapshots are mapped and served
+/// zero-copy, the kernel paging nodes in on demand); queries never
+/// touch the loader again.
 pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -> CliResult<()> {
     let info = persist::inspect(path).map_err(|e| err(format!("{path}: {e}")))?;
     if let Some(want) = &opts.metric {
@@ -758,18 +646,16 @@ pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -
     }
     match (info.item.as_str(), info.metric.as_str()) {
         ("utf8-string", "edit") => {
-            serve_snapshot_typed::<String, Levenshtein, persist::Utf8Strings>(
-                path, &info, opts, out,
-            )
+            serve_snapshot_typed::<String, Levenshtein, Utf8Strings>(path, &info, opts, out)
         }
         ("f64-vector", "l2") => {
-            serve_snapshot_typed::<Vec<f64>, Euclidean, persist::F64Vectors>(path, &info, opts, out)
+            serve_snapshot_typed::<Vec<f64>, Euclidean, F64Vectors>(path, &info, opts, out)
         }
         ("f64-vector", "l1") => {
-            serve_snapshot_typed::<Vec<f64>, Manhattan, persist::F64Vectors>(path, &info, opts, out)
+            serve_snapshot_typed::<Vec<f64>, Manhattan, F64Vectors>(path, &info, opts, out)
         }
         ("f64-vector", "linf") => {
-            serve_snapshot_typed::<Vec<f64>, Chebyshev, persist::F64Vectors>(path, &info, opts, out)
+            serve_snapshot_typed::<Vec<f64>, Chebyshev, F64Vectors>(path, &info, opts, out)
         }
         (item, metric) => Err(err(format!(
             "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
@@ -784,10 +670,10 @@ fn serve_snapshot_typed<T, M, K>(
     out: &mut String,
 ) -> CliResult<()>
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static + Borrow<K::Item>,
+    T: WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
     M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
-    K: persist::FlatItems + Send + Sync + 'static,
-    K::Item: Sync,
+    K: FlatItems + Send + Sync + 'static,
+    K::Item: ToOwned<Owned = T> + Sync,
 {
     let registry = MetricsRegistry::new();
     let (shards, seed, threads) = (opts.shards, opts.seed, opts.threads);
@@ -855,7 +741,7 @@ fn serve_data_typed<T, M>(
     out: &mut String,
 ) -> CliResult<()>
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     let registry = MetricsRegistry::new();
@@ -884,7 +770,7 @@ fn run_server<T, M>(
     out: &mut String,
 ) -> CliResult<()>
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     let listener = TcpListener::bind(&opts.addr)
@@ -949,7 +835,7 @@ where
 
 fn handle_connection<T, M>(stream: TcpStream, shared: &Shared<T, M>)
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     shared.g_connections.add(1);
@@ -1002,7 +888,7 @@ where
 /// connection afterwards.
 fn handle_line<T, M>(line: &str, shared: &Shared<T, M>) -> (String, bool)
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     match dispatch(line, shared) {
@@ -1019,7 +905,7 @@ enum Reply {
 
 fn dispatch<T, M>(line: &str, shared: &Shared<T, M>) -> std::result::Result<Reply, String>
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     let mut parts = line.splitn(2, ' ');
@@ -1232,6 +1118,7 @@ impl QueryCmd {
 /// client uses locally, so wire replies diff clean against a direct run.
 pub(crate) fn execute_query<T, I>(index: &I, cmd: &QueryCmd, query: &T) -> Vec<Neighbor>
 where
+    T: ?Sized,
     I: QueryIndex<T> + ?Sized,
 {
     match cmd {
@@ -1276,7 +1163,7 @@ fn answer_query<T, M>(
     trace: RequestTrace<'_>,
 ) -> String
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     let RequestTrace {
@@ -1394,7 +1281,7 @@ where
 
 fn info_line<T, M>(shared: &Shared<T, M>) -> String
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     match &shared.engine {
@@ -1427,7 +1314,7 @@ where
 /// Re-reads the serving gauges from the engine's authoritative counters.
 fn refresh_gauges<T, M>(shared: &Shared<T, M>)
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     match &shared.engine {
@@ -1458,7 +1345,7 @@ where
     }
 }
 
-/// `RELOAD`: load, verify and decode the new snapshot on this thread
+/// `RELOAD`: load and verify the new snapshot on this thread
 /// (readers keep answering on the current generation), swap atomically,
 /// then drain the displaced generation.
 fn reload<T, M>(
@@ -1467,7 +1354,7 @@ fn reload<T, M>(
     path: &str,
 ) -> std::result::Result<Reply, String>
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     // O(header) routing check first; the loader then verifies checksums
@@ -1639,7 +1526,8 @@ pub(crate) fn cmd_trace(argv: &[String], out: &mut String) -> CliResult<()> {
 
 /// The multi-threaded smoke client: replays a scripted query workload
 /// from N threads while issuing live `RELOAD` swaps, asserting every
-/// reply is bit-identical to a direct run against the decoded snapshot.
+/// reply is bit-identical to a direct run against the unsharded
+/// snapshot.
 pub(crate) fn cmd_serve_smoke(argv: &[String], out: &mut String) -> CliResult<()> {
     let args = Args::parse(argv)?;
     let addr = args.required("addr")?.to_string();
@@ -1650,50 +1538,43 @@ pub(crate) fn cmd_serve_smoke(argv: &[String], out: &mut String) -> CliResult<()
     if threads == 0 || queries == 0 {
         return Err(err("serve-smoke needs --threads >= 1 and --queries >= 1"));
     }
-    let bytes = std::fs::read(&path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let info = persist::inspect_bytes(&bytes).map_err(|e| err(format!("{path}: {e}")))?;
+    let info = persist::inspect(&path).map_err(|e| err(format!("{path}: {e}")))?;
+    let run = (addr.as_str(), path.as_str(), threads, queries, reloads);
     match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => smoke_typed::<String, Levenshtein>(
-            &addr, &path, &bytes, &info, threads, queries, reloads, out,
-        ),
-        ("f64-vector", "l2") => smoke_typed::<Vec<f64>, Euclidean>(
-            &addr, &path, &bytes, &info, threads, queries, reloads, out,
-        ),
-        ("f64-vector", "l1") => smoke_typed::<Vec<f64>, Manhattan>(
-            &addr, &path, &bytes, &info, threads, queries, reloads, out,
-        ),
-        ("f64-vector", "linf") => smoke_typed::<Vec<f64>, Chebyshev>(
-            &addr, &path, &bytes, &info, threads, queries, reloads, out,
-        ),
+        ("utf8-string", "edit") => smoke_typed::<String, Levenshtein, Utf8Strings>(run, out),
+        ("f64-vector", "l2") => smoke_typed::<Vec<f64>, Euclidean, F64Vectors>(run, out),
+        ("f64-vector", "l1") => smoke_typed::<Vec<f64>, Manhattan, F64Vectors>(run, out),
+        ("f64-vector", "linf") => smoke_typed::<Vec<f64>, Chebyshev, F64Vectors>(run, out),
         (item, metric) => Err(err(format!(
             "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
         ))),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn smoke_typed<T, M>(
-    addr: &str,
-    path: &str,
-    bytes: &[u8],
-    info: &persist::SnapshotInfo,
-    threads: usize,
-    queries: usize,
-    reloads: usize,
+fn smoke_typed<T, M, K>(
+    (addr, path, threads, queries, reloads): (&str, &str, usize, usize, usize),
     out: &mut String,
 ) -> CliResult<()>
 where
-    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
+    M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
+    K: FlatItems + Send + Sync + 'static,
+    K::Item: ToOwned<Owned = T> + Sync,
 {
-    let (index, items) = decode_with_items::<T, M>(bytes, info.kind)?;
+    // The same loader the server runs, unsharded: a sharded server must
+    // match the unsharded snapshot byte for byte.
+    let loaded = load_index_typed::<T, M, K>(path, 1, 0, Threads::SEQUENTIAL)?;
+    let index = loaded.index;
+    let items: Vec<T> = (0..loaded.items as usize)
+        .filter_map(|id| index.item(id))
+        .collect();
     if items.is_empty() {
         return Err(err(format!("{path}: snapshot holds no items")));
     }
     // Script the workload from the snapshot's own items and compute every
     // expected reply through the exact code path the server uses, so a
     // correct server matches byte-for-byte — across reload swaps too,
-    // since a reload of the same snapshot decodes the same tree.
+    // since a reload of the same snapshot loads the same tree.
     let mut script: Vec<(String, String)> = Vec::with_capacity(queries);
     for i in 0..queries {
         let item = &items[i % items.len()];
@@ -1702,7 +1583,7 @@ where
             2 => {
                 // A radius that yields a small, non-empty answer: the
                 // distance to the item's 4th-nearest neighbor.
-                let nn = index.knn(item, 4);
+                let nn = index.execute(&QueryCmd::Knn(4), item);
                 let radius = nn.last().map(|n| n.distance).unwrap_or(0.0);
                 (
                     format!("RANGE {radius} {}", item.format_wire()),
@@ -1711,7 +1592,7 @@ where
             }
             _ => (format!("KFN 3 {}", item.format_wire()), QueryCmd::Kfn(3)),
         };
-        let expected = format_neighbors(&execute_query(index.as_ref(), &cmd, item));
+        let expected = format_neighbors(&index.execute(&cmd, item));
         script.push((command, expected));
     }
 

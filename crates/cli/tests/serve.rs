@@ -84,7 +84,7 @@ fn smoke_clients_stay_bit_identical_across_live_reloads() {
 
     // 4 client threads replay a scripted workload (KNN/RANGE/KFN derived
     // from the snapshot's own items) while 2 RELOADs swap the index live;
-    // every reply must match a direct run against the decoded snapshot
+    // every reply must match a direct run against the loaded snapshot
     // byte-for-byte, with zero failures.
     let smoke = run_ok(&[
         "serve-smoke",
@@ -154,58 +154,89 @@ fn smoke_clients_stay_bit_identical_across_live_reloads() {
 #[test]
 fn sharded_server_replies_are_bit_identical_to_the_unsharded_snapshot() {
     let data = temp_path("shard-data.csv");
-    let snap = temp_path("shard-index.vantage");
     run_ok(&[
         "generate", "uniform", "--n", "220", "--dim", "4", "--seed", "13", "--out", &data,
     ]);
-    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
 
-    let (addr, server) = spawn_server(vec![
-        "serve".into(),
-        "--index".into(),
-        snap.clone(),
-        "--shards".into(),
-        "4".into(),
-    ]);
+    for structure in ["vp", "mvp", "linear"] {
+        let snap = temp_path(&format!("shard-index-{structure}.vantage"));
+        run_ok(&[
+            "build",
+            "--data",
+            &data,
+            "--save",
+            &snap,
+            "--metric",
+            "l2",
+            "--structure",
+            structure,
+        ]);
 
-    let info = client(&addr, "INFO");
-    assert!(
-        info.contains("mode=static") && info.contains("shards=4"),
-        "{info}"
-    );
+        // Unsharded, a tree snapshot is served in place and a linear
+        // scan from its copied-out items.
+        let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+        let info = client(&addr, "INFO");
+        let layout = match structure {
+            "linear" => "layout=decoded",
+            _ if cfg!(unix) => "layout=mmap",
+            _ => "layout=read",
+        };
+        assert!(
+            info.contains(&format!("structure={structure} ")) && info.contains(layout),
+            "{structure}: {info}"
+        );
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
 
-    // The smoke harness computes every expected reply from a direct,
-    // *unsharded* run against the decoded snapshot — so a passing run is
-    // exactly the tentpole's bit-identity guarantee, across live RELOAD
-    // swaps (which rebuild the sharded layout) too.
-    let smoke = run_ok(&[
-        "serve-smoke",
-        "--addr",
-        &addr,
-        "--index",
-        &snap,
-        "--threads",
-        "4",
-        "--queries",
-        "120",
-        "--reloads",
-        "1",
-    ]);
-    assert!(smoke.contains("PASS"), "{smoke}");
+        let (addr, server) = spawn_server(vec![
+            "serve".into(),
+            "--index".into(),
+            snap.clone(),
+            "--shards".into(),
+            "4".into(),
+        ]);
+        let info = client(&addr, "INFO");
+        assert!(
+            info.contains("mode=static")
+                && info.contains("shards=4")
+                && info.contains("layout=decoded"),
+            "{structure}: {info}"
+        );
 
-    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
-    server
-        .join()
-        .expect("server thread panicked")
-        .expect("server failed");
+        // The smoke harness computes every expected reply from a direct,
+        // *unsharded* load of the snapshot — so a passing run is exactly
+        // the bit-identity guarantee, across live RELOAD swaps (which
+        // rebuild the sharded layout) too.
+        let smoke = run_ok(&[
+            "serve-smoke",
+            "--addr",
+            &addr,
+            "--index",
+            &snap,
+            "--threads",
+            "4",
+            "--queries",
+            "120",
+            "--reloads",
+            "1",
+        ]);
+        assert!(smoke.contains("PASS"), "{structure}: {smoke}");
+
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
+        let _ = std::fs::remove_file(&snap);
+    }
 
     // The dynamic engine has no sharded mode: refuse, don't mis-serve.
     let e = run(&["serve", "--data", &data, "--shards", "2"]).expect_err("must refuse");
     assert!(e.contains("snapshot (--index) mode"), "{e}");
-
-    for p in [&data, &snap] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&data);
 }
 
 #[test]

@@ -120,7 +120,7 @@ pub struct BudgetedKnn {
 }
 
 /// Best-effort kNN under a distance-computation budget.
-pub trait BudgetedSearch<T>: MetricIndex<T> {
+pub trait BudgetedSearch<T: ?Sized>: MetricIndex<T> {
     /// Answers kNN spending at most `budget` distance computations.
     ///
     /// With [`SearchBudget::UNLIMITED`] the result is bit-identical to
@@ -132,7 +132,7 @@ pub trait BudgetedSearch<T>: MetricIndex<T> {
 // Mirrors the `MetricIndex` reference blanket: a `&dyn BudgetedSearch`
 // (or `&ConcreteIndex`) is itself a budgeted search, so adapters generic
 // over `I: BudgetedSearch<T>` compose with borrowed and boxed indexes.
-impl<T, I: BudgetedSearch<T> + ?Sized> BudgetedSearch<T> for &I {
+impl<T: ?Sized, I: BudgetedSearch<T> + ?Sized> BudgetedSearch<T> for &I {
     fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
         (**self).knn_budgeted(query, k, budget)
     }

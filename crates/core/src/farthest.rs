@@ -23,7 +23,7 @@ use crate::trace::{DistanceRole, NoTrace, TraceSink};
 /// Far-neighbor query support. Implemented by
 /// [`LinearScan`](crate::linear::LinearScan) and by the vp-/mvp-trees in
 /// their own crates.
-pub trait FarthestIndex<T> {
+pub trait FarthestIndex<T: ?Sized> {
     /// Returns every object at distance **at least** `radius` from
     /// `query` (the complement predicate of a range query, boundary
     /// included).
@@ -113,7 +113,7 @@ impl PartialOrd for FarRank {
 /// Collects the `k` largest-distance neighbors seen so far — the mirror
 /// image of [`KnnCollector`](crate::knn::KnnCollector).
 ///
-/// Tie-breaking is canonical, mirroring [`KnnCollector`]: among
+/// Tie-breaking is canonical, mirroring [`KnnCollector`](crate::knn::KnnCollector): among
 /// equidistant candidates the smaller id wins, so any index that offers
 /// every tie candidate returns *the* `(distance desc, id asc)` top `k`.
 /// Like its mirror, the collector can share a monotonically rising lower

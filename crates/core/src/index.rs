@@ -21,7 +21,7 @@ use crate::query::Neighbor;
 /// Implementations must return **exactly** the same answer set as
 /// [`LinearScan`](crate::linear::LinearScan) over the same data and metric;
 /// the shared test suites enforce this oracle equivalence.
-pub trait MetricIndex<T> {
+pub trait MetricIndex<T: ?Sized> {
     /// Number of indexed objects.
     fn len(&self) -> usize;
 
@@ -78,7 +78,7 @@ pub trait BatchIndex<T: Sync>: MetricIndex<T> + Sync {
 
 impl<T: Sync, I: MetricIndex<T> + Sync + ?Sized> BatchIndex<T> for I {}
 
-impl<T, I: MetricIndex<T> + ?Sized> MetricIndex<T> for &I {
+impl<T: ?Sized, I: MetricIndex<T> + ?Sized> MetricIndex<T> for &I {
     fn len(&self) -> usize {
         (**self).len()
     }

@@ -137,6 +137,15 @@ impl<'a> FlatF64s<'a> {
         assert!(!offsets.is_empty(), "offset table carries len + 1 entries");
         FlatF64s { offsets, data }
     }
+
+    /// The vector at `row`, borrowed for the buffers' lifetime rather
+    /// than the store's ([`ItemStore::get`] can only lend the latter).
+    pub fn row(&self, row: u32) -> &'a [f64] {
+        let i = row as usize;
+        let start = self.offsets[i] as usize;
+        let end = self.offsets[i + 1] as usize;
+        &self.data[start..end]
+    }
 }
 
 impl ItemStore for FlatF64s<'_> {
@@ -147,10 +156,7 @@ impl ItemStore for FlatF64s<'_> {
     }
 
     fn get(&self, row: u32) -> &[f64] {
-        let i = row as usize;
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
-        &self.data[start..end]
+        self.row(row)
     }
 }
 
@@ -177,6 +183,15 @@ impl<'a> FlatStrs<'a> {
         assert!(!offsets.is_empty(), "offset table carries len + 1 entries");
         FlatStrs { offsets, text }
     }
+
+    /// The string at `row`, borrowed for the buffers' lifetime (see
+    /// [`FlatF64s::row`]).
+    pub fn row(&self, row: u32) -> &'a str {
+        let i = row as usize;
+        let start = self.offsets[i] as usize;
+        let end = self.offsets[i + 1] as usize;
+        &self.text[start..end]
+    }
 }
 
 impl ItemStore for FlatStrs<'_> {
@@ -187,10 +202,7 @@ impl ItemStore for FlatStrs<'_> {
     }
 
     fn get(&self, row: u32) -> &str {
-        let i = row as usize;
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
-        &self.text[start..end]
+        self.row(row)
     }
 }
 

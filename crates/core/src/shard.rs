@@ -12,8 +12,7 @@
 //! Two mechanisms make that identity hold:
 //!
 //! * **Canonical tie-breaking.** Every collector in the workspace
-//!   ([`KnnCollector`](crate::knn::KnnCollector),
-//!   [`KfnCollector`](crate::farthest::KfnCollector)) resolves equal
+//!   ([`KnnCollector`], [`KfnCollector`]) resolves equal
 //!   distances toward the smaller id, so each index — sharded or not —
 //!   returns *the* `(distance, id)`-lexicographic top `k`, and a merge of
 //!   per-shard answers re-sorted under the same order is exactly the
@@ -194,7 +193,7 @@ impl<T, M: BoundedMetric<T>> ShardSearch<T> for LinearScan<T, M> {
 /// differential suites enforce this for every query form.
 ///
 /// Scatter runs one scoped thread per shard via
-/// [`fork_join`](crate::parallel::fork_join) unless `threads` resolves
+/// [`fork_join`] unless `threads` resolves
 /// to a single worker (or there is a single shard), in which case shards
 /// are searched sequentially in shard order — same answers, no threads.
 #[derive(Debug, Clone)]

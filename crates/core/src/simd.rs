@@ -30,7 +30,7 @@
 //!   the terms of elements `i` with `i ≡ l (mod 16)` in increasing `i`
 //!   order, the trailing `n mod 16` elements are added one per lane, and
 //!   the lanes are folded with one fixed binary reduction tree
-//!   ([`kernels::reduce_sum`]). The SIMD backend uses exactly this lane
+//!   (`kernels::reduce_sum`). The SIMD backend uses exactly this lane
 //!   assignment (vertical adds preserve per-lane order) and spills its
 //!   registers to call the *same* scalar reduction, so every
 //!   intermediate rounding is identical.
@@ -77,7 +77,7 @@
 //!    `metrics::kernels` (fixed lane count, geometric checkpoints).
 //! 2. Add an AVX2 twin here that copies the lane assignment and spills
 //!    to the same scalar reduction; never reassociate, never fuse.
-//! 3. Route the public entry point through [`resolve`] so tiny inputs
+//! 3. Route the public entry point through `resolve` so tiny inputs
 //!    and unsupported paths degrade to portable.
 //! 4. Extend `tests/simd_dispatch.rs` with the new kernel — the
 //!    cross-path bit-identity sweep is the contract's enforcement.

@@ -15,8 +15,9 @@
 //! * [`SpanRecord`] / [`SpanRecorder`] — named wall-clock intervals
 //!   (parse → lookup → per-shard search → merge → reply) annotated with
 //!   the [`DistanceTotals`] delta each interval consumed, bridging the
-//!   request timeline to the per-descent [`TraceSink`](crate::trace::
-//!   TraceSink) profiles the indexes already emit.
+//!   request timeline to the per-descent
+//!   [`TraceSink`](crate::trace::TraceSink) profiles the indexes already
+//!   emit.
 //!
 //! Everything here is allocation-free until a request is actually
 //! sampled; the unsampled fast path costs one hash of the request line.
@@ -105,7 +106,7 @@ impl Sampler {
     }
 
     /// Derives the trace ID for a request line: FNV-1a over the seed
-    /// and the line's bytes, finalized through [`mix64`]. Never zero,
+    /// and the line's bytes, finalized through `mix64`. Never zero,
     /// so an ID always has a non-degenerate wire form.
     pub fn trace_id(&self, request: &str) -> TraceId {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -138,8 +139,9 @@ impl Sampler {
 ///
 /// `start_ns` is the offset from the request's origin (first byte
 /// parsed), so spans from one trace lay out on a common timeline;
-/// `distances`/`abandoned`/`abandoned_work` are the [`Counted`]
-/// (crate::counting::Counted) deltas bracketed around the interval —
+/// `distances`/`abandoned`/`abandoned_work` are the
+/// [`Counted`](crate::counting::Counted) deltas bracketed around the
+/// interval —
 /// summing them across a trace's search spans reproduces the query's
 /// probe totals exactly.
 #[derive(Debug, Clone, PartialEq)]

@@ -19,7 +19,7 @@
 //!   support, modeled on [`DistanceHistogram`](crate::DistanceHistogram).
 //!
 //! With the `trace` cargo feature enabled, [`QueryProfile`] additionally
-//! retains every individual prune/reject event ([`QueryProfile::events`])
+//! retains every individual prune/reject event (`QueryProfile::events`)
 //! for fine-grained analysis; the aggregate counters are always available.
 //!
 //! Tracing never changes *what* a search computes: answers and distance

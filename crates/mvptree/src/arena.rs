@@ -230,40 +230,6 @@ impl MvpArena {
         offset
     }
 
-    /// Assembles an arena from raw flat arrays (the snapshot decode
-    /// path). No validation happens here — callers must pass the result
-    /// through the tree-level structural validation before searching.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_arrays(
-        m: u32,
-        meta: Vec<u32>,
-        vp1: Vec<u32>,
-        vp2: Vec<u32>,
-        children: Vec<u32>,
-        cutoffs1: Vec<f64>,
-        cutoffs2: Vec<f64>,
-        leaf_heads: Vec<u32>,
-        ids: Vec<u32>,
-        d1: Vec<f64>,
-        d2: Vec<f64>,
-        path: Vec<f64>,
-    ) -> MvpArena {
-        MvpArena {
-            m,
-            meta,
-            vp1,
-            vp2,
-            children,
-            cutoffs1,
-            cutoffs2,
-            leaf_heads,
-            ids,
-            d1,
-            d2,
-            path,
-        }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.meta.len()
@@ -427,9 +393,9 @@ pub enum MvpNodeView<'a> {
 }
 
 impl<'a> MvpArenaView<'a> {
-    /// Assembles a view from raw borrowed arrays (the zero-copy snapshot
-    /// path). Like [`MvpArena::from_raw_arrays`], shapes must have been
-    /// validated before the view is searched.
+    /// Assembles a view from raw borrowed arrays (the snapshot load
+    /// path). No validation happens here: the view must pass
+    /// [`validate_arena`](crate::validate_arena) before it is searched.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         m: usize,

@@ -1,6 +1,7 @@
-//! A concurrently readable dynamic mvp-tree: [`DynamicMvpTree`]'s
+//! A concurrently readable dynamic mvp-tree:
+//! [`DynamicMvpTree`](crate::dynamic::DynamicMvpTree)'s
 //! amortized-rebuild strategy folded behind the RCU-style
-//! [`SwapCell`](vantage_core::swap::SwapCell), so sustained ingest and
+//! [`SwapCell`], so sustained ingest and
 //! heavy concurrent reads coexist without readers ever blocking.
 //!
 //! [`DynamicMvpTree`](crate::dynamic::DynamicMvpTree) is single-threaded:

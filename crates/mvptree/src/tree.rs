@@ -1,11 +1,10 @@
 //! The [`MvpTree`] type and its public surface.
 
-use vantage_core::{MetricIndex, Neighbor, Result};
+use vantage_core::{MetricIndex, Neighbor};
 
 use crate::arena::{MvpArena, MvpArenaView};
 use crate::params::MvpParams;
 use crate::treeref::MvpTreeRef;
-use crate::validate::validate_arena;
 
 /// A multi-vantage-point tree over items of type `T` under metric `M`.
 ///
@@ -71,37 +70,6 @@ impl<T, M> MvpTree<T, M> {
             &self.metric,
             self.params.p,
         )
-    }
-
-    /// Assembles a tree from items in row order, a metric, parameters
-    /// and a flat node arena, validating every structural invariant the
-    /// search paths rely on — the decode path of the persistence layer.
-    /// The id→row table is derived from the validated arena.
-    ///
-    /// # Errors
-    ///
-    /// [`CorruptSnapshot`](vantage_core::VantageError::CorruptSnapshot)
-    /// describing the first violated invariant, or an
-    /// [`InvalidParameter`](vantage_core::VantageError::InvalidParameter)
-    /// from the embedded params.
-    pub fn from_arena(
-        items: Vec<T>,
-        metric: M,
-        params: MvpParams,
-        root: Option<u32>,
-        arena: MvpArena,
-    ) -> Result<Self> {
-        params.validate()?;
-        validate_arena(arena.view(), root, items.len(), &params)?;
-        let rows = arena.view().id_rows(items.len());
-        Ok(MvpTree {
-            items,
-            rows,
-            metric,
-            arena,
-            root,
-            params,
-        })
     }
 }
 

@@ -2,25 +2,22 @@
 //!
 //! A snapshot file records *what* it indexes (the item encoding) and
 //! *how* distances were computed (the metric identifier). Loading is
-//! typed — `load_vp_tree::<String, Counted<Levenshtein>>(..)` — so these
-//! traits let the loader check that the file's tags match the requested
-//! types before decoding a single item, and let it reconstruct the metric
-//! value (metrics in this workspace are stateless unit structs, or
-//! [`Counted`] wrappers whose counters restart at zero).
+//! typed — `open_vp_tree::<Utf8Strings, Counted<Levenshtein>>(..)` — so
+//! these traits let the loader check that the file's tags match the
+//! requested types before reading a single item, and let it reconstruct
+//! the metric value (metrics in this workspace are stateless unit
+//! structs, or [`Counted`] wrappers whose counters restart at zero).
 
 use vantage_core::prelude::{Chebyshev, Counted, Euclidean, Levenshtein, Manhattan};
-use vantage_core::{Result, VantageError};
 
-use crate::layout::{self, ItemsLayout};
 use crate::wire::Out;
 
-/// A type that can be stored in (and restored from) a snapshot's items
-/// section.
+/// A type whose values can be written to a snapshot's items section.
 ///
-/// Version 2 stores items as one flat column: a cumulative offset fence
-/// per item over a single shared data region (see [`crate::layout`]),
-/// so the same bytes can be either materialized into owned values here
-/// or sliced in place by the zero-copy loader.
+/// Items are stored as one flat column: a cumulative offset fence per
+/// item over a single shared data region (see the `layout` module), so
+/// loading can slice the same bytes in place through the
+/// [`FlatItems`](crate::FlatItems) twin of each encoding.
 pub trait ItemCodec: Sized {
     /// One-byte item-encoding tag stored in the snapshot header.
     const TAG: u8;
@@ -29,14 +26,6 @@ pub trait ItemCodec: Sized {
     /// Encodes all items as one flat items payload. `base` is the
     /// payload's absolute file offset (the alignment origin).
     fn encode_section(items: &[Self], base: usize) -> Vec<u8>;
-    /// Decodes a flat items payload into owned values, bounds-checked.
-    ///
-    /// # Errors
-    ///
-    /// [`VantageError::CorruptSnapshot`] on truncated or malformed
-    /// payloads, or when the payload's count disagrees with `count`
-    /// (the verified header field).
-    fn decode_section(payload: &[u8], base: usize, count: u64) -> Result<Vec<Self>>;
 }
 
 /// Writes the shared payload head: alignment padding, count, offsets.
@@ -64,16 +53,6 @@ impl ItemCodec for Vec<f64> {
         }
         out.0
     }
-
-    fn decode_section(payload: &[u8], base: usize, count: u64) -> Result<Vec<Self>> {
-        let lay = ItemsLayout::parse(payload, base, count, 8)?;
-        let data = layout::f64s_in(payload, &lay.data);
-        Ok(lay
-            .offsets
-            .windows(2)
-            .map(|w| data[w[0] as usize..w[1] as usize].to_vec())
-            .collect())
-    }
 }
 
 impl ItemCodec for String {
@@ -86,19 +65,6 @@ impl ItemCodec for String {
             out.0.extend_from_slice(item.as_bytes());
         }
         out.0
-    }
-
-    fn decode_section(payload: &[u8], base: usize, count: u64) -> Result<Vec<Self>> {
-        let lay = ItemsLayout::parse(payload, base, count, 1)?;
-        let data = &payload[lay.data.clone()];
-        lay.offsets
-            .windows(2)
-            .map(|w| {
-                std::str::from_utf8(&data[w[0] as usize..w[1] as usize])
-                    .map(str::to_string)
-                    .map_err(|e| VantageError::corrupt(format!("string item: {e}")))
-            })
-            .collect()
     }
 }
 
@@ -143,6 +109,35 @@ impl<M: MetricTag> MetricTag for Counted<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::ItemsLayout;
+    use crate::mem::{self, Storage};
+    use crate::{F64Vectors, FlatItems, Utf8Strings};
+    use vantage_core::{ItemStore, Result, VantageError};
+
+    /// Places an items payload at file offset `base` and reads it back
+    /// through the load path's layout parser and item checks.
+    fn read_back<K: FlatItems>(
+        payload: &[u8],
+        base: usize,
+        count: u64,
+    ) -> Result<Vec<<K::Item as ToOwned>::Owned>>
+    where
+        K::Item: ToOwned,
+    {
+        let mut file = vec![0u8; base];
+        file.extend_from_slice(payload);
+        let storage = Storage::from_bytes(&file);
+        let bytes = storage.bytes();
+        let lay = ItemsLayout::parse(&bytes[base..], base, count, K::ELEM)?;
+        K::check(&bytes[lay.data.clone()], &lay.offsets)?;
+        let store = K::store(
+            mem::u64s(&bytes[lay.offsets_bytes.clone()]),
+            &bytes[lay.data.clone()],
+        );
+        Ok((0..lay.count as u32)
+            .map(|row| store.get(row).to_owned())
+            .collect())
+    }
 
     #[test]
     fn counted_shares_the_inner_tag() {
@@ -161,7 +156,7 @@ mod tests {
         let items = vec!["héllo".to_string(), String::new(), "wörld".to_string()];
         for base in [0usize, 1, 3, 8, 13] {
             let payload = String::encode_section(&items, base);
-            let back = String::decode_section(&payload, base, items.len() as u64).unwrap();
+            let back = read_back::<Utf8Strings>(&payload, base, items.len() as u64).unwrap();
             assert_eq!(back, items, "base {base}");
         }
     }
@@ -171,7 +166,7 @@ mod tests {
         let items = vec!["ab".to_string()];
         let mut payload = String::encode_section(&items, 0);
         *payload.last_mut().unwrap() = 0xFF;
-        let err = String::decode_section(&payload, 0, 1).unwrap_err();
+        let err = read_back::<Utf8Strings>(&payload, 0, 1).unwrap_err();
         assert!(matches!(err, VantageError::CorruptSnapshot { .. }), "{err}");
     }
 
@@ -180,7 +175,7 @@ mod tests {
         let items = vec![vec![1.5, -0.0, f64::MAX], vec![], vec![f64::MIN_POSITIVE]];
         for base in [0usize, 2, 8, 11] {
             let payload = Vec::<f64>::encode_section(&items, base);
-            let back = Vec::<f64>::decode_section(&payload, base, items.len() as u64).unwrap();
+            let back = read_back::<F64Vectors>(&payload, base, items.len() as u64).unwrap();
             assert_eq!(back, items, "base {base}");
         }
     }
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn count_disagreement_is_a_typed_error() {
         let payload = Vec::<f64>::encode_section(&[vec![1.0]], 0);
-        let err = Vec::<f64>::decode_section(&payload, 0, 2).unwrap_err();
+        let err = read_back::<F64Vectors>(&payload, 0, 2).unwrap_err();
         assert!(matches!(err, VantageError::CorruptSnapshot { .. }), "{err}");
     }
 }

@@ -21,7 +21,7 @@
 //! Version 3 (the only version this build reads or writes) lays the
 //! items and structure payloads out as flat, 8-byte-aligned arrays so a
 //! memory map of the file can be served directly — see
-//! [`crate::layout`] — and writes a tree's items section in the tree's
+//! the `layout` module — and writes a tree's items section in the tree's
 //! **row order**: leaf entries first, in the arena's leaf column order,
 //! then the vantage points (`MvpArenaView::row_order`,
 //! `VpArenaView::row_order`). Each leaf scan then reads one contiguous
@@ -32,7 +32,7 @@
 //!
 //! Payload-internal alignment is relative to the *file* start (each
 //! payload pads its own front up to the next 8-byte file offset), which
-//! is why [`parse`] reports each payload's absolute offset alongside its
+//! is why `parse` reports each payload's absolute offset alongside its
 //! bytes. Version 2 stored the same arrays with tree items in id order,
 //! and version 1 stored pointer-rich per-node records; neither is
 //! readable any more, and both report as unsupported.

@@ -1,16 +1,14 @@
 //! Byte-exact span parsing for the flat payloads (format v2 onwards).
 //!
-//! Both loaders — the materializing `decode_*` path and the zero-copy
-//! `open_*` path — run the **same** parser over a section payload. The
-//! parser walks the payload once with the bounds-checked [`Cursor`],
-//! verifies every declared count against the bytes actually present,
-//! and returns plain byte [`Range`]s for each flat array. The decode
-//! path copies those ranges into `Vec`s; the mmap path reinterprets
-//! them in place. Either way, a payload that passes here has exactly
-//! the shape the arena constructors expect — the structural invariants
-//! (child ids in range, leaf tilings, cutoff monotonicity) are then
-//! re-checked by the tree crates' `validate_arena` before any search
-//! runs.
+//! The load path (`open_*` and `decode_*` alike) runs this parser over
+//! each section payload. It walks the payload once with the
+//! bounds-checked [`Cursor`], verifies every declared count against the
+//! bytes actually present, and returns each flat array's byte [`Range`]
+//! within the file, which the loader then reinterprets in place. A payload
+//! that passes here has exactly the shape the arena views expect — the
+//! structural invariants (child ids in range, leaf tilings, cutoff
+//! monotonicity) are then checked by the tree crates' `validate_arena`
+//! before any search runs.
 //!
 //! ## Items payload (both item encodings)
 //!
@@ -64,36 +62,22 @@ fn shape(n: usize, stride: usize, what: &str) -> Result<usize> {
         .ok_or_else(|| corrupt(format!("{what}: {n} × {stride} overflows")))
 }
 
-/// Consumes `n` `u32`s and returns their byte range within the payload.
-fn u32_span(cur: &mut Cursor<'_>, n: usize, what: &str) -> Result<Range<usize>> {
-    let need = shape(n, 4, what)?;
-    let start = cur.position();
+/// Consumes `need` bytes and returns their file range (`base` is the
+/// payload's file offset).
+fn span(cur: &mut Cursor<'_>, base: usize, need: usize, what: &str) -> Result<Range<usize>> {
+    let start = base + cur.position();
     cur.take(need, what)?;
     Ok(start..start + need)
 }
 
-/// Consumes `n` `f64`s and returns their byte range within the payload.
-fn f64_span(cur: &mut Cursor<'_>, n: usize, what: &str) -> Result<Range<usize>> {
-    let need = shape(n, 8, what)?;
-    let start = cur.position();
-    cur.take(need, what)?;
-    Ok(start..start + need)
+/// Consumes `n` `u32`s and returns their file range.
+fn u32_span(cur: &mut Cursor<'_>, base: usize, n: usize, what: &str) -> Result<Range<usize>> {
+    span(cur, base, shape(n, 4, what)?, what)
 }
 
-/// Copies a validated `u32` span out of a payload.
-pub(crate) fn u32s_in(payload: &[u8], r: &Range<usize>) -> Vec<u32> {
-    payload[r.clone()]
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect()
-}
-
-/// Copies a validated `f64` span out of a payload.
-pub(crate) fn f64s_in(payload: &[u8], r: &Range<usize>) -> Vec<f64> {
-    payload[r.clone()]
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-        .collect()
+/// Consumes `n` `f64`s and returns their file range.
+fn f64_span(cur: &mut Cursor<'_>, base: usize, n: usize, what: &str) -> Result<Range<usize>> {
+    span(cur, base, shape(n, 8, what)?, what)
 }
 
 /// Validated spans of a flat items payload.
@@ -104,9 +88,9 @@ pub(crate) struct ItemsLayout {
     /// The `count + 1` cumulative offsets (element units), verified to
     /// start at 0 and never decrease.
     pub offsets: Vec<u64>,
-    /// Byte range of the offsets array within the payload.
+    /// File range of the offsets array.
     pub offsets_bytes: Range<usize>,
-    /// Byte range of the element data within the payload.
+    /// File range of the element data.
     pub data: Range<usize>,
 }
 
@@ -129,9 +113,9 @@ impl ItemsLayout {
         let fences = count
             .checked_add(1)
             .ok_or_else(|| corrupt("item count overflows"))?;
-        let offsets_start = cur.position();
+        let offsets_start = base + cur.position();
         let offsets = cur.u64s(fences, "item offsets")?;
-        let offsets_bytes = offsets_start..cur.position();
+        let offsets_bytes = offsets_start..base + cur.position();
         if offsets[0] != 0 {
             return Err(corrupt(format!(
                 "item offsets start at {}, expected 0",
@@ -143,15 +127,18 @@ impl ItemsLayout {
         }
         let total = usize::try_from(offsets[count])
             .map_err(|_| corrupt("item data length exceeds address space"))?;
-        let data_len = shape(total, elem, "item data")?;
-        let data_start = cur.position();
-        cur.take(data_len, "item data")?;
+        let data = span(
+            &mut cur,
+            base,
+            shape(total, elem, "item data")?,
+            "item data",
+        )?;
         cur.finish("items payload")?;
         Ok(ItemsLayout {
             count,
             offsets,
             offsets_bytes,
-            data: data_start..data_start + data_len,
+            data,
         })
     }
 }
@@ -194,13 +181,28 @@ impl VpLayout {
                 "node classes do not tile: {internal} internal + {leaves} leaves ≠ {nodes} nodes"
             )));
         }
-        let meta = u32_span(&mut cur, nodes, "meta words")?;
-        let vantage = u32_span(&mut cur, internal, "vantage ids")?;
-        let children = u32_span(&mut cur, shape(internal, order, "children")?, "children")?;
-        let leaf_spans = u32_span(&mut cur, shape(leaves, 2, "leaf spans")?, "leaf spans")?;
-        let leaf_items = u32_span(&mut cur, leaf_total, "leaf items")?;
+        let meta = u32_span(&mut cur, base, nodes, "meta words")?;
+        let vantage = u32_span(&mut cur, base, internal, "vantage ids")?;
+        let children = u32_span(
+            &mut cur,
+            base,
+            shape(internal, order, "children")?,
+            "children",
+        )?;
+        let leaf_spans = u32_span(
+            &mut cur,
+            base,
+            shape(leaves, 2, "leaf spans")?,
+            "leaf spans",
+        )?;
+        let leaf_items = u32_span(&mut cur, base, leaf_total, "leaf items")?;
         cur.align8(base, "cutoff alignment")?;
-        let cutoffs = f64_span(&mut cur, shape(internal, order - 1, "cutoffs")?, "cutoffs")?;
+        let cutoffs = f64_span(
+            &mut cur,
+            base,
+            shape(internal, order - 1, "cutoffs")?,
+            "cutoffs",
+        )?;
         cur.finish("structure payload")?;
         Ok(VpLayout {
             root,
@@ -263,20 +265,35 @@ impl MvpLayout {
                 "node classes do not tile: {internal} internal + {leaves} leaves ≠ {nodes} nodes"
             )));
         }
-        let meta = u32_span(&mut cur, nodes, "meta words")?;
-        let vp1 = u32_span(&mut cur, internal, "first vantage ids")?;
-        let vp2 = u32_span(&mut cur, internal, "second vantage ids")?;
+        let meta = u32_span(&mut cur, base, nodes, "meta words")?;
+        let vp1 = u32_span(&mut cur, base, internal, "first vantage ids")?;
+        let vp2 = u32_span(&mut cur, base, internal, "second vantage ids")?;
         let m2 = shape(m, m, "m²")?;
-        let children = u32_span(&mut cur, shape(internal, m2, "children")?, "children")?;
-        let leaf_heads = u32_span(&mut cur, shape(leaves, 6, "leaf heads")?, "leaf heads")?;
-        let ids = u32_span(&mut cur, entries, "entry ids")?;
+        let children = u32_span(&mut cur, base, shape(internal, m2, "children")?, "children")?;
+        let leaf_heads = u32_span(
+            &mut cur,
+            base,
+            shape(leaves, 6, "leaf heads")?,
+            "leaf heads",
+        )?;
+        let ids = u32_span(&mut cur, base, entries, "entry ids")?;
         cur.align8(base, "cutoff alignment")?;
-        let cutoffs1 = f64_span(&mut cur, shape(internal, m - 1, "cutoffs1")?, "cutoffs1")?;
+        let cutoffs1 = f64_span(
+            &mut cur,
+            base,
+            shape(internal, m - 1, "cutoffs1")?,
+            "cutoffs1",
+        )?;
         let rows = shape(m, m - 1, "cutoff rows")?;
-        let cutoffs2 = f64_span(&mut cur, shape(internal, rows, "cutoffs2")?, "cutoffs2")?;
-        let d1 = f64_span(&mut cur, entries, "D1 column")?;
-        let d2 = f64_span(&mut cur, entries, "D2 column")?;
-        let path = f64_span(&mut cur, path_total, "PATH buffer")?;
+        let cutoffs2 = f64_span(
+            &mut cur,
+            base,
+            shape(internal, rows, "cutoffs2")?,
+            "cutoffs2",
+        )?;
+        let d1 = f64_span(&mut cur, base, entries, "D1 column")?;
+        let d2 = f64_span(&mut cur, base, entries, "D2 column")?;
+        let path = f64_span(&mut cur, base, path_total, "PATH buffer")?;
         cur.finish("structure payload")?;
         Ok(MvpLayout {
             root,

@@ -15,8 +15,8 @@
 //!
 //! ## Format
 //!
-//! A snapshot is a single file (see [`format`] module docs for the exact
-//! byte layout):
+//! A snapshot is a single file (see the [`format`](mod@format) module
+//! docs for the exact byte layout):
 //!
 //! * a header carrying magic bytes, a format version, the index kind,
 //!   the item encoding, the metric identifier, the item count and an
@@ -29,25 +29,30 @@
 //!
 //! Loading validates everything **before** an index is returned: magic
 //! and version, both checksum layers, every declared length against the
-//! bytes actually present, and finally the full structural invariants of
-//! the decoded arena (`validate_arena`, run by `from_arena` and by the
-//! mapped `open_*` functions). Any failure — truncation, a single
-//! flipped bit, a fabricated length, an unknown enum tag — yields a
-//! typed [`VantageError`], never a panic and never an oversized
-//! allocation. The fault-injection suite in `tests/` drives exactly
-//! these cases.
+//! bytes actually present, the recorded construction params, and
+//! finally the full structural invariants of the node arena
+//! (`validate_arena`). Every tree load — [`open_vp_tree`] over a file
+//! mapping, [`decode_vp_tree`] over an owned copy of in-memory bytes —
+//! runs this one pipeline and returns the same handle type. Any failure
+//! — truncation, a single flipped bit, a fabricated length, an unknown
+//! enum tag — yields a typed [`VantageError`], never a panic and never
+//! an oversized allocation. The fault-injection suites in `tests/`
+//! drive exactly these cases.
+//!
+//! Snapshot arrays are little-endian and are reinterpreted in place, so
+//! every load path returns a typed error on a big-endian host.
 //!
 //! ```
 //! use vantage_core::prelude::*;
-//! use vantage_persist as persist;
+//! use vantage_persist::{self as persist, F64Vectors};
 //! use vantage_vptree::{VpTree, VpTreeParams};
 //!
 //! let points: Vec<Vec<f64>> = (0..100).map(|i| vec![f64::from(i)]).collect();
 //! let tree = VpTree::build(points, Euclidean, VpTreeParams::binary().seed(7)).unwrap();
 //!
 //! let bytes = persist::encode_vp_tree(&tree);
-//! let again: VpTree<Vec<f64>, Euclidean> = persist::decode_vp_tree(&bytes).unwrap();
-//! assert_eq!(again.range(&vec![50.0], 1.5), tree.range(&vec![50.0], 1.5));
+//! let again = persist::decode_vp_tree::<F64Vectors, Euclidean>(&bytes).unwrap();
+//! assert_eq!(again.view().range(&[50.0], 1.5), tree.range(&vec![50.0], 1.5));
 //!
 //! let info = persist::inspect_bytes(&bytes).unwrap();
 //! assert_eq!(info.kind, persist::IndexKind::VpTree);
@@ -81,12 +86,10 @@ use vantage_vptree::VpTree;
 pub use codec::{ItemCodec, MetricTag};
 pub use format::{IndexKind, FORMAT_VERSION, MAGIC};
 pub use mapped::{
-    open_mvp_tree, open_vp_tree, F64Vectors, FlatItems, MappedMvpTree, MappedVpTree, Utf8Strings,
+    decode_linear_scan, decode_mvp_tree, decode_vp_tree, open_mvp_tree, open_vp_tree, F64Vectors,
+    FlatItems, MappedMvpTree, MappedVpTree, Utf8Strings,
 };
-pub use trees::{
-    decode_linear_scan, decode_mvp_tree, decode_vp_tree, encode_linear_scan, encode_mvp_tree,
-    encode_vp_tree,
-};
+pub use trees::{encode_linear_scan, encode_mvp_tree, encode_vp_tree};
 
 /// Header metadata of a verified snapshot, as reported by [`inspect`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,15 +110,15 @@ pub struct SnapshotInfo {
     pub bytes: u64,
 }
 
-/// Parses and integrity-checks a snapshot byte buffer without decoding
+/// Parses and integrity-checks a snapshot byte buffer without loading
 /// the index, returning its header metadata. All checksums and the
 /// section framing are verified — an `inspect`ed snapshot is structurally
-/// sound at the container level (the tree-level invariants are only
-/// checked by the typed `decode_*` functions).
+/// sound at the container level (the params and tree-level invariants
+/// are only checked by the typed `open_*`/`decode_*` loaders).
 ///
 /// # Errors
 ///
-/// The same typed errors as the `decode_*` functions' container stage.
+/// The same typed errors as the loaders' container stage.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo> {
     let c = format::parse(bytes)?;
     Ok(SnapshotInfo {
@@ -135,8 +138,8 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo> {
 /// metric id) and the file's length from its metadata, so inspecting a
 /// multi-GB snapshot costs one small read. The header's own CRC-32 is
 /// verified; the section payloads are *not* touched — full container
-/// verification is [`inspect_bytes`]' or the `decode_*`/`open_*`
-/// functions' job.
+/// verification is [`inspect_bytes`]' or the `open_*`/`decode_*`
+/// loaders' job.
 ///
 /// # Errors
 ///
@@ -164,10 +167,6 @@ pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotInfo> {
         digest: h.digest,
         bytes: total,
     })
-}
-
-fn read_file(path: &Path) -> Result<Vec<u8>> {
-    std::fs::read(path).map_err(|e| VantageError::io(path.display().to_string(), e.to_string()))
 }
 
 /// Replaces the file at `path` with `bytes` atomically: writes a
@@ -232,16 +231,6 @@ pub fn save_vp_tree<T: ItemCodec, M: MetricTag>(
     Ok(bytes.len() as u64)
 }
 
-/// Loads (and fully validates) a vp-tree snapshot from `path`.
-///
-/// # Errors
-///
-/// [`VantageError::Io`] when the file cannot be read, otherwise as
-/// [`decode_vp_tree`].
-pub fn load_vp_tree<T: ItemCodec, M: MetricTag>(path: impl AsRef<Path>) -> Result<VpTree<T, M>> {
-    decode_vp_tree(&read_file(path.as_ref())?)
-}
-
 /// Saves an mvp-tree snapshot to `path`, returning the bytes written.
 ///
 /// # Errors
@@ -254,16 +243,6 @@ pub fn save_mvp_tree<T: ItemCodec, M: MetricTag>(
     let bytes = encode_mvp_tree(tree);
     write_file(path.as_ref(), &bytes)?;
     Ok(bytes.len() as u64)
-}
-
-/// Loads (and fully validates) an mvp-tree snapshot from `path`.
-///
-/// # Errors
-///
-/// [`VantageError::Io`] when the file cannot be read, otherwise as
-/// [`decode_mvp_tree`].
-pub fn load_mvp_tree<T: ItemCodec, M: MetricTag>(path: impl AsRef<Path>) -> Result<MvpTree<T, M>> {
-    decode_mvp_tree(&read_file(path.as_ref())?)
 }
 
 /// Saves a linear-scan snapshot to `path`, returning the bytes written.
@@ -280,16 +259,22 @@ pub fn save_linear_scan<T: ItemCodec, M: MetricTag>(
     Ok(bytes.len() as u64)
 }
 
-/// Loads (and fully validates) a linear-scan snapshot from `path`.
+/// Loads (and fully validates) a linear-scan snapshot from `path`,
+/// copying its items out as [`decode_linear_scan`] does.
 ///
 /// # Errors
 ///
 /// [`VantageError::Io`] when the file cannot be read, otherwise as
 /// [`decode_linear_scan`].
-pub fn load_linear_scan<T: ItemCodec, M: MetricTag>(
+pub fn load_linear_scan<K, M>(
     path: impl AsRef<Path>,
-) -> Result<LinearScan<T, M>> {
-    decode_linear_scan(&read_file(path.as_ref())?)
+) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>>
+where
+    K: FlatItems,
+    K::Item: ToOwned,
+    M: MetricTag,
+{
+    mapped::linear_from_storage::<K, M>(mem::Storage::open(path.as_ref())?)
 }
 
 #[cfg(test)]
@@ -319,8 +304,11 @@ mod tests {
         assert_eq!(info.items, 80);
         assert_eq!(info.bytes, written);
 
-        let back: VpTree<Vec<f64>, Euclidean> = load_vp_tree(&path).unwrap();
-        assert_eq!(encode_vp_tree(&back), std::fs::read(&path).unwrap());
+        let back = open_vp_tree::<F64Vectors, Euclidean>(&path).unwrap();
+        assert_eq!(back.params(), tree.params());
+        assert_eq!(back.root(), tree.root());
+        assert_eq!(back.arena().leaf_items(), tree.arena().leaf_items());
+        assert!((0..80).map(|id| back.item(id)).eq(tree.items_by_id()));
         std::fs::remove_file(&path).ok();
     }
 
@@ -386,7 +374,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = load_vp_tree::<Vec<f64>, Euclidean>("/nonexistent/vantage.vsnap").unwrap_err();
+        let err = open_vp_tree::<F64Vectors, Euclidean>("/nonexistent/vantage.vsnap").unwrap_err();
         assert!(matches!(err, VantageError::Io { .. }), "{err}");
         let err = inspect("/nonexistent/vantage.vsnap").unwrap_err();
         assert!(matches!(err, VantageError::Io { .. }), "{err}");

@@ -1,55 +1,60 @@
-//! Zero-copy snapshot serving: `open(2)` → answer queries, no
-//! materialization.
+//! Snapshot loading: one validation pipeline over mapped or owned
+//! bytes, then queries straight over those bytes.
 //!
-//! The `decode_*` loaders copy every section into owned `Vec`s and
-//! rebuild an owned tree — `O(file)` allocation and copying before the
-//! first query can run. The `open_*` loaders in this module map the
-//! snapshot file instead ([`crate::mem`]), run the exact same
-//! container, layout and structural validation **once**, and then keep
-//! only byte ranges: a [`MappedVpTree`] / [`MappedMvpTree`] is the
-//! storage plus a handful of `Range<usize>` spans. Each query builds a
-//! borrowed [`VpTreeRef`] / [`MvpTreeRef`] directly over the mapped
-//! bytes — the same kernels the owned trees run, so answers are
-//! bit-identical to the `decode_*` path, but cold start is `O(header +
-//! validation)` and the page cache, not the heap, holds the data.
+//! Every vp- and mvp-tree load goes through here. [`open_vp_tree`] /
+//! [`open_mvp_tree`] map the snapshot file (`mmap(2)`, with an owned
+//! read as fallback); [`decode_vp_tree`] / [`decode_mvp_tree`] copy an
+//! in-memory snapshot into an owned 8-aligned buffer. Either storage
+//! then takes the same route: container checksums, typed tag checks,
+//! layout bounds, item encoding checks, `params.validate()` and the tree
+//! crates' complete `validate_arena`, run **once**. What comes back is
+//! the storage plus a handful of `Range<usize>` spans: a
+//! [`MappedVpTree`] / [`MappedMvpTree`]. Each query builds a borrowed
+//! [`VpTreeRef`] / [`MvpTreeRef`] directly over the bytes — the same
+//! kernels the owned trees run, so answers are bit-identical to the
+//! tree that was saved. Cold start from a file is `O(header +
+//! validation)`, and the page cache, not the heap, holds the data.
 //!
-//! Tree items are mapped in the row order the file stores them in (see
-//! [`crate::format`]) and never permuted at load — a second copy would
-//! double a server's resident memory. The only per-item heap state is
-//! the id→row table (4 bytes per item), derived from the validated
-//! arena in one O(n) pass at open.
+//! Tree items are served in the row order the snapshot stores them in
+//! (see [`crate::format`]) and never permuted at load — a second copy
+//! would double a server's resident memory. The only per-item heap
+//! state is the id→row table (4 bytes per item), derived from the
+//! validated arena in one O(n) pass.
 //!
 //! Item access is typed through [`FlatItems`]: [`F64Vectors`] serves
-//! `[f64]` slices out of the mapped value buffer, [`Utf8Strings`]
-//! serves `&str` out of the mapped text (validated as UTF-8 once at
-//! open). Queries therefore take unsized borrows (`&[f64]`, `&str`) —
-//! every workspace metric implements both the sized and unsized item
-//! forms.
+//! `[f64]` slices out of the value buffer, [`Utf8Strings`] serves `&str`
+//! out of the text (validated as UTF-8 once at load). Queries therefore
+//! take unsized borrows (`&[f64]`, `&str`) — every workspace metric
+//! implements both the sized and unsized item forms. A linear-scan
+//! snapshot is read through the same item checks and copied out into
+//! an owned [`LinearScan`].
 
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::path::Path;
 
-use vantage_core::{FlatF64s, FlatStrs, ItemStore, Result, VantageError};
+use vantage_core::{
+    BoundedMetric, BudgetedKnn, BudgetedSearch, FarthestIndex, FlatF64s, FlatStrs, ItemStore,
+    LinearScan, Metric, MetricIndex, Neighbor, Result, SearchBudget, VantageError,
+};
 use vantage_mvptree::{MvpArenaView, MvpParams, MvpTreeRef};
 use vantage_vptree::{VpArenaView, VpTreeParams, VpTreeRef};
 
 use crate::codec::{ItemCodec, MetricTag};
-use crate::format::{parse, IndexKind};
+use crate::format::{parse, Container, IndexKind};
 use crate::layout::{ItemsLayout, MvpLayout, VpLayout};
 use crate::mem::{self, Storage};
 use crate::trees::{check_tags, decode_mvp_params, decode_vp_params, root_from_wire};
 
-/// An item encoding that can be served in place from mapped snapshot
-/// bytes.
+/// An item encoding that can be served in place from snapshot bytes.
 ///
-/// This is the zero-copy counterpart of [`ItemCodec`]: same tags, same
-/// payload layout, but instead of materializing owned values it builds
-/// a borrowed [`ItemStore`] over the validated offset and data spans.
+/// The load-side twin of [`ItemCodec`]: same tags, same payload layout,
+/// but instead of materializing owned values it builds a borrowed
+/// [`ItemStore`] over the validated offset and data spans.
 pub trait FlatItems {
     /// Unsized item form queries borrow (`[f64]`, `str`).
     type Item: ?Sized;
-    /// The borrowed store built over mapped spans.
+    /// The borrowed store built over snapshot spans.
     type Store<'a>: ItemStore<Item = Self::Item> + Copy;
     /// Item-encoding tag — matches the [`ItemCodec`] twin.
     const TAG: u8;
@@ -57,7 +62,7 @@ pub trait FlatItems {
     const NAME: &'static str;
     /// Bytes per data element (8 for `f64`, 1 for UTF-8 bytes).
     const ELEM: usize;
-    /// Open-time validation of the raw data region beyond what the
+    /// Load-time validation of the raw data region beyond what the
     /// layout parser checks (e.g. UTF-8 well-formedness).
     ///
     /// # Errors
@@ -67,6 +72,8 @@ pub trait FlatItems {
     fn check(data: &[u8], offsets: &[u64]) -> Result<()>;
     /// Builds the borrowed store over validated spans.
     fn store<'a>(offsets: &'a [u64], data: &'a [u8]) -> Self::Store<'a>;
+    /// The item at `row` of `store`, borrowed for the spans' lifetime.
+    fn row<'a>(store: Self::Store<'a>, row: u32) -> &'a Self::Item;
 }
 
 /// Marker: snapshot items are `f64` vectors, served as `&[f64]`.
@@ -88,6 +95,10 @@ impl FlatItems for F64Vectors {
 
     fn store<'a>(offsets: &'a [u64], data: &'a [u8]) -> FlatF64s<'a> {
         FlatF64s::new(offsets, mem::f64s(data))
+    }
+
+    fn row<'a>(store: Self::Store<'a>, row: u32) -> &'a [f64] {
+        store.row(row)
     }
 }
 
@@ -121,90 +132,163 @@ impl FlatItems for Utf8Strings {
     fn store<'a>(offsets: &'a [u64], data: &'a [u8]) -> FlatStrs<'a> {
         FlatStrs::new(offsets, mem::str_validated(data))
     }
+
+    fn row<'a>(store: Self::Store<'a>, row: u32) -> &'a str {
+        store.row(row)
+    }
 }
 
-/// Shifts a payload-relative span to an absolute file span.
-fn rebase(r: &Range<usize>, off: usize) -> Range<usize> {
-    r.start + off..r.end + off
-}
-
-/// Open-time item plumbing shared by both trees: container parse, tag
-/// checks, item layout and encoding validation. Returns the decoded
-/// params bytes plus absolute item spans; the caller parses its own
-/// structure payload inside the same borrow of `bytes`.
+/// Absolute spans of a validated items payload.
+#[derive(Debug)]
 struct ItemSpans {
     count: usize,
     offsets: Range<usize>,
     data: Range<usize>,
 }
 
+impl ItemSpans {
+    fn store<'a, K: FlatItems>(&self, bytes: &'a [u8]) -> K::Store<'a> {
+        K::store(
+            mem::u64s(&bytes[self.offsets.clone()]),
+            &bytes[self.data.clone()],
+        )
+    }
+}
+
+/// Load-time item plumbing shared by every index kind: container parse,
+/// tag checks, item layout and encoding validation. Returns the parsed
+/// container (the caller decodes its own params and structure inside
+/// the same borrow of `bytes`) plus absolute item spans.
 fn check_items<'a, K: FlatItems>(
     bytes: &'a [u8],
     kind: IndexKind,
     metric_tag: &'static str,
-) -> Result<(crate::format::Container<'a>, ItemSpans)> {
+) -> Result<(Container<'a>, ItemSpans)> {
     let c = parse(bytes)?;
     check_tags(&c, kind, K::TAG, K::NAME, metric_tag)?;
     let ilay = ItemsLayout::parse(c.items, c.items_off, c.count, K::ELEM)?;
-    K::check(&c.items[ilay.data.clone()], &ilay.offsets)?;
+    K::check(&bytes[ilay.data.clone()], &ilay.offsets)?;
     let spans = ItemSpans {
         count: ilay.count,
-        offsets: rebase(&ilay.offsets_bytes, c.items_off),
-        data: rebase(&ilay.data, c.items_off),
+        offsets: ilay.offsets_bytes,
+        data: ilay.data,
     };
     Ok((c, spans))
 }
 
-/// A vp-tree served directly out of a mapped snapshot file.
+/// Implements the shared accessors and the workspace query traits
+/// (over the unsized item form) for a loaded tree handle.
+macro_rules! loaded_tree {
+    ($tree:ident, $params:ty) => {
+        impl<K: FlatItems, M> $tree<K, M> {
+            /// Number of indexed items.
+            pub fn len(&self) -> usize {
+                self.items.count
+            }
+
+            /// Whether the snapshot indexes no items.
+            pub fn is_empty(&self) -> bool {
+                self.items.count == 0
+            }
+
+            /// Construction parameters recorded in the snapshot.
+            pub fn params(&self) -> &$params {
+                &self.params
+            }
+
+            /// Arena id of the root node (`None` for an empty tree).
+            pub fn root(&self) -> Option<u32> {
+                self.root
+            }
+
+            /// The reconstructed metric (shared by every view).
+            pub fn metric(&self) -> &M {
+                &self.metric
+            }
+
+            /// Whether the backing storage is an actual `mmap` (vs an
+            /// owned buffer: the `decode_*` loaders, or the read
+            /// fallback on platforms or files that refuse mapping).
+            pub fn is_mapped(&self) -> bool {
+                self.storage.is_mapped()
+            }
+
+            /// The item with original id `id`.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `id >= len()`.
+            pub fn item(&self, id: u32) -> &K::Item {
+                K::row(self.store(), self.rows[id as usize])
+            }
+
+            fn store(&self) -> K::Store<'_> {
+                self.items.store::<K>(self.storage.bytes())
+            }
+        }
+
+        impl<K: FlatItems, M: BoundedMetric<K::Item>> MetricIndex<K::Item> for $tree<K, M> {
+            fn len(&self) -> usize {
+                self.items.count
+            }
+
+            fn get(&self, id: usize) -> Option<&K::Item> {
+                (id < self.items.count).then(|| self.item(id as u32))
+            }
+
+            fn range(&self, query: &K::Item, radius: f64) -> Vec<Neighbor> {
+                self.view().range(query, radius)
+            }
+
+            fn knn(&self, query: &K::Item, k: usize) -> Vec<Neighbor> {
+                self.view().knn(query, k)
+            }
+        }
+
+        impl<K: FlatItems, M: Metric<K::Item>> FarthestIndex<K::Item> for $tree<K, M> {
+            fn range_beyond(&self, query: &K::Item, radius: f64) -> Vec<Neighbor> {
+                self.view().range_beyond(query, radius)
+            }
+
+            fn k_farthest(&self, query: &K::Item, k: usize) -> Vec<Neighbor> {
+                self.view().k_farthest(query, k)
+            }
+        }
+
+        impl<K: FlatItems, M: BoundedMetric<K::Item>> BudgetedSearch<K::Item> for $tree<K, M> {
+            fn knn_budgeted(&self, query: &K::Item, k: usize, budget: SearchBudget) -> BudgetedKnn {
+                self.view().knn_budgeted(query, k, budget)
+            }
+        }
+    };
+}
+
+/// A vp-tree served directly out of snapshot bytes — a file mapping
+/// ([`open_vp_tree`]) or an owned copy ([`decode_vp_tree`]).
 ///
 /// Owns the storage and the validated spans; [`view`](Self::view)
 /// assembles a borrowed [`VpTreeRef`] per query at pointer-arithmetic
-/// cost. Validation (container checksums, layout bounds, full
-/// structural invariants) ran once inside [`open_vp_tree`] — views are
-/// built unchecked afterwards.
+/// cost. Validation (container checksums, layout bounds, params, full
+/// structural invariants) ran once at load — views are built unchecked
+/// afterwards. Implements [`MetricIndex`], [`FarthestIndex`] and
+/// [`BudgetedSearch`] over the unsized item form (`[f64]`, `str`).
 #[derive(Debug)]
 pub struct MappedVpTree<K: FlatItems, M> {
     storage: Storage,
     params: VpTreeParams,
     root: Option<u32>,
     metric: M,
-    count: usize,
-    item_offsets: Range<usize>,
-    item_data: Range<usize>,
+    items: ItemSpans,
     rows: Vec<u32>,
     lay: VpLayout,
     _items: PhantomData<K>,
 }
 
+loaded_tree!(MappedVpTree, VpTreeParams);
+
 impl<K: FlatItems, M> MappedVpTree<K, M> {
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the snapshot indexes no items.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Construction parameters recorded in the snapshot.
-    pub fn params(&self) -> &VpTreeParams {
-        &self.params
-    }
-
-    /// The reconstructed metric (shared by every view).
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-
-    /// Whether the backing storage is an actual `mmap` (vs the owned
-    /// read fallback on platforms or files that refuse mapping).
-    pub fn is_mapped(&self) -> bool {
-        self.storage.is_mapped()
-    }
-
-    /// A borrowed tree over the mapped bytes, ready to answer any
-    /// query form bit-identically to the materialized tree.
+    /// A borrowed tree over the snapshot bytes, ready to answer any
+    /// query form bit-identically to the tree that was saved.
     pub fn view(&self) -> VpTreeRef<'_, K::Store<'_>, M> {
         VpTreeRef::new(
             self.arena(),
@@ -215,15 +299,8 @@ impl<K: FlatItems, M> MappedVpTree<K, M> {
         )
     }
 
-    fn store(&self) -> K::Store<'_> {
-        let b = self.storage.bytes();
-        K::store(
-            mem::u64s(&b[self.item_offsets.clone()]),
-            &b[self.item_data.clone()],
-        )
-    }
-
-    fn arena(&self) -> VpArenaView<'_> {
+    /// The flat node arena, borrowed from the snapshot bytes.
+    pub fn arena(&self) -> VpArenaView<'_> {
         let b = self.storage.bytes();
         VpArenaView::from_raw_parts(
             self.params.order,
@@ -237,59 +314,63 @@ impl<K: FlatItems, M> MappedVpTree<K, M> {
     }
 }
 
-/// Opens a vp-tree snapshot for zero-copy serving.
-///
-/// Runs the full verification pipeline once — container checksums,
-/// typed tag checks, layout bounds, item encoding checks and the tree
-/// crates' complete `validate_arena` — then derives the id→row table
-/// from the validated arena and returns a handle that builds borrowed
-/// views without touching the bulk of the file again.
+/// Opens a vp-tree snapshot file for zero-copy serving: the file is
+/// mapped, verified once, and served in place.
 ///
 /// # Errors
 ///
-/// The same typed errors as [`crate::decode_vp_tree`] plus
-/// [`VantageError::Io`] for open/metadata failures and
-/// [`VantageError::InvalidParameter`] on big-endian hosts.
+/// [`VantageError::Io`] for open/metadata failures, otherwise as
+/// [`decode_vp_tree`].
 pub fn open_vp_tree<K: FlatItems, M: MetricTag>(
     path: impl AsRef<Path>,
 ) -> Result<MappedVpTree<K, M>> {
+    vp_from_storage(Storage::open(path.as_ref())?)
+}
+
+/// Loads a vp-tree snapshot held in memory: the bytes are copied once
+/// into an owned 8-aligned buffer and served exactly like a mapped file.
+///
+/// # Errors
+///
+/// Typed [`VantageError`]s for version/kind/item/metric mismatches, any
+/// form of corruption ([`VantageError::CorruptSnapshot`]), invalid
+/// recorded params, and a big-endian host
+/// ([`VantageError::InvalidParameter`]); never panics on malformed
+/// input.
+pub fn decode_vp_tree<K: FlatItems, M: MetricTag>(bytes: &[u8]) -> Result<MappedVpTree<K, M>> {
+    vp_from_storage(Storage::from_bytes(bytes))
+}
+
+/// The one vp-tree load path behind [`open_vp_tree`] and
+/// [`decode_vp_tree`]: validates everything, then derives the id→row
+/// table from the validated arena.
+fn vp_from_storage<K: FlatItems, M: MetricTag>(storage: Storage) -> Result<MappedVpTree<K, M>> {
     mem::check_little_endian()?;
-    let storage = Storage::open(path.as_ref())?;
-    let (params, root, lay, spans) = {
+    let (params, lay, items) = {
         let bytes = storage.bytes();
-        let (c, spans) = check_items::<K>(bytes, IndexKind::VpTree, M::TAG)?;
+        let (c, items) = check_items::<K>(bytes, IndexKind::VpTree, M::TAG)?;
         let params = decode_vp_params(c.params)?;
-        let slay = VpLayout::parse(c.structure, c.structure_off, params.order)?;
-        let lay = VpLayout {
-            root: slay.root,
-            meta: rebase(&slay.meta, c.structure_off),
-            vantage: rebase(&slay.vantage, c.structure_off),
-            children: rebase(&slay.children, c.structure_off),
-            leaf_spans: rebase(&slay.leaf_spans, c.structure_off),
-            leaf_items: rebase(&slay.leaf_items, c.structure_off),
-            cutoffs: rebase(&slay.cutoffs, c.structure_off),
-        };
-        (params, root_from_wire(slay.root), lay, spans)
+        let lay = VpLayout::parse(c.structure, c.structure_off, params.order)?;
+        (params, lay, items)
     };
+    params.validate()?;
     let tree = MappedVpTree {
         storage,
         params,
-        root,
+        root: root_from_wire(lay.root),
         metric: M::reconstruct(),
-        count: spans.count,
-        item_offsets: spans.offsets,
-        item_data: spans.data,
+        items,
         rows: Vec::new(),
         lay,
         _items: PhantomData,
     };
     let arena = tree.arena();
-    vantage_vptree::validate_arena(arena, root, tree.count, &tree.params)?;
-    let rows = arena.id_rows(tree.count);
+    vantage_vptree::validate_arena(arena, tree.root, tree.items.count, &tree.params)?;
+    let rows = arena.id_rows(tree.items.count);
     Ok(MappedVpTree { rows, ..tree })
 }
 
-/// An mvp-tree served directly out of a mapped snapshot file; the
+/// An mvp-tree served directly out of snapshot bytes; the
 /// multi-vantage twin of [`MappedVpTree`].
 #[derive(Debug)]
 pub struct MappedMvpTree<K: FlatItems, M> {
@@ -297,41 +378,16 @@ pub struct MappedMvpTree<K: FlatItems, M> {
     params: MvpParams,
     root: Option<u32>,
     metric: M,
-    count: usize,
-    item_offsets: Range<usize>,
-    item_data: Range<usize>,
+    items: ItemSpans,
     rows: Vec<u32>,
     lay: MvpLayout,
     _items: PhantomData<K>,
 }
 
+loaded_tree!(MappedMvpTree, MvpParams);
+
 impl<K: FlatItems, M> MappedMvpTree<K, M> {
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the snapshot indexes no items.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Construction parameters recorded in the snapshot.
-    pub fn params(&self) -> &MvpParams {
-        &self.params
-    }
-
-    /// The reconstructed metric (shared by every view).
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-
-    /// Whether the backing storage is an actual `mmap`.
-    pub fn is_mapped(&self) -> bool {
-        self.storage.is_mapped()
-    }
-
-    /// A borrowed tree over the mapped bytes.
+    /// A borrowed tree over the snapshot bytes.
     pub fn view(&self) -> MvpTreeRef<'_, K::Store<'_>, M> {
         MvpTreeRef::new(
             self.arena(),
@@ -343,15 +399,8 @@ impl<K: FlatItems, M> MappedMvpTree<K, M> {
         )
     }
 
-    fn store(&self) -> K::Store<'_> {
-        let b = self.storage.bytes();
-        K::store(
-            mem::u64s(&b[self.item_offsets.clone()]),
-            &b[self.item_data.clone()],
-        )
-    }
-
-    fn arena(&self) -> MvpArenaView<'_> {
+    /// The flat node arena, borrowed from the snapshot bytes.
+    pub fn arena(&self) -> MvpArenaView<'_> {
         let b = self.storage.bytes();
         MvpArenaView::from_raw_parts(
             self.params.m,
@@ -370,54 +419,100 @@ impl<K: FlatItems, M> MappedMvpTree<K, M> {
     }
 }
 
-/// Opens an mvp-tree snapshot for zero-copy serving; see
-/// [`open_vp_tree`] for the verification pipeline and error contract.
+/// Opens an mvp-tree snapshot file for zero-copy serving; see
+/// [`open_vp_tree`].
 ///
 /// # Errors
 ///
-/// As [`open_vp_tree`], against [`crate::decode_mvp_tree`]'s checks.
+/// As [`open_vp_tree`].
 pub fn open_mvp_tree<K: FlatItems, M: MetricTag>(
     path: impl AsRef<Path>,
 ) -> Result<MappedMvpTree<K, M>> {
+    mvp_from_storage(Storage::open(path.as_ref())?)
+}
+
+/// Loads an mvp-tree snapshot held in memory; see [`decode_vp_tree`].
+///
+/// # Errors
+///
+/// As [`decode_vp_tree`].
+pub fn decode_mvp_tree<K: FlatItems, M: MetricTag>(bytes: &[u8]) -> Result<MappedMvpTree<K, M>> {
+    mvp_from_storage(Storage::from_bytes(bytes))
+}
+
+/// The one mvp-tree load path; see [`vp_from_storage`].
+fn mvp_from_storage<K: FlatItems, M: MetricTag>(storage: Storage) -> Result<MappedMvpTree<K, M>> {
     mem::check_little_endian()?;
-    let storage = Storage::open(path.as_ref())?;
-    let (params, root, lay, spans) = {
+    let (params, lay, items) = {
         let bytes = storage.bytes();
-        let (c, spans) = check_items::<K>(bytes, IndexKind::MvpTree, M::TAG)?;
+        let (c, items) = check_items::<K>(bytes, IndexKind::MvpTree, M::TAG)?;
         let params = decode_mvp_params(c.params)?;
-        let slay = MvpLayout::parse(c.structure, c.structure_off, params.m)?;
-        let lay = MvpLayout {
-            root: slay.root,
-            meta: rebase(&slay.meta, c.structure_off),
-            vp1: rebase(&slay.vp1, c.structure_off),
-            vp2: rebase(&slay.vp2, c.structure_off),
-            children: rebase(&slay.children, c.structure_off),
-            leaf_heads: rebase(&slay.leaf_heads, c.structure_off),
-            ids: rebase(&slay.ids, c.structure_off),
-            cutoffs1: rebase(&slay.cutoffs1, c.structure_off),
-            cutoffs2: rebase(&slay.cutoffs2, c.structure_off),
-            d1: rebase(&slay.d1, c.structure_off),
-            d2: rebase(&slay.d2, c.structure_off),
-            path: rebase(&slay.path, c.structure_off),
-        };
-        (params, root_from_wire(slay.root), lay, spans)
+        let lay = MvpLayout::parse(c.structure, c.structure_off, params.m)?;
+        (params, lay, items)
     };
+    params.validate()?;
     let tree = MappedMvpTree {
         storage,
         params,
-        root,
+        root: root_from_wire(lay.root),
         metric: M::reconstruct(),
-        count: spans.count,
-        item_offsets: spans.offsets,
-        item_data: spans.data,
+        items,
         rows: Vec::new(),
         lay,
         _items: PhantomData,
     };
     let arena = tree.arena();
-    vantage_mvptree::validate_arena(arena, root, tree.count, &tree.params)?;
-    let rows = arena.id_rows(tree.count);
+    vantage_mvptree::validate_arena(arena, tree.root, tree.items.count, &tree.params)?;
+    let rows = arena.id_rows(tree.items.count);
     Ok(MappedMvpTree { rows, ..tree })
+}
+
+/// Loads a linear-scan snapshot held in memory: the items pass the same
+/// checks as a tree's and are copied out, in id order, into an owned
+/// [`LinearScan`] (`Vec<f64>` for [`F64Vectors`], `String` for
+/// [`Utf8Strings`]).
+///
+/// # Errors
+///
+/// As [`decode_vp_tree`], plus [`VantageError::CorruptSnapshot`] when
+/// the params or structure section is not empty.
+pub fn decode_linear_scan<K, M>(bytes: &[u8]) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>>
+where
+    K: FlatItems,
+    K::Item: ToOwned,
+    M: MetricTag,
+{
+    linear_from_storage::<K, M>(Storage::from_bytes(bytes))
+}
+
+/// The linear-scan load path behind [`decode_linear_scan`] and
+/// [`crate::load_linear_scan`].
+pub(crate) fn linear_from_storage<K, M>(
+    storage: Storage,
+) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>>
+where
+    K: FlatItems,
+    K::Item: ToOwned,
+    M: MetricTag,
+{
+    mem::check_little_endian()?;
+    let bytes = storage.bytes();
+    let (c, items) = check_items::<K>(bytes, IndexKind::Linear, M::TAG)?;
+    if !c.params.is_empty() {
+        return Err(VantageError::corrupt(
+            "linear-scan snapshot carries a non-empty params section",
+        ));
+    }
+    if !c.structure.is_empty() {
+        return Err(VantageError::corrupt(
+            "linear-scan snapshot carries a non-empty structure section",
+        ));
+    }
+    let store = items.store::<K>(bytes);
+    let owned = (0..items.count as u32)
+        .map(|row| store.get(row).to_owned())
+        .collect();
+    Ok(LinearScan::new(owned, M::reconstruct()))
 }
 
 #[cfg(test)]

@@ -28,10 +28,10 @@
 //!   fallback buffer is a `Vec<u64>`), so the cast functions' runtime
 //!   alignment assertions can only fire on a logic bug, never on a
 //!   hostile file.
-//! * **Endianness** — spans are reinterpreted, not decoded, so the
-//!   zero-copy path requires a little-endian host; [`check_little_endian`]
-//!   turns a big-endian host into a typed error before any cast runs
-//!   (the copying `decode_*` loaders remain fully portable).
+//! * **Endianness** — spans are reinterpreted, not decoded, so every
+//!   snapshot load path (mapped or owned) requires a little-endian
+//!   host; [`check_little_endian`] turns a big-endian host into a typed
+//!   error before any cast runs.
 
 #![allow(unsafe_code)]
 
@@ -161,13 +161,19 @@ impl Storage {
         let mut buf = Vec::with_capacity(len.min(1 << 30));
         file.read_to_end(&mut buf)
             .map_err(|e| VantageError::io(path.display().to_string(), e.to_string()))?;
-        let mut words = vec![0u64; buf.len().div_ceil(8)];
-        for (word, chunk) in words.iter_mut().zip(buf.chunks(8)) {
+        Ok(Storage::from_bytes(&buf))
+    }
+
+    /// Copies `bytes` into an owned 8-aligned buffer — the storage
+    /// behind the in-memory `decode_*` loaders and the read fallback.
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Storage {
+        let mut words = vec![0u64; bytes.len().div_ceil(8)];
+        for (word, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
             let mut b = [0u8; 8];
             b[..chunk.len()].copy_from_slice(chunk);
             *word = u64::from_ne_bytes(b);
         }
-        Ok(Storage::Owned(words, buf.len()))
+        Storage::Owned(words, bytes.len())
     }
 
     /// The snapshot bytes, whatever the backing store.
@@ -203,8 +209,8 @@ pub(crate) fn check_little_endian() -> Result<()> {
     } else {
         Err(VantageError::invalid_parameter(
             "host endianness",
-            "zero-copy snapshot mapping requires a little-endian host; \
-             use the materializing load_*/decode_* loaders instead",
+            "snapshot loading reinterprets little-endian arrays in place, \
+             so it requires a little-endian host",
         ))
     }
 }

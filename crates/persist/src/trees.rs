@@ -1,29 +1,25 @@
-//! Per-index encoding and decoding: params and structure payloads for
-//! the vp-tree, mvp-tree and linear scan, plus the typed
-//! `encode_*`/`decode_*` entry points over the container format.
+//! Per-index encoding: params and structure payloads for the vp-tree,
+//! mvp-tree and linear scan, plus the typed `encode_*` entry points over
+//! the container format, and the params decoders and tag checks the
+//! load path in [`crate::mapped`] shares.
 //!
-//! Decoding never trusts the payload: the shared [`crate::layout`]
-//! parser bounds-checks every declared count against the bytes actually
-//! present (a fabricated count cannot trigger a large allocation), and
-//! the final `from_arena` validation re-checks every structural
-//! invariant before a tree is handed back. The structure payloads are
-//! the arenas' flat arrays written verbatim, so encoding is a handful
-//! of `memcpy`-shaped appends and decoding is the reverse — no per-node
-//! record walking on either side. Tree items are written in the tree's
-//! row order (see [`crate::format`]), exactly as the tree stores them.
+//! The structure payloads are the arenas' flat arrays written verbatim,
+//! so encoding is a handful of `memcpy`-shaped appends, and loading
+//! reinterprets the same arrays in place. Tree items are written in the
+//! tree's row order (see [`crate::format`]), exactly as the tree stores
+//! them.
 
 use vantage_core::parallel::Threads;
 use vantage_core::select::VantageSelector;
 use vantage_core::{LinearScan, Result, VantageError};
 use vantage_mvptree::params::{MvpParams, SecondVantage};
-use vantage_mvptree::{MvpArena, MvpTree};
-use vantage_vptree::{VpArena, VpTree, VpTreeParams};
+use vantage_mvptree::MvpTree;
+use vantage_vptree::{VpTree, VpTreeParams};
 
 use crate::codec::{ItemCodec, MetricTag};
 use crate::format::{
-    assemble, items_payload_offset, parse, structure_payload_offset, Container, IndexKind,
+    assemble, items_payload_offset, structure_payload_offset, Container, IndexKind,
 };
-use crate::layout::{self, MvpLayout, VpLayout};
 use crate::wire::{Cursor, Out};
 
 /// Human-readable name for an item-encoding tag (known or not).
@@ -61,10 +57,6 @@ pub(crate) fn check_tags(
         return Err(VantageError::mismatch("metric", &c.metric, metric_tag));
     }
     Ok(())
-}
-
-fn check_typed<T: ItemCodec, M: MetricTag>(c: &Container<'_>, expect: IndexKind) -> Result<()> {
-    check_tags(c, expect, T::TAG, T::NAME, M::TAG)
 }
 
 /// `root` wire form: node ids stay below 2³¹, so `u32::MAX` is a free
@@ -166,24 +158,6 @@ fn encode_vp_structure<T, M>(tree: &VpTree<T, M>, base: usize) -> Vec<u8> {
     out.0
 }
 
-fn decode_vp_structure(
-    payload: &[u8],
-    base: usize,
-    order: usize,
-) -> Result<(Option<u32>, VpArena)> {
-    let lay = VpLayout::parse(payload, base, order)?;
-    let arena = VpArena::from_raw_arrays(
-        order as u32,
-        layout::u32s_in(payload, &lay.meta),
-        layout::u32s_in(payload, &lay.vantage),
-        layout::u32s_in(payload, &lay.children),
-        layout::f64s_in(payload, &lay.cutoffs),
-        layout::u32s_in(payload, &lay.leaf_spans),
-        layout::u32s_in(payload, &lay.leaf_items),
-    );
-    Ok((root_from_wire(lay.root), arena))
-}
-
 /// Encodes a vp-tree into a complete snapshot byte buffer.
 pub fn encode_vp_tree<T: ItemCodec, M: MetricTag>(tree: &VpTree<T, M>) -> Vec<u8> {
     let params = encode_vp_params(tree.params());
@@ -200,21 +174,6 @@ pub fn encode_vp_tree<T: ItemCodec, M: MetricTag>(tree: &VpTree<T, M>) -> Vec<u8
         &items,
         &structure,
     )
-}
-
-/// Decodes (and fully validates) a vp-tree snapshot.
-///
-/// # Errors
-///
-/// Typed [`VantageError`]s for version/kind/item/metric mismatches and
-/// any form of corruption; never panics on malformed input.
-pub fn decode_vp_tree<T: ItemCodec, M: MetricTag>(bytes: &[u8]) -> Result<VpTree<T, M>> {
-    let c = parse(bytes)?;
-    check_typed::<T, M>(&c, IndexKind::VpTree)?;
-    let params = decode_vp_params(c.params)?;
-    let items = T::decode_section(c.items, c.items_off, c.count)?;
-    let (root, arena) = decode_vp_structure(c.structure, c.structure_off, params.order)?;
-    VpTree::from_arena(items, M::reconstruct(), params, root, arena)
 }
 
 // -------------------------------------------------------------- mvp-tree
@@ -282,25 +241,6 @@ fn encode_mvp_structure<T, M>(tree: &MvpTree<T, M>, base: usize) -> Vec<u8> {
     out.0
 }
 
-fn decode_mvp_structure(payload: &[u8], base: usize, m: usize) -> Result<(Option<u32>, MvpArena)> {
-    let lay = MvpLayout::parse(payload, base, m)?;
-    let arena = MvpArena::from_raw_arrays(
-        m as u32,
-        layout::u32s_in(payload, &lay.meta),
-        layout::u32s_in(payload, &lay.vp1),
-        layout::u32s_in(payload, &lay.vp2),
-        layout::u32s_in(payload, &lay.children),
-        layout::f64s_in(payload, &lay.cutoffs1),
-        layout::f64s_in(payload, &lay.cutoffs2),
-        layout::u32s_in(payload, &lay.leaf_heads),
-        layout::u32s_in(payload, &lay.ids),
-        layout::f64s_in(payload, &lay.d1),
-        layout::f64s_in(payload, &lay.d2),
-        layout::f64s_in(payload, &lay.path),
-    );
-    Ok((root_from_wire(lay.root), arena))
-}
-
 /// Encodes an mvp-tree into a complete snapshot byte buffer.
 pub fn encode_mvp_tree<T: ItemCodec, M: MetricTag>(tree: &MvpTree<T, M>) -> Vec<u8> {
     let params = encode_mvp_params(tree.params());
@@ -317,21 +257,6 @@ pub fn encode_mvp_tree<T: ItemCodec, M: MetricTag>(tree: &MvpTree<T, M>) -> Vec<
         &items,
         &structure,
     )
-}
-
-/// Decodes (and fully validates) an mvp-tree snapshot.
-///
-/// # Errors
-///
-/// Typed [`VantageError`]s for version/kind/item/metric mismatches and
-/// any form of corruption; never panics on malformed input.
-pub fn decode_mvp_tree<T: ItemCodec, M: MetricTag>(bytes: &[u8]) -> Result<MvpTree<T, M>> {
-    let c = parse(bytes)?;
-    check_typed::<T, M>(&c, IndexKind::MvpTree)?;
-    let params = decode_mvp_params(c.params)?;
-    let items = T::decode_section(c.items, c.items_off, c.count)?;
-    let (root, arena) = decode_mvp_structure(c.structure, c.structure_off, params.m)?;
-    MvpTree::from_arena(items, M::reconstruct(), params, root, arena)
 }
 
 // ---------------------------------------------------------- linear scan
@@ -352,32 +277,10 @@ pub fn encode_linear_scan<T: ItemCodec, M: MetricTag>(scan: &LinearScan<T, M>) -
     )
 }
 
-/// Decodes (and fully validates) a linear-scan snapshot.
-///
-/// # Errors
-///
-/// Typed [`VantageError`]s for version/kind/item/metric mismatches and
-/// any form of corruption; never panics on malformed input.
-pub fn decode_linear_scan<T: ItemCodec, M: MetricTag>(bytes: &[u8]) -> Result<LinearScan<T, M>> {
-    let c = parse(bytes)?;
-    check_typed::<T, M>(&c, IndexKind::Linear)?;
-    if !c.params.is_empty() {
-        return Err(VantageError::corrupt(
-            "linear-scan snapshot carries a non-empty params section",
-        ));
-    }
-    if !c.structure.is_empty() {
-        return Err(VantageError::corrupt(
-            "linear-scan snapshot carries a non-empty structure section",
-        ));
-    }
-    let items = T::decode_section(c.items, c.items_off, c.count)?;
-    Ok(LinearScan::new(items, M::reconstruct()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{decode_linear_scan, decode_mvp_tree, decode_vp_tree, F64Vectors, Utf8Strings};
     use vantage_core::prelude::*;
 
     fn points(n: usize) -> Vec<Vec<f64>> {
@@ -396,26 +299,38 @@ mod tests {
                 .seed(5),
         )
         .unwrap();
-        let bytes = encode_vp_tree(&tree);
-        let back: VpTree<Vec<f64>, Euclidean> = decode_vp_tree(&bytes).unwrap();
-        assert_eq!(encode_vp_tree(&back), bytes);
-        assert_eq!(back.row_items(), tree.row_items());
-        assert!(back.items_by_id().eq(tree.items_by_id()));
-        let q = vec![3.0, 2.0];
-        assert_eq!(back.range(&q, 2.5), tree.range(&q, 2.5));
+        let back = decode_vp_tree::<F64Vectors, Euclidean>(&encode_vp_tree(&tree)).unwrap();
+        assert_eq!(back.params(), tree.params());
+        assert_eq!(back.root(), tree.root());
+        let (a, b) = (back.arena(), tree.arena());
+        assert_eq!(a.meta(), b.meta());
+        assert_eq!(a.vantage(), b.vantage());
+        assert_eq!(a.children(), b.children());
+        assert_eq!(a.cutoffs(), b.cutoffs());
+        assert_eq!(a.leaf_spans(), b.leaf_spans());
+        assert_eq!(a.leaf_items(), b.leaf_items());
+        assert!(a.row_order().map(|id| back.item(id)).eq(tree.row_items()));
+        let q = [3.0, 2.0];
+        assert_eq!(back.view().range(&q, 2.5), tree.range(&q.to_vec(), 2.5));
     }
 
     #[test]
     fn mvp_tree_snapshot_round_trips() {
         let tree =
             MvpTree::build(points(200), Euclidean, MvpParams::paper(3, 6, 4).seed(2)).unwrap();
-        let bytes = encode_mvp_tree(&tree);
-        let back: MvpTree<Vec<f64>, Euclidean> = decode_mvp_tree(&bytes).unwrap();
-        assert_eq!(encode_mvp_tree(&back), bytes);
-        assert_eq!(back.row_items(), tree.row_items());
-        assert!(back.items_by_id().eq(tree.items_by_id()));
-        let q = vec![8.0, 1.0];
-        assert_eq!(back.knn(&q, 6), tree.knn(&q, 6));
+        let back = decode_mvp_tree::<F64Vectors, Euclidean>(&encode_mvp_tree(&tree)).unwrap();
+        assert_eq!(back.params(), tree.params());
+        assert_eq!(back.root(), tree.root());
+        let (a, b) = (back.arena(), tree.arena());
+        assert_eq!(a.meta(), b.meta());
+        assert_eq!((a.vp1(), a.vp2()), (b.vp1(), b.vp2()));
+        assert_eq!(a.children(), b.children());
+        assert_eq!((a.cutoffs1(), a.cutoffs2()), (b.cutoffs1(), b.cutoffs2()));
+        assert_eq!((a.leaf_heads(), a.ids()), (b.leaf_heads(), b.ids()));
+        assert_eq!((a.d1(), a.d2(), a.path()), (b.d1(), b.d2(), b.path()));
+        assert!(a.row_order().map(|id| back.item(id)).eq(tree.row_items()));
+        let q = [8.0, 1.0];
+        assert_eq!(back.view().knn(&q, 6), tree.knn(&q.to_vec(), 6));
     }
 
     #[test]
@@ -425,7 +340,7 @@ mod tests {
             Levenshtein,
         );
         let bytes = encode_linear_scan(&scan);
-        let back: LinearScan<String, Levenshtein> = decode_linear_scan(&bytes).unwrap();
+        let back = decode_linear_scan::<Utf8Strings, Levenshtein>(&bytes).unwrap();
         assert_eq!(back.items(), scan.items());
         let hits = back.range(&"carrots".to_string(), 2.0);
         assert_eq!(hits, scan.range(&"carrots".to_string(), 2.0));
@@ -440,7 +355,7 @@ mod tests {
         )
         .unwrap();
         let bytes = encode_vp_tree(&tree);
-        let err = decode_mvp_tree::<Vec<f64>, Euclidean>(&bytes).unwrap_err();
+        let err = decode_mvp_tree::<F64Vectors, Euclidean>(&bytes).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -462,7 +377,7 @@ mod tests {
         )
         .unwrap();
         let bytes = encode_vp_tree(&tree);
-        let err = decode_vp_tree::<Vec<f64>, Manhattan>(&bytes).unwrap_err();
+        let err = decode_vp_tree::<F64Vectors, Manhattan>(&bytes).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -479,7 +394,7 @@ mod tests {
     fn item_type_mismatch_is_typed() {
         let scan = LinearScan::new(points(10), Euclidean);
         let bytes = encode_linear_scan(&scan);
-        let err = decode_linear_scan::<String, Levenshtein>(&bytes).unwrap_err();
+        let err = decode_linear_scan::<Utf8Strings, Levenshtein>(&bytes).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -504,10 +419,63 @@ mod tests {
         )
         .unwrap();
         let bytes = encode_vp_tree(&tree);
-        let back: VpTree<Vec<f64>, Counted<Euclidean>> = decode_vp_tree(&bytes).unwrap();
+        let back = decode_vp_tree::<F64Vectors, Counted<Euclidean>>(&bytes).unwrap();
         assert_eq!(back.metric().count(), 0);
-        let plain: VpTree<Vec<f64>, Euclidean> = decode_vp_tree(&bytes).unwrap();
-        assert_eq!(encode_vp_tree(&plain), bytes);
-        assert_eq!(encode_vp_tree(&back), bytes);
+        let plain = decode_vp_tree::<F64Vectors, Euclidean>(&bytes).unwrap();
+        let q = [4.0, 1.0];
+        assert_eq!(plain.view().knn(&q, 5), back.view().knn(&q, 5));
+        assert!(back.metric().count() > 0);
+    }
+
+    /// Assembles an empty-tree container whose CRCs are all valid but
+    /// whose params fail `validate()`.
+    fn invalid_params_container(
+        kind: IndexKind,
+        params: &[u8],
+        structure: impl Fn(usize) -> Vec<u8>,
+    ) -> Vec<u8> {
+        let items_off = items_payload_offset(<Euclidean as MetricTag>::TAG.len(), params.len());
+        let items = <Vec<f64>>::encode_section(&[], items_off);
+        let structure = structure(structure_payload_offset(items_off, items.len()));
+        let tag = <Vec<f64> as ItemCodec>::TAG;
+        assemble(kind, tag, "l2", 0, params, &items, &structure)
+    }
+
+    #[test]
+    fn invalid_params_are_refused_by_every_load_path() {
+        let vp = VpTree::build(Vec::<Vec<f64>>::new(), Euclidean, VpTreeParams::binary()).unwrap();
+        let mvp = MvpTree::build(Vec::<Vec<f64>>::new(), Euclidean, MvpParams::default()).unwrap();
+        let vp_params = VpTreeParams {
+            leaf_capacity: 0,
+            ..VpTreeParams::binary()
+        };
+        let mvp_params = MvpParams {
+            k: 0,
+            ..MvpParams::default()
+        };
+        let vp_bytes =
+            invalid_params_container(IndexKind::VpTree, &encode_vp_params(&vp_params), |base| {
+                encode_vp_structure(&vp, base)
+            });
+        let mvp_bytes = invalid_params_container(
+            IndexKind::MvpTree,
+            &encode_mvp_params(&mvp_params),
+            |base| encode_mvp_structure(&mvp, base),
+        );
+        let invalid = |r: Result<()>| match r {
+            Err(VantageError::InvalidParameter { .. }) => {}
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        invalid(decode_vp_tree::<F64Vectors, Euclidean>(&vp_bytes).map(drop));
+        invalid(decode_mvp_tree::<F64Vectors, Euclidean>(&mvp_bytes).map(drop));
+        let path = std::env::temp_dir().join(format!(
+            "vantage-trees-invalid-params-{}.vsnap",
+            std::process::id()
+        ));
+        std::fs::write(&path, &vp_bytes).unwrap();
+        invalid(crate::open_vp_tree::<F64Vectors, Euclidean>(&path).map(drop));
+        std::fs::write(&path, &mvp_bytes).unwrap();
+        invalid(crate::open_mvp_tree::<F64Vectors, Euclidean>(&path).map(drop));
+        std::fs::remove_file(&path).ok();
     }
 }

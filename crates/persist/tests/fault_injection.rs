@@ -1,8 +1,8 @@
-//! Corruption fault injection against the typed decode path.
+//! Corruption fault injection against the in-memory load path.
 //!
 //! Every case feeds damaged bytes to the full `decode_*` pipeline
-//! (container parse → section checksums → structural `validate_arena`
-//! validation) and demands a **typed** [`VantageError`] — never a panic,
+//! (container parse → section checksums → params → structural
+//! `validate_arena` validation) and demands a **typed** [`VantageError`] — never a panic,
 //! never an oversized allocation, never a silently wrong tree. Damage
 //! classes: truncation at every prefix length, a flipped bit in every
 //! byte, wrong declared version / metric / item type / index kind,
@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use vantage_core::prelude::*;
 use vantage_mvptree::{MvpParams, MvpTree};
-use vantage_persist as persist;
+use vantage_persist::{self as persist, F64Vectors, Utf8Strings};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 /// A small vp-tree-over-words snapshot (edit metric).
@@ -52,7 +52,7 @@ fn assert_typed(err: VantageError, context: &str) {
 fn every_truncation_is_a_typed_error() {
     let good = word_snapshot();
     for len in 0..good.len() {
-        let err = persist::decode_vp_tree::<String, Levenshtein>(&good[..len])
+        let err = persist::decode_vp_tree::<Utf8Strings, Levenshtein>(&good[..len])
             .expect_err("truncated snapshot decoded");
         assert_typed(err, &format!("truncated to {len} bytes"));
         let err = persist::inspect_bytes(&good[..len]).expect_err("truncated snapshot inspected");
@@ -68,7 +68,7 @@ fn every_single_bit_flip_is_a_typed_error() {
         for bit in 0..8 {
             let mut bad = good.clone();
             bad[byte] ^= 1 << bit;
-            let err = persist::decode_mvp_tree::<Vec<f64>, Euclidean>(&bad)
+            let err = persist::decode_mvp_tree::<F64Vectors, Euclidean>(&bad)
                 .expect_err("bit-flipped snapshot decoded");
             assert_typed(err, &format!("flip byte {byte} bit {bit}"));
         }
@@ -93,7 +93,7 @@ fn patch_header(bytes: &mut [u8], offset: usize, field: &[u8]) {
 fn future_format_version_is_unsupported_not_corrupt() {
     let mut bytes = vector_snapshot();
     patch_header(&mut bytes, 8, &(persist::FORMAT_VERSION + 7).to_le_bytes());
-    let err = persist::decode_mvp_tree::<Vec<f64>, Euclidean>(&bytes).unwrap_err();
+    let err = persist::decode_mvp_tree::<F64Vectors, Euclidean>(&bytes).unwrap_err();
     assert!(
         matches!(
             err,
@@ -113,7 +113,7 @@ fn forged_v2_header_is_refused() {
     // so it must be refused outright, not decoded.
     let mut bytes = vector_snapshot();
     patch_header(&mut bytes, 8, &2u32.to_le_bytes());
-    let err = persist::decode_mvp_tree::<Vec<f64>, Euclidean>(&bytes).unwrap_err();
+    let err = persist::decode_mvp_tree::<F64Vectors, Euclidean>(&bytes).unwrap_err();
     assert!(
         matches!(
             err,
@@ -129,7 +129,7 @@ fn forged_v2_header_is_refused() {
 #[test]
 fn wrong_index_kind_is_a_mismatch() {
     let bytes = vector_snapshot(); // an mvp-tree
-    let err = persist::decode_vp_tree::<Vec<f64>, Euclidean>(&bytes).unwrap_err();
+    let err = persist::decode_vp_tree::<F64Vectors, Euclidean>(&bytes).unwrap_err();
     assert!(
         matches!(err, VantageError::SnapshotMismatch { field, .. } if field == "index kind"),
         "{err}"
@@ -139,7 +139,7 @@ fn wrong_index_kind_is_a_mismatch() {
 #[test]
 fn wrong_metric_is_a_mismatch() {
     let bytes = vector_snapshot(); // built under l2
-    let err = persist::decode_mvp_tree::<Vec<f64>, Manhattan>(&bytes).unwrap_err();
+    let err = persist::decode_mvp_tree::<F64Vectors, Manhattan>(&bytes).unwrap_err();
     assert!(
         matches!(err, VantageError::SnapshotMismatch { field, .. } if field == "metric"),
         "{err}"
@@ -149,7 +149,7 @@ fn wrong_metric_is_a_mismatch() {
 #[test]
 fn wrong_item_type_is_a_mismatch() {
     let bytes = word_snapshot(); // utf8-string items
-    let err = persist::decode_vp_tree::<Vec<f64>, Levenshtein>(&bytes).unwrap_err();
+    let err = persist::decode_vp_tree::<F64Vectors, Levenshtein>(&bytes).unwrap_err();
     assert!(
         matches!(err, VantageError::SnapshotMismatch { field, .. } if field == "item type"),
         "{err}"
@@ -161,7 +161,7 @@ fn unknown_metric_in_header_is_typed() {
     let mut bytes = vector_snapshot();
     // "l2" → "l9": still two bytes, so the layout is untouched.
     patch_header(&mut bytes, 16, b"l9");
-    let err = persist::decode_mvp_tree::<Vec<f64>, Euclidean>(&bytes).unwrap_err();
+    let err = persist::decode_mvp_tree::<F64Vectors, Euclidean>(&bytes).unwrap_err();
     assert_typed(err, "unknown metric identifier");
 }
 
@@ -186,7 +186,7 @@ fn fabricated_section_lengths_fail_without_allocating() {
             let mut bad = good.clone();
             bad[start + 1..start + 9].copy_from_slice(&fake.to_le_bytes());
             let before = std::time::Instant::now();
-            let err = persist::decode_mvp_tree::<Vec<f64>, Euclidean>(&bad)
+            let err = persist::decode_mvp_tree::<F64Vectors, Euclidean>(&bad)
                 .expect_err("fabricated length decoded");
             assert_typed(err, &format!("section at {start} with length {fake}"));
             assert!(
@@ -201,7 +201,7 @@ fn fabricated_section_lengths_fail_without_allocating() {
 fn trailing_garbage_is_rejected() {
     let mut bytes = word_snapshot();
     bytes.extend_from_slice(b"\0\0\0\0extra");
-    let err = persist::decode_vp_tree::<String, Levenshtein>(&bytes).unwrap_err();
+    let err = persist::decode_vp_tree::<Utf8Strings, Levenshtein>(&bytes).unwrap_err();
     assert_typed(err, "trailing garbage");
 }
 
@@ -209,7 +209,7 @@ fn trailing_garbage_is_rejected() {
 fn empty_input_is_a_typed_error() {
     assert_typed(persist::inspect_bytes(&[]).unwrap_err(), "empty input");
     assert_typed(
-        persist::decode_vp_tree::<Vec<f64>, Euclidean>(&[]).unwrap_err(),
+        persist::decode_vp_tree::<F64Vectors, Euclidean>(&[]).unwrap_err(),
         "empty input",
     );
 }
@@ -221,9 +221,9 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let _ = persist::inspect_bytes(&bytes);
-        let _ = persist::decode_vp_tree::<Vec<f64>, Euclidean>(&bytes);
-        let _ = persist::decode_mvp_tree::<Vec<f64>, Euclidean>(&bytes);
-        let _ = persist::decode_linear_scan::<String, Levenshtein>(&bytes);
+        let _ = persist::decode_vp_tree::<F64Vectors, Euclidean>(&bytes);
+        let _ = persist::decode_mvp_tree::<F64Vectors, Euclidean>(&bytes);
+        let _ = persist::decode_linear_scan::<Utf8Strings, Levenshtein>(&bytes);
     }
 
     /// Random splices of a valid snapshot (overwrite a random window
@@ -239,7 +239,7 @@ proptest! {
         let start = offset % bad.len();
         let end = (start + splice.len()).min(bad.len());
         bad[start..end].copy_from_slice(&splice[..end - start]);
-        match persist::decode_vp_tree::<String, Levenshtein>(&bad) {
+        match persist::decode_vp_tree::<Utf8Strings, Levenshtein>(&bad) {
             // Splicing identical bytes back in is a legal no-op.
             Ok(_) => prop_assert_eq!(bad, good, "corrupted snapshot decoded"),
             Err(err) => assert_typed(err, "spliced snapshot"),

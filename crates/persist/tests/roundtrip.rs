@@ -8,13 +8,17 @@
 //! vectors and edit-distance words) and all three snapshot-able
 //! structures.
 
+use std::borrow::Borrow;
+use std::fmt::Debug;
+
 use proptest::prelude::*;
 use vantage_core::farthest::FarthestIndex;
 use vantage_core::prelude::*;
 use vantage_core::MetricIndex;
 use vantage_datasets::ClusteredConfig;
 use vantage_mvptree::{MvpParams, MvpTree};
-use vantage_persist as persist;
+use vantage_persist::{self as persist, F64Vectors, FlatItems, Utf8Strings};
+use vantage_persist::{MappedMvpTree, MappedVpTree};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 fn clustered(clusters: usize, cluster_size: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -41,14 +45,21 @@ struct Answers {
 }
 
 /// Runs the seeded sweep against one index, reading the cost of each
-/// query off the shared `Counted` probe.
-fn sweep<T, M, I>(index: &I, probe: &Counted<M>, queries: &[T], radius: f64) -> Vec<Answers>
+/// query off the shared `Counted` probe. Owned indexes take `&Vec<f64>`
+/// / `&String` queries, loaded ones the unsized `&[f64]` / `&str`.
+fn sweep<'q, Q, M, I>(
+    index: &I,
+    probe: &Counted<M>,
+    queries: impl IntoIterator<Item = &'q Q>,
+    radius: f64,
+) -> Vec<Answers>
 where
-    I: MetricIndex<T> + FarthestIndex<T>,
+    Q: ?Sized + 'q,
+    I: MetricIndex<Q> + FarthestIndex<Q>,
 {
     probe.reset();
     queries
-        .iter()
+        .into_iter()
         .map(|q| {
             let mut range = index.range(q, radius);
             range.sort_unstable();
@@ -69,6 +80,57 @@ where
         .collect()
 }
 
+fn slices(queries: &[Vec<f64>]) -> impl Iterator<Item = &[f64]> {
+    queries.iter().map(Vec::as_slice)
+}
+
+fn strs(queries: &[String]) -> impl Iterator<Item = &str> {
+    queries.iter().map(String::as_str)
+}
+
+/// Pins a loaded vp-tree to the tree it was saved from: params, root,
+/// every arena array, and the items in row order.
+fn assert_same_vp<K, M, T, N>(loaded: &MappedVpTree<K, M>, tree: &VpTree<T, N>)
+where
+    K: FlatItems,
+    K::Item: PartialEq + Debug,
+    T: Borrow<K::Item>,
+{
+    assert_eq!(loaded.params(), tree.params());
+    assert_eq!(loaded.root(), tree.root());
+    let (a, b) = (loaded.arena(), tree.arena());
+    assert_eq!(a.meta(), b.meta());
+    assert_eq!(a.vantage(), b.vantage());
+    assert_eq!(a.children(), b.children());
+    assert_eq!(a.cutoffs(), b.cutoffs());
+    assert_eq!(a.leaf_spans(), b.leaf_spans());
+    assert_eq!(a.leaf_items(), b.leaf_items());
+    let rows: Vec<&K::Item> = a.row_order().map(|id| loaded.item(id)).collect();
+    let want: Vec<&K::Item> = tree.row_items().iter().map(Borrow::borrow).collect();
+    assert_eq!(rows, want, "row items");
+}
+
+/// The mvp-tree twin of [`assert_same_vp`].
+fn assert_same_mvp<K, M, T, N>(loaded: &MappedMvpTree<K, M>, tree: &MvpTree<T, N>)
+where
+    K: FlatItems,
+    K::Item: PartialEq + Debug,
+    T: Borrow<K::Item>,
+{
+    assert_eq!(loaded.params(), tree.params());
+    assert_eq!(loaded.root(), tree.root());
+    let (a, b) = (loaded.arena(), tree.arena());
+    assert_eq!(a.meta(), b.meta());
+    assert_eq!((a.vp1(), a.vp2()), (b.vp1(), b.vp2()));
+    assert_eq!(a.children(), b.children());
+    assert_eq!((a.cutoffs1(), a.cutoffs2()), (b.cutoffs1(), b.cutoffs2()));
+    assert_eq!((a.leaf_heads(), a.ids()), (b.leaf_heads(), b.ids()));
+    assert_eq!((a.d1(), a.d2(), a.path()), (b.d1(), b.d2(), b.path()));
+    let rows: Vec<&K::Item> = a.row_order().map(|id| loaded.item(id)).collect();
+    let want: Vec<&K::Item> = tree.row_items().iter().map(Borrow::borrow).collect();
+    assert_eq!(rows, want, "row items");
+}
+
 #[test]
 fn vp_tree_round_trips_on_clustered_vectors() {
     let items = clustered(8, 40, 11);
@@ -82,18 +144,14 @@ fn vp_tree_round_trips_on_clustered_vectors() {
     let fresh = sweep(&tree, tree.metric(), &queries, 0.4);
 
     let bytes = persist::encode_vp_tree(&tree);
-    let loaded: VpTree<Vec<f64>, Counted<Euclidean>> = persist::decode_vp_tree(&bytes).unwrap();
-    assert_eq!(
-        persist::encode_vp_tree(&loaded),
-        bytes,
-        "node layout changed"
-    );
+    let loaded = persist::decode_vp_tree::<F64Vectors, Counted<Euclidean>>(&bytes).unwrap();
+    assert_same_vp(&loaded, &tree);
     assert_eq!(
         loaded.metric().take(),
         0,
         "a load must perform no metric evaluations"
     );
-    let again = sweep(&loaded, loaded.metric(), &queries, 0.4);
+    let again = sweep(&loaded, loaded.metric(), slices(&queries), 0.4);
     assert_eq!(fresh, again);
 }
 
@@ -110,13 +168,9 @@ fn mvp_tree_round_trips_on_clustered_vectors() {
     let fresh = sweep(&tree, tree.metric(), &queries, 0.4);
 
     let bytes = persist::encode_mvp_tree(&tree);
-    let loaded: MvpTree<Vec<f64>, Counted<Euclidean>> = persist::decode_mvp_tree(&bytes).unwrap();
-    assert_eq!(
-        persist::encode_mvp_tree(&loaded),
-        bytes,
-        "node layout changed"
-    );
-    let again = sweep(&loaded, loaded.metric(), &queries, 0.4);
+    let loaded = persist::decode_mvp_tree::<F64Vectors, Counted<Euclidean>>(&bytes).unwrap();
+    assert_same_mvp(&loaded, &tree);
+    let again = sweep(&loaded, loaded.metric(), slices(&queries), 0.4);
     assert_eq!(fresh, again);
 }
 
@@ -133,8 +187,9 @@ fn mvp_tree_round_trips_on_words() {
     let fresh = sweep(&tree, tree.metric(), &queries, 4.0);
 
     let bytes = persist::encode_mvp_tree(&tree);
-    let loaded: MvpTree<String, Counted<Levenshtein>> = persist::decode_mvp_tree(&bytes).unwrap();
-    let again = sweep(&loaded, loaded.metric(), &queries, 4.0);
+    let loaded = persist::decode_mvp_tree::<Utf8Strings, Counted<Levenshtein>>(&bytes).unwrap();
+    assert_same_mvp(&loaded, &tree);
+    let again = sweep(&loaded, loaded.metric(), strs(&queries), 4.0);
     assert_eq!(fresh, again);
 }
 
@@ -154,10 +209,11 @@ fn vp_tree_round_trips_on_words_through_a_file() {
     path.push(format!("vantage-roundtrip-{}.vsnap", std::process::id()));
     let written = persist::save_vp_tree(&tree, &path).unwrap();
     assert_eq!(persist::inspect(&path).unwrap().bytes, written);
-    let loaded: VpTree<String, Counted<Levenshtein>> = persist::load_vp_tree(&path).unwrap();
+    let loaded = persist::open_vp_tree::<Utf8Strings, Counted<Levenshtein>>(&path).unwrap();
     std::fs::remove_file(&path).ok();
+    assert_same_vp(&loaded, &tree);
 
-    let again = sweep(&loaded, loaded.metric(), &queries, 3.0);
+    let again = sweep(&loaded, loaded.metric(), strs(&queries), 3.0);
     assert_eq!(fresh, again);
 }
 
@@ -167,30 +223,34 @@ fn linear_scan_round_trips_on_both_item_flavors() {
     let vqueries = vantage_datasets::uniform_vectors(6, 6, 55);
     let scan = LinearScan::new(vectors, Counted::new(Euclidean));
     let fresh = sweep(&scan, scan.metric(), &vqueries, 0.5);
-    let loaded: LinearScan<Vec<f64>, Counted<Euclidean>> =
-        persist::decode_linear_scan(&persist::encode_linear_scan(&scan)).unwrap();
+    let loaded = persist::decode_linear_scan::<F64Vectors, Counted<Euclidean>>(
+        &persist::encode_linear_scan(&scan),
+    )
+    .unwrap();
     assert_eq!(fresh, sweep(&loaded, loaded.metric(), &vqueries, 0.5));
 
     let words = vantage_datasets::random_words(120, 4, 12, 3);
     let wqueries = vantage_datasets::random_words(6, 4, 12, 66);
     let scan = LinearScan::new(words, Counted::new(Levenshtein));
     let fresh = sweep(&scan, scan.metric(), &wqueries, 3.0);
-    let loaded: LinearScan<String, Counted<Levenshtein>> =
-        persist::decode_linear_scan(&persist::encode_linear_scan(&scan)).unwrap();
+    let loaded = persist::decode_linear_scan::<Utf8Strings, Counted<Levenshtein>>(
+        &persist::encode_linear_scan(&scan),
+    )
+    .unwrap();
     assert_eq!(fresh, sweep(&loaded, loaded.metric(), &wqueries, 3.0));
 }
 
 #[test]
 fn empty_and_single_item_indexes_round_trip() {
     let empty = VpTree::build(Vec::<Vec<f64>>::new(), Euclidean, VpTreeParams::binary()).unwrap();
-    let loaded: VpTree<Vec<f64>, Euclidean> =
-        persist::decode_vp_tree(&persist::encode_vp_tree(&empty)).unwrap();
-    assert!(loaded.range(&vec![0.0], 10.0).is_empty());
+    let loaded =
+        persist::decode_vp_tree::<F64Vectors, Euclidean>(&persist::encode_vp_tree(&empty)).unwrap();
+    assert!(loaded.view().range(&[0.0], 10.0).is_empty());
 
     let one = MvpTree::build(vec![vec![1.0, 2.0]], Euclidean, MvpParams::default()).unwrap();
-    let loaded: MvpTree<Vec<f64>, Euclidean> =
-        persist::decode_mvp_tree(&persist::encode_mvp_tree(&one)).unwrap();
-    assert_eq!(loaded.knn(&vec![0.0, 0.0], 1).len(), 1);
+    let loaded =
+        persist::decode_mvp_tree::<F64Vectors, Euclidean>(&persist::encode_mvp_tree(&one)).unwrap();
+    assert_eq!(loaded.view().knn(&[0.0, 0.0], 1).len(), 1);
 }
 
 proptest! {
@@ -215,9 +275,11 @@ proptest! {
         )
         .unwrap();
         let fresh = sweep(&tree, tree.metric(), &queries, 0.3);
-        let loaded: VpTree<Vec<f64>, Counted<Euclidean>> =
-            persist::decode_vp_tree(&persist::encode_vp_tree(&tree)).unwrap();
-        prop_assert_eq!(fresh, sweep(&loaded, loaded.metric(), &queries, 0.3));
+        let loaded = persist::decode_vp_tree::<F64Vectors, Counted<Euclidean>>(
+            &persist::encode_vp_tree(&tree),
+        )
+        .unwrap();
+        prop_assert_eq!(fresh, sweep(&loaded, loaded.metric(), slices(&queries), 0.3));
     }
 
     #[test]
@@ -237,8 +299,10 @@ proptest! {
         )
         .unwrap();
         let fresh = sweep(&tree, tree.metric(), &queries, 0.3);
-        let loaded: MvpTree<Vec<f64>, Counted<Euclidean>> =
-            persist::decode_mvp_tree(&persist::encode_mvp_tree(&tree)).unwrap();
-        prop_assert_eq!(fresh, sweep(&loaded, loaded.metric(), &queries, 0.3));
+        let loaded = persist::decode_mvp_tree::<F64Vectors, Counted<Euclidean>>(
+            &persist::encode_mvp_tree(&tree),
+        )
+        .unwrap();
+        prop_assert_eq!(fresh, sweep(&loaded, loaded.metric(), slices(&queries), 0.3));
     }
 }

@@ -156,7 +156,7 @@ impl<I> Instrumented<I> {
     }
 }
 
-impl<T, I: MetricIndex<T>> MetricIndex<T> for Instrumented<I> {
+impl<T: ?Sized, I: MetricIndex<T>> MetricIndex<T> for Instrumented<I> {
     fn len(&self) -> usize {
         self.inner.len()
     }
@@ -177,7 +177,7 @@ impl<T, I: MetricIndex<T>> MetricIndex<T> for Instrumented<I> {
 // Budgeted queries record under `OpKind::Knn` like their exact
 // counterpart, with two extra signals the answer itself carries: whether
 // the budget ran out and the search's own recall estimate.
-impl<T, I: BudgetedSearch<T>> BudgetedSearch<T> for Instrumented<I> {
+impl<T: ?Sized, I: BudgetedSearch<T>> BudgetedSearch<T> for Instrumented<I> {
     fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
         let before = self.probe.totals();
         let start = Instant::now();

@@ -3,7 +3,7 @@
 //! Sampled (and slow) serve requests leave behind a [`TraceRecord`]:
 //! the request's phase spans, its distance-cost delta, and — when the
 //! request was head-sampled — the full per-descent
-//! [`QueryProfile`](vantage_core::QueryProfile) pruning breakdown. The
+//! [`QueryProfile`] pruning breakdown. The
 //! [`TraceRing`] retains the last N of them for the `SLOW` / `TRACE`
 //! protocol commands and the Chrome trace-event exporter.
 //!

@@ -4,7 +4,7 @@
 //! The [`MetricsRegistry`](crate::MetricsRegistry) histograms are
 //! *cumulative* — ideal for long-horizon dashboards, useless for "what
 //! is p99 right now". [`SloSurface`] keeps a small sliding window of the
-//! most recent latencies per [`OpKind`](crate::OpKind), recorded
+//! most recent latencies per [`OpKind`], recorded
 //! lock-free on the request path, and computes nearest-rank p50/p99/
 //! p999 on demand. Each window also remembers the trace ID beside every
 //! latency, so the worst observation in a window links directly to its

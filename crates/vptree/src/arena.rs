@@ -163,30 +163,6 @@ impl VpArena {
         offset
     }
 
-    /// Assembles an arena from raw flat arrays (the snapshot decode
-    /// path). No validation happens here — callers must pass the result
-    /// through the tree-level structural validation before searching.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_arrays(
-        order: u32,
-        meta: Vec<u32>,
-        vantage: Vec<u32>,
-        children: Vec<u32>,
-        cutoffs: Vec<f64>,
-        leaf_spans: Vec<u32>,
-        leaf_items: Vec<u32>,
-    ) -> VpArena {
-        VpArena {
-            order,
-            meta,
-            vantage,
-            children,
-            cutoffs,
-            leaf_spans,
-            leaf_items,
-        }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.meta.len()
@@ -248,9 +224,9 @@ pub enum VpNodeView<'a> {
 }
 
 impl<'a> VpArenaView<'a> {
-    /// Assembles a view from raw borrowed arrays (the zero-copy snapshot
-    /// path). Like [`VpArena::from_raw_arrays`], shapes must have been
-    /// validated before the view is searched.
+    /// Assembles a view from raw borrowed arrays (the snapshot load
+    /// path). No validation happens here: the view must pass
+    /// [`validate_arena`](crate::validate_arena) before it is searched.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         order: usize,

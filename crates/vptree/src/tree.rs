@@ -1,11 +1,10 @@
 //! The [`VpTree`] type and its public surface.
 
-use vantage_core::{MetricIndex, Neighbor, Result};
+use vantage_core::{MetricIndex, Neighbor};
 
 use crate::arena::{VpArena, VpArenaView};
 use crate::params::VpTreeParams;
 use crate::treeref::VpTreeRef;
-use crate::validate::validate_arena;
 
 /// An m-way vantage-point tree over items of type `T` under metric `M`.
 ///
@@ -70,37 +69,6 @@ impl<T, M> VpTree<T, M> {
             &self.rows,
             &self.metric,
         )
-    }
-
-    /// Assembles a tree from items in row order, a metric, parameters
-    /// and a flat node arena, validating every structural invariant the
-    /// search paths rely on — the decode path of the persistence layer.
-    /// The id→row table is derived from the validated arena.
-    ///
-    /// # Errors
-    ///
-    /// [`CorruptSnapshot`](vantage_core::VantageError::CorruptSnapshot)
-    /// describing the first violated invariant, or an
-    /// [`InvalidParameter`](vantage_core::VantageError::InvalidParameter)
-    /// from the embedded params.
-    pub fn from_arena(
-        items: Vec<T>,
-        metric: M,
-        params: VpTreeParams,
-        root: Option<u32>,
-        arena: VpArena,
-    ) -> Result<Self> {
-        params.validate()?;
-        validate_arena(arena.view(), root, items.len(), &params)?;
-        let rows = arena.view().id_rows(items.len());
-        Ok(VpTree {
-            items,
-            rows,
-            metric,
-            arena,
-            root,
-            params,
-        })
     }
 }
 

@@ -344,7 +344,7 @@ struct Inputs<'a, T, Q: ?Sized> {
 /// transcript's digest.
 fn check_forms<T, Q>(
     label: &str,
-    (owned, decoded, mapped): (&impl Answers<T>, &impl Answers<T>, &impl Answers<Q>),
+    (owned, decoded, mapped): (&impl Answers<T>, &impl Answers<Q>, &impl Answers<Q>),
     inputs: &Inputs<'_, T, Q>,
 ) -> u64
 where
@@ -352,11 +352,11 @@ where
     Q: ?Sized + PartialEq + std::fmt::Debug,
 {
     assert_items_by_id(label, owned, &inputs.items.0);
-    assert_items_by_id(label, decoded, &inputs.items.0);
+    assert_items_by_id(label, decoded, &inputs.items.1);
     assert_items_by_id(label, mapped, &inputs.items.1);
     let (plan, oracle) = (inputs.plan, &inputs.oracle);
     let a = transcript(label, owned, &inputs.queries.0, plan, oracle);
-    let b = transcript(label, decoded, &inputs.queries.0, plan, oracle);
+    let b = transcript(label, decoded, &inputs.queries.1, plan, oracle);
     let c = transcript(label, mapped, &inputs.queries.1, plan, oracle);
     assert_eq!(a, b, "{label}: decoded transcript differs");
     assert_eq!(a, c, "{label}: mapped transcript differs");
@@ -403,18 +403,14 @@ where
         )
         .unwrap();
         let bytes = persist::encode_vp_tree(&owned);
-        let decoded: VpTree<T, Counted<M>> = persist::decode_vp_tree(&bytes).unwrap();
+        let decoded = persist::decode_vp_tree::<K, Counted<M>>(&bytes).unwrap();
         let path = temp_path(&format!("{}-vp-{order}-{leaf}", case.name));
         std::fs::write(&path, &bytes).unwrap();
         let mapped = persist::open_vp_tree::<K, Counted<M>>(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
         assert!(owned.items_by_id().eq(&case.items), "{label}: items_by_id");
-        assert!(
-            decoded.items_by_id().eq(&case.items),
-            "{label}: items_by_id"
-        );
-        let digest = check_forms(&label, (&owned, &decoded, &mapped.view()), &inputs);
+        let digest = check_forms(&label, (&owned, &decoded.view(), &mapped.view()), &inputs);
         digests.push((label, digest));
     }
 
@@ -428,18 +424,14 @@ where
         )
         .unwrap();
         let bytes = persist::encode_mvp_tree(&owned);
-        let decoded: MvpTree<T, Counted<M>> = persist::decode_mvp_tree(&bytes).unwrap();
+        let decoded = persist::decode_mvp_tree::<K, Counted<M>>(&bytes).unwrap();
         let path = temp_path(&format!("{}-mvp-{m}-{k}-{p}", case.name));
         std::fs::write(&path, &bytes).unwrap();
         let mapped = persist::open_mvp_tree::<K, Counted<M>>(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
         assert!(owned.items_by_id().eq(&case.items), "{label}: items_by_id");
-        assert!(
-            decoded.items_by_id().eq(&case.items),
-            "{label}: items_by_id"
-        );
-        let digest = check_forms(&label, (&owned, &decoded, &mapped.view()), &inputs);
+        let digest = check_forms(&label, (&owned, &decoded.view(), &mapped.view()), &inputs);
         digests.push((label, digest));
     }
     digests
