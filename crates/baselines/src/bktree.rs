@@ -153,9 +153,7 @@ impl<T, M: DiscreteMetric<T> + BoundedMetric<T>> BkTree<T, M> {
             ) {
                 (Some(d), _) => out.push(Neighbor::new(n.item as usize, d)),
                 (None, work) => {
-                    if S::ENABLED {
-                        sink.abandon(DistanceRole::Vantage, work);
-                    }
+                    sink.abandon(DistanceRole::Vantage, work);
                 }
             }
             return;
@@ -217,9 +215,7 @@ impl<T, M: DiscreteMetric<T> + BoundedMetric<T>> BkTree<T, M> {
                     collector.offer(n.item as usize, d);
                 }
                 (None, work) => {
-                    if S::ENABLED {
-                        sink.abandon(DistanceRole::Vantage, work);
-                    }
+                    sink.abandon(DistanceRole::Vantage, work);
                 }
             }
             return;

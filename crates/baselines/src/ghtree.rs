@@ -209,9 +209,7 @@ impl<T, M: BoundedMetric<T>> GhTree<T, M> {
                     {
                         (Some(d), _) => out.push(Neighbor::new(id as usize, d)),
                         (None, work) => {
-                            if S::ENABLED {
-                                sink.abandon(DistanceRole::Candidate, work);
-                            }
+                            sink.abandon(DistanceRole::Candidate, work);
                         }
                     }
                 }
@@ -276,9 +274,7 @@ impl<T, M: BoundedMetric<T>> GhTree<T, M> {
                             collector.offer(id as usize, d);
                         }
                         (None, work) => {
-                            if S::ENABLED {
-                                sink.abandon(DistanceRole::Candidate, work);
-                            }
+                            sink.abandon(DistanceRole::Candidate, work);
                         }
                     }
                 }

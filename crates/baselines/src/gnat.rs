@@ -265,9 +265,7 @@ impl<T, M: BoundedMetric<T>> Gnat<T, M> {
                     {
                         (Some(d), _) => out.push(Neighbor::new(id as usize, d)),
                         (None, work) => {
-                            if S::ENABLED {
-                                sink.abandon(DistanceRole::Candidate, work);
-                            }
+                            sink.abandon(DistanceRole::Candidate, work);
                         }
                     }
                 }
@@ -360,9 +358,7 @@ impl<T, M: BoundedMetric<T>> Gnat<T, M> {
                             collector.offer(id as usize, d);
                         }
                         (None, work) => {
-                            if S::ENABLED {
-                                sink.abandon(DistanceRole::Candidate, work);
-                            }
+                            sink.abandon(DistanceRole::Candidate, work);
                         }
                     }
                 }

@@ -36,16 +36,21 @@
 //! line and `--seed` (see [`Sampler`]), so the *set* of sampled requests
 //! is identical across thread counts and replays. One request in
 //! `--trace-sample` N (default 64) records per-phase spans — parse,
-//! search (one span per shard when `--shards` > 1, visited sequentially
-//! so each span brackets its own distance-computation delta), merge,
-//! reply — plus the full per-descent pruning profile. Requests slower
-//! than `--slow-ms` are always captured, synthesizing a search span from
-//! the latency and cost the metrics path measures anyway. Captured
-//! traces land in a bounded, never-blocking ring (`SLOW` / `TRACE`, and
-//! `vantage trace --export` renders Chrome trace-event JSON); with
-//! `--slow-log FILE` slow queries are also appended to FILE as JSON
-//! lines. Tracing never changes an answer: traced replies are
-//! byte-identical to untraced ones.
+//! search (one span per shard when `--shards` > 1, each carrying its
+//! shard's own distance tally), merge, reply — plus the full per-descent
+//! pruning profile. Requests slower than `--slow-ms` are always
+//! captured, synthesizing a search span from the latency and cost the
+//! metrics path measures anyway. Captured traces land in a bounded,
+//! never-blocking ring (`SLOW` / `TRACE`, and `vantage trace --export`
+//! renders Chrome trace-event JSON); with `--slow-log FILE` slow queries
+//! are also appended to FILE as JSON lines. Tracing never changes an
+//! answer: traced replies are byte-identical to untraced ones.
+//!
+//! Every query in `--index` mode counts its distance computations in a
+//! [`DistanceTally`] of its own (one per shard, summed), so the cost the
+//! metrics registry and the trace spans record is exactly that query's,
+//! whatever runs concurrently. `--data` mode counts through a shared
+//! [`Counted`] metric, whose per-query deltas absorb concurrent work.
 //!
 //! ## Swap semantics
 //!
@@ -139,20 +144,11 @@ impl WireItem for String {
     }
 }
 
-/// Everything a served index must answer: near and far queries, behind
-/// one object-safe facade.
-pub(crate) trait QueryIndex<T: ?Sized>:
-    MetricIndex<T> + FarthestIndex<T> + Send + Sync
-{
-}
-
-impl<T: ?Sized, I: MetricIndex<T> + FarthestIndex<T> + Send + Sync> QueryIndex<T> for I {}
-
 /// Dispatches a parsed query to one concrete structure's traced search
-/// variants, recording descent events (distances, prunes, rejects) into
-/// `profile`. Results are identical to the untraced search.
+/// variants, reporting descent events (distances, prunes, rejects) into
+/// `sink`. Results are identical to the untraced search.
 pub(crate) trait TracedSearch<T: ?Sized> {
-    fn query_traced(&self, cmd: &QueryCmd, query: &T, profile: &mut QueryProfile) -> Vec<Neighbor>;
+    fn query_traced<S: TraceSink>(&self, cmd: &QueryCmd, query: &T, sink: &mut S) -> Vec<Neighbor>;
 }
 
 /// Implements [`TracedSearch`] for an index type over query type `$q`,
@@ -161,27 +157,27 @@ pub(crate) trait TracedSearch<T: ?Sized> {
 macro_rules! impl_traced_search {
     ([$($g:tt)*] $index:ty, $q:ty, |$this:ident| $searcher:expr) => {
         impl<$($g)*> TracedSearch<$q> for $index {
-            fn query_traced(
+            fn query_traced<S: TraceSink>(
                 &self,
                 cmd: &QueryCmd,
                 query: &$q,
-                profile: &mut QueryProfile,
+                sink: &mut S,
             ) -> Vec<Neighbor> {
                 let $this = self;
                 let searcher = $searcher;
                 match cmd {
                     QueryCmd::Range(radius) => {
-                        let mut v = searcher.range_traced(query, *radius, profile);
+                        let mut v = searcher.range_traced(query, *radius, sink);
                         v.sort_unstable();
                         v
                     }
-                    QueryCmd::Knn(k) => searcher.knn_traced(query, *k, profile),
+                    QueryCmd::Knn(k) => searcher.knn_traced(query, *k, sink),
                     QueryCmd::Beyond(radius) => {
-                        let mut v = searcher.beyond_traced(query, *radius, profile);
+                        let mut v = searcher.beyond_traced(query, *radius, sink);
                         v.sort_unstable();
                         v
                     }
-                    QueryCmd::Kfn(k) => searcher.kfn_traced(query, *k, profile),
+                    QueryCmd::Kfn(k) => searcher.kfn_traced(query, *k, sink),
                 }
             }
         }
@@ -204,52 +200,44 @@ impl_traced_search!(
 
 /// One published index behind the query verbs: the plain path for
 /// ordinary requests, and a span-recording traced path for sampled
-/// ones. Both produce byte-identical replies.
+/// ones. Both produce byte-identical replies, and both count the
+/// query's distance computations in [`DistanceTally`]s of its own —
+/// never in state another query touches — so the returned cost is
+/// exactly this query's, however many run concurrently.
 trait ServedQuery<T>: Send + Sync {
-    /// Answers `cmd` with zero tracing overhead.
-    fn execute(&self, cmd: &QueryCmd, query: &T) -> Vec<Neighbor>;
+    /// Answers `cmd` with no tracing beyond the cost tally.
+    fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals);
     /// Answers `cmd` while recording per-phase spans (one per shard when
-    /// sharded) and the descent profile. Same results as
+    /// sharded) and the descent profile. Same results and cost as
     /// [`execute`](ServedQuery::execute).
     fn execute_traced(
         &self,
         cmd: &QueryCmd,
         query: &T,
         rec: &mut SpanRecorder,
-    ) -> (Vec<Neighbor>, QueryProfile);
+    ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals);
     /// A copy of the item with original id `id`.
     fn item(&self, id: usize) -> Option<T>;
 }
 
-/// An unsharded index plus the probe sharing its `Counted` tally. The
-/// index answers queries of type `Q`: the wire item itself, or the
-/// unsized form (`[f64]`, `str`) a loaded snapshot tree answers, which
-/// wire items are borrowed down to.
-struct ServedSingle<I, M: Clone, Q: ?Sized> {
+/// An unsharded index. It answers queries of type `Q`: the wire item
+/// itself, or the unsized form (`[f64]`, `str`) a loaded snapshot tree
+/// answers, which wire items are borrowed down to.
+struct ServedSingle<I, Q: ?Sized> {
     index: I,
-    probe: Counted<M>,
     query: PhantomData<fn(&Q)>,
 }
 
-impl<I, M: Clone, Q: ?Sized> ServedSingle<I, M, Q> {
-    fn new(index: I, probe: &Counted<M>) -> Self {
-        ServedSingle {
-            index,
-            probe: probe.clone(),
-            query: PhantomData,
-        }
-    }
-}
-
-impl<T, Q, I, M> ServedQuery<T> for ServedSingle<I, M, Q>
+impl<T, Q, I> ServedQuery<T> for ServedSingle<I, Q>
 where
     T: Borrow<Q> + Send + Sync,
     Q: ToOwned<Owned = T> + ?Sized,
-    I: QueryIndex<Q> + TracedSearch<Q>,
-    M: Clone + Send + Sync,
+    I: MetricIndex<Q> + TracedSearch<Q> + Send + Sync,
 {
-    fn execute(&self, cmd: &QueryCmd, query: &T) -> Vec<Neighbor> {
-        execute_query(&self.index, cmd, query.borrow())
+    fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
+        let mut tally = DistanceTally::new();
+        let results = self.index.query_traced(cmd, query.borrow(), &mut tally);
+        (results, tally.totals())
     }
 
     fn execute_traced(
@@ -257,13 +245,13 @@ where
         cmd: &QueryCmd,
         query: &T,
         rec: &mut SpanRecorder,
-    ) -> (Vec<Neighbor>, QueryProfile) {
-        let mut profile = QueryProfile::new();
+    ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
+        let mut sink = (QueryProfile::new(), DistanceTally::new());
         let timer = rec.begin();
-        let before = self.probe.totals();
-        let results = self.index.query_traced(cmd, query.borrow(), &mut profile);
-        rec.record("search", None, timer, self.probe.totals().since(&before));
-        (results, profile)
+        let results = self.index.query_traced(cmd, query.borrow(), &mut sink);
+        let (profile, tally) = sink;
+        rec.record("search", None, timer, tally.totals());
+        (results, profile, tally.totals())
     }
 
     fn item(&self, id: usize) -> Option<T> {
@@ -271,20 +259,28 @@ where
     }
 }
 
-/// A scatter-gather index plus the probe all shards share.
-struct ServedSharded<I, M: Clone> {
+/// A scatter-gather index. Each shard's search reports into a tally of
+/// its own; the query's cost is their sum.
+struct ServedSharded<I> {
     index: ShardedIndex<I>,
-    probe: Counted<M>,
 }
 
-impl<T, I, M> ServedQuery<T> for ServedSharded<I, M>
+impl<T, I> ServedQuery<T> for ServedSharded<I>
 where
     T: Clone + Send + Sync,
     I: ShardSearch<T> + TracedSearch<T> + Send + Sync,
-    M: Clone + Send + Sync,
 {
-    fn execute(&self, cmd: &QueryCmd, query: &T) -> Vec<Neighbor> {
-        execute_query(&self.index, cmd, query)
+    fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
+        let (mut results, tallies): (_, Vec<DistanceTally>) = match cmd {
+            QueryCmd::Range(radius) => self.index.range_per_shard(query, *radius),
+            QueryCmd::Knn(k) => self.index.knn_per_shard(query, *k),
+            QueryCmd::Beyond(radius) => self.index.beyond_per_shard(query, *radius),
+            QueryCmd::Kfn(k) => self.index.kfn_per_shard(query, *k),
+        };
+        if matches!(cmd, QueryCmd::Range(_) | QueryCmd::Beyond(_)) {
+            results.sort_unstable();
+        }
+        (results, tallies.into_iter().sum::<DistanceTally>().totals())
     }
 
     fn execute_traced(
@@ -292,25 +288,24 @@ where
         cmd: &QueryCmd,
         query: &T,
         rec: &mut SpanRecorder,
-    ) -> (Vec<Neighbor>, QueryProfile) {
+    ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
         // Sampled requests visit shards *sequentially* so each shard
-        // span brackets exactly its own share of the shared `Counted`
-        // tally; the merges below mirror `ShardedIndex` — same remap,
+        // span times its own search; each span's cost is its shard's own
+        // tally. The merges below mirror `ShardedIndex` — same remap,
         // same canonical (distance, id) order — so replies stay
         // byte-identical to the parallel untraced path.
         let mut profile = QueryProfile::new();
         let s = self.index.shard_count();
+        let mut tallies = Vec::with_capacity(s);
         let mut all: Vec<Neighbor> = Vec::new();
         for (idx, shard) in self.index.shards().iter().enumerate() {
             let timer = rec.begin();
-            let before = self.probe.totals();
-            let hits = shard.query_traced(cmd, query, &mut profile);
-            rec.record(
-                "shard",
-                Some(idx as u32),
-                timer,
-                self.probe.totals().since(&before),
-            );
+            let mut sink = (profile, DistanceTally::new());
+            let hits = shard.query_traced(cmd, query, &mut sink);
+            let tally;
+            (profile, tally) = sink;
+            rec.record("shard", Some(idx as u32), timer, tally.totals());
+            tallies.push(tally);
             all.extend(
                 hits.into_iter()
                     .map(|n| Neighbor::new(n.id * s + idx, n.distance)),
@@ -333,7 +328,8 @@ where
             }
         }
         rec.record("merge", None, timer, DistanceTotals::default());
-        (all, profile)
+        let cost = tallies.into_iter().sum::<DistanceTally>().totals();
+        (all, profile, cost)
     }
 
     fn item(&self, id: usize) -> Option<T> {
@@ -347,13 +343,10 @@ where
 /// `build` (the same structure under the CLI's standard build
 /// parameters). Exact scatter-gather answers are bit-identical to the
 /// unsharded index, so clients (and the smoke harness's expected
-/// replies) cannot tell the difference. `probe` is the loaded index's
-/// `Counted` metric; `build` clones it into every shard, so it keeps
-/// reporting the cross-shard total. Returns the index and its layout
+/// replies) cannot tell the difference. Returns the index and its layout
 /// label (`layout` unsharded, `decoded` sharded).
-fn serve_loaded<T, Q, I, S, M>(
+fn serve_loaded<T, Q, I, S>(
     index: I,
-    probe: &Counted<M>,
     layout: &'static str,
     shards: usize,
     threads: Threads,
@@ -362,12 +355,15 @@ fn serve_loaded<T, Q, I, S, M>(
 where
     T: Borrow<Q> + Clone + Send + Sync + 'static,
     Q: ToOwned<Owned = T> + ?Sized + 'static,
-    I: QueryIndex<Q> + TracedSearch<Q> + 'static,
+    I: MetricIndex<Q> + TracedSearch<Q> + Send + Sync + 'static,
     S: ShardSearch<T> + TracedSearch<T> + Send + Sync + 'static,
-    M: Clone + Send + Sync + 'static,
 {
     if shards == 1 {
-        return Ok((Box::new(ServedSingle::new(index, probe)), layout));
+        let single = ServedSingle {
+            index,
+            query: PhantomData,
+        };
+        return Ok((Box::new(single), layout));
     }
     let items = (0..index.len())
         .filter_map(|id| index.get(id))
@@ -376,20 +372,13 @@ where
     drop(index);
     let sharded = ShardedIndex::build(items, shards, threads, |_, part| build(part))
         .map_err(|e| err(e.to_string()))?;
-    Ok((
-        Box::new(ServedSharded {
-            index: sharded,
-            probe: probe.clone(),
-        }),
-        "decoded",
-    ))
+    Ok((Box::new(ServedSharded { index: sharded }), "decoded"))
 }
 
-/// One loaded generation: the boxed index, its probe, and the labels
-/// `INFO` surfaces.
-struct LoadedIndex<T, M> {
+/// One loaded generation: the boxed index and the labels `INFO`
+/// surfaces.
+struct LoadedIndex<T> {
     index: Box<dyn ServedQuery<T>>,
-    probe: Counted<M>,
     items: u64,
     structure: &'static str,
     /// How the generation holds its data: `mmap` (zero-copy file
@@ -400,7 +389,7 @@ struct LoadedIndex<T, M> {
 
 /// `RELOAD`'s generation loader, with the sharding/seed policy captured
 /// at server start so every swap rebuilds under the same layout.
-type Loader<T, M> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T, M>> + Send + Sync>;
+type Loader<T> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T>> + Send + Sync>;
 
 /// Loads a snapshot generation from `path` — the one snapshot loader
 /// behind gen0, `RELOAD`/`REINDEX` and `serve-smoke`. Tree snapshots
@@ -408,13 +397,14 @@ type Loader<T, M> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T, M>> + Send + Sy
 /// `shards == 1`) served in place — `open(2)` to answering queries
 /// without materializing a node. A linear scan's items are copied out.
 /// With `shards > 1` the loaded index is re-partitioned
-/// ([`serve_loaded`]).
+/// ([`serve_loaded`]). The metric is the plain `M`: queries count their
+/// own cost ([`ServedQuery`]), so nothing wraps it.
 fn load_index_typed<T, M, K>(
     path: &str,
     shards: usize,
     seed: u64,
     threads: Threads,
-) -> CliResult<LoadedIndex<T, M>>
+) -> CliResult<LoadedIndex<T>>
 where
     T: Clone + Send + Sync + 'static + Borrow<K::Item>,
     M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
@@ -425,45 +415,41 @@ where
     // O(header): decide the loading route without touching the payload.
     let info = persist::inspect(path).map_err(loaded)?;
     let storage = |mapped: bool| if mapped { "mmap" } else { "read" };
-    let (index, probe, layout) = match info.kind {
+    let (index, layout) = match info.kind {
         IndexKind::VpTree => {
-            let tree = persist::open_vp_tree::<K, Counted<M>>(path).map_err(loaded)?;
-            let probe = tree.metric().clone();
+            let tree = persist::open_vp_tree::<K, M>(path).map_err(loaded)?;
+            let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
-            let (index, layout) = serve_loaded(tree, &probe, layout, shards, threads, |part| {
+            serve_loaded(tree, layout, shards, threads, |part| {
                 VpTree::build(
                     part,
-                    probe.clone(),
+                    metric.clone(),
                     vp_build_params(seed, Threads::SEQUENTIAL),
                 )
-            })?;
-            (index, probe, layout)
+            })?
         }
         IndexKind::MvpTree => {
-            let tree = persist::open_mvp_tree::<K, Counted<M>>(path).map_err(loaded)?;
-            let probe = tree.metric().clone();
+            let tree = persist::open_mvp_tree::<K, M>(path).map_err(loaded)?;
+            let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
-            let (index, layout) = serve_loaded(tree, &probe, layout, shards, threads, |part| {
+            serve_loaded(tree, layout, shards, threads, |part| {
                 MvpTree::build(
                     part,
-                    probe.clone(),
+                    metric.clone(),
                     mvp_build_params(seed, Threads::SEQUENTIAL),
                 )
-            })?;
-            (index, probe, layout)
+            })?
         }
         IndexKind::Linear => {
-            let scan = persist::load_linear_scan::<K, Counted<M>>(path).map_err(loaded)?;
-            let probe = scan.metric().clone();
-            let (index, layout) = serve_loaded(scan, &probe, "decoded", shards, threads, |part| {
-                Ok(LinearScan::new(part, probe.clone()))
-            })?;
-            (index, probe, layout)
+            let scan = persist::load_linear_scan::<K, M>(path).map_err(loaded)?;
+            let metric = scan.metric().clone();
+            serve_loaded(scan, "decoded", shards, threads, |part| {
+                Ok(LinearScan::new(part, metric.clone()))
+            })?
         }
     };
     Ok(LoadedIndex {
         index,
-        probe,
         items: info.items,
         structure: structure_label(info.kind),
         layout,
@@ -471,9 +457,8 @@ where
 }
 
 /// One published generation of the snapshot-serving engine.
-struct StaticGen<T, M> {
+struct StaticGen<T> {
     index: Box<dyn ServedQuery<T>>,
-    probe: Counted<M>,
     items: u64,
     structure: &'static str,
     /// Data residency of this generation (`mmap`/`read`/`decoded`).
@@ -483,8 +468,8 @@ struct StaticGen<T, M> {
 
 /// Snapshot-serving engine: one immutable index per generation, replaced
 /// wholesale by `RELOAD`/`REINDEX`.
-struct StaticEngine<T, M> {
-    cell: SwapCell<StaticGen<T, M>>,
+struct StaticEngine<T> {
+    cell: SwapCell<StaticGen<T>>,
     /// Path of the snapshot currently served (`REINDEX` reloads it).
     source: Mutex<String>,
     item_tag: String,
@@ -495,11 +480,14 @@ struct StaticEngine<T, M> {
     /// Builds a fresh generation from a snapshot path, capturing the
     /// shard/seed/thread policy fixed at server start. `RELOAD` goes
     /// through this so a swap takes the same zero-copy route as gen0.
-    loader: Loader<T, M>,
+    loader: Loader<T>,
 }
 
 /// Ingest-serving engine: the concurrent mvp-tree swaps internally on
-/// every write.
+/// every write. Its build and rebuilds run inside the tree, where no
+/// search sink reaches, so it counts through a shared `Counted` metric:
+/// a query's cost is a before/after delta of `probe`, which absorbs
+/// whatever runs concurrently.
 struct DynamicEngine<T, M> {
     tree: ConcurrentMvpTree<T, Counted<M>>,
     probe: Counted<M>,
@@ -507,7 +495,7 @@ struct DynamicEngine<T, M> {
 }
 
 enum Engine<T, M> {
-    Static(StaticEngine<T, M>),
+    Static(StaticEngine<T>),
     Dynamic(DynamicEngine<T, M>),
 }
 
@@ -677,7 +665,7 @@ where
 {
     let registry = MetricsRegistry::new();
     let (shards, seed, threads) = (opts.shards, opts.seed, opts.threads);
-    let loader: Loader<T, M> =
+    let loader: Loader<T> =
         Box::new(move |p: &str| load_index_typed::<T, M, K>(p, shards, seed, threads));
     let load_start = Instant::now();
     let loaded = loader(path)?;
@@ -690,12 +678,10 @@ where
             ..CostDelta::default()
         },
     );
-    loaded.probe.reset();
     registry.gauge("serve/gen0/loaded_unix_ms").set(unix_ms());
-    let engine = Engine::Static(StaticEngine {
+    let engine = Engine::<T, M>::Static(StaticEngine {
         cell: SwapCell::new(StaticGen {
             index: loaded.index,
-            probe: loaded.probe,
             items: loaded.items,
             structure: loaded.structure,
             layout: loaded.layout,
@@ -1114,29 +1100,6 @@ impl QueryCmd {
     }
 }
 
-/// Runs one query against an index — the *same* code path the smoke
-/// client uses locally, so wire replies diff clean against a direct run.
-pub(crate) fn execute_query<T, I>(index: &I, cmd: &QueryCmd, query: &T) -> Vec<Neighbor>
-where
-    T: ?Sized,
-    I: QueryIndex<T> + ?Sized,
-{
-    match cmd {
-        QueryCmd::Range(radius) => {
-            let mut v = index.range(query, *radius);
-            v.sort_unstable();
-            v
-        }
-        QueryCmd::Knn(k) => index.knn(query, *k),
-        QueryCmd::Beyond(radius) => {
-            let mut v = index.range_beyond(query, *radius);
-            v.sort_unstable();
-            v
-        }
-        QueryCmd::Kfn(k) => index.k_farthest(query, *k),
-    }
-}
-
 /// Renders neighbors as a reply line, distances in round-trip `f64` form.
 pub(crate) fn format_neighbors(neighbors: &[Neighbor]) -> String {
     let mut s = format!("OK {}", neighbors.len());
@@ -1180,18 +1143,16 @@ where
             // Pin one generation: the query answers wholly against it
             // even if a RELOAD swaps mid-flight.
             let guard = engine.cell.read();
-            let before = guard.probe.totals();
             let start = Instant::now();
-            let results = match rec.as_mut() {
+            let (results, cost) = match rec.as_mut() {
                 Some(r) => {
-                    let (results, descent) = guard.index.execute_traced(cmd, query, r);
+                    let (results, descent, cost) = guard.index.execute_traced(cmd, query, r);
                     profile = Some(descent);
-                    results
+                    (results, cost)
                 }
                 None => guard.index.execute(cmd, query),
             };
             let elapsed = start.elapsed();
-            let cost = guard.probe.totals().since(&before);
             guard.metrics.record(cmd.op_kind(), elapsed, cost.into());
             (guard.generation(), results, (start, elapsed, cost))
         }
@@ -1349,7 +1310,7 @@ where
 /// (readers keep answering on the current generation), swap atomically,
 /// then drain the displaced generation.
 fn reload<T, M>(
-    engine: &StaticEngine<T, M>,
+    engine: &StaticEngine<T>,
     shared: &Shared<T, M>,
     path: &str,
 ) -> std::result::Result<Reply, String>
@@ -1388,12 +1349,10 @@ where
         .registry
         .gauge(&format!("serve/gen{next_gen}/loaded_unix_ms"))
         .set(unix_ms());
-    loaded.probe.reset();
     let items = loaded.items;
     let layout = loaded.layout;
     let retired = engine.cell.swap(StaticGen {
         index: loaded.index,
-        probe: loaded.probe,
         items: loaded.items,
         structure: loaded.structure,
         layout: loaded.layout,
@@ -1583,7 +1542,7 @@ where
             2 => {
                 // A radius that yields a small, non-empty answer: the
                 // distance to the item's 4th-nearest neighbor.
-                let nn = index.execute(&QueryCmd::Knn(4), item);
+                let (nn, _) = index.execute(&QueryCmd::Knn(4), item);
                 let radius = nn.last().map(|n| n.distance).unwrap_or(0.0);
                 (
                     format!("RANGE {radius} {}", item.format_wire()),
@@ -1592,7 +1551,7 @@ where
             }
             _ => (format!("KFN 3 {}", item.format_wire()), QueryCmd::Kfn(3)),
         };
-        let expected = format_neighbors(&index.execute(&cmd, item));
+        let expected = format_neighbors(&index.execute(&cmd, item).0);
         script.push((command, expected));
     }
 

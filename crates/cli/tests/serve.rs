@@ -239,6 +239,96 @@ fn sharded_server_replies_are_bit_identical_to_the_unsharded_snapshot() {
     let _ = std::fs::remove_file(&data);
 }
 
+/// Sends `lines` over one connection, one request at a time, and checks
+/// every reply is an answer.
+fn send_all(addr: &str, lines: &[String]) {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = String::new();
+    for line in lines {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("OK "), "{line}: {reply}");
+    }
+}
+
+#[test]
+fn served_query_costs_are_exact_under_concurrent_load() {
+    // A linear scan computes exactly n distances per KNN, so every
+    // query's recorded cost must be n however many queries run beside
+    // it — each query counts its own distances, sharded or not.
+    const N: u64 = 4000;
+    const CONNECTIONS: usize = 4;
+    const PER_CONNECTION: usize = 250;
+    let data = temp_path("exact-cost-data.csv");
+    let snap = temp_path("exact-cost-index.vantage");
+    let n = N.to_string();
+    run_ok(&[
+        "generate", "uniform", "--n", &n, "--dim", "8", "--seed", "4", "--out", &data,
+    ]);
+    run_ok(&[
+        "build",
+        "--data",
+        &data,
+        "--save",
+        &snap,
+        "--metric",
+        "l2",
+        "--structure",
+        "linear",
+    ]);
+
+    for shards in ["1", "2"] {
+        let (addr, server) = spawn_server(vec![
+            "serve".into(),
+            "--index".into(),
+            snap.clone(),
+            "--shards".into(),
+            shards.into(),
+        ]);
+        let clients: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                let addr = addr.clone();
+                let lines: Vec<String> = (0..PER_CONNECTION)
+                    .map(|i| {
+                        let x = (c * PER_CONNECTION + i) as f64 / 1000.0;
+                        format!("KNN 5 {x},0.5,0.25,{x},0.75,0.5,{x},0.1")
+                    })
+                    .collect();
+                std::thread::spawn(move || send_all(&addr, &lines))
+            })
+            .collect();
+        for c in clients {
+            c.join().expect("client panicked");
+        }
+
+        let stats = client(&addr, "STATS");
+        let json = stats.strip_prefix("OK ").expect("STATS answers OK");
+        let snapshot = export::from_json(json).expect("STATS parses");
+        let knn = snapshot
+            .index("serve/gen0")
+            .and_then(|i| i.op(vantage_telemetry::OpKind::Knn))
+            .expect("knn recorded");
+        let count = (CONNECTIONS * PER_CONNECTION) as u64;
+        assert_eq!(knn.ops, count, "shards={shards}");
+        assert_eq!(knn.distances.count, count, "shards={shards}");
+        assert_eq!(knn.distances.min, N, "shards={shards}");
+        assert_eq!(knn.distances.max, N, "shards={shards}");
+        assert_eq!(knn.distances.sum, count * N, "shards={shards}");
+
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
+    }
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn huge_k_answers_every_item_and_keeps_the_server_up() {
     let data = temp_path("huge-k-data.csv");

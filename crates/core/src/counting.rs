@@ -4,17 +4,33 @@
 //! very costly for high-dimensional metric spaces, we use the number of
 //! distance computations as the cost measure."* [`Counted`] wraps any
 //! metric and counts every evaluation, letting the experiment harness
-//! reproduce the paper's y-axes exactly.
+//! reproduce the paper's y-axes exactly. [`DistanceTally`] charges the
+//! same cost to one search at a time, through the search's
+//! [`TraceSink`] instead of the metric.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::metric::{BoundedMetric, DiscreteMetric, Metric};
+use crate::trace::{DistanceRole, TraceSink};
 
 /// Fixed-point scale for accumulating work fractions in an atomic
 /// integer (there are no atomic f64 adds): one full distance evaluation
 /// is `WORK_SCALE` units.
 const WORK_SCALE: f64 = 1_000_000.0;
+
+/// One abandoned evaluation's work fraction in fixed-point units. Both
+/// [`Counted`] and [`DistanceTally`] accumulate through this, so their
+/// `abandoned_work` readings agree to the bit.
+#[inline]
+fn work_units(work: f64) -> u64 {
+    (work.clamp(0.0, 1.0) * WORK_SCALE) as u64
+}
+
+/// Accumulated fixed-point work units in full-evaluation units.
+fn units_to_work(units: u64) -> f64 {
+    units as f64 / WORK_SCALE
+}
 
 /// A consistent reading of every [`Counted`] tally at one moment.
 ///
@@ -105,7 +121,7 @@ impl<M> Counted<M> {
     /// evaluation's work). Completed evaluations contribute nothing here;
     /// the total work estimate is `count() - abandoned() + abandoned_work()`.
     pub fn abandoned_work(&self) -> f64 {
-        self.abandoned_work.load(Ordering::Relaxed) as f64 / WORK_SCALE
+        units_to_work(self.abandoned_work.load(Ordering::Relaxed))
     }
 
     /// Reads every tally in one step.
@@ -143,10 +159,8 @@ impl<M> Counted<M> {
     #[inline]
     fn record_abandon(&self, work: f64) {
         self.abandoned.fetch_add(1, Ordering::Relaxed);
-        self.abandoned_work.fetch_add(
-            (work.clamp(0.0, 1.0) * WORK_SCALE) as u64,
-            Ordering::Relaxed,
-        );
+        self.abandoned_work
+            .fetch_add(work_units(work), Ordering::Relaxed);
     }
 }
 
@@ -189,6 +203,76 @@ impl<T: ?Sized, M: BoundedMetric<T>> BoundedMetric<T> for Counted<M> {
             self.record_abandon(frac);
         }
         (d, frac)
+    }
+}
+
+/// One search's distance cost, counted through its [`TraceSink`] in
+/// plain fields that only the searching thread touches.
+///
+/// A [`Counted`] metric charges every evaluation to atomics shared by
+/// all its clones, so concurrent queries contend on one cache line and
+/// a before/after reading absorbs whatever ran alongside. A tally is a
+/// per-query value instead: hand a fresh one to a traced search (or one
+/// per shard, then [`sum`](Iterator::sum) them) and it reads exactly
+/// that search's cost. Searches report every evaluation to their sink,
+/// so the totals are bit-equal to the [`Counted`] delta of the same
+/// search, abandoned work included.
+///
+/// ```
+/// use vantage_core::prelude::*;
+///
+/// let scan = LinearScan::new(vec![vec![0.0], vec![1.0]], Euclidean);
+/// let mut tally = DistanceTally::new();
+/// scan.range_traced(&vec![0.5], 10.0, &mut tally);
+/// assert_eq!(tally.totals().computations, 2); // one per data object
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DistanceTally {
+    computations: u64,
+    abandoned: u64,
+    /// Fixed-point, as in [`Counted`].
+    abandoned_work: u64,
+}
+
+impl DistanceTally {
+    /// An empty tally.
+    pub fn new() -> Self {
+        DistanceTally::default()
+    }
+
+    /// Everything counted so far.
+    pub fn totals(&self) -> DistanceTotals {
+        DistanceTotals {
+            computations: self.computations,
+            abandoned: self.abandoned,
+            abandoned_work: units_to_work(self.abandoned_work),
+        }
+    }
+}
+
+impl std::iter::Sum for DistanceTally {
+    fn sum<I: Iterator<Item = DistanceTally>>(iter: I) -> Self {
+        iter.fold(DistanceTally::new(), |acc, t| DistanceTally {
+            computations: acc.computations + t.computations,
+            abandoned: acc.abandoned + t.abandoned,
+            abandoned_work: acc.abandoned_work + t.abandoned_work,
+        })
+    }
+}
+
+impl TraceSink for DistanceTally {
+    /// Counting needs none of the trace-only attribution.
+    const ENABLED: bool = false;
+
+    #[inline]
+    fn distance(&mut self, _role: DistanceRole) {
+        self.computations += 1;
+    }
+
+    #[inline]
+    fn abandon(&mut self, _role: DistanceRole, work: f64) {
+        self.abandoned += 1;
+        self.abandoned_work += work_units(work);
     }
 }
 
@@ -302,5 +386,27 @@ mod tests {
         assert_eq!(m.take(), 1);
         assert_eq!(m.abandoned(), 0);
         assert_eq!(m.abandoned_work(), 0.0);
+    }
+
+    #[test]
+    fn tally_counts_like_counted_and_sums_exactly() {
+        let m = Counted::new(Euclidean);
+        let mut tallies = [DistanceTally::new(), DistanceTally::new()];
+        for (i, work) in [0.1, 0.3, 1.5, -2.0, 0.7].into_iter().enumerate() {
+            let tally = &mut tallies[i % 2];
+            tally.distance(DistanceRole::Candidate);
+            tally.abandon(DistanceRole::Candidate, work);
+            m.record_abandon(work);
+        }
+        tallies[0].distance(DistanceRole::Vantage);
+        let sum: DistanceTally = tallies.into_iter().sum();
+        let totals = sum.totals();
+        assert_eq!(totals.computations, 6);
+        assert_eq!(totals.abandoned, m.abandoned());
+        assert_eq!(
+            totals.abandoned_work.to_bits(),
+            m.abandoned_work().to_bits()
+        );
+        assert_eq!(DistanceTally::new().totals(), DistanceTotals::default());
     }
 }

@@ -65,15 +65,27 @@ impl<T, M: Metric<T>> crate::linear::LinearScan<T, M> {
     /// [`k_farthest`](FarthestIndex::k_farthest) with instrumentation;
     /// see [`beyond_traced`](crate::linear::LinearScan::beyond_traced).
     pub fn kfn_traced<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
+        let mut collector = KfnCollector::new(k);
+        self.kfn_into(&mut collector, query, sink);
+        collector.into_sorted()
+    }
+
+    /// Runs the k-farthest scan into a caller-provided collector — the
+    /// loop behind [`kfn_traced`](crate::linear::LinearScan::kfn_traced)
+    /// and the sharded scatter path.
+    pub(crate) fn kfn_into<S: TraceSink>(
+        &self,
+        collector: &mut KfnCollector,
+        query: &T,
+        sink: &mut S,
+    ) {
         if !self.items().is_empty() {
             sink.enter_node(0, true);
         }
-        let mut collector = KfnCollector::new(k);
         for (id, item) in self.items().iter().enumerate() {
             sink.distance(DistanceRole::Candidate);
             collector.offer(id, self.metric().distance(query, item));
         }
-        collector.into_sorted()
     }
 }
 

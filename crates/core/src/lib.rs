@@ -21,7 +21,8 @@
 //!   with the paper's normalizations, and histogram distances
 //!   ([`metrics`]);
 //! * the [`Counted`] wrapper that counts distance evaluations — the paper's
-//!   cost measure ([`counting`]);
+//!   cost measure — and the per-query [`DistanceTally`] sink that counts
+//!   the same cost without shared state ([`counting`]);
 //! * query vocabulary: [`Neighbor`], the [`MetricIndex`] trait and kNN
 //!   collection helpers ([`query`], [`index`], [`knn`]);
 //! * the exhaustive [`LinearScan`] baseline every index is tested against
@@ -88,7 +89,7 @@ pub mod trace;
 pub mod util;
 
 pub use budget::{BudgetMeter, BudgetedKnn, BudgetedSearch, SearchBudget};
-pub use counting::{Counted, DistanceTotals};
+pub use counting::{Counted, DistanceTally, DistanceTotals};
 pub use error::{Result, VantageError};
 pub use farthest::{FarthestIndex, KfnCollector};
 pub use index::{BatchIndex, MetricIndex};
@@ -112,7 +113,7 @@ pub use trace::{
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::budget::{BudgetMeter, BudgetedKnn, BudgetedSearch, SearchBudget};
-    pub use crate::counting::{Counted, DistanceTotals};
+    pub use crate::counting::{Counted, DistanceTally, DistanceTotals};
     pub use crate::error::{Result, VantageError};
     pub use crate::farthest::{FarthestIndex, KfnCollector};
     pub use crate::index::{BatchIndex, MetricIndex};

@@ -70,9 +70,7 @@ impl<T, M: BoundedMetric<T>> LinearScan<T, M> {
                 match self.metric.distance_within_frac(query, item, radius) {
                     (Some(d), _) => Some(Neighbor::new(id, d)),
                     (None, work) => {
-                        if S::ENABLED {
-                            sink.abandon(DistanceRole::Candidate, work);
-                        }
+                        sink.abandon(DistanceRole::Candidate, work);
                         None
                     }
                 }
@@ -87,10 +85,24 @@ impl<T, M: BoundedMetric<T>> LinearScan<T, M> {
     /// candidates never changes the answer: the collector's strict `<`
     /// comparison would have discarded them anyway.
     pub fn knn_traced<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
+        let mut collector = KnnCollector::new(k);
+        self.knn_into(&mut collector, query, sink);
+        collector.into_sorted()
+    }
+
+    /// Runs the kNN scan into a caller-provided collector — the loop
+    /// behind [`knn_traced`](LinearScan::knn_traced) and the sharded
+    /// scatter path (which passes a collector wired to a cross-shard
+    /// bound).
+    pub(crate) fn knn_into<S: TraceSink>(
+        &self,
+        collector: &mut KnnCollector,
+        query: &T,
+        sink: &mut S,
+    ) {
         if !self.items.is_empty() {
             sink.enter_node(0, true);
         }
-        let mut collector = KnnCollector::new(k);
         for (id, item) in self.items.iter().enumerate() {
             sink.distance(DistanceRole::Candidate);
             match self
@@ -101,13 +113,10 @@ impl<T, M: BoundedMetric<T>> LinearScan<T, M> {
                     collector.offer(id, d);
                 }
                 (None, work) => {
-                    if S::ENABLED {
-                        sink.abandon(DistanceRole::Candidate, work);
-                    }
+                    sink.abandon(DistanceRole::Candidate, work);
                 }
             }
         }
-        collector.into_sorted()
     }
 }
 

@@ -39,6 +39,7 @@ use crate::linear::LinearScan;
 use crate::metric::BoundedMetric;
 use crate::parallel::{fork_join, Threads};
 use crate::query::Neighbor;
+use crate::trace::{NoTrace, TraceSink};
 
 /// A monotonically *decreasing* `f64` shared across threads — the kNN
 /// pruning radius published by whichever shard currently holds the
@@ -143,40 +144,74 @@ impl Default for SharedLowerBound {
 
 /// The per-shard query interface [`ShardedIndex`] scatters over.
 ///
-/// Beyond the ordinary exact queries (via the [`MetricIndex`] /
-/// [`FarthestIndex`] supertraits), a shard participates in cooperative
-/// pruning: `knn_shared` / `kfn_shared` run the same traversal as
-/// `knn` / `k_farthest` but through a collector wired to the
-/// group-shared bound, so shards tighten each other's radius mid-flight.
+/// Every method reports the shard's search into a [`TraceSink`], so
+/// each shard can count its own cost (a
+/// [`DistanceTally`](crate::DistanceTally) per shard) without sharing a
+/// counter with the others. Beyond that, a shard participates in
+/// cooperative pruning: `knn_shared` / `kfn_shared` run the same
+/// traversal as `knn` / `k_farthest` but through a collector wired to
+/// the group-shared bound, so shards tighten each other's radius
+/// mid-flight.
 pub trait ShardSearch<T>: MetricIndex<T> + FarthestIndex<T> {
+    /// [`range`](MetricIndex::range), reporting into `sink`.
+    fn range_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor>;
+
+    /// [`range_beyond`](FarthestIndex::range_beyond), reporting into
+    /// `sink`.
+    fn beyond_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor>;
+
     /// [`knn`](MetricIndex::knn) pruning against (and tightening) a
-    /// bound shared with the other shards of the same query.
-    fn knn_shared(&self, query: &T, k: usize, shared: Arc<SharedUpperBound>) -> Vec<Neighbor>;
+    /// bound shared with the other shards of the same query, reporting
+    /// into `sink`.
+    fn knn_shared<S: TraceSink>(
+        &self,
+        query: &T,
+        k: usize,
+        shared: Arc<SharedUpperBound>,
+        sink: &mut S,
+    ) -> Vec<Neighbor>;
 
     /// [`k_farthest`](FarthestIndex::k_farthest) pruning against (and
-    /// tightening) a shared lower bound.
-    fn kfn_shared(&self, query: &T, k: usize, shared: Arc<SharedLowerBound>) -> Vec<Neighbor>;
+    /// tightening) a shared lower bound, reporting into `sink`.
+    fn kfn_shared<S: TraceSink>(
+        &self,
+        query: &T,
+        k: usize,
+        shared: Arc<SharedLowerBound>,
+        sink: &mut S,
+    ) -> Vec<Neighbor>;
 }
 
 impl<T, M: BoundedMetric<T>> ShardSearch<T> for LinearScan<T, M> {
-    fn knn_shared(&self, query: &T, k: usize, shared: Arc<SharedUpperBound>) -> Vec<Neighbor> {
+    fn range_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+        LinearScan::range_traced(self, query, radius, sink)
+    }
+
+    fn beyond_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+        LinearScan::beyond_traced(self, query, radius, sink)
+    }
+
+    fn knn_shared<S: TraceSink>(
+        &self,
+        query: &T,
+        k: usize,
+        shared: Arc<SharedUpperBound>,
+        sink: &mut S,
+    ) -> Vec<Neighbor> {
         let mut collector = KnnCollector::with_shared(k, shared);
-        for (id, item) in self.items().iter().enumerate() {
-            if let (Some(d), _) =
-                self.metric()
-                    .distance_within_frac(query, item, collector.radius())
-            {
-                collector.offer(id, d);
-            }
-        }
+        self.knn_into(&mut collector, query, sink);
         collector.into_sorted()
     }
 
-    fn kfn_shared(&self, query: &T, k: usize, shared: Arc<SharedLowerBound>) -> Vec<Neighbor> {
+    fn kfn_shared<S: TraceSink>(
+        &self,
+        query: &T,
+        k: usize,
+        shared: Arc<SharedLowerBound>,
+        sink: &mut S,
+    ) -> Vec<Neighbor> {
         let mut collector = KfnCollector::with_shared(k, shared);
-        for (id, item) in self.items().iter().enumerate() {
-            collector.offer(id, self.metric().distance(query, item));
-        }
+        self.kfn_into(&mut collector, query, sink);
         collector.into_sorted()
     }
 }
@@ -275,6 +310,25 @@ impl<I> ShardedIndex<I> {
         Neighbor::new(n.id * self.shards.len() + shard, n.distance)
     }
 
+    /// Runs `run(shard, sink)` on every shard with a fresh sink each,
+    /// through [`scatter`](ShardedIndex::scatter), and returns the
+    /// per-shard results and sinks in shard order.
+    fn scatter_traced<R, S, F>(&self, run: F) -> (Vec<R>, Vec<S>)
+    where
+        I: Sync,
+        R: Send,
+        S: Default + Send,
+        F: Fn(&I, &mut S) -> R + Sync,
+    {
+        self.scatter(|_, shard| {
+            let mut sink = S::default();
+            let out = run(shard, &mut sink);
+            (out, sink)
+        })
+        .into_iter()
+        .unzip()
+    }
+
     /// Runs `run(shard_idx, shard)` on every shard — one scoped thread
     /// each when the thread policy allows, sequentially otherwise — and
     /// returns per-shard results in shard order.
@@ -305,14 +359,88 @@ impl<I> ShardedIndex<I> {
     /// Gathers per-shard hit lists into one global-id-sorted answer
     /// (the order [`LinearScan`] produces for range queries).
     fn gather_by_id(&self, per_shard: Vec<Vec<Neighbor>>) -> Vec<Neighbor> {
-        let mut all: Vec<Neighbor> = per_shard
+        let mut all = self.gather(per_shard);
+        all.sort_unstable_by_key(|n| n.id);
+        all
+    }
+
+    /// Concatenates per-shard hit lists, remapped to global ids.
+    fn gather(&self, per_shard: Vec<Vec<Neighbor>>) -> Vec<Neighbor> {
+        per_shard
             .into_iter()
             .enumerate()
             .flat_map(|(s, hits)| hits.into_iter().map(move |n| (s, n)))
             .map(|(s, n)| self.remap(s, n))
-            .collect();
-        all.sort_unstable_by_key(|n| n.id);
-        all
+            .collect()
+    }
+
+    /// [`range`](MetricIndex::range) with each shard's search reporting
+    /// into a fresh sink of its own: returns the merged answer and the
+    /// sinks in shard order. Scatter stays parallel; summing per-shard
+    /// [`DistanceTally`](crate::DistanceTally)s gives the query's cost
+    /// without any shared counter.
+    pub fn range_per_shard<T, S>(&self, query: &T, radius: f64) -> (Vec<Neighbor>, Vec<S>)
+    where
+        T: Sync,
+        I: ShardSearch<T> + Sync,
+        S: TraceSink + Default + Send,
+    {
+        let (hits, sinks) =
+            self.scatter_traced(|shard, sink| shard.range_traced(query, radius, sink));
+        (self.gather_by_id(hits), sinks)
+    }
+
+    /// [`knn`](MetricIndex::knn) with per-shard sinks; see
+    /// [`range_per_shard`](ShardedIndex::range_per_shard).
+    pub fn knn_per_shard<T, S>(&self, query: &T, k: usize) -> (Vec<Neighbor>, Vec<S>)
+    where
+        T: Sync,
+        I: ShardSearch<T> + Sync,
+        S: TraceSink + Default + Send,
+    {
+        let shared = Arc::new(SharedUpperBound::new());
+        let (hits, sinks) = self
+            .scatter_traced(|shard, sink| shard.knn_shared(query, k, Arc::clone(&shared), sink));
+        let mut all = self.gather(hits);
+        // Canonical (distance, id) order: the merge of per-shard top-k
+        // truncated to k is exactly the global top-k.
+        all.sort_unstable();
+        all.truncate(k);
+        (all, sinks)
+    }
+
+    /// [`range_beyond`](FarthestIndex::range_beyond) with per-shard
+    /// sinks; see [`range_per_shard`](ShardedIndex::range_per_shard).
+    pub fn beyond_per_shard<T, S>(&self, query: &T, radius: f64) -> (Vec<Neighbor>, Vec<S>)
+    where
+        T: Sync,
+        I: ShardSearch<T> + Sync,
+        S: TraceSink + Default + Send,
+    {
+        let (hits, sinks) =
+            self.scatter_traced(|shard, sink| shard.beyond_traced(query, radius, sink));
+        (self.gather_by_id(hits), sinks)
+    }
+
+    /// [`k_farthest`](FarthestIndex::k_farthest) with per-shard sinks;
+    /// see [`range_per_shard`](ShardedIndex::range_per_shard).
+    pub fn kfn_per_shard<T, S>(&self, query: &T, k: usize) -> (Vec<Neighbor>, Vec<S>)
+    where
+        T: Sync,
+        I: ShardSearch<T> + Sync,
+        S: TraceSink + Default + Send,
+    {
+        let shared = Arc::new(SharedLowerBound::new());
+        let (hits, sinks) = self
+            .scatter_traced(|shard, sink| shard.kfn_shared(query, k, Arc::clone(&shared), sink));
+        let mut all = self.gather(hits);
+        all.sort_unstable_by(|a, b| {
+            b.distance
+                .total_cmp(&a.distance)
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        all.truncate(k);
+        (all, sinks)
     }
 }
 
@@ -330,47 +458,21 @@ impl<T: Sync, I: ShardSearch<T> + Sync> MetricIndex<T> for ShardedIndex<I> {
     }
 
     fn range(&self, query: &T, radius: f64) -> Vec<Neighbor> {
-        self.gather_by_id(self.scatter(|_, shard| shard.range(query, radius)))
+        self.range_per_shard::<T, NoTrace>(query, radius).0
     }
 
     fn knn(&self, query: &T, k: usize) -> Vec<Neighbor> {
-        let shared = Arc::new(SharedUpperBound::new());
-        let per_shard = self.scatter(|_, shard| shard.knn_shared(query, k, Arc::clone(&shared)));
-        let mut all: Vec<Neighbor> = per_shard
-            .into_iter()
-            .enumerate()
-            .flat_map(|(s, hits)| hits.into_iter().map(move |n| (s, n)))
-            .map(|(s, n)| self.remap(s, n))
-            .collect();
-        // Canonical (distance, id) order: the merge of per-shard top-k
-        // truncated to k is exactly the global top-k.
-        all.sort_unstable();
-        all.truncate(k);
-        all
+        self.knn_per_shard::<T, NoTrace>(query, k).0
     }
 }
 
 impl<T: Sync, I: ShardSearch<T> + Sync> FarthestIndex<T> for ShardedIndex<I> {
     fn range_beyond(&self, query: &T, radius: f64) -> Vec<Neighbor> {
-        self.gather_by_id(self.scatter(|_, shard| shard.range_beyond(query, radius)))
+        self.beyond_per_shard::<T, NoTrace>(query, radius).0
     }
 
     fn k_farthest(&self, query: &T, k: usize) -> Vec<Neighbor> {
-        let shared = Arc::new(SharedLowerBound::new());
-        let per_shard = self.scatter(|_, shard| shard.kfn_shared(query, k, Arc::clone(&shared)));
-        let mut all: Vec<Neighbor> = per_shard
-            .into_iter()
-            .enumerate()
-            .flat_map(|(s, hits)| hits.into_iter().map(move |n| (s, n)))
-            .map(|(s, n)| self.remap(s, n))
-            .collect();
-        all.sort_unstable_by(|a, b| {
-            b.distance
-                .total_cmp(&a.distance)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        all.truncate(k);
-        all
+        self.kfn_per_shard::<T, NoTrace>(query, k).0
     }
 }
 

@@ -8,9 +8,12 @@
 //!
 //! * [`TraceSink`] — the instrumentation interface search algorithms
 //!   report into. Every search routine takes a `&mut impl TraceSink`;
-//!   production callers pass [`NoTrace`], a zero-sized sink whose methods
+//!   untraced callers pass [`NoTrace`], a zero-sized sink whose methods
 //!   are empty `#[inline]` bodies, so the traced and untraced code paths
 //!   monomorphize to identical machine code and the hot path pays nothing.
+//!   Callers that only need a query's cost pass a
+//!   [`DistanceTally`](crate::DistanceTally), which counts distances and
+//!   skips the rest.
 //! * [`QueryProfile`] — a sink that aggregates one query: nodes visited vs
 //!   subtrees pruned (with the triangle-inequality bound that justified
 //!   each prune), distance computations split by [`DistanceRole`], leaf
@@ -112,15 +115,21 @@ impl PruneReason {
 /// Instrumentation interface reported into by every search algorithm.
 ///
 /// All methods default to no-ops so a sink only overrides what it needs.
-/// The associated [`ENABLED`](TraceSink::ENABLED) constant lets search
-/// code skip work that exists *only* to feed the sink (e.g. enumerating
-/// the subtrees a best-first early-exit abandoned, or attributing a leaf
-/// rejection to the tightest of several filters): guarded by
-/// `if S::ENABLED`, such blocks are dead code for [`NoTrace`] and the
-/// optimizer removes them entirely.
+/// Every search reports every metric evaluation
+/// ([`distance`](TraceSink::distance)) and every early abandonment
+/// ([`abandon`](TraceSink::abandon)) unconditionally, so any sink can
+/// count the search's full cost. The associated
+/// [`ENABLED`](TraceSink::ENABLED) constant lets search code skip work
+/// that exists *only* to feed attribution (e.g. enumerating the subtrees
+/// a best-first early-exit abandoned, or attributing a leaf rejection to
+/// the tightest of several filters): guarded by `if S::ENABLED`, such
+/// blocks are dead code for sinks that opt out and the optimizer removes
+/// them entirely.
 pub trait TraceSink {
-    /// `false` only for sinks that discard everything ([`NoTrace`]),
-    /// letting searches skip trace-only bookkeeping.
+    /// `false` for sinks that need no trace-only attribution — prunes,
+    /// rejects and their bounds ([`NoTrace`], which discards everything,
+    /// and [`DistanceTally`](crate::DistanceTally), which only counts
+    /// distances) — letting searches skip that bookkeeping.
     const ENABLED: bool = true;
 
     /// A tree node at depth `level` (root = 0) is being examined.
@@ -175,6 +184,42 @@ pub struct NoTrace;
 
 impl TraceSink for NoTrace {
     const ENABLED: bool = false;
+}
+
+/// A pair of sinks observes one search together: every event goes to
+/// both, and trace-only attribution runs when either wants it.
+impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    #[inline]
+    fn enter_node(&mut self, level: u32, is_leaf: bool) {
+        self.0.enter_node(level, is_leaf);
+        self.1.enter_node(level, is_leaf);
+    }
+
+    #[inline]
+    fn distance(&mut self, role: DistanceRole) {
+        self.0.distance(role);
+        self.1.distance(role);
+    }
+
+    #[inline]
+    fn prune(&mut self, level: u32, reason: PruneReason, bound: f64) {
+        self.0.prune(level, reason, bound);
+        self.1.prune(level, reason, bound);
+    }
+
+    #[inline]
+    fn reject(&mut self, reason: PruneReason, bound: f64) {
+        self.0.reject(reason, bound);
+        self.1.reject(reason, bound);
+    }
+
+    #[inline]
+    fn abandon(&mut self, role: DistanceRole, work: f64) {
+        self.0.abandon(role, work);
+        self.1.abandon(role, work);
+    }
 }
 
 /// Summary statistics over the bounds attached to a set of prune/reject
@@ -524,6 +569,23 @@ mod tests {
         sink.abandon(DistanceRole::Candidate, 0.1);
         sink.prune(1, PruneReason::FirstShell, 2.0);
         sink.reject(PruneReason::PathFilter, 0.5);
+        assert!(!<(NoTrace, NoTrace)>::ENABLED);
+        assert!(<(NoTrace, QueryProfile)>::ENABLED);
+    }
+
+    #[test]
+    fn a_pair_of_sinks_sees_every_event_twice() {
+        let mut pair = (QueryProfile::new(), QueryProfile::new());
+        pair.enter_node(0, true);
+        pair.distance(DistanceRole::Candidate);
+        pair.abandon(DistanceRole::Candidate, 0.5);
+        pair.prune(1, PruneReason::SecondShell, 3.0);
+        pair.reject(PruneReason::PrecomputedD2, 1.0);
+        assert_eq!(pair.0, pair.1);
+        assert_eq!(pair.0.nodes_visited(), 1);
+        assert_eq!(pair.0.total_abandoned(), 1);
+        assert_eq!(pair.0.subtrees_pruned(), 1);
+        assert_eq!(pair.0.candidates_rejected(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    generation numbers observed by any single reader never decrease.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use vantage_core::swap::SwapCell;
@@ -46,15 +46,21 @@ fn readers_never_observe_a_partially_swapped_value() {
     let cell = Arc::new(SwapCell::new(Consistent::new(0)));
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));
+    // The writer starts swapping only once every reader has completed a
+    // read, so reads overlap swaps however the threads are scheduled.
+    const READERS: usize = 4;
+    let all_reading = Arc::new(Barrier::new(READERS + 1));
 
-    let readers: Vec<_> = (0..4)
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
             let reads = Arc::clone(&reads);
+            let all_reading = Arc::clone(&all_reading);
             std::thread::spawn(move || {
                 let mut last_generation = 0;
-                while !stop.load(Ordering::Acquire) {
+                let mut first = true;
+                while first || !stop.load(Ordering::Acquire) {
                     let guard = cell.read();
                     guard.verify();
                     // A single reader's view of time moves forward only.
@@ -64,12 +70,18 @@ fn readers_never_observe_a_partially_swapped_value() {
                         guard.generation()
                     );
                     last_generation = guard.generation();
+                    drop(guard);
                     reads.fetch_add(1, Ordering::Relaxed);
+                    if first {
+                        first = false;
+                        all_reading.wait();
+                    }
                 }
             })
         })
         .collect();
 
+    all_reading.wait();
     for v in 1..=500 {
         let retired = cell.swap(Consistent::new(v));
         // Old generations drain while readers continue on the new one.

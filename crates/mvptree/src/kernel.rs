@@ -162,9 +162,7 @@ where
             ) {
                 (Some(d), _) => out.push(Neighbor::new(id as usize, d)),
                 (None, work) => {
-                    if S::ENABLED {
-                        sink.abandon(DistanceRole::Candidate, work);
-                    }
+                    sink.abandon(DistanceRole::Candidate, work);
                 }
             }
         }
@@ -344,9 +342,7 @@ where
                                 collector.offer(id as usize, d);
                             }
                             (None, work) => {
-                                if S::ENABLED {
-                                    sink.abandon(DistanceRole::Candidate, work);
-                                }
+                                sink.abandon(DistanceRole::Candidate, work);
                             }
                         }
                     } else if S::ENABLED {

@@ -101,9 +101,7 @@ where
                     {
                         (Some(d), _) => out.push(Neighbor::new(id as usize, d)),
                         (None, work) => {
-                            if S::ENABLED {
-                                sink.abandon(DistanceRole::Candidate, work);
-                            }
+                            sink.abandon(DistanceRole::Candidate, work);
                         }
                     }
                 }
@@ -176,9 +174,7 @@ where
                                 collector.offer(id as usize, d);
                             }
                             (None, work) => {
-                                if S::ENABLED {
-                                    sink.abandon(DistanceRole::Candidate, work);
-                                }
+                                sink.abandon(DistanceRole::Candidate, work);
                             }
                         }
                     }

@@ -1,7 +1,8 @@
 //! Scatter-gather participation: vp-trees as shards of a
 //! [`ShardedIndex`](vantage_core::shard::ShardedIndex).
 //!
-//! Both methods run the exact same traversals as [`knn`] / `k_farthest`,
+//! Every method reports into the caller's sink. `knn_shared` /
+//! `kfn_shared` run the exact same traversals as [`knn`] / `k_farthest`,
 //! only through a collector wired to the group-shared bound — the shared
 //! value changes *which subtrees get pruned*, never the answer.
 //!
@@ -11,22 +12,42 @@ use std::sync::Arc;
 
 use vantage_core::farthest::KfnCollector;
 use vantage_core::shard::{ShardSearch, SharedLowerBound, SharedUpperBound};
-use vantage_core::trace::NoTrace;
+use vantage_core::trace::TraceSink;
 use vantage_core::{BoundedMetric, KnnCollector, Neighbor};
 
 use crate::tree::VpTree;
 
 impl<T, M: BoundedMetric<T>> ShardSearch<T> for VpTree<T, M> {
-    fn knn_shared(&self, query: &T, k: usize, shared: Arc<SharedUpperBound>) -> Vec<Neighbor> {
+    fn range_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+        VpTree::range_traced(self, query, radius, sink)
+    }
+
+    fn beyond_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+        VpTree::beyond_traced(self, query, radius, sink)
+    }
+
+    fn knn_shared<S: TraceSink>(
+        &self,
+        query: &T,
+        k: usize,
+        shared: Arc<SharedUpperBound>,
+        sink: &mut S,
+    ) -> Vec<Neighbor> {
         let mut collector = KnnCollector::with_shared(k, shared);
-        self.knn_into(&mut collector, query, &mut NoTrace);
+        self.knn_into(&mut collector, query, sink);
         collector.into_sorted()
     }
 
-    fn kfn_shared(&self, query: &T, k: usize, shared: Arc<SharedLowerBound>) -> Vec<Neighbor> {
+    fn kfn_shared<S: TraceSink>(
+        &self,
+        query: &T,
+        k: usize,
+        shared: Arc<SharedLowerBound>,
+        sink: &mut S,
+    ) -> Vec<Neighbor> {
         let mut collector = KfnCollector::with_shared(k, shared);
         if k > 0 {
-            self.kfn_into(&mut collector, query, &mut NoTrace);
+            self.kfn_into(&mut collector, query, sink);
         }
         collector.into_sorted()
     }

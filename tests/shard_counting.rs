@@ -5,9 +5,11 @@
 //! `Counted::totals()` read the *cross-shard* query total — each
 //! distance charged exactly once, with no double-counting from the
 //! shared-bound fast path and no drift between the budget meter's
-//! `spent` and the metric-level tally.
+//! `spent` and the metric-level tally. The per-shard [`DistanceTally`]s
+//! of a `*_per_shard` query must sum to that same total.
 
 use vantage::prelude::*;
+use vantage_datasets::uniform_vectors;
 
 fn tie_points(n: usize) -> Vec<Vec<f64>> {
     (0..n)
@@ -149,6 +151,86 @@ fn per_shard_counters_sum_to_the_shared_query_total() {
             per_shard_sum(&probes),
             "range q={q:?}"
         );
+    }
+}
+
+/// Runs every query form on `idx` through its `*_per_shard` method and
+/// checks the answer against the untraced method and the summed
+/// per-shard tallies against the `probe` delta of the same run. Returns
+/// how many evaluations the bounded kernel abandoned along the way.
+fn assert_tallies_sum_to_counted<I>(
+    name: &str,
+    idx: &ShardedIndex<I>,
+    probe: &Counted<Euclidean>,
+) -> u64
+where
+    I: ShardSearch<Vec<f64>> + Sync,
+{
+    let sum = |tallies: Vec<DistanceTally>| tallies.into_iter().sum::<DistanceTally>().totals();
+    let mut abandoned = 0;
+    for q in uniform_vectors(3, 16, 4) {
+        for rep in 0..3 {
+            let at = format!("{name} q={q:?} rep={rep}");
+            probe.reset();
+            let (hits, tallies) = idx.range_per_shard(&q, 1.2);
+            assert_eq!(sum(tallies), probe.totals(), "range {at}");
+            abandoned += probe.totals().abandoned;
+            assert_eq!(hits, idx.range(&q, 1.2), "range {at}");
+
+            probe.reset();
+            let (hits, tallies) = idx.knn_per_shard(&q, 9);
+            assert_eq!(sum(tallies), probe.totals(), "knn {at}");
+            abandoned += probe.totals().abandoned;
+            assert_eq!(hits, idx.knn(&q, 9), "knn {at}");
+
+            probe.reset();
+            let (hits, tallies) = idx.beyond_per_shard(&q, 2.0);
+            assert_eq!(sum(tallies), probe.totals(), "beyond {at}");
+            assert_eq!(hits, idx.range_beyond(&q, 2.0), "beyond {at}");
+
+            probe.reset();
+            let (hits, tallies) = idx.kfn_per_shard(&q, 9);
+            assert_eq!(sum(tallies), probe.totals(), "kfn {at}");
+            assert_eq!(hits, idx.k_farthest(&q, 9), "kfn {at}");
+        }
+    }
+    abandoned
+}
+
+#[test]
+fn per_shard_tallies_sum_to_the_counted_total_under_parallel_scatter() {
+    // One scatter, two channels: the shared probe and each shard's own
+    // tally observe the same run, so under parallel scatter (where the
+    // shared kNN bound makes the cost interleaving-dependent) the tallies
+    // must still sum to the probe's cross-shard delta exactly —
+    // abandoned evaluations and their work included.
+    let threads = Threads::Fixed(4);
+    let points = uniform_vectors(200, 16, 3);
+    for shards in [2, 4] {
+        let counted = Counted::new(Euclidean);
+        let idx = ShardedIndex::build(points.clone(), shards, threads, |_, part| {
+            Ok(LinearScan::new(part, counted.clone()))
+        })
+        .unwrap();
+        let abandoned =
+            assert_tallies_sum_to_counted(&format!("linear S={shards}"), &idx, &counted);
+        assert!(abandoned > 0, "the bounded kernel never abandoned");
+
+        let idx = ShardedIndex::build(points.clone(), shards, threads, |s, part| {
+            VpTree::build(part, counted.clone(), VpTreeParams::binary().seed(s as u64))
+        })
+        .unwrap();
+        assert_tallies_sum_to_counted(&format!("vp S={shards}"), &idx, &counted);
+
+        let idx = ShardedIndex::build(points.clone(), shards, threads, |s, part| {
+            MvpTree::build(
+                part,
+                counted.clone(),
+                MvpParams::paper(3, 6, 3).seed(s as u64),
+            )
+        })
+        .unwrap();
+        assert_tallies_sum_to_counted(&format!("mvp S={shards}"), &idx, &counted);
     }
 }
 

@@ -1,74 +1,164 @@
 //! Tracing must be observation-only: with any sink attached, a search
 //! returns bit-identical answers and performs bit-identical distance
-//! computations ([`Counted`] totals) compared to the untraced path, and
-//! the [`QueryProfile`] role counts partition the [`Counted`] total
-//! exactly.
+//! computations ([`Counted`] totals) compared to the untraced path, the
+//! [`QueryProfile`] role counts partition the [`Counted`] total exactly,
+//! and a [`DistanceTally`] reads the same cost — abandoned work
+//! included — that a [`Counted`] metric charges.
 
 use vantage::prelude::*;
 use vantage_datasets::uniform_vectors;
 
 const RADII: [f64; 4] = [0.0, 0.3, 0.7, 2.0];
 const KS: [usize; 4] = [1, 5, 40, 500];
+/// Far-query radii: from "everything" down to "nothing" on 8-d data in
+/// the unit cube.
+const FAR_RADII: [f64; 4] = [0.0, 0.8, 1.4, 3.0];
 
 fn queries() -> Vec<Vec<f64>> {
     uniform_vectors(6, 8, 2)
 }
 
-/// Runs every (query, radius/k) workload twice — untraced through the
-/// `MetricIndex` methods, traced into a fresh [`QueryProfile`] — and
-/// checks answers, `Counted` totals and the role-sum identity.
-fn assert_equivalent<I, R, K>(name: &str, probe: &Counted<Euclidean>, index: &I, run: (R, K))
-where
-    I: MetricIndex<Vec<f64>>,
-    R: Fn(&I, &Vec<f64>, f64, &mut QueryProfile) -> Vec<Neighbor>,
-    K: Fn(&I, &Vec<f64>, usize, &mut QueryProfile) -> Vec<Neighbor>,
-{
-    let (range_traced, knn_traced) = run;
+/// One search form with its radius or `k`.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    Range(f64),
+    Knn(usize),
+    Beyond(f64),
+    Kfn(usize),
+}
+
+fn forms() -> impl Iterator<Item = Form> {
+    RADII
+        .into_iter()
+        .map(Form::Range)
+        .chain(KS.into_iter().map(Form::Knn))
+        .chain(FAR_RADII.into_iter().map(Form::Beyond))
+        .chain(KS.into_iter().map(Form::Kfn))
+}
+
+/// A structure's search forms, untraced and traced into any sink. Forms
+/// a structure does not offer (far queries on the gh-tree and GNAT)
+/// answer `None`.
+trait Searches<T> {
+    fn untraced(&self, q: &T, form: Form) -> Option<Vec<Neighbor>>;
+    fn traced<S: TraceSink>(&self, q: &T, form: Form, sink: &mut S) -> Option<Vec<Neighbor>>;
+}
+
+macro_rules! searches {
+    ($ty:ident, far) => {
+        impl<M: BoundedMetric<Vec<f64>>> Searches<Vec<f64>> for $ty<Vec<f64>, M> {
+            fn untraced(&self, q: &Vec<f64>, form: Form) -> Option<Vec<Neighbor>> {
+                Some(match form {
+                    Form::Range(r) => self.range(q, r),
+                    Form::Knn(k) => self.knn(q, k),
+                    Form::Beyond(r) => self.range_beyond(q, r),
+                    Form::Kfn(k) => self.k_farthest(q, k),
+                })
+            }
+
+            fn traced<S: TraceSink>(
+                &self,
+                q: &Vec<f64>,
+                form: Form,
+                sink: &mut S,
+            ) -> Option<Vec<Neighbor>> {
+                Some(match form {
+                    Form::Range(r) => self.range_traced(q, r, sink),
+                    Form::Knn(k) => self.knn_traced(q, k, sink),
+                    Form::Beyond(r) => self.beyond_traced(q, r, sink),
+                    Form::Kfn(k) => self.kfn_traced(q, k, sink),
+                })
+            }
+        }
+    };
+    ($ty:ident, near) => {
+        impl<M: BoundedMetric<Vec<f64>>> Searches<Vec<f64>> for $ty<Vec<f64>, M> {
+            fn untraced(&self, q: &Vec<f64>, form: Form) -> Option<Vec<Neighbor>> {
+                match form {
+                    Form::Range(r) => Some(self.range(q, r)),
+                    Form::Knn(k) => Some(self.knn(q, k)),
+                    Form::Beyond(_) | Form::Kfn(_) => None,
+                }
+            }
+
+            fn traced<S: TraceSink>(
+                &self,
+                q: &Vec<f64>,
+                form: Form,
+                sink: &mut S,
+            ) -> Option<Vec<Neighbor>> {
+                match form {
+                    Form::Range(r) => Some(self.range_traced(q, r, sink)),
+                    Form::Knn(k) => Some(self.knn_traced(q, k, sink)),
+                    Form::Beyond(_) | Form::Kfn(_) => None,
+                }
+            }
+        }
+    };
+}
+
+searches!(VpTree, far);
+searches!(MvpTree, far);
+searches!(LinearScan, far);
+searches!(GhTree, near);
+searches!(Gnat, near);
+
+/// Runs every (query, form) workload three times — untraced through the
+/// index traits, traced into a fresh [`QueryProfile`], and traced into a
+/// fresh [`DistanceTally`] — and checks answers, `Counted` totals, the
+/// role-sum identity, and that the tally reads the untraced run's
+/// `Counted` totals bit for bit.
+fn assert_equivalent<I: Searches<Vec<f64>>>(name: &str, probe: &Counted<Euclidean>, index: &I) {
     for q in &queries() {
-        for r in RADII {
+        for form in forms() {
             probe.reset();
-            let untraced = index.range(q, r);
-            let untraced_cost = probe.take();
+            let Some(untraced) = index.untraced(q, form) else {
+                continue;
+            };
+            let untraced_cost = probe.totals();
+            probe.reset();
 
             let mut profile = QueryProfile::new();
-            let traced = range_traced(index, q, r, &mut profile);
+            let traced = index.traced(q, form, &mut profile).expect("same forms");
             let traced_cost = probe.take();
 
-            assert_eq!(untraced, traced, "{name} range answers differ at r={r}");
+            assert_eq!(untraced, traced, "{name} answers differ at {form:?}");
             assert_eq!(
-                untraced_cost, traced_cost,
-                "{name} range cost differs at r={r}"
+                untraced_cost.computations, traced_cost,
+                "{name} cost differs at {form:?}"
             );
             assert_eq!(
                 profile.total_distances(),
                 traced_cost,
-                "{name} profile total != Counted total at r={r}"
+                "{name} profile total != Counted total at {form:?}"
             );
             assert_eq!(
                 profile.distances(DistanceRole::Vantage)
                     + profile.distances(DistanceRole::Candidate),
                 traced_cost,
-                "{name} role counts don't partition the Counted total at r={r}"
+                "{name} role counts don't partition the Counted total at {form:?}"
             );
-        }
-        for k in KS {
+
+            let mut tally = DistanceTally::new();
+            let tallied = index.traced(q, form, &mut tally).expect("same forms");
             probe.reset();
-            let untraced = index.knn(q, k);
-            let untraced_cost = probe.take();
-
-            let mut profile = QueryProfile::new();
-            let traced = knn_traced(index, q, k, &mut profile);
-            let traced_cost = probe.take();
-
-            assert_eq!(untraced, traced, "{name} knn answers differ at k={k}");
             assert_eq!(
-                untraced_cost, traced_cost,
-                "{name} knn cost differs at k={k}"
+                untraced, tallied,
+                "{name} tallied answers differ at {form:?}"
+            );
+            let tally = tally.totals();
+            assert_eq!(
+                tally.computations, untraced_cost.computations,
+                "{name} tally computations != Counted at {form:?}"
             );
             assert_eq!(
-                profile.total_distances(),
-                traced_cost,
-                "{name} knn profile total != Counted total at k={k}"
+                tally.abandoned, untraced_cost.abandoned,
+                "{name} tally abandoned != Counted at {form:?}"
+            );
+            assert_eq!(
+                tally.abandoned_work.to_bits(),
+                untraced_cost.abandoned_work.to_bits(),
+                "{name} tally abandoned_work != Counted at {form:?}"
             );
         }
     }
@@ -84,15 +174,7 @@ fn vp_tree_traced_is_bit_identical() {
         VpTreeParams::with_order(3).leaf_capacity(6).seed(7),
     )
     .unwrap();
-    assert_equivalent(
-        "vp",
-        &probe,
-        &tree,
-        (
-            |t: &VpTree<_, _>, q: &Vec<f64>, r, sink: &mut QueryProfile| t.range_traced(q, r, sink),
-            |t: &VpTree<_, _>, q: &Vec<f64>, k, sink: &mut QueryProfile| t.knn_traced(q, k, sink),
-        ),
-    );
+    assert_equivalent("vp", &probe, &tree);
 }
 
 #[test]
@@ -105,17 +187,7 @@ fn mvp_tree_traced_is_bit_identical() {
         MvpParams::paper(3, 20, 5).seed(7),
     )
     .unwrap();
-    assert_equivalent(
-        "mvp",
-        &probe,
-        &tree,
-        (
-            |t: &MvpTree<_, _>, q: &Vec<f64>, r, sink: &mut QueryProfile| {
-                t.range_traced(q, r, sink)
-            },
-            |t: &MvpTree<_, _>, q: &Vec<f64>, k, sink: &mut QueryProfile| t.knn_traced(q, k, sink),
-        ),
-    );
+    assert_equivalent("mvp", &probe, &tree);
 }
 
 #[test]
@@ -123,19 +195,7 @@ fn linear_scan_traced_is_bit_identical() {
     let metric = Counted::new(Euclidean);
     let probe = metric.clone();
     let scan = LinearScan::new(uniform_vectors(400, 8, 1), metric);
-    assert_equivalent(
-        "linear",
-        &probe,
-        &scan,
-        (
-            |s: &LinearScan<_, _>, q: &Vec<f64>, r, sink: &mut QueryProfile| {
-                s.range_traced(q, r, sink)
-            },
-            |s: &LinearScan<_, _>, q: &Vec<f64>, k, sink: &mut QueryProfile| {
-                s.knn_traced(q, k, sink)
-            },
-        ),
-    );
+    assert_equivalent("linear", &probe, &scan);
 }
 
 #[test]
@@ -145,35 +205,13 @@ fn baseline_trees_traced_are_bit_identical() {
         let metric = Counted::new(Euclidean);
         let probe = metric.clone();
         let gh = GhTree::build(points.clone(), metric, GhTreeParams::default()).unwrap();
-        assert_equivalent(
-            "gh",
-            &probe,
-            &gh,
-            (
-                |t: &GhTree<_, _>, q: &Vec<f64>, r, sink: &mut QueryProfile| {
-                    t.range_traced(q, r, sink)
-                },
-                |t: &GhTree<_, _>, q: &Vec<f64>, k, sink: &mut QueryProfile| {
-                    t.knn_traced(q, k, sink)
-                },
-            ),
-        );
+        assert_equivalent("gh", &probe, &gh);
     }
     {
         let metric = Counted::new(Euclidean);
         let probe = metric.clone();
         let gnat = Gnat::build(points, metric, GnatParams::default()).unwrap();
-        assert_equivalent(
-            "gnat",
-            &probe,
-            &gnat,
-            (
-                |t: &Gnat<_, _>, q: &Vec<f64>, r, sink: &mut QueryProfile| {
-                    t.range_traced(q, r, sink)
-                },
-                |t: &Gnat<_, _>, q: &Vec<f64>, k, sink: &mut QueryProfile| t.knn_traced(q, k, sink),
-            ),
-        );
+        assert_equivalent("gnat", &probe, &gnat);
     }
 }
 
