@@ -835,15 +835,20 @@ where
         }
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Raw bytes, decoded only once the whole line is in: a line that is
+    // not UTF-8 gets an error reply instead of ending the connection.
+    let mut line = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
-                let (reply, close) = handle_line(line.trim(), shared);
+                let (reply, close) = match std::str::from_utf8(&line) {
+                    Ok(text) => handle_line(text.trim(), shared),
+                    Err(_) => ("ERR request line is not valid UTF-8".to_string(), false),
+                };
                 line.clear();
                 if writer
                     .write_all(reply.as_bytes())

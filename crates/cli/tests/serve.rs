@@ -358,6 +358,40 @@ fn huge_k_answers_every_item_and_keeps_the_server_up() {
 }
 
 #[test]
+fn non_utf8_request_line_gets_an_error_and_keeps_the_connection() {
+    use std::io::{BufRead, BufReader, Write};
+    let data = temp_path("utf8-data.csv");
+    let snap = temp_path("utf8-index.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "50", "--dim", "3", "--seed", "5", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
+
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = String::new();
+    stream.write_all(b"\xff\xfe\n").unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "ERR request line is not valid UTF-8");
+    reply.clear();
+    stream.write_all(b"PING\n").unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "OK pong");
+    drop((stream, reader));
+
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn dynamic_mode_serves_ingest_and_far_queries() {
     let data = temp_path("dyn-data.csv");
     run_ok(&[
