@@ -37,12 +37,12 @@ use vantage_persist::{
     self as persist, F64Vectors, IndexKind, ItemCodec, MetricTag, SnapshotInfo, Utf8Strings,
 };
 use vantage_telemetry::export::{self, thousands};
-use vantage_telemetry::{CostDelta, IndexMetrics, Instrumented, MetricsRegistry, OpKind};
+use vantage_telemetry::{CostDelta, IndexMetrics, MetricsRegistry, OpKind};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 mod serve;
 
-use serve::{QueryCmd, TracedSearch};
+use serve::{QueryCmd, ServedQuery};
 
 /// CLI failure: a message for the user (exit code 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,30 +321,17 @@ fn read_words(path: &str) -> CliResult<Vec<String>> {
         .collect())
 }
 
-enum QueryKind {
-    Range(f64),
-    Knn(usize),
-}
-
-impl QueryKind {
-    /// The serve-side query verb this kind runs as.
-    fn cmd(&self) -> QueryCmd {
-        match *self {
-            QueryKind::Range(r) => QueryCmd::Range(r),
-            QueryKind::Knn(k) => QueryCmd::Knn(k),
-        }
-    }
-}
-
-fn query_kind(args: &Args<'_>) -> CliResult<QueryKind> {
+/// Parses `--range R` / `--knn K` into the query verb `query` and
+/// `explain` run.
+fn query_cmd(args: &Args<'_>) -> CliResult<QueryCmd> {
     match (args.get("range"), args.get("knn")) {
         (Some(r), None) => {
-            Ok(QueryKind::Range(r.parse().map_err(|_| {
+            Ok(QueryCmd::Range(r.parse().map_err(|_| {
                 err(format!("invalid value for --range: `{r}`"))
             })?))
         }
         (None, Some(k)) => {
-            Ok(QueryKind::Knn(k.parse().map_err(|_| {
+            Ok(QueryCmd::Knn(k.parse().map_err(|_| {
                 err(format!("invalid value for --knn: `{k}`"))
             })?))
         }
@@ -386,243 +373,201 @@ fn structure_label(kind: IndexKind) -> &'static str {
     }
 }
 
-/// The budget verdict of one `--budget` query, printed after the cost
-/// line.
-struct BudgetOutcome {
-    spent: u64,
-    exhausted: bool,
-    estimated_recall: f64,
-}
-
-/// Answers one query against a (possibly instrumented, possibly sharded)
-/// index. `--budget` applies to kNN only: range queries have no
-/// best-effort mode.
-fn answer_query<T: ?Sized>(
-    index: &dyn BudgetedSearch<T>,
-    query: &T,
-    kind: &QueryKind,
+/// One `query` or `explain` request: the verb, `query --budget`, and
+/// whether to profile the descent (`explain`).
+struct Ask {
+    cmd: QueryCmd,
     budget: Option<u64>,
-) -> CliResult<(Vec<Neighbor>, Option<BudgetOutcome>)> {
-    match (kind, budget) {
-        (QueryKind::Range(r), None) => {
-            let mut v = index.range(query, *r);
-            v.sort_unstable();
-            Ok((v, None))
-        }
-        (QueryKind::Range(_), Some(_)) => Err(err(
-            "--budget applies to --knn only (range queries have no best-effort mode)",
-        )),
-        (QueryKind::Knn(k), None) => Ok((index.knn(query, *k), None)),
-        (QueryKind::Knn(k), Some(max)) => {
-            let out = index.knn_budgeted(query, *k, SearchBudget::limited(max));
-            Ok((
-                out.neighbors,
-                Some(BudgetOutcome {
-                    spent: out.spent,
-                    exhausted: out.exhausted,
-                    estimated_recall: out.estimated_recall,
-                }),
-            ))
-        }
-    }
+    explain: bool,
 }
 
 /// What one `query` or `explain` run reports: the answers (at most
-/// 1 000), the `Counted` tally of the query phase, the index size, and
-/// the budget verdict (`query --budget`) or pruning profile (`explain`).
+/// 1 000), the query's distance computations, the index size, and the
+/// budget verdict (`query --budget`, its neighbors moved to `results`)
+/// or pruning profile (`explain`).
 struct Answer {
     results: Vec<Neighbor>,
     cost: u64,
     n: usize,
-    budget: Option<BudgetOutcome>,
+    budget: Option<BudgetedKnn>,
     profile: QueryProfile,
 }
 
-/// Runs one query against an index whose metric is (a clone of)
-/// `probe`, counting only the query phase, and records it when
-/// `metrics` is set — the query phase shared by built and loaded
-/// indexes, so their reports diff clean.
-fn answer_counted<Q: ?Sized, M: Clone + Send + Sync + 'static>(
-    index: &dyn BudgetedSearch<Q>,
-    probe: &Counted<M>,
-    query: &Q,
-    kind: &QueryKind,
-    budget: Option<u64>,
+/// Answers `ask` on an index of `n` items — the one query phase behind
+/// `query` and `explain`, built or loaded, through the same
+/// [`ServedQuery`] paths `serve` answers with. Each path counts the
+/// query's own cost; with `metrics` set it is recorded as one operation.
+/// `--budget` applies to kNN only: range queries have no best-effort
+/// mode.
+fn answer<T>(
+    index: &dyn ServedQuery<T>,
+    n: usize,
+    query: &T,
+    ask: &Ask,
     metrics: &Option<Arc<IndexMetrics>>,
 ) -> CliResult<Answer> {
-    probe.reset();
-    let (mut results, budget) = match metrics {
-        // The instrumented path answers through the same index; only
-        // timing and cost attribution are added.
-        Some(metrics) => {
-            let instrumented = Instrumented::with_probe(index, Arc::clone(metrics), probe.clone());
-            answer_query(&instrumented, query, kind, budget)?
+    let start = Instant::now();
+    let mut profile = QueryProfile::new();
+    let mut budget = None;
+    let (mut results, cost) = match (&ask.cmd, ask.budget) {
+        (QueryCmd::Knn(k), Some(max)) => {
+            let mut out = index.knn_budgeted(query, *k, SearchBudget::limited(max));
+            let answers = (std::mem::take(&mut out.neighbors), out.cost());
+            budget = Some(out);
+            answers
         }
-        None => answer_query(index, query, kind, budget)?,
+        (_, Some(_)) => {
+            return Err(err(
+                "--budget applies to --knn only (range queries have no best-effort mode)",
+            ))
+        }
+        (cmd, None) if ask.explain => {
+            let mut rec = SpanRecorder::with_origin(start);
+            let (results, descent, cost) = index.execute_traced(cmd, query, &mut rec);
+            profile = descent;
+            (results, cost)
+        }
+        (cmd, None) => index.execute(cmd, query),
     };
-    let cost = probe.take();
+    if let Some(metrics) = metrics {
+        let (op, latency) = (ask.cmd.op_kind(), start.elapsed());
+        match &budget {
+            Some(b) => {
+                metrics.record_budgeted(op, latency, cost.into(), b.exhausted, b.estimated_recall)
+            }
+            None => metrics.record(op, latency, cost.into()),
+        }
+    }
     results.truncate(1000); // terminal sanity for huge result sets
     Ok(Answer {
         results,
-        cost,
-        n: index.len(),
+        cost: cost.computations,
+        n,
         budget,
-        profile: QueryProfile::new(),
+        profile,
     })
 }
 
-/// [`answer_counted`] for `explain`: runs the traced search with a
-/// [`QueryProfile`] attached. Traced searches are not part of the
-/// object-safe index traits, so telemetry is recorded directly rather
-/// than through `Instrumented`.
-fn explain_counted<Q: ?Sized, M>(
-    index: &(impl MetricIndex<Q> + TracedSearch<Q>),
-    probe: &Counted<M>,
-    query: &Q,
-    kind: &QueryKind,
-    metrics: &Option<Arc<IndexMetrics>>,
-) -> Answer {
-    probe.reset();
-    let mut profile = QueryProfile::new();
-    let query_start = Instant::now();
-    let mut results = index.query_traced(&kind.cmd(), query, &mut profile);
-    if let Some(metrics) = metrics {
-        let op = match kind {
-            QueryKind::Range(_) => OpKind::Range,
-            QueryKind::Knn(_) => OpKind::Knn,
-        };
-        metrics.record(op, query_start.elapsed(), probe.totals().into());
-    }
-    let cost = probe.take();
-    results.truncate(1000);
-    Answer {
-        results,
-        cost,
-        n: index.len(),
-        budget: None,
-        profile,
-    }
-}
-
-/// A `query` or `explain` request against a loaded snapshot.
-enum Ask<'a> {
-    Query {
-        kind: &'a QueryKind,
-        budget: Option<u64>,
-    },
-    Explain {
-        kind: &'a QueryKind,
-    },
-}
-
-impl Ask<'_> {
-    fn run<Q: ?Sized, M: Clone + Send + Sync + 'static>(
-        &self,
-        index: &(impl BudgetedSearch<Q> + TracedSearch<Q>),
-        probe: &Counted<M>,
-        query: &Q,
-        metrics: &Option<Arc<IndexMetrics>>,
-    ) -> CliResult<Answer> {
-        match *self {
-            Ask::Query { kind, budget } => {
-                answer_counted(index, probe, query, kind, budget, metrics)
-            }
-            Ask::Explain { kind } => Ok(explain_counted(index, probe, query, kind, metrics)),
-        }
-    }
-}
-
-/// Builds the requested structure — round-robin sharded when
-/// `shards > 1` — under clones of one `Counted` metric, so the shared
-/// tally always reports the cross-shard total.
-///
-/// The sharded build fans one worker per shard through the outer
-/// `threads` policy and keeps each sub-build sequential, so the worker
-/// budget is not oversubscribed.
-fn build_query_index<T, M>(
-    items: Vec<T>,
-    counted: Counted<M>,
-    structure: &str,
+/// How `query --data` / `explain --data` build their index.
+struct BuildSpec<'a> {
+    structure: &'a str,
     seed: u64,
     threads: Threads,
     shards: usize,
-) -> CliResult<Box<dyn BudgetedSearch<T>>>
+}
+
+/// Builds the requested structure over `items` — round-robin sharded
+/// when `spec.shards > 1` — and answers `ask` on it. The build is
+/// recorded as [`OpKind::Build`] with the cost its builders counted.
+fn answer_built<T, M>(
+    items: Vec<T>,
+    metric: M,
+    query: &T,
+    spec: &BuildSpec<'_>,
+    ask: &Ask,
+    metrics: &Option<Arc<IndexMetrics>>,
+) -> CliResult<Answer>
 where
     T: Clone + Send + Sync + 'static,
     M: BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
-    if shards == 0 {
-        return Err(err("--shards must be at least 1"));
-    }
-    if shards == 1 {
-        return Ok(match structure {
-            "mvp" => Box::new(
-                MvpTree::build(items, counted, mvp_build_params(seed, threads))
-                    .map_err(|e| err(e.to_string()))?,
-            ),
-            "vp" => Box::new(
-                VpTree::build(items, counted, vp_build_params(seed, threads))
-                    .map_err(|e| err(e.to_string()))?,
-            ),
-            "linear" => Box::new(LinearScan::new(items, counted)),
-            other => return Err(err(format!("unknown structure `{other}` (mvp|vp|linear)"))),
-        });
-    }
-    Ok(match structure {
-        "mvp" => Box::new(
-            ShardedIndex::build(items, shards, threads, |_, part| {
-                MvpTree::build(
-                    part,
-                    counted.clone(),
-                    mvp_build_params(seed, Threads::SEQUENTIAL),
-                )
-            })
-            .map_err(|e| err(e.to_string()))?,
-        ),
-        "vp" => Box::new(
-            ShardedIndex::build(items, shards, threads, |_, part| {
-                VpTree::build(
-                    part,
-                    counted.clone(),
-                    vp_build_params(seed, Threads::SEQUENTIAL),
-                )
-            })
-            .map_err(|e| err(e.to_string()))?,
-        ),
-        "linear" => Box::new(
-            ShardedIndex::build(items, shards, threads, |_, part| {
-                Ok(LinearScan::new(part, counted.clone()))
-            })
-            .map_err(|e| err(e.to_string()))?,
-        ),
+    let n = items.len();
+    let (seed, shards, threads) = (spec.seed, spec.shards, spec.threads);
+    let build_start = Instant::now();
+    let (index, build_cost) = match spec.structure {
+        "mvp" => serve::build_served(
+            items,
+            shards,
+            threads,
+            |part, threads| MvpTree::build(part, metric.clone(), mvp_build_params(seed, threads)),
+            MvpTree::build_distances,
+        )?,
+        "vp" => serve::build_served(
+            items,
+            shards,
+            threads,
+            |part, threads| VpTree::build(part, metric.clone(), vp_build_params(seed, threads)),
+            VpTree::build_distances,
+        )?,
+        "linear" => serve::build_served(
+            items,
+            shards,
+            threads,
+            |part, _| Ok(LinearScan::new(part, metric.clone())),
+            |_| 0,
+        )?,
         other => return Err(err(format!("unknown structure `{other}` (mvp|vp|linear)"))),
-    })
+    };
+    if let Some(metrics) = metrics {
+        record_build(metrics, build_start, build_cost);
+    }
+    answer(&*index, n, query, ask, metrics)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_structure_query<
-    T: Clone + Send + Sync + 'static,
-    M: BoundedMetric<T> + Clone + Send + Sync + 'static,
->(
-    items: Vec<T>,
-    metric: M,
-    structure: &str,
-    seed: u64,
-    threads: Threads,
-    shards: usize,
-    query: &T,
-    kind: &QueryKind,
-    budget: Option<u64>,
-    metrics: Option<Arc<IndexMetrics>>,
-) -> CliResult<Answer> {
-    let counted = Counted::new(metric);
-    let probe = counted.clone();
-    let build_start = Instant::now();
-    let index = build_query_index(items, counted, structure, seed, threads, shards)?;
-    if let Some(metrics) = &metrics {
-        metrics.record(OpKind::Build, build_start.elapsed(), probe.totals().into());
-    }
-    answer_counted(&*index, &probe, query, kind, budget, &metrics)
+/// Records a completed build: wall-clock latency plus the distance
+/// computations its builders counted.
+fn record_build(metrics: &IndexMetrics, build_start: Instant, cost: u64) {
+    let cost = CostDelta {
+        computations: cost,
+        ..CostDelta::default()
+    };
+    metrics.record(OpKind::Build, build_start.elapsed(), cost);
+}
+
+/// Records a completed snapshot load: wall-clock latency plus the file
+/// size in bytes (the byte count rides in the `computations` slot — see
+/// the [`OpKind::SnapshotLoad`] contract).
+fn record_snapshot_load(metrics: &IndexMetrics, load_start: Instant, bytes: u64) {
+    let cost = CostDelta {
+        computations: bytes,
+        ..CostDelta::default()
+    };
+    metrics.record(OpKind::SnapshotLoad, load_start.elapsed(), cost);
+}
+
+/// Builds the index `query --data` / `explain --data` asks: the item
+/// type and metric come from `--metric`, the structure from the
+/// remaining flags. Also returns the structure label (for the `explain`
+/// profile header).
+fn run_data<'a>(
+    data: &str,
+    args: &Args<'a>,
+    query_text: &str,
+    ask: &Ask,
+    registry: &MetricsRegistry,
+) -> CliResult<(Answer, &'a str)> {
+    let metric_name = args.get("metric").unwrap_or("l2");
+    let spec = BuildSpec {
+        structure: args.get("structure").unwrap_or("mvp"),
+        seed: args.parsed("seed", 0)?,
+        threads: parse_threads(args)?,
+        shards: args.parsed("shards", 1)?,
+    };
+    let metrics = args.get("metrics").map(|_| registry.index(spec.structure));
+    let answer = if metric_name == "edit" {
+        let words = read_words(data)?;
+        let query = query_text.to_string();
+        answer_built(words, Levenshtein, &query, &spec, ask, &metrics)?
+    } else {
+        let vectors = read_vectors(data)?;
+        let query = parse_vector_query(query_text)?;
+        if let Some(first) = vectors.first() {
+            if first.len() != query.len() {
+                return Err(err(format!(
+                    "query has {} dimensions, data has {}",
+                    query.len(),
+                    first.len()
+                )));
+            }
+        }
+        match metric_name {
+            "l2" => answer_built(vectors, Euclidean, &query, &spec, ask, &metrics)?,
+            "l1" => answer_built(vectors, Manhattan, &query, &spec, ask, &metrics)?,
+            "linf" => answer_built(vectors, Chebyshev, &query, &spec, ask, &metrics)?,
+            other => return Err(err(format!("unknown metric `{other}` (l1|l2|linf|edit)"))),
+        }
+    };
+    Ok((answer, spec.structure))
 }
 
 /// Writes a registry snapshot as JSON to `path` and notes it in `out`.
@@ -638,69 +583,30 @@ fn write_metrics_snapshot(
     Ok(())
 }
 
-/// Records a completed snapshot load: wall-clock latency plus the file
-/// size in bytes (the byte count rides in the `computations` slot — see
-/// the [`OpKind::SnapshotLoad`] contract).
-fn record_snapshot_load(
-    metrics: &Option<Arc<IndexMetrics>>,
-    info: &SnapshotInfo,
-    load_start: Instant,
-) {
-    if let Some(metrics) = metrics {
-        metrics.record(
-            OpKind::SnapshotLoad,
-            load_start.elapsed(),
-            CostDelta {
-                computations: info.bytes,
-                ..CostDelta::default()
-            },
-        );
-    }
-}
-
-/// Loads a snapshot and answers `ask` through it: trees through the
-/// opened handle over the unsized item form (`&[f64]`, `&str`), exactly
-/// as `serve` answers, a linear scan through its copied-out items. The
-/// handle's `Counted` metric starts at zero, so the report (results and
-/// distance counts) diffs clean against a fresh build. The load is
-/// recorded as [`OpKind::SnapshotLoad`] in place of a build.
-fn run_loaded<K, M>(
+/// Opens a snapshot through `serve`'s loader — trees zero-copy over the
+/// unsized item form (`&[f64]`, `&str`), a linear scan's items copied
+/// out — and answers `ask` on it. Answers and distance counts diff
+/// clean against a fresh build. The load is recorded as
+/// [`OpKind::SnapshotLoad`] in place of a build.
+fn answer_loaded<T, M, K>(
     path: &str,
     info: &SnapshotInfo,
-    query: &<K::Item as ToOwned>::Owned,
-    ask: &Ask<'_>,
+    query: &T,
+    ask: &Ask,
     metrics: &Option<Arc<IndexMetrics>>,
 ) -> CliResult<Answer>
 where
-    K: persist::FlatItems,
-    K::Item: ToOwned,
-    M: MetricTag
-        + BoundedMetric<K::Item>
-        + BoundedMetric<<K::Item as ToOwned>::Owned>
-        + Clone
-        + Send
-        + Sync
-        + 'static,
+    T: Clone + Send + Sync + 'static + Borrow<K::Item>,
+    M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
+    K: persist::FlatItems + Send + Sync + 'static,
+    K::Item: ToOwned<Owned = T> + Sync,
 {
     let load_start = Instant::now();
-    let loaded = |e: VantageError| err(format!("{path}: {e}"));
-    match info.kind {
-        IndexKind::VpTree => {
-            let tree = persist::open_vp_tree::<K, Counted<M>>(path).map_err(loaded)?;
-            record_snapshot_load(metrics, info, load_start);
-            ask.run(&tree, tree.metric(), query.borrow(), metrics)
-        }
-        IndexKind::MvpTree => {
-            let tree = persist::open_mvp_tree::<K, Counted<M>>(path).map_err(loaded)?;
-            record_snapshot_load(metrics, info, load_start);
-            ask.run(&tree, tree.metric(), query.borrow(), metrics)
-        }
-        IndexKind::Linear => {
-            let scan = persist::load_linear_scan::<K, Counted<M>>(path).map_err(loaded)?;
-            record_snapshot_load(metrics, info, load_start);
-            ask.run(&scan, scan.metric(), query, metrics)
-        }
+    let loaded = serve::load_index_typed::<T, M, K>(path, 1, 0, Threads::SEQUENTIAL)?;
+    if let Some(metrics) = metrics {
+        record_snapshot_load(metrics, load_start, info.bytes);
     }
+    answer(&*loaded.index, loaded.items as usize, query, ask, metrics)
 }
 
 /// Rejects a snapshot whose metric tag differs from an explicitly
@@ -734,18 +640,22 @@ fn parse_vector_query(query_text: &str) -> CliResult<Vec<f64>> {
 /// `explain` profile header).
 fn run_snapshot(
     path: &str,
+    args: &Args<'_>,
     query_text: &str,
-    ask: &Ask<'_>,
-    requested_metric: Option<&str>,
-    want_metrics: bool,
+    ask: &Ask,
     registry: &MetricsRegistry,
 ) -> CliResult<(Answer, &'static str)> {
+    if args.parsed("shards", 1usize)? != 1 {
+        return Err(err(
+            "--shards needs --data (to serve a snapshot sharded, use `vantage serve --index FILE --shards S`)",
+        ));
+    }
     let info = persist::inspect(path).map_err(|e| err(format!("{path}: {e}")))?;
-    check_snapshot_metric(&info, requested_metric)?;
+    check_snapshot_metric(&info, args.get("metric"))?;
     let label = structure_label(info.kind);
-    let metrics = want_metrics.then(|| registry.index(label));
+    let metrics = args.get("metrics").map(|_| registry.index(label));
     let answer = match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => run_loaded::<Utf8Strings, Levenshtein>(
+        ("utf8-string", "edit") => answer_loaded::<String, Levenshtein, Utf8Strings>(
             path,
             &info,
             &query_text.to_string(),
@@ -755,9 +665,15 @@ fn run_snapshot(
         ("f64-vector", metric) => {
             let query = parse_vector_query(query_text)?;
             match metric {
-                "l2" => run_loaded::<F64Vectors, Euclidean>(path, &info, &query, ask, &metrics)?,
-                "l1" => run_loaded::<F64Vectors, Manhattan>(path, &info, &query, ask, &metrics)?,
-                "linf" => run_loaded::<F64Vectors, Chebyshev>(path, &info, &query, ask, &metrics)?,
+                "l2" => {
+                    answer_loaded::<_, Euclidean, F64Vectors>(path, &info, &query, ask, &metrics)?
+                }
+                "l1" => {
+                    answer_loaded::<_, Manhattan, F64Vectors>(path, &info, &query, ask, &metrics)?
+                }
+                "linf" => {
+                    answer_loaded::<_, Chebyshev, F64Vectors>(path, &info, &query, ask, &metrics)?
+                }
                 other => {
                     return Err(err(format!(
                         "{path}: snapshot metric `{other}` is not supported by this CLI"
@@ -774,8 +690,26 @@ fn run_snapshot(
     Ok((answer, label))
 }
 
-/// Builds the requested structure under a `Counted` metric and writes a
-/// snapshot, returning `(construction cost, snapshot bytes, item count)`.
+/// Answers `query` or `explain` from `--data` (built here) or `--index`
+/// (a saved snapshot), returning the answer and the structure label.
+fn run_ask<'a>(
+    args: &Args<'a>,
+    ask: &Ask,
+    registry: &MetricsRegistry,
+    command: &str,
+) -> CliResult<(Answer, &'a str)> {
+    let query_text = args.required("query")?;
+    match (args.get("data"), args.get("index")) {
+        (None, Some(snapshot)) => run_snapshot(snapshot, args, query_text, ask, registry),
+        (Some(data), None) => run_data(data, args, query_text, ask, registry),
+        _ => Err(err(format!(
+            "{command} needs exactly one of --data FILE or --index FILE"
+        ))),
+    }
+}
+
+/// Builds the requested structure and writes a snapshot, returning
+/// `(construction cost, snapshot bytes, item count)`.
 fn build_and_save<T, M>(
     items: Vec<T>,
     metric: M,
@@ -789,29 +723,31 @@ where
     T: ItemCodec + Clone + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
-    let counted = Counted::new(metric);
-    let probe = counted.clone();
     let n = items.len();
     let build_start = Instant::now();
-    let bytes = match structure {
+    let built = |e: VantageError| err(e.to_string());
+    let (cost, bytes) = match structure {
         "mvp" => {
-            let tree = MvpTree::build(items, counted, mvp_build_params(seed, threads))
-                .map_err(|e| err(e.to_string()))?;
-            persist::save_mvp_tree(&tree, save)
+            let tree =
+                MvpTree::build(items, metric, mvp_build_params(seed, threads)).map_err(built)?;
+            (tree.build_distances(), persist::save_mvp_tree(&tree, save))
         }
         "vp" => {
-            let tree = VpTree::build(items, counted, vp_build_params(seed, threads))
-                .map_err(|e| err(e.to_string()))?;
-            persist::save_vp_tree(&tree, save)
+            let tree =
+                VpTree::build(items, metric, vp_build_params(seed, threads)).map_err(built)?;
+            (tree.build_distances(), persist::save_vp_tree(&tree, save))
         }
-        "linear" => persist::save_linear_scan(&LinearScan::new(items, counted), save),
+        "linear" => (
+            0,
+            persist::save_linear_scan(&LinearScan::new(items, metric), save),
+        ),
         other => return Err(err(format!("unknown structure `{other}` (mvp|vp|linear)"))),
-    }
-    .map_err(|e| err(e.to_string()))?;
+    };
+    let bytes = bytes.map_err(built)?;
     if let Some(metrics) = &metrics {
-        metrics.record(OpKind::Build, build_start.elapsed(), probe.totals().into());
+        record_build(metrics, build_start, cost);
     }
-    Ok((probe.take(), bytes, n))
+    Ok((cost, bytes, n))
 }
 
 fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {
@@ -857,8 +793,6 @@ fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {
 
 fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
     let args = Args::parse(argv)?;
-    let kind = query_kind(&args)?;
-    let query_text = args.required("query")?;
     let budget: Option<u64> = match args.get("budget") {
         None => None,
         Some(v) => Some(
@@ -866,86 +800,13 @@ fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
                 .map_err(|_| err(format!("invalid value for --budget: `{v}`")))?,
         ),
     };
-    let registry = MetricsRegistry::new();
-
-    let answer = match (args.get("data"), args.get("index")) {
-        (None, Some(snapshot)) => {
-            if args.parsed("shards", 1usize)? != 1 {
-                return Err(err(
-                    "--shards needs --data (to serve a snapshot sharded, use `vantage serve --index FILE --shards S`)",
-                ));
-            }
-            run_snapshot(
-                snapshot,
-                query_text,
-                &Ask::Query {
-                    kind: &kind,
-                    budget,
-                },
-                args.get("metric"),
-                args.get("metrics").is_some(),
-                &registry,
-            )?
-            .0
-        }
-        (Some(data), None) => {
-            let metric_name = args.get("metric").unwrap_or("l2");
-            let structure = args.get("structure").unwrap_or("mvp");
-            let seed: u64 = args.parsed("seed", 0)?;
-            let threads = parse_threads(&args)?;
-            let shards: usize = args.parsed("shards", 1)?;
-            let metrics = args.get("metrics").map(|_| registry.index(structure));
-            if metric_name == "edit" {
-                let words = read_words(data)?;
-                run_structure_query(
-                    words,
-                    Levenshtein,
-                    structure,
-                    seed,
-                    threads,
-                    shards,
-                    &query_text.to_string(),
-                    &kind,
-                    budget,
-                    metrics,
-                )?
-            } else {
-                let vectors = read_vectors(data)?;
-                let query = parse_vector_query(query_text)?;
-                if let Some(first) = vectors.first() {
-                    if first.len() != query.len() {
-                        return Err(err(format!(
-                            "query has {} dimensions, data has {}",
-                            query.len(),
-                            first.len()
-                        )));
-                    }
-                }
-                match metric_name {
-                    "l2" => run_structure_query(
-                        vectors, Euclidean, structure, seed, threads, shards, &query, &kind,
-                        budget, metrics,
-                    )?,
-                    "l1" => run_structure_query(
-                        vectors, Manhattan, structure, seed, threads, shards, &query, &kind,
-                        budget, metrics,
-                    )?,
-                    "linf" => run_structure_query(
-                        vectors, Chebyshev, structure, seed, threads, shards, &query, &kind,
-                        budget, metrics,
-                    )?,
-                    other => {
-                        return Err(err(format!("unknown metric `{other}` (l1|l2|linf|edit)")))
-                    }
-                }
-            }
-        }
-        _ => {
-            return Err(err(
-                "query needs exactly one of --data FILE or --index FILE",
-            ))
-        }
+    let ask = Ask {
+        cmd: query_cmd(&args)?,
+        budget,
+        explain: false,
     };
+    let registry = MetricsRegistry::new();
+    let (answer, _) = run_ask(&args, &ask, &registry, "query")?;
 
     let (results, cost, n) = (&answer.results, answer.cost, answer.n);
     let _ = writeln!(out, "{} results:", results.len());
@@ -977,54 +838,8 @@ fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
     Ok(())
 }
 
-/// Builds the requested structure and runs the query once with a
-/// [`QueryProfile`] attached.
-#[allow(clippy::too_many_arguments)]
-fn run_structure_explain<
-    T: Clone + Sync + 'static,
-    M: BoundedMetric<T> + Clone + Send + Sync + 'static,
->(
-    items: Vec<T>,
-    metric: M,
-    structure: &str,
-    seed: u64,
-    threads: Threads,
-    query: &T,
-    kind: &QueryKind,
-    metrics: Option<Arc<IndexMetrics>>,
-) -> CliResult<Answer> {
-    let counted = Counted::new(metric);
-    let probe = counted.clone();
-    let build_start = Instant::now();
-    let record_build = || {
-        if let Some(metrics) = &metrics {
-            metrics.record(OpKind::Build, build_start.elapsed(), probe.totals().into());
-        }
-    };
-    Ok(match structure {
-        "mvp" => {
-            let tree = MvpTree::build(items, counted, mvp_build_params(seed, threads))
-                .map_err(|e| err(e.to_string()))?;
-            record_build();
-            explain_counted(&tree, &probe, query, kind, &metrics)
-        }
-        "vp" => {
-            let tree = VpTree::build(items, counted, vp_build_params(seed, threads))
-                .map_err(|e| err(e.to_string()))?;
-            record_build();
-            explain_counted(&tree, &probe, query, kind, &metrics)
-        }
-        "linear" => {
-            let scan = LinearScan::new(items, counted);
-            record_build();
-            explain_counted(&scan, &probe, query, kind, &metrics)
-        }
-        other => return Err(err(format!("unknown structure `{other}` (mvp|vp|linear)"))),
-    })
-}
-
 /// Renders one count as `1,234 role (56.7%)` — the percentage is the
-/// role's share of the `Counted` total for the query.
+/// role's share of the query's total distance computations.
 fn role_share(count: u64, total: u64, role: &str) -> String {
     format!(
         "{} {role} ({:.1}%)",
@@ -1113,72 +928,13 @@ fn format_profile(profile: &QueryProfile, cost: u64, n: usize, out: &mut String)
 
 fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
     let args = Args::parse(argv)?;
-    let kind = query_kind(&args)?;
-    let query_text = args.required("query")?;
-    let registry = MetricsRegistry::new();
-
-    let (answer, structure) = match (args.get("data"), args.get("index")) {
-        (None, Some(snapshot)) => run_snapshot(
-            snapshot,
-            query_text,
-            &Ask::Explain { kind: &kind },
-            args.get("metric"),
-            args.get("metrics").is_some(),
-            &registry,
-        )?,
-        (Some(data), None) => {
-            let metric_name = args.get("metric").unwrap_or("l2");
-            let structure = args.get("structure").unwrap_or("mvp");
-            let seed: u64 = args.parsed("seed", 0)?;
-            let threads = parse_threads(&args)?;
-            let metrics = args.get("metrics").map(|_| registry.index(structure));
-            let answer = if metric_name == "edit" {
-                let words = read_words(data)?;
-                run_structure_explain(
-                    words,
-                    Levenshtein,
-                    structure,
-                    seed,
-                    threads,
-                    &query_text.to_string(),
-                    &kind,
-                    metrics,
-                )?
-            } else {
-                let vectors = read_vectors(data)?;
-                let query = parse_vector_query(query_text)?;
-                if let Some(first) = vectors.first() {
-                    if first.len() != query.len() {
-                        return Err(err(format!(
-                            "query has {} dimensions, data has {}",
-                            query.len(),
-                            first.len()
-                        )));
-                    }
-                }
-                match metric_name {
-                    "l2" => run_structure_explain(
-                        vectors, Euclidean, structure, seed, threads, &query, &kind, metrics,
-                    )?,
-                    "l1" => run_structure_explain(
-                        vectors, Manhattan, structure, seed, threads, &query, &kind, metrics,
-                    )?,
-                    "linf" => run_structure_explain(
-                        vectors, Chebyshev, structure, seed, threads, &query, &kind, metrics,
-                    )?,
-                    other => {
-                        return Err(err(format!("unknown metric `{other}` (l1|l2|linf|edit)")))
-                    }
-                }
-            };
-            (answer, structure)
-        }
-        _ => {
-            return Err(err(
-                "explain needs exactly one of --data FILE or --index FILE",
-            ))
-        }
+    let ask = Ask {
+        cmd: query_cmd(&args)?,
+        budget: None,
+        explain: true,
     };
+    let registry = MetricsRegistry::new();
+    let (answer, structure) = run_ask(&args, &ask, &registry, "explain")?;
 
     let _ = writeln!(out, "{} results:", answer.results.len());
     for r in &answer.results {
@@ -1479,10 +1235,11 @@ mod tests {
 
     #[test]
     fn sharded_linear_knn_cost_is_counted_once() {
-        // Every shard's `Counted` clone shares one tally; a linear-scan
-        // kNN computes each of the 120 distances exactly once whether the
-        // scan is sharded or not — any double-count from the shared-bound
-        // path would show up in the cost line.
+        // Each shard counts in a tally of its own and the query's cost is
+        // their sum; a linear-scan kNN computes each of the 120 distances
+        // exactly once whether the scan is sharded or not — any
+        // double-count from the shared-bound path would show up in the
+        // cost line.
         let path = temp_path("sharded-cost.csv");
         run_ok(&[
             "generate", "uniform", "--n", "120", "--dim", "3", "--seed", "2", "--out", &path,

@@ -46,11 +46,10 @@
 //! are also appended to FILE as JSON lines. Tracing never changes an
 //! answer: traced replies are byte-identical to untraced ones.
 //!
-//! Every query in `--index` mode counts its distance computations in a
-//! [`DistanceTally`] of its own (one per shard, summed), so the cost the
-//! metrics registry and the trace spans record is exactly that query's,
-//! whatever runs concurrently. `--data` mode counts through a shared
-//! [`Counted`] metric, whose per-query deltas absorb concurrent work.
+//! Every query counts its distance computations in a [`DistanceTally`]
+//! of its own (one per shard, summed), so the cost the metrics registry
+//! and the trace spans record is exactly that query's, whatever queries,
+//! writes or rebuilds run concurrently — in both modes.
 //!
 //! ## Swap semantics
 //!
@@ -81,18 +80,19 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vantage_core::prelude::*;
-use vantage_core::{MetricIndex, VantageError};
-use vantage_mvptree::{ConcurrentMvpTree, MvpTree};
+use vantage_core::VantageError;
+use vantage_mvptree::{ConcurrentMvpTree, MvpReadSnapshot, MvpTree};
 use vantage_persist::{self as persist, F64Vectors, FlatItems, IndexKind, MetricTag, Utf8Strings};
 use vantage_telemetry::export;
 use vantage_telemetry::{
-    chrome_from_trace_json, CostDelta, Gauge, IndexMetrics, Json, MetricsRegistry, OpKind,
-    SloSurface, TraceRecord, TraceRing,
+    chrome_from_trace_json, Gauge, IndexMetrics, Json, MetricsRegistry, OpKind, SloSurface,
+    TraceRecord, TraceRing,
 };
 use vantage_vptree::VpTree;
 
 use crate::{
-    err, mvp_build_params, parse_threads, structure_label, vp_build_params, Args, CliResult,
+    err, mvp_build_params, parse_threads, record_build, record_snapshot_load, structure_label,
+    vp_build_params, Args, CliResult,
 };
 
 /// How long `RELOAD` waits for the displaced generation's readers.
@@ -198,13 +198,61 @@ impl_traced_search!(
     |t| t.view()
 );
 
-/// One published index behind the query verbs: the plain path for
-/// ordinary requests, and a span-recording traced path for sampled
-/// ones. Both produce byte-identical replies, and both count the
-/// query's distance computations in [`DistanceTally`]s of its own —
-/// never in state another query touches — so the returned cost is
-/// exactly this query's, however many run concurrently.
-trait ServedQuery<T>: Send + Sync {
+/// The dynamic engine's pinned generation: the tree's descent plus the
+/// overflow and exhaustive scans, every distance reported to `sink`.
+impl<T, M: BoundedMetric<T>> TracedSearch<T> for MvpReadSnapshot<T, M> {
+    fn query_traced<S: TraceSink>(&self, cmd: &QueryCmd, query: &T, sink: &mut S) -> Vec<Neighbor> {
+        match cmd {
+            QueryCmd::Range(radius) => {
+                let mut v = self.range(query, *radius, sink);
+                v.sort_unstable();
+                v
+            }
+            QueryCmd::Knn(k) => self.knn(query, *k, sink),
+            QueryCmd::Beyond(radius) => {
+                let mut v = self.range_beyond(query, *radius, sink);
+                v.sort_unstable();
+                v
+            }
+            QueryCmd::Kfn(k) => self.k_farthest(query, *k, sink),
+        }
+    }
+}
+
+/// Answers `cmd` on one index, counting its cost in a tally of its own.
+fn search<Q: ?Sized, I: TracedSearch<Q> + ?Sized>(
+    index: &I,
+    cmd: &QueryCmd,
+    query: &Q,
+) -> (Vec<Neighbor>, DistanceTotals) {
+    let mut tally = DistanceTally::new();
+    let results = index.query_traced(cmd, query, &mut tally);
+    (results, tally.totals())
+}
+
+/// [`search`] with the descent profiled and timed as one `search` span.
+fn search_traced<Q: ?Sized, I: TracedSearch<Q> + ?Sized>(
+    index: &I,
+    cmd: &QueryCmd,
+    query: &Q,
+    rec: &mut SpanRecorder,
+) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
+    let mut sink = (QueryProfile::new(), DistanceTally::new());
+    let timer = rec.begin();
+    let results = index.query_traced(cmd, query, &mut sink);
+    let (profile, tally) = sink;
+    rec.record("search", None, timer, tally.totals());
+    (results, profile, tally.totals())
+}
+
+/// One index behind the query verbs — served, or asked once by `query`
+/// and `explain`: the plain path for ordinary requests, a span-recording
+/// traced path for sampled ones (and `explain`), and budgeted kNN. All
+/// produce byte-identical answers, and all count the query's distance
+/// computations in state of its own — [`DistanceTally`]s, or the
+/// [`BudgetMeter`] — never in state another query touches, so the
+/// returned cost is exactly this query's, however many run concurrently.
+pub(crate) trait ServedQuery<T>: Send + Sync {
     /// Answers `cmd` with no tracing beyond the cost tally.
     fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals);
     /// Answers `cmd` while recording per-phase spans (one per shard when
@@ -216,6 +264,9 @@ trait ServedQuery<T>: Send + Sync {
         query: &T,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals);
+    /// The `k` nearest neighbors within `budget` distance computations;
+    /// [`BudgetedKnn::cost`] is the query's cost.
+    fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn;
     /// A copy of the item with original id `id`.
     fn item(&self, id: usize) -> Option<T>;
 }
@@ -223,21 +274,28 @@ trait ServedQuery<T>: Send + Sync {
 /// An unsharded index. It answers queries of type `Q`: the wire item
 /// itself, or the unsized form (`[f64]`, `str`) a loaded snapshot tree
 /// answers, which wire items are borrowed down to.
-struct ServedSingle<I, Q: ?Sized> {
+pub(crate) struct ServedSingle<I, Q: ?Sized> {
     index: I,
     query: PhantomData<fn(&Q)>,
+}
+
+impl<I, Q: ?Sized> ServedSingle<I, Q> {
+    pub(crate) fn new(index: I) -> Self {
+        ServedSingle {
+            index,
+            query: PhantomData,
+        }
+    }
 }
 
 impl<T, Q, I> ServedQuery<T> for ServedSingle<I, Q>
 where
     T: Borrow<Q> + Send + Sync,
     Q: ToOwned<Owned = T> + ?Sized,
-    I: MetricIndex<Q> + TracedSearch<Q> + Send + Sync,
+    I: BudgetedSearch<Q> + TracedSearch<Q> + Send + Sync,
 {
     fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
-        let mut tally = DistanceTally::new();
-        let results = self.index.query_traced(cmd, query.borrow(), &mut tally);
-        (results, tally.totals())
+        search(&self.index, cmd, query.borrow())
     }
 
     fn execute_traced(
@@ -246,12 +304,11 @@ where
         query: &T,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
-        let mut sink = (QueryProfile::new(), DistanceTally::new());
-        let timer = rec.begin();
-        let results = self.index.query_traced(cmd, query.borrow(), &mut sink);
-        let (profile, tally) = sink;
-        rec.record("search", None, timer, tally.totals());
-        (results, profile, tally.totals())
+        search_traced(&self.index, cmd, query.borrow(), rec)
+    }
+
+    fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
+        self.index.knn_budgeted(query.borrow(), k, budget)
     }
 
     fn item(&self, id: usize) -> Option<T> {
@@ -268,7 +325,7 @@ struct ServedSharded<I> {
 impl<T, I> ServedQuery<T> for ServedSharded<I>
 where
     T: Clone + Send + Sync,
-    I: ShardSearch<T> + TracedSearch<T> + Send + Sync,
+    I: ShardSearch<T> + BudgetedSearch<T> + TracedSearch<T> + Send + Sync,
 {
     fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
         let (mut results, tallies): (_, Vec<DistanceTally>) = match cmd {
@@ -332,54 +389,88 @@ where
         (all, profile, cost)
     }
 
+    fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
+        self.index.knn_budgeted(query, k, budget)
+    }
+
     fn item(&self, id: usize) -> Option<T> {
         self.index.get(id).cloned()
     }
 }
 
+/// Builds `items` with `build` — as one index when `shards == 1`,
+/// otherwise partitioned round-robin into `shards` sub-indexes answered
+/// scatter-gather — and returns it with its construction cost, summed
+/// over the built indexes' `build_distances`. A single index builds
+/// under the `threads` policy; the sharded build fans one worker per
+/// shard through it and keeps each sub-build sequential, so the worker
+/// budget is not oversubscribed.
+pub(crate) fn build_served<T, S>(
+    items: Vec<T>,
+    shards: usize,
+    threads: Threads,
+    build: impl Fn(Vec<T>, Threads) -> vantage_core::Result<S> + Sync,
+    build_distances: impl Fn(&S) -> u64,
+) -> CliResult<(Box<dyn ServedQuery<T>>, u64)>
+where
+    T: Clone + Send + Sync + 'static,
+    S: ShardSearch<T> + BudgetedSearch<T> + TracedSearch<T> + Send + Sync + 'static,
+{
+    let built = |e: VantageError| err(e.to_string());
+    if shards == 0 {
+        return Err(err("--shards must be at least 1"));
+    }
+    if shards == 1 {
+        let index = build(items, threads).map_err(built)?;
+        let cost = build_distances(&index);
+        return Ok((Box::new(ServedSingle::<S, T>::new(index)), cost));
+    }
+    let index = ShardedIndex::build(items, shards, threads, |_, part| {
+        build(part, Threads::SEQUENTIAL)
+    })
+    .map_err(built)?;
+    let cost = index.shards().iter().map(build_distances).sum();
+    Ok((Box::new(ServedSharded { index }), cost))
+}
+
 /// Serves a loaded snapshot index: as is when `shards == 1`, otherwise
 /// re-partitioned. Sharding copies the items out of the loaded index by
-/// id, distributes them round-robin and rebuilds each part with
-/// `build` (the same structure under the CLI's standard build
-/// parameters). Exact scatter-gather answers are bit-identical to the
-/// unsharded index, so clients (and the smoke harness's expected
-/// replies) cannot tell the difference. Returns the index and its layout
-/// label (`layout` unsharded, `decoded` sharded).
+/// id and rebuilds them with `build` through [`build_served`] (the same
+/// structure under the CLI's standard build parameters). Exact
+/// scatter-gather answers are bit-identical to the unsharded index, so
+/// clients (and the smoke harness's expected replies) cannot tell the
+/// difference. Returns the index and its layout label (`layout`
+/// unsharded, `decoded` sharded).
 fn serve_loaded<T, Q, I, S>(
     index: I,
     layout: &'static str,
     shards: usize,
     threads: Threads,
-    build: impl Fn(Vec<T>) -> vantage_core::Result<S> + Sync,
+    build: impl Fn(Vec<T>, Threads) -> vantage_core::Result<S> + Sync,
 ) -> CliResult<(Box<dyn ServedQuery<T>>, &'static str)>
 where
     T: Borrow<Q> + Clone + Send + Sync + 'static,
     Q: ToOwned<Owned = T> + ?Sized + 'static,
-    I: MetricIndex<Q> + TracedSearch<Q> + Send + Sync + 'static,
-    S: ShardSearch<T> + TracedSearch<T> + Send + Sync + 'static,
+    I: BudgetedSearch<Q> + TracedSearch<Q> + Send + Sync + 'static,
+    S: ShardSearch<T> + BudgetedSearch<T> + TracedSearch<T> + Send + Sync + 'static,
 {
     if shards == 1 {
-        let single = ServedSingle {
-            index,
-            query: PhantomData,
-        };
-        return Ok((Box::new(single), layout));
+        return Ok((Box::new(ServedSingle::<I, Q>::new(index)), layout));
     }
     let items = (0..index.len())
         .filter_map(|id| index.get(id))
         .map(ToOwned::to_owned)
         .collect();
     drop(index);
-    let sharded = ShardedIndex::build(items, shards, threads, |_, part| build(part))
-        .map_err(|e| err(e.to_string()))?;
-    Ok((Box::new(ServedSharded { index: sharded }), "decoded"))
+    let (sharded, _) = build_served(items, shards, threads, build, |_| 0)?;
+    Ok((sharded, "decoded"))
 }
 
 /// One loaded generation: the boxed index and the labels `INFO`
 /// surfaces.
-struct LoadedIndex<T> {
-    index: Box<dyn ServedQuery<T>>,
-    items: u64,
+pub(crate) struct LoadedIndex<T> {
+    pub(crate) index: Box<dyn ServedQuery<T>>,
+    pub(crate) items: u64,
     structure: &'static str,
     /// How the generation holds its data: `mmap` (zero-copy file
     /// mapping), `read` (owned fallback behind the mapped API), or
@@ -392,14 +483,15 @@ struct LoadedIndex<T> {
 type Loader<T> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T>> + Send + Sync>;
 
 /// Loads a snapshot generation from `path` — the one snapshot loader
-/// behind gen0, `RELOAD`/`REINDEX` and `serve-smoke`. Tree snapshots
-/// are opened zero-copy: the file is mapped, verified once, and (with
-/// `shards == 1`) served in place — `open(2)` to answering queries
-/// without materializing a node. A linear scan's items are copied out.
+/// behind gen0, `RELOAD`/`REINDEX`, `serve-smoke` and `query --index`.
+/// Tree snapshots are opened zero-copy: the file is mapped, verified
+/// once, and (with `shards == 1`) served in place — `open(2)` to
+/// answering queries without materializing a node. A linear scan's
+/// items are copied out.
 /// With `shards > 1` the loaded index is re-partitioned
 /// ([`serve_loaded`]). The metric is the plain `M`: queries count their
 /// own cost ([`ServedQuery`]), so nothing wraps it.
-fn load_index_typed<T, M, K>(
+pub(crate) fn load_index_typed<T, M, K>(
     path: &str,
     shards: usize,
     seed: u64,
@@ -420,30 +512,22 @@ where
             let tree = persist::open_vp_tree::<K, M>(path).map_err(loaded)?;
             let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
-            serve_loaded(tree, layout, shards, threads, |part| {
-                VpTree::build(
-                    part,
-                    metric.clone(),
-                    vp_build_params(seed, Threads::SEQUENTIAL),
-                )
+            serve_loaded(tree, layout, shards, threads, |part, threads| {
+                VpTree::build(part, metric.clone(), vp_build_params(seed, threads))
             })?
         }
         IndexKind::MvpTree => {
             let tree = persist::open_mvp_tree::<K, M>(path).map_err(loaded)?;
             let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
-            serve_loaded(tree, layout, shards, threads, |part| {
-                MvpTree::build(
-                    part,
-                    metric.clone(),
-                    mvp_build_params(seed, Threads::SEQUENTIAL),
-                )
+            serve_loaded(tree, layout, shards, threads, |part, threads| {
+                MvpTree::build(part, metric.clone(), mvp_build_params(seed, threads))
             })?
         }
         IndexKind::Linear => {
             let scan = persist::load_linear_scan::<K, M>(path).map_err(loaded)?;
             let metric = scan.metric().clone();
-            serve_loaded(scan, "decoded", shards, threads, |part| {
+            serve_loaded(scan, "decoded", shards, threads, |part, _| {
                 Ok(LinearScan::new(part, metric.clone()))
             })?
         }
@@ -458,11 +542,7 @@ where
 
 /// One published generation of the snapshot-serving engine.
 struct StaticGen<T> {
-    index: Box<dyn ServedQuery<T>>,
-    items: u64,
-    structure: &'static str,
-    /// Data residency of this generation (`mmap`/`read`/`decoded`).
-    layout: &'static str,
+    loaded: LoadedIndex<T>,
     metrics: Arc<IndexMetrics>,
 }
 
@@ -484,13 +564,10 @@ struct StaticEngine<T> {
 }
 
 /// Ingest-serving engine: the concurrent mvp-tree swaps internally on
-/// every write. Its build and rebuilds run inside the tree, where no
-/// search sink reaches, so it counts through a shared `Counted` metric:
-/// a query's cost is a before/after delta of `probe`, which absorbs
-/// whatever runs concurrently.
+/// every write. Each query searches one pinned generation with a sink
+/// of its own, so rebuilds running beside it never leak into its cost.
 struct DynamicEngine<T, M> {
-    tree: ConcurrentMvpTree<T, Counted<M>>,
-    probe: Counted<M>,
+    tree: ConcurrentMvpTree<T, M>,
     metrics: Arc<IndexMetrics>,
 }
 
@@ -670,23 +747,10 @@ where
     let load_start = Instant::now();
     let loaded = loader(path)?;
     let metrics = registry.index("serve/gen0");
-    metrics.record(
-        OpKind::SnapshotLoad,
-        load_start.elapsed(),
-        CostDelta {
-            computations: info.bytes,
-            ..CostDelta::default()
-        },
-    );
+    record_snapshot_load(&metrics, load_start, info.bytes);
     registry.gauge("serve/gen0/loaded_unix_ms").set(unix_ms());
     let engine = Engine::<T, M>::Static(StaticEngine {
-        cell: SwapCell::new(StaticGen {
-            index: loaded.index,
-            items: loaded.items,
-            structure: loaded.structure,
-            layout: loaded.layout,
-            metrics,
-        }),
+        cell: SwapCell::new(StaticGen { loaded, metrics }),
         source: Mutex::new(path.to_string()),
         item_tag: info.item.clone(),
         metric_tag: info.metric.clone(),
@@ -731,20 +795,13 @@ where
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     let registry = MetricsRegistry::new();
-    let counted = Counted::new(metric);
-    let probe = counted.clone();
     let build_start = Instant::now();
     let tree =
-        ConcurrentMvpTree::with_items(items, counted, mvp_build_params(opts.seed, opts.threads))
+        ConcurrentMvpTree::with_items(items, metric, mvp_build_params(opts.seed, opts.threads))
             .map_err(|e| err(e.to_string()))?;
     let metrics = registry.index("serve/dynamic");
-    metrics.record(OpKind::Build, build_start.elapsed(), probe.totals().into());
-    probe.reset();
-    let engine = Engine::Dynamic(DynamicEngine {
-        tree,
-        probe,
-        metrics,
-    });
+    record_build(&metrics, build_start, tree.build_distances());
+    let engine = Engine::Dynamic(DynamicEngine { tree, metrics });
     run_server(engine, registry, metric_name, opts, out)
 }
 
@@ -1097,7 +1154,7 @@ impl QueryCmd {
         }
     }
 
-    fn op_kind(&self) -> OpKind {
+    pub(crate) fn op_kind(&self) -> OpKind {
         match self {
             QueryCmd::Range(_) | QueryCmd::Beyond(_) => OpKind::Range,
             QueryCmd::Knn(_) | QueryCmd::Kfn(_) => OpKind::Knn,
@@ -1151,40 +1208,32 @@ where
             let start = Instant::now();
             let (results, cost) = match rec.as_mut() {
                 Some(r) => {
-                    let (results, descent, cost) = guard.index.execute_traced(cmd, query, r);
+                    let (results, descent, cost) = guard.loaded.index.execute_traced(cmd, query, r);
                     profile = Some(descent);
                     (results, cost)
                 }
-                None => guard.index.execute(cmd, query),
+                None => guard.loaded.index.execute(cmd, query),
             };
             let elapsed = start.elapsed();
             guard.metrics.record(cmd.op_kind(), elapsed, cost.into());
             (guard.generation(), results, (start, elapsed, cost))
         }
         Engine::Dynamic(engine) => {
+            // Pin one generation, as above; its number is the one the
+            // query read, whatever writes publish meanwhile.
             let snapshot = engine.tree.read();
-            let before = engine.probe.totals();
-            let timer = rec.as_mut().map(|r| r.begin());
             let start = Instant::now();
-            let mut results = match cmd {
-                QueryCmd::Range(radius) => snapshot.range(query, *radius),
-                QueryCmd::Knn(k) => snapshot.knn(query, *k),
-                QueryCmd::Beyond(radius) => snapshot.range_beyond(query, *radius),
-                QueryCmd::Kfn(k) => snapshot.k_farthest(query, *k),
+            let (results, cost) = match rec.as_mut() {
+                Some(r) => {
+                    let (results, descent, cost) = search_traced(&*snapshot, cmd, query, r);
+                    profile = Some(descent);
+                    (results, cost)
+                }
+                None => search(&*snapshot, cmd, query),
             };
-            if matches!(cmd, QueryCmd::Range(_) | QueryCmd::Beyond(_)) {
-                results.sort_unstable();
-            }
             let elapsed = start.elapsed();
-            let cost = engine.probe.totals().since(&before);
-            if let (Some(r), Some(timer)) = (rec.as_mut(), timer) {
-                // The dynamic snapshot answers as one unit (no per-shard
-                // scatter, no descent sink), so one search span carries
-                // the whole probe delta.
-                r.record("search", None, timer, cost);
-            }
             engine.metrics.record(cmd.op_kind(), elapsed, cost.into());
-            (engine.tree.generation(), results, (start, elapsed, cost))
+            (snapshot.generation(), results, (start, elapsed, cost))
         }
     };
     let reply = match rec.as_mut() {
@@ -1255,11 +1304,11 @@ where
             let guard = engine.cell.read();
             format!(
                 "OK mode=static structure={} metric={} items={} shards={} layout={} generation={} swaps={} simd={} uptime_s={}",
-                guard.structure,
+                guard.loaded.structure,
                 shared.metric_name,
-                guard.items,
+                guard.loaded.items,
                 engine.shards,
-                guard.layout,
+                guard.loaded.layout,
                 guard.generation(),
                 engine.cell.swaps(),
                 vantage_core::simd::active_name(),
@@ -1342,27 +1391,13 @@ where
     let loaded = (engine.loader)(path).map_err(|e| e.to_string())?;
     let next_gen = engine.cell.generation() + 1;
     let metrics = shared.registry.index(&format!("serve/gen{next_gen}"));
-    metrics.record(
-        OpKind::SnapshotLoad,
-        load_start.elapsed(),
-        CostDelta {
-            computations: info.bytes,
-            ..CostDelta::default()
-        },
-    );
+    record_snapshot_load(&metrics, load_start, info.bytes);
     shared
         .registry
         .gauge(&format!("serve/gen{next_gen}/loaded_unix_ms"))
         .set(unix_ms());
-    let items = loaded.items;
-    let layout = loaded.layout;
-    let retired = engine.cell.swap(StaticGen {
-        index: loaded.index,
-        items: loaded.items,
-        structure: loaded.structure,
-        layout: loaded.layout,
-        metrics,
-    });
+    let (items, layout) = (loaded.items, loaded.layout);
+    let retired = engine.cell.swap(StaticGen { loaded, metrics });
     let drained = retired.wait_drained(DRAIN_TIMEOUT);
     refresh_gauges(shared);
     *engine

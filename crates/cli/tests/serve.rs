@@ -258,7 +258,8 @@ fn send_all(addr: &str, lines: &[String]) {
 fn served_query_costs_are_exact_under_concurrent_load() {
     // A linear scan computes exactly n distances per KNN, so every
     // query's recorded cost must be n however many queries run beside
-    // it — each query counts its own distances, sharded or not.
+    // it — each query counts its own distances, sharded or not, and in
+    // dynamic mode whatever rebuilds run beside it.
     const N: u64 = 4000;
     const CONNECTIONS: usize = 4;
     const PER_CONNECTION: usize = 250;
@@ -324,6 +325,60 @@ fn served_query_costs_are_exact_under_concurrent_load() {
             .expect("server thread panicked")
             .expect("server failed");
     }
+
+    // Dynamic mode: a k-farthest query scans every live item, so it too
+    // costs exactly n — while a fifth connection rebuilds the tree in a
+    // loop, whose distances must not leak into any query's cost.
+    let (addr, server) = spawn_server(vec!["serve".into(), "--data".into(), data.clone()]);
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let reindexer = {
+        let (addr, stop) = (addr.clone(), std::sync::Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut rebuilds = 0;
+            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                send_all(&addr, &["REINDEX".to_string()]);
+                rebuilds += 1;
+            }
+            rebuilds
+        })
+    };
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let addr = addr.clone();
+            let lines: Vec<String> = (0..PER_CONNECTION)
+                .map(|i| {
+                    let x = (c * PER_CONNECTION + i) as f64 / 1000.0;
+                    format!("KFN 3 {x},0.5,0.25,{x},0.75,0.5,{x},0.1")
+                })
+                .collect();
+            std::thread::spawn(move || send_all(&addr, &lines))
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client panicked");
+    }
+    stop.store(true, std::sync::atomic::Ordering::Release);
+    let rebuilds = reindexer.join().expect("reindexer panicked");
+    assert!(rebuilds > 0, "no rebuild ran beside the queries");
+
+    let stats = client(&addr, "STATS");
+    let json = stats.strip_prefix("OK ").expect("STATS answers OK");
+    let snapshot = export::from_json(json).expect("STATS parses");
+    let knn = snapshot
+        .index("serve/dynamic")
+        .and_then(|i| i.op(vantage_telemetry::OpKind::Knn))
+        .expect("knn recorded");
+    let count = (CONNECTIONS * PER_CONNECTION) as u64;
+    assert_eq!(knn.ops, count, "dynamic");
+    assert_eq!(knn.distances.min, N, "dynamic");
+    assert_eq!(knn.distances.max, N, "dynamic");
+    assert_eq!(knn.distances.sum, count * N, "dynamic");
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+
     for p in [&data, &snap] {
         let _ = std::fs::remove_file(p);
     }

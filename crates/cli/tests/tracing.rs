@@ -264,9 +264,6 @@ fn traced_replies_are_byte_identical_and_shard_spans_sum_to_totals() {
 
     // Pull captured traces: every sampled static-sharded trace must hold
     // one parse span, one span per shard, a merge and a reply span.
-    // (Distance deltas are NOT checked here: the `Counted` probe is
-    // shared across in-flight requests, so spans captured during the
-    // 4-thread smoke run legitimately absorb concurrent work.)
     let slow = ok_json(&conn.send("SLOW 64"));
     let records = slow.as_array().expect("array");
     assert!(!records.is_empty(), "no traces captured");
@@ -294,9 +291,9 @@ fn traced_replies_are_byte_identical_and_shard_spans_sum_to_totals() {
 
     // With the server now quiescent (smoke connections closed, this is
     // the only client), issue one fresh query and check the acceptance
-    // contract: the Counted deltas bracketed around its shard spans sum
-    // exactly to the descent profile's own tallies — two independent
-    // measurement channels agreeing. k=7 is unique to this query (the
+    // contract: the tallies its shard spans carry sum exactly to the
+    // descent profile's own counts — two independent measurement
+    // channels agreeing. k=7 is unique to this query (the
     // smoke workload uses k=5 and k=3), so its record is unambiguous.
     let reply = conn.send("KNN 7 0.123,0.456,0.789,0.321");
     assert!(reply.starts_with("OK "), "{reply}");
@@ -507,8 +504,23 @@ fn dynamic_mode_traces_carry_a_single_search_span() {
     assert!(names.contains(&"search"), "{names:?}");
     assert!(names.contains(&"reply"), "{names:?}");
     assert!(!names.contains(&"shard"), "{names:?}");
-    // Dynamic snapshots answer without a descent sink: no profile.
-    assert!(records[0].get("profile").is_none());
+    // The pinned generation answers through a descent sink as well: the
+    // profile's per-role counts sum to the search span's own tally.
+    let profile = records[0]
+        .get("profile")
+        .expect("dynamic traces carry a profile");
+    let roles = profile.get("distances").expect("per-role distances");
+    let role_sum: u64 = ["vantage-point", "leaf-candidate"]
+        .iter()
+        .map(|role| roles.get(role).and_then(Json::as_u64).unwrap_or(0))
+        .sum();
+    let search_distances = spans
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("search"))
+        .and_then(|s| s.get("distances"))
+        .and_then(Json::as_u64);
+    assert!(role_sum > 0);
+    assert_eq!(Some(role_sum), search_distances);
     assert_eq!(conn.send("SHUTDOWN"), "OK bye");
     server.join().unwrap().unwrap();
     let _ = std::fs::remove_file(&data);

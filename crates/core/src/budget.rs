@@ -11,7 +11,9 @@
 //!
 //! * the budget counts **distance computations** (the paper's cost
 //!   model), including early-abandoned ones — exactly what
-//!   [`Counted`](crate::counting::Counted) tallies;
+//!   [`Counted`](crate::counting::Counted) tallies — and the answer
+//!   reports the search's whole cost, abandons included
+//!   ([`BudgetedKnn::cost`]), as a traced search's sink would;
 //! * with an [unlimited](SearchBudget::UNLIMITED) budget the traversal is
 //!   the exact search, bit-identical results included;
 //! * `estimated_recall` is in `[0, 1]`, and equals `1.0` **only when the
@@ -20,11 +22,13 @@
 //!   unexplored work (so nothing unseen could improve the answer's
 //!   distances).
 
+use crate::counting::{DistanceTally, DistanceTotals};
 use crate::index::MetricIndex;
 use crate::knn::KnnCollector;
 use crate::linear::LinearScan;
 use crate::metric::BoundedMetric;
 use crate::query::Neighbor;
+use crate::trace::{DistanceRole, TraceSink};
 
 /// A cap on the distance computations one query may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,14 +61,17 @@ impl SearchBudget {
 /// Mutable charging state threaded through one budgeted traversal.
 ///
 /// Implementations call [`try_charge`](BudgetMeter::try_charge)
-/// immediately **before** each distance computation; the first refused
-/// charge marks the meter exhausted and the traversal switches from
-/// searching to folding lower bounds of the unexplored frontier into the
-/// recall estimate.
+/// immediately **before** each distance computation, and
+/// [`abandon`](BudgetMeter::abandon) for each one the bounded kernel
+/// cuts short; the first refused charge marks the meter exhausted and
+/// the traversal switches from searching to folding lower bounds of the
+/// unexplored frontier into the recall estimate.
 #[derive(Debug, Clone)]
 pub struct BudgetMeter {
     remaining: u64,
-    spent: u64,
+    /// Every charged computation and every abandon, in the same units a
+    /// traced search's [`DistanceTally`] reads.
+    tally: DistanceTally,
     exhausted: bool,
 }
 
@@ -73,7 +80,7 @@ impl BudgetMeter {
     pub fn new(budget: SearchBudget) -> Self {
         BudgetMeter {
             remaining: budget.max_distances,
-            spent: 0,
+            tally: DistanceTally::new(),
             exhausted: false,
         }
     }
@@ -86,13 +93,21 @@ impl BudgetMeter {
             return false;
         }
         self.remaining -= 1;
-        self.spent += 1;
+        self.tally.add_computations(1);
         true
+    }
+
+    /// Records that a charged computation was abandoned early after
+    /// doing `work` of a full evaluation (the fraction
+    /// [`BoundedMetric::distance_within_frac`] returns).
+    #[inline]
+    pub fn abandon(&mut self, work: f64) {
+        self.tally.abandon(DistanceRole::Candidate, work);
     }
 
     /// Distance computations charged so far.
     pub fn spent(&self) -> u64 {
-        self.spent
+        self.tally.totals().computations
     }
 
     /// Whether a charge has been refused: the search wanted more
@@ -100,6 +115,17 @@ impl BudgetMeter {
     /// spending exactly its budget is *not* exhausted.
     pub fn exhausted(&self) -> bool {
         self.exhausted
+    }
+
+    /// The answer of the traversal this meter charged.
+    pub fn finish(&self, neighbors: Vec<Neighbor>, estimated_recall: f64) -> BudgetedKnn {
+        BudgetedKnn {
+            neighbors,
+            estimated_recall,
+            exhausted: self.exhausted,
+            spent: self.spent(),
+            tally: self.tally,
+        }
     }
 }
 
@@ -117,6 +143,36 @@ pub struct BudgetedKnn {
     pub exhausted: bool,
     /// Distance computations actually spent.
     pub spent: u64,
+    /// The spend with its early abandons; see [`cost`](BudgetedKnn::cost).
+    tally: DistanceTally,
+}
+
+impl BudgetedKnn {
+    /// The search's whole distance cost: [`spent`](BudgetedKnn::spent)
+    /// computations, of which the bounded kernel abandoned some early.
+    /// It reads exactly what a [`Counted`](crate::Counted) metric would
+    /// charge the same search.
+    pub fn cost(&self) -> DistanceTotals {
+        self.tally.totals()
+    }
+
+    /// A merged answer that charges what its `parts` (the per-shard
+    /// answers it was merged from) charged.
+    pub fn merged(
+        neighbors: Vec<Neighbor>,
+        estimated_recall: f64,
+        exhausted: bool,
+        parts: impl IntoIterator<Item = BudgetedKnn>,
+    ) -> BudgetedKnn {
+        let tally: DistanceTally = parts.into_iter().map(|p| p.tally).sum();
+        BudgetedKnn {
+            neighbors,
+            estimated_recall,
+            exhausted,
+            spent: tally.totals().computations,
+            tally,
+        }
+    }
 }
 
 /// Best-effort kNN under a distance-computation budget.
@@ -174,12 +230,7 @@ pub fn finish_budgeted(
             ((certain as f64 + gamma * uncertain as f64) / k_eff as f64).clamp(0.0, 1.0)
         }
     };
-    BudgetedKnn {
-        neighbors,
-        estimated_recall,
-        exhausted: meter.exhausted(),
-        spent: meter.spent(),
-    }
+    meter.finish(neighbors, estimated_recall)
 }
 
 impl<T, M: BoundedMetric<T>> BudgetedSearch<T> for LinearScan<T, M> {
@@ -198,11 +249,14 @@ impl<T, M: BoundedMetric<T>> BudgetedSearch<T> for LinearScan<T, M> {
                 break;
             }
             examined += 1;
-            if let (Some(d), _) =
-                self.metric()
-                    .distance_within_frac(query, item, collector.radius())
+            match self
+                .metric()
+                .distance_within_frac(query, item, collector.radius())
             {
-                collector.offer(id, d);
+                (Some(d), _) => {
+                    collector.offer(id, d);
+                }
+                (None, work) => meter.abandon(work),
             }
         }
         let estimated_recall = if !meter.exhausted() || k.min(n) == 0 {
@@ -210,12 +264,7 @@ impl<T, M: BoundedMetric<T>> BudgetedSearch<T> for LinearScan<T, M> {
         } else {
             (examined as f64 / n.max(1) as f64).clamp(0.0, 1.0)
         };
-        BudgetedKnn {
-            neighbors: collector.into_sorted(),
-            estimated_recall,
-            exhausted: meter.exhausted(),
-            spent: meter.spent(),
-        }
+        meter.finish(collector.into_sorted(), estimated_recall)
     }
 }
 

@@ -5,8 +5,10 @@
 //! distance computations as the cost measure."* [`Counted`] wraps any
 //! metric and counts every evaluation, letting the experiment harness
 //! reproduce the paper's y-axes exactly. [`DistanceTally`] charges the
-//! same cost to one search at a time, through the search's
-//! [`TraceSink`] instead of the metric.
+//! same cost to one search (or one construction) at a time, through the
+//! search's [`TraceSink`] instead of the metric — the form every index
+//! and the CLI count in; `Counted` remains the adapter for experiments
+//! and tests that need a count no search hands back.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -248,14 +250,29 @@ impl DistanceTally {
             abandoned_work: units_to_work(self.abandoned_work),
         }
     }
+
+    /// Charges `n` completed evaluations at once, for code that counts
+    /// the distances it computes itself rather than reporting them one
+    /// by one — a construction sweep charges its whole working set.
+    #[inline]
+    pub fn add_computations(&mut self, n: u64) {
+        self.computations += n;
+    }
+}
+
+impl std::ops::AddAssign for DistanceTally {
+    fn add_assign(&mut self, other: DistanceTally) {
+        self.computations += other.computations;
+        self.abandoned += other.abandoned;
+        self.abandoned_work += other.abandoned_work;
+    }
 }
 
 impl std::iter::Sum for DistanceTally {
     fn sum<I: Iterator<Item = DistanceTally>>(iter: I) -> Self {
-        iter.fold(DistanceTally::new(), |acc, t| DistanceTally {
-            computations: acc.computations + t.computations,
-            abandoned: acc.abandoned + t.abandoned,
-            abandoned_work: acc.abandoned_work + t.abandoned_work,
+        iter.fold(DistanceTally::new(), |mut acc, t| {
+            acc += t;
+            acc
         })
     }
 }

@@ -106,8 +106,8 @@ pub use span::{Sampler, SpanRecord, SpanRecorder, SpanTimer, TraceId};
 pub use stats::DistanceHistogram;
 pub use swap::{Retired, SwapCell, SwapGuard};
 pub use trace::{
-    BoundStats, DistanceRole, LevelStats, NoTrace, PruneReason, QueryProfile, SearchProfiler,
-    TraceSink,
+    BoundStats, DistanceRole, EventLog, LevelStats, NoTrace, PruneReason, QueryProfile,
+    SearchProfiler, TraceEvent, TraceSink,
 };
 
 /// Convenience re-exports for downstream crates and examples.
@@ -137,7 +137,7 @@ pub mod prelude {
     pub use crate::stats::DistanceHistogram;
     pub use crate::swap::{Retired, SwapCell, SwapGuard};
     pub use crate::trace::{
-        BoundStats, DistanceRole, LevelStats, NoTrace, PruneReason, QueryProfile, SearchProfiler,
-        TraceSink,
+        BoundStats, DistanceRole, EventLog, LevelStats, NoTrace, PruneReason, QueryProfile,
+        SearchProfiler, TraceEvent, TraceSink,
     };
 }

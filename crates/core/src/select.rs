@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::RngExt;
 
+use crate::counting::DistanceTally;
 use crate::metric::Metric;
 use crate::{Result, VantageError};
 
@@ -60,9 +61,9 @@ impl VantageSelector {
     /// Picks the index *within `ids`* of the vantage point.
     ///
     /// `items` is the backing arena the ids refer into. Distance
-    /// computations made here happen at construction time (they are
-    /// counted by a wrapping [`Counted`](crate::Counted) like all
-    /// others, mirroring the paper's construction-cost accounting).
+    /// computations made here happen at construction time; each one is
+    /// charged to `tally`, the builder's construction-cost count,
+    /// mirroring the paper's construction-cost accounting.
     ///
     /// # Panics
     ///
@@ -73,6 +74,7 @@ impl VantageSelector {
         ids: &[u32],
         metric: &M,
         rng: &mut StdRng,
+        tally: &mut DistanceTally,
     ) -> usize {
         assert!(
             !ids.is_empty(),
@@ -107,6 +109,7 @@ impl VantageSelector {
                             if probe >= cand_idx {
                                 probe += 1;
                             }
+                            tally.add_computations(1);
                             metric.distance(cand, &items[ids[probe] as usize])
                         })
                         .collect();
@@ -134,6 +137,11 @@ mod tests {
     use crate::prelude::*;
     use rand::SeedableRng;
 
+    /// `select` under Euclidean distance, with a throwaway tally.
+    fn pick(sel: VantageSelector, items: &[Vec<f64>], ids: &[u32], rng: &mut StdRng) -> usize {
+        sel.select(items, ids, &Euclidean, rng, &mut DistanceTally::new())
+    }
+
     fn arena() -> Vec<Vec<f64>> {
         (0..20).map(|i| vec![f64::from(i)]).collect()
     }
@@ -143,22 +151,19 @@ mod tests {
         let items = arena();
         let ids: Vec<u32> = (0..20).collect();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
-            VantageSelector::FirstItem.select(&items, &ids, &Euclidean, &mut rng),
-            0
-        );
+        assert_eq!(pick(VantageSelector::FirstItem, &items, &ids, &mut rng), 0);
     }
 
     #[test]
     fn random_is_in_range_and_seed_deterministic() {
         let items = arena();
         let ids: Vec<u32> = (0..20).collect();
-        let pick = |seed| {
+        let draw = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            VantageSelector::Random.select(&items, &ids, &Euclidean, &mut rng)
+            pick(VantageSelector::Random, &items, &ids, &mut rng)
         };
-        assert!(pick(7) < 20);
-        assert_eq!(pick(7), pick(7));
+        assert!(draw(7) < 20);
+        assert_eq!(draw(7), draw(7));
     }
 
     #[test]
@@ -175,7 +180,7 @@ mod tests {
         let mut outer = 0;
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let idx = sel.select(&items, &ids, &Euclidean, &mut rng);
+            let idx = pick(sel, &items, &ids, &mut rng);
             let value = items[ids[idx] as usize][0];
             if !(10.0..20.0).contains(&value) {
                 outer += 1;
@@ -193,12 +198,14 @@ mod tests {
         let ids: Vec<u32> = (0..20).collect();
         let metric = Counted::new(Euclidean);
         let mut rng = StdRng::seed_from_u64(3);
+        let mut tally = DistanceTally::new();
         VantageSelector::SampledSpread {
             candidates: 4,
             sample: 5,
         }
-        .select(&items, &ids, &metric, &mut rng);
+        .select(&items, &ids, &metric, &mut rng, &mut tally);
         assert_eq!(metric.count(), 20);
+        assert_eq!(tally.totals().computations, 20);
     }
 
     /// Records every (candidate, probe) pair the selector evaluates.
@@ -222,7 +229,7 @@ mod tests {
                 candidates: 6,
                 sample: 8,
             }
-            .select(&items, &ids, &metric, &mut rng);
+            .select(&items, &ids, &metric, &mut rng, &mut DistanceTally::new());
         }
         let calls = metric.0.borrow();
         assert!(!calls.is_empty());
@@ -245,7 +252,7 @@ mod tests {
             candidates: 100,
             sample: 2,
         }
-        .select(&items, &ids, &metric, &mut rng);
+        .select(&items, &ids, &metric, &mut rng, &mut DistanceTally::new());
         let calls = metric.0.borrow();
         assert_eq!(calls.len(), 20 * 2, "budget is min(candidates, n) × sample");
         let mut seen: Vec<f64> = calls.iter().map(|(cand, _)| *cand).collect();
@@ -258,11 +265,15 @@ mod tests {
     fn sampled_spread_two_items_is_well_defined() {
         let items = arena();
         let mut rng = StdRng::seed_from_u64(4);
-        let idx = VantageSelector::SampledSpread {
-            candidates: 5,
-            sample: 5,
-        }
-        .select(&items, &[3, 9], &Euclidean, &mut rng);
+        let idx = pick(
+            VantageSelector::SampledSpread {
+                candidates: 5,
+                sample: 5,
+            },
+            &items,
+            &[3, 9],
+            &mut rng,
+        );
         assert!(idx < 2);
     }
 
@@ -288,7 +299,7 @@ mod tests {
     fn empty_ids_panics() {
         let items = arena();
         let mut rng = StdRng::seed_from_u64(0);
-        VantageSelector::Random.select(&items, &[], &Euclidean, &mut rng);
+        pick(VantageSelector::Random, &items, &[], &mut rng);
     }
 
     #[test]
@@ -303,7 +314,7 @@ mod tests {
                 sample: 3,
             },
         ] {
-            assert_eq!(sel.select(&items, &[5], &Euclidean, &mut rng), 0);
+            assert_eq!(pick(sel, &items, &[5], &mut rng), 0);
         }
     }
 }

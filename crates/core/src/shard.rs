@@ -506,8 +506,8 @@ impl<T: Sync, I: ShardSearch<T> + BudgetedSearch<T> + Sync> BudgetedSearch<T> fo
         let mut all: Vec<Neighbor> = Vec::new();
         let mut estimated_recall = 0.0;
         let mut exhausted = false;
-        let mut spent = 0u64;
-        for (idx, out) in per_shard.into_iter().enumerate() {
+        let mut parts = Vec::with_capacity(s);
+        for (idx, mut out) in per_shard.into_iter().enumerate() {
             let weight = if self.len == 0 {
                 0.0
             } else {
@@ -515,8 +515,12 @@ impl<T: Sync, I: ShardSearch<T> + BudgetedSearch<T> + Sync> BudgetedSearch<T> fo
             };
             estimated_recall += weight * out.estimated_recall;
             exhausted |= out.exhausted;
-            spent += out.spent;
-            all.extend(out.neighbors.into_iter().map(|n| self.remap(idx, n)));
+            all.extend(
+                std::mem::take(&mut out.neighbors)
+                    .into_iter()
+                    .map(|n| self.remap(idx, n)),
+            );
+            parts.push(out);
         }
         // No shard ran out → every shard's answer is exact, and so is
         // the merge: report exactly 1.0 rather than the weighted sum,
@@ -526,12 +530,7 @@ impl<T: Sync, I: ShardSearch<T> + BudgetedSearch<T> + Sync> BudgetedSearch<T> fo
         }
         all.sort_unstable();
         all.truncate(k);
-        BudgetedKnn {
-            neighbors: all,
-            estimated_recall: estimated_recall.clamp(0.0, 1.0),
-            exhausted,
-            spent,
-        }
+        BudgetedKnn::merged(all, estimated_recall.clamp(0.0, 1.0), exhausted, parts)
     }
 }
 

@@ -18,12 +18,12 @@
 //!   subtrees pruned (with the triangle-inequality bound that justified
 //!   each prune), distance computations split by [`DistanceRole`], leaf
 //!   candidates rejected per filter stage, and per-level fanout.
+//! * [`EventLog`] — a sink that retains every individual prune/reject
+//!   event, in occurrence order, for fine-grained analysis. Pair it with
+//!   a profile, `(QueryProfile, EventLog)`, to get both views of one
+//!   search.
 //! * [`SearchProfiler`] — a multi-query aggregator with merge/percentile
 //!   support, modeled on [`DistanceHistogram`](crate::DistanceHistogram).
-//!
-//! With the `trace` cargo feature enabled, [`QueryProfile`] additionally
-//! retains every individual prune/reject event (`QueryProfile::events`)
-//! for fine-grained analysis; the aggregate counters are always available.
 //!
 //! Tracing never changes *what* a search computes: answers and distance
 //! totals are bit-identical with any sink (the workspace's
@@ -292,10 +292,7 @@ pub struct LevelStats {
     pub pruned: u64,
 }
 
-/// One retained prune/reject event (only collected with the `trace`
-/// cargo feature; the aggregate counters in [`QueryProfile`] are always
-/// available).
-#[cfg(feature = "trace")]
+/// One prune/reject event, as retained by an [`EventLog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Depth of the pruned subtree's root (0 for leaf-candidate rejects,
@@ -322,8 +319,6 @@ pub struct QueryProfile {
     prunes: [BoundStats; PruneReason::COUNT],
     rejects: [BoundStats; PruneReason::COUNT],
     levels: Vec<LevelStats>,
-    #[cfg(feature = "trace")]
-    events: Vec<TraceEvent>,
 }
 
 impl QueryProfile {
@@ -443,14 +438,6 @@ impl QueryProfile {
             dst.visited += src.visited;
             dst.pruned += src.pruned;
         }
-        #[cfg(feature = "trace")]
-        self.events.extend_from_slice(&other.events);
-    }
-
-    /// Every retained prune/reject event, in occurrence order.
-    #[cfg(feature = "trace")]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
     }
 }
 
@@ -475,7 +462,36 @@ impl TraceSink for QueryProfile {
     fn prune(&mut self, level: u32, reason: PruneReason, bound: f64) {
         self.prunes[reason as usize].record(bound);
         self.level_mut(level).pruned += 1;
-        #[cfg(feature = "trace")]
+    }
+
+    fn reject(&mut self, reason: PruneReason, bound: f64) {
+        self.rejects[reason as usize].record(bound);
+    }
+}
+
+/// A [`TraceSink`] that retains every prune/reject event of the searches
+/// it observes, in occurrence order. It keeps nothing else: pair it with
+/// a [`QueryProfile`] — `(QueryProfile, EventLog)` is itself a sink — to
+/// get the aggregate counters as well.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EventLog {
+    events: Vec<TraceEvent>,
+}
+
+impl EventLog {
+    /// Creates an empty log.
+    pub fn new() -> Self {
+        EventLog::default()
+    }
+
+    /// Every retained event, in occurrence order.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
+    }
+}
+
+impl TraceSink for EventLog {
+    fn prune(&mut self, level: u32, reason: PruneReason, bound: f64) {
         self.events.push(TraceEvent {
             level,
             reason,
@@ -485,8 +501,6 @@ impl TraceSink for QueryProfile {
     }
 
     fn reject(&mut self, reason: PruneReason, bound: f64) {
-        self.rejects[reason as usize].record(bound);
-        #[cfg(feature = "trace")]
         self.events.push(TraceEvent {
             level: 0,
             reason,
@@ -713,20 +727,24 @@ mod tests {
         assert!(s.mean().is_nan());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
-    fn trace_feature_retains_individual_events() {
-        let mut p = QueryProfile::new();
-        p.prune(2, PruneReason::Hyperplane, 4.0);
-        p.reject(PruneReason::PathFilter, 1.0);
-        let events = p.events();
+    fn event_log_retains_individual_events_beside_a_profile() {
+        let mut sink = (QueryProfile::new(), EventLog::new());
+        sink.enter_node(0, false);
+        sink.distance(DistanceRole::Vantage);
+        sink.prune(2, PruneReason::Hyperplane, 4.0);
+        sink.reject(PruneReason::PathFilter, 1.0);
+        let (profile, log) = sink;
+        let events = log.events();
         assert_eq!(events.len(), 2);
         assert!(events[0].subtree);
         assert_eq!(events[0].level, 2);
         assert_eq!(events[0].reason, PruneReason::Hyperplane);
+        assert_eq!(events[0].bound, 4.0);
         assert!(!events[1].subtree);
-        let mut q = QueryProfile::new();
-        q.merge(&p);
-        assert_eq!(q.events().len(), 2);
+        assert_eq!(events[1].reason, PruneReason::PathFilter);
+        assert_eq!(profile.subtrees_pruned(), 1);
+        assert_eq!(profile.candidates_rejected(), 1);
+        assert_eq!(profile.total_distances(), 1);
     }
 }

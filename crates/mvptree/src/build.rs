@@ -19,6 +19,10 @@
 //! Construction cost: two distance computations per (node, descendant)
 //! pair — `O(n log_{m²} n × 2) = O(n log_m n)` as the paper states, and
 //! it is exactly these distances whose first `p` entries the leaves keep.
+//! The builder counts them itself, in a [`DistanceTally`] threaded
+//! through the recursion (one per parallel job, summed as the arenas are
+//! spliced), and the tree reports the total as
+//! [`MvpTree::build_distances`].
 //!
 //! ## Parallel construction
 //!
@@ -46,7 +50,7 @@ use rand::{RngExt, SeedableRng};
 
 use vantage_core::parallel::{fork_join, par_map_slice, share_workers};
 use vantage_core::util::{checked_item_count, split_into_quantiles};
-use vantage_core::{Metric, Result};
+use vantage_core::{DistanceTally, Metric, Result};
 
 use crate::arena::MvpArena;
 use crate::params::{MvpParams, SecondVantage};
@@ -93,7 +97,8 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
             metric: &metric,
             params: &params,
         };
-        let root = builder.build_subtree(ids, &mut rng, workers, &mut arena);
+        let mut tally = DistanceTally::new();
+        let root = builder.build_subtree(ids, &mut rng, workers, &mut arena, &mut tally);
         // Store the items in the arena's row order, so each leaf scan
         // reads one contiguous block: one in-place permutation, no clone.
         let rows = arena.view().id_rows(items.len());
@@ -105,6 +110,7 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
             arena,
             root,
             params,
+            build_distances: tally.totals().computations,
         })
     }
 }
@@ -123,8 +129,16 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
     }
 
     /// Computes each member's distance to `vantage` (in parallel when the
-    /// group is large enough) and appends it to PATHs shorter than `p`.
-    fn sweep(&self, vantage: u32, members: &mut [PathedId], workers: usize) -> Vec<f64> {
+    /// group is large enough), charging them to `tally`, and appends it
+    /// to PATHs shorter than `p`.
+    fn sweep(
+        &self,
+        vantage: u32,
+        members: &mut [PathedId],
+        workers: usize,
+        tally: &mut DistanceTally,
+    ) -> Vec<f64> {
+        tally.add_computations(members.len() as u64);
         let distance_to = |e: &PathedId| self.distance_between(vantage, e.id);
         let distances = if workers > 1 && members.len() >= PARALLEL_SWEEP_MIN {
             par_map_slice(workers, members, distance_to)
@@ -140,19 +154,21 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
     }
 
     /// Builds the subtree over `ids` into `arena` (DFS preorder), using up
-    /// to `workers` threads, and returns the subtree root's arena id.
+    /// to `workers` threads, charges its distance computations to
+    /// `tally`, and returns the subtree root's arena id.
     fn build_subtree(
         &self,
         ids: Vec<PathedId>,
         rng: &mut StdRng,
         workers: usize,
         arena: &mut MvpArena,
+        tally: &mut DistanceTally,
     ) -> Option<u32> {
         if ids.is_empty() {
             return None;
         }
         if ids.len() <= self.params.k + 2 {
-            return Some(self.build_leaf(ids, rng, arena));
+            return Some(self.build_leaf(ids, rng, arena, tally));
         }
 
         let m = self.params.m;
@@ -162,12 +178,12 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         let vp1_pos = self
             .params
             .selector
-            .select(self.items, &id_view, self.metric, rng);
+            .select(self.items, &id_view, self.metric, rng, tally);
         let vp1 = id_view[vp1_pos];
         let mut rest: Vec<PathedId> = ids.into_iter().filter(|e| e.id != vp1).collect();
 
         // (3.3) Distances to vp1, feeding PATH; (3.4) split into m groups.
-        let d1 = self.sweep(vp1, &mut rest, workers);
+        let d1 = self.sweep(vp1, &mut rest, workers, tally);
         let d1_list: Vec<(PathedId, f64)> = rest.into_iter().zip(d1).collect();
         let (mut groups, cutoffs1) = split_into_quantiles(d1_list, m);
 
@@ -205,7 +221,7 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         let mut subgroups: Vec<Vec<PathedId>> = Vec::with_capacity(m * m);
         for group in groups {
             let mut members: Vec<PathedId> = group.into_iter().map(|(e, _)| e).collect();
-            let d2 = self.sweep(vp2, &mut members, workers);
+            let d2 = self.sweep(vp2, &mut members, workers, tally);
             let d2_list: Vec<(PathedId, f64)> = members.into_iter().zip(d2).collect();
             let (subs, cuts) = split_into_quantiles(d2_list, m);
             cutoffs2.extend(cuts);
@@ -239,15 +255,23 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .map(|((sub, seed), share)| {
                     move || {
                         let mut local = MvpArena::new(self.params.m);
+                        let mut local_tally = DistanceTally::new();
                         let mut child_rng = StdRng::seed_from_u64(seed);
-                        let local_root = self.build_subtree(sub, &mut child_rng, share, &mut local);
-                        (local_root, local)
+                        let local_root = self.build_subtree(
+                            sub,
+                            &mut child_rng,
+                            share,
+                            &mut local,
+                            &mut local_tally,
+                        );
+                        (local_root, local, local_tally)
                     }
                 })
                 .collect();
             fork_join(jobs)
                 .into_iter()
-                .map(|(local_root, local)| {
+                .map(|(local_root, local, local_tally)| {
+                    *tally += local_tally;
                     let offset = arena.splice(local);
                     local_root.map(|root| root + offset)
                 })
@@ -258,7 +282,7 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .zip(child_seeds)
                 .map(|(sub, seed)| {
                     let mut child_rng = StdRng::seed_from_u64(seed);
-                    self.build_subtree(sub, &mut child_rng, workers, arena)
+                    self.build_subtree(sub, &mut child_rng, workers, arena, tally)
                 })
                 .collect()
         };
@@ -267,21 +291,30 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
     }
 
     /// Builds a leaf from `1 ≤ ids.len() ≤ k + 2` points (paper step 2)
-    /// into `arena` and returns its arena id.
-    fn build_leaf(&self, ids: Vec<PathedId>, rng: &mut StdRng, arena: &mut MvpArena) -> u32 {
+    /// into `arena`, charges its distance computations to `tally`, and
+    /// returns its arena id.
+    fn build_leaf(
+        &self,
+        ids: Vec<PathedId>,
+        rng: &mut StdRng,
+        arena: &mut MvpArena,
+        tally: &mut DistanceTally,
+    ) -> u32 {
         // (2.1) First vantage point, arbitrary.
         let id_view: Vec<u32> = ids.iter().map(|e| e.id).collect();
         let vp1_pos = self
             .params
             .selector
-            .select(self.items, &id_view, self.metric, rng);
+            .select(self.items, &id_view, self.metric, rng, tally);
         let vp1 = id_view[vp1_pos];
         let mut rest: Vec<PathedId> = ids.into_iter().filter(|e| e.id != vp1).collect();
         if rest.is_empty() {
             return arena.push_leaf(vp1, None, 0);
         }
 
-        // (2.3) D1 distances.
+        // (2.3) D1 distances; (2.6) below computes as many D2 distances
+        // less the second vantage point's own.
+        tally.add_computations(2 * rest.len() as u64 - 1);
         let d1: Vec<f64> = rest
             .iter()
             .map(|e| self.distance_between(vp1, e.id))
@@ -468,7 +501,8 @@ mod tests {
         let n = 1024;
         let metric = Counted::new(Euclidean);
         let probe = metric.clone();
-        MvpTree::build(points(n), metric, MvpParams::paper(2, 1, 0).seed(1)).unwrap();
+        let tree = MvpTree::build(points(n), metric, MvpParams::paper(2, 1, 0).seed(1)).unwrap();
+        assert_eq!(tree.build_distances(), probe.count());
         let count = probe.count() as f64;
         // Two vantage points per node over log_{m²}(n) levels ≈ n·log2(n)
         // for m = 2; allow generous slack for uneven splits.

@@ -30,7 +30,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use vantage_core::swap::{Retired, SwapCell, SwapGuard};
-use vantage_core::{BoundedMetric, KfnCollector, KnnCollector, MetricIndex, Neighbor, Result};
+use vantage_core::{
+    BoundedMetric, DistanceRole, KfnCollector, KnnCollector, Neighbor, NoTrace, Result, TraceSink,
+};
 
 use crate::params::MvpParams;
 use crate::tree::MvpTree;
@@ -88,11 +90,16 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
 
     /// All items within `radius` of `query` (stable ids), exactly as
     /// [`DynamicMvpTree::range`](crate::dynamic::DynamicMvpTree::range)
-    /// would answer over the same live set.
-    pub fn range(&self, query: &T, radius: f64) -> Vec<Neighbor> {
+    /// would answer over the same live set. Every distance the search
+    /// computes is reported to `sink`: the tree's descent through
+    /// [`MvpTree::range_traced`], then one leaf-candidate evaluation per
+    /// overflow entry (and its early abandon, if any), so a
+    /// [`DistanceTally`](vantage_core::DistanceTally) reads this query's
+    /// exact cost whatever runs concurrently.
+    pub fn range<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
         let mut out = Vec::new();
         if let Some(tree) = &self.tree {
-            for n in tree.range(query, radius) {
+            for n in tree.range_traced(query, radius, sink) {
                 let stable = self.tree_ids[n.id];
                 if !self.tombstones.contains(&stable) {
                     out.push(Neighbor::new(stable, n.distance));
@@ -100,20 +107,21 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
             }
         }
         for (id, item) in &self.overflow {
-            if let Some(d) = self.metric.distance_within(query, item, radius) {
+            if let Some(d) = candidate(&self.metric, query, item, radius, sink) {
                 out.push(Neighbor::new(*id, d));
             }
         }
         out
     }
 
-    /// The `k` nearest live items (stable ids), sorted by distance.
-    pub fn knn(&self, query: &T, k: usize) -> Vec<Neighbor> {
+    /// The `k` nearest live items (stable ids), sorted by distance;
+    /// distances are reported to `sink` as in [`range`](Self::range).
+    pub fn knn<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
         let mut collector = KnnCollector::new(k);
         if let Some(tree) = &self.tree {
             // Over-fetch to survive tombstoned results: at most
             // `tree_dead` of the tree's answers can be dead.
-            for n in tree.knn(query, k.saturating_add(self.tree_dead)) {
+            for n in tree.knn_traced(query, k.saturating_add(self.tree_dead), sink) {
                 let stable = self.tree_ids[n.id];
                 if !self.tombstones.contains(&stable) {
                     collector.offer(stable, n.distance);
@@ -121,7 +129,7 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
             }
         }
         for (id, item) in &self.overflow {
-            if let Some(d) = self.metric.distance_within(query, item, collector.radius()) {
+            if let Some(d) = candidate(&self.metric, query, item, collector.radius(), sink) {
                 collector.offer(*id, d);
             }
         }
@@ -130,12 +138,19 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
 
     /// Every live item at distance **at least** `radius` from `query`
     /// (the far-neighbor complement of [`range`](Self::range)). Answered
-    /// by exhaustive scan over the live set: far-neighbor pruning needs
-    /// the static tree's shell bounds, which the churn-era overflow
-    /// entries lack, so correctness wins over pruning here.
-    pub fn range_beyond(&self, query: &T, radius: f64) -> Vec<Neighbor> {
+    /// by exhaustive scan over the live set, one leaf-candidate distance
+    /// reported to `sink` per item: far-neighbor pruning needs the
+    /// static tree's shell bounds, which the churn-era overflow entries
+    /// lack, so correctness wins over pruning here.
+    pub fn range_beyond<S: TraceSink>(
+        &self,
+        query: &T,
+        radius: f64,
+        sink: &mut S,
+    ) -> Vec<Neighbor> {
         self.live_items()
             .filter_map(|(id, item)| {
+                sink.distance(DistanceRole::Candidate);
                 let d = self.metric.distance(query, item);
                 (d >= radius).then_some(Neighbor::new(id, d))
             })
@@ -144,9 +159,10 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
 
     /// The `k` live items farthest from `query`, sorted by descending
     /// distance (exhaustive, like [`range_beyond`](Self::range_beyond)).
-    pub fn k_farthest(&self, query: &T, k: usize) -> Vec<Neighbor> {
+    pub fn k_farthest<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
         let mut collector = KfnCollector::new(k);
         for (id, item) in self.live_items() {
+            sink.distance(DistanceRole::Candidate);
             collector.offer(id, self.metric.distance(query, item));
         }
         collector.into_sorted()
@@ -166,6 +182,24 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
             });
         tree_items.chain(self.overflow.iter().map(|(id, item)| (*id, item)))
     }
+}
+
+/// One overflow entry checked against `bound` through the bounded
+/// kernel, reported to `sink` as one leaf-candidate evaluation (and an
+/// abandon when the kernel cuts it short), as a linear scan reports it.
+fn candidate<T, M: BoundedMetric<T>, S: TraceSink>(
+    metric: &M,
+    query: &T,
+    item: &T,
+    bound: f64,
+    sink: &mut S,
+) -> Option<f64> {
+    sink.distance(DistanceRole::Candidate);
+    let (d, work) = metric.distance_within_frac(query, item, bound);
+    if d.is_none() {
+        sink.abandon(DistanceRole::Candidate, work);
+    }
+    d
 }
 
 /// A shared, concurrently readable dynamic mvp-tree.
@@ -252,15 +286,25 @@ where
         self.cell.in_flight()
     }
 
+    /// Distance computations the build behind the current generation
+    /// performed: the bulk load, or the latest rebuild. Publishing a
+    /// small write computes none.
+    pub fn build_distances(&self) -> u64 {
+        self.read()
+            .tree
+            .as_ref()
+            .map_or(0, |tree| tree.build_distances())
+    }
+
     /// All live items within `radius` of `query` (stable ids), against
     /// the current generation.
     pub fn range(&self, query: &T, radius: f64) -> Vec<Neighbor> {
-        self.read().range(query, radius)
+        self.read().range(query, radius, &mut NoTrace)
     }
 
     /// The `k` nearest live items (stable ids) in the current generation.
     pub fn knn(&self, query: &T, k: usize) -> Vec<Neighbor> {
-        self.read().knn(query, k)
+        self.read().knn(query, k, &mut NoTrace)
     }
 
     /// Inserts an item, returning its stable id. May rebuild (amortized);

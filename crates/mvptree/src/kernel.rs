@@ -933,12 +933,15 @@ where
                         return false;
                     }
                     let id = entries.id(i);
-                    if let (Some(d), _) = self.metric.distance_within_frac(
+                    match self.metric.distance_within_frac(
                         self.query,
                         self.items.get(entries.row(i)),
                         collector.radius(),
                     ) {
-                        collector.offer(id as usize, d);
+                        (Some(d), _) => {
+                            collector.offer(id as usize, d);
+                        }
+                        (None, work) => state.meter.abandon(work),
                     }
                 }
                 true

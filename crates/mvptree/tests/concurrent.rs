@@ -102,7 +102,7 @@ fn pinned_snapshot_is_immutable_while_writers_churn() {
         .map(|(id, item)| (id, item.clone()))
         .collect();
     let query = pt(50.0, 50.0);
-    let before = sorted_ids(snapshot.range(&query, 30.0));
+    let before = sorted_ids(snapshot.range(&query, 30.0, &mut NoTrace));
 
     // Churn heavily: inserts, deletes, and forced rebuilds.
     for i in 0..64 {
@@ -115,7 +115,10 @@ fn pinned_snapshot_is_immutable_while_writers_churn() {
 
     // The pinned snapshot still answers from its point in time.
     assert_eq!(snapshot.len(), frozen.len());
-    assert_eq!(sorted_ids(snapshot.range(&query, 30.0)), before);
+    assert_eq!(
+        sorted_ids(snapshot.range(&query, 30.0, &mut NoTrace)),
+        before
+    );
     assert_eq!(before, brute_range(&frozen, &query, 30.0));
     // While the current generation has moved on.
     assert_ne!(tree.len(), frozen.len());
@@ -157,7 +160,7 @@ fn concurrent_readers_always_see_internally_consistent_generations() {
                     assert_eq!(snapshot.len(), live.len());
                     let query = pt(coord(&mut state), coord(&mut state));
                     assert_eq!(
-                        sorted_ids(snapshot.range(&query, 15.0)),
+                        sorted_ids(snapshot.range(&query, 15.0, &mut NoTrace)),
                         brute_range(&live, &query, 15.0),
                         "pinned generation disagreed with its own live set"
                     );
@@ -207,4 +210,55 @@ fn knn_survives_tombstones_without_losing_neighbors() {
     let got = tree.knn(&pt(0.0, 0.0), 3);
     let ids: Vec<usize> = got.iter().map(|n| n.id).collect();
     assert_eq!(ids, vec![10, 11, 12]);
+}
+
+#[test]
+fn snapshot_sinks_read_the_counted_cost_of_every_query_form() {
+    // A tree, tombstones inside it and an overflow buffer: each query
+    // form's tally must equal the distances a `Counted` metric charges,
+    // abandons included, and the build count must equal the bulk load's.
+    let params = MvpParams::paper(2, 3, 2).seed(5);
+    let mut state = 0x7a11_u64;
+    let items: Vec<Vec<f64>> = (0..300)
+        .map(|_| (0..80).map(|_| coord(&mut state)).collect())
+        .collect();
+    let metric = Counted::new(Euclidean);
+    let probe = metric.clone();
+    let tree = ConcurrentMvpTree::with_items(items, metric, params).expect("valid params");
+    assert_eq!(tree.build_distances(), probe.take());
+    for id in (0..300).step_by(7) {
+        assert!(tree.remove(id));
+    }
+    for _ in 0..20 {
+        tree.insert((0..80).map(|_| coord(&mut state)).collect());
+    }
+    assert_eq!(probe.take(), 0, "small writes compute no distances");
+    let snapshot = tree.read();
+    let query: Vec<f64> = (0..80).map(|_| coord(&mut state)).collect();
+    // Radii with a handful of answers each side.
+    let near = snapshot.knn(&query, 12, &mut NoTrace)[11].distance;
+    let far = snapshot.k_farthest(&query, 12, &mut NoTrace)[11].distance;
+    type Search<'a> = &'a dyn Fn(&mut DistanceTally) -> Vec<Neighbor>;
+    let forms: [(&str, Search); 4] = [
+        ("range", &|t| snapshot.range(&query, near, t)),
+        ("knn", &|t| snapshot.knn(&query, 5, t)),
+        ("beyond", &|t| snapshot.range_beyond(&query, far, t)),
+        ("kfn", &|t| snapshot.k_farthest(&query, 5, t)),
+    ];
+    for (name, search) in forms {
+        probe.reset();
+        let mut tally = DistanceTally::new();
+        let answers = search(&mut tally);
+        let counted = probe.totals();
+        let tallied = tally.totals();
+        assert_eq!(tallied.computations, counted.computations, "{name}");
+        assert_eq!(tallied.abandoned, counted.abandoned, "{name}");
+        assert_eq!(
+            tallied.abandoned_work.to_bits(),
+            counted.abandoned_work.to_bits(),
+            "{name}"
+        );
+        assert!(tallied.computations > 0, "{name}");
+        assert!(!answers.is_empty(), "{name} answered nothing");
+    }
 }

@@ -4,7 +4,10 @@
 //! below, compute its distance to every remaining point, order by distance
 //! and split into `m` groups of equal cardinality, recording the boundary
 //! distances as cutoffs. Construction performs `O(n log_m n)` distance
-//! computations.
+//! computations; the builder counts them itself, in a [`DistanceTally`]
+//! threaded through the recursion (one per parallel job, summed as the
+//! arenas are spliced), and the tree reports the total as
+//! [`VpTree::build_distances`].
 //!
 //! ## Parallel construction
 //!
@@ -37,7 +40,7 @@ use rand::{RngExt, SeedableRng};
 
 use vantage_core::parallel::{fork_join, par_map_slice, share_workers};
 use vantage_core::util::{checked_item_count, split_into_quantiles};
-use vantage_core::{Metric, Result};
+use vantage_core::{DistanceTally, Metric, Result};
 
 use crate::arena::VpArena;
 use crate::params::VpTreeParams;
@@ -51,9 +54,9 @@ impl<T, M: Metric<T>> VpTree<T, M> {
     /// Builds a vp-tree over `items`.
     ///
     /// Distance computations at construction: one per (vantage point,
-    /// descendant point) pair, plus whatever the selector costs — measure
-    /// with a [`Counted`](vantage_core::Counted) metric to reproduce the
-    /// paper's construction-cost discussion. The worker count
+    /// descendant point) pair, plus whatever the selector costs — read
+    /// the total from [`build_distances`](VpTree::build_distances) to
+    /// reproduce the paper's construction-cost discussion. The worker count
     /// ([`VpTreeParams::threads`]) never changes the tree, only the
     /// wall-clock spent building it.
     ///
@@ -75,7 +78,8 @@ impl<T, M: Metric<T>> VpTree<T, M> {
             metric: &metric,
             params: &params,
         };
-        let root = builder.build_subtree(ids, &mut rng, workers, &mut arena);
+        let mut tally = DistanceTally::new();
+        let root = builder.build_subtree(ids, &mut rng, workers, &mut arena, &mut tally);
         // Store the items in the arena's row order, so each leaf scan
         // reads one contiguous block: one in-place permutation, no clone.
         let rows = arena.view().id_rows(items.len());
@@ -87,6 +91,7 @@ impl<T, M: Metric<T>> VpTree<T, M> {
             arena,
             root,
             params,
+            build_distances: tally.totals().computations,
         })
     }
 }
@@ -100,13 +105,15 @@ struct Builder<'a, T, M> {
 
 impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
     /// Builds the subtree over `ids` into `arena` (DFS preorder), using up
-    /// to `workers` threads, and returns the subtree root's arena id.
+    /// to `workers` threads, charges its distance computations to
+    /// `tally`, and returns the subtree root's arena id.
     fn build_subtree(
         &self,
         ids: Vec<u32>,
         rng: &mut StdRng,
         workers: usize,
         arena: &mut VpArena,
+        tally: &mut DistanceTally,
     ) -> Option<u32> {
         if ids.is_empty() {
             return None;
@@ -119,9 +126,10 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         let vantage_pos = self
             .params
             .selector
-            .select(self.items, &ids, self.metric, rng);
+            .select(self.items, &ids, self.metric, rng, tally);
         let vantage = ids[vantage_pos];
         let rest: Vec<u32> = ids.into_iter().filter(|&id| id != vantage).collect();
+        tally.add_computations(rest.len() as u64);
         let sweep = |&id: &u32| {
             (
                 id,
@@ -167,15 +175,23 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .map(|((set, seed), share)| {
                     move || {
                         let mut local = VpArena::new(self.params.order);
+                        let mut local_tally = DistanceTally::new();
                         let mut child_rng = StdRng::seed_from_u64(seed);
-                        let local_root = self.build_subtree(set, &mut child_rng, share, &mut local);
-                        (local_root, local)
+                        let local_root = self.build_subtree(
+                            set,
+                            &mut child_rng,
+                            share,
+                            &mut local,
+                            &mut local_tally,
+                        );
+                        (local_root, local, local_tally)
                     }
                 })
                 .collect();
             fork_join(jobs)
                 .into_iter()
-                .map(|(local_root, local)| {
+                .map(|(local_root, local, local_tally)| {
+                    *tally += local_tally;
                     let offset = arena.splice(local);
                     local_root.map(|root| root + offset)
                 })
@@ -186,7 +202,7 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
                 .zip(child_seeds)
                 .map(|(set, seed)| {
                     let mut child_rng = StdRng::seed_from_u64(seed);
-                    self.build_subtree(set, &mut child_rng, workers, arena)
+                    self.build_subtree(set, &mut child_rng, workers, arena, tally)
                 })
                 .collect()
         };
@@ -232,7 +248,8 @@ mod tests {
         let metric = Counted::new(Euclidean);
         let probe = metric.clone();
         let params = VpTreeParams::binary().selector(crate::VantageSelector::FirstItem);
-        VpTree::build(points(n), metric, params).unwrap();
+        let tree = VpTree::build(points(n), metric, params).unwrap();
+        assert_eq!(tree.build_distances(), probe.count());
         let count = probe.count() as f64;
         let n_log_n = (n as f64) * (n as f64).log2();
         assert!(count < 2.0 * n_log_n, "count {count} vs n log n {n_log_n}");

@@ -373,12 +373,15 @@ where
                             frontier = frontier.min(bound);
                             break 'search;
                         }
-                        if let (Some(d), _) = self.metric.distance_within_frac(
+                        match self.metric.distance_within_frac(
                             self.query,
                             self.items.get(row),
                             collector.radius(),
                         ) {
-                            collector.offer(id as usize, d);
+                            (Some(d), _) => {
+                                collector.offer(id as usize, d);
+                            }
+                            (None, work) => meter.abandon(work),
                         }
                     }
                 }

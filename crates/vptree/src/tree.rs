@@ -24,6 +24,8 @@ pub struct VpTree<T, M> {
     pub(crate) arena: VpArena,
     pub(crate) root: Option<u32>,
     pub(crate) params: VpTreeParams,
+    /// Distance computations the build performed.
+    pub(crate) build_distances: u64,
 }
 
 impl<T, M> VpTree<T, M> {
@@ -35,6 +37,13 @@ impl<T, M> VpTree<T, M> {
     /// The metric in use.
     pub fn metric(&self) -> &M {
         &self.metric
+    }
+
+    /// Distance computations the build performed, vantage-point
+    /// selection included — the paper's construction cost, counted by
+    /// the builder itself, whatever the metric and worker count.
+    pub fn build_distances(&self) -> u64 {
+        self.build_distances
     }
 
     /// All indexed items in id order (the order they were built from).

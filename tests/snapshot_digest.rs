@@ -317,3 +317,64 @@ fn vp_tree_arenas_are_bit_identical() {
 fn mvp_tree_arenas_are_bit_identical() {
     check(&arenas(mvp_digests()), MVP_ARENA_PINNED);
 }
+
+/// The builders count their own construction cost: the same grid built
+/// under a `Counted` metric charges exactly `build_distances()` per
+/// tree, and the counting wrapper moves no snapshot or arena digest.
+#[test]
+fn builders_count_what_a_counted_metric_charges() {
+    let (vectors, words) = (vectors(), words());
+    let mut counted: Vec<Digests> = Vec::new();
+    let check_count = |label: &str, built: u64, charged: u64| {
+        assert!(built > 0, "{label}: no construction cost");
+        assert_eq!(built, charged, "{label}: build_distances != Counted");
+    };
+    for order in [2, 3] {
+        for leaf in [1, 4] {
+            for threads in THREADS {
+                let params = VpTreeParams::with_order(order)
+                    .leaf_capacity(leaf)
+                    .seed(31)
+                    .threads(Threads::Fixed(threads));
+                let label = format!("vp l2 order={order} leaf={leaf} t={threads}");
+                let metric = Counted::new(Euclidean);
+                let tree = VpTree::build(vectors.clone(), metric.clone(), params.clone()).unwrap();
+                check_count(&label, tree.build_distances(), metric.take());
+                let digests = (fnv1a64(&encode_vp_tree(&tree)), vp_arena_digest(&tree));
+                counted.push((label, digests.0, digests.1));
+                let label = format!("vp edit order={order} leaf={leaf} t={threads}");
+                let metric = Counted::new(Levenshtein);
+                let tree = VpTree::build(words.clone(), metric.clone(), params).unwrap();
+                check_count(&label, tree.build_distances(), metric.take());
+                let digests = (fnv1a64(&encode_vp_tree(&tree)), vp_arena_digest(&tree));
+                counted.push((label, digests.0, digests.1));
+            }
+        }
+    }
+    assert_eq!(counted, vp_digests(), "Counted moved a vp-tree digest");
+
+    let mut counted: Vec<Digests> = Vec::new();
+    for (m, k, p) in [(2, 1, 0), (2, 4, 3), (3, 9, 5), (3, 80, 5)] {
+        for second in [SecondVantage::Farthest, SecondVantage::Random] {
+            for threads in THREADS {
+                let params = MvpParams::paper(m, k, p)
+                    .second(second)
+                    .seed(32)
+                    .threads(Threads::Fixed(threads));
+                let label = format!("mvp l2 m={m} k={k} p={p} {second:?} t={threads}");
+                let metric = Counted::new(Euclidean);
+                let tree = MvpTree::build(vectors.clone(), metric.clone(), params.clone()).unwrap();
+                check_count(&label, tree.build_distances(), metric.take());
+                let digests = (fnv1a64(&encode_mvp_tree(&tree)), mvp_arena_digest(&tree));
+                counted.push((label, digests.0, digests.1));
+                let label = format!("mvp edit m={m} k={k} p={p} {second:?} t={threads}");
+                let metric = Counted::new(Levenshtein);
+                let tree = MvpTree::build(words.clone(), metric.clone(), params).unwrap();
+                check_count(&label, tree.build_distances(), metric.take());
+                let digests = (fnv1a64(&encode_mvp_tree(&tree)), mvp_arena_digest(&tree));
+                counted.push((label, digests.0, digests.1));
+            }
+        }
+    }
+    assert_eq!(counted, mvp_digests(), "Counted moved an mvp-tree digest");
+}

@@ -335,17 +335,21 @@ fn instrumented_index_composes_with_query_profiles() {
     );
 }
 
-#[cfg(feature = "trace")]
 #[test]
-fn trace_feature_captures_individual_events() {
+fn event_log_captures_individual_events() {
     let points = uniform_vectors(300, 8, 5);
     let tree = VpTree::build(points.clone(), Euclidean, VpTreeParams::binary().seed(2)).unwrap();
-    let mut profile = QueryProfile::new();
-    tree.range_traced(&points[3], 0.1, &mut profile);
-    let events = profile.events();
+    let mut sink = (QueryProfile::new(), EventLog::new());
+    tree.range_traced(&points[3], 0.1, &mut sink);
+    let (profile, log) = sink;
+    let events = log.events();
     assert!(!events.is_empty());
     let subtree_events = events.iter().filter(|e| e.subtree).count() as u64;
     assert_eq!(subtree_events, profile.subtrees_pruned());
+    assert_eq!(
+        events.len() as u64,
+        profile.subtrees_pruned() + profile.candidates_rejected()
+    );
     for e in events {
         assert!(!e.bound.is_nan());
     }
