@@ -331,3 +331,48 @@ fn cli_costs_match_the_pinned_figures() {
         "CLI costs moved (first difference at line {first_diff}); observed:\n{rendered}"
     );
 }
+
+/// `KNN 0` asks for nothing, so no structure may compute a distance for
+/// it: unsharded and sharded from `--data`, and from a snapshot.
+#[test]
+fn knn_zero_computes_no_distance_on_any_structure() {
+    let data = temp_path("knn0.csv");
+    run_ok(&[
+        "generate", "uniform", "--n", "300", "--dim", "6", "--seed", "8", "--out", &data,
+    ]);
+    let query = "0.5,0.5,0.5,0.5,0.5,0.5";
+    for structure in ["mvp", "vp", "linear"] {
+        let snap = temp_path(&format!("knn0-{structure}.vsnap"));
+        run_ok(&[
+            "build",
+            "--data",
+            &data,
+            "--metric",
+            "l2",
+            "--structure",
+            structure,
+            "--save",
+            &snap,
+        ]);
+        let runs: [&[&str]; 3] = [
+            &["--data", &data, "--structure", structure],
+            &["--data", &data, "--structure", structure, "--shards", "2"],
+            &["--index", &snap],
+        ];
+        for source in runs {
+            let mut argv = vec!["query", "--metric", "l2", "--knn", "0", "--query", query];
+            argv.extend_from_slice(source);
+            let out = run_ok(&argv);
+            assert_eq!(
+                lines_with(&out, &["results", "cost:"]),
+                [
+                    "0 results:",
+                    "cost: 0 distance computations over 300 items (0.0% of linear scan)"
+                ],
+                "{source:?}"
+            );
+        }
+        let _ = std::fs::remove_file(&snap);
+    }
+    let _ = std::fs::remove_file(&data);
+}

@@ -501,6 +501,76 @@ fn dynamic_mode_serves_ingest_and_far_queries() {
     let _ = std::fs::remove_file(&data);
 }
 
+/// The `KNN` op recorded under `index` on the server at `addr`: its
+/// operation count and largest per-query distance count.
+fn knn_ops_and_max_distances(addr: &str, index: &str) -> (u64, u64) {
+    let stats = client(addr, "STATS");
+    let json = stats.strip_prefix("OK ").expect("STATS answers OK");
+    let snapshot = export::from_json(json).expect("STATS parses");
+    let knn = snapshot
+        .index(index)
+        .and_then(|i| i.op(vantage_telemetry::OpKind::Knn))
+        .expect("knn recorded");
+    (knn.ops, knn.distances.max)
+}
+
+#[test]
+fn knn_zero_computes_no_distance_on_any_served_structure() {
+    let data = temp_path("knn0-data.csv");
+    run_ok(&[
+        "generate", "uniform", "--n", "300", "--dim", "6", "--seed", "8", "--out", &data,
+    ]);
+    let knn0 = "KNN 0 0.5,0.5,0.5,0.5,0.5,0.5";
+    for structure in ["mvp", "vp", "linear"] {
+        let snap = temp_path(&format!("knn0-{structure}.vantage"));
+        run_ok(&[
+            "build",
+            "--data",
+            &data,
+            "--save",
+            &snap,
+            "--metric",
+            "l2",
+            "--structure",
+            structure,
+        ]);
+        for shards in ["1", "2"] {
+            let (addr, server) = spawn_server(vec![
+                "serve".into(),
+                "--index".into(),
+                snap.clone(),
+                "--shards".into(),
+                shards.into(),
+            ]);
+            assert_eq!(client(&addr, knn0), "OK 0", "{structure} shards={shards}");
+            assert_eq!(
+                knn_ops_and_max_distances(&addr, "serve/gen0"),
+                (1, 0),
+                "{structure} shards={shards}"
+            );
+            assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+            server
+                .join()
+                .expect("server thread panicked")
+                .expect("server failed");
+        }
+        let _ = std::fs::remove_file(&snap);
+    }
+
+    // Dynamic mode, with a tombstoned tree item and an overflow item.
+    let (addr, server) = spawn_server(vec!["serve".into(), "--data".into(), data.clone()]);
+    assert!(client(&addr, "INSERT 9,9,9,9,9,9").starts_with("OK id=300"));
+    assert!(client(&addr, "DELETE 0").starts_with("OK removed=true"));
+    assert_eq!(client(&addr, knn0), "OK 0");
+    assert_eq!(knn_ops_and_max_distances(&addr, "serve/dynamic"), (1, 0));
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    let _ = std::fs::remove_file(&data);
+}
+
 #[test]
 fn metric_mismatch_is_a_typed_error_on_every_snapshot_path() {
     let data = temp_path("mismatch-data.csv");

@@ -94,16 +94,43 @@ impl<T, M: BoundedMetric<T>> LinearScan<T, M> {
     /// behind [`knn_traced`](LinearScan::knn_traced) and the sharded
     /// scatter path (which passes a collector wired to a cross-shard
     /// bound).
+    ///
+    /// Where the metric batches ([`BoundedMetric::distance_x4`]), items
+    /// are evaluated four at a time and each value is then tested
+    /// against the radius at its own item's turn, which is the bounded
+    /// call itself: same answers, same counts, same events. `k = 0`
+    /// computes nothing.
     pub(crate) fn knn_into<S: TraceSink>(
         &self,
         collector: &mut KnnCollector,
         query: &T,
         sink: &mut S,
     ) {
+        if collector.k() == 0 {
+            return;
+        }
         if !self.items.is_empty() {
             sink.enter_node(0, true);
         }
-        for (id, item) in self.items.iter().enumerate() {
+        let mut id = 0;
+        for group in self.items.chunks_exact(4) {
+            let Some(ds) = self
+                .metric
+                .distance_x4(query, [&group[0], &group[1], &group[2], &group[3]])
+            else {
+                break;
+            };
+            for d in ds {
+                sink.distance(DistanceRole::Candidate);
+                if d <= collector.radius() {
+                    collector.offer(id, d);
+                } else {
+                    sink.abandon(DistanceRole::Candidate, 1.0);
+                }
+                id += 1;
+            }
+        }
+        for item in &self.items[id..] {
             sink.distance(DistanceRole::Candidate);
             match self
                 .metric
@@ -116,6 +143,7 @@ impl<T, M: BoundedMetric<T>> LinearScan<T, M> {
                     sink.abandon(DistanceRole::Candidate, work);
                 }
             }
+            id += 1;
         }
     }
 }

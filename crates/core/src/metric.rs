@@ -93,6 +93,30 @@ pub trait BoundedMetric<T: ?Sized>: Metric<T> {
     fn distance_within_frac(&self, a: &T, b: &T, bound: f64) -> (Option<f64>, f64) {
         (self.distance_within(a, b, bound), 1.0)
     }
+
+    /// The full distances from `a` to each of `bs`, computed together,
+    /// or `None` when the metric cannot promise what leaf loops rely on
+    /// to use them.
+    ///
+    /// `Some(ds)` is a promise, for every `j` and every `bound`, that
+    /// `distance_within_frac(a, bs[j], bound)` equals
+    /// `(Some(ds[j]), 1.0)` when `ds[j] <= bound` and `(None, 1.0)`
+    /// otherwise, with `ds[j]` bit-identical to `distance(a, bs[j])`: the
+    /// bounded kernel would never abandon part-way. A search may then
+    /// compute four candidates' distances ahead of time and test each
+    /// against the radius at that candidate's own turn, which is the
+    /// same call.
+    ///
+    /// The default is `None`, which is always correct. Wrappers that
+    /// count evaluations (like [`Counted`](crate::Counted)) must keep it:
+    /// a loop discards the values of candidates whose lower bound fails
+    /// at their turn, and those were never computations of the
+    /// single-pair loop.
+    #[inline]
+    fn distance_x4(&self, a: &T, bs: [&T; 4]) -> Option<[f64; 4]> {
+        let _ = (a, bs);
+        None
+    }
 }
 
 impl<T: ?Sized, M: Metric<T> + ?Sized> Metric<T> for &M {
@@ -116,6 +140,11 @@ impl<T: ?Sized, M: BoundedMetric<T> + ?Sized> BoundedMetric<T> for &M {
     #[inline]
     fn distance_within_frac(&self, a: &T, b: &T, bound: f64) -> (Option<f64>, f64) {
         (**self).distance_within_frac(a, b, bound)
+    }
+
+    #[inline]
+    fn distance_x4(&self, a: &T, bs: [&T; 4]) -> Option<[f64; 4]> {
+        (**self).distance_x4(a, bs)
     }
 }
 

@@ -144,6 +144,43 @@ pub(crate) fn sum_kernel<const BOUNDED: bool>(
     complete::<BOUNDED>(finish(reduce_sum(&acc)), bound)
 }
 
+/// Lane-parallel twin of the unbounded [`sum_kernel`] over four rows:
+/// `out[j]` is bit-identical to
+/// `sum_kernel::<false>(a, rows[j], |_, x, y| term(x, y), finish, ∞)`.
+///
+/// Each row keeps the single-pair arithmetic: element `i` goes to lane
+/// `i mod 16` in increasing `i`, and the lanes fold through
+/// [`reduce_sum`]. Starting every lane at `+0.0` matches the
+/// straight-line path below one chunk too, since `+0.0 + t == t` for
+/// the non-negative (or NaN) terms used here. Every row must be as long
+/// as `a`.
+#[inline(always)]
+pub(crate) fn sum_kernel_x4(
+    a: &[f64],
+    rows: [&[f64]; 4],
+    term: impl Fn(f64, f64) -> f64,
+    finish: impl Fn(f64) -> f64,
+) -> [f64; 4] {
+    let n = a.len();
+    let rows = rows.map(|row| &row[..n]);
+    let mut acc = [[0.0f64; 4]; LANES];
+    let mut i = 0usize;
+    while i + LANES <= n {
+        for (l, lane) in acc.iter_mut().enumerate() {
+            for (sum, row) in lane.iter_mut().zip(rows) {
+                *sum += term(a[i + l], row[i + l]);
+            }
+        }
+        i += LANES;
+    }
+    for (l, lane) in acc.iter_mut().enumerate().take(n - i) {
+        for (sum, row) in lane.iter_mut().zip(rows) {
+            *sum += term(a[i + l], row[i + l]);
+        }
+    }
+    std::array::from_fn(|j| finish(reduce_sum(&std::array::from_fn(|l| acc[l][j]))))
+}
+
 /// 16-lane max kernel over `|a[i] − b[i]|` (Chebyshev / `L_∞`).
 #[inline(always)]
 pub(crate) fn max_kernel<const BOUNDED: bool>(
@@ -305,6 +342,34 @@ mod tests {
             let (bounded, frac) = sum_kernel::<true>(&a, &b, |_, x, y| (x - y).abs(), |s| s, full);
             assert_eq!(bounded.unwrap().to_bits(), full.to_bits(), "n={n}");
             assert_eq!(frac, 1.0);
+        }
+    }
+
+    #[test]
+    fn batch_rows_match_the_single_pair_kernel_bitwise() {
+        for n in [0, 1, 7, 15, 16, 17, 20, 63, 64, 65, 200] {
+            let a = seq(n, |i| (i as f64 * 0.37).sin());
+            let rows: Vec<Vec<f64>> = (0..4)
+                .map(|j| seq(n, |i| (i as f64 * (0.11 + j as f64)).cos()))
+                .collect();
+            let got = sum_kernel_x4(
+                &a,
+                [&rows[0], &rows[1], &rows[2], &rows[3]],
+                |x, y| (x - y) * (x - y),
+                f64::sqrt,
+            );
+            for (j, row) in rows.iter().enumerate() {
+                let want = sum_kernel::<false>(
+                    &a,
+                    row,
+                    |_, x, y| (x - y) * (x - y),
+                    f64::sqrt,
+                    f64::INFINITY,
+                )
+                .0
+                .unwrap();
+                assert_eq!(got[j].to_bits(), want.to_bits(), "n={n} row={j}");
+            }
         }
     }
 

@@ -72,6 +72,20 @@ impl Minkowski {
 // adds geometric-cadence abandon checks, so a bounded call that
 // completes returns a value bit-identical to the plain distance — on
 // every dispatch path, by the scalar-identical contract.
+//
+// L1 and L2 also batch four candidates per call (`distance_x4`) below
+// `FIRST_CHECK` dimensions: there the bounded kernel has no checkpoint
+// before completion, so it never abandons part-way and a full distance
+// tested against the bound is the same call.
+
+/// Whether four rows can share one batch kernel call with `a`: short
+/// enough that no bounded checkpoint fires, and equal lengths (a
+/// mismatched row is left to the single-pair call, which panics at its
+/// own turn).
+#[inline]
+fn batchable(a: &[f64], bs: [&[f64]; 4]) -> bool {
+    a.len() < kernels::FIRST_CHECK && bs.iter().all(|b| b.len() == a.len())
+}
 
 impl Manhattan {
     #[inline(always)]
@@ -97,6 +111,11 @@ impl BoundedMetric<[f64]> for Manhattan {
     #[inline]
     fn distance_within_frac(&self, a: &[f64], b: &[f64], bound: f64) -> (Option<f64>, f64) {
         Manhattan::kernel::<true>(a, b, bound)
+    }
+
+    #[inline]
+    fn distance_x4(&self, a: &[f64], bs: [&[f64]; 4]) -> Option<[f64; 4]> {
+        batchable(a, bs).then(|| simd::l1_x4(simd::active(), a, bs))
     }
 }
 
@@ -124,6 +143,11 @@ impl BoundedMetric<[f64]> for Euclidean {
     #[inline]
     fn distance_within_frac(&self, a: &[f64], b: &[f64], bound: f64) -> (Option<f64>, f64) {
         Euclidean::kernel::<true>(a, b, bound)
+    }
+
+    #[inline]
+    fn distance_x4(&self, a: &[f64], bs: [&[f64]; 4]) -> Option<[f64; 4]> {
+        batchable(a, bs).then(|| simd::l2_x4(simd::active(), a, bs))
     }
 }
 
@@ -224,6 +248,11 @@ macro_rules! delegate_vec_impl {
                         b.as_slice(),
                         bound,
                     )
+                }
+
+                #[inline]
+                fn distance_x4(&self, a: &Vec<f64>, bs: [&Vec<f64>; 4]) -> Option<[f64; 4]> {
+                    BoundedMetric::<[f64]>::distance_x4(self, a.as_slice(), bs.map(Vec::as_slice))
                 }
             }
         )+

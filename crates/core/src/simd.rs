@@ -4,7 +4,8 @@
 //! vp/mvp pruning decision eventually bottoms out in a kernel call, and
 //! in high dimensions most of those calls run to completion. This module
 //! provides explicit `std::arch` AVX2 implementations of the hot vector
-//! kernels — L1 / L2 / L∞ (plus their weighted-Lp specializations),
+//! kernels — L1 / L2 / L∞ (plus their weighted-Lp specializations and
+//! four-row L1 / L2 batches),
 //! byte-image L1/L2, histogram L1 and Hamming — selected **once** per
 //! process by runtime CPU-feature detection and consumed transparently
 //! through the existing [`Metric`](crate::Metric) /
@@ -81,6 +82,14 @@
 //!    and unsupported paths degrade to portable.
 //! 4. Extend `tests/simd_dispatch.rs` with the new kernel — the
 //!    cross-path bit-identity sweep is the contract's enforcement.
+//! 5. If it is an L1/L2-style sum that leaf loops evaluate in bulk, add
+//!    a four-row batch twin as well (`l1_x4`/`l2_x4`: a portable
+//!    `kernels::sum_kernel_x4` instance and an `avx2_sum_kernel_x4!`
+//!    instance, lane `j` = row `j`). Each lane must equal the
+//!    single-pair kernel bit for bit, which `tests/simd_dispatch.rs`
+//!    checks lane by lane; the metric exposes it through
+//!    `BoundedMetric::distance_x4` only below `kernels::FIRST_CHECK`
+//!    dimensions, where the bounded kernel never abandons part-way.
 
 // The one place in the crate allowed to use `unsafe`: `std::arch`
 // intrinsics, every call gated behind runtime CPU-feature detection.
@@ -319,6 +328,55 @@ pub fn linf<const BOUNDED: bool>(
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         // SAFETY: `resolve` returns Avx2 only after runtime detection.
         SimdPath::Avx2 => unsafe { avx2::linf::<BOUNDED>(a, b, bound) },
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        SimdPath::Avx2 => unreachable!("resolve() never selects an unsupported path"),
+    }
+}
+
+/// Sanitizes the path of a four-row batch kernel and checks its shapes.
+/// Batches dispatch at every length: one out-of-line call serves four
+/// rows, so the single-pair threshold does not apply.
+#[inline]
+fn resolve_x4(path: SimdPath, a: &[f64], rows: [&[f64]; 4]) -> SimdPath {
+    for row in rows {
+        assert_eq!(a.len(), row.len(), "simd kernel requires equal lengths");
+    }
+    resolve(path, a.len(), 0)
+}
+
+/// L1 over four rows at once, lane `j` holding row `j`: `out[j]` is
+/// bit-identical to `l1::<false>(path, a, rows[j], ∞)`.
+#[inline]
+pub fn l1_x4(path: SimdPath, a: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
+    match resolve_x4(path, a, rows) {
+        SimdPath::Portable => kernels::sum_kernel_x4(a, rows, |x, y| (x - y).abs(), id),
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: `resolve` returns Avx2 only after runtime detection, and
+        // `resolve_x4` asserted every row is as long as `a`.
+        SimdPath::Avx2 => unsafe { avx2::l1_x4(a, rows) },
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        SimdPath::Avx2 => unreachable!("resolve() never selects an unsupported path"),
+    }
+}
+
+/// L2 over four rows at once, lane `j` holding row `j`: `out[j]` is
+/// bit-identical to `l2::<false>(path, a, rows[j], ∞)`.
+#[inline]
+pub fn l2_x4(path: SimdPath, a: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
+    match resolve_x4(path, a, rows) {
+        SimdPath::Portable => kernels::sum_kernel_x4(
+            a,
+            rows,
+            |x, y| {
+                let d = x - y;
+                d * d
+            },
+            f64::sqrt,
+        ),
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: `resolve` returns Avx2 only after runtime detection, and
+        // `resolve_x4` asserted every row is as long as `a`.
+        SimdPath::Avx2 => unsafe { avx2::l2_x4(a, rows) },
         #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
         SimdPath::Avx2 => unreachable!("resolve() never selects an unsupported path"),
     }
@@ -703,6 +761,128 @@ mod avx2 {
         f64::sqrt
     );
 
+    /// Loads `p[..4]`, or only `p[..rem]` with zeros after when
+    /// `rem < 4`. A zero query element against a zero row element adds a
+    /// `+0.0` term, which leaves the lane's sum unchanged bit for bit
+    /// (sums of non-negative terms from `+0.0` are never `−0.0`).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `p[..rem.min(4)]` readable: the
+    /// masked load touches no element past it.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_upto4(p: *const f64, rem: usize) -> __m256d {
+        if rem >= 4 {
+            _mm256_loadu_pd(p)
+        } else {
+            let mask = _mm256_cmpgt_epi64(
+                _mm256_set1_epi64x(rem as i64),
+                _mm256_setr_epi64x(0, 1, 2, 3),
+            );
+            _mm256_maskload_pd(p, mask)
+        }
+    }
+
+    /// 4×4 transpose: row-major terms (register `j` = row `j`, elements
+    /// `i..i+4`) to lane-major ones (register `k` = element `i + k`,
+    /// lane `j` = row `j`).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn transpose4(t: [__m256d; 4]) -> [__m256d; 4] {
+        let lo01 = _mm256_unpacklo_pd(t[0], t[1]);
+        let hi01 = _mm256_unpackhi_pd(t[0], t[1]);
+        let lo23 = _mm256_unpacklo_pd(t[2], t[3]);
+        let hi23 = _mm256_unpackhi_pd(t[2], t[3]);
+        [
+            _mm256_permute2f128_pd::<0x20>(lo01, lo23),
+            _mm256_permute2f128_pd::<0x20>(hi01, hi23),
+            _mm256_permute2f128_pd::<0x31>(lo01, lo23),
+            _mm256_permute2f128_pd::<0x31>(hi01, hi23),
+        ]
+    }
+
+    /// Four-row batch kernels: lane `j` of every register is row `j`.
+    ///
+    /// The 16 portable lanes are taken four at a time. Group `g` owns
+    /// lanes `4g..4g+3` in four accumulators, indexed statically, and
+    /// adds elements `16c + 4g + k` for chunks `c = 0, 1, …`, the same
+    /// per-lane order as the single-pair kernels. A group folds to
+    /// `(l0 + l1) + (l2 + l3)` and the groups to `(g0 + g1) + (g2 + g3)`,
+    /// which is `reduce_sum`'s tree. `finish` is the vector form of the
+    /// scalar one (`_mm256_sqrt_pd` is correctly rounded like
+    /// `f64::sqrt`).
+    macro_rules! avx2_sum_kernel_x4 {
+        ($(#[$doc:meta])* $name:ident,
+         |$av:ident, $bv:ident| $vterm:expr,
+         $finish:expr) => {
+            $(#[$doc])*
+            ///
+            /// # Safety
+            ///
+            /// AVX2 must be available, and every row at least as long as
+            /// `a`.
+            #[target_feature(enable = "avx2")]
+            pub(super) unsafe fn $name(a: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
+                let n = a.len();
+                let ap = a.as_ptr();
+                let [r0, r1, r2, r3] = rows.map(<[f64]>::as_ptr);
+                let mut groups = [_mm256_setzero_pd(); REGS];
+                for (g, group) in groups.iter_mut().enumerate() {
+                    let mut acc = [_mm256_setzero_pd(); 4];
+                    let mut i = 4 * g;
+                    while i < n {
+                        let rem = n - i;
+                        let $av = load_upto4(ap.add(i), rem);
+                        let terms = transpose4([
+                            { let $bv = load_upto4(r0.add(i), rem); $vterm },
+                            { let $bv = load_upto4(r1.add(i), rem); $vterm },
+                            { let $bv = load_upto4(r2.add(i), rem); $vterm },
+                            { let $bv = load_upto4(r3.add(i), rem); $vterm },
+                        ]);
+                        for (sum, term) in acc.iter_mut().zip(terms) {
+                            *sum = _mm256_add_pd(*sum, term);
+                        }
+                        i += LANES;
+                    }
+                    *group = _mm256_add_pd(
+                        _mm256_add_pd(acc[0], acc[1]),
+                        _mm256_add_pd(acc[2], acc[3]),
+                    );
+                }
+                let total = _mm256_add_pd(
+                    _mm256_add_pd(groups[0], groups[1]),
+                    _mm256_add_pd(groups[2], groups[3]),
+                );
+                let mut out = [0.0f64; 4];
+                _mm256_storeu_pd(out.as_mut_ptr(), $finish(total));
+                out
+            }
+        };
+    }
+
+    avx2_sum_kernel_x4!(
+        /// L1 over four rows: `Σ |a[i] − rows[j][i]|` in lane `j`.
+        l1_x4,
+        |av, bv| abs_diff_pd(av, bv),
+        std::convert::identity
+    );
+
+    avx2_sum_kernel_x4!(
+        /// L2 over four rows: `sqrt(Σ (a[i] − rows[j][i])²)` in lane `j`,
+        /// square via mul+add, no FMA.
+        l2_x4,
+        |av, bv| {
+            let d = _mm256_sub_pd(av, bv);
+            _mm256_mul_pd(d, d)
+        },
+        _mm256_sqrt_pd
+    );
+
     /// L∞: `max |a[i] − b[i]|`. `_mm256_max_pd` agrees bitwise with
     /// `f64::max` on the non-NaN, non-negative terms produced here.
     #[target_feature(enable = "avx2")]
@@ -977,6 +1157,15 @@ mod tests {
                 .0
                 .unwrap();
             assert_eq!(got.to_bits(), reference.to_bits(), "weighted_l2 via {path}");
+            let rows = [&b[..], &a[..], &w[..], &b[..]];
+            for (j, row) in rows.into_iter().enumerate() {
+                let want = l2::<false>(path, &a, row, f64::INFINITY).0.unwrap();
+                let got = l2_x4(path, &a, rows)[j];
+                assert_eq!(got.to_bits(), want.to_bits(), "l2_x4 row {j} via {path}");
+                let want = l1::<false>(path, &a, row, f64::INFINITY).0.unwrap();
+                let got = l1_x4(path, &a, rows)[j];
+                assert_eq!(got.to_bits(), want.to_bits(), "l1_x4 row {j} via {path}");
+            }
         }
     }
 

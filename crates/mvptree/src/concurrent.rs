@@ -116,7 +116,11 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
 
     /// The `k` nearest live items (stable ids), sorted by distance;
     /// distances are reported to `sink` as in [`range`](Self::range).
+    /// `k = 0` computes nothing, tombstones and overflow included.
     pub fn knn<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
+        if k == 0 {
+            return Vec::new();
+        }
         let mut collector = KnnCollector::new(k);
         if let Some(tree) = &self.tree {
             // Over-fetch to survive tombstoned results: at most

@@ -110,6 +110,9 @@ struct KnnScratch {
     bounds: [f64; LEAF_BLOCK],
     /// Block offsets of the current leaf block's survivors.
     survivors: [u8; LEAF_BLOCK],
+    /// Whether the metric may still batch candidates
+    /// ([`BoundedMetric::distance_x4`]); cleared at its first `None`.
+    batch: bool,
 }
 
 /// The filter pass of the kNN leaf sweep: writes the lower bound
@@ -408,6 +411,7 @@ where
             order: self.order_stack(),
             bounds: [0.0; LEAF_BLOCK],
             survivors: [0; LEAF_BLOCK],
+            batch: true,
         };
         if let Some(root) = self.root {
             self.knn_node(root, 0, collector, &mut scratch, sink);
@@ -524,6 +528,16 @@ where
     /// computed with the same bounds and offered in the same order.
     /// Tracing sinks see the same events in the same order as well —
     /// rejects are reported in entry order between the survivors.
+    ///
+    /// The distance pass takes survivors four at a time where the metric
+    /// can batch them ([`BoundedMetric::distance_x4`]): the next four
+    /// whose bound is within the current radius are evaluated in one
+    /// call, then walked in entry order exactly as above, each tested
+    /// against the radius at its own turn. A member whose bound fails by
+    /// then is reported as a reject and its value dropped; a value over
+    /// the radius is an abandon with full work, as the bounded kernel
+    /// would report it. Fewer than four left, or a metric that declines,
+    /// take the single bounded call.
     fn knn_leaf<S: TraceSink>(
         &self,
         entries: LeafEntriesView<'_>,
@@ -555,38 +569,81 @@ where
                 scratch.survivors[kept] = i as u8;
                 kept += usize::from(bound <= radius);
             }
+            let survivors = &scratch.survivors[..kept];
             // First block offset whose reject is not yet reported.
             let mut unreported = 0;
-            for &i in &scratch.survivors[..kept] {
-                let i = usize::from(i);
-                if S::ENABLED {
-                    reject(sink, start + unreported, &bounds[unreported..i]);
-                    unreported = i + 1;
+            let mut next = 0;
+            while next < kept {
+                // The next four survivors within the current radius (its
+                // members), up to survivor position `end`. Without four,
+                // or without a batching metric, the survivors up to `end`
+                // take the single bounded call.
+                let formed = collector.radius();
+                let mut group = [0usize; 4];
+                let mut members = 0;
+                let mut end = if scratch.batch { next } else { kept };
+                while members < 4 && end < kept {
+                    let i = usize::from(survivors[end]);
+                    group[members] = i;
+                    members += usize::from(bounds[i] <= formed);
+                    end += 1;
                 }
-                let bound = bounds[i];
-                let radius = collector.radius();
-                if bound > radius {
+                let batch = if members == 4 {
+                    let ds = self.metric.distance_x4(
+                        self.query,
+                        group.map(|i| self.items.get(entries.row(start + i))),
+                    );
+                    scratch.batch = ds.is_some();
+                    ds
+                } else {
+                    None
+                };
+                let mut member = 0;
+                for &i in &survivors[next..end] {
+                    let i = usize::from(i);
                     if S::ENABLED {
-                        reject(sink, start + i, &[bound]);
+                        reject(sink, start + unreported, &bounds[unreported..i]);
+                        unreported = i + 1;
                     }
-                    continue;
+                    let bound = bounds[i];
+                    let radius = collector.radius();
+                    if bound > radius {
+                        if S::ENABLED {
+                            reject(sink, start + i, &[bound]);
+                        }
+                        member += usize::from(bound <= formed);
+                        continue;
+                    }
+                    sink.distance(DistanceRole::Candidate);
+                    // Bounded by the current k-th best distance: an
+                    // abandoned candidate is one the collector's strict
+                    // `<` would have discarded.
+                    // Every survivor within the current radius is a
+                    // member, since the radius never grows; the guard
+                    // keeps a value from reaching the wrong entry even
+                    // if it did.
+                    let verdict = match batch {
+                        Some(ds) if bound <= formed => {
+                            let d = ds[member];
+                            member += 1;
+                            ((d <= radius).then_some(d), 1.0)
+                        }
+                        _ => self.metric.distance_within_frac(
+                            self.query,
+                            self.items.get(entries.row(start + i)),
+                            radius,
+                        ),
+                    };
+                    match verdict {
+                        (Some(d), _) => {
+                            collector.offer(entries.id(start + i) as usize, d);
+                        }
+                        (None, work) => {
+                            sink.abandon(DistanceRole::Candidate, work);
+                        }
+                    }
                 }
-                sink.distance(DistanceRole::Candidate);
-                // Bounded by the current k-th best distance: an abandoned
-                // candidate is one the collector's strict `<` would have
-                // discarded.
-                match self.metric.distance_within_frac(
-                    self.query,
-                    self.items.get(entries.row(start + i)),
-                    radius,
-                ) {
-                    (Some(d), _) => {
-                        collector.offer(entries.id(start + i) as usize, d);
-                    }
-                    (None, work) => {
-                        sink.abandon(DistanceRole::Candidate, work);
-                    }
-                }
+                next = end;
             }
             if S::ENABLED {
                 reject(sink, start + unreported, &bounds[unreported..]);

@@ -139,6 +139,9 @@ where
     where
         M: BoundedMetric<T>,
     {
+        if collector.k() == 0 {
+            return;
+        }
         // The heap carries each subtree's depth alongside its bound; the
         // ordering is unchanged (arena ids are unique, so the depth field
         // never participates in a comparison).

@@ -8,7 +8,10 @@
 //!    `distance(a, b) > bound` (abandoning is allowed solely past the
 //!    bound);
 //! 3. **work fraction** — `distance_within_frac` reports a fraction in
-//!    `[0, 1]`, `1.0` exactly when the evaluation completed.
+//!    `[0, 1]`, `1.0` exactly when the evaluation completed;
+//! 4. **batches** — where `distance_x4` answers, each value is the full
+//!    distance bit for bit and the bounded kernel never abandons that
+//!    row part-way, so testing the value against a bound is the call.
 //!
 //! Bounds are driven through the interesting band around the true
 //! distance (0, ¼d, ½d, d − ε, d, d + ε, 2d, ∞) plus negative and NaN
@@ -72,6 +75,37 @@ fn check_pair<T: ?Sized, M: BoundedMetric<T>>(metric: &M, a: &T, b: &T, label: &
     }
 }
 
+/// Checks a metric's four-row batch against the bounded kernel: where
+/// it answers, each value must be bit-identical to the full distance,
+/// and the bounded kernel must never abandon part-way for that row —
+/// `(Some(d), 1.0)` at every bound `≥ d`, `(None, 1.0)` below — so a
+/// leaf loop may test the value against the bound instead of calling.
+/// Returns whether the metric batched.
+fn check_batch<T: ?Sized, M: BoundedMetric<T>>(
+    metric: &M,
+    a: &T,
+    bs: [&T; 4],
+    label: &str,
+) -> bool {
+    let Some(ds) = metric.distance_x4(a, bs) else {
+        return false;
+    };
+    for (j, (&d, &b)) in ds.iter().zip(&bs).enumerate() {
+        let full = metric.distance(a, b);
+        assert_eq!(d.to_bits(), full.to_bits(), "{label} row {j}: batch value");
+        let mut bounds = bounds_for(d);
+        bounds.push(f64::NAN);
+        for bound in bounds {
+            assert_eq!(
+                metric.distance_within_frac(a, b, bound),
+                ((d <= bound).then_some(d), 1.0),
+                "{label} row {j}: bounded call at {bound} differs from the batch value"
+            );
+        }
+    }
+    true
+}
+
 fn vector_pairs(dim: usize, n: usize, seed: u64) -> Vec<(Vec<f64>, Vec<f64>)> {
     let v = uniform_vectors(2 * n, dim, seed);
     v.chunks_exact(2)
@@ -108,6 +142,42 @@ fn vector_metrics_honor_the_contract() {
     let a = vec![0.25; 33];
     check_pair(&Manhattan, &a, &a, "l1 identical");
     check_pair(&Euclidean, &a, &a, "l2 identical");
+}
+
+#[test]
+fn batched_vector_metrics_honor_the_contract() {
+    // Below the first bounded checkpoint (64 elements) L1 and L2 batch;
+    // from it on, and for every other metric, the default declines.
+    for dim in [0, 1, 7, 16, 20, 33, 63, 64, 100] {
+        let v = uniform_vectors(5, dim, 40 + dim as u64);
+        let (a, bs) = (&v[0], [&v[1], &v[2], &v[3], &v[4]]);
+        let label = format!("dim {dim}");
+        let batched = [
+            check_batch(&Manhattan, a, bs, &format!("l1 {label}")),
+            check_batch(&Euclidean, a, bs, &format!("l2 {label}")),
+            check_batch(&&Euclidean, a, bs, &format!("l2 by reference {label}")),
+            check_batch(
+                &Euclidean,
+                a.as_slice(),
+                bs.map(Vec::as_slice),
+                &format!("l2 slices {label}"),
+            ),
+        ];
+        assert_eq!(batched, [dim < 64; 4], "{label}");
+        assert!(!check_batch(&Chebyshev, a, bs, &label));
+        assert!(!check_batch(&Minkowski::new(2.0).unwrap(), a, bs, &label));
+        assert!(!check_batch(&Angular, a, bs, &label));
+        // `Counted` keeps the default: a batch would be charged for
+        // values a leaf loop later discards.
+        let counted = Counted::new(Euclidean);
+        assert!(!check_batch(&counted, a, bs, &label));
+        assert_eq!(counted.count(), 0, "{label}: declined batch was charged");
+    }
+    // A mismatched row is left to the single-pair call, which panics.
+    let v = uniform_vectors(4, 8, 1);
+    let short = vec![0.5; 7];
+    let rows = [&v[1], &v[2], &short, &v[3]];
+    assert_eq!(Euclidean.distance_x4(&v[0], rows), None);
 }
 
 #[test]

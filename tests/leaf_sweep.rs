@@ -1,23 +1,27 @@
 //! The mvp-tree kNN leaf sweep across its block and PATH boundaries.
 //!
 //! The kNN leaf visit filters entries in fixed-size blocks and computes
-//! distances only for the block's survivors, with the PATH length as a
-//! compile-time constant for short paths. This grid crosses every such
-//! boundary — leaf capacities around the block size, PATH lengths past
-//! the specialised range, several fanouts and `k` from 1 to past the
-//! leaf size — on data where every point is stored three times.
+//! distances only for the block's survivors, four at a time where the
+//! metric batches them, with the PATH length as a compile-time constant
+//! for short paths. This grid crosses every such boundary — leaf
+//! capacities around the block size, PATH lengths past the specialised
+//! range, several fanouts and `k` from 1 to past the leaf size — on
+//! data where every point is stored three times.
 //!
-//! For each tree, owned and mapped from a snapshot, kNN answers must
-//! equal a `LinearScan` oracle, and the `Counted` metric, a
-//! [`DistanceTally`] and a [`QueryProfile`] must all read the same
-//! distance cost. The costs over the whole grid are pinned by a digest
-//! taken from the one-entry-at-a-time leaf loop the sweep replaced, so
-//! a sweep that computes one distance more or fewer fails here even
-//! when its answers stay right.
+//! Each tree is searched with plain `Euclidean`, which batches leaf
+//! distances, owned and mapped from a snapshot, and read through a
+//! [`DistanceTally`]. Its kNN answers must equal a `LinearScan` oracle,
+//! and a [`QueryProfile`] must read the tally's cost. The same tree
+//! under `Counted<Euclidean>`, which keeps one bounded call per
+//! candidate, must give the same answers, charge the same cost and
+//! emit the same profile and event stream. The costs over the whole
+//! grid are pinned by a digest taken from the one-entry-at-a-time leaf
+//! loop the sweep replaced, so a sweep that computes one distance more
+//! or fewer fails here even when its answers stay right.
 //!
 //! Queries with NaN and infinite coordinates have no oracle (every
-//! distance is NaN or ∞), so their answers and `Counted` totals are
-//! pinned as literals taken from that loop too.
+//! distance is NaN or ∞), so their answers and costs are pinned as
+//! literals taken from that loop too.
 
 use vantage::prelude::*;
 use vantage_datasets::uniform_vectors;
@@ -29,7 +33,7 @@ const PATH_LENGTHS: [usize; 5] = [0, 1, 2, 5, 9];
 const FANOUTS: [usize; 3] = [2, 3, 5];
 const KS: [usize; 3] = [1, 10, 500];
 
-/// FNV-1a digest of every grid search's `Counted` computations and
+/// FNV-1a digest of every grid search's distance computations and
 /// abandoned computations, in grid order, as the per-entry leaf loop
 /// the sweep replaced computed them.
 const GRID_COST_DIGEST: u64 = 0x056c_37f7_1ae4_71d8;
@@ -49,124 +53,132 @@ fn queries(items: &[Vec<f64>]) -> Vec<Vec<f64>> {
     q
 }
 
-fn build(m: usize, capacity: usize, p: usize) -> MvpTree<Vec<f64>, Counted<Euclidean>> {
-    MvpTree::build(
-        items(),
-        Counted::new(Euclidean),
-        MvpParams::paper(m, capacity, p).seed(3),
-    )
-    .unwrap()
+/// One grid point's tree in every form searched: plain `Euclidean`
+/// (batched leaf distances) owned and mapped, and `Counted<Euclidean>`
+/// (one bounded call per leaf candidate).
+struct Trees {
+    owned: MvpTree<Vec<f64>, Euclidean>,
+    mapped: MappedMvpTree<F64Vectors, Euclidean>,
+    counted: MvpTree<Vec<f64>, Counted<Euclidean>>,
 }
 
-/// Writes `tree` as a snapshot and maps it back.
-fn mapped(
-    tree: &MvpTree<Vec<f64>, Counted<Euclidean>>,
-    name: &str,
-) -> MappedMvpTree<F64Vectors, Counted<Euclidean>> {
-    let path =
-        std::env::temp_dir().join(format!("vantage-leaf-sweep-{}-{name}", std::process::id()));
-    persist::save_mvp_tree(tree, &path).unwrap();
-    let mapped = persist::open_mvp_tree::<F64Vectors, Counted<Euclidean>>(&path).unwrap();
+fn trees(m: usize, capacity: usize, p: usize) -> Trees {
+    let params = || MvpParams::paper(m, capacity, p).seed(3);
+    let owned = MvpTree::build(items(), Euclidean, params()).unwrap();
+    let counted = MvpTree::build(items(), Counted::new(Euclidean), params()).unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "vantage-leaf-sweep-{}-{m}-{capacity}-{p}",
+        std::process::id()
+    ));
+    persist::save_mvp_tree(&owned, &path).unwrap();
+    let mapped = persist::open_mvp_tree::<F64Vectors, Euclidean>(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    mapped
+    Trees {
+        owned,
+        mapped,
+        counted,
+    }
 }
 
 /// The sink a kNN search reports into.
 enum Via<'a> {
     Untraced,
     Tally(&'a mut DistanceTally),
-    Profile(&'a mut QueryProfile),
+    Events(&'a mut (QueryProfile, EventLog)),
 }
 
-/// One kNN search through the untraced, tallied and profiled entry
-/// points of a tree form, checked for agreement; returns the answers and
-/// the `Counted` totals of the untraced run.
-fn knn_agreeing(
-    label: &str,
-    probe: &Counted<Euclidean>,
-    search: &dyn Fn(Via<'_>) -> Vec<Neighbor>,
-) -> (Vec<Neighbor>, DistanceTotals) {
-    probe.reset();
-    let answers = search(Via::Untraced);
-    let counted = probe.totals();
+/// What one search form observed: answers, the tally's cost, and the
+/// profile and prune/reject events of an event-retaining run, each
+/// rendered bit for bit (NaN bounds compare by bits).
+#[derive(Debug, PartialEq)]
+struct Observed {
+    answers: Vec<(usize, u64)>,
+    cost: DistanceTotals,
+    profile: String,
+    events: Vec<(u32, PruneReason, u64, bool)>,
+}
 
+/// One kNN search through the untraced, tallied and event-retaining
+/// entry points of a tree form, checked for agreement.
+fn observe(label: &str, search: &dyn Fn(Via<'_>) -> Vec<Neighbor>) -> Observed {
     let mut tally = DistanceTally::new();
+    let answers = id_bits(&search(Via::Tally(&mut tally)));
     assert_eq!(
-        id_bits(&search(Via::Tally(&mut tally))),
-        id_bits(&answers),
-        "{label}: tallied answers"
+        id_bits(&search(Via::Untraced)),
+        answers,
+        "{label}: untraced answers"
     );
-    let tally = tally.totals();
-    assert_eq!(
-        tally.computations, counted.computations,
-        "{label}: tally computations"
-    );
-    assert_eq!(
-        tally.abandoned, counted.abandoned,
-        "{label}: tally abandoned"
-    );
-    assert_eq!(
-        tally.abandoned_work.to_bits(),
-        counted.abandoned_work.to_bits(),
-        "{label}: tally abandoned work"
-    );
+    let cost = tally.totals();
 
-    let mut profile = QueryProfile::new();
+    let mut sink = (QueryProfile::new(), EventLog::new());
     assert_eq!(
-        id_bits(&search(Via::Profile(&mut profile))),
-        id_bits(&answers),
-        "{label}: profiled answers"
+        id_bits(&search(Via::Events(&mut sink))),
+        answers,
+        "{label}: traced answers"
     );
+    let (profile, log) = sink;
     assert_eq!(
         profile.total_distances(),
-        counted.computations,
+        cost.computations,
         "{label}: profile distances"
     );
     assert_eq!(
         profile.total_abandoned(),
-        counted.abandoned,
+        cost.abandoned,
         "{label}: profile abandoned"
     );
-    probe.reset();
-    (answers, counted)
+    Observed {
+        answers,
+        cost,
+        profile: format!("{profile:?}"),
+        events: log
+            .events()
+            .iter()
+            .map(|e| (e.level, e.reason, e.bound.to_bits(), e.subtree))
+            .collect(),
+    }
 }
 
-/// Owned and mapped kNN for one query, checked against each other;
-/// returns the shared answers and `Counted` totals.
-fn knn_both(
-    label: &str,
-    owned: &MvpTree<Vec<f64>, Counted<Euclidean>>,
-    mapped: &MappedMvpTree<F64Vectors, Counted<Euclidean>>,
-    q: &[f64],
-    k: usize,
-) -> (Vec<Neighbor>, DistanceTotals) {
+/// Every tree form's kNN for one query, checked against each other:
+/// the batched owned and mapped searches, and the `Counted` tree's
+/// single-pair loop, whose metric must also charge the tallied cost.
+/// Returns the shared answers and cost.
+fn knn_all(label: &str, trees: &Trees, q: &[f64], k: usize) -> (Vec<(usize, u64)>, DistanceTotals) {
     let qv = q.to_vec();
-    let from_owned = knn_agreeing(
-        &format!("{label} owned"),
-        owned.metric(),
-        &|via| match via {
-            Via::Untraced => owned.knn(&qv, k),
-            Via::Tally(t) => owned.knn_traced(&qv, k, t),
-            Via::Profile(p) => owned.knn_traced(&qv, k, p),
-        },
-    );
-    let view = mapped.view();
-    let from_mapped = knn_agreeing(
-        &format!("{label} mapped"),
-        view.metric(),
-        &|via| match via {
-            Via::Untraced => view.knn(q, k),
-            Via::Tally(t) => view.knn_traced(q, k, t),
-            Via::Profile(p) => view.knn_traced(q, k, p),
-        },
+    let owned = observe(&format!("{label} owned"), &|via| match via {
+        Via::Untraced => trees.owned.knn(&qv, k),
+        Via::Tally(t) => trees.owned.knn_traced(&qv, k, t),
+        Via::Events(e) => trees.owned.knn_traced(&qv, k, e),
+    });
+    let view = trees.mapped.view();
+    let mapped = observe(&format!("{label} mapped"), &|via| match via {
+        Via::Untraced => view.knn(q, k),
+        Via::Tally(t) => view.knn_traced(q, k, t),
+        Via::Events(e) => view.knn_traced(q, k, e),
+    });
+    assert_eq!(mapped, owned, "{label}: mapped against owned");
+
+    let probe = trees.counted.metric();
+    probe.reset();
+    let single = observe(&format!("{label} counted"), &|via| match via {
+        Via::Untraced => trees.counted.knn(&qv, k),
+        Via::Tally(t) => trees.counted.knn_traced(&qv, k, t),
+        Via::Events(e) => trees.counted.knn_traced(&qv, k, e),
+    });
+    // `observe` ran the search three times.
+    let charged = probe.totals();
+    assert_eq!(
+        charged.computations,
+        3 * single.cost.computations,
+        "{label}: Counted computations"
     );
     assert_eq!(
-        id_bits(&from_owned.0),
-        id_bits(&from_mapped.0),
-        "{label}: mapped answers"
+        charged.abandoned,
+        3 * single.cost.abandoned,
+        "{label}: Counted abandoned"
     );
-    assert_eq!(from_owned.1, from_mapped.1, "{label}: mapped cost");
-    from_owned
+    assert_eq!(single, owned, "{label}: single-pair loop against batched");
+    (owned.answers, owned.cost)
 }
 
 #[test]
@@ -183,19 +195,14 @@ fn knn_leaf_sweep_matches_linear_scan_across_block_and_path_boundaries() {
     for &capacity in &LEAF_CAPACITIES {
         for &p in &PATH_LENGTHS {
             for &m in &FANOUTS {
-                let owned = build(m, capacity, p);
-                let mapped = mapped(&owned, &format!("{m}-{capacity}-{p}"));
+                let trees = trees(m, capacity, p);
                 for (qi, q) in queries.iter().enumerate() {
                     for (ki, &k) in KS.iter().enumerate() {
                         let label = format!("m={m} capacity={capacity} p={p} q={qi} k={k}");
-                        let (answers, cost) = knn_both(&label, &owned, &mapped, q, k);
+                        let (answers, cost) = knn_all(&label, &trees, q, k);
                         costs.extend(cost.computations.to_le_bytes());
                         costs.extend(cost.abandoned.to_le_bytes());
-                        assert_eq!(
-                            id_bits(&answers),
-                            id_bits(&expected[qi][ki]),
-                            "{label}: oracle"
-                        );
+                        assert_eq!(answers, id_bits(&expected[qi][ki]), "{label}: oracle");
                     }
                 }
             }
@@ -227,8 +234,7 @@ const INF_COST: u64 = 1200;
 
 #[test]
 fn non_finite_queries_reproduce_the_per_entry_loop() {
-    let owned = build(3, 64, 5);
-    let mapped = mapped(&owned, "non-finite");
+    let trees = trees(3, 64, 5);
     let nan = vec![0.5, f64::NAN, 0.5, 0.5];
     let pos_inf = vec![f64::INFINITY, 0.5, 0.5, 0.5];
     let mixed_inf = vec![0.25, f64::NEG_INFINITY, 0.75, f64::INFINITY];
@@ -247,13 +253,13 @@ fn non_finite_queries_reproduce_the_per_entry_loop() {
     for (name, q, ids, distance, cost) in pinned {
         for k in [1, 10] {
             let label = format!("{name} k={k}");
-            let (answers, counted) = knn_both(&label, &owned, &mapped, q, k);
+            let (answers, observed) = knn_all(&label, &trees, q, k);
             let expected: Vec<(usize, u64)> = ids[..k]
                 .iter()
                 .map(|&id| (id, distance.to_bits()))
                 .collect();
-            assert_eq!(id_bits(&answers), expected, "{label}: answers");
-            assert_eq!(counted.computations, cost, "{label}: distances");
+            assert_eq!(answers, expected, "{label}: answers");
+            assert_eq!(observed.computations, cost, "{label}: distances");
         }
     }
 }

@@ -17,6 +17,12 @@
 //! chunking (0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, …), and the value
 //! strategy mixes adversarial magnitudes (1e-12 … 1e12) so any
 //! reassociation between paths would show up as a bit difference.
+//!
+//! The four-row batch kernels (`l1_x4`, `l2_x4`) are held to the
+//! single-pair kernels lane by lane: every lane equals the single-pair
+//! result on the same path and on the portable path, bit for bit, over
+//! dims 0–80, NaN, ±∞, −0.0 and subnormal inputs, and rows at offsets
+//! that are not 32-byte aligned.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -248,8 +254,119 @@ fn check_distance_within_contract(a: &[f64], b: &[f64]) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// [`adversarial_value`], or one time in eight a special value: NaN,
+/// ±∞, −0.0 or a subnormal.
+fn special_value(rng: &mut StdRng) -> f64 {
+    if rng.random_range(0..8u32) != 0 {
+        return adversarial_value(rng);
+    }
+    match rng.random_range(0..5u32) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        _ => f64::from_bits(rng.random_range(1..1u64 << 52)),
+    }
+}
+
+/// Same value, bit for bit. NaN results compare as NaN: IEEE 754 leaves
+/// the payload and sign of an operation's NaN open and the compiler may
+/// commute additions, and a NaN distance never passes a `d <= bound`
+/// test, so no search can observe which NaN it got.
+fn same_bits(got: f64, want: f64) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+type BatchKernel = fn(SimdPath, &[f64], [&[f64]; 4]) -> [f64; 4];
+
+/// Every lane of each batch kernel equals its single-pair kernel on the
+/// same path, and the portable single-pair value, bit for bit.
+fn check_batch_kernels(a: &[f64], rows: [&[f64]; 4]) -> Result<(), TestCaseError> {
+    let kernels: [(&str, BatchKernel, FloatKernel); 2] = [
+        ("l1_x4", simd::l1_x4, simd::l1::<false>),
+        ("l2_x4", simd::l2_x4, simd::l2::<false>),
+    ];
+    for (name, batch, single) in kernels {
+        let full = |path, row| single(path, a, row, f64::INFINITY).0.unwrap();
+        for path in simd::test_paths() {
+            let got = batch(path, a, rows);
+            for (j, (&d, row)) in got.iter().zip(rows).enumerate() {
+                let ctx = format!("{name} via {path} (n={}) lane {j}", a.len());
+                for want in [full(path, row), full(SimdPath::Portable, row)] {
+                    prop_assert!(same_bits(d, want), "{}: {} != {}", &ctx, d, want);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A query and four rows of `n` [`special_value`]s, each starting
+/// `offsets[j]` elements into its own buffer (so not 32-byte aligned).
+fn batch_case(rng: &mut StdRng, n: usize, offsets: [usize; 5]) -> Vec<Vec<f64>> {
+    offsets
+        .iter()
+        .map(|&skip| (0..skip + n).map(|_| special_value(rng)).collect())
+        .collect()
+}
+
+/// Runs [`check_batch_kernels`] on one [`batch_case`].
+fn check_batch_case(bufs: &[Vec<f64>], n: usize, offsets: [usize; 5]) -> Result<(), TestCaseError> {
+    let at = |k: usize| &bufs[k][offsets[k]..offsets[k] + n];
+    check_batch_kernels(at(0), [at(1), at(2), at(3), at(4)])
+}
+
+#[test]
+fn batch_kernels_match_single_pair_lanes_at_every_dim() {
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(18);
+    for n in 0..=80 {
+        for offsets in [[0; 5], [1, 3, 2, 1, 3], [3, 1, 0, 2, 1]] {
+            for _ in 0..4 {
+                let bufs = batch_case(&mut rng, n, offsets);
+                check_batch_case(&bufs, n, offsets).unwrap();
+            }
+        }
+    }
+}
+
+/// The metric layer batches L1 and L2 below the first bounded
+/// checkpoint only, with the same values as the explicit kernels.
+#[test]
+fn metric_layer_batches_below_the_first_checkpoint() {
+    use vantage_core::prelude::*;
+    for n in [0usize, 1, 16, 20, 32, 63, 64, 65, 80] {
+        let v: Vec<Vec<f64>> = (0..5)
+            .map(|j| (0..n).map(|i| ((i * 7 + j) as f64 * 0.3).sin()).collect())
+            .collect();
+        let rows = [&v[1][..], &v[2][..], &v[3][..], &v[4][..]];
+        let l1 = Manhattan.distance_x4(&v[0][..], rows);
+        let l2 = Euclidean.distance_x4(&v[0][..], rows);
+        if n < 64 {
+            let path = simd::active();
+            assert_eq!(l1, Some(simd::l1_x4(path, &v[0], rows)), "l1 n={n}");
+            assert_eq!(l2, Some(simd::l2_x4(path, &v[0], rows)), "l2 n={n}");
+        } else {
+            assert_eq!((l1, l2), (None, None), "n={n}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn batch_kernels_bit_identical_across_paths(
+        n in 0usize..=80,
+        skip in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let offsets = [skip, (skip + 1) % 4, (skip + 2) % 4, (skip + 3) % 4, skip];
+        let bufs = batch_case(&mut rng, n, offsets);
+        check_batch_case(&bufs, n, offsets)?;
+    }
 
     #[test]
     fn float_kernels_bit_identical_across_paths(ab in vec_pair()) {
