@@ -32,7 +32,8 @@ use std::time::Instant;
 
 use vantage_core::prelude::*;
 use vantage_experiments::Scale;
-use vantage_mvptree::{MvpParams, MvpTree};
+use vantage_mvptree::route::k_bucket;
+use vantage_mvptree::{MvpParams, MvpTree, SCAN_BETA};
 use vantage_persist::{
     self as persist, F64Vectors, IndexKind, ItemCodec, MetricTag, SnapshotInfo, Utf8Strings,
 };
@@ -42,7 +43,7 @@ use vantage_vptree::{VpTree, VpTreeParams};
 
 mod serve;
 
-use serve::{QueryCmd, ServedQuery};
+use serve::{QueryCmd, Routing, ServedQuery};
 
 /// CLI failure: a message for the user (exit code 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -325,11 +326,10 @@ fn read_words(path: &str) -> CliResult<Vec<String>> {
 /// `explain` run.
 fn query_cmd(args: &Args<'_>) -> CliResult<QueryCmd> {
     match (args.get("range"), args.get("knn")) {
-        (Some(r), None) => {
-            Ok(QueryCmd::Range(r.parse().map_err(|_| {
-                err(format!("invalid value for --range: `{r}`"))
-            })?))
-        }
+        (Some(r), None) => match r.parse::<f64>() {
+            Ok(radius) if !radius.is_nan() => Ok(QueryCmd::Range(radius)),
+            _ => Err(err(format!("invalid value for --range: `{r}`"))),
+        },
         (None, Some(k)) => {
             Ok(QueryCmd::Knn(k.parse().map_err(|_| {
                 err(format!("invalid value for --knn: `{k}`"))
@@ -382,15 +382,16 @@ struct Ask {
 }
 
 /// What one `query` or `explain` run reports: the answers (at most
-/// 1 000), the query's distance computations, the index size, and the
+/// 1 000), the query's distance computations, the index size, the
 /// budget verdict (`query --budget`, its neighbors moved to `results`)
-/// or pruning profile (`explain`).
+/// or pruning profile (`explain`), and how the index routed the query.
 struct Answer {
     results: Vec<Neighbor>,
     cost: u64,
     n: usize,
     budget: Option<BudgetedKnn>,
     profile: QueryProfile,
+    routing: Routing,
 }
 
 /// Answers `ask` on an index of `n` items — the one query phase behind
@@ -445,6 +446,7 @@ fn answer<T>(
         n,
         budget,
         profile,
+        routing: index.routing(),
     })
 }
 
@@ -596,7 +598,7 @@ fn answer_loaded<T, M, K>(
     metrics: &Option<Arc<IndexMetrics>>,
 ) -> CliResult<Answer>
 where
-    T: Clone + Send + Sync + 'static + Borrow<K::Item>,
+    T: serve::WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
     M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
     K: persist::FlatItems + Send + Sync + 'static,
     K::Item: ToOwned<Owned = T> + Sync,
@@ -625,13 +627,9 @@ fn check_snapshot_metric(info: &SnapshotInfo, requested: Option<&str>) -> CliRes
     }
 }
 
-/// Parses `--query` as a comma-separated float vector.
+/// Parses `--query` as a comma-separated vector of finite floats.
 fn parse_vector_query(query_text: &str) -> CliResult<Vec<f64>> {
-    query_text
-        .split(',')
-        .map(|c| c.trim().parse())
-        .collect::<std::result::Result<_, _>>()
-        .map_err(|_| err("query must be a comma-separated float vector"))
+    serve::WireItem::parse_wire(query_text).map_err(err)
 }
 
 /// Dispatches `query --index` / `explain --index` on a snapshot file:
@@ -926,6 +924,31 @@ fn format_profile(profile: &QueryProfile, cost: u64, n: usize, out: &mut String)
     }
 }
 
+/// The `route:` line of `explain`: which search answered the query, and
+/// for a routed kNN the calibration of its `k` bucket against β.
+fn route_line(cmd: &QueryCmd, routing: &Routing, n: usize) -> String {
+    let calibration = match *cmd {
+        QueryCmd::Knn(k) => routing.buckets.iter().find(|c| c.bucket == k_bucket(k)),
+        _ => None,
+    };
+    let Some(c) = calibration else {
+        return "route: search (only unsharded mvp-tree kNN queries are routed)".to_string();
+    };
+    let (route, test) = if c.scan() {
+        ("scan", ">=")
+    } else {
+        ("tree", "<")
+    };
+    // Bucket 0 also holds k = 0.
+    let lowest = if c.bucket == 0 { 0 } else { c.min_k() };
+    format!(
+        "route: {route} (k {lowest}..={}: probe ratio {:.3} {test} beta {SCAN_BETA}; a scan costs {} distances)",
+        c.min_k().saturating_mul(2) - 1,
+        c.ratio(),
+        thousands(n as u64)
+    )
+}
+
 fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
     let args = Args::parse(argv)?;
     let ask = Ask {
@@ -942,6 +965,7 @@ fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
     }
     let _ = writeln!(out, "--- query profile ({structure}) ---");
     let _ = writeln!(out, "simd path: {}", vantage_core::simd::active_name());
+    let _ = writeln!(out, "{}", route_line(&ask.cmd, &answer.routing, answer.n));
     format_profile(&answer.profile, answer.cost, answer.n, out);
     if let Some(path) = args.get("metrics") {
         write_metrics_snapshot(&registry, path, out)?;

@@ -76,17 +76,17 @@ use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vantage_core::prelude::*;
 use vantage_core::VantageError;
-use vantage_mvptree::{ConcurrentMvpTree, MvpReadSnapshot, MvpTree};
+use vantage_mvptree::{ConcurrentMvpTree, MvpReadSnapshot, MvpTree, ScanCalibration, ScanRouter};
 use vantage_persist::{self as persist, F64Vectors, FlatItems, IndexKind, MetricTag, Utf8Strings};
 use vantage_telemetry::export;
 use vantage_telemetry::{
-    chrome_from_trace_json, Gauge, IndexMetrics, Json, MetricsRegistry, OpKind, SloSurface,
-    TraceRecord, TraceRing,
+    chrome_from_trace_json, Gauge, IndexMetrics, Json, MetricsRegistry, OpKind, ShardedCounter,
+    SloSurface, TraceRecord, TraceRing,
 };
 use vantage_vptree::VpTree;
 
@@ -109,14 +109,27 @@ pub(crate) trait WireItem: Sized {
     /// Renders an item back into wire form (used by the smoke client to
     /// derive query texts from a loaded snapshot's own items).
     fn format_wire(&self) -> String;
+    /// The item's coordinate count, `None` for items without one
+    /// (strings). The Lp metrics require equal lengths, so a served
+    /// index checks it before a query or insert reaches the metric.
+    fn dims(&self) -> Option<usize>;
 }
 
 impl WireItem for Vec<f64> {
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
-        text.split(',')
+        let item = text
+            .split(',')
             .map(|c| c.trim().parse())
             .collect::<std::result::Result<Vec<f64>, _>>()
-            .map_err(|_| "query must be a comma-separated float vector".to_string())
+            .map_err(|_| "query must be a comma-separated float vector".to_string())?;
+        // A NaN coordinate makes every distance NaN, and searches treat
+        // NaN candidates differently (a tree offers its vantage points
+        // unconditionally, a scan offers only `d <= radius`), so the
+        // answer would depend on the structure.
+        if item.iter().any(|x| !x.is_finite()) {
+            return Err("query coordinates must be finite numbers".to_string());
+        }
+        Ok(item)
     }
 
     fn format_wire(&self) -> String {
@@ -128,6 +141,10 @@ impl WireItem for Vec<f64> {
             let _ = write!(s, "{x}");
         }
         s
+    }
+
+    fn dims(&self) -> Option<usize> {
+        Some(self.len())
     }
 }
 
@@ -141,6 +158,23 @@ impl WireItem for String {
 
     fn format_wire(&self) -> String {
         self.clone()
+    }
+
+    fn dims(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// `Err` when `item` has a different coordinate count from the served
+/// index's (`what` names the item in the reply: `query` or `item`).
+fn check_dims<T: WireItem>(
+    what: &str,
+    item: &T,
+    index: Option<usize>,
+) -> std::result::Result<(), String> {
+    match (item.dims(), index) {
+        (Some(d), Some(n)) if d != n => Err(format!("{what} has {d} coordinates, index has {n}")),
+        _ => Ok(()),
     }
 }
 
@@ -197,6 +231,53 @@ impl_traced_search!(
     K::Item,
     |t| t.view()
 );
+
+/// How a served index answers a kNN the router sends to a scan. An
+/// mvp-tree calibrates each `k` bucket on its own items and scans its own
+/// row-ordered item store; every other index is never routed and keeps
+/// its own search.
+pub(crate) trait ScanRoute<Q: ?Sized>: TracedSearch<Q> {
+    /// The calibration of `k`'s bucket, probing the index on the
+    /// bucket's first query; `None` for an index that is never routed.
+    fn scan_calibration(&self, router: &ScanRouter, k: usize) -> Option<ScanCalibration> {
+        let _ = (router, k);
+        None
+    }
+
+    /// kNN by a scan of the index's own rows: the same answer as its
+    /// search, with one candidate distance per item.
+    fn knn_scan<S: TraceSink>(&self, query: &Q, k: usize, sink: &mut S) -> Vec<Neighbor> {
+        self.query_traced(&QueryCmd::Knn(k), query, sink)
+    }
+}
+
+/// Implements [`ScanRoute`] for an mvp-tree form through its borrowed
+/// view.
+macro_rules! impl_scan_route {
+    ([$($g:tt)*] $index:ty, $q:ty, |$this:ident| $view:expr) => {
+        impl<$($g)*> ScanRoute<$q> for $index {
+            fn scan_calibration(&self, router: &ScanRouter, k: usize) -> Option<ScanCalibration> {
+                let $this = self;
+                Some(router.calibrate(&$view, k))
+            }
+
+            fn knn_scan<S: TraceSink>(&self, query: &$q, k: usize, sink: &mut S) -> Vec<Neighbor> {
+                let $this = self;
+                $view.knn_scan_traced(query, k, sink)
+            }
+        }
+    };
+}
+
+impl_scan_route!([T, M: BoundedMetric<T>] MvpTree<T, M>, T, |t| t.as_view());
+impl_scan_route!(
+    [K: FlatItems, M: BoundedMetric<K::Item>] persist::MappedMvpTree<K, M>,
+    K::Item,
+    |t| t.view()
+);
+impl<T, M: BoundedMetric<T>> ScanRoute<T> for VpTree<T, M> {}
+impl<T, M: BoundedMetric<T>> ScanRoute<T> for LinearScan<T, M> {}
+impl<K: FlatItems, M: BoundedMetric<K::Item>> ScanRoute<K::Item> for persist::MappedVpTree<K, M> {}
 
 /// The dynamic engine's pinned generation: the tree's descent plus the
 /// overflow and exhaustive scans, every distance reported to `sink`.
@@ -269,13 +350,39 @@ pub(crate) trait ServedQuery<T>: Send + Sync {
     fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn;
     /// A copy of the item with original id `id`.
     fn item(&self, id: usize) -> Option<T>;
+    /// How this index has routed its kNN queries so far (nothing for a
+    /// sharded index, which is never routed).
+    fn routing(&self) -> Routing {
+        Routing::default()
+    }
+}
+
+/// A served index's kNN routing: answers by its own search and by a
+/// scan of its rows, and each calibrated `k` bucket.
+#[derive(Debug, Default)]
+pub(crate) struct Routing {
+    pub(crate) tree: u64,
+    pub(crate) scan: u64,
+    /// Calibrated buckets in bucket order; empty for an index that is
+    /// never routed.
+    pub(crate) buckets: Vec<ScanCalibration>,
 }
 
 /// An unsharded index. It answers queries of type `Q`: the wire item
 /// itself, or the unsized form (`[f64]`, `str`) a loaded snapshot tree
 /// answers, which wire items are borrowed down to.
+///
+/// Its kNN queries are routed: each `k` bucket is calibrated once, on
+/// its first query ([`ScanRouter`]), and a bucket where the tree's own
+/// probes compute at least [`SCAN_BETA`](vantage_mvptree::SCAN_BETA) of
+/// all distances is answered by a scan of the tree's rows instead of a
+/// descent. Same answers either way; the router belongs to this index,
+/// so each served generation calibrates afresh.
 pub(crate) struct ServedSingle<I, Q: ?Sized> {
     index: I,
+    router: ScanRouter,
+    tree_answers: ShardedCounter,
+    scan_answers: ShardedCounter,
     query: PhantomData<fn(&Q)>,
 }
 
@@ -283,8 +390,27 @@ impl<I, Q: ?Sized> ServedSingle<I, Q> {
     pub(crate) fn new(index: I) -> Self {
         ServedSingle {
             index,
+            router: ScanRouter::new(),
+            tree_answers: ShardedCounter::new(),
+            scan_answers: ShardedCounter::new(),
             query: PhantomData,
         }
+    }
+}
+
+/// The routing itself: a kNN goes to the scan when its bucket's
+/// calibration says so, everything else to the index's own search.
+impl<Q: ?Sized, I: ScanRoute<Q>> TracedSearch<Q> for ServedSingle<I, Q> {
+    fn query_traced<S: TraceSink>(&self, cmd: &QueryCmd, query: &Q, sink: &mut S) -> Vec<Neighbor> {
+        if let QueryCmd::Knn(k) = *cmd {
+            let calibration = self.index.scan_calibration(&self.router, k);
+            if calibration.is_some_and(|c| c.scan()) {
+                self.scan_answers.incr();
+                return self.index.knn_scan(query, k, sink);
+            }
+            self.tree_answers.incr();
+        }
+        self.index.query_traced(cmd, query, sink)
     }
 }
 
@@ -292,10 +418,10 @@ impl<T, Q, I> ServedQuery<T> for ServedSingle<I, Q>
 where
     T: Borrow<Q> + Send + Sync,
     Q: ToOwned<Owned = T> + ?Sized,
-    I: BudgetedSearch<Q> + TracedSearch<Q> + Send + Sync,
+    I: BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync,
 {
     fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
-        search(&self.index, cmd, query.borrow())
+        search(self, cmd, query.borrow())
     }
 
     fn execute_traced(
@@ -304,7 +430,7 @@ where
         query: &T,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
-        search_traced(&self.index, cmd, query.borrow(), rec)
+        search_traced(self, cmd, query.borrow(), rec)
     }
 
     fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
@@ -313,6 +439,14 @@ where
 
     fn item(&self, id: usize) -> Option<T> {
         self.index.get(id).map(ToOwned::to_owned)
+    }
+
+    fn routing(&self) -> Routing {
+        Routing {
+            tree: self.tree_answers.get(),
+            scan: self.scan_answers.get(),
+            buckets: self.router.calibrated().collect(),
+        }
     }
 }
 
@@ -414,7 +548,7 @@ pub(crate) fn build_served<T, S>(
 ) -> CliResult<(Box<dyn ServedQuery<T>>, u64)>
 where
     T: Clone + Send + Sync + 'static,
-    S: ShardSearch<T> + BudgetedSearch<T> + TracedSearch<T> + Send + Sync + 'static,
+    S: ShardSearch<T> + BudgetedSearch<T> + ScanRoute<T> + Send + Sync + 'static,
 {
     let built = |e: VantageError| err(e.to_string());
     if shards == 0 {
@@ -451,8 +585,8 @@ fn serve_loaded<T, Q, I, S>(
 where
     T: Borrow<Q> + Clone + Send + Sync + 'static,
     Q: ToOwned<Owned = T> + ?Sized + 'static,
-    I: BudgetedSearch<Q> + TracedSearch<Q> + Send + Sync + 'static,
-    S: ShardSearch<T> + BudgetedSearch<T> + TracedSearch<T> + Send + Sync + 'static,
+    I: BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync + 'static,
+    S: ShardSearch<T> + BudgetedSearch<T> + ScanRoute<T> + Send + Sync + 'static,
 {
     if shards == 1 {
         return Ok((Box::new(ServedSingle::<I, Q>::new(index)), layout));
@@ -471,6 +605,8 @@ where
 pub(crate) struct LoadedIndex<T> {
     pub(crate) index: Box<dyn ServedQuery<T>>,
     pub(crate) items: u64,
+    /// The items' coordinate count (`None` for strings, or no items).
+    dims: Option<usize>,
     structure: &'static str,
     /// How the generation holds its data: `mmap` (zero-copy file
     /// mapping), `read` (owned fallback behind the mapped API), or
@@ -498,7 +634,7 @@ pub(crate) fn load_index_typed<T, M, K>(
     threads: Threads,
 ) -> CliResult<LoadedIndex<T>>
 where
-    T: Clone + Send + Sync + 'static + Borrow<K::Item>,
+    T: WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
     M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
     K: FlatItems + Send + Sync + 'static,
     K::Item: ToOwned<Owned = T> + Sync,
@@ -532,9 +668,11 @@ where
             })?
         }
     };
+    let dims = index.item(0).and_then(|item| item.dims());
     Ok(LoadedIndex {
         index,
         items: info.items,
+        dims,
         structure: structure_label(info.kind),
         layout,
     })
@@ -569,6 +707,9 @@ struct StaticEngine<T> {
 struct DynamicEngine<T, M> {
     tree: ConcurrentMvpTree<T, M>,
     metrics: Arc<IndexMetrics>,
+    /// The items' coordinate count: the dataset's, or the first
+    /// insert's when the server started empty.
+    dims: OnceLock<usize>,
 }
 
 enum Engine<T, M> {
@@ -795,13 +936,21 @@ where
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     let registry = MetricsRegistry::new();
+    let dims = items
+        .first()
+        .and_then(WireItem::dims)
+        .map_or_else(OnceLock::new, OnceLock::from);
     let build_start = Instant::now();
     let tree =
         ConcurrentMvpTree::with_items(items, metric, mvp_build_params(opts.seed, opts.threads))
             .map_err(|e| err(e.to_string()))?;
     let metrics = registry.index("serve/dynamic");
     record_build(&metrics, build_start, tree.build_distances());
-    let engine = Engine::Dynamic(DynamicEngine { tree, metrics });
+    let engine = Engine::Dynamic(DynamicEngine {
+        tree,
+        metrics,
+        dims,
+    });
     run_server(engine, registry, metric_name, opts, out)
 }
 
@@ -882,14 +1031,11 @@ where
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     shared.g_connections.add(1);
+    let _open = OpenConnection(&shared.g_connections);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            shared.g_connections.add(-1);
-            return;
-        }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
     // Raw bytes, decoded only once the whole line is in: a line that is
@@ -929,7 +1075,16 @@ where
             Err(_) => break,
         }
     }
-    shared.g_connections.add(-1);
+}
+
+/// Counts one open connection in the `serve/connections` gauge until
+/// dropped, however the connection's thread ends.
+struct OpenConnection<'a>(&'a Gauge);
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.add(-1);
+    }
 }
 
 /// Handles one request line; returns the reply and whether to close the
@@ -987,11 +1142,14 @@ where
                 origin,
                 rec,
             };
-            Ok(Reply::Line(answer_query(shared, &cmd, &query, trace)))
+            answer_query(shared, &cmd, &query, trace).map(Reply::Line)
         }
         "INSERT" => {
             let engine = dynamic_engine(shared, verb)?;
             let item = T::parse_wire(rest)?;
+            if let Some(d) = item.dims() {
+                check_dims("item", &item, Some(*engine.dims.get_or_init(|| d)))?;
+            }
             let id = engine.tree.insert(item);
             refresh_gauges(shared);
             Ok(Reply::Line(format!(
@@ -1134,14 +1292,8 @@ pub(crate) enum QueryCmd {
 impl QueryCmd {
     fn parse(verb: &str, arg: &str) -> std::result::Result<QueryCmd, String> {
         match verb {
-            "RANGE" => arg
-                .parse()
-                .map(QueryCmd::Range)
-                .map_err(|_| format!("RANGE needs a float radius, got `{arg}`")),
-            "BEYOND" => arg
-                .parse()
-                .map(QueryCmd::Beyond)
-                .map_err(|_| format!("BEYOND needs a float radius, got `{arg}`")),
+            "RANGE" => parse_radius(verb, arg).map(QueryCmd::Range),
+            "BEYOND" => parse_radius(verb, arg).map(QueryCmd::Beyond),
             "KNN" => arg
                 .parse()
                 .map(QueryCmd::Knn)
@@ -1159,6 +1311,16 @@ impl QueryCmd {
             QueryCmd::Range(_) | QueryCmd::Beyond(_) => OpKind::Range,
             QueryCmd::Knn(_) | QueryCmd::Kfn(_) => OpKind::Knn,
         }
+    }
+}
+
+/// Parses a RANGE/BEYOND radius. NaN is refused: every `d <= NaN` test
+/// fails, so whether a NaN radius matches anything would depend on
+/// which comparisons a structure happens to make.
+fn parse_radius(verb: &str, arg: &str) -> std::result::Result<f64, String> {
+    match arg.parse::<f64>() {
+        Ok(r) if !r.is_nan() => Ok(r),
+        _ => Err(format!("{verb} needs a float radius, got `{arg}`")),
     }
 }
 
@@ -1186,7 +1348,7 @@ fn answer_query<T, M>(
     cmd: &QueryCmd,
     query: &T,
     trace: RequestTrace<'_>,
-) -> String
+) -> std::result::Result<String, String>
 where
     T: WireItem + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
@@ -1198,13 +1360,14 @@ where
         mut rec,
     } = trace;
     let sampled = rec.is_some();
-    shared.g_in_flight.add(1);
     let mut profile = None;
     let (generation, results, measured) = match &shared.engine {
         Engine::Static(engine) => {
             // Pin one generation: the query answers wholly against it
             // even if a RELOAD swaps mid-flight.
             let guard = engine.cell.read();
+            check_dims("query", query, guard.loaded.dims)?;
+            shared.g_in_flight.add(1);
             let start = Instant::now();
             let (results, cost) = match rec.as_mut() {
                 Some(r) => {
@@ -1220,8 +1383,11 @@ where
         }
         Engine::Dynamic(engine) => {
             // Pin one generation, as above; its number is the one the
-            // query read, whatever writes publish meanwhile.
+            // query read, whatever writes publish meanwhile. Every item
+            // it holds was checked against `dims` before its insert.
             let snapshot = engine.tree.read();
+            check_dims("query", query, engine.dims.get().copied())?;
+            shared.g_in_flight.add(1);
             let start = Instant::now();
             let (results, cost) = match rec.as_mut() {
                 Some(r) => {
@@ -1291,7 +1457,7 @@ where
         }
         tracer.ring.push(record);
     }
-    reply
+    Ok(reply)
 }
 
 fn info_line<T, M>(shared: &Shared<T, M>) -> String
@@ -1303,7 +1469,7 @@ where
         Engine::Static(engine) => {
             let guard = engine.cell.read();
             format!(
-                "OK mode=static structure={} metric={} items={} shards={} layout={} generation={} swaps={} simd={} uptime_s={}",
+                "OK mode=static structure={} metric={} items={} shards={} layout={} generation={} swaps={} simd={} uptime_s={} knn_scans={}",
                 guard.loaded.structure,
                 shared.metric_name,
                 guard.loaded.items,
@@ -1312,7 +1478,8 @@ where
                 guard.generation(),
                 engine.cell.swaps(),
                 vantage_core::simd::active_name(),
-                shared.started.elapsed().as_secs()
+                shared.started.elapsed().as_secs(),
+                guard.loaded.index.routing().scan
             )
         }
         Engine::Dynamic(engine) => format!(
@@ -1336,6 +1503,12 @@ where
         Engine::Static(engine) => {
             shared.g_generation.set(engine.cell.generation() as i64);
             shared.g_swaps.set(engine.cell.swaps() as i64);
+            let guard = engine.cell.read();
+            publish_routing(
+                &shared.registry,
+                guard.generation(),
+                &guard.loaded.index.routing(),
+            );
         }
         Engine::Dynamic(engine) => {
             shared.g_generation.set(engine.tree.generation() as i64);
@@ -1357,6 +1530,29 @@ where
                 .gauge(&format!("slo/{}/{stat}", kind.name()))
                 .set(value as i64);
         }
+    }
+}
+
+/// Publishes one generation's kNN routing as gauges under
+/// `serve/gen{G}/`: `knn_answers/tree` and `knn_answers/scan`, and per
+/// calibrated bucket (named by its smallest `k`) the probe ratio in
+/// parts per million and whether the bucket routes to the scan.
+fn publish_routing(registry: &MetricsRegistry, generation: u64, routing: &Routing) {
+    let prefix = format!("serve/gen{generation}");
+    registry
+        .gauge(&format!("{prefix}/knn_answers/tree"))
+        .set(routing.tree as i64);
+    registry
+        .gauge(&format!("{prefix}/knn_answers/scan"))
+        .set(routing.scan as i64);
+    for c in &routing.buckets {
+        let bucket = format!("{prefix}/knn_route/k{}", c.min_k());
+        registry
+            .gauge(&format!("{bucket}/probe_ratio_ppm"))
+            .set((c.ratio() * 1e6).round() as i64);
+        registry
+            .gauge(&format!("{bucket}/scan"))
+            .set(i64::from(c.scan()));
     }
 }
 
@@ -1399,6 +1595,15 @@ where
     let (items, layout) = (loaded.items, loaded.layout);
     let retired = engine.cell.swap(StaticGen { loaded, metrics });
     let drained = retired.wait_drained(DRAIN_TIMEOUT);
+    // The displaced generation's final routing counts.
+    let old_generation = retired.generation();
+    if let Ok(old) = retired.try_into_inner() {
+        publish_routing(
+            &shared.registry,
+            old_generation,
+            &old.loaded.index.routing(),
+        );
+    }
     refresh_gauges(shared);
     *engine
         .source

@@ -571,6 +571,289 @@ fn knn_zero_computes_no_distance_on_any_served_structure() {
     let _ = std::fs::remove_file(&data);
 }
 
+/// One persistent client connection: sends a line, returns the reply.
+struct Line {
+    stream: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl Line {
+    fn open(addr: &str) -> Line {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        Line { stream, reader }
+    }
+
+    fn send(&mut self, line: &str) -> String {
+        use std::io::{BufRead, Write};
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    }
+}
+
+/// The gauge `name` in a STATS reply from the server at `addr`.
+fn stats_gauge(addr: &str, name: &str) -> Option<i64> {
+    let stats = client(addr, "STATS");
+    let json = stats.strip_prefix("OK ").expect("STATS answers OK");
+    export::from_json(json).expect("STATS parses").gauge(name)
+}
+
+/// Waits until the server at `addr` counts `open` connections besides
+/// the STATS connection asking.
+fn await_connections(addr: &str, open: i64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats_gauge(addr, "serve/connections") != Some(open + 1) {
+        assert!(
+            Instant::now() < deadline,
+            "serve/connections never settled at {open}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn wrong_dimension_requests_get_an_error_and_keep_the_connection() {
+    let data = temp_path("dims-data.csv");
+    let snap = temp_path("dims-index.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "200", "--dim", "6", "--seed", "9", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
+    let good = "KNN 3 0.5,0.5,0.5,0.5,0.5,0.5";
+
+    for mode in ["--index", "--data"] {
+        let source = if mode == "--index" { &snap } else { &data };
+        let (addr, server) = spawn_server(vec!["serve".into(), mode.into(), source.clone()]);
+        let expected = client(&addr, good);
+        assert!(expected.starts_with("OK 3 "), "{mode}: {expected}");
+
+        let mut line = Line::open(&addr);
+        for bad in [
+            "KNN 3 1,2",
+            "RANGE 0.5 1,2,3,4,5,6,7",
+            "KFN 2 1",
+            "BEYOND 0.1 1,2",
+        ] {
+            let n = bad.rsplit(' ').next().unwrap().split(',').count();
+            assert_eq!(
+                line.send(bad),
+                format!("ERR query has {n} coordinates, index has 6"),
+                "{mode}: {bad}"
+            );
+            assert_eq!(line.send("PING"), "OK pong", "{mode}: after {bad}");
+            assert_eq!(line.send(good), expected, "{mode}: after {bad}");
+        }
+        if mode == "--data" {
+            // A bad insert never reaches the tree or its overflow set.
+            assert_eq!(
+                line.send("INSERT 1,2"),
+                "ERR item has 2 coordinates, index has 6"
+            );
+            assert_eq!(line.send("PING"), "OK pong");
+            assert_eq!(line.send(good), expected);
+            assert!(line.send("REINDEX").starts_with("OK generation="));
+            assert_eq!(line.send(good), expected);
+        } else {
+            assert!(line.send("INSERT 1,2").starts_with("ERR INSERT is only"));
+        }
+        drop(line);
+        await_connections(&addr, 0);
+
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
+    }
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn non_finite_coordinates_and_nan_radii_are_refused() {
+    let data = temp_path("nan-data.csv");
+    let snap = temp_path("nan-index.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "100", "--dim", "3", "--seed", "9", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
+    for mode in ["--index", "--data"] {
+        let source = if mode == "--index" { &snap } else { &data };
+        let (addr, server) = spawn_server(vec!["serve".into(), mode.into(), source.clone()]);
+        let mut line = Line::open(&addr);
+        for bad in [
+            "KNN 3 NaN,0.5,0.5",
+            "KNN 3 0.5,inf,0.5",
+            "KFN 3 0.5,0.5,-inf",
+            "RANGE 0.5 nan,0.5,0.5",
+            "RANGE NaN 0.5,0.5,0.5",
+            "BEYOND nan 0.5,0.5,0.5",
+        ] {
+            let reply = line.send(bad);
+            assert!(reply.starts_with("ERR "), "{mode}: {bad}: {reply}");
+            assert_eq!(line.send("PING"), "OK pong", "{mode}: after {bad}");
+        }
+        let insert = line.send("INSERT 0.5,NaN,0.5");
+        assert!(insert.starts_with("ERR "), "{mode}: {insert}");
+        // An infinite radius is a real question: every item matches.
+        assert!(line.send("RANGE inf 0.5,0.5,0.5").starts_with("OK 100 "));
+        drop(line);
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
+    }
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn knn_routes_to_a_row_scan_where_the_tree_cannot_prune() {
+    // Uniform 20-d points: the tree's probes compute nearly every
+    // distance, so kNN routes to the scan. A linear-scan snapshot of the
+    // same items, which is never routed, is the oracle.
+    let data = temp_path("route-data.csv");
+    let snap = temp_path("route-index.vantage");
+    let linear = temp_path("route-linear.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "1500", "--dim", "20", "--seed", "6", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--seed", "1"]);
+    let built = [
+        "build",
+        "--data",
+        &data,
+        "--save",
+        &linear,
+        "--structure",
+        "linear",
+    ];
+    run_ok(&built);
+    let queries: Vec<String> = std::fs::read_to_string(&data)
+        .unwrap()
+        .lines()
+        .step_by(97)
+        .flat_map(|q| {
+            [
+                format!("KNN 10 {q}"),
+                format!("KNN 1 {q}"),
+                format!("KNN 0 {q}"),
+            ]
+        })
+        .collect();
+
+    let (oracle_addr, oracle) =
+        spawn_server(vec!["serve".into(), "--index".into(), linear.clone()]);
+    let expected: Vec<String> = queries.iter().map(|q| client(&oracle_addr, q)).collect();
+    assert_eq!(client(&oracle_addr, "SHUTDOWN"), "OK bye");
+    oracle
+        .join()
+        .expect("oracle panicked")
+        .expect("oracle failed");
+
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+    let mut line = Line::open(&addr);
+    // The first query calibrates bucket 0 and is routed; at k = 0 the
+    // scan computes nothing.
+    assert_eq!(queries[2], format!("KNN 0 {}", &queries[0][7..]));
+    assert_eq!(line.send(&queries[2]), "OK 0");
+    assert_eq!(knn_ops_and_max_distances(&addr, "serve/gen0"), (1, 0));
+    assert_eq!(stats_gauge(&addr, "serve/gen0/knn_answers/scan"), Some(1));
+    for (q, want) in queries.iter().zip(&expected) {
+        assert_eq!(&line.send(q), want, "{q}");
+    }
+    let served = queries.len() as i64 + 1;
+    assert_eq!(
+        stats_gauge(&addr, "serve/gen0/knn_answers/scan"),
+        Some(served)
+    );
+    assert_eq!(stats_gauge(&addr, "serve/gen0/knn_answers/tree"), Some(0));
+    for bucket in ["k1", "k8"] {
+        let ratio = stats_gauge(
+            &addr,
+            &format!("serve/gen0/knn_route/{bucket}/probe_ratio_ppm"),
+        );
+        assert!(ratio.is_some_and(|r| r >= 500_000), "{bucket}: {ratio:?}");
+        let scan = stats_gauge(&addr, &format!("serve/gen0/knn_route/{bucket}/scan"));
+        assert_eq!(scan, Some(1), "{bucket}");
+    }
+    assert!(line.send("INFO").ends_with(&format!(" knn_scans={served}")));
+    // Every routed kNN costs at most one scan.
+    assert_eq!(
+        knn_ops_and_max_distances(&addr, "serve/gen0"),
+        (served as u64, 1500)
+    );
+
+    // RELOAD starts a generation that calibrates afresh; the displaced
+    // generation's counts stay published.
+    assert!(line
+        .send(&format!("RELOAD {snap}"))
+        .starts_with("OK generation=1"));
+    assert_eq!(line.send(&queries[0]), expected[0]);
+    assert_eq!(stats_gauge(&addr, "serve/gen1/knn_answers/scan"), Some(1));
+    assert_eq!(
+        stats_gauge(&addr, "serve/gen0/knn_answers/scan"),
+        Some(served)
+    );
+    assert_eq!(stats_gauge(&addr, "serve/gen1/knn_route/k1/scan"), None);
+    drop(line);
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap, &linear] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn clustered_knn_stays_on_the_tree() {
+    let data = temp_path("route-clustered.csv");
+    let snap = temp_path("route-clustered.vantage");
+    run_ok(&[
+        "generate",
+        "clustered",
+        "--clusters",
+        "30",
+        "--size",
+        "100",
+        "--dim",
+        "20",
+        "--seed",
+        "6",
+        "--out",
+        &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--seed", "1"]);
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+    let query = std::fs::read_to_string(&data)
+        .unwrap()
+        .lines()
+        .nth(40)
+        .unwrap()
+        .to_string();
+    assert_eq!(client(&addr, &format!("KNN 1 {query}")), "OK 1 40:0");
+    assert_eq!(stats_gauge(&addr, "serve/gen0/knn_answers/tree"), Some(1));
+    assert_eq!(stats_gauge(&addr, "serve/gen0/knn_answers/scan"), Some(0));
+    assert_eq!(stats_gauge(&addr, "serve/gen0/knn_route/k1/scan"), Some(0));
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn metric_mismatch_is_a_typed_error_on_every_snapshot_path() {
     let data = temp_path("mismatch-data.csv");

@@ -95,7 +95,7 @@ pub use farthest::{FarthestIndex, KfnCollector};
 pub use index::{BatchIndex, MetricIndex};
 pub use items::{id_rows, permute_to_rows, FlatF64s, FlatStrs, ItemStore};
 pub use knn::KnnCollector;
-pub use linear::LinearScan;
+pub use linear::{knn_scan, LinearScan};
 pub use metric::{BoundedMetric, DiscreteMetric, Metric};
 pub use parallel::Threads;
 pub use query::Neighbor;

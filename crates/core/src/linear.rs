@@ -93,59 +93,86 @@ impl<T, M: BoundedMetric<T>> LinearScan<T, M> {
     /// Runs the kNN scan into a caller-provided collector — the loop
     /// behind [`knn_traced`](LinearScan::knn_traced) and the sharded
     /// scatter path (which passes a collector wired to a cross-shard
-    /// bound).
-    ///
-    /// Where the metric batches ([`BoundedMetric::distance_x4`]), items
-    /// are evaluated four at a time and each value is then tested
-    /// against the radius at its own item's turn, which is the bounded
-    /// call itself: same answers, same counts, same events. `k = 0`
-    /// computes nothing.
+    /// bound). It is [`knn_scan`] over the items in id order.
     pub(crate) fn knn_into<S: TraceSink>(
         &self,
         collector: &mut KnnCollector,
         query: &T,
         sink: &mut S,
     ) {
-        if collector.k() == 0 {
-            return;
-        }
-        if !self.items.is_empty() {
-            sink.enter_node(0, true);
-        }
-        let mut id = 0;
-        for group in self.items.chunks_exact(4) {
-            let Some(ds) = self
-                .metric
-                .distance_x4(query, [&group[0], &group[1], &group[2], &group[3]])
-            else {
-                break;
-            };
-            for d in ds {
-                sink.distance(DistanceRole::Candidate);
-                if d <= collector.radius() {
-                    collector.offer(id, d);
-                } else {
-                    sink.abandon(DistanceRole::Candidate, 1.0);
-                }
-                id += 1;
-            }
-        }
-        for item in &self.items[id..] {
+        knn_scan(
+            &self.metric,
+            query,
+            self.items.iter().enumerate(),
+            collector,
+            sink,
+        );
+    }
+}
+
+/// Offers every `(id, item)` of `rows` to `collector` as a kNN
+/// candidate of `query`: the one exhaustive kNN loop, behind
+/// [`LinearScan`] and behind a tree answering by a scan of its own
+/// row-ordered item store.
+///
+/// Where the metric batches ([`BoundedMetric::distance_x4`]), rows are
+/// evaluated four at a time and each value is then tested against the
+/// radius at its own row's turn, which is the bounded call itself; the
+/// rest go through [`BoundedMetric::distance_within_frac`] with the
+/// current radius. Every row reports one [`DistanceRole::Candidate`]
+/// computation, and the whole scan one leaf visit. `k = 0` computes
+/// nothing. Because the collector's tie-break is canonical, the answer
+/// does not depend on the order of `rows`.
+pub fn knn_scan<'a, T, M, S>(
+    metric: &M,
+    query: &T,
+    rows: impl IntoIterator<Item = (usize, &'a T)>,
+    collector: &mut KnnCollector,
+    sink: &mut S,
+) where
+    T: ?Sized + 'a,
+    M: BoundedMetric<T> + ?Sized,
+    S: TraceSink,
+{
+    if collector.k() == 0 {
+        return;
+    }
+    let mut rows = rows.into_iter();
+    let mut group = next_four(&mut rows);
+    if group[0].is_some() {
+        sink.enter_node(0, true);
+    }
+    while let [Some((i0, x0)), Some((i1, x1)), Some((i2, x2)), Some((i3, x3))] = group {
+        let Some(ds) = metric.distance_x4(query, [x0, x1, x2, x3]) else {
+            break;
+        };
+        for (id, d) in [i0, i1, i2, i3].into_iter().zip(ds) {
             sink.distance(DistanceRole::Candidate);
-            match self
-                .metric
-                .distance_within_frac(query, item, collector.radius())
-            {
-                (Some(d), _) => {
-                    collector.offer(id, d);
-                }
-                (None, work) => {
-                    sink.abandon(DistanceRole::Candidate, work);
-                }
+            if d <= collector.radius() {
+                collector.offer(id, d);
+            } else {
+                sink.abandon(DistanceRole::Candidate, 1.0);
             }
-            id += 1;
+        }
+        group = next_four(&mut rows);
+    }
+    for (id, item) in group.into_iter().flatten().chain(rows) {
+        sink.distance(DistanceRole::Candidate);
+        match metric.distance_within_frac(query, item, collector.radius()) {
+            (Some(d), _) => {
+                collector.offer(id, d);
+            }
+            (None, work) => {
+                sink.abandon(DistanceRole::Candidate, work);
+            }
         }
     }
+}
+
+/// The next four rows of `rows` (`None` past its end).
+#[inline]
+fn next_four<I: Iterator>(rows: &mut I) -> [Option<I::Item>; 4] {
+    [rows.next(), rows.next(), rows.next(), rows.next()]
 }
 
 impl<T, M: BoundedMetric<T>> MetricIndex<T> for LinearScan<T, M> {

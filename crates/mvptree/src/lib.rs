@@ -59,11 +59,13 @@ pub mod arena;
 pub mod concurrent;
 pub mod dynamic;
 pub mod params;
+pub mod route;
 
 pub use arena::{LeafEntriesView, MvpArena, MvpArenaView, MvpNodeView, NO_CHILD};
 pub use concurrent::{ConcurrentMvpTree, MvpReadSnapshot};
 pub use dynamic::DynamicMvpTree;
 pub use params::{MvpParams, SecondVantage};
+pub use route::{ScanCalibration, ScanRouter, SCAN_BETA};
 pub use stats::MvpTreeStats;
 pub use tree::MvpTree;
 pub use treeref::MvpTreeRef;

@@ -74,6 +74,11 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
         self.store.get(self.rows[id as usize])
     }
 
+    /// The item stored at `row` of the row-ordered store.
+    pub(crate) fn row(&self, row: u32) -> &S::Item {
+        self.store.get(row)
+    }
+
     /// The metric in use.
     pub fn metric(&self) -> &'a M {
         self.metric
@@ -137,6 +142,29 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
     {
         let mut collector = KnnCollector::new(k);
         self.kernel(query).knn_into(&mut collector, sink);
+        collector.into_sorted()
+    }
+
+    /// kNN answered by a scan of the tree's own row-ordered item store
+    /// ([`vantage_core::knn_scan`] over every row, each named by the id
+    /// [`MvpArenaView::row_order`] gives it) instead of a descent: `n`
+    /// candidate distances, the same answer as
+    /// [`knn_traced`](MvpTreeRef::knn_traced) (the collector's tie-break
+    /// is canonical).
+    pub fn knn_scan_traced<Sink: TraceSink>(
+        &self,
+        query: &S::Item,
+        k: usize,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor>
+    where
+        M: BoundedMetric<S::Item>,
+    {
+        let mut collector = KnnCollector::new(k);
+        let rows = (0..)
+            .zip(self.arena.row_order())
+            .map(|(row, id)| (id as usize, self.store.get(row)));
+        vantage_core::knn_scan(self.metric, query, rows, &mut collector, sink);
         collector.into_sorted()
     }
 

@@ -54,6 +54,15 @@ fn fixture() -> String {
     );
     registry.gauge("serve/generation").set(2);
     registry.gauge("serve/in_flight").set(0);
+    // kNN routing as the serve loop exports it per generation: answers
+    // by the tree's search and by a scan of its rows, and one calibrated
+    // `k` bucket's probe ratio (parts per million) and decision.
+    registry.gauge("serve/gen2/knn_answers/tree").set(3);
+    registry.gauge("serve/gen2/knn_answers/scan").set(7);
+    registry
+        .gauge("serve/gen2/knn_route/k8/probe_ratio_ppm")
+        .set(965_125);
+    registry.gauge("serve/gen2/knn_route/k8/scan").set(1);
     // SLO surface gauges as the serve loop exports them — including the
     // effective sample count, so scrapers can tell a converged p999
     // from a thin-window alias of the worst observation.
