@@ -68,7 +68,11 @@
 //! [`ConcurrentMvpTree`]: every `INSERT`/`DELETE` publishes a new
 //! generation and amortized rebuilds happen off the read path, so
 //! sustained ingest under heavy concurrent reads is the normal case,
-//! not an outage.
+//! not an outage. Its `INFO` ends with `overflow=N tree_dead=N` (live
+//! items inserted since the last rebuild, and removed items still in the
+//! tree), which `STATS` carries as `serve/dynamic/overflow` and
+//! `serve/dynamic/tree_dead`: what every read scans or descends past
+//! until the next rebuild.
 
 use std::borrow::Borrow;
 use std::fmt::Write as _;
@@ -1151,7 +1155,7 @@ where
                 check_dims("item", &item, Some(*engine.dims.get_or_init(|| d)))?;
             }
             let id = engine.tree.insert(item);
-            refresh_gauges(shared);
+            refresh_generation(shared, engine);
             Ok(Reply::Line(format!(
                 "OK id={id} generation={}",
                 engine.tree.generation()
@@ -1163,7 +1167,7 @@ where
                 .parse()
                 .map_err(|_| format!("DELETE needs an integer id, got `{rest}`"))?;
             let removed = engine.tree.remove(id);
-            refresh_gauges(shared);
+            refresh_generation(shared, engine);
             Ok(Reply::Line(format!(
                 "OK removed={removed} generation={}",
                 engine.tree.generation()
@@ -1482,15 +1486,33 @@ where
                 guard.loaded.index.routing().scan
             )
         }
-        Engine::Dynamic(engine) => format!(
-            "OK mode=dynamic structure=mvp metric={} items={} generation={} simd={} uptime_s={}",
-            shared.metric_name,
-            engine.tree.len(),
-            engine.tree.generation(),
-            vantage_core::simd::active_name(),
-            shared.started.elapsed().as_secs()
-        ),
+        Engine::Dynamic(engine) => {
+            let snapshot = engine.tree.read();
+            format!(
+                "OK mode=dynamic structure=mvp metric={} items={} generation={} simd={} uptime_s={} overflow={} tree_dead={}",
+                shared.metric_name,
+                snapshot.len(),
+                snapshot.generation(),
+                vantage_core::simd::active_name(),
+                shared.started.elapsed().as_secs(),
+                snapshot.overflow_len(),
+                snapshot.tree_dead()
+            )
+        }
     }
+}
+
+/// The gauges a write moves: the generation it published. The SLO
+/// percentiles wait for `STATS` and the final flush
+/// ([`refresh_gauges`]), which sort every window.
+fn refresh_generation<T, M>(shared: &Shared<T, M>, engine: &DynamicEngine<T, M>)
+where
+    T: Clone + Sync,
+    M: BoundedMetric<T> + Clone + Sync,
+{
+    let generation = engine.tree.generation() as i64;
+    shared.g_generation.set(generation);
+    shared.g_swaps.set(generation);
 }
 
 /// Re-reads the serving gauges from the engine's authoritative counters.
@@ -1511,8 +1533,18 @@ where
             );
         }
         Engine::Dynamic(engine) => {
-            shared.g_generation.set(engine.tree.generation() as i64);
-            shared.g_swaps.set(engine.tree.generation() as i64);
+            refresh_generation(shared, engine);
+            // What every read of the current generation scans or
+            // descends past until the next rebuild.
+            let snapshot = engine.tree.read();
+            shared
+                .registry
+                .gauge("serve/dynamic/overflow")
+                .set(snapshot.overflow_len() as i64);
+            shared
+                .registry
+                .gauge("serve/dynamic/tree_dead")
+                .set(snapshot.tree_dead() as i64);
         }
     }
     shared

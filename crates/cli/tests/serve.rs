@@ -501,6 +501,65 @@ fn dynamic_mode_serves_ingest_and_far_queries() {
     let _ = std::fs::remove_file(&data);
 }
 
+#[test]
+fn dynamic_writes_leave_the_slo_gauges_to_stats_and_the_final_flush() {
+    let data = temp_path("dyn-gauges-data.csv");
+    let metrics_out = temp_path("dyn-gauges-metrics.json");
+    run_ok(&[
+        "generate", "uniform", "--n", "60", "--dim", "3", "--seed", "5", "--out", &data,
+    ]);
+    let (addr, server) = spawn_server(vec![
+        "serve".into(),
+        "--data".into(),
+        data.clone(),
+        "--metric".into(),
+        "l2".into(),
+        "--metrics-out".into(),
+        metrics_out.clone(),
+    ]);
+
+    for _ in 0..3 {
+        assert!(client(&addr, "KNN 2 0.5,0.5,0.5").starts_with("OK 2 "));
+    }
+    // Two inserts into the overflow, one delete of each kind.
+    assert!(client(&addr, "INSERT 0.1,0.2,0.3").starts_with("OK id=60"));
+    assert!(client(&addr, "INSERT 0.3,0.2,0.1").starts_with("OK id=61"));
+    assert!(client(&addr, "DELETE 61").starts_with("OK removed=true"));
+    assert!(client(&addr, "DELETE 7").starts_with("OK removed=true"));
+
+    let info = client(&addr, "INFO");
+    assert!(
+        info.contains("items=60") && info.ends_with(" overflow=1 tree_dead=1"),
+        "{info}"
+    );
+    assert_eq!(stats_gauge(&addr, "serve/generation"), Some(4));
+    assert_eq!(stats_gauge(&addr, "serve/dynamic/overflow"), Some(1));
+    assert_eq!(stats_gauge(&addr, "serve/dynamic/tree_dead"), Some(1));
+    // Writes refresh only the generation; STATS still sorts the windows.
+    assert_eq!(stats_gauge(&addr, "slo/knn/samples"), Some(3));
+    for stat in ["p50_ns", "p99_ns", "p999_ns"] {
+        let value = stats_gauge(&addr, &format!("slo/knn/{stat}"));
+        assert!(value.is_some_and(|ns| ns > 0), "slo/knn/{stat}: {value:?}");
+    }
+
+    assert!(client(&addr, "INSERT 0.9,0.9,0.9").starts_with("OK id=62"));
+    assert!(client(&addr, "KNN 1 0.9,0.9,0.9").starts_with("OK 1 62:0"));
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    // The final flush refreshes every gauge after the last write.
+    let text = std::fs::read_to_string(&metrics_out).expect("metrics snapshot written");
+    let snapshot = export::from_json(&text).expect("metrics snapshot parses");
+    assert_eq!(snapshot.gauge("serve/generation"), Some(5));
+    assert_eq!(snapshot.gauge("serve/dynamic/overflow"), Some(2));
+    assert_eq!(snapshot.gauge("slo/knn/samples"), Some(4));
+    for p in [&data, &metrics_out] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 /// The `KNN` op recorded under `index` on the server at `addr`: its
 /// operation count and largest per-query distance count.
 fn knn_ops_and_max_distances(addr: &str, index: &str) -> (u64, u64) {

@@ -20,39 +20,322 @@
 //! Items keep **stable ids** across rebuilds (the id returned by
 //! [`insert`](DynamicMvpTree::insert) is permanent), unlike the static
 //! tree where ids are positions in the construction vector.
+//!
+//! # Layout
+//!
+//! The live set is one [`MvpReadSnapshot`], whose parts are all shared
+//! by `Arc`: cloning it — what
+//! [`ConcurrentMvpTree`](crate::ConcurrentMvpTree) publishes after every
+//! write — copies no item.
+//!
+//! * **Slots.** The tree's internal id `i` is slot `i`; the `j`-th item
+//!   inserted since the last rebuild is slot `tree_len + j`. Stable ids
+//!   increase with slots (the tree is built in stable-id order, and later
+//!   inserts take larger ids), so one [`KnnCollector`] over slots breaks
+//!   distance ties exactly as one over stable ids would.
+//! * **Overflow.** Inserted items live in append-only chunks of
+//!   [`OVERFLOW_CHUNK`] items. An insert copies at most the last chunk
+//!   (when a published snapshot shares it).
+//! * **Tombstones.** A bitmap over slots. A delete copies it (one bit
+//!   per slot) and never an item. The tree's kNN descent refuses dead
+//!   slots as it offers them, so its pruning radius is the k-th *live*
+//!   distance; the overflow is scanned by [`knn_scan`] over its live rows.
 
-use std::collections::HashSet;
+use std::sync::Arc;
 
-use vantage_core::{BoundedMetric, KnnCollector, MetricIndex, Neighbor, Result};
+use vantage_core::{
+    knn_scan, BoundedMetric, DistanceRole, KfnCollector, KnnCollector, MetricIndex, Neighbor,
+    NoTrace, Result, TraceSink,
+};
 
+use crate::kernel::Collect;
 use crate::params::MvpParams;
 use crate::tree::MvpTree;
 
 /// Minimum overflow-buffer size before a rebuild is considered.
 const MIN_REBUILD_BUFFER: usize = 32;
 
+/// Items per overflow chunk. An insert copies at most one chunk (the
+/// last, when a published snapshot shares it), so this bounds the item
+/// copies of a write; a read walks one chunk pointer per this many
+/// overflow items.
+pub const OVERFLOW_CHUNK: usize = 32;
+
+/// The removed slots, one bit each. Slots past the end are live.
+#[derive(Debug, Clone, Default)]
+struct DeadSlots(Vec<u64>);
+
+impl DeadSlots {
+    #[inline]
+    fn contains(&self, slot: usize) -> bool {
+        self.0
+            .get(slot / 64)
+            .is_some_and(|word| word >> (slot % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, slot: usize) {
+        let word = slot / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (slot % 64);
+    }
+}
+
+/// A kNN collector over slots that refuses dead ones.
+struct SkipDead<'a> {
+    collector: &'a mut KnnCollector,
+    dead: &'a DeadSlots,
+}
+
+impl Collect for SkipDead<'_> {
+    #[inline]
+    fn k(&self) -> usize {
+        self.collector.k()
+    }
+
+    #[inline]
+    fn radius(&self) -> f64 {
+        self.collector.radius()
+    }
+
+    #[inline]
+    fn offer(&mut self, slot: usize, distance: f64) {
+        if !self.dead.contains(slot) {
+            self.collector.offer(slot, distance);
+        }
+    }
+}
+
+/// A point-in-time view of a dynamic tree's live set: the static tree
+/// over the live items at the last rebuild, the items inserted since,
+/// and the tombstones (see the [module docs](self) for the layout).
+/// [`ConcurrentMvpTree`](crate::ConcurrentMvpTree) publishes one per
+/// write; [`DynamicMvpTree`] answers through its own.
+#[derive(Debug, Clone)]
+pub struct MvpReadSnapshot<T, M> {
+    metric: M,
+    tree: Option<Arc<MvpTree<T, M>>>,
+    /// Slot (the tree's internal id) → stable id, strictly increasing.
+    tree_ids: Arc<[usize]>,
+    /// Stable id of the first overflow slot.
+    first_overflow_id: usize,
+    /// The overflow's items in slot order; every chunk but the last
+    /// holds [`OVERFLOW_CHUNK`] items.
+    overflow: Vec<Arc<Vec<T>>>,
+    dead: Arc<DeadSlots>,
+    /// Dead slots inside the tree.
+    tree_dead: usize,
+    /// Dead slots inside the overflow.
+    overflow_dead: usize,
+}
+
+impl<T, M> MvpReadSnapshot<T, M> {
+    /// An empty live set with no tree.
+    fn empty(metric: M) -> Self {
+        MvpReadSnapshot {
+            metric,
+            tree: None,
+            tree_ids: Arc::from([]),
+            first_overflow_id: 0,
+            overflow: Vec::new(),
+            dead: Arc::default(),
+            tree_dead: 0,
+            overflow_dead: 0,
+        }
+    }
+
+    /// Number of live items visible to this snapshot.
+    pub fn len(&self) -> usize {
+        self.tree_ids.len() - self.tree_dead + self.overflow_len()
+    }
+
+    /// Whether this snapshot sees no live items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Live items inserted since the last rebuild (scanned by every
+    /// query).
+    pub fn overflow_len(&self) -> usize {
+        self.overflow_slots() - self.overflow_dead
+    }
+
+    /// Removed items still inside the tree (descended past by every
+    /// query until the next rebuild).
+    pub fn tree_dead(&self) -> usize {
+        self.tree_dead
+    }
+
+    /// Distance computations the build of the tree performed.
+    pub(crate) fn build_distances(&self) -> u64 {
+        self.tree.as_ref().map_or(0, |tree| tree.build_distances())
+    }
+
+    /// Overflow slots, dead ones included.
+    fn overflow_slots(&self) -> usize {
+        self.overflow.last().map_or(0, |last| {
+            (self.overflow.len() - 1) * OVERFLOW_CHUNK + last.len()
+        })
+    }
+
+    /// The stable id the next insert takes.
+    fn next_id(&self) -> usize {
+        self.first_overflow_id + self.overflow_slots()
+    }
+
+    /// The stable id of `slot`.
+    #[inline]
+    fn stable(&self, slot: usize) -> usize {
+        match self.tree_ids.get(slot) {
+            Some(&id) => id,
+            None => self.first_overflow_id + (slot - self.tree_ids.len()),
+        }
+    }
+
+    /// The slot of stable id `id`, dead or alive; `None` for ids never
+    /// issued or dropped by a rebuild.
+    fn slot(&self, id: usize) -> Option<usize> {
+        if id >= self.first_overflow_id {
+            let j = id - self.first_overflow_id;
+            (j < self.overflow_slots()).then_some(self.tree_ids.len() + j)
+        } else {
+            self.tree_ids.binary_search(&id).ok()
+        }
+    }
+
+    /// The item in `slot`.
+    fn item(&self, slot: usize) -> Option<&T> {
+        match slot.checked_sub(self.tree_ids.len()) {
+            None => {
+                let tree = self.tree.as_ref()?;
+                Some(&tree.items[tree.rows[slot] as usize])
+            }
+            Some(j) => self
+                .overflow
+                .get(j / OVERFLOW_CHUNK)
+                .and_then(|chunk| chunk.get(j % OVERFLOW_CHUNK)),
+        }
+    }
+
+    /// Every live `(slot, item)` of the overflow, in slot order.
+    fn overflow_rows(&self) -> impl Iterator<Item = (usize, &T)> {
+        (self.tree_ids.len()..)
+            .zip(self.overflow.iter().flat_map(|chunk| chunk.iter()))
+            .filter(|&(slot, _)| !self.dead.contains(slot))
+    }
+
+    /// Iterates over every `(stable id, item)` pair visible to this
+    /// snapshot — the exact population queries answer over — in
+    /// increasing stable id.
+    pub fn live_items(&self) -> impl Iterator<Item = (usize, &T)> {
+        let tree = self.tree.iter().flat_map(|tree| tree.items_by_id());
+        let overflow = self.overflow.iter().flat_map(|chunk| chunk.iter());
+        tree.chain(overflow)
+            .enumerate()
+            .filter(|&(slot, _)| !self.dead.contains(slot))
+            .map(|(slot, item)| (self.stable(slot), item))
+    }
+}
+
+impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
+    /// All live items within `radius` of `query` (stable ids). Every
+    /// distance the search computes is reported to `sink`: the tree's
+    /// descent through [`MvpTree::range_traced`], then one
+    /// leaf-candidate evaluation per live overflow item (and its early
+    /// abandon, if any), so a
+    /// [`DistanceTally`](vantage_core::DistanceTally) reads this query's
+    /// exact cost whatever runs concurrently.
+    pub fn range<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+        let mut out = Vec::new();
+        if let Some(tree) = &self.tree {
+            for n in tree.range_traced(query, radius, sink) {
+                if !self.dead.contains(n.id) {
+                    out.push(Neighbor::new(self.tree_ids[n.id], n.distance));
+                }
+            }
+        }
+        for (slot, item) in self.overflow_rows() {
+            sink.distance(DistanceRole::Candidate);
+            match self.metric.distance_within_frac(query, item, radius) {
+                (Some(d), _) => out.push(Neighbor::new(self.stable(slot), d)),
+                (None, work) => sink.abandon(DistanceRole::Candidate, work),
+            }
+        }
+        out
+    }
+
+    /// The `k` nearest live items (stable ids), sorted by distance;
+    /// distances are reported to `sink` as in [`range`](Self::range),
+    /// the overflow's as [`knn_scan`] reports them. The tree's descent
+    /// refuses dead items as it meets them, so it prunes at the k-th live
+    /// distance. `k = 0` computes nothing.
+    pub fn knn<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
+        let mut collector = KnnCollector::new(k);
+        if let Some(tree) = &self.tree {
+            let mut live = SkipDead {
+                collector: &mut collector,
+                dead: &self.dead,
+            };
+            tree.knn_into(&mut live, query, sink);
+        }
+        knn_scan(
+            &self.metric,
+            query,
+            self.overflow_rows(),
+            &mut collector,
+            sink,
+        );
+        let mut out = collector.into_sorted();
+        for n in &mut out {
+            n.id = self.stable(n.id);
+        }
+        out
+    }
+
+    /// Every live item at distance **at least** `radius` from `query`
+    /// (the far-neighbor complement of [`range`](Self::range)). Answered
+    /// by exhaustive scan over the live set, one leaf-candidate distance
+    /// reported to `sink` per item: far-neighbor pruning needs the
+    /// static tree's shell bounds, which the overflow items lack, so
+    /// correctness wins over pruning here.
+    pub fn range_beyond<S: TraceSink>(
+        &self,
+        query: &T,
+        radius: f64,
+        sink: &mut S,
+    ) -> Vec<Neighbor> {
+        self.live_items()
+            .filter_map(|(id, item)| {
+                sink.distance(DistanceRole::Candidate);
+                let d = self.metric.distance(query, item);
+                (d >= radius).then_some(Neighbor::new(id, d))
+            })
+            .collect()
+    }
+
+    /// The `k` live items farthest from `query`, sorted by descending
+    /// distance (exhaustive, like [`range_beyond`](Self::range_beyond)).
+    pub fn k_farthest<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
+        let mut collector = KfnCollector::new(k);
+        for (id, item) in self.live_items() {
+            sink.distance(DistanceRole::Candidate);
+            collector.offer(id, self.metric.distance(query, item));
+        }
+        collector.into_sorted()
+    }
+}
+
 /// An mvp-tree supporting inserts and deletes via amortized rebuilding.
 ///
-/// Requires `T: Clone` (rebuilds re-index snapshots of live items) and
+/// Requires `T: Clone` (rebuilds re-index copies of live items) and
 /// `M: Clone` (each rebuilt tree owns the metric; clone a
 /// [`Counted`](vantage_core::Counted) to keep a shared tally).
 #[derive(Debug, Clone)]
 pub struct DynamicMvpTree<T, M> {
     params: MvpParams,
-    metric: M,
-    /// Authority storage: stable id → item. Never shrinks.
-    store: Vec<T>,
-    /// Stable ids that have been removed.
-    tombstones: HashSet<usize>,
-    /// The static tree over a snapshot; `tree_ids[i]` maps the tree's
-    /// internal id `i` back to a stable id.
-    tree: Option<MvpTree<T, M>>,
-    tree_ids: Vec<usize>,
-    /// How many of the tree's points are tombstoned (kNN over-fetch
-    /// needs this).
-    tree_dead: usize,
-    /// Stable ids not yet in the tree (scanned exhaustively).
-    overflow: Vec<usize>,
+    /// The live set; its parts are shared with published snapshots.
+    live: MvpReadSnapshot<T, M>,
     /// Bumped every rebuild so vantage-point randomization varies.
     epoch: u64,
 }
@@ -67,13 +350,7 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
         params.validate()?;
         Ok(DynamicMvpTree {
             params,
-            metric,
-            store: Vec::new(),
-            tombstones: HashSet::new(),
-            tree: None,
-            tree_ids: Vec::new(),
-            tree_dead: 0,
-            overflow: Vec::new(),
+            live: MvpReadSnapshot::empty(metric),
             epoch: 0,
         })
     }
@@ -85,14 +362,14 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     /// Returns an error when `params` is invalid.
     pub fn with_items(items: Vec<T>, metric: M, params: MvpParams) -> Result<Self> {
         let mut this = DynamicMvpTree::new(metric, params)?;
-        this.store = items;
-        this.rebuild();
+        let n = items.len();
+        this.build((0..n).collect(), items, n);
         Ok(this)
     }
 
     /// Number of live (non-deleted) items.
     pub fn len(&self) -> usize {
-        self.store.len() - self.tombstones.len()
+        self.live.len()
     }
 
     /// Whether no live items remain.
@@ -102,16 +379,35 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
 
     /// Number of items currently in the overflow buffer (diagnostic).
     pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.live.overflow_len()
+    }
+
+    /// A snapshot of the live set: `Arc` clones, no item copied.
+    pub(crate) fn snapshot(&self) -> MvpReadSnapshot<T, M> {
+        self.live.clone()
     }
 
     /// Inserts an item, returning its stable id.
     pub fn insert(&mut self, item: T) -> usize {
-        let id = self.store.len();
-        self.store.push(item);
-        self.overflow.push(id);
-        let threshold = MIN_REBUILD_BUFFER.max(self.tree_ids.len() / 4);
-        if self.overflow.len() > threshold {
+        let id = self.live.next_id();
+        match self.live.overflow.last_mut() {
+            Some(chunk) if chunk.len() < OVERFLOW_CHUNK => {
+                if Arc::get_mut(chunk).is_none() {
+                    // Shared with a snapshot: copy it, full size.
+                    let mut copy = Vec::with_capacity(OVERFLOW_CHUNK);
+                    copy.extend(chunk.iter().cloned());
+                    *chunk = Arc::new(copy);
+                }
+                Arc::get_mut(chunk).expect("unshared chunk").push(item);
+            }
+            _ => {
+                let mut chunk = Vec::with_capacity(OVERFLOW_CHUNK);
+                chunk.push(item);
+                self.live.overflow.push(Arc::new(chunk));
+            }
+        }
+        let threshold = MIN_REBUILD_BUFFER.max(self.live.tree_ids.len() / 4);
+        if self.live.overflow_len() > threshold {
             self.rebuild();
         }
         id
@@ -120,19 +416,19 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     /// Removes the item with the given stable id. Returns `false` when the
     /// id is unknown or already removed.
     pub fn remove(&mut self, id: usize) -> bool {
-        if id >= self.store.len() || !self.tombstones.insert(id) {
+        let Some(slot) = self.live.slot(id) else {
+            return false;
+        };
+        if self.live.dead.contains(slot) {
             return false;
         }
-        if let Ok(pos) = self.overflow.binary_search(&id) {
-            // Overflow ids are appended in increasing order, so binary
-            // search finds buffered items directly. The tombstone stays:
-            // the authority store never shrinks, so rebuilds must keep
-            // skipping this id.
-            self.overflow.remove(pos);
+        Arc::make_mut(&mut self.live.dead).insert(slot);
+        if slot >= self.live.tree_ids.len() {
+            self.live.overflow_dead += 1;
             return true;
         }
-        self.tree_dead += 1;
-        if self.tree_dead * 2 > self.tree_ids.len() {
+        self.live.tree_dead += 1;
+        if self.live.tree_dead * 2 > self.live.tree_ids.len() {
             self.rebuild();
         }
         true
@@ -140,65 +436,67 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
 
     /// Returns the live item with this stable id.
     pub fn get(&self, id: usize) -> Option<&T> {
-        if self.tombstones.contains(&id) {
+        let slot = self.live.slot(id)?;
+        if self.live.dead.contains(slot) {
             return None;
         }
-        self.store.get(id)
+        self.live.item(slot)
     }
 
     /// Rebuilds the static tree over all live items, emptying the
     /// overflow buffer and dropping tombstones from the snapshot.
     pub fn rebuild(&mut self) {
-        let live: Vec<usize> = (0..self.store.len())
-            .filter(|id| !self.tombstones.contains(id))
-            .collect();
-        let items: Vec<T> = live.iter().map(|&id| self.store[id].clone()).collect();
+        let (ids, items) = self
+            .live
+            .live_items()
+            .map(|(id, item)| (id, item.clone()))
+            .unzip();
+        self.build(ids, items, self.live.next_id());
+    }
+
+    /// Builds the tree over `items` (stable ids `ids`, increasing),
+    /// emptying the overflow and the tombstones; the next insert takes
+    /// stable id `next_id`.
+    fn build(&mut self, ids: Vec<usize>, items: Vec<T>, next_id: usize) {
         self.epoch += 1;
         let params = self
             .params
             .clone()
             .seed(self.params.seed.wrapping_add(self.epoch));
-        let tree = MvpTree::build(items, self.metric.clone(), params)
+        let tree = MvpTree::build(items, self.live.metric.clone(), params)
             .expect("params validated at construction");
-        self.tree = Some(tree);
-        self.tree_ids = live;
-        self.tree_dead = 0;
-        self.overflow.clear();
+        let live = &mut self.live;
+        live.first_overflow_id = next_id;
+        live.tree = Some(Arc::new(tree));
+        live.tree_ids = ids.into();
+        live.overflow.clear();
+        live.dead = Arc::default();
+        live.tree_dead = 0;
+        live.overflow_dead = 0;
     }
 
     /// All items within `radius` of `query` (stable ids).
     pub fn range(&self, query: &T, radius: f64) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        if let Some(tree) = &self.tree {
-            for n in tree.range(query, radius) {
-                let stable = self.tree_ids[n.id];
-                if !self.tombstones.contains(&stable) {
-                    out.push(Neighbor::new(stable, n.distance));
-                }
-            }
-        }
-        for &id in &self.overflow {
-            if let Some(d) = self.metric.distance_within(query, &self.store[id], radius) {
-                out.push(Neighbor::new(id, d));
-            }
-        }
-        out
+        self.live.range(query, radius, &mut NoTrace)
+    }
+
+    /// The `k` nearest live items (stable ids), sorted by distance.
+    pub fn knn(&self, query: &T, k: usize) -> Vec<Neighbor> {
+        self.live.knn(query, k, &mut NoTrace)
     }
 
     /// Verifies the wrapper's bookkeeping invariants (and the inner
     /// tree's structural invariants), returning a description of the
     /// first violation found:
     ///
-    /// 1. the inner static tree passes [`MvpTree::check_invariants`];
-    /// 2. `tree_ids` maps every internal tree id to a distinct in-bounds
-    ///    stable id;
-    /// 3. the overflow buffer is strictly increasing (inserts append
-    ///    fresh ids; [`remove`](Self::remove) relies on binary search),
-    ///    in bounds, and holds no tombstoned id;
-    /// 4. `tree_dead` equals the exact number of tombstoned snapshot
-    ///    ids;
-    /// 5. every live stable id is reachable through exactly one of the
-    ///    tree snapshot or the overflow buffer, and `len()` agrees.
+    /// 1. the inner static tree passes [`MvpTree::check_invariants`] and
+    ///    holds one item per entry of the slot → stable id map;
+    /// 2. that map is strictly increasing and below the first overflow
+    ///    id (so slot order is stable-id order);
+    /// 3. every overflow chunk but the last is full, and none is empty;
+    /// 4. no tombstone lies past the last slot, and `tree_dead` and the
+    ///    overflow's dead count equal the tombstones in their slots;
+    /// 5. `len()` equals the number of live items a query scans.
     ///
     /// Re-computes `O(n · height)` distances — strictly for tests.
     ///
@@ -206,97 +504,66 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     ///
     /// Returns the first violation found, as human-readable text.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        match (&self.tree, self.tree_ids.is_empty()) {
-            (Some(tree), _) => {
+        let live = &self.live;
+        let tree_len = live.tree_ids.len();
+        match &live.tree {
+            Some(tree) => {
                 tree.check_invariants()?;
-                if tree.len() != self.tree_ids.len() {
+                if tree.len() != tree_len {
                     return Err(format!(
-                        "tree holds {} items but tree_ids maps {}",
-                        tree.len(),
-                        self.tree_ids.len()
+                        "tree holds {} items but tree_ids maps {tree_len}",
+                        tree.len()
                     ));
                 }
             }
-            (None, false) => return Err("tree_ids non-empty with no tree".into()),
-            (None, true) => {}
+            None if tree_len > 0 => return Err("tree_ids non-empty with no tree".into()),
+            None => {}
         }
-        let mut placed = vec![0u32; self.store.len()];
-        for &id in &self.tree_ids {
-            let slot = placed
-                .get_mut(id)
-                .ok_or_else(|| format!("tree_ids holds out-of-bounds id {id}"))?;
-            *slot += 1;
+        if let Some(w) = live.tree_ids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("tree_ids not strictly increasing at {w:?}"));
         }
-        if let Some(w) = self.overflow.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(format!("overflow not strictly increasing at {w:?}"));
-        }
-        for &id in &self.overflow {
-            let slot = placed
-                .get_mut(id)
-                .ok_or_else(|| format!("overflow holds out-of-bounds id {id}"))?;
-            *slot += 1;
-            if self.tombstones.contains(&id) {
-                return Err(format!("overflow holds tombstoned id {id}"));
+        if let Some(&last) = live.tree_ids.last() {
+            if last >= live.first_overflow_id {
+                return Err(format!(
+                    "tree id {last} not below the first overflow id {}",
+                    live.first_overflow_id
+                ));
             }
         }
-        let dead = self
-            .tree_ids
-            .iter()
-            .filter(|id| self.tombstones.contains(id))
-            .count();
-        if dead != self.tree_dead {
+        let chunks = live.overflow.len();
+        for (i, chunk) in live.overflow.iter().enumerate() {
+            let full = chunk.len() == OVERFLOW_CHUNK;
+            if chunk.is_empty() || (i + 1 < chunks && !full) || chunk.len() > OVERFLOW_CHUNK {
+                return Err(format!(
+                    "overflow chunk {i} of {chunks} holds {}",
+                    chunk.len()
+                ));
+            }
+        }
+        let slots = tree_len + live.overflow_slots();
+        if let Some(slot) = (slots..live.dead.0.len() * 64).find(|&s| live.dead.contains(s)) {
+            return Err(format!("tombstone past the last slot: {slot}"));
+        }
+        let dead_in =
+            |from: usize, to: usize| (from..to).filter(|&s| live.dead.contains(s)).count();
+        let tree_dead = dead_in(0, tree_len);
+        if tree_dead != live.tree_dead {
             return Err(format!(
-                "tree_dead = {} but {dead} snapshot ids are tombstoned",
-                self.tree_dead
+                "tree_dead = {} but {tree_dead} tree slots are tombstoned",
+                live.tree_dead
             ));
         }
-        for id in &self.tombstones {
-            if *id >= self.store.len() {
-                return Err(format!("tombstone for unknown id {id}"));
-            }
+        let overflow_dead = dead_in(tree_len, slots);
+        if overflow_dead != live.overflow_dead {
+            return Err(format!(
+                "overflow_dead = {} but {overflow_dead} overflow slots are tombstoned",
+                live.overflow_dead
+            ));
         }
-        for (id, &count) in placed.iter().enumerate() {
-            let live = !self.tombstones.contains(&id);
-            // Tombstoned ids may linger in the snapshot (counted by
-            // `tree_dead`) but live ids must appear exactly once.
-            if live && count != 1 {
-                return Err(format!("live id {id} reachable {count} times, not once"));
-            }
-            if !live && count > 1 {
-                return Err(format!("dead id {id} reachable {count} times"));
-            }
-        }
-        if self.len() != self.store.len() - self.tombstones.len() {
-            return Err("len() disagrees with store/tombstone sizes".into());
+        if live.live_items().count() != self.len() {
+            return Err("len() disagrees with the live items".into());
         }
         Ok(())
-    }
-
-    /// The `k` nearest live items (stable ids), sorted by distance.
-    pub fn knn(&self, query: &T, k: usize) -> Vec<Neighbor> {
-        let mut collector = KnnCollector::new(k);
-        if let Some(tree) = &self.tree {
-            // Over-fetch to survive tombstoned results: at most
-            // `tree_dead` of the tree's answers can be dead.
-            for n in tree.knn(query, k.saturating_add(self.tree_dead)) {
-                let stable = self.tree_ids[n.id];
-                if !self.tombstones.contains(&stable) {
-                    collector.offer(stable, n.distance);
-                }
-            }
-        }
-        for &id in &self.overflow {
-            // A candidate the bounded kernel abandons at the current k-th
-            // best distance is one the collector's strict `<` would have
-            // discarded anyway.
-            if let Some(d) = self
-                .metric
-                .distance_within(query, &self.store[id], collector.radius())
-            {
-                collector.offer(id, d);
-            }
-        }
-        collector.into_sorted()
     }
 }
 

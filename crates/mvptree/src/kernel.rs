@@ -91,6 +91,36 @@ const LEAF_BLOCK: usize = 64;
 // Block offsets are stored as `u8`.
 const _: () = assert!(LEAF_BLOCK <= 256);
 
+/// Where the kNN descent offers its candidates: a [`KnnCollector`], or a
+/// wrapper that refuses some ids before they reach one (the dynamic
+/// tree's tombstones). The descent prunes against `radius`, so a wrapper
+/// that refuses an id keeps it from tightening the radius too.
+pub(crate) trait Collect {
+    /// The requested result size.
+    fn k(&self) -> usize;
+    /// The current pruning radius ([`KnnCollector::radius`]).
+    fn radius(&self) -> f64;
+    /// Offers one candidate ([`KnnCollector::offer`]).
+    fn offer(&mut self, id: usize, distance: f64);
+}
+
+impl Collect for KnnCollector {
+    #[inline]
+    fn k(&self) -> usize {
+        KnnCollector::k(self)
+    }
+
+    #[inline]
+    fn radius(&self) -> f64 {
+        KnnCollector::radius(self)
+    }
+
+    #[inline]
+    fn offer(&mut self, id: usize, distance: f64) {
+        KnnCollector::offer(self, id, distance);
+    }
+}
+
 /// The [`leaf_bounds`] instance that reads the PATH length at run time,
 /// for paths longer than the specialised lengths.
 const DYN_PATH: usize = usize::MAX;
@@ -399,7 +429,7 @@ where
     /// k-nearest-neighbor traversal into a caller-provided collector —
     /// the shared kernel behind `knn_traced` and the sharded scatter
     /// path (which passes a collector wired to a cross-shard bound).
-    pub fn knn_into<S: TraceSink>(&self, collector: &mut KnnCollector, sink: &mut S)
+    pub fn knn_into<C: Collect, S: TraceSink>(&self, collector: &mut C, sink: &mut S)
     where
         M: BoundedMetric<T>,
     {
@@ -418,11 +448,11 @@ where
         }
     }
 
-    fn knn_node<S: TraceSink>(
+    fn knn_node<C: Collect, S: TraceSink>(
         &self,
         node: u32,
         level: u32,
-        collector: &mut KnnCollector,
+        collector: &mut C,
         scratch: &mut KnnScratch,
         sink: &mut S,
     ) where
@@ -538,12 +568,12 @@ where
     /// the radius is an abandon with full work, as the bounded kernel
     /// would report it. Fewer than four left, or a metric that declines,
     /// take the single bounded call.
-    fn knn_leaf<S: TraceSink>(
+    fn knn_leaf<C: Collect, S: TraceSink>(
         &self,
         entries: LeafEntriesView<'_>,
         dq1: f64,
         dq2: f64,
-        collector: &mut KnnCollector,
+        collector: &mut C,
         scratch: &mut KnnScratch,
         sink: &mut S,
     ) where

@@ -5,7 +5,7 @@
 use vantage_core::trace::{NoTrace, TraceSink};
 use vantage_core::{BoundedMetric, KnnCollector, Neighbor};
 
-use crate::kernel::Kernel;
+use crate::kernel::{Collect, Kernel};
 use crate::tree::MvpTree;
 
 impl<T, M: BoundedMetric<T>> MvpTree<T, M> {
@@ -61,12 +61,13 @@ impl<T, M: BoundedMetric<T>> MvpTree<T, M> {
     }
 
     /// Runs the kNN traversal into a caller-provided collector — the
-    /// shared kernel behind [`knn_traced`](MvpTree::knn_traced) and the
+    /// shared kernel behind [`knn_traced`](MvpTree::knn_traced), the
     /// sharded scatter path (which passes a collector wired to a
-    /// cross-shard bound).
-    pub(crate) fn knn_into<S: TraceSink>(
+    /// cross-shard bound) and the dynamic tree (which passes one that
+    /// refuses tombstones).
+    pub(crate) fn knn_into<C: Collect, S: TraceSink>(
         &self,
-        collector: &mut KnnCollector,
+        collector: &mut C,
         query: &T,
         sink: &mut S,
     ) {

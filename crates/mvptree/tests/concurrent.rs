@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vantage_core::prelude::*;
+use vantage_mvptree::dynamic::OVERFLOW_CHUNK;
 use vantage_mvptree::{ConcurrentMvpTree, MvpParams};
 
 fn pt(x: f64, y: f64) -> Vec<f64> {
@@ -260,5 +261,153 @@ fn snapshot_sinks_read_the_counted_cost_of_every_query_form() {
         );
         assert!(tallied.computations > 0, "{name}");
         assert!(!answers.is_empty(), "{name} answered nothing");
+    }
+}
+
+/// Euclidean distance that records every item it is asked about (the
+/// second argument: searches pass the query first).
+#[derive(Debug, Clone, Default)]
+struct Touching {
+    touched: Arc<std::sync::Mutex<Vec<Vec<f64>>>>,
+}
+
+impl Touching {
+    fn note(&self, item: &[f64]) {
+        self.touched.lock().unwrap().push(item.to_vec());
+    }
+}
+
+impl Metric<Vec<f64>> for Touching {
+    fn distance(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+        self.note(b);
+        Euclidean.distance(a, b)
+    }
+}
+
+impl BoundedMetric<Vec<f64>> for Touching {
+    fn distance_within_frac(&self, a: &Vec<f64>, b: &Vec<f64>, bound: f64) -> (Option<f64>, f64) {
+        self.note(b);
+        Euclidean.distance_within_frac(a, b, bound)
+    }
+}
+
+#[test]
+fn far_deletes_do_not_change_a_near_knn_cost() {
+    // Two clusters 1000 apart; a kNN near the first never needs the
+    // second, so tombstones there must not cost it anything.
+    let mut state = 0xfa7_u64;
+    let mut cluster = |center: f64| -> Vec<Vec<f64>> {
+        (0..400)
+            .map(|_| (0..4).map(|_| center + coord(&mut state)).collect())
+            .collect()
+    };
+    let mut items = cluster(0.0);
+    items.extend(cluster(1000.0));
+    let metric = Touching::default();
+    let tree =
+        ConcurrentMvpTree::with_items(items.clone(), metric.clone(), MvpParams::paper(3, 9, 5))
+            .expect("valid params");
+    let query = vec![50.0; 4];
+    let cost = || {
+        let mut tally = DistanceTally::new();
+        let answer = tree.read().knn(&query, 10, &mut tally);
+        (answer, tally.totals().computations)
+    };
+    metric.touched.lock().unwrap().clear();
+    let (before, before_cost) = cost();
+    let touched = std::mem::take(&mut *metric.touched.lock().unwrap());
+
+    // Remove every far item the query did not compute a distance to.
+    let mut removed = 0;
+    for (id, item) in items.iter().enumerate().skip(400) {
+        if !touched.contains(item) {
+            assert!(tree.remove(id));
+            removed += 1;
+        }
+    }
+    assert!(removed >= 300, "only {removed} far items were untouched");
+    assert!(
+        removed * 2 < items.len(),
+        "deletes must stay below the rebuild"
+    );
+    assert_eq!(tree.read().tree_dead(), removed, "no rebuild ran");
+
+    let (after, after_cost) = cost();
+    assert_eq!(after_cost, before_cost, "far tombstones changed the cost");
+    assert_eq!(after, before);
+    let live: Vec<(usize, Vec<f64>)> = items
+        .into_iter()
+        .enumerate()
+        .filter(|&(id, ref item)| id < 400 || touched.contains(item))
+        .collect();
+    let brute = LinearScan::new(
+        live.iter().map(|(_, item)| item.clone()).collect(),
+        Euclidean,
+    )
+    .knn(&query, 10);
+    let brute: Vec<Neighbor> = brute
+        .into_iter()
+        .map(|n| Neighbor::new(live[n.id].0, n.distance))
+        .collect();
+    assert_eq!(after, brute);
+}
+
+static CLONES: AtomicU64 = AtomicU64::new(0);
+
+/// A point whose every clone is counted.
+#[derive(Debug)]
+struct Tracked(Vec<f64>);
+
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        CLONES.fetch_add(1, Ordering::Relaxed);
+        Tracked(self.0.clone())
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct TrackedL2;
+
+impl Metric<Tracked> for TrackedL2 {
+    fn distance(&self, a: &Tracked, b: &Tracked) -> f64 {
+        Euclidean.distance(&a.0, &b.0)
+    }
+}
+
+impl BoundedMetric<Tracked> for TrackedL2 {
+    fn distance_within_frac(&self, a: &Tracked, b: &Tracked, bound: f64) -> (Option<f64>, f64) {
+        Euclidean.distance_within_frac(&a.0, &b.0, bound)
+    }
+}
+
+#[test]
+fn a_write_copies_a_bounded_number_of_items() {
+    let mut state = 0xc1_u64;
+    let mut point = || Tracked(vec![coord(&mut state), coord(&mut state)]);
+    let items: Vec<Tracked> = (0..2000).map(|_| point()).collect();
+    let tree = ConcurrentMvpTree::with_items(items, TrackedL2, MvpParams::paper(2, 8, 2))
+        .expect("valid params");
+    // Below the rebuild threshold (a quarter of 2000) throughout.
+    let n = 400;
+    CLONES.store(0, Ordering::Relaxed);
+    let ids: Vec<usize> = (0..n).map(|_| tree.insert(point())).collect();
+    for id in ids.iter().step_by(2) {
+        assert!(tree.remove(*id));
+    }
+    for id in 0..100 {
+        assert!(tree.remove(id));
+    }
+    let clones = CLONES.load(Ordering::Relaxed) as usize;
+    let snapshot = tree.read();
+    assert_eq!(snapshot.overflow_len(), n / 2, "no rebuild ran");
+    assert_eq!(snapshot.tree_dead(), 100, "no rebuild ran");
+    assert!(
+        clones <= OVERFLOW_CHUNK * n,
+        "{n} inserts and {} deletes cloned {clones} items",
+        n / 2 + 100
+    );
+    // Every surviving insert is still found.
+    for &id in ids.iter().skip(1).step_by(2) {
+        assert!(snapshot.live_items().any(|(live, _)| live == id));
     }
 }
