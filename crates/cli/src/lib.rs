@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::fs;
 use std::sync::Arc;
@@ -34,16 +33,14 @@ use vantage_core::prelude::*;
 use vantage_experiments::Scale;
 use vantage_mvptree::route::k_bucket;
 use vantage_mvptree::{MvpParams, MvpTree, SCAN_BETA};
-use vantage_persist::{
-    self as persist, F64Vectors, IndexKind, ItemCodec, MetricTag, SnapshotInfo, Utf8Strings,
-};
+use vantage_persist::{self as persist, IndexKind, SnapshotInfo};
 use vantage_telemetry::export::{self, thousands};
 use vantage_telemetry::{CostDelta, IndexMetrics, MetricsRegistry, OpKind};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 mod serve;
 
-use serve::{QueryCmd, Routing, ServedQuery};
+use serve::{QueryCmd, Routing, ServeMetric, ServedQuery, WireItem};
 
 /// CLI failure: a message for the user (exit code 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -461,18 +458,14 @@ struct BuildSpec<'a> {
 /// Builds the requested structure over `items` — round-robin sharded
 /// when `spec.shards > 1` — and answers `ask` on it. The build is
 /// recorded as [`OpKind::Build`] with the cost its builders counted.
-fn answer_built<T, M>(
+fn answer_built<T: WireItem, M: ServeMetric<T>>(
     items: Vec<T>,
     metric: M,
     query: &T,
     spec: &BuildSpec<'_>,
     ask: &Ask,
     metrics: &Option<Arc<IndexMetrics>>,
-) -> CliResult<Answer>
-where
-    T: Clone + Send + Sync + 'static,
-    M: BoundedMetric<T> + Clone + Send + Sync + 'static,
-{
+) -> CliResult<Answer> {
     let n = items.len();
     let (seed, shards, threads) = (spec.seed, spec.shards, spec.threads);
     let build_start = Instant::now();
@@ -481,17 +474,17 @@ where
             items,
             shards,
             threads,
-            |part, threads| MvpTree::build(part, metric.clone(), mvp_build_params(seed, threads)),
+            |part, threads| serve::build_mvp(part, metric.clone(), seed, threads),
             MvpTree::build_distances,
         )?,
         "vp" => serve::build_served(
             items,
             shards,
             threads,
-            |part, threads| VpTree::build(part, metric.clone(), vp_build_params(seed, threads)),
+            |part, threads| serve::build_vp(part, metric.clone(), seed, threads),
             VpTree::build_distances,
         )?,
-        "linear" => serve::build_served(
+        "linear" => serve::build_served::<T, T, _>(
             items,
             shards,
             threads,
@@ -590,21 +583,15 @@ fn write_metrics_snapshot(
 /// out — and answers `ask` on it. Answers and distance counts diff
 /// clean against a fresh build. The load is recorded as
 /// [`OpKind::SnapshotLoad`] in place of a build.
-fn answer_loaded<T, M, K>(
+fn answer_loaded<T: WireItem, M: ServeMetric<T>>(
     path: &str,
     info: &SnapshotInfo,
     query: &T,
     ask: &Ask,
     metrics: &Option<Arc<IndexMetrics>>,
-) -> CliResult<Answer>
-where
-    T: serve::WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
-    M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
-    K: persist::FlatItems + Send + Sync + 'static,
-    K::Item: ToOwned<Owned = T> + Sync,
-{
+) -> CliResult<Answer> {
     let load_start = Instant::now();
-    let loaded = serve::load_index_typed::<T, M, K>(path, 1, 0, Threads::SEQUENTIAL)?;
+    let loaded = serve::load_index_typed::<T, M>(path, 1, 0, Threads::SEQUENTIAL)?;
     if let Some(metrics) = metrics {
         record_snapshot_load(metrics, load_start, info.bytes);
     }
@@ -653,7 +640,7 @@ fn run_snapshot(
     let label = structure_label(info.kind);
     let metrics = args.get("metrics").map(|_| registry.index(label));
     let answer = match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => answer_loaded::<String, Levenshtein, Utf8Strings>(
+        ("utf8-string", "edit") => answer_loaded::<String, Levenshtein>(
             path,
             &info,
             &query_text.to_string(),
@@ -663,15 +650,9 @@ fn run_snapshot(
         ("f64-vector", metric) => {
             let query = parse_vector_query(query_text)?;
             match metric {
-                "l2" => {
-                    answer_loaded::<_, Euclidean, F64Vectors>(path, &info, &query, ask, &metrics)?
-                }
-                "l1" => {
-                    answer_loaded::<_, Manhattan, F64Vectors>(path, &info, &query, ask, &metrics)?
-                }
-                "linf" => {
-                    answer_loaded::<_, Chebyshev, F64Vectors>(path, &info, &query, ask, &metrics)?
-                }
+                "l2" => answer_loaded::<_, Euclidean>(path, &info, &query, ask, &metrics)?,
+                "l1" => answer_loaded::<_, Manhattan>(path, &info, &query, ask, &metrics)?,
+                "linf" => answer_loaded::<_, Chebyshev>(path, &info, &query, ask, &metrics)?,
                 other => {
                     return Err(err(format!(
                         "{path}: snapshot metric `{other}` is not supported by this CLI"
@@ -708,7 +689,7 @@ fn run_ask<'a>(
 
 /// Builds the requested structure and writes a snapshot, returning
 /// `(construction cost, snapshot bytes, item count)`.
-fn build_and_save<T, M>(
+fn build_and_save<T: WireItem, M: ServeMetric<T>>(
     items: Vec<T>,
     metric: M,
     structure: &str,
@@ -716,23 +697,17 @@ fn build_and_save<T, M>(
     threads: Threads,
     save: &str,
     metrics: Option<Arc<IndexMetrics>>,
-) -> CliResult<(u64, u64, usize)>
-where
-    T: ItemCodec + Clone + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
-{
+) -> CliResult<(u64, u64, usize)> {
     let n = items.len();
     let build_start = Instant::now();
     let built = |e: VantageError| err(e.to_string());
     let (cost, bytes) = match structure {
         "mvp" => {
-            let tree =
-                MvpTree::build(items, metric, mvp_build_params(seed, threads)).map_err(built)?;
+            let tree = serve::build_mvp(items, metric, seed, threads).map_err(built)?;
             (tree.build_distances(), persist::save_mvp_tree(&tree, save))
         }
         "vp" => {
-            let tree =
-                VpTree::build(items, metric, vp_build_params(seed, threads)).map_err(built)?;
+            let tree = serve::build_vp(items, metric, seed, threads).map_err(built)?;
             (tree.build_distances(), persist::save_vp_tree(&tree, save))
         }
         "linear" => (

@@ -84,9 +84,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vantage_core::prelude::*;
-use vantage_core::VantageError;
+use vantage_core::{RowStore, VantageError};
 use vantage_mvptree::{ConcurrentMvpTree, MvpReadSnapshot, MvpTree, ScanCalibration, ScanRouter};
-use vantage_persist::{self as persist, F64Vectors, FlatItems, IndexKind, MetricTag, Utf8Strings};
+use vantage_persist::{
+    self as persist, F64Vectors, FlatItems, IndexKind, ItemCodec, MetricTag, Utf8Strings,
+};
 use vantage_telemetry::export;
 use vantage_telemetry::{
     chrome_from_trace_json, Gauge, IndexMetrics, Json, MetricsRegistry, OpKind, ShardedCounter,
@@ -105,8 +107,18 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 /// Poll interval for connection reads (bounds shutdown latency).
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// An item type that can cross the wire as a single token.
-pub(crate) trait WireItem: Sized {
+/// An item type that can cross the wire as a single token, with the
+/// flat row encoding every index the CLI builds or loads stores it in.
+pub(crate) trait WireItem:
+    ItemCodec + Clone + Send + Sync + 'static + Borrow<<Self as WireItem>::Row>
+{
+    /// The borrowed row a flat store hands out (`[f64]`, `str`): what
+    /// every tree, built or loaded, is queried with.
+    type Row: ?Sized + ToOwned<Owned = Self> + ItemCodec + Sync + 'static;
+    /// The snapshot encoding of these items; its
+    /// [`Rows`](FlatItems::Rows) hold every tree the CLI builds.
+    type Flat: FlatItems<Item = Self::Row> + Send + Sync + 'static;
+
     /// Parses the query text (everything after the command's numeric
     /// argument) into an item.
     fn parse_wire(text: &str) -> std::result::Result<Self, String>;
@@ -120,6 +132,9 @@ pub(crate) trait WireItem: Sized {
 }
 
 impl WireItem for Vec<f64> {
+    type Row = [f64];
+    type Flat = F64Vectors;
+
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
         let item = text
             .split(',')
@@ -153,6 +168,9 @@ impl WireItem for Vec<f64> {
 }
 
 impl WireItem for String {
+    type Row = str;
+    type Flat = Utf8Strings;
+
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
         if text.is_empty() || text.contains(char::is_whitespace) {
             return Err("query must be a single word".to_string());
@@ -167,6 +185,50 @@ impl WireItem for String {
     fn dims(&self) -> Option<usize> {
         None
     }
+}
+
+/// The owned flat rows a built tree over `T` holds.
+pub(crate) type Rows<T> = <<T as WireItem>::Flat as FlatItems>::Rows;
+
+/// A metric the CLI serves items of type `T` under: over the wire item
+/// itself (a linear scan, and building a tree) and over its flat row
+/// (searching every tree).
+pub(crate) trait ServeMetric<T: WireItem>:
+    MetricTag + BoundedMetric<T> + BoundedMetric<T::Row> + Clone + Send + Sync + 'static
+{
+}
+
+impl<T: WireItem, M> ServeMetric<T> for M where
+    M: MetricTag + BoundedMetric<T> + BoundedMetric<T::Row> + Clone + Send + Sync + 'static
+{
+}
+
+/// Packs `items` into flat rows and builds the CLI's mvp-tree over them.
+pub(crate) fn build_mvp<T: WireItem, M: ServeMetric<T>>(
+    items: Vec<T>,
+    metric: M,
+    seed: u64,
+    threads: Threads,
+) -> vantage_core::Result<MvpTree<T, M, Rows<T>>> {
+    MvpTree::with_rows(
+        Rows::<T>::from_items(items)?,
+        metric,
+        mvp_build_params(seed, threads),
+    )
+}
+
+/// Packs `items` into flat rows and builds the CLI's vp-tree over them.
+pub(crate) fn build_vp<T: WireItem, M: ServeMetric<T>>(
+    items: Vec<T>,
+    metric: M,
+    seed: u64,
+    threads: Threads,
+) -> vantage_core::Result<VpTree<T, M, Rows<T>>> {
+    VpTree::with_rows(
+        Rows::<T>::from_items(items)?,
+        metric,
+        vp_build_params(seed, threads),
+    )
 }
 
 /// `Err` when `item` has a different coordinate count from the served
@@ -195,11 +257,11 @@ pub(crate) trait TracedSearch<T: ?Sized> {
 macro_rules! impl_traced_search {
     ([$($g:tt)*] $index:ty, $q:ty, |$this:ident| $searcher:expr) => {
         impl<$($g)*> TracedSearch<$q> for $index {
-            fn query_traced<S: TraceSink>(
+            fn query_traced<Sink: TraceSink>(
                 &self,
                 cmd: &QueryCmd,
                 query: &$q,
-                sink: &mut S,
+                sink: &mut Sink,
             ) -> Vec<Neighbor> {
                 let $this = self;
                 let searcher = $searcher;
@@ -222,8 +284,16 @@ macro_rules! impl_traced_search {
     };
 }
 
-impl_traced_search!([T, M: BoundedMetric<T>] VpTree<T, M>, T, |t| t);
-impl_traced_search!([T, M: BoundedMetric<T>] MvpTree<T, M>, T, |t| t);
+impl_traced_search!(
+    [T, S: RowStore<T>, M: BoundedMetric<S::Item>] VpTree<T, M, S>,
+    S::Item,
+    |t| t.as_view()
+);
+impl_traced_search!(
+    [T, S: RowStore<T>, M: BoundedMetric<S::Item>] MvpTree<T, M, S>,
+    S::Item,
+    |t| t.as_view()
+);
 impl_traced_search!([T, M: BoundedMetric<T>] LinearScan<T, M>, T, |t| t);
 impl_traced_search!(
     [K: FlatItems, M: BoundedMetric<K::Item>] persist::MappedVpTree<K, M>,
@@ -265,7 +335,12 @@ macro_rules! impl_scan_route {
                 Some(router.calibrate(&$view, k))
             }
 
-            fn knn_scan<S: TraceSink>(&self, query: &$q, k: usize, sink: &mut S) -> Vec<Neighbor> {
+            fn knn_scan<Sink: TraceSink>(
+                &self,
+                query: &$q,
+                k: usize,
+                sink: &mut Sink,
+            ) -> Vec<Neighbor> {
                 let $this = self;
                 $view.knn_scan_traced(query, k, sink)
             }
@@ -273,20 +348,34 @@ macro_rules! impl_scan_route {
     };
 }
 
-impl_scan_route!([T, M: BoundedMetric<T>] MvpTree<T, M>, T, |t| t.as_view());
+impl_scan_route!(
+    [T, S: RowStore<T>, M: BoundedMetric<S::Item>] MvpTree<T, M, S>,
+    S::Item,
+    |t| t.as_view()
+);
 impl_scan_route!(
     [K: FlatItems, M: BoundedMetric<K::Item>] persist::MappedMvpTree<K, M>,
     K::Item,
     |t| t.view()
 );
-impl<T, M: BoundedMetric<T>> ScanRoute<T> for VpTree<T, M> {}
+impl<T, S: RowStore<T>, M: BoundedMetric<S::Item>> ScanRoute<S::Item> for VpTree<T, M, S> {}
 impl<T, M: BoundedMetric<T>> ScanRoute<T> for LinearScan<T, M> {}
 impl<K: FlatItems, M: BoundedMetric<K::Item>> ScanRoute<K::Item> for persist::MappedVpTree<K, M> {}
 
 /// The dynamic engine's pinned generation: the tree's descent plus the
 /// overflow and exhaustive scans, every distance reported to `sink`.
-impl<T, M: BoundedMetric<T>> TracedSearch<T> for MvpReadSnapshot<T, M> {
-    fn query_traced<S: TraceSink>(&self, cmd: &QueryCmd, query: &T, sink: &mut S) -> Vec<Neighbor> {
+impl<T, S, M> TracedSearch<S::Item> for MvpReadSnapshot<T, M, S>
+where
+    T: Borrow<S::Item>,
+    S: RowStore<T>,
+    M: BoundedMetric<S::Item>,
+{
+    fn query_traced<Sink: TraceSink>(
+        &self,
+        cmd: &QueryCmd,
+        query: &S::Item,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
         match cmd {
             QueryCmd::Range(radius) => {
                 let mut v = self.range(query, *radius, sink);
@@ -454,18 +543,22 @@ where
     }
 }
 
-/// A scatter-gather index. Each shard's search reports into a tally of
+/// A scatter-gather index over shards answering queries of type `Q`
+/// (see [`ServedSingle`]). Each shard's search reports into a tally of
 /// its own; the query's cost is their sum.
-struct ServedSharded<I> {
+struct ServedSharded<I, Q: ?Sized> {
     index: ShardedIndex<I>,
+    query: PhantomData<fn(&Q)>,
 }
 
-impl<T, I> ServedQuery<T> for ServedSharded<I>
+impl<T, Q, I> ServedQuery<T> for ServedSharded<I, Q>
 where
-    T: Clone + Send + Sync,
-    I: ShardSearch<T> + BudgetedSearch<T> + TracedSearch<T> + Send + Sync,
+    T: Borrow<Q> + Send + Sync,
+    Q: ToOwned<Owned = T> + Sync + ?Sized,
+    I: ShardSearch<Q> + BudgetedSearch<Q> + TracedSearch<Q> + Send + Sync,
 {
     fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
+        let query = query.borrow();
         let (mut results, tallies): (_, Vec<DistanceTally>) = match cmd {
             QueryCmd::Range(radius) => self.index.range_per_shard(query, *radius),
             QueryCmd::Knn(k) => self.index.knn_per_shard(query, *k),
@@ -489,6 +582,7 @@ where
         // tally. The merges below mirror `ShardedIndex` — same remap,
         // same canonical (distance, id) order — so replies stay
         // byte-identical to the parallel untraced path.
+        let query = query.borrow();
         let mut profile = QueryProfile::new();
         let s = self.index.shard_count();
         let mut tallies = Vec::with_capacity(s);
@@ -528,11 +622,11 @@ where
     }
 
     fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
-        self.index.knn_budgeted(query, k, budget)
+        self.index.knn_budgeted(query.borrow(), k, budget)
     }
 
     fn item(&self, id: usize) -> Option<T> {
-        self.index.get(id).cloned()
+        self.index.get(id).map(ToOwned::to_owned)
     }
 }
 
@@ -543,7 +637,7 @@ where
 /// under the `threads` policy; the sharded build fans one worker per
 /// shard through it and keeps each sub-build sequential, so the worker
 /// budget is not oversubscribed.
-pub(crate) fn build_served<T, S>(
+pub(crate) fn build_served<T, Q, S>(
     items: Vec<T>,
     shards: usize,
     threads: Threads,
@@ -551,8 +645,9 @@ pub(crate) fn build_served<T, S>(
     build_distances: impl Fn(&S) -> u64,
 ) -> CliResult<(Box<dyn ServedQuery<T>>, u64)>
 where
-    T: Clone + Send + Sync + 'static,
-    S: ShardSearch<T> + BudgetedSearch<T> + ScanRoute<T> + Send + Sync + 'static,
+    T: Borrow<Q> + Send + Sync + 'static,
+    Q: ToOwned<Owned = T> + Sync + ?Sized + 'static,
+    S: ShardSearch<Q> + BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync + 'static,
 {
     let built = |e: VantageError| err(e.to_string());
     if shards == 0 {
@@ -561,14 +656,15 @@ where
     if shards == 1 {
         let index = build(items, threads).map_err(built)?;
         let cost = build_distances(&index);
-        return Ok((Box::new(ServedSingle::<S, T>::new(index)), cost));
+        return Ok((Box::new(ServedSingle::<S, Q>::new(index)), cost));
     }
     let index = ShardedIndex::build(items, shards, threads, |_, part| {
         build(part, Threads::SEQUENTIAL)
     })
     .map_err(built)?;
     let cost = index.shards().iter().map(build_distances).sum();
-    Ok((Box::new(ServedSharded { index }), cost))
+    let query = PhantomData;
+    Ok((Box::new(ServedSharded::<S, Q> { index, query }), cost))
 }
 
 /// Serves a loaded snapshot index: as is when `shards == 1`, otherwise
@@ -587,10 +683,10 @@ fn serve_loaded<T, Q, I, S>(
     build: impl Fn(Vec<T>, Threads) -> vantage_core::Result<S> + Sync,
 ) -> CliResult<(Box<dyn ServedQuery<T>>, &'static str)>
 where
-    T: Borrow<Q> + Clone + Send + Sync + 'static,
-    Q: ToOwned<Owned = T> + ?Sized + 'static,
+    T: Borrow<Q> + Send + Sync + 'static,
+    Q: ToOwned<Owned = T> + Sync + ?Sized + 'static,
     I: BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync + 'static,
-    S: ShardSearch<T> + BudgetedSearch<T> + ScanRoute<T> + Send + Sync + 'static,
+    S: ShardSearch<Q> + BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync + 'static,
 {
     if shards == 1 {
         return Ok((Box::new(ServedSingle::<I, Q>::new(index)), layout));
@@ -629,43 +725,38 @@ type Loader<T> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T>> + Send + Sync>;
 /// answering queries without materializing a node. A linear scan's
 /// items are copied out.
 /// With `shards > 1` the loaded index is re-partitioned
-/// ([`serve_loaded`]). The metric is the plain `M`: queries count their
-/// own cost ([`ServedQuery`]), so nothing wraps it.
-pub(crate) fn load_index_typed<T, M, K>(
+/// ([`serve_loaded`]) into trees over flat rows. The metric is the plain
+/// `M`: queries count their own cost ([`ServedQuery`]), so nothing
+/// wraps it.
+pub(crate) fn load_index_typed<T: WireItem, M: ServeMetric<T>>(
     path: &str,
     shards: usize,
     seed: u64,
     threads: Threads,
-) -> CliResult<LoadedIndex<T>>
-where
-    T: WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
-    M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
-    K: FlatItems + Send + Sync + 'static,
-    K::Item: ToOwned<Owned = T> + Sync,
-{
+) -> CliResult<LoadedIndex<T>> {
     let loaded = |e: VantageError| err(format!("{path}: {e}"));
     // O(header): decide the loading route without touching the payload.
     let info = persist::inspect(path).map_err(loaded)?;
     let storage = |mapped: bool| if mapped { "mmap" } else { "read" };
     let (index, layout) = match info.kind {
         IndexKind::VpTree => {
-            let tree = persist::open_vp_tree::<K, M>(path).map_err(loaded)?;
+            let tree = persist::open_vp_tree::<T::Flat, M>(path).map_err(loaded)?;
             let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
             serve_loaded(tree, layout, shards, threads, |part, threads| {
-                VpTree::build(part, metric.clone(), vp_build_params(seed, threads))
+                build_vp(part, metric.clone(), seed, threads)
             })?
         }
         IndexKind::MvpTree => {
-            let tree = persist::open_mvp_tree::<K, M>(path).map_err(loaded)?;
+            let tree = persist::open_mvp_tree::<T::Flat, M>(path).map_err(loaded)?;
             let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
             serve_loaded(tree, layout, shards, threads, |part, threads| {
-                MvpTree::build(part, metric.clone(), mvp_build_params(seed, threads))
+                build_mvp(part, metric.clone(), seed, threads)
             })?
         }
         IndexKind::Linear => {
-            let scan = persist::load_linear_scan::<K, M>(path).map_err(loaded)?;
+            let scan = persist::load_linear_scan::<T::Flat, M>(path).map_err(loaded)?;
             let metric = scan.metric().clone();
             serve_loaded(scan, "decoded", shards, threads, |part, _| {
                 Ok(LinearScan::new(part, metric.clone()))
@@ -708,15 +799,15 @@ struct StaticEngine<T> {
 /// Ingest-serving engine: the concurrent mvp-tree swaps internally on
 /// every write. Each query searches one pinned generation with a sink
 /// of its own, so rebuilds running beside it never leak into its cost.
-struct DynamicEngine<T, M> {
-    tree: ConcurrentMvpTree<T, M>,
+struct DynamicEngine<T: WireItem, M> {
+    tree: ConcurrentMvpTree<T, M, Rows<T>>,
     metrics: Arc<IndexMetrics>,
     /// The items' coordinate count: the dataset's, or the first
     /// insert's when the server started empty.
     dims: OnceLock<usize>,
 }
 
-enum Engine<T, M> {
+enum Engine<T: WireItem, M> {
     Static(StaticEngine<T>),
     Dynamic(DynamicEngine<T, M>),
 }
@@ -758,7 +849,7 @@ impl Tracer {
 }
 
 /// Server state shared by every connection thread.
-struct Shared<T, M> {
+struct Shared<T: WireItem, M> {
     engine: Engine<T, M>,
     registry: MetricsRegistry,
     metric_name: String,
@@ -856,16 +947,12 @@ pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -
     }
     match (info.item.as_str(), info.metric.as_str()) {
         ("utf8-string", "edit") => {
-            serve_snapshot_typed::<String, Levenshtein, Utf8Strings>(path, &info, opts, out)
+            serve_snapshot_typed::<String, Levenshtein>(path, &info, opts, out)
         }
-        ("f64-vector", "l2") => {
-            serve_snapshot_typed::<Vec<f64>, Euclidean, F64Vectors>(path, &info, opts, out)
-        }
-        ("f64-vector", "l1") => {
-            serve_snapshot_typed::<Vec<f64>, Manhattan, F64Vectors>(path, &info, opts, out)
-        }
+        ("f64-vector", "l2") => serve_snapshot_typed::<Vec<f64>, Euclidean>(path, &info, opts, out),
+        ("f64-vector", "l1") => serve_snapshot_typed::<Vec<f64>, Manhattan>(path, &info, opts, out),
         ("f64-vector", "linf") => {
-            serve_snapshot_typed::<Vec<f64>, Chebyshev, F64Vectors>(path, &info, opts, out)
+            serve_snapshot_typed::<Vec<f64>, Chebyshev>(path, &info, opts, out)
         }
         (item, metric) => Err(err(format!(
             "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
@@ -873,22 +960,16 @@ pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -
     }
 }
 
-fn serve_snapshot_typed<T, M, K>(
+fn serve_snapshot_typed<T: WireItem, M: ServeMetric<T>>(
     path: &str,
     info: &persist::SnapshotInfo,
     opts: ServeOptions,
     out: &mut String,
-) -> CliResult<()>
-where
-    T: WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
-    M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
-    K: FlatItems + Send + Sync + 'static,
-    K::Item: ToOwned<Owned = T> + Sync,
-{
+) -> CliResult<()> {
     let registry = MetricsRegistry::new();
     let (shards, seed, threads) = (opts.shards, opts.seed, opts.threads);
     let loader: Loader<T> =
-        Box::new(move |p: &str| load_index_typed::<T, M, K>(p, shards, seed, threads));
+        Box::new(move |p: &str| load_index_typed::<T, M>(p, shards, seed, threads));
     let load_start = Instant::now();
     let loaded = loader(path)?;
     let metrics = registry.index("serve/gen0");
@@ -936,8 +1017,8 @@ fn serve_data_typed<T, M>(
     out: &mut String,
 ) -> CliResult<()>
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     let registry = MetricsRegistry::new();
     let dims = items
@@ -945,9 +1026,10 @@ where
         .and_then(WireItem::dims)
         .map_or_else(OnceLock::new, OnceLock::from);
     let build_start = Instant::now();
-    let tree =
-        ConcurrentMvpTree::with_items(items, metric, mvp_build_params(opts.seed, opts.threads))
-            .map_err(|e| err(e.to_string()))?;
+    let params = mvp_build_params(opts.seed, opts.threads);
+    let tree = Rows::<T>::from_items(items)
+        .and_then(|rows| ConcurrentMvpTree::with_rows(rows, metric, params))
+        .map_err(|e| err(e.to_string()))?;
     let metrics = registry.index("serve/dynamic");
     record_build(&metrics, build_start, tree.build_distances());
     let engine = Engine::Dynamic(DynamicEngine {
@@ -966,8 +1048,8 @@ fn run_server<T, M>(
     out: &mut String,
 ) -> CliResult<()>
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     let listener = TcpListener::bind(&opts.addr)
         .map_err(|e| err(format!("cannot bind {}: {e}", opts.addr)))?;
@@ -1031,11 +1113,10 @@ where
 
 fn handle_connection<T, M>(stream: TcpStream, shared: &Shared<T, M>)
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
-    shared.g_connections.add(1);
-    let _open = OpenConnection(&shared.g_connections);
+    let _open = GaugeHold::new(&shared.g_connections);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let Ok(mut writer) = stream.try_clone() else {
@@ -1081,11 +1162,19 @@ where
     }
 }
 
-/// Counts one open connection in the `serve/connections` gauge until
-/// dropped, however the connection's thread ends.
-struct OpenConnection<'a>(&'a Gauge);
+/// Holds one unit of a gauge — an open connection in
+/// `serve/connections`, a query in `serve/in_flight` — until dropped,
+/// however its thread ends, a panic included.
+struct GaugeHold<'a>(&'a Gauge);
 
-impl Drop for OpenConnection<'_> {
+impl<'a> GaugeHold<'a> {
+    fn new(gauge: &'a Gauge) -> Self {
+        gauge.add(1);
+        GaugeHold(gauge)
+    }
+}
+
+impl Drop for GaugeHold<'_> {
     fn drop(&mut self) {
         self.0.add(-1);
     }
@@ -1095,8 +1184,8 @@ impl Drop for OpenConnection<'_> {
 /// connection afterwards.
 fn handle_line<T, M>(line: &str, shared: &Shared<T, M>) -> (String, bool)
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     match dispatch(line, shared) {
         Ok(Reply::Line(reply)) => (reply, false),
@@ -1112,8 +1201,8 @@ enum Reply {
 
 fn dispatch<T, M>(line: &str, shared: &Shared<T, M>) -> std::result::Result<Reply, String>
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     let mut parts = line.splitn(2, ' ');
     let verb = parts.next().unwrap_or("");
@@ -1265,7 +1354,7 @@ where
     }
 }
 
-fn dynamic_engine<'a, T, M>(
+fn dynamic_engine<'a, T: WireItem, M>(
     shared: &'a Shared<T, M>,
     verb: &str,
 ) -> std::result::Result<&'a DynamicEngine<T, M>, String> {
@@ -1354,8 +1443,8 @@ fn answer_query<T, M>(
     trace: RequestTrace<'_>,
 ) -> std::result::Result<String, String>
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     let RequestTrace {
         verb,
@@ -1365,13 +1454,14 @@ where
     } = trace;
     let sampled = rec.is_some();
     let mut profile = None;
+    let in_flight;
     let (generation, results, measured) = match &shared.engine {
         Engine::Static(engine) => {
             // Pin one generation: the query answers wholly against it
             // even if a RELOAD swaps mid-flight.
             let guard = engine.cell.read();
             check_dims("query", query, guard.loaded.dims)?;
-            shared.g_in_flight.add(1);
+            in_flight = GaugeHold::new(&shared.g_in_flight);
             let start = Instant::now();
             let (results, cost) = match rec.as_mut() {
                 Some(r) => {
@@ -1391,15 +1481,16 @@ where
             // it holds was checked against `dims` before its insert.
             let snapshot = engine.tree.read();
             check_dims("query", query, engine.dims.get().copied())?;
-            shared.g_in_flight.add(1);
+            in_flight = GaugeHold::new(&shared.g_in_flight);
             let start = Instant::now();
             let (results, cost) = match rec.as_mut() {
                 Some(r) => {
-                    let (results, descent, cost) = search_traced(&*snapshot, cmd, query, r);
+                    let (results, descent, cost) =
+                        search_traced(&*snapshot, cmd, query.borrow(), r);
                     profile = Some(descent);
                     (results, cost)
                 }
-                None => search(&*snapshot, cmd, query),
+                None => search(&*snapshot, cmd, query.borrow()),
             };
             let elapsed = start.elapsed();
             engine.metrics.record(cmd.op_kind(), elapsed, cost.into());
@@ -1415,7 +1506,7 @@ where
         }
         None => format_neighbors(&results),
     };
-    shared.g_in_flight.add(-1);
+    drop(in_flight);
 
     let tracer = &shared.tracer;
     let total_ns = origin.elapsed().as_nanos() as u64;
@@ -1466,8 +1557,8 @@ where
 
 fn info_line<T, M>(shared: &Shared<T, M>) -> String
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     match &shared.engine {
         Engine::Static(engine) => {
@@ -1505,11 +1596,10 @@ where
 /// The gauges a write moves: the generation it published. The SLO
 /// percentiles wait for `STATS` and the final flush
 /// ([`refresh_gauges`]), which sort every window.
-fn refresh_generation<T, M>(shared: &Shared<T, M>, engine: &DynamicEngine<T, M>)
-where
-    T: Clone + Sync,
-    M: BoundedMetric<T> + Clone + Sync,
-{
+fn refresh_generation<T: WireItem, M: ServeMetric<T>>(
+    shared: &Shared<T, M>,
+    engine: &DynamicEngine<T, M>,
+) {
     let generation = engine.tree.generation() as i64;
     shared.g_generation.set(generation);
     shared.g_swaps.set(generation);
@@ -1518,8 +1608,8 @@ where
 /// Re-reads the serving gauges from the engine's authoritative counters.
 fn refresh_gauges<T, M>(shared: &Shared<T, M>)
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     match &shared.engine {
         Engine::Static(engine) => {
@@ -1597,8 +1687,8 @@ fn reload<T, M>(
     path: &str,
 ) -> std::result::Result<Reply, String>
 where
-    T: WireItem + Clone + Send + Sync + 'static,
-    M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
+    T: WireItem,
+    M: ServeMetric<T>,
 {
     // O(header) routing check first; the loader then verifies checksums
     // and structural invariants once, and for unsharded tree snapshots
@@ -1777,29 +1867,23 @@ pub(crate) fn cmd_serve_smoke(argv: &[String], out: &mut String) -> CliResult<()
     let info = persist::inspect(&path).map_err(|e| err(format!("{path}: {e}")))?;
     let run = (addr.as_str(), path.as_str(), threads, queries, reloads);
     match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => smoke_typed::<String, Levenshtein, Utf8Strings>(run, out),
-        ("f64-vector", "l2") => smoke_typed::<Vec<f64>, Euclidean, F64Vectors>(run, out),
-        ("f64-vector", "l1") => smoke_typed::<Vec<f64>, Manhattan, F64Vectors>(run, out),
-        ("f64-vector", "linf") => smoke_typed::<Vec<f64>, Chebyshev, F64Vectors>(run, out),
+        ("utf8-string", "edit") => smoke_typed::<String, Levenshtein>(run, out),
+        ("f64-vector", "l2") => smoke_typed::<Vec<f64>, Euclidean>(run, out),
+        ("f64-vector", "l1") => smoke_typed::<Vec<f64>, Manhattan>(run, out),
+        ("f64-vector", "linf") => smoke_typed::<Vec<f64>, Chebyshev>(run, out),
         (item, metric) => Err(err(format!(
             "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
         ))),
     }
 }
 
-fn smoke_typed<T, M, K>(
+fn smoke_typed<T: WireItem, M: ServeMetric<T>>(
     (addr, path, threads, queries, reloads): (&str, &str, usize, usize, usize),
     out: &mut String,
-) -> CliResult<()>
-where
-    T: WireItem + Clone + Send + Sync + 'static + Borrow<K::Item>,
-    M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
-    K: FlatItems + Send + Sync + 'static,
-    K::Item: ToOwned<Owned = T> + Sync,
-{
+) -> CliResult<()> {
     // The same loader the server runs, unsharded: a sharded server must
     // match the unsharded snapshot byte for byte.
-    let loaded = load_index_typed::<T, M, K>(path, 1, 0, Threads::SEQUENTIAL)?;
+    let loaded = load_index_typed::<T, M>(path, 1, 0, Threads::SEQUENTIAL)?;
     let index = loaded.index;
     let items: Vec<T> = (0..loaded.items as usize)
         .filter_map(|id| index.item(id))

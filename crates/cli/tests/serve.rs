@@ -734,6 +734,58 @@ fn wrong_dimension_requests_get_an_error_and_keep_the_connection() {
 }
 
 #[test]
+fn a_ragged_snapshot_is_refused_and_reload_keeps_the_old_generation() {
+    use vantage_core::prelude::{Euclidean, LinearScan};
+
+    let data = temp_path("ragged-data.csv");
+    let snap = temp_path("ragged-good.vantage");
+    let ragged = temp_path("ragged-bad.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "100", "--dim", "2", "--seed", "4", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
+    // Checksums valid, rows of 2, 3 and 2 values: `save_linear_scan`
+    // refuses these items, so the bytes are written by hand.
+    let rows = vec![vec![0.0, 0.0], vec![1.0, 1.0, 1.0], vec![2.0, 2.0]];
+    let bytes = vantage_persist::encode_linear_scan(&LinearScan::new(rows, Euclidean));
+    std::fs::write(&ragged, bytes).unwrap();
+
+    let err = run(&[
+        "query", "--index", &ragged, "--metric", "l2", "--knn", "3", "--query", "0,0",
+    ])
+    .unwrap_err();
+    assert!(err.contains("ragged"), "{err}");
+    let err = run(&["serve", "--index", &ragged, "--addr", "127.0.0.1:0"]).unwrap_err();
+    assert!(err.contains("ragged"), "{err}");
+
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+    let mut line = Line::open(&addr);
+    let good = "KNN 3 0,0";
+    let expected = line.send(good);
+    assert!(expected.starts_with("OK 3 "), "{expected}");
+    let reply = line.send(&format!("RELOAD {ragged}"));
+    assert!(
+        reply.starts_with("ERR ") && reply.contains("ragged"),
+        "{reply}"
+    );
+    assert_eq!(line.send(good), expected, "the old generation answers");
+    assert_eq!(line.send("PING"), "OK pong");
+    assert!(line.send("INFO").contains(" generation=0 "));
+    drop(line);
+    await_connections(&addr, 0);
+    assert_eq!(stats_gauge(&addr, "serve/in_flight"), Some(0));
+
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap, &ragged] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn non_finite_coordinates_and_nan_radii_are_refused() {
     let data = temp_path("nan-data.csv");
     let snap = temp_path("nan-index.vantage");

@@ -8,21 +8,30 @@
 //! tree's *id→row table*. Results always report the original item ids;
 //! the row order only changes where the bytes live.
 //!
-//! Owned indexes keep their items in a `Vec<T>` (permuted into row
-//! order once, in place, at build time — see [`permute_to_rows`]); the
-//! zero-copy snapshot path keeps them as flat offset-indexed buffers
-//! borrowed straight from a memory-mapped file, written in row order.
-//! [`ItemStore`] abstracts over both so a kernel is written once and
-//! answers bit-identically over either representation. The id→row
+//! A tree owns its rows as a [`RowStore`], permuted into row order once,
+//! in place, at build time ([`RowStore::permute`]). A tree can keep a
+//! `Vec<T>`; the two item types a snapshot can hold are packed into one
+//! flat buffer each:
+//! [`F64Rows`] (every vector `d` values wide, row `i` at
+//! `data[i·d .. (i+1)·d]`) and [`StrRows`] (one text buffer plus
+//! `len + 1` byte offsets). Their borrowed views, [`FlatF64s`] and
+//! [`FlatStrs`], are exactly what the zero-copy snapshot path builds
+//! over a memory-mapped file, so a tree built in memory and a tree
+//! mapped from disk search the same rows through the same kernels.
+//! [`ItemStore`] abstracts over every view, so a kernel is written once
+//! and answers bit-identically over either representation. The id→row
 //! table is never stored: each tree derives it from its node arena in
 //! one O(n) pass ([`id_rows`]).
 //!
-//! The borrowed stores ([`FlatF64s`], [`FlatStrs`]) have an **unsized**
-//! item type (`[f64]`, `str`): they hand out sub-slices of one
-//! contiguous buffer, so there is no owned `Vec<f64>`/`String` value to
-//! return a reference to. The shipped vector and string metrics all
-//! implement `Metric<[f64]>` / `Metric<str>`, so the same metric value
-//! drives both representations.
+//! The flat views have an **unsized** item type (`[f64]`, `str`): they
+//! hand out sub-slices of one contiguous buffer, so there is no owned
+//! `Vec<f64>`/`String` value to return a reference to. The shipped
+//! vector and string metrics all implement `Metric<[f64]>` /
+//! `Metric<str>`, so the same metric value drives both representations.
+//! Item types with no flat encoding (images, histograms, byte strings)
+//! stay in a `Vec<T>`.
+
+use crate::error::{Result, VantageError};
 
 /// Resolves row indices to borrowed items.
 ///
@@ -67,22 +76,22 @@ pub fn id_rows(order: impl IntoIterator<Item = u32>, n: usize) -> Vec<u32> {
     rows
 }
 
-/// Moves `items` (in id order) into row order in place: afterwards
-/// `items[rows[id]]` is the item that was at `items[id]`. Items are
-/// only swapped, never cloned; the scratch is one copy of `rows`.
+/// Moves `len` items (in id order) into row order in place, through
+/// `swap(i, j)`: afterwards the item that was at `id` is at `rows[id]`.
+/// Items are only swapped, never cloned; the scratch is one copy of
+/// `rows`.
 ///
 /// # Panics
 ///
-/// Panics if `rows` is shorter than `items` or names a row out of
-/// range.
-pub fn permute_to_rows<T>(items: &mut [T], rows: &[u32]) {
+/// Panics if `rows` is shorter than `len` or names a row out of range.
+fn permute_by(len: usize, rows: &[u32], mut swap: impl FnMut(usize, usize)) {
     // Follow each cycle of the permutation: `dest[i]` is where the item
     // currently at `i` belongs, and every swap settles one item.
-    let mut dest = rows[..items.len()].to_vec();
-    for i in 0..items.len() {
+    let mut dest = rows[..len].to_vec();
+    for i in 0..len {
         while dest[i] as usize != i {
             let j = dest[i] as usize;
-            items.swap(i, j);
+            swap(i, j);
             dest.swap(i, j);
         }
     }
@@ -113,38 +122,41 @@ impl<S: ItemStore + ?Sized> ItemStore for &S {
     }
 }
 
-/// Borrowed flat store of `f64` vectors: one contiguous value buffer
-/// plus `len + 1` offsets (in `f64` units) delimiting each vector.
+/// Borrowed flat store of `f64` vectors of one dimension `d`: row `i`
+/// is `data[i·d .. (i+1)·d]`, addressed by one multiply with no
+/// per-row offsets.
 ///
-/// The item at row `i` is `data[offsets[i] .. offsets[i + 1]]`. The constructor
-/// does not re-validate monotonicity or bounds — the snapshot loader
-/// checks both before any store is built (and covers the buffers with a
+/// The snapshot loader refuses any vector section whose rows are not
+/// all `d` wide before a store is built (and covers the buffer with a
 /// section checksum), so `get` uses plain checked slicing.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatF64s<'a> {
-    offsets: &'a [u64],
     data: &'a [f64],
+    dim: usize,
+    len: usize,
 }
 
 impl<'a> FlatF64s<'a> {
-    /// Wraps validated offset/value buffers.
+    /// Wraps `len` rows of `dim` values each.
     ///
     /// # Panics
     ///
-    /// Panics if `offsets` is empty (a valid store always carries
-    /// `len + 1` offsets, so at least one).
-    pub fn new(offsets: &'a [u64], data: &'a [f64]) -> Self {
-        assert!(!offsets.is_empty(), "offset table carries len + 1 entries");
-        FlatF64s { offsets, data }
+    /// Panics if `data` does not hold exactly `len · dim` values.
+    pub fn new(data: &'a [f64], dim: usize, len: usize) -> Self {
+        assert_eq!(
+            Some(data.len()),
+            len.checked_mul(dim),
+            "{len} rows of {dim}"
+        );
+        FlatF64s { data, dim, len }
     }
 
-    /// The vector at `row`, borrowed for the buffers' lifetime rather
+    /// The vector at `row`, borrowed for the buffer's lifetime rather
     /// than the store's ([`ItemStore::get`] can only lend the latter).
+    #[inline]
     pub fn row(&self, row: u32) -> &'a [f64] {
-        let i = row as usize;
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
-        &self.data[start..end]
+        let start = row as usize * self.dim;
+        &self.data[start..start + self.dim]
     }
 }
 
@@ -152,9 +164,10 @@ impl ItemStore for FlatF64s<'_> {
     type Item = [f64];
 
     fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.len
     }
 
+    #[inline]
     fn get(&self, row: u32) -> &[f64] {
         self.row(row)
     }
@@ -206,6 +219,179 @@ impl ItemStore for FlatStrs<'_> {
     }
 }
 
+/// The rows a tree owns, packed from its items of type `T` and searched
+/// through a borrowed [`ItemStore`] view.
+///
+/// `Vec<T>` is the store every tree can be built in; [`F64Rows`] and
+/// [`StrRows`] are the flat stores for `Vec<f64>` and `String` items,
+/// whose views are the ones a mapped snapshot serves.
+pub trait RowStore<T>: Sized {
+    /// The borrowed item type queries take (`T` itself, `[f64]`, `str`).
+    type Item: ?Sized;
+    /// The borrowed store the search kernels read.
+    type View<'a>: ItemStore<Item = Self::Item> + Copy
+    where
+        Self: 'a;
+
+    /// Packs `items`, keeping their order.
+    ///
+    /// # Errors
+    ///
+    /// [`VantageError::DimensionMismatch`] when a fixed-width store is
+    /// handed vectors of different lengths.
+    fn from_items(items: Vec<T>) -> Result<Self>;
+
+    /// Packs borrowed rows, keeping their order (a rebuild repacks a
+    /// tree's rows without an owned copy of each).
+    ///
+    /// # Errors
+    ///
+    /// As [`from_items`](RowStore::from_items).
+    fn from_rows<'a>(rows: impl Iterator<Item = &'a Self::Item>) -> Result<Self>
+    where
+        Self::Item: ToOwned<Owned = T> + 'a,
+    {
+        Self::from_items(rows.map(ToOwned::to_owned).collect())
+    }
+
+    /// The borrowed view the search kernels read.
+    fn view(&self) -> Self::View<'_>;
+
+    /// The item at `row`, borrowed for the store's lifetime.
+    fn row(&self, row: u32) -> &Self::Item;
+
+    /// Moves the items (in id order) into row order: afterwards the item
+    /// that was at `id` is at row `rows[id]` ([`id_rows`]).
+    fn permute(&mut self, rows: &[u32]);
+}
+
+impl<T> RowStore<T> for Vec<T> {
+    type Item = T;
+    type View<'a>
+        = &'a [T]
+    where
+        Self: 'a;
+
+    fn from_items(items: Vec<T>) -> Result<Self> {
+        Ok(items)
+    }
+
+    fn view(&self) -> &[T] {
+        self
+    }
+
+    fn row(&self, row: u32) -> &T {
+        &self[row as usize]
+    }
+
+    fn permute(&mut self, rows: &[u32]) {
+        permute_by(self.len(), rows, |i, j| self.swap(i, j));
+    }
+}
+
+/// Owned flat store of `f64` vectors of one dimension: the heap twin of
+/// a mapped [`FlatF64s`], one `Vec<f64>` holding every row.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct F64Rows {
+    data: Vec<f64>,
+    dim: usize,
+    len: usize,
+}
+
+impl RowStore<Vec<f64>> for F64Rows {
+    type Item = [f64];
+    type View<'a> = FlatF64s<'a>;
+
+    fn from_items(items: Vec<Vec<f64>>) -> Result<Self> {
+        Self::from_rows(items.iter().map(Vec::as_slice))
+    }
+
+    fn from_rows<'a>(mut rows: impl Iterator<Item = &'a [f64]>) -> Result<Self> {
+        let Some(first) = rows.next() else {
+            return Ok(F64Rows::default());
+        };
+        let dim = first.len();
+        let mut data = Vec::with_capacity((rows.size_hint().0 + 1) * dim);
+        data.extend_from_slice(first);
+        let mut len = 1;
+        for row in rows {
+            if row.len() != dim {
+                return Err(VantageError::DimensionMismatch {
+                    left: dim,
+                    right: row.len(),
+                });
+            }
+            data.extend_from_slice(row);
+            len += 1;
+        }
+        Ok(F64Rows { data, dim, len })
+    }
+
+    fn view(&self) -> FlatF64s<'_> {
+        FlatF64s::new(&self.data, self.dim, self.len)
+    }
+
+    fn row(&self, row: u32) -> &[f64] {
+        let start = row as usize * self.dim;
+        &self.data[start..start + self.dim]
+    }
+
+    fn permute(&mut self, rows: &[u32]) {
+        let (data, dim) = (&mut self.data, self.dim);
+        permute_by(self.len, rows, |i, j| {
+            let (low, high) = (i.min(j), i.max(j));
+            let (head, tail) = data.split_at_mut(high * dim);
+            head[low * dim..(low + 1) * dim].swap_with_slice(&mut tail[..dim]);
+        });
+    }
+}
+
+/// Owned flat store of strings: the heap twin of a mapped [`FlatStrs`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct StrRows {
+    offsets: Vec<u64>,
+    text: String,
+}
+
+impl RowStore<String> for StrRows {
+    type Item = str;
+    type View<'a> = FlatStrs<'a>;
+
+    fn from_items(items: Vec<String>) -> Result<Self> {
+        Self::from_rows(items.iter().map(String::as_str))
+    }
+
+    fn from_rows<'a>(rows: impl Iterator<Item = &'a str>) -> Result<Self> {
+        let mut packed = StrRows {
+            offsets: vec![0],
+            text: String::new(),
+        };
+        for row in rows {
+            packed.text.push_str(row);
+            packed.offsets.push(packed.text.len() as u64);
+        }
+        Ok(packed)
+    }
+
+    fn view(&self) -> FlatStrs<'_> {
+        FlatStrs::new(&self.offsets, &self.text)
+    }
+
+    fn row(&self, row: u32) -> &str {
+        self.view().row(row)
+    }
+
+    fn permute(&mut self, rows: &[u32]) {
+        // Rows of different widths do not swap in place: gather them.
+        let mut ids = vec![0; rows.len()];
+        for (id, &row) in rows.iter().enumerate() {
+            ids[row as usize] = id as u32;
+        }
+        let packed = Self::from_rows(ids.iter().map(|&id| self.row(id)));
+        *self = packed.expect("strings of any width pack");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,25 +413,53 @@ mod tests {
     }
 
     #[test]
-    fn permute_to_rows_moves_each_item_to_its_row() {
+    fn every_store_permutes_each_item_to_its_row() {
         let order = [4u32, 1, 3, 0, 2, 5];
         let rows = id_rows(order, order.len());
-        let mut items: Vec<String> = (0..6).map(|i| format!("item{i}")).collect();
-        permute_to_rows(&mut items, &rows);
-        for (row, id) in order.iter().enumerate() {
-            assert_eq!(items[row], format!("item{id}"));
+        let words: Vec<String> = (0..6).map(|i| format!("item{i}")).collect();
+        let vectors: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i); 3]).collect();
+        let mut owned = words.clone();
+        owned.permute(&rows);
+        let mut strs = StrRows::from_items(words).unwrap();
+        strs.permute(&rows);
+        let mut flat = F64Rows::from_items(vectors).unwrap();
+        flat.permute(&rows);
+        for (row, &id) in order.iter().enumerate() {
+            assert_eq!(owned[row], format!("item{id}"));
+            assert_eq!(strs.row(row as u32), format!("item{id}"));
+            assert_eq!(flat.row(row as u32), &[f64::from(id); 3]);
         }
     }
 
     #[test]
-    fn flat_f64s_resolve_rows() {
-        let offsets = [0u64, 2, 2, 5];
-        let data = [1.0, 2.0, 9.0, 8.0, 7.0];
-        let store = FlatF64s::new(&offsets, &data);
+    fn flat_f64s_resolve_rows_by_stride() {
+        let data = [1.0, 2.0, 9.0, 8.0, 7.0, 6.0];
+        let store = FlatF64s::new(&data, 2, 3);
         assert_eq!(store.len(), 3);
         assert_eq!(store.get(0), &[1.0, 2.0]);
-        assert_eq!(store.get(1), &[] as &[f64]);
-        assert_eq!(store.get(2), &[9.0, 8.0, 7.0]);
+        assert_eq!(store.get(2), &[7.0, 6.0]);
+        let empty = FlatF64s::new(&[], 0, 4);
+        assert_eq!(empty.len(), 4);
+        assert_eq!(empty.get(3), &[] as &[f64]);
+    }
+
+    #[test]
+    fn f64_rows_pack_vectors_and_refuse_ragged_ones() {
+        let rows = F64Rows::from_items(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        assert_eq!(rows.view().len(), 2);
+        assert_eq!(rows.row(1), &[3.0, 4.0]);
+        let err = F64Rows::from_items(vec![vec![0.0; 2], vec![0.0; 3], vec![0.0; 2]]).unwrap_err();
+        assert_eq!(err, VantageError::DimensionMismatch { left: 2, right: 3 });
+        assert_eq!(F64Rows::from_items(Vec::new()).unwrap().view().len(), 0);
+    }
+
+    #[test]
+    fn str_rows_pack_strings() {
+        let rows = StrRows::from_items(vec!["héllo".into(), String::new(), "x".into()]).unwrap();
+        assert_eq!(rows.view().len(), 3);
+        assert_eq!(rows.row(0), "héllo");
+        assert_eq!(rows.row(1), "");
+        assert_eq!(rows.row(2), "x");
     }
 
     #[test]

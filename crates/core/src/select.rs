@@ -12,6 +12,7 @@ use rand::seq::index::sample;
 use rand::RngExt;
 
 use crate::counting::DistanceTally;
+use crate::items::ItemStore;
 use crate::metric::Metric;
 use crate::{Result, VantageError};
 
@@ -68,9 +69,9 @@ impl VantageSelector {
     /// # Panics
     ///
     /// Panics if `ids` is empty.
-    pub fn select<T, M: Metric<T>>(
+    pub fn select<I: ItemStore + ?Sized, M: Metric<I::Item>>(
         &self,
-        items: &[T],
+        items: &I,
         ids: &[u32],
         metric: &M,
         rng: &mut StdRng,
@@ -99,7 +100,7 @@ impl VantageSelector {
                 // working sets, where evaluating everything is cheap.
                 let n_candidates = candidates.min(ids.len());
                 for cand_idx in sample(rng, ids.len(), n_candidates) {
-                    let cand = &items[ids[cand_idx] as usize];
+                    let cand = items.get(ids[cand_idx]);
                     let mut dists: Vec<f64> = (0..probes)
                         .map(|_| {
                             // Probe among the *other* points: including the
@@ -110,7 +111,7 @@ impl VantageSelector {
                                 probe += 1;
                             }
                             tally.add_computations(1);
-                            metric.distance(cand, &items[ids[probe] as usize])
+                            metric.distance(cand, items.get(ids[probe]))
                         })
                         .collect();
                     dists.sort_unstable_by(f64::total_cmp);
@@ -203,7 +204,7 @@ mod tests {
             candidates: 4,
             sample: 5,
         }
-        .select(&items, &ids, &metric, &mut rng, &mut tally);
+        .select(items.as_slice(), &ids, &metric, &mut rng, &mut tally);
         assert_eq!(metric.count(), 20);
         assert_eq!(tally.totals().computations, 20);
     }
@@ -229,7 +230,13 @@ mod tests {
                 candidates: 6,
                 sample: 8,
             }
-            .select(&items, &ids, &metric, &mut rng, &mut DistanceTally::new());
+            .select(
+                items.as_slice(),
+                &ids,
+                &metric,
+                &mut rng,
+                &mut DistanceTally::new(),
+            );
         }
         let calls = metric.0.borrow();
         assert!(!calls.is_empty());
@@ -252,7 +259,13 @@ mod tests {
             candidates: 100,
             sample: 2,
         }
-        .select(&items, &ids, &metric, &mut rng, &mut DistanceTally::new());
+        .select(
+            items.as_slice(),
+            &ids,
+            &metric,
+            &mut rng,
+            &mut DistanceTally::new(),
+        );
         let calls = metric.0.borrow();
         assert_eq!(calls.len(), 20 * 2, "budget is min(candidates, n) × sample");
         let mut seen: Vec<f64> = calls.iter().map(|(cand, _)| *cand).collect();

@@ -152,7 +152,7 @@ impl Default for SharedLowerBound {
 /// traversal as `knn` / `k_farthest` but through a collector wired to
 /// the group-shared bound, so shards tighten each other's radius
 /// mid-flight.
-pub trait ShardSearch<T>: MetricIndex<T> + FarthestIndex<T> {
+pub trait ShardSearch<T: ?Sized>: MetricIndex<T> + FarthestIndex<T> {
     /// [`range`](MetricIndex::range), reporting into `sink`.
     fn range_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor>;
 
@@ -381,7 +381,7 @@ impl<I> ShardedIndex<I> {
     /// without any shared counter.
     pub fn range_per_shard<T, S>(&self, query: &T, radius: f64) -> (Vec<Neighbor>, Vec<S>)
     where
-        T: Sync,
+        T: Sync + ?Sized,
         I: ShardSearch<T> + Sync,
         S: TraceSink + Default + Send,
     {
@@ -394,7 +394,7 @@ impl<I> ShardedIndex<I> {
     /// [`range_per_shard`](ShardedIndex::range_per_shard).
     pub fn knn_per_shard<T, S>(&self, query: &T, k: usize) -> (Vec<Neighbor>, Vec<S>)
     where
-        T: Sync,
+        T: Sync + ?Sized,
         I: ShardSearch<T> + Sync,
         S: TraceSink + Default + Send,
     {
@@ -413,7 +413,7 @@ impl<I> ShardedIndex<I> {
     /// sinks; see [`range_per_shard`](ShardedIndex::range_per_shard).
     pub fn beyond_per_shard<T, S>(&self, query: &T, radius: f64) -> (Vec<Neighbor>, Vec<S>)
     where
-        T: Sync,
+        T: Sync + ?Sized,
         I: ShardSearch<T> + Sync,
         S: TraceSink + Default + Send,
     {
@@ -426,7 +426,7 @@ impl<I> ShardedIndex<I> {
     /// see [`range_per_shard`](ShardedIndex::range_per_shard).
     pub fn kfn_per_shard<T, S>(&self, query: &T, k: usize) -> (Vec<Neighbor>, Vec<S>)
     where
-        T: Sync,
+        T: Sync + ?Sized,
         I: ShardSearch<T> + Sync,
         S: TraceSink + Default + Send,
     {
@@ -444,7 +444,7 @@ impl<I> ShardedIndex<I> {
     }
 }
 
-impl<T: Sync, I: ShardSearch<T> + Sync> MetricIndex<T> for ShardedIndex<I> {
+impl<T: Sync + ?Sized, I: ShardSearch<T> + Sync> MetricIndex<T> for ShardedIndex<I> {
     fn len(&self) -> usize {
         self.len
     }
@@ -466,7 +466,7 @@ impl<T: Sync, I: ShardSearch<T> + Sync> MetricIndex<T> for ShardedIndex<I> {
     }
 }
 
-impl<T: Sync, I: ShardSearch<T> + Sync> FarthestIndex<T> for ShardedIndex<I> {
+impl<T: Sync + ?Sized, I: ShardSearch<T> + Sync> FarthestIndex<T> for ShardedIndex<I> {
     fn range_beyond(&self, query: &T, radius: f64) -> Vec<Neighbor> {
         self.beyond_per_shard::<T, NoTrace>(query, radius).0
     }
@@ -476,7 +476,9 @@ impl<T: Sync, I: ShardSearch<T> + Sync> FarthestIndex<T> for ShardedIndex<I> {
     }
 }
 
-impl<T: Sync, I: ShardSearch<T> + BudgetedSearch<T> + Sync> BudgetedSearch<T> for ShardedIndex<I> {
+impl<T: Sync + ?Sized, I: ShardSearch<T> + BudgetedSearch<T> + Sync> BudgetedSearch<T>
+    for ShardedIndex<I>
+{
     /// Splits the budget evenly across shards (remainder to the lowest
     /// shard indexes, deterministically) and merges best-effort answers.
     ///

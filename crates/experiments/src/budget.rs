@@ -15,7 +15,7 @@
 //! workload.
 
 use vantage_core::prelude::*;
-use vantage_core::{BudgetedSearch, SearchBudget};
+use vantage_core::{BudgetedSearch, F64Rows, RowStore, SearchBudget};
 use vantage_datasets::{queries, uniform_vectors};
 use vantage_mvptree::{MvpParams, MvpTree};
 use vantage_vptree::{VpTree, VpTreeParams};
@@ -70,25 +70,21 @@ impl BudgetCurveSeries {
 /// The measured structure line-up (paper notation).
 const STRUCTURES: [&str; 2] = ["vpt(2)", "mvpt(3,80)"];
 
-fn build_structure(s: usize, items: &[Vec<f64>], seed: u64) -> Box<dyn BudgetedSearch<Vec<f64>>> {
-    match s {
-        0 => Box::new(
-            VpTree::build(
-                items.to_vec(),
-                Euclidean,
-                VpTreeParams::with_order(2).seed(seed),
-            )
-            .expect("valid params"),
-        ),
-        _ => Box::new(
-            MvpTree::build(
-                items.to_vec(),
-                Euclidean,
-                MvpParams::paper(3, 80, 5).seed(seed),
-            )
-            .expect("valid params"),
-        ),
-    }
+/// Builds structure `s` over flat rows, the layout the served trees use.
+fn build_structure(s: usize, items: &[Vec<f64>], seed: u64) -> Box<dyn BudgetedSearch<[f64]>> {
+    let built = match s {
+        0 => F64Rows::from_rows(items.iter().map(Vec::as_slice))
+            .and_then(|rows| {
+                VpTree::with_rows(rows, Euclidean, VpTreeParams::with_order(2).seed(seed))
+            })
+            .map(|tree| Box::new(tree) as Box<dyn BudgetedSearch<[f64]>>),
+        _ => F64Rows::from_rows(items.iter().map(Vec::as_slice))
+            .and_then(|rows| {
+                MvpTree::with_rows(rows, Euclidean, MvpParams::paper(3, 80, 5).seed(seed))
+            })
+            .map(|tree| Box::new(tree) as Box<dyn BudgetedSearch<[f64]>>),
+    };
+    built.expect("valid params and rows of one width")
 }
 
 /// Runs the recall-vs-cost experiment over the Figure 8 vector workload.
@@ -118,7 +114,7 @@ pub fn run_recall_curve_on(
     // Per structure: indexes for every seed, plus the per-(seed, query)
     // exact answers and costs the budgeted runs are scored against.
     for (s, series) in out.iter_mut().enumerate() {
-        let indexes: Vec<Box<dyn BudgetedSearch<Vec<f64>>>> = seeds
+        let indexes: Vec<Box<dyn BudgetedSearch<[f64]>>> = seeds
             .iter()
             .map(|&seed| build_structure(s, items, seed))
             .collect();

@@ -12,6 +12,7 @@
 //! precisely where totals alone cannot show it.
 
 use vantage_core::prelude::*;
+use vantage_core::{F64Rows, RowStore};
 use vantage_datasets::{queries, uniform_vectors};
 use vantage_mvptree::{MvpParams, MvpTree};
 use vantage_vptree::{VpTree, VpTreeParams};
@@ -41,7 +42,8 @@ pub struct PruningSeries {
 /// Runs traced range searches for the paper's two headline vector
 /// structures — `vpt(2)` and `mvpt(3,80)` — over the Figure 8 workload.
 pub fn run_pruning_breakdown(scale: Scale) -> Vec<PruningSeries> {
-    let items = uniform_vectors(scale.vector_count(), 20, DATA_SEED);
+    let rows = F64Rows::from_items(uniform_vectors(scale.vector_count(), 20, DATA_SEED))
+        .expect("uniform vectors share one width");
     let query_batch = queries::uniform_queries(scale.vector_queries(), 20, QUERY_SEED);
     let ranges = [0.15, 0.2, 0.3, 0.4, 0.5];
     let seeds = scale.seeds();
@@ -56,14 +58,14 @@ pub fn run_pruning_breakdown(scale: Scale) -> Vec<PruningSeries> {
     let mut mvp_points = vp_points.clone();
 
     for &seed in &seeds {
-        let vp = VpTree::build(
-            items.clone(),
+        let vp = VpTree::with_rows(
+            rows.clone(),
             Euclidean,
             VpTreeParams::with_order(2).seed(seed),
         )
         .expect("valid params");
-        let mvp = MvpTree::build(
-            items.clone(),
+        let mvp = MvpTree::with_rows(
+            rows.clone(),
             Euclidean,
             MvpParams::paper(3, 80, 5).seed(seed),
         )

@@ -45,12 +45,14 @@
 //! [`crate::arena`]). Construction itself reads items by id, so the
 //! tree is the same; only where each item is stored changes.
 
+use std::marker::PhantomData;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use vantage_core::parallel::{fork_join, par_map_slice, share_workers};
 use vantage_core::util::{checked_item_count, split_into_quantiles};
-use vantage_core::{DistanceTally, Metric, Result};
+use vantage_core::{DistanceTally, ItemStore, Metric, Result, RowStore};
 
 use crate::arena::MvpArena;
 use crate::params::{MvpParams, SecondVantage};
@@ -77,14 +79,34 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
     /// # Errors
     ///
     /// Returns an error when `params` is invalid.
-    pub fn build(mut items: Vec<T>, metric: M, params: MvpParams) -> Result<Self>
+    pub fn build(items: Vec<T>, metric: M, params: MvpParams) -> Result<Self>
     where
         T: Sync,
         M: Sync,
     {
+        MvpTree::with_rows(items, metric, params)
+    }
+}
+
+impl<T, M, S> MvpTree<T, M, S>
+where
+    S: RowStore<T> + Sync,
+    M: Metric<S::Item> + Sync,
+{
+    /// Builds an mvp-tree over items already packed in the row store
+    /// `S`, in id order (see [`build`](MvpTree::build)); the items are
+    /// then permuted into row order in place. The dynamic tree's
+    /// rebuilds take this path, packing the live rows without an owned
+    /// copy of each.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `params` is invalid.
+    pub fn with_rows(mut items: S, metric: M, params: MvpParams) -> Result<Self> {
         params.validate()?;
         let workers = params.threads.resolve();
-        let ids: Vec<PathedId> = (0..checked_item_count(items.len(), "mvp-tree")?)
+        let n = items.view().len();
+        let ids: Vec<PathedId> = (0..checked_item_count(n, "mvp-tree")?)
             .map(|id| PathedId {
                 id,
                 path: Vec::new(),
@@ -96,13 +118,14 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
             items: &items,
             metric: &metric,
             params: &params,
+            item: PhantomData,
         };
         let mut tally = DistanceTally::new();
         let root = builder.build_subtree(ids, &mut rng, workers, &mut arena, &mut tally);
         // Store the items in the arena's row order, so each leaf scan
         // reads one contiguous block: one in-place permutation, no clone.
-        let rows = arena.view().id_rows(items.len());
-        vantage_core::permute_to_rows(&mut items, &rows);
+        let rows = arena.view().id_rows(n);
+        items.permute(&rows);
         Ok(MvpTree {
             items,
             rows,
@@ -111,21 +134,23 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
             root,
             params,
             build_distances: tally.totals().computations,
+            item: PhantomData,
         })
     }
 }
 
 /// Borrowed construction context, shareable across scoped workers.
-struct Builder<'a, T, M> {
-    items: &'a [T],
+/// Items are read by id: the store is still in id order.
+struct Builder<'a, T, S, M> {
+    items: &'a S,
     metric: &'a M,
     params: &'a MvpParams,
+    item: PhantomData<fn() -> T>,
 }
 
-impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
+impl<T, S: RowStore<T> + Sync, M: Metric<S::Item> + Sync> Builder<'_, T, S, M> {
     fn distance_between(&self, a: u32, b: u32) -> f64 {
-        self.metric
-            .distance(&self.items[a as usize], &self.items[b as usize])
+        self.metric.distance(self.items.row(a), self.items.row(b))
     }
 
     /// Computes each member's distance to `vantage` (in parallel when the
@@ -175,10 +200,10 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
 
         // (3.1) First vantage point.
         let id_view: Vec<u32> = ids.iter().map(|e| e.id).collect();
-        let vp1_pos = self
-            .params
-            .selector
-            .select(self.items, &id_view, self.metric, rng, tally);
+        let vp1_pos =
+            self.params
+                .selector
+                .select(&self.items.view(), &id_view, self.metric, rng, tally);
         let vp1 = id_view[vp1_pos];
         let mut rest: Vec<PathedId> = ids.into_iter().filter(|e| e.id != vp1).collect();
 
@@ -302,10 +327,10 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
     ) -> u32 {
         // (2.1) First vantage point, arbitrary.
         let id_view: Vec<u32> = ids.iter().map(|e| e.id).collect();
-        let vp1_pos = self
-            .params
-            .selector
-            .select(self.items, &id_view, self.metric, rng, tally);
+        let vp1_pos =
+            self.params
+                .selector
+                .select(&self.items.view(), &id_view, self.metric, rng, tally);
         let vp1 = id_view[vp1_pos];
         let mut rest: Vec<PathedId> = ids.into_iter().filter(|e| e.id != vp1).collect();
         if rest.is_empty() {

@@ -24,10 +24,11 @@
 //! rebuild displaces is reclaimed only after its last reader exits —
 //! the drain guarantee the serving layer's `reload` command relies on.
 
+use std::borrow::Borrow;
 use std::sync::Mutex;
 
 use vantage_core::swap::{SwapCell, SwapGuard};
-use vantage_core::{BoundedMetric, Neighbor, NoTrace, Result};
+use vantage_core::{BoundedMetric, Neighbor, NoTrace, Result, RowStore};
 
 use crate::dynamic::DynamicMvpTree;
 pub use crate::dynamic::MvpReadSnapshot;
@@ -43,9 +44,9 @@ use crate::params::MvpParams;
 /// atomically — readers are never blocked and never observe a partially
 /// rebuilt tree.
 #[derive(Debug)]
-pub struct ConcurrentMvpTree<T, M> {
-    write: Mutex<DynamicMvpTree<T, M>>,
-    cell: SwapCell<MvpReadSnapshot<T, M>>,
+pub struct ConcurrentMvpTree<T, M, S = Vec<T>> {
+    write: Mutex<DynamicMvpTree<T, M, S>>,
+    cell: SwapCell<MvpReadSnapshot<T, M, S>>,
 }
 
 impl<T, M> ConcurrentMvpTree<T, M>
@@ -68,7 +69,25 @@ where
     ///
     /// Returns an error when `params` is invalid.
     pub fn with_items(items: Vec<T>, metric: M, params: MvpParams) -> Result<Self> {
-        let write = DynamicMvpTree::with_items(items, metric, params)?;
+        ConcurrentMvpTree::with_rows(items, metric, params)
+    }
+}
+
+impl<T, M, S> ConcurrentMvpTree<T, M, S>
+where
+    T: Borrow<S::Item> + Clone + Sync,
+    S: RowStore<T> + Clone + Sync,
+    S::Item: ToOwned<Owned = T>,
+    M: BoundedMetric<S::Item> + Clone + Sync,
+{
+    /// Bulk-loads items already packed in the row store `S` (stable ids
+    /// `0..n`); every rebuild packs into `S` too.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `params` is invalid.
+    pub fn with_rows(items: S, metric: M, params: MvpParams) -> Result<Self> {
+        let write = DynamicMvpTree::with_rows(items, metric, params)?;
         Ok(ConcurrentMvpTree {
             cell: SwapCell::new(write.snapshot()),
             write: Mutex::new(write),
@@ -78,7 +97,7 @@ where
     /// Pins the current generation for reading. All queries through the
     /// returned snapshot see one consistent point in time; writers
     /// publishing new generations do not disturb it.
-    pub fn read(&self) -> SwapGuard<MvpReadSnapshot<T, M>> {
+    pub fn read(&self) -> SwapGuard<MvpReadSnapshot<T, M, S>> {
         self.cell.read()
     }
 
@@ -111,12 +130,12 @@ where
 
     /// All live items within `radius` of `query` (stable ids), against
     /// the current generation.
-    pub fn range(&self, query: &T, radius: f64) -> Vec<Neighbor> {
+    pub fn range(&self, query: &S::Item, radius: f64) -> Vec<Neighbor> {
         self.read().range(query, radius, &mut NoTrace)
     }
 
     /// The `k` nearest live items (stable ids) in the current generation.
-    pub fn knn(&self, query: &T, k: usize) -> Vec<Neighbor> {
+    pub fn knn(&self, query: &S::Item, k: usize) -> Vec<Neighbor> {
         self.read().knn(query, k, &mut NoTrace)
     }
 
@@ -151,7 +170,7 @@ where
         self.cell.generation()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, DynamicMvpTree<T, M>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, DynamicMvpTree<T, M, S>> {
         self.write.lock().expect("writer lock poisoned")
     }
 }

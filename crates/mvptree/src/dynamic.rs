@@ -41,11 +41,12 @@
 //!   slots as it offers them, so its pruning radius is the k-th *live*
 //!   distance; the overflow is scanned by [`knn_scan`] over its live rows.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use vantage_core::{
-    knn_scan, BoundedMetric, DistanceRole, KfnCollector, KnnCollector, MetricIndex, Neighbor,
-    NoTrace, Result, TraceSink,
+    knn_scan, BoundedMetric, DistanceRole, ItemStore, KfnCollector, KnnCollector, MetricIndex,
+    Neighbor, NoTrace, Result, RowStore, TraceSink,
 };
 
 use crate::kernel::Collect;
@@ -111,11 +112,13 @@ impl Collect for SkipDead<'_> {
 /// over the live items at the last rebuild, the items inserted since,
 /// and the tombstones (see the [module docs](self) for the layout).
 /// [`ConcurrentMvpTree`](crate::ConcurrentMvpTree) publishes one per
-/// write; [`DynamicMvpTree`] answers through its own.
+/// write; [`DynamicMvpTree`] answers through its own. The tree keeps its
+/// items in the row store `S`; the overflow keeps inserted items as
+/// they came, and queries borrow both down to `S::Item`.
 #[derive(Debug, Clone)]
-pub struct MvpReadSnapshot<T, M> {
+pub struct MvpReadSnapshot<T, M, S = Vec<T>> {
     metric: M,
-    tree: Option<Arc<MvpTree<T, M>>>,
+    tree: Option<Arc<MvpTree<T, M, S>>>,
     /// Slot (the tree's internal id) → stable id, strictly increasing.
     tree_ids: Arc<[usize]>,
     /// Stable id of the first overflow slot.
@@ -130,7 +133,7 @@ pub struct MvpReadSnapshot<T, M> {
     overflow_dead: usize,
 }
 
-impl<T, M> MvpReadSnapshot<T, M> {
+impl<T, M, S> MvpReadSnapshot<T, M, S> {
     /// An empty live set with no tree.
     fn empty(metric: M) -> Self {
         MvpReadSnapshot {
@@ -169,7 +172,7 @@ impl<T, M> MvpReadSnapshot<T, M> {
 
     /// Distance computations the build of the tree performed.
     pub(crate) fn build_distances(&self) -> u64 {
-        self.tree.as_ref().map_or(0, |tree| tree.build_distances())
+        self.tree.as_ref().map_or(0, |tree| tree.build_distances)
     }
 
     /// Overflow slots, dead ones included.
@@ -203,42 +206,56 @@ impl<T, M> MvpReadSnapshot<T, M> {
             self.tree_ids.binary_search(&id).ok()
         }
     }
+}
 
+impl<T: Borrow<S::Item>, M, S: RowStore<T>> MvpReadSnapshot<T, M, S> {
     /// The item in `slot`.
-    fn item(&self, slot: usize) -> Option<&T> {
+    fn item(&self, slot: usize) -> Option<&S::Item> {
         match slot.checked_sub(self.tree_ids.len()) {
             None => {
                 let tree = self.tree.as_ref()?;
-                Some(&tree.items[tree.rows[slot] as usize])
+                Some(tree.items.row(tree.rows[slot]))
             }
             Some(j) => self
                 .overflow
                 .get(j / OVERFLOW_CHUNK)
-                .and_then(|chunk| chunk.get(j % OVERFLOW_CHUNK)),
+                .and_then(|chunk| chunk.get(j % OVERFLOW_CHUNK))
+                .map(Borrow::borrow),
         }
     }
 
+    /// The overflow's items in slot order, dead ones included.
+    fn overflow_items(&self) -> impl Iterator<Item = &S::Item> {
+        self.overflow
+            .iter()
+            .flat_map(|chunk| chunk.iter().map(Borrow::borrow))
+    }
+
     /// Every live `(slot, item)` of the overflow, in slot order.
-    fn overflow_rows(&self) -> impl Iterator<Item = (usize, &T)> {
+    fn overflow_rows(&self) -> impl Iterator<Item = (usize, &S::Item)> {
         (self.tree_ids.len()..)
-            .zip(self.overflow.iter().flat_map(|chunk| chunk.iter()))
+            .zip(self.overflow_items())
             .filter(|&(slot, _)| !self.dead.contains(slot))
     }
 
     /// Iterates over every `(stable id, item)` pair visible to this
     /// snapshot — the exact population queries answer over — in
     /// increasing stable id.
-    pub fn live_items(&self) -> impl Iterator<Item = (usize, &T)> {
+    pub fn live_items(&self) -> impl Iterator<Item = (usize, &S::Item)> {
         let tree = self.tree.iter().flat_map(|tree| tree.items_by_id());
-        let overflow = self.overflow.iter().flat_map(|chunk| chunk.iter());
-        tree.chain(overflow)
+        tree.chain(self.overflow_items())
             .enumerate()
             .filter(|&(slot, _)| !self.dead.contains(slot))
             .map(|(slot, item)| (self.stable(slot), item))
     }
 }
 
-impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
+impl<T, M, S> MvpReadSnapshot<T, M, S>
+where
+    T: Borrow<S::Item>,
+    S: RowStore<T>,
+    M: BoundedMetric<S::Item>,
+{
     /// All live items within `radius` of `query` (stable ids). Every
     /// distance the search computes is reported to `sink`: the tree's
     /// descent through [`MvpTree::range_traced`], then one
@@ -246,7 +263,12 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
     /// abandon, if any), so a
     /// [`DistanceTally`](vantage_core::DistanceTally) reads this query's
     /// exact cost whatever runs concurrently.
-    pub fn range<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+    pub fn range<Sink: TraceSink>(
+        &self,
+        query: &S::Item,
+        radius: f64,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
         let mut out = Vec::new();
         if let Some(tree) = &self.tree {
             for n in tree.range_traced(query, radius, sink) {
@@ -270,14 +292,19 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
     /// the overflow's as [`knn_scan`] reports them. The tree's descent
     /// refuses dead items as it meets them, so it prunes at the k-th live
     /// distance. `k = 0` computes nothing.
-    pub fn knn<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
+    pub fn knn<Sink: TraceSink>(
+        &self,
+        query: &S::Item,
+        k: usize,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
         let mut collector = KnnCollector::new(k);
         if let Some(tree) = &self.tree {
             let mut live = SkipDead {
                 collector: &mut collector,
                 dead: &self.dead,
             };
-            tree.knn_into(&mut live, query, sink);
+            tree.as_view().knn_into(&mut live, query, sink);
         }
         knn_scan(
             &self.metric,
@@ -299,11 +326,11 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
     /// reported to `sink` per item: far-neighbor pruning needs the
     /// static tree's shell bounds, which the overflow items lack, so
     /// correctness wins over pruning here.
-    pub fn range_beyond<S: TraceSink>(
+    pub fn range_beyond<Sink: TraceSink>(
         &self,
-        query: &T,
+        query: &S::Item,
         radius: f64,
-        sink: &mut S,
+        sink: &mut Sink,
     ) -> Vec<Neighbor> {
         self.live_items()
             .filter_map(|(id, item)| {
@@ -316,7 +343,12 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
 
     /// The `k` live items farthest from `query`, sorted by descending
     /// distance (exhaustive, like [`range_beyond`](Self::range_beyond)).
-    pub fn k_farthest<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
+    pub fn k_farthest<Sink: TraceSink>(
+        &self,
+        query: &S::Item,
+        k: usize,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
         let mut collector = KfnCollector::new(k);
         for (id, item) in self.live_items() {
             sink.distance(DistanceRole::Candidate);
@@ -330,12 +362,14 @@ impl<T, M: BoundedMetric<T>> MvpReadSnapshot<T, M> {
 ///
 /// Requires `T: Clone` (rebuilds re-index copies of live items) and
 /// `M: Clone` (each rebuilt tree owns the metric; clone a
-/// [`Counted`](vantage_core::Counted) to keep a shared tally).
+/// [`Counted`](vantage_core::Counted) to keep a shared tally). Every
+/// rebuilt tree keeps its items in the row store `S`
+/// ([`with_rows`](DynamicMvpTree::with_rows)).
 #[derive(Debug, Clone)]
-pub struct DynamicMvpTree<T, M> {
+pub struct DynamicMvpTree<T, M, S = Vec<T>> {
     params: MvpParams,
     /// The live set; its parts are shared with published snapshots.
-    live: MvpReadSnapshot<T, M>,
+    live: MvpReadSnapshot<T, M, S>,
     /// Bumped every rebuild so vantage-point randomization varies.
     epoch: u64,
 }
@@ -361,8 +395,31 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     ///
     /// Returns an error when `params` is invalid.
     pub fn with_items(items: Vec<T>, metric: M, params: MvpParams) -> Result<Self> {
-        let mut this = DynamicMvpTree::new(metric, params)?;
-        let n = items.len();
+        DynamicMvpTree::with_rows(items, metric, params)
+    }
+}
+
+impl<T, M, S> DynamicMvpTree<T, M, S>
+where
+    T: Borrow<S::Item> + Clone + Sync,
+    S: RowStore<T> + Clone + Sync,
+    S::Item: ToOwned<Owned = T>,
+    M: BoundedMetric<S::Item> + Clone + Sync,
+{
+    /// Bulk-loads items already packed in the row store `S` (stable ids
+    /// `0..n`); every rebuild packs into `S` too.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `params` is invalid.
+    pub fn with_rows(items: S, metric: M, params: MvpParams) -> Result<Self> {
+        params.validate()?;
+        let mut this = DynamicMvpTree {
+            params,
+            live: MvpReadSnapshot::empty(metric),
+            epoch: 0,
+        };
+        let n = items.view().len();
         this.build((0..n).collect(), items, n);
         Ok(this)
     }
@@ -383,11 +440,18 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     }
 
     /// A snapshot of the live set: `Arc` clones, no item copied.
-    pub(crate) fn snapshot(&self) -> MvpReadSnapshot<T, M> {
+    pub(crate) fn snapshot(&self) -> MvpReadSnapshot<T, M, S> {
         self.live.clone()
     }
 
     /// Inserts an item, returning its stable id.
+    ///
+    /// # Panics
+    ///
+    /// A rebuild this insert triggers panics if the row store refuses an
+    /// item (a vector of another dimension than the rest, for
+    /// [`F64Rows`](vantage_core::F64Rows)); callers check what they
+    /// insert.
     pub fn insert(&mut self, item: T) -> usize {
         let id = self.live.next_id();
         match self.live.overflow.last_mut() {
@@ -435,7 +499,7 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     }
 
     /// Returns the live item with this stable id.
-    pub fn get(&self, id: usize) -> Option<&T> {
+    pub fn get(&self, id: usize) -> Option<&S::Item> {
         let slot = self.live.slot(id)?;
         if self.live.dead.contains(slot) {
             return None;
@@ -444,26 +508,25 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     }
 
     /// Rebuilds the static tree over all live items, emptying the
-    /// overflow buffer and dropping tombstones from the snapshot.
+    /// overflow buffer and dropping tombstones from the snapshot. The
+    /// live rows are packed straight into a new store, not copied into
+    /// owned items first.
     pub fn rebuild(&mut self) {
-        let (ids, items) = self
-            .live
-            .live_items()
-            .map(|(id, item)| (id, item.clone()))
-            .unzip();
+        let (ids, rows): (Vec<usize>, Vec<&S::Item>) = self.live.live_items().unzip();
+        let items = S::from_rows(rows.into_iter()).expect("every item fits the row store");
         self.build(ids, items, self.live.next_id());
     }
 
     /// Builds the tree over `items` (stable ids `ids`, increasing),
     /// emptying the overflow and the tombstones; the next insert takes
     /// stable id `next_id`.
-    fn build(&mut self, ids: Vec<usize>, items: Vec<T>, next_id: usize) {
+    fn build(&mut self, ids: Vec<usize>, items: S, next_id: usize) {
         self.epoch += 1;
         let params = self
             .params
             .clone()
             .seed(self.params.seed.wrapping_add(self.epoch));
-        let tree = MvpTree::build(items, self.live.metric.clone(), params)
+        let tree = MvpTree::with_rows(items, self.live.metric.clone(), params)
             .expect("params validated at construction");
         let live = &mut self.live;
         live.first_overflow_id = next_id;
@@ -476,12 +539,12 @@ impl<T: Clone + Sync, M: BoundedMetric<T> + Clone + Sync> DynamicMvpTree<T, M> {
     }
 
     /// All items within `radius` of `query` (stable ids).
-    pub fn range(&self, query: &T, radius: f64) -> Vec<Neighbor> {
+    pub fn range(&self, query: &S::Item, radius: f64) -> Vec<Neighbor> {
         self.live.range(query, radius, &mut NoTrace)
     }
 
     /// The `k` nearest live items (stable ids), sorted by distance.
-    pub fn knn(&self, query: &T, k: usize) -> Vec<Neighbor> {
+    pub fn knn(&self, query: &S::Item, k: usize) -> Vec<Neighbor> {
         self.live.knn(query, k, &mut NoTrace)
     }
 

@@ -6,26 +6,30 @@
 //! can contribute. Thin wrappers over the shared arena kernels in
 //! [`crate::kernel`].
 
-use vantage_core::farthest::{FarthestIndex, KfnCollector};
+use vantage_core::farthest::FarthestIndex;
 use vantage_core::trace::{NoTrace, TraceSink};
-use vantage_core::{Metric, Neighbor};
+use vantage_core::{Metric, Neighbor, RowStore};
 
 use crate::tree::MvpTree;
 
-impl<T, M: Metric<T>> MvpTree<T, M> {
+impl<T, M, S> MvpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: Metric<S::Item>,
+{
     /// [`range_beyond`](FarthestIndex::range_beyond) with
     /// instrumentation: reports every vantage/candidate distance, every
     /// shell prune and leaf-filter rejection (with the upper bound that
     /// justified it) into `sink`. Answers and distance computations are
     /// identical to the untraced method — with [`NoTrace`] the sink
     /// calls compile away.
-    pub fn beyond_traced<S: TraceSink>(
+    pub fn beyond_traced<Sink: TraceSink>(
         &self,
-        query: &T,
+        query: &S::Item,
         radius: f64,
-        sink: &mut S,
+        sink: &mut Sink,
     ) -> Vec<Neighbor> {
-        self.kernel(query).beyond(radius, sink)
+        self.as_view().beyond_traced(query, radius, sink)
     }
 
     /// [`k_farthest`](FarthestIndex::k_farthest) with instrumentation;
@@ -33,33 +37,26 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
     /// by the descending-upper-bound early exit are reported as shell
     /// prunes attributed to the vantage point whose shell produced the
     /// binding (smaller) upper bound.
-    pub fn kfn_traced<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
-        let mut collector = KfnCollector::new(k);
-        if k > 0 {
-            self.kfn_into(&mut collector, query, sink);
-        }
-        collector.into_sorted()
-    }
-
-    /// Runs the k-farthest traversal into a caller-provided collector —
-    /// shared with the sharded scatter path (which passes a collector
-    /// wired to a cross-shard bound).
-    pub(crate) fn kfn_into<S: TraceSink>(
+    pub fn kfn_traced<Sink: TraceSink>(
         &self,
-        collector: &mut KfnCollector,
-        query: &T,
-        sink: &mut S,
-    ) {
-        self.kernel(query).kfn_into(collector, sink);
+        query: &S::Item,
+        k: usize,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
+        self.as_view().kfn_traced(query, k, sink)
     }
 }
 
-impl<T, M: Metric<T>> FarthestIndex<T> for MvpTree<T, M> {
-    fn range_beyond(&self, query: &T, radius: f64) -> Vec<Neighbor> {
+impl<T, M, S> FarthestIndex<S::Item> for MvpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: Metric<S::Item>,
+{
+    fn range_beyond(&self, query: &S::Item, radius: f64) -> Vec<Neighbor> {
         self.beyond_traced(query, radius, &mut NoTrace)
     }
 
-    fn k_farthest(&self, query: &T, k: usize) -> Vec<Neighbor> {
+    fn k_farthest(&self, query: &S::Item, k: usize) -> Vec<Neighbor> {
         self.kfn_traced(query, k, &mut NoTrace)
     }
 }

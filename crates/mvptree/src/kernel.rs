@@ -3,12 +3,11 @@
 //! Every query form — range, kNN, beyond, kFN, traced and budgeted — is
 //! implemented exactly once here, generic over *where the nodes live*
 //! (an [`MvpArenaView`], borrowed from an owned arena or a mapped
-//! snapshot) and *where the items live* (an [`ItemStore`]). The owned
-//! [`MvpTree`](crate::MvpTree) and the borrowed
-//! [`MvpTreeRef`](crate::MvpTreeRef) are thin wrappers around the same
-//! monomorphized traversals, so the materialized and zero-copy paths
-//! answer bit-identically by construction: same arithmetic, same visit
-//! order, same tie-breaking.
+//! snapshot) and *where the items live* (an [`ItemStore`]). Every search
+//! runs through the borrowed [`MvpTreeRef`](crate::MvpTreeRef), an owned
+//! [`MvpTree`](crate::MvpTree)'s included, so the materialized and zero-copy
+//! paths answer bit-identically by construction: same arithmetic, same
+//! visit order, same tie-breaking.
 //!
 //! Items are read in row order (see [`crate::arena`]): a leaf entry's
 //! item sits at its own row, so one leaf's candidates are one contiguous

@@ -2,13 +2,16 @@
 //! queries) plus a k-nearest-neighbor extension, as thin wrappers over
 //! the shared arena kernels in [`crate::kernel`].
 
-use vantage_core::trace::{NoTrace, TraceSink};
-use vantage_core::{BoundedMetric, KnnCollector, Neighbor};
+use vantage_core::trace::TraceSink;
+use vantage_core::{BoundedMetric, Neighbor, RowStore};
 
-use crate::kernel::{Collect, Kernel};
 use crate::tree::MvpTree;
 
-impl<T, M: BoundedMetric<T>> MvpTree<T, M> {
+impl<T, M, S> MvpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: BoundedMetric<S::Item>,
+{
     /// Range search (paper §4.3).
     ///
     /// Depth-first descent maintaining `PATH[]`, the distances between the
@@ -19,75 +22,44 @@ impl<T, M: BoundedMetric<T>> MvpTree<T, M> {
     /// exact distance is computed **only** if it survives the `D1`, `D2`
     /// and all `p` `PATH` triangle-inequality filters — the paper's
     /// delayed major filtering step.
-    pub(crate) fn range_search(&self, query: &T, radius: f64) -> Vec<Neighbor> {
-        self.range_traced(query, radius, &mut NoTrace)
-    }
-
-    /// [`range`](vantage_core::MetricIndex::range) with instrumentation:
-    /// reports every vantage/candidate distance, every shell prune and
-    /// leaf-filter rejection (with the triangle-inequality bound that
-    /// justified it), and the per-level fanout into `sink`. Answers and
-    /// distance computations are identical to the untraced method — with
-    /// [`NoTrace`] the sink calls compile away.
-    pub fn range_traced<S: TraceSink>(
+    ///
+    /// This is [`range`](vantage_core::MetricIndex::range) with
+    /// instrumentation: reports every vantage/candidate distance, every
+    /// shell prune and leaf-filter rejection (with the triangle-inequality
+    /// bound that justified it), and the per-level fanout into `sink`.
+    /// Answers and distance computations are identical to the untraced
+    /// method — with [`NoTrace`](vantage_core::NoTrace) the sink calls
+    /// compile away.
+    pub fn range_traced<Sink: TraceSink>(
         &self,
-        query: &T,
+        query: &S::Item,
         radius: f64,
-        sink: &mut S,
+        sink: &mut Sink,
     ) -> Vec<Neighbor> {
-        self.kernel(query).range(radius, sink)
+        self.as_view().range_traced(query, radius, sink)
     }
 
     /// k-nearest-neighbor search: depth-first branch-and-bound with the
-    /// dynamically shrinking radius of a [`KnnCollector`], visiting
+    /// dynamically shrinking radius of a
+    /// [`KnnCollector`](vantage_core::KnnCollector), visiting
     /// children in order of their lower-bound distance. The leaf-level
     /// `D1`/`D2`/`PATH` arrays provide per-point lower bounds
     /// `max_i |PATH_q[i] − PATH_x[i]|`, skipping exact computations the
     /// same way the paper's range filter does.
-    pub(crate) fn knn_search(&self, query: &T, k: usize) -> Vec<Neighbor> {
-        self.knn_traced(query, k, &mut NoTrace)
-    }
-
-    /// [`knn`](vantage_core::MetricIndex::knn) with instrumentation; see
-    /// [`range_traced`](MvpTree::range_traced). Leaf rejections are
-    /// attributed to the filter stage with the *tightest* lower bound
-    /// (the one that would exclude the candidate at the largest radius);
-    /// children abandoned by the bound-ordered early exit are reported as
-    /// shell prunes attributed the same way.
-    pub fn knn_traced<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
-        let mut collector = KnnCollector::new(k);
-        self.knn_into(&mut collector, query, sink);
-        collector.into_sorted()
-    }
-
-    /// Runs the kNN traversal into a caller-provided collector — the
-    /// shared kernel behind [`knn_traced`](MvpTree::knn_traced), the
-    /// sharded scatter path (which passes a collector wired to a
-    /// cross-shard bound) and the dynamic tree (which passes one that
-    /// refuses tombstones).
-    pub(crate) fn knn_into<C: Collect, S: TraceSink>(
+    ///
+    /// This is [`knn`](vantage_core::MetricIndex::knn) with
+    /// instrumentation; see [`range_traced`](MvpTree::range_traced). Leaf
+    /// rejections are attributed to the filter stage with the *tightest*
+    /// lower bound (the one that would exclude the candidate at the
+    /// largest radius); children abandoned by the bound-ordered early
+    /// exit are reported as shell prunes attributed the same way.
+    pub fn knn_traced<Sink: TraceSink>(
         &self,
-        collector: &mut C,
-        query: &T,
-        sink: &mut S,
-    ) {
-        self.kernel(query).knn_into(collector, sink);
-    }
-}
-
-impl<T, M> MvpTree<T, M> {
-    /// Binds this tree's arena, row-ordered items, id→row table, metric
-    /// and PATH cap to a query.
-    pub(crate) fn kernel<'k>(&'k self, query: &'k T) -> Kernel<'k, [T], M, T> {
-        Kernel {
-            arena: self.arena.view(),
-            root: self.root,
-            items: self.items.as_slice(),
-            rows: &self.rows,
-            metric: &self.metric,
-            query,
-            p: self.params.p,
-        }
+        query: &S::Item,
+        k: usize,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
+        self.as_view().knn_traced(query, k, sink)
     }
 }
 

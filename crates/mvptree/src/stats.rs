@@ -63,7 +63,7 @@ impl MvpTreeStats {
     }
 }
 
-impl<T, M> MvpTree<T, M> {
+impl<T, M, S> MvpTree<T, M, S> {
     /// Computes structural statistics by walking the tree.
     pub fn stats(&self) -> MvpTreeStats {
         let mut s = MvpTreeStats {

@@ -3,14 +3,14 @@
 //!
 //! An [`MvpTreeRef`] is the zero-copy counterpart of
 //! [`MvpTree`](crate::MvpTree): the node arena is a borrowed
-//! [`MvpArenaView`] (typically resolved inside a memory-mapped snapshot
-//! section) and the items come from any [`ItemStore`] — a plain slice,
-//! or a flat offset-indexed buffer such as
+//! [`MvpArenaView`] (an owned tree's, or one resolved inside a
+//! memory-mapped snapshot section) and the items come from any
+//! [`ItemStore`] — a plain slice, or a flat buffer such as
 //! [`FlatF64s`](vantage_core::FlatF64s) — laid out in the arena's row
 //! order, with the id→row table the arena derives
-//! ([`MvpArenaView::id_rows`]). Both forms drive the exact same
-//! kernels in [`crate::kernel`], so a borrowed view answers
-//! bit-identically to the materialized tree it mirrors.
+//! ([`MvpArenaView::id_rows`]). Every search of an owned tree runs
+//! through this view too, so a mapped snapshot answers bit-identically
+//! to the tree it was saved from.
 
 use vantage_core::budget::{BudgetedKnn, SearchBudget};
 use vantage_core::farthest::KfnCollector;
@@ -18,7 +18,7 @@ use vantage_core::trace::{NoTrace, TraceSink};
 use vantage_core::{BoundedMetric, ItemStore, KnnCollector, Metric, Neighbor};
 
 use crate::arena::MvpArenaView;
-use crate::kernel::Kernel;
+use crate::kernel::{Collect, Kernel};
 
 /// A borrowed mvp-tree: arena view + row-ordered item store + id→row
 /// table + metric + PATH cap.
@@ -141,8 +141,21 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
         M: BoundedMetric<S::Item>,
     {
         let mut collector = KnnCollector::new(k);
-        self.kernel(query).knn_into(&mut collector, sink);
+        self.knn_into(&mut collector, query, sink);
         collector.into_sorted()
+    }
+
+    /// Runs the kNN descent into a caller-provided collector (a shared
+    /// cross-shard bound, or the dynamic tree's tombstone filter).
+    pub(crate) fn knn_into<C: Collect, Sink: TraceSink>(
+        &self,
+        collector: &mut C,
+        query: &S::Item,
+        sink: &mut Sink,
+    ) where
+        M: BoundedMetric<S::Item>,
+    {
+        self.kernel(query).knn_into(collector, sink);
     }
 
     /// kNN answered by a scan of the tree's own row-ordered item store
@@ -209,9 +222,22 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
     {
         let mut collector = KfnCollector::new(k);
         if k > 0 {
-            self.kernel(query).kfn_into(&mut collector, sink);
+            self.kfn_into(&mut collector, query, sink);
         }
         collector.into_sorted()
+    }
+
+    /// Runs the k-farthest descent into a caller-provided collector (a
+    /// shared cross-shard bound).
+    pub(crate) fn kfn_into<Sink: TraceSink>(
+        &self,
+        collector: &mut KfnCollector,
+        query: &S::Item,
+        sink: &mut Sink,
+    ) where
+        M: Metric<S::Item>,
+    {
+        self.kernel(query).kfn_into(collector, sink);
     }
 
     /// Budgeted best-effort kNN; see

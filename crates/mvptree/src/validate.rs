@@ -7,7 +7,7 @@
 //! distance-recomputing [`MvpTree::check_invariants`] remains a
 //! test/diagnostic facility.
 
-use vantage_core::{Metric, Result, VantageError};
+use vantage_core::{Metric, Result, RowStore, VantageError};
 
 use crate::arena::{LeafEntriesView, MvpArenaView, MvpNodeView, NO_CHILD};
 use crate::params::MvpParams;
@@ -280,7 +280,11 @@ pub fn validate_arena(
     Ok(())
 }
 
-impl<T, M: Metric<T>> MvpTree<T, M> {
+impl<T, M, S> MvpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: Metric<S::Item>,
+{
     /// Verifies the tree's structural invariants, returning a description
     /// of the first violation found:
     ///
@@ -299,7 +303,7 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
     /// Re-computes `O(n · height)` distances — strictly for tests.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let view = self.arena.view();
-        let mut seen = vec![false; self.items.len()];
+        let mut seen = vec![false; self.rows.len()];
         if let Some(root) = self.root {
             let mut ancestors = Vec::new();
             self.check_node(view, root, &mut ancestors, &mut seen)?;
@@ -322,7 +326,7 @@ impl<T, M: Metric<T>> MvpTree<T, M> {
     }
 
     fn dist(&self, a: u32, b: u32) -> f64 {
-        let item = |id: u32| &self.items[self.rows[id as usize] as usize];
+        let item = |id: u32| self.items.row(self.rows[id as usize]);
         self.metric.distance(item(a), item(b))
     }
 

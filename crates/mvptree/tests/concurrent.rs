@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vantage_core::prelude::*;
+use vantage_core::F64Rows;
 use vantage_mvptree::dynamic::OVERFLOW_CHUNK;
 use vantage_mvptree::{ConcurrentMvpTree, MvpParams};
 
@@ -43,10 +44,22 @@ fn brute_range(live: &[(usize, Vec<f64>)], query: &[f64], radius: f64) -> Vec<us
     ids
 }
 
+/// Answers as `(id, distance bits)`, so equal means bit-identical.
+fn bits(neighbors: &[Neighbor]) -> Vec<(usize, u64)> {
+    neighbors
+        .iter()
+        .map(|n| (n.id, n.distance.to_bits()))
+        .collect()
+}
+
 #[test]
 fn matches_brute_force_under_insert_delete_churn() {
     let params = MvpParams::paper(2, 2, 4);
-    let tree = ConcurrentMvpTree::new(Euclidean, params).expect("valid params");
+    let tree = ConcurrentMvpTree::new(Euclidean, params.clone()).expect("valid params");
+    // The same churn on a tree whose rebuilds pack flat rows: every
+    // answer must match the `Vec<T>` tree's bit for bit.
+    let flat =
+        ConcurrentMvpTree::with_rows(F64Rows::default(), Euclidean, params).expect("valid params");
     let mut live: Vec<(usize, Vec<f64>)> = Vec::new();
     let mut state = 0xc0ffee_u64;
 
@@ -57,9 +70,12 @@ fn matches_brute_force_under_insert_delete_churn() {
             let (id, _) = live.swap_remove(victim);
             assert!(tree.remove(id), "live id {id} failed to remove");
             assert!(!tree.remove(id), "double remove of {id} succeeded");
+            assert!(flat.remove(id), "flat: live id {id} failed to remove");
+            assert!(!flat.remove(id), "flat: double remove of {id} succeeded");
         } else {
             let item = pt(coord(&mut state), coord(&mut state));
             let id = tree.insert(item.clone());
+            assert_eq!(flat.insert(item.clone()), id, "flat: id at step {step}");
             live.push((id, item));
         }
 
@@ -70,6 +86,16 @@ fn matches_brute_force_under_insert_delete_churn() {
                 sorted_ids(tree.range(&query, radius)),
                 brute_range(&live, &query, radius),
                 "range diverged at step {step}"
+            );
+            assert_eq!(
+                bits(&flat.range(&query, radius)),
+                bits(&tree.range(&query, radius)),
+                "flat range diverged at step {step}"
+            );
+            assert_eq!(
+                bits(&flat.knn(&query, 5)),
+                bits(&tree.knn(&query, 5)),
+                "flat knn diverged at step {step}"
             );
             let got = tree.knn(&query, 5);
             let k = got.len();
@@ -85,6 +111,7 @@ fn matches_brute_force_under_insert_delete_churn() {
             }
         }
         assert_eq!(tree.len(), live.len(), "live count at step {step}");
+        assert_eq!(flat.len(), live.len(), "flat live count at step {step}");
     }
 }
 

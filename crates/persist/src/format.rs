@@ -30,6 +30,14 @@
 //! points and caller-facing ids is derived from it at load in one
 //! O(n) pass and is not stored. Linear-scan snapshots keep id order.
 //!
+//! The items payload keeps one offset fence per item for both item
+//! encodings. Strings are read through their fences; vectors are read
+//! as **stride rows** of one width `d` (item `i` at `i·d`), so the
+//! loader takes `d` from the first fence and refuses, as
+//! [`VantageError::CorruptSnapshot`], any vector section whose fences
+//! are not all multiples of it — a ragged section, which no `save_*`
+//! writes.
+//!
 //! Payload-internal alignment is relative to the *file* start (each
 //! payload pads its own front up to the next 8-byte file offset), which
 //! is why `parse` reports each payload's absolute offset alongside its

@@ -19,7 +19,9 @@
 //! Offsets are cumulative element counts (f64s for vectors, bytes for
 //! strings): item `i` is `data[offsets[i] .. offsets[i+1]]`. The parser
 //! checks `offsets[0] == 0`, that the sequence never decreases, and
-//! that `offsets[count]` equals the data region's length exactly.
+//! that `offsets[count]` equals the data region's length exactly. The
+//! vector encoding further requires `offsets[i] = i·d` (see
+//! `F64Vectors`), since its rows are read by stride.
 //!
 //! ## Vp-tree structure payload
 //!

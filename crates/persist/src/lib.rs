@@ -79,7 +79,9 @@ mod trees;
 
 use std::path::Path;
 
-use vantage_core::{LinearScan, Result, VantageError};
+use vantage_core::{LinearScan, Result, RowStore, VantageError};
+
+use codec::check_section;
 use vantage_mvptree::MvpTree;
 use vantage_vptree::VpTree;
 
@@ -221,11 +223,17 @@ fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
 ///
 /// # Errors
 ///
-/// [`VantageError::Io`] when the file cannot be written.
-pub fn save_vp_tree<T: ItemCodec, M: MetricTag>(
-    tree: &VpTree<T, M>,
+/// [`VantageError::DimensionMismatch`] for vectors of different lengths
+/// (checked before anything is written); [`VantageError::Io`] when the
+/// file cannot be written.
+pub fn save_vp_tree<T, M: MetricTag, S: RowStore<T>>(
+    tree: &VpTree<T, M, S>,
     path: impl AsRef<Path>,
-) -> Result<u64> {
+) -> Result<u64>
+where
+    S::Item: ItemCodec,
+{
+    check_section(&tree.row_items())?;
     let bytes = encode_vp_tree(tree);
     write_file(path.as_ref(), &bytes)?;
     Ok(bytes.len() as u64)
@@ -235,11 +243,15 @@ pub fn save_vp_tree<T: ItemCodec, M: MetricTag>(
 ///
 /// # Errors
 ///
-/// [`VantageError::Io`] when the file cannot be written.
-pub fn save_mvp_tree<T: ItemCodec, M: MetricTag>(
-    tree: &MvpTree<T, M>,
+/// As [`save_vp_tree`].
+pub fn save_mvp_tree<T, M: MetricTag, S: RowStore<T>>(
+    tree: &MvpTree<T, M, S>,
     path: impl AsRef<Path>,
-) -> Result<u64> {
+) -> Result<u64>
+where
+    S::Item: ItemCodec,
+{
+    check_section(&tree.row_items())?;
     let bytes = encode_mvp_tree(tree);
     write_file(path.as_ref(), &bytes)?;
     Ok(bytes.len() as u64)
@@ -249,11 +261,12 @@ pub fn save_mvp_tree<T: ItemCodec, M: MetricTag>(
 ///
 /// # Errors
 ///
-/// [`VantageError::Io`] when the file cannot be written.
+/// As [`save_vp_tree`].
 pub fn save_linear_scan<T: ItemCodec, M: MetricTag>(
     scan: &LinearScan<T, M>,
     path: impl AsRef<Path>,
 ) -> Result<u64> {
+    check_section(scan.items())?;
     let bytes = encode_linear_scan(scan);
     write_file(path.as_ref(), &bytes)?;
     Ok(bytes.len() as u64)
@@ -266,14 +279,9 @@ pub fn save_linear_scan<T: ItemCodec, M: MetricTag>(
 ///
 /// [`VantageError::Io`] when the file cannot be read, otherwise as
 /// [`decode_linear_scan`].
-pub fn load_linear_scan<K, M>(
+pub fn load_linear_scan<K: FlatItems, M: MetricTag>(
     path: impl AsRef<Path>,
-) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>>
-where
-    K: FlatItems,
-    K::Item: ToOwned,
-    M: MetricTag,
-{
+) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>> {
     mapped::linear_from_storage::<K, M>(mem::Storage::open(path.as_ref())?)
 }
 

@@ -22,9 +22,13 @@
 //! validated arena in one O(n) pass.
 //!
 //! Item access is typed through [`FlatItems`]: [`F64Vectors`] serves
-//! `[f64]` slices out of the value buffer, [`Utf8Strings`] serves `&str`
-//! out of the text (validated as UTF-8 once at load). Queries therefore
-//! take unsized borrows (`&[f64]`, `&str`) — every workspace metric
+//! `[f64]` rows of one width `d` out of the value buffer, addressed by
+//! stride (the loader refuses a ragged vector section as corrupt),
+//! [`Utf8Strings`] serves `&str` out of the text through its offsets
+//! (validated as UTF-8 once at load). These are the same views an owned
+//! tree's [`F64Rows`]/[`StrRows`] hand out, so a tree built in memory
+//! and a snapshot search the same row layout. Queries therefore take
+//! unsized borrows (`&[f64]`, `&str`) — every workspace metric
 //! implements both the sized and unsized item forms. A linear-scan
 //! snapshot is read through the same item checks and copied out into
 //! an owned [`LinearScan`].
@@ -34,8 +38,9 @@ use std::ops::Range;
 use std::path::Path;
 
 use vantage_core::{
-    BoundedMetric, BudgetedKnn, BudgetedSearch, FarthestIndex, FlatF64s, FlatStrs, ItemStore,
-    LinearScan, Metric, MetricIndex, Neighbor, Result, SearchBudget, VantageError,
+    BoundedMetric, BudgetedKnn, BudgetedSearch, F64Rows, FarthestIndex, FlatF64s, FlatStrs,
+    ItemStore, LinearScan, Metric, MetricIndex, Neighbor, Result, RowStore, SearchBudget, StrRows,
+    VantageError,
 };
 use vantage_mvptree::{MvpArenaView, MvpParams, MvpTreeRef};
 use vantage_vptree::{VpArenaView, VpTreeParams, VpTreeRef};
@@ -53,9 +58,16 @@ use crate::trees::{check_tags, decode_mvp_params, decode_vp_params, root_from_wi
 /// [`ItemStore`] over the validated offset and data spans.
 pub trait FlatItems {
     /// Unsized item form queries borrow (`[f64]`, `str`).
-    type Item: ?Sized;
+    type Item: ?Sized + ToOwned;
     /// The borrowed store built over snapshot spans.
     type Store<'a>: ItemStore<Item = Self::Item> + Copy;
+    /// The owned row store whose view is [`Store`](FlatItems::Store): a
+    /// tree built in memory holds its items in it.
+    type Rows: RowStore<<Self::Item as ToOwned>::Owned, Item = Self::Item>
+        + Clone
+        + Send
+        + Sync
+        + 'static;
     /// Item-encoding tag — matches the [`ItemCodec`] twin.
     const TAG: u8;
     /// Encoding name for mismatch errors.
@@ -83,18 +95,32 @@ pub enum F64Vectors {}
 impl FlatItems for F64Vectors {
     type Item = [f64];
     type Store<'a> = FlatF64s<'a>;
-    const TAG: u8 = <Vec<f64> as ItemCodec>::TAG;
-    const NAME: &'static str = <Vec<f64> as ItemCodec>::NAME;
+    type Rows = F64Rows;
+    const TAG: u8 = <[f64] as ItemCodec>::TAG;
+    const NAME: &'static str = <[f64] as ItemCodec>::NAME;
     const ELEM: usize = 8;
 
-    fn check(_data: &[u8], _offsets: &[u64]) -> Result<()> {
-        // Every aligned 8-byte span is a valid f64; the layout parser
-        // already verified sizes and fences.
-        Ok(())
+    fn check(_data: &[u8], offsets: &[u64]) -> Result<()> {
+        // Every aligned 8-byte span is a valid f64, and the layout
+        // parser already verified sizes and fences. Rows are addressed
+        // by one stride, the first row's width, so every fence must sit
+        // at a multiple of it.
+        let dim = offsets.get(1).copied().unwrap_or(0);
+        let stride = |i: usize| (i as u64).checked_mul(dim);
+        match (1..offsets.len()).find(|&i| stride(i) != Some(offsets[i])) {
+            None => Ok(()),
+            Some(i) => Err(VantageError::corrupt(format!(
+                "ragged vector items: item {} has {} values, item 0 has {dim}",
+                i - 1,
+                offsets[i] - offsets[i - 1]
+            ))),
+        }
     }
 
     fn store<'a>(offsets: &'a [u64], data: &'a [u8]) -> FlatF64s<'a> {
-        FlatF64s::new(offsets, mem::f64s(data))
+        let len = offsets.len() - 1;
+        let dim = offsets.get(1).map_or(0, |&end| end as usize);
+        FlatF64s::new(mem::f64s(data), dim, len)
     }
 
     fn row<'a>(store: Self::Store<'a>, row: u32) -> &'a [f64] {
@@ -109,8 +135,9 @@ pub enum Utf8Strings {}
 impl FlatItems for Utf8Strings {
     type Item = str;
     type Store<'a> = FlatStrs<'a>;
-    const TAG: u8 = <String as ItemCodec>::TAG;
-    const NAME: &'static str = <String as ItemCodec>::NAME;
+    type Rows = StrRows;
+    const TAG: u8 = <str as ItemCodec>::TAG;
+    const NAME: &'static str = <str as ItemCodec>::NAME;
     const ELEM: usize = 1;
 
     fn check(data: &[u8], offsets: &[u64]) -> Result<()> {
@@ -476,25 +503,17 @@ fn mvp_from_storage<K: FlatItems, M: MetricTag>(storage: Storage) -> Result<Mapp
 ///
 /// As [`decode_vp_tree`], plus [`VantageError::CorruptSnapshot`] when
 /// the params or structure section is not empty.
-pub fn decode_linear_scan<K, M>(bytes: &[u8]) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>>
-where
-    K: FlatItems,
-    K::Item: ToOwned,
-    M: MetricTag,
-{
+pub fn decode_linear_scan<K: FlatItems, M: MetricTag>(
+    bytes: &[u8],
+) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>> {
     linear_from_storage::<K, M>(Storage::from_bytes(bytes))
 }
 
 /// The linear-scan load path behind [`decode_linear_scan`] and
 /// [`crate::load_linear_scan`].
-pub(crate) fn linear_from_storage<K, M>(
+pub(crate) fn linear_from_storage<K: FlatItems, M: MetricTag>(
     storage: Storage,
-) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>>
-where
-    K: FlatItems,
-    K::Item: ToOwned,
-    M: MetricTag,
-{
+) -> Result<LinearScan<<K::Item as ToOwned>::Owned, M>> {
     mem::check_little_endian()?;
     let bytes = storage.bytes();
     let (c, items) = check_items::<K>(bytes, IndexKind::Linear, M::TAG)?;

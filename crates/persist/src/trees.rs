@@ -11,12 +11,12 @@
 
 use vantage_core::parallel::Threads;
 use vantage_core::select::VantageSelector;
-use vantage_core::{LinearScan, Result, VantageError};
+use vantage_core::{ItemStore, LinearScan, Result, RowStore, VantageError};
 use vantage_mvptree::params::{MvpParams, SecondVantage};
 use vantage_mvptree::MvpTree;
 use vantage_vptree::{VpTree, VpTreeParams};
 
-use crate::codec::{ItemCodec, MetricTag};
+use crate::codec::{encode_section, ItemCodec, MetricTag};
 use crate::format::{
     assemble, items_payload_offset, structure_payload_offset, Container, IndexKind,
 };
@@ -139,7 +139,7 @@ pub(crate) fn decode_vp_params(payload: &[u8]) -> Result<VpTreeParams> {
     Ok(params)
 }
 
-fn encode_vp_structure<T, M>(tree: &VpTree<T, M>, base: usize) -> Vec<u8> {
+fn encode_vp_structure<T, M, S: RowStore<T>>(tree: &VpTree<T, M, S>, base: usize) -> Vec<u8> {
     let a = tree.arena();
     let mut out = Out::new();
     out.align8(base);
@@ -158,16 +158,20 @@ fn encode_vp_structure<T, M>(tree: &VpTree<T, M>, base: usize) -> Vec<u8> {
     out.0
 }
 
-/// Encodes a vp-tree into a complete snapshot byte buffer.
-pub fn encode_vp_tree<T: ItemCodec, M: MetricTag>(tree: &VpTree<T, M>) -> Vec<u8> {
+/// Encodes a vp-tree into a complete snapshot byte buffer: the same
+/// bytes whichever row store holds its items.
+pub fn encode_vp_tree<T, M: MetricTag, S: RowStore<T>>(tree: &VpTree<T, M, S>) -> Vec<u8>
+where
+    S::Item: ItemCodec,
+{
     let params = encode_vp_params(tree.params());
     let items_off = items_payload_offset(M::TAG.len(), params.len());
-    let items = T::encode_section(tree.row_items(), items_off);
+    let items = encode_section(&tree.row_items(), items_off);
     let structure_off = structure_payload_offset(items_off, items.len());
     let structure = encode_vp_structure(tree, structure_off);
     assemble(
         IndexKind::VpTree,
-        T::TAG,
+        S::Item::TAG,
         M::TAG,
         tree.row_items().len() as u64,
         &params,
@@ -216,7 +220,7 @@ pub(crate) fn decode_mvp_params(payload: &[u8]) -> Result<MvpParams> {
     Ok(params)
 }
 
-fn encode_mvp_structure<T, M>(tree: &MvpTree<T, M>, base: usize) -> Vec<u8> {
+fn encode_mvp_structure<T, M, S: RowStore<T>>(tree: &MvpTree<T, M, S>, base: usize) -> Vec<u8> {
     let a = tree.arena();
     let mut out = Out::new();
     out.align8(base);
@@ -241,16 +245,20 @@ fn encode_mvp_structure<T, M>(tree: &MvpTree<T, M>, base: usize) -> Vec<u8> {
     out.0
 }
 
-/// Encodes an mvp-tree into a complete snapshot byte buffer.
-pub fn encode_mvp_tree<T: ItemCodec, M: MetricTag>(tree: &MvpTree<T, M>) -> Vec<u8> {
+/// Encodes an mvp-tree into a complete snapshot byte buffer: the same
+/// bytes whichever row store holds its items.
+pub fn encode_mvp_tree<T, M: MetricTag, S: RowStore<T>>(tree: &MvpTree<T, M, S>) -> Vec<u8>
+where
+    S::Item: ItemCodec,
+{
     let params = encode_mvp_params(tree.params());
     let items_off = items_payload_offset(M::TAG.len(), params.len());
-    let items = T::encode_section(tree.row_items(), items_off);
+    let items = encode_section(&tree.row_items(), items_off);
     let structure_off = structure_payload_offset(items_off, items.len());
     let structure = encode_mvp_structure(tree, structure_off);
     assemble(
         IndexKind::MvpTree,
-        T::TAG,
+        S::Item::TAG,
         M::TAG,
         tree.row_items().len() as u64,
         &params,
@@ -265,7 +273,7 @@ pub fn encode_mvp_tree<T: ItemCodec, M: MetricTag>(tree: &MvpTree<T, M>) -> Vec<
 /// params and structure sections are empty — a scan is just its items).
 pub fn encode_linear_scan<T: ItemCodec, M: MetricTag>(scan: &LinearScan<T, M>) -> Vec<u8> {
     let items_off = items_payload_offset(M::TAG.len(), 0);
-    let items = T::encode_section(scan.items(), items_off);
+    let items = encode_section(scan.items(), items_off);
     assemble(
         IndexKind::Linear,
         T::TAG,
@@ -435,7 +443,7 @@ mod tests {
         structure: impl Fn(usize) -> Vec<u8>,
     ) -> Vec<u8> {
         let items_off = items_payload_offset(<Euclidean as MetricTag>::TAG.len(), params.len());
-        let items = <Vec<f64>>::encode_section(&[], items_off);
+        let items = encode_section(&[] as &[Vec<f64>], items_off);
         let structure = structure(structure_payload_offset(items_off, items.len()));
         let tag = <Vec<f64> as ItemCodec>::TAG;
         assemble(kind, tag, "l2", 0, params, &items, &structure)

@@ -188,6 +188,106 @@ fn missing_file_is_an_io_error() {
     assert!(matches!(err, VantageError::Io { .. }), "{err}");
 }
 
+/// The gap between two vectors' lengths, tagged `l2`: it reads no
+/// coordinate, so trees and scans over ragged vectors build, and encode
+/// into snapshots whose checksums are all valid.
+struct LengthGap;
+
+impl Metric<Vec<f64>> for LengthGap {
+    fn distance(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+        (a.len() as f64 - b.len() as f64).abs()
+    }
+}
+
+impl persist::MetricTag for LengthGap {
+    const TAG: &'static str = "l2";
+    fn reconstruct() -> Self {
+        LengthGap
+    }
+}
+
+fn ragged() -> Vec<Vec<f64>> {
+    vec![vec![0.0, 0.0], vec![1.0, 1.0, 1.0], vec![2.0, 2.0]]
+}
+
+fn assert_corrupt<T>(result: vantage_core::Result<T>, context: &str) {
+    match result {
+        Err(VantageError::CorruptSnapshot { .. }) => {}
+        Err(err) => panic!("{context}: unexpected error variant: {err}"),
+        Ok(_) => panic!("{context}: a ragged vector section loaded"),
+    }
+}
+
+#[test]
+fn ragged_vector_sections_are_refused_by_every_loader() {
+    let linear = persist::encode_linear_scan(&LinearScan::new(ragged(), LengthGap));
+    let vp = VpTree::build(ragged(), LengthGap, VpTreeParams::binary()).unwrap();
+    let vp = persist::encode_vp_tree(&vp);
+    let mvp = MvpTree::build(ragged(), LengthGap, MvpParams::paper(2, 4, 2)).unwrap();
+    let mvp = persist::encode_mvp_tree(&mvp);
+    for bytes in [&linear, &vp, &mvp] {
+        persist::inspect_bytes(bytes).expect("every checksum is valid");
+    }
+    type Lin = LinearScan<Vec<f64>, Euclidean>;
+    assert_corrupt(
+        persist::decode_linear_scan::<F64Vectors, Euclidean>(&linear),
+        "decode linear",
+    );
+    assert_corrupt(
+        with_file("ragged-linear", &linear, |p| {
+            persist::load_linear_scan::<F64Vectors, Euclidean>(p).map(|s: Lin| s.len())
+        }),
+        "load linear",
+    );
+    assert_corrupt(
+        persist::decode_vp_tree::<F64Vectors, Euclidean>(&vp),
+        "decode vp",
+    );
+    assert_corrupt(
+        with_file("ragged-vp", &vp, |p| {
+            persist::open_vp_tree::<F64Vectors, Euclidean>(p)
+        }),
+        "open vp",
+    );
+    assert_corrupt(
+        persist::decode_mvp_tree::<F64Vectors, Euclidean>(&mvp),
+        "decode mvp",
+    );
+    assert_corrupt(
+        with_file("ragged-mvp", &mvp, |p| {
+            persist::open_mvp_tree::<F64Vectors, Euclidean>(p)
+        }),
+        "open mvp",
+    );
+}
+
+#[test]
+fn ragged_vectors_are_refused_before_a_save_writes() {
+    let path = std::env::temp_dir().join(format!(
+        "vantage-mapped-faults-{}-ragged-save",
+        std::process::id()
+    ));
+    let ragged_err = VantageError::DimensionMismatch { left: 2, right: 3 };
+    let scan = LinearScan::new(ragged(), Euclidean);
+    assert_eq!(
+        persist::save_linear_scan(&scan, &path),
+        Err(ragged_err.clone())
+    );
+    let vp = VpTree::build(ragged(), LengthGap, VpTreeParams::binary()).unwrap();
+    let err = persist::save_vp_tree(&vp, &path).unwrap_err();
+    assert!(
+        matches!(err, VantageError::DimensionMismatch { .. }),
+        "{err}"
+    );
+    let mvp = MvpTree::build(ragged(), LengthGap, MvpParams::paper(2, 4, 2)).unwrap();
+    let err = persist::save_mvp_tree(&mvp, &path).unwrap_err();
+    assert!(
+        matches!(err, VantageError::DimensionMismatch { .. }),
+        "{err}"
+    );
+    assert!(!path.exists(), "a refused save wrote {}", path.display());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

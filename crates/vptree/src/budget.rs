@@ -10,13 +10,17 @@
 //! exact answer.
 
 use vantage_core::budget::{BudgetedKnn, BudgetedSearch, SearchBudget};
-use vantage_core::BoundedMetric;
+use vantage_core::{BoundedMetric, RowStore};
 
 use crate::tree::VpTree;
 
-impl<T, M: BoundedMetric<T>> BudgetedSearch<T> for VpTree<T, M> {
-    fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
-        self.kernel(query).knn_budgeted(k, budget)
+impl<T, M, S> BudgetedSearch<S::Item> for VpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: BoundedMetric<S::Item>,
+{
+    fn knn_budgeted(&self, query: &S::Item, k: usize, budget: SearchBudget) -> BudgetedKnn {
+        self.as_view().knn_budgeted(query, k, budget)
     }
 }
 

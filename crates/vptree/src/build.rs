@@ -35,12 +35,14 @@
 //! [`crate::arena`]). Construction itself reads items by id, so the
 //! tree is the same; only where each item is stored changes.
 
+use std::marker::PhantomData;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use vantage_core::parallel::{fork_join, par_map_slice, share_workers};
 use vantage_core::util::{checked_item_count, split_into_quantiles};
-use vantage_core::{DistanceTally, Metric, Result};
+use vantage_core::{DistanceTally, ItemStore, Metric, Result, RowStore};
 
 use crate::arena::VpArena;
 use crate::params::VpTreeParams;
@@ -63,27 +65,46 @@ impl<T, M: Metric<T>> VpTree<T, M> {
     /// # Errors
     ///
     /// Returns an error when `params` is invalid.
-    pub fn build(mut items: Vec<T>, metric: M, params: VpTreeParams) -> Result<Self>
+    pub fn build(items: Vec<T>, metric: M, params: VpTreeParams) -> Result<Self>
     where
         T: Sync,
         M: Sync,
     {
+        VpTree::with_rows(items, metric, params)
+    }
+}
+
+impl<T, M, S> VpTree<T, M, S>
+where
+    S: RowStore<T> + Sync,
+    M: Metric<S::Item> + Sync,
+{
+    /// Builds a vp-tree over items already packed in the row store `S`,
+    /// in id order (see [`build`](VpTree::build)); the items are then
+    /// permuted into row order in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `params` is invalid.
+    pub fn with_rows(mut items: S, metric: M, params: VpTreeParams) -> Result<Self> {
         params.validate()?;
         let workers = params.threads.resolve();
-        let ids: Vec<u32> = (0..checked_item_count(items.len(), "vp-tree")?).collect();
+        let n = items.view().len();
+        let ids: Vec<u32> = (0..checked_item_count(n, "vp-tree")?).collect();
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut arena = VpArena::new(params.order);
         let builder = Builder {
             items: &items,
             metric: &metric,
             params: &params,
+            item: PhantomData,
         };
         let mut tally = DistanceTally::new();
         let root = builder.build_subtree(ids, &mut rng, workers, &mut arena, &mut tally);
         // Store the items in the arena's row order, so each leaf scan
         // reads one contiguous block: one in-place permutation, no clone.
-        let rows = arena.view().id_rows(items.len());
-        vantage_core::permute_to_rows(&mut items, &rows);
+        let rows = arena.view().id_rows(n);
+        items.permute(&rows);
         Ok(VpTree {
             items,
             rows,
@@ -92,18 +113,21 @@ impl<T, M: Metric<T>> VpTree<T, M> {
             root,
             params,
             build_distances: tally.totals().computations,
+            item: PhantomData,
         })
     }
 }
 
 /// Borrowed construction context, shareable across scoped workers.
-struct Builder<'a, T, M> {
-    items: &'a [T],
+/// Items are read by id: the store is still in id order.
+struct Builder<'a, T, S, M> {
+    items: &'a S,
     metric: &'a M,
     params: &'a VpTreeParams,
+    item: PhantomData<fn() -> T>,
 }
 
-impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
+impl<T, S: RowStore<T> + Sync, M: Metric<S::Item> + Sync> Builder<'_, T, S, M> {
     /// Builds the subtree over `ids` into `arena` (DFS preorder), using up
     /// to `workers` threads, charges its distance computations to
     /// `tally`, and returns the subtree root's arena id.
@@ -123,10 +147,10 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
         }
 
         // Select the vantage point and remove it from the working set.
-        let vantage_pos = self
-            .params
-            .selector
-            .select(self.items, &ids, self.metric, rng, tally);
+        let vantage_pos =
+            self.params
+                .selector
+                .select(&self.items.view(), &ids, self.metric, rng, tally);
         let vantage = ids[vantage_pos];
         let rest: Vec<u32> = ids.into_iter().filter(|&id| id != vantage).collect();
         tally.add_computations(rest.len() as u64);
@@ -134,7 +158,7 @@ impl<T: Sync, M: Metric<T> + Sync> Builder<'_, T, M> {
             (
                 id,
                 self.metric
-                    .distance(&self.items[vantage as usize], &self.items[id as usize]),
+                    .distance(self.items.row(vantage), self.items.row(id)),
             )
         };
         let vantage_item_distances: Vec<(u32, f64)> =

@@ -3,12 +3,11 @@
 //! Every query form — range, kNN, beyond, kFN, traced and budgeted — is
 //! implemented exactly once here, generic over *where the nodes live*
 //! (a [`VpArenaView`], borrowed from an owned arena or a mapped
-//! snapshot) and *where the items live* (an [`ItemStore`]). The owned
-//! [`VpTree`](crate::VpTree) and the borrowed
-//! [`VpTreeRef`](crate::VpTreeRef) are thin wrappers around the same
-//! monomorphized traversals, so the materialized and zero-copy paths
-//! answer bit-identically by construction: same arithmetic, same visit
-//! order, same tie-breaking.
+//! snapshot) and *where the items live* (an [`ItemStore`]). Every search
+//! runs through the borrowed [`VpTreeRef`](crate::VpTreeRef), an owned
+//! [`VpTree`](crate::VpTree)'s included, so the materialized and zero-copy
+//! paths answer bit-identically by construction: same arithmetic, same
+//! visit order, same tie-breaking.
 //!
 //! Items are read in row order (see [`crate::arena`]): a leaf bucket's
 //! items sit at consecutive rows, so one leaf scan reads one contiguous

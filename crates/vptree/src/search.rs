@@ -1,13 +1,16 @@
 //! Range and kNN search (paper §3.3 and its Appendix) — thin wrappers
 //! over the shared arena kernels in [`crate::kernel`].
 
-use vantage_core::trace::{NoTrace, TraceSink};
-use vantage_core::{BoundedMetric, KnnCollector, Neighbor};
+use vantage_core::trace::TraceSink;
+use vantage_core::{BoundedMetric, Neighbor, RowStore};
 
-use crate::kernel::Kernel;
 use crate::tree::VpTree;
 
-impl<T, M: BoundedMetric<T>> VpTree<T, M> {
+impl<T, M, S> VpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: BoundedMetric<S::Item>,
+{
     /// Range search: all items within `radius` of `query`.
     ///
     /// At each visited node one distance `d(q, vantage)` is computed; the
@@ -16,22 +19,20 @@ impl<T, M: BoundedMetric<T>> VpTree<T, M> {
     /// child `i` (a spherical shell `[lo_i, hi_i]` around the vantage
     /// point) is visited iff `d − r ≤ hi_i` and `d + r ≥ lo_i`. The
     /// Appendix proves both directions from the triangle inequality.
-    pub(crate) fn range_search(&self, query: &T, radius: f64) -> Vec<Neighbor> {
-        self.range_traced(query, radius, &mut NoTrace)
-    }
-
-    /// [`range`](vantage_core::MetricIndex::range) with instrumentation:
-    /// reports every vantage/candidate distance, every shell prune (with
-    /// its triangle-inequality bound) and the per-level fanout into
-    /// `sink`. Answers and distance computations are identical to the
-    /// untraced method — with [`NoTrace`] the sink calls compile away.
-    pub fn range_traced<S: TraceSink>(
+    ///
+    /// This is [`range`](vantage_core::MetricIndex::range) with
+    /// instrumentation: reports every vantage/candidate distance, every
+    /// shell prune (with its triangle-inequality bound) and the
+    /// per-level fanout into `sink`. Answers and distance computations
+    /// are identical to the untraced method — with
+    /// [`NoTrace`](vantage_core::NoTrace) the sink calls compile away.
+    pub fn range_traced<Sink: TraceSink>(
         &self,
-        query: &T,
+        query: &S::Item,
         radius: f64,
-        sink: &mut S,
+        sink: &mut Sink,
     ) -> Vec<Neighbor> {
-        self.kernel(query).range(radius, sink)
+        self.as_view().range_traced(query, radius, sink)
     }
 
     /// Best-first k-nearest-neighbor search.
@@ -42,46 +43,19 @@ impl<T, M: BoundedMetric<T>> VpTree<T, M> {
     /// whose bound exceeds the current k-th best distance — the dynamic-
     /// radius reduction of nearest-neighbor search to range search
     /// (\[Chi94\], paper §3.2).
-    pub(crate) fn knn_search(&self, query: &T, k: usize) -> Vec<Neighbor> {
-        self.knn_traced(query, k, &mut NoTrace)
-    }
-
-    /// [`knn`](vantage_core::MetricIndex::knn) with instrumentation; see
-    /// [`range_traced`](VpTree::range_traced). Subtrees abandoned by the
-    /// best-first early exit are reported as
+    ///
+    /// This is [`knn`](vantage_core::MetricIndex::knn) with
+    /// instrumentation; see [`range_traced`](VpTree::range_traced).
+    /// Subtrees abandoned by the best-first early exit are reported as
     /// [`FirstShell`](vantage_core::trace::PruneReason::FirstShell)
     /// prunes with the shell bound that kept them queued.
-    pub fn knn_traced<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
-        let mut collector = KnnCollector::new(k);
-        self.knn_into(&mut collector, query, sink);
-        collector.into_sorted()
-    }
-
-    /// Runs the best-first kNN traversal into a caller-provided
-    /// collector — shared with the sharded scatter path (which passes a
-    /// collector wired to a cross-shard bound).
-    pub(crate) fn knn_into<S: TraceSink>(
+    pub fn knn_traced<Sink: TraceSink>(
         &self,
-        collector: &mut KnnCollector,
-        query: &T,
-        sink: &mut S,
-    ) {
-        self.kernel(query).knn_into(collector, sink);
-    }
-}
-
-impl<T, M> VpTree<T, M> {
-    /// Binds this tree's arena, row-ordered items, id→row table and
-    /// metric to a query.
-    pub(crate) fn kernel<'k>(&'k self, query: &'k T) -> Kernel<'k, [T], M, T> {
-        Kernel {
-            arena: self.arena.view(),
-            root: self.root,
-            items: self.items.as_slice(),
-            rows: &self.rows,
-            metric: &self.metric,
-            query,
-        }
+        query: &S::Item,
+        k: usize,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
+        self.as_view().knn_traced(query, k, sink)
     }
 }
 

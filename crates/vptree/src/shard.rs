@@ -13,41 +13,55 @@ use std::sync::Arc;
 use vantage_core::farthest::KfnCollector;
 use vantage_core::shard::{ShardSearch, SharedLowerBound, SharedUpperBound};
 use vantage_core::trace::TraceSink;
-use vantage_core::{BoundedMetric, KnnCollector, Neighbor};
+use vantage_core::{BoundedMetric, KnnCollector, Neighbor, RowStore};
 
 use crate::tree::VpTree;
 
-impl<T, M: BoundedMetric<T>> ShardSearch<T> for VpTree<T, M> {
-    fn range_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+impl<T, M, S> ShardSearch<S::Item> for VpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: BoundedMetric<S::Item>,
+{
+    fn range_traced<Sink: TraceSink>(
+        &self,
+        query: &S::Item,
+        radius: f64,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
         VpTree::range_traced(self, query, radius, sink)
     }
 
-    fn beyond_traced<S: TraceSink>(&self, query: &T, radius: f64, sink: &mut S) -> Vec<Neighbor> {
+    fn beyond_traced<Sink: TraceSink>(
+        &self,
+        query: &S::Item,
+        radius: f64,
+        sink: &mut Sink,
+    ) -> Vec<Neighbor> {
         VpTree::beyond_traced(self, query, radius, sink)
     }
 
-    fn knn_shared<S: TraceSink>(
+    fn knn_shared<Sink: TraceSink>(
         &self,
-        query: &T,
+        query: &S::Item,
         k: usize,
         shared: Arc<SharedUpperBound>,
-        sink: &mut S,
+        sink: &mut Sink,
     ) -> Vec<Neighbor> {
         let mut collector = KnnCollector::with_shared(k, shared);
-        self.knn_into(&mut collector, query, sink);
+        self.as_view().knn_into(&mut collector, query, sink);
         collector.into_sorted()
     }
 
-    fn kfn_shared<S: TraceSink>(
+    fn kfn_shared<Sink: TraceSink>(
         &self,
-        query: &T,
+        query: &S::Item,
         k: usize,
         shared: Arc<SharedLowerBound>,
-        sink: &mut S,
+        sink: &mut Sink,
     ) -> Vec<Neighbor> {
         let mut collector = KfnCollector::with_shared(k, shared);
         if k > 0 {
-            self.kfn_into(&mut collector, query, sink);
+            self.as_view().kfn_into(&mut collector, query, sink);
         }
         collector.into_sorted()
     }

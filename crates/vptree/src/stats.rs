@@ -21,7 +21,7 @@ pub struct VpTreeStats {
     pub max_leaf_len: usize,
 }
 
-impl<T, M> VpTree<T, M> {
+impl<T, M, S> VpTree<T, M, S> {
     /// Computes structural statistics by walking the tree.
     pub fn stats(&self) -> VpTreeStats {
         let mut s = VpTreeStats {

@@ -3,14 +3,14 @@
 //!
 //! A [`VpTreeRef`] is the zero-copy counterpart of
 //! [`VpTree`](crate::VpTree): the node arena is a borrowed
-//! [`VpArenaView`] (typically resolved inside a memory-mapped snapshot
-//! section) and the items come from any [`ItemStore`] — a plain slice,
-//! or a flat offset-indexed buffer such as
+//! [`VpArenaView`] (an owned tree's, or one resolved inside a
+//! memory-mapped snapshot section) and the items come from any
+//! [`ItemStore`] — a plain slice, or a flat buffer such as
 //! [`FlatF64s`](vantage_core::FlatF64s) — laid out in the arena's row
 //! order, with the id→row table the arena derives
-//! ([`VpArenaView::id_rows`]). Both forms drive the exact same
-//! kernels in [`crate::kernel`], so a borrowed view answers
-//! bit-identically to the materialized tree it mirrors.
+//! ([`VpArenaView::id_rows`]). Every search of an owned tree runs
+//! through this view too, so a mapped snapshot answers bit-identically
+//! to the tree it was saved from.
 
 use vantage_core::budget::{BudgetedKnn, SearchBudget};
 use vantage_core::farthest::KfnCollector;
@@ -131,8 +131,21 @@ impl<'a, S: ItemStore, M> VpTreeRef<'a, S, M> {
         M: BoundedMetric<S::Item>,
     {
         let mut collector = KnnCollector::new(k);
-        self.kernel(query).knn_into(&mut collector, sink);
+        self.knn_into(&mut collector, query, sink);
         collector.into_sorted()
+    }
+
+    /// Runs the best-first kNN traversal into a caller-provided
+    /// collector (a shared cross-shard bound).
+    pub(crate) fn knn_into<Sink: TraceSink>(
+        &self,
+        collector: &mut KnnCollector,
+        query: &S::Item,
+        sink: &mut Sink,
+    ) where
+        M: BoundedMetric<S::Item>,
+    {
+        self.kernel(query).knn_into(collector, sink);
     }
 
     /// Far-range search: all items at distance ≥ `radius` from `query`.
@@ -176,9 +189,22 @@ impl<'a, S: ItemStore, M> VpTreeRef<'a, S, M> {
     {
         let mut collector = KfnCollector::new(k);
         if k > 0 {
-            self.kernel(query).kfn_into(&mut collector, sink);
+            self.kfn_into(&mut collector, query, sink);
         }
         collector.into_sorted()
+    }
+
+    /// Runs the k-farthest traversal into a caller-provided collector
+    /// (a shared cross-shard bound).
+    pub(crate) fn kfn_into<Sink: TraceSink>(
+        &self,
+        collector: &mut KfnCollector,
+        query: &S::Item,
+        sink: &mut Sink,
+    ) where
+        M: Metric<S::Item>,
+    {
+        self.kernel(query).kfn_into(collector, sink);
     }
 
     /// Budgeted best-effort kNN; see

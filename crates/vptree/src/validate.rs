@@ -7,7 +7,7 @@
 //! distance-recomputing [`VpTree::check_invariants`] remains a
 //! test/diagnostic facility.
 
-use vantage_core::{Metric, Result, VantageError};
+use vantage_core::{Metric, Result, RowStore, VantageError};
 
 use crate::arena::{VpArenaView, VpNodeView, NO_CHILD};
 use crate::params::VpTreeParams;
@@ -217,7 +217,11 @@ pub fn validate_arena(
     Ok(())
 }
 
-impl<T, M: Metric<T>> VpTree<T, M> {
+impl<T, M, S> VpTree<T, M, S>
+where
+    S: RowStore<T>,
+    M: Metric<S::Item>,
+{
     /// Verifies the tree's structural invariants, returning a description
     /// of the first violation found:
     ///
@@ -232,7 +236,7 @@ impl<T, M: Metric<T>> VpTree<T, M> {
     /// test/diagnostic facility.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let view = self.arena.view();
-        let mut seen = vec![false; self.items.len()];
+        let mut seen = vec![false; self.rows.len()];
         if let Some(root) = self.root {
             self.check_node(view, root, &mut seen)?;
         }
@@ -308,7 +312,7 @@ impl<T, M: Metric<T>> VpTree<T, M> {
                     };
                     let mut subtree = Vec::new();
                     collect_subtree(view, child, &mut subtree);
-                    let item = |id: u32| &self.items[self.rows[id as usize] as usize];
+                    let item = |id: u32| self.items.row(self.rows[id as usize]);
                     for id in subtree {
                         let d = self.metric.distance(item(vantage), item(id));
                         // Tolerance-free: cutoffs are exact stored
