@@ -39,6 +39,7 @@ use vantage_telemetry::{CostDelta, IndexMetrics, MetricsRegistry, OpKind};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 mod serve;
+pub mod vectext;
 
 use serve::{QueryCmd, Routing, ServeMetric, ServedQuery, WireItem};
 
@@ -172,6 +173,9 @@ command and prints the reply; `serve-smoke` is a multi-threaded client
 that replays a scripted workload during live RELOAD swaps and verifies
 every reply is bit-identical to a direct run against the same snapshot.
 See DESIGN.md \"Serving\" for the protocol grammar and swap semantics.
+A request line longer than 16 MiB is
+discarded as it arrives and answered with an error; the connection
+stays open, and STATS counts such lines in `serve/long_lines`.
 
 `serve` also traces requests: one query in `--trace-sample` N (default
 64, deterministic in the request line and `--seed`) records per-phase
@@ -297,9 +301,9 @@ fn read_vectors(path: &str) -> CliResult<Vec<Vec<f64>>> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: std::result::Result<Vec<f64>, _> =
-            line.split(',').map(|c| c.trim().parse()).collect();
-        vectors.push(v.map_err(|_| err(format!("{path}:{}: not a CSV float vector", lineno + 1)))?);
+        let v =
+            vectext::parse_vector(line).map_err(|e| err(format!("{path}:{}: {e}", lineno + 1)))?;
+        vectors.push(v);
     }
     if let Some(first) = vectors.first() {
         let dim = first.len();

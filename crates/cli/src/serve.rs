@@ -76,7 +76,7 @@
 
 use std::borrow::Borrow;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as IoWrite};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write as IoWrite};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -96,6 +96,7 @@ use vantage_telemetry::{
 };
 use vantage_vptree::VpTree;
 
+use crate::vectext::VectorTextError;
 use crate::{
     err, mvp_build_params, parse_threads, record_build, record_snapshot_load, structure_label,
     vp_build_params, Args, CliResult,
@@ -106,6 +107,11 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Poll interval for connection reads (bounds shutdown latency).
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line a connection buffers, without its newline
+/// (16 MiB; a 4 096-d query line is about 15 KB). A longer line is
+/// dropped as it arrives and answered `ERR`.
+const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// An item type that can cross the wire as a single token, with the
 /// flat row encoding every index the CLI builds or loads stores it in.
@@ -136,19 +142,12 @@ impl WireItem for Vec<f64> {
     type Flat = F64Vectors;
 
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
-        let item = text
-            .split(',')
-            .map(|c| c.trim().parse())
-            .collect::<std::result::Result<Vec<f64>, _>>()
-            .map_err(|_| "query must be a comma-separated float vector".to_string())?;
-        // A NaN coordinate makes every distance NaN, and searches treat
-        // NaN candidates differently (a tree offers its vantage points
-        // unconditionally, a scan offers only `d <= radius`), so the
-        // answer would depend on the structure.
-        if item.iter().any(|x| !x.is_finite()) {
-            return Err("query coordinates must be finite numbers".to_string());
-        }
-        Ok(item)
+        crate::vectext::parse_vector(text).map_err(|e| match e {
+            VectorTextError::NotAFloat => {
+                "query must be a comma-separated float vector".to_string()
+            }
+            VectorTextError::NonFinite => "query coordinates must be finite numbers".to_string(),
+        })
     }
 
     fn format_wire(&self) -> String {
@@ -862,6 +861,8 @@ struct Shared<T: WireItem, M> {
     g_swaps: Arc<Gauge>,
     g_connections: Arc<Gauge>,
     g_uptime: Arc<Gauge>,
+    /// Request lines refused for exceeding `MAX_LINE_BYTES`.
+    g_long_lines: Arc<Gauge>,
 }
 
 /// Parsed command-line options common to both serving modes.
@@ -1070,6 +1071,7 @@ where
         g_swaps: registry.gauge("serve/swaps"),
         g_connections: registry.gauge("serve/connections"),
         g_uptime: registry.gauge("serve/uptime_s"),
+        g_long_lines: registry.gauge("serve/long_lines"),
         registry,
     });
     // Readiness signals that work before the (buffered) report is
@@ -1125,39 +1127,101 @@ where
     let mut reader = BufReader::new(stream);
     // Raw bytes, decoded only once the whole line is in: a line that is
     // not UTF-8 gets an error reply instead of ending the connection.
+    // Both the partial line and the skipping state survive read
+    // timeouts.
     let mut line = Vec::new();
+    let mut skipping = false;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let (reply, close) = match std::str::from_utf8(&line) {
-                    Ok(text) => handle_line(text.trim(), shared),
-                    Err(_) => ("ERR request line is not valid UTF-8".to_string(), false),
-                };
-                line.clear();
-                if writer
-                    .write_all(reply.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
-                }
-                if close {
-                    break;
-                }
+        let read = read_request_line(&mut reader, &mut line, &mut skipping, MAX_LINE_BYTES);
+        let (reply, close) = match read {
+            Ok(LineRead::Line) => match std::str::from_utf8(&line) {
+                Ok(text) => handle_line(text.trim(), shared),
+                Err(_) => ("ERR request line is not valid UTF-8".to_string(), false),
+            },
+            Ok(LineRead::TooLong) => {
+                shared.g_long_lines.add(1);
+                (
+                    format!("ERR request line longer than {MAX_LINE_BYTES} bytes"),
+                    false,
+                )
             }
-            // Timeout polls keep any partially read line buffered.
+            Ok(LineRead::Eof) => break,
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
             {
                 continue
             }
             Err(_) => break,
+        };
+        line.clear();
+        if writer
+            .write_all(reply.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"))
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            break;
+        }
+        if close {
+            break;
+        }
+    }
+}
+
+/// What one call of [`read_request_line`] finished.
+enum LineRead {
+    /// A request line is in the buffer, without its newline (a last
+    /// line cut off by the end of the stream counts).
+    Line,
+    /// A line longer than the cap ended; none of it was kept.
+    TooLong,
+    /// The peer closed the connection.
+    Eof,
+}
+
+/// Reads the next request line into `line`, keeping at most `cap` bytes
+/// of it. Once a line passes `cap`, its bytes are consumed and dropped
+/// as they arrive (`*skipping` carries that across read timeouts, as
+/// `line` carries a partial line) until its newline ends it.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    skipping: &mut bool,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    if !*skipping {
+        // One byte past the cap tells a line of exactly `cap` bytes from
+        // a longer one; `read_until` keeps what it read before an error.
+        let budget = cap.saturating_add(1).saturating_sub(line.len()) as u64;
+        if reader.by_ref().take(budget).read_until(b'\n', line)? == 0 {
+            return Ok(LineRead::Eof);
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            return Ok(LineRead::Line);
+        }
+        if line.len() <= cap {
+            return Ok(LineRead::Line);
+        }
+        line.clear();
+        *skipping = true;
+    }
+    loop {
+        let buf = reader.fill_buf()?;
+        let (used, ended) = match buf.iter().position(|&b| b == b'\n') {
+            Some(p) => (p + 1, true),
+            None => (buf.len(), buf.is_empty()),
+        };
+        reader.consume(used);
+        if ended {
+            *skipping = false;
+            return Ok(LineRead::TooLong);
         }
     }
 }
@@ -2036,6 +2100,25 @@ mod tests {
             };
             assert!(e.0.contains("--slow-ms"), "{bad}: {e}");
         }
+    }
+
+    #[test]
+    fn request_lines_are_read_up_to_the_cap() {
+        let read_all = |input: &[u8], cap: usize| {
+            let mut reader = std::io::Cursor::new(input.to_vec());
+            let (mut line, mut skipping, mut seen) = (Vec::new(), false, Vec::new());
+            loop {
+                match read_request_line(&mut reader, &mut line, &mut skipping, cap).unwrap() {
+                    LineRead::Line => seen.push(String::from_utf8(line.clone()).unwrap()),
+                    LineRead::TooLong => seen.push("<too long>".to_string()),
+                    LineRead::Eof => return seen,
+                }
+                line.clear();
+            }
+        };
+        assert_eq!(read_all(b"abc\nabcd\nab", 3), ["abc", "<too long>", "ab"]);
+        assert_eq!(read_all(b"abcdef", 3), ["<too long>"]);
+        assert_eq!(read_all(b"PING\n", usize::MAX), ["PING"]);
     }
 
     #[test]

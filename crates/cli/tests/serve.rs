@@ -826,6 +826,93 @@ fn non_finite_coordinates_and_nan_radii_are_refused() {
 }
 
 #[test]
+fn data_files_with_non_finite_coordinates_are_refused_with_file_and_line() {
+    // A NaN coordinate used to load: vp then answered `RANGE 100 0,0`
+    // with 2 items and left out item 0 at distance 0, while linear and
+    // mvp answered 3.
+    for (bad, line) in [("1,NaN", 2), ("2,inf", 3), ("-inf,3", 4)] {
+        let data = temp_path("nonfinite.csv");
+        let rows = ["0,0", "1,1", "2,2", "3,3"];
+        let text: Vec<&str> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| if i + 1 == line { bad } else { r })
+            .collect();
+        std::fs::write(&data, text.join("\n") + "\n").unwrap();
+        let at = format!("{data}:{line}: coordinates must be finite numbers");
+        for structure in ["vp", "mvp", "linear"] {
+            let e = run(&[
+                "query",
+                "--data",
+                &data,
+                "--structure",
+                structure,
+                "--range",
+                "100",
+                "--query",
+                "0,0",
+            ])
+            .expect_err("query over a non-finite CSV must fail");
+            assert!(e.contains(&at), "{structure}: {e}");
+        }
+        let snap = temp_path("nonfinite.vantage");
+        let e = run(&["build", "--data", &data, "--save", &snap])
+            .expect_err("build over a non-finite CSV must fail");
+        assert!(e.contains(&at), "{e}");
+        assert!(!std::path::Path::new(&snap).exists(), "build wrote {snap}");
+        let e = run(&["serve", "--data", &data, "--addr", "127.0.0.1:0"])
+            .expect_err("serve over a non-finite CSV must fail");
+        assert!(e.contains(&at), "{e}");
+        let _ = std::fs::remove_file(&data);
+    }
+}
+
+#[test]
+fn request_lines_past_the_cap_get_an_error_and_keep_the_connection() {
+    use std::io::Write;
+    let data = temp_path("cap-data.csv");
+    let snap = temp_path("cap-index.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "50", "--dim", "3", "--seed", "5", "--out", &data,
+    ]);
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+    const CAP: usize = 16 << 20;
+    let too_long = format!("ERR request line longer than {CAP} bytes");
+    let mut line = Line::open(&addr);
+    // Exactly at the cap is served; one byte more is refused.
+    assert_eq!(
+        line.send(&format!("PING{}", " ".repeat(CAP - 4))),
+        "OK pong"
+    );
+    assert_eq!(line.send(&format!("PING{}", " ".repeat(CAP - 3))), too_long);
+    assert_eq!(line.send("PING"), "OK pong");
+    // Lines that arrive in pieces across the server's read-poll
+    // timeouts: a short one is reassembled, a long one is dropped as
+    // it streams in and answered once its newline arrives.
+    let pause = Duration::from_millis(250);
+    line.stream.write_all(b"PI").unwrap();
+    std::thread::sleep(pause);
+    assert_eq!(line.send("NG"), "OK pong");
+    line.stream.write_all(b"KNN 3 0.5,0.5,").unwrap();
+    std::thread::sleep(pause);
+    line.stream.write_all(&vec![b'0'; CAP]).unwrap();
+    std::thread::sleep(pause);
+    assert_eq!(line.send(",0.5"), too_long);
+    assert!(line.send("KNN 3 0.5,0.5,0.5").starts_with("OK 3 "));
+    drop(line);
+    assert_eq!(stats_gauge(&addr, "serve/long_lines"), Some(2));
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn knn_routes_to_a_row_scan_where_the_tree_cannot_prune() {
     // Uniform 20-d points: the tree's probes compute nearly every
     // distance, so kNN routes to the scan. A linear-scan snapshot of the

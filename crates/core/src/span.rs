@@ -80,6 +80,24 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Folds one 8-byte word into a hash lane: XOR, an odd multiply (a
+/// bijection that spreads low bits upward) and a rotation (which brings
+/// the high bits back down for the next word).
+#[inline(always)]
+fn absorb(lane: u64, word: u64) -> u64 {
+    (lane ^ word)
+        .wrapping_mul(0x9fb2_1c65_1e98_df25)
+        .rotate_left(29)
+}
+
+/// Reads up to eight bytes as a little-endian word, zero-padded.
+#[inline]
+fn read_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
 /// Deterministic head-sampling policy: derive a [`TraceId`] from the
 /// request line, sample it iff `id % every == 0`.
 ///
@@ -105,25 +123,38 @@ impl Sampler {
         self.every
     }
 
-    /// Derives the trace ID for a request line: FNV-1a over the seed
-    /// and the line's bytes, finalized through `mix64`. Never zero,
+    /// Derives the trace ID for a request line: a word-wise hash of the
+    /// line keyed by the seed, finalized through `mix64`. Never zero,
     /// so an ID always has a non-degenerate wire form.
+    ///
+    /// The line is consumed as little-endian 8-byte words in four
+    /// independent lanes (32 bytes per step), so a 15 KB vector line
+    /// hashes at memory speed rather than one dependent multiply per
+    /// byte. The last partial word is zero-padded and the length folded
+    /// in, so lines that differ only in trailing zero bytes still differ.
     pub fn trace_id(&self, request: &str) -> TraceId {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for byte in self.seed.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        let bytes = request.as_bytes();
+        let mut lanes = [
+            self.seed ^ 0x243f_6a88_85a3_08d3,
+            self.seed.rotate_left(16) ^ 0x1319_8a2e_0370_7344,
+            self.seed.rotate_left(32) ^ 0xa409_3822_299f_31d0,
+            self.seed.rotate_left(48) ^ 0x082e_fa98_ec4e_6c89,
+        ];
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                *lane = absorb(*lane, word);
+            }
         }
-        for byte in request.as_bytes() {
-            h = (h ^ u64::from(*byte)).wrapping_mul(FNV_PRIME);
+        for (i, word) in blocks.remainder().chunks(8).enumerate() {
+            lanes[i] = absorb(lanes[i], read_word(word));
         }
-        let mixed = mix64(h);
-        TraceId(if mixed == 0 {
-            0x9e37_79b9_7f4a_7c15
-        } else {
-            mixed
-        })
+        let mut h = (bytes.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for lane in lanes {
+            h = mix64(h ^ lane);
+        }
+        TraceId(if h == 0 { 0x9e37_79b9_7f4a_7c15 } else { h })
     }
 
     /// The head-sampling decision for an already-derived ID.
@@ -287,6 +318,24 @@ mod tests {
         assert_ne!(a, s.trace_id("KNN 5 0.5,0.6"));
         assert_ne!(a, Sampler::new(8, 64).trace_id("KNN 5 0.5,0.5"));
         assert_ne!(a.bits(), 0);
+    }
+
+    #[test]
+    fn trace_ids_are_pinned() {
+        // Trace ids are visible on the wire (`TRACE`, SLO exemplars, the
+        // slow log): a change to the hash must show up here. The lines
+        // cover an empty line, one shorter than a word, and one that
+        // spans whole 32-byte blocks plus a partial word.
+        let s = Sampler::new(1, 64);
+        let mri: String = (0..64).map(|i| format!("{},", i * 37 % 256)).collect();
+        let golden = [
+            ("", "4d76ee702e063a91"),
+            ("PING", "abfef9d84ca9cd46"),
+            (&*format!("RANGE 6712 {mri}"), "2b2a55ae28c4b53b"),
+        ];
+        for (line, id) in golden {
+            assert_eq!(s.trace_id(line).to_string(), id, "{line:?}");
+        }
     }
 
     #[test]
