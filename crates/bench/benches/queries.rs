@@ -1,16 +1,18 @@
 //! Criterion: range and kNN query wall-clock latency for the two main
-//! trees and the linear-scan baseline, and `KNN 10` over each row layout
-//! a served mvp-tree can have.
+//! trees and the linear-scan baseline, `KNN 10` over each row layout
+//! a served mvp-tree can have, and MRI `RANGE` over `f64` and byte rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use vantage_bench::{bench_queries, bench_vectors};
 use vantage_core::prelude::*;
-use vantage_core::{F64Rows, MetricIndex, NoTrace, RowStore};
-use vantage_datasets::{clustered_vectors, uniform_vectors, ClusteredConfig};
+use vantage_core::{F64Rows, MetricIndex, NoTrace, RowStore, U8Rows};
+use vantage_datasets::{
+    clustered_vectors, synthetic_mri_images, uniform_vectors, ClusteredConfig, MriConfig,
+};
 use vantage_mvptree::{MvpParams, MvpTree};
-use vantage_persist::{self as persist, F64Vectors};
+use vantage_persist::{self as persist, F64Vectors, U8Vectors};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 fn range_queries(c: &mut Criterion) {
@@ -156,5 +158,85 @@ fn knn_layouts(c: &mut Criterion, name: &str, items: Vec<Vec<f64>>, queries: Vec
     group.finish();
 }
 
-criterion_group!(benches, range_queries, knn_queries, knn_row_layouts);
+/// `RANGE` on the MRI images vbench's `mri-l1-range` serves (64×64,
+/// data seed 1, L1, mvp(3, 80, 5)) at its radius, the median distance
+/// to the 6th nearest neighbour: the same tree mapped from an
+/// `f64-vector` snapshot and from a `u8-vector` one, 100 queries drawn
+/// from the data. Both compute the same distances with the same
+/// answers; the byte rows take the byte kernel and one eighth of the
+/// memory.
+fn mri_range_rows(c: &mut Criterion) {
+    let config = MriConfig {
+        width: 64,
+        height: 64,
+        ..MriConfig::paper(1)
+    };
+    let bytes: Vec<Vec<u8>> = synthetic_mri_images(&config)
+        .expect("paper config")
+        .iter()
+        .map(|img| img.pixels().to_vec())
+        .collect();
+    let wide: Vec<Vec<f64>> = bytes
+        .iter()
+        .map(|v| v.iter().map(|&b| f64::from(b)).collect())
+        .collect();
+    let picks: Vec<usize> = (0..100).map(|i| i * 11 % bytes.len()).collect();
+    let linear = LinearScan::new(wide.clone(), Manhattan);
+    let mut sixth: Vec<f64> = picks
+        .iter()
+        .map(|&i| linear.knn(&wide[i], 6)[5].distance)
+        .collect();
+    sixth.sort_by(f64::total_cmp);
+    let radius = sixth[(sixth.len() - 1) / 2];
+
+    let params = MvpParams::paper(3, 80, 5).seed(1);
+    let dir = std::env::temp_dir();
+    let f64_path = dir.join(format!("vantage-bench-mri-f64-{}", std::process::id()));
+    let u8_path = dir.join(format!("vantage-bench-mri-u8-{}", std::process::id()));
+    let tree = MvpTree::with_rows(
+        F64Rows::from_items(wide.clone()).unwrap(),
+        Manhattan,
+        params.clone(),
+    )
+    .unwrap();
+    persist::save_mvp_tree(&tree, &f64_path).unwrap();
+    let tree = MvpTree::with_rows(
+        U8Rows::from_items(bytes.clone()).unwrap(),
+        Manhattan,
+        params,
+    )
+    .unwrap();
+    persist::save_mvp_tree(&tree, &u8_path).unwrap();
+    let f64_mapped = persist::open_mvp_tree::<F64Vectors, Manhattan>(&f64_path).unwrap();
+    let u8_mapped = persist::open_mvp_tree::<U8Vectors, Manhattan>(&u8_path).unwrap();
+    std::fs::remove_file(&f64_path).ok();
+    std::fs::remove_file(&u8_path).ok();
+
+    let mut group = c.benchmark_group("mri_l1_range_rows");
+    let view = f64_mapped.view();
+    group.bench_function("mapped_f64", |b| {
+        b.iter(|| {
+            for &i in &picks {
+                black_box(view.range(wide[i].as_slice(), radius));
+            }
+        })
+    });
+    let view = u8_mapped.view();
+    group.bench_function("mapped_u8", |b| {
+        b.iter(|| {
+            for &i in &picks {
+                black_box(view.range(bytes[i].as_slice(), radius));
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    range_queries,
+    knn_queries,
+    knn_row_layouts,
+    mri_range_rows
+);
 criterion_main!(benches);

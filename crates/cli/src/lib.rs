@@ -41,7 +41,9 @@ use vantage_vptree::{VpTree, VpTreeParams};
 mod serve;
 pub mod vectext;
 
-use serve::{QueryCmd, Routing, ServeMetric, ServedQuery, WireItem};
+use serve::{
+    load_byte_index, load_index_typed, QueryCmd, Routing, ServeMetric, ServedQuery, WireItem,
+};
 
 /// CLI failure: a message for the user (exit code 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -582,20 +584,18 @@ fn write_metrics_snapshot(
     Ok(())
 }
 
-/// Opens a snapshot through `serve`'s loader — trees zero-copy over the
-/// unsized item form (`&[f64]`, `&str`), a linear scan's items copied
-/// out — and answers `ask` on it. Answers and distance counts diff
-/// clean against a fresh build. The load is recorded as
-/// [`OpKind::SnapshotLoad`] in place of a build.
-fn answer_loaded<T: WireItem, M: ServeMetric<T>>(
-    path: &str,
-    info: &SnapshotInfo,
+/// Opens a snapshot through one of `serve`'s loaders (`load`) — trees
+/// zero-copy over the unsized item form (`&[f64]`, `&[u8]`, `&str`), a
+/// linear scan's items copied out — and answers `ask` on it. Answers and
+/// distance counts diff clean against a fresh build. The load is
+/// recorded as [`OpKind::SnapshotLoad`] in place of a build.
+fn answer_loaded<T>(
+    (path, info, ask, metrics): (&str, &SnapshotInfo, &Ask, &Option<Arc<IndexMetrics>>),
+    load: serve::LoadFn<T>,
     query: &T,
-    ask: &Ask,
-    metrics: &Option<Arc<IndexMetrics>>,
 ) -> CliResult<Answer> {
     let load_start = Instant::now();
-    let loaded = serve::load_index_typed::<T, M>(path, 1, 0, Threads::SEQUENTIAL)?;
+    let loaded = load(path, 1, 0, Threads::SEQUENTIAL)?;
     if let Some(metrics) = metrics {
         record_snapshot_load(metrics, load_start, info.bytes);
     }
@@ -643,26 +643,28 @@ fn run_snapshot(
     check_snapshot_metric(&info, args.get("metric"))?;
     let label = structure_label(info.kind);
     let metrics = args.get("metrics").map(|_| registry.index(label));
+    let run = (path, &info, ask, &metrics);
     let answer = match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => answer_loaded::<String, Levenshtein>(
-            path,
-            &info,
+        ("utf8-string", "edit") => answer_loaded(
+            run,
+            load_index_typed::<String, Levenshtein>,
             &query_text.to_string(),
-            ask,
-            &metrics,
         )?,
-        ("f64-vector", metric) => {
+        (item @ ("f64-vector" | "u8-vector"), metric) => {
             let query = parse_vector_query(query_text)?;
-            match metric {
-                "l2" => answer_loaded::<_, Euclidean>(path, &info, &query, ask, &metrics)?,
-                "l1" => answer_loaded::<_, Manhattan>(path, &info, &query, ask, &metrics)?,
-                "linf" => answer_loaded::<_, Chebyshev>(path, &info, &query, ask, &metrics)?,
-                other => {
+            let load: serve::LoadFn<Vec<f64>> = match (item, metric) {
+                ("f64-vector", "l2") => load_index_typed::<_, Euclidean>,
+                ("f64-vector", "l1") => load_index_typed::<_, Manhattan>,
+                ("f64-vector", "linf") => load_index_typed::<_, Chebyshev>,
+                ("u8-vector", "l2") => load_byte_index::<Euclidean>,
+                ("u8-vector", "l1") => load_byte_index::<Manhattan>,
+                _ => {
                     return Err(err(format!(
-                        "{path}: snapshot metric `{other}` is not supported by this CLI"
+                        "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
                     )))
                 }
-            }
+            };
+            answer_loaded(run, load, &query)?
         }
         (item, metric) => {
             return Err(err(format!(
@@ -727,6 +729,19 @@ fn build_and_save<T: WireItem, M: ServeMetric<T>>(
     Ok((cost, bytes, n))
 }
 
+/// The byte rows `build` saves L1/L2 vectors as: `Some` when the data
+/// is at least [`MIN_BYTE_DISPATCH`](vantage_core::simd::MIN_BYTE_DISPATCH)
+/// coordinates wide, where the byte kernels run, and every coordinate is
+/// a byte ([`serve::narrow`]). Byte rows give the same distances as the
+/// `f64` rows, so the snapshot answers alike at a fraction of the size.
+fn byte_rows(vectors: &[Vec<f64>]) -> Option<Vec<Vec<u8>>> {
+    let dim = vectors.first()?.len();
+    if dim < vantage_core::simd::MIN_BYTE_DISPATCH {
+        return None;
+    }
+    vectors.iter().map(|v| serve::narrow(v)).collect()
+}
+
 fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {
     let args = Args::parse(argv)?;
     let data = args.required("data")?;
@@ -750,11 +765,27 @@ fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {
         )?
     } else {
         let vectors = read_vectors(data)?;
-        match metric_name {
-            "l2" => build_and_save(vectors, Euclidean, structure, seed, threads, save, metrics)?,
-            "l1" => build_and_save(vectors, Manhattan, structure, seed, threads, save, metrics)?,
-            "linf" => build_and_save(vectors, Chebyshev, structure, seed, threads, save, metrics)?,
-            other => return Err(err(format!("unknown metric `{other}` (l1|l2|linf|edit)"))),
+        let bytes = match metric_name {
+            "l1" | "l2" => byte_rows(&vectors),
+            _ => None,
+        };
+        match (metric_name, bytes) {
+            ("l2", Some(bytes)) => {
+                build_and_save(bytes, Euclidean, structure, seed, threads, save, metrics)?
+            }
+            ("l1", Some(bytes)) => {
+                build_and_save(bytes, Manhattan, structure, seed, threads, save, metrics)?
+            }
+            ("l2", None) => {
+                build_and_save(vectors, Euclidean, structure, seed, threads, save, metrics)?
+            }
+            ("l1", None) => {
+                build_and_save(vectors, Manhattan, structure, seed, threads, save, metrics)?
+            }
+            ("linf", _) => {
+                build_and_save(vectors, Chebyshev, structure, seed, threads, save, metrics)?
+            }
+            (other, _) => return Err(err(format!("unknown metric `{other}` (l1|l2|linf|edit)"))),
         }
     };
     let _ = writeln!(

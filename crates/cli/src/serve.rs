@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! PING                     -> OK pong
-//! INFO                     -> OK mode=... structure=... metric=... items=... generation=...
+//! INFO                     -> OK mode=... structure=... metric=... item=... items=... generation=...
 //! RANGE  <radius> <query>  -> OK <n> id:dist ...       (ascending distance)
 //! KNN    <k> <query>       -> OK <n> id:dist ...       (ascending distance)
 //! BEYOND <radius> <query>  -> OK <n> id:dist ...       (far-neighbor complement)
@@ -28,7 +28,9 @@
 //! ```
 //!
 //! Vector queries are comma-separated floats; `edit`-metric queries are
-//! a bare word.
+//! a bare word. A `u8-vector` snapshot takes the same float queries: one
+//! whose coordinates are all bytes searches the byte rows, any other
+//! gets the reply an `f64-vector` snapshot of the same items would send.
 //!
 //! ## Request tracing
 //!
@@ -87,7 +89,7 @@ use vantage_core::prelude::*;
 use vantage_core::{RowStore, VantageError};
 use vantage_mvptree::{ConcurrentMvpTree, MvpReadSnapshot, MvpTree, ScanCalibration, ScanRouter};
 use vantage_persist::{
-    self as persist, F64Vectors, FlatItems, IndexKind, ItemCodec, MetricTag, Utf8Strings,
+    self as persist, F64Vectors, FlatItems, IndexKind, ItemCodec, MetricTag, U8Vectors, Utf8Strings,
 };
 use vantage_telemetry::export;
 use vantage_telemetry::{
@@ -118,8 +120,8 @@ const MAX_LINE_BYTES: usize = 16 << 20;
 pub(crate) trait WireItem:
     ItemCodec + Clone + Send + Sync + 'static + Borrow<<Self as WireItem>::Row>
 {
-    /// The borrowed row a flat store hands out (`[f64]`, `str`): what
-    /// every tree, built or loaded, is queried with.
+    /// The borrowed row a flat store hands out (`[f64]`, `[u8]`, `str`):
+    /// what every tree, built or loaded, is queried with.
     type Row: ?Sized + ToOwned<Owned = Self> + ItemCodec + Sync + 'static;
     /// The snapshot encoding of these items; its
     /// [`Rows`](FlatItems::Rows) hold every tree the CLI builds.
@@ -159,6 +161,43 @@ impl WireItem for Vec<f64> {
             let _ = write!(s, "{x}");
         }
         s
+    }
+
+    fn dims(&self) -> Option<usize> {
+        Some(self.len())
+    }
+}
+
+/// The vector form of a byte vector: its coordinates widened to `f64`.
+fn widen(bytes: &[u8]) -> Vec<f64> {
+    bytes.iter().map(|&b| f64::from(b)).collect()
+}
+
+/// The bytes of `vector` when every coordinate round-trips bit-exactly
+/// through `u8` (no fractions, negatives, values over 255 or `-0.0`):
+/// the vectors a byte store holds, and the queries it answers as bytes.
+pub(crate) fn narrow(vector: &[f64]) -> Option<Vec<u8>> {
+    vector
+        .iter()
+        .map(|&x| {
+            let b = x as u8;
+            (f64::from(b).to_bits() == x.to_bits()).then_some(b)
+        })
+        .collect()
+}
+
+/// Byte vectors cross the wire as the vector text of their coordinates.
+impl WireItem for Vec<u8> {
+    type Row = [u8];
+    type Flat = U8Vectors;
+
+    fn parse_wire(text: &str) -> std::result::Result<Self, String> {
+        narrow(&Vec::<f64>::parse_wire(text)?)
+            .ok_or_else(|| "query coordinates must be integers from 0 to 255".to_string())
+    }
+
+    fn format_wire(&self) -> String {
+        widen(self).format_wire()
     }
 
     fn dims(&self) -> Option<usize> {
@@ -629,6 +668,160 @@ where
     }
 }
 
+/// A byte-vector snapshot served to the `f64` queries the wire carries.
+/// A query whose coordinates are all bytes ([`narrow`]) searches the
+/// byte index. Any other query gets the reply an `f64` snapshot of the
+/// same items would send: one exhaustive loop widens each row to `f64`,
+/// calls the `f64` metric and collects as [`LinearScan`] does, so ids,
+/// distance bits and tie order match. Its cost is one distance per item.
+struct ByteServed<M> {
+    bytes: Box<dyn ServedQuery<Vec<u8>>>,
+    len: usize,
+    metric: M,
+}
+
+impl<M> ByteServed<M> {
+    /// Calls `visit` with each id and its row widened to `f64`, in id
+    /// order, until `visit` returns `false`. One buffer holds each row.
+    fn widened(&self, mut visit: impl FnMut(usize, &[f64]) -> bool) {
+        let mut row = Vec::new();
+        for id in 0..self.len {
+            let Some(bytes) = self.bytes.item(id) else {
+                return;
+            };
+            row.clear();
+            row.extend(bytes.iter().map(|&b| f64::from(b)));
+            if !visit(id, &row) {
+                return;
+            }
+        }
+    }
+}
+
+impl<M: BoundedMetric<[f64]>> TracedSearch<[f64]> for ByteServed<M> {
+    fn query_traced<S: TraceSink>(
+        &self,
+        cmd: &QueryCmd,
+        query: &[f64],
+        sink: &mut S,
+    ) -> Vec<Neighbor> {
+        let metric = &self.metric;
+        // As `LinearScan`: one leaf visit, and nothing at all for k = 0.
+        if self.len > 0 && !matches!(cmd, QueryCmd::Knn(0)) {
+            sink.enter_node(0, true);
+        }
+        let mut hits = Vec::new();
+        match *cmd {
+            QueryCmd::Range(radius) => self.widened(|id, row| {
+                sink.distance(DistanceRole::Candidate);
+                match metric.distance_within_frac(query, row, radius) {
+                    (Some(d), _) => hits.push(Neighbor::new(id, d)),
+                    (None, work) => sink.abandon(DistanceRole::Candidate, work),
+                }
+                true
+            }),
+            QueryCmd::Knn(0) => {}
+            QueryCmd::Knn(k) => {
+                let mut near = KnnCollector::new(k);
+                self.widened(|id, row| {
+                    sink.distance(DistanceRole::Candidate);
+                    match metric.distance_within_frac(query, row, near.radius()) {
+                        (Some(d), _) => {
+                            near.offer(id, d);
+                        }
+                        (None, work) => sink.abandon(DistanceRole::Candidate, work),
+                    }
+                    true
+                });
+                return near.into_sorted();
+            }
+            QueryCmd::Beyond(radius) => self.widened(|id, row| {
+                sink.distance(DistanceRole::Candidate);
+                let d = metric.distance(query, row);
+                if d >= radius {
+                    hits.push(Neighbor::new(id, d));
+                }
+                true
+            }),
+            QueryCmd::Kfn(k) => {
+                let mut far = KfnCollector::new(k);
+                self.widened(|id, row| {
+                    sink.distance(DistanceRole::Candidate);
+                    far.offer(id, metric.distance(query, row));
+                    true
+                });
+                return far.into_sorted();
+            }
+        }
+        hits.sort_unstable();
+        hits
+    }
+}
+
+impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed<M> {
+    fn execute(&self, cmd: &QueryCmd, query: &Vec<f64>) -> (Vec<Neighbor>, DistanceTotals) {
+        match narrow(query) {
+            Some(bytes) => self.bytes.execute(cmd, &bytes),
+            None => search(self, cmd, query.as_slice()),
+        }
+    }
+
+    fn execute_traced(
+        &self,
+        cmd: &QueryCmd,
+        query: &Vec<f64>,
+        rec: &mut SpanRecorder,
+    ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
+        // Narrowing reads the query into its byte form: a second
+        // `parse` span, so traces attribute it.
+        let timer = rec.begin();
+        let bytes = narrow(query);
+        rec.record("parse", None, timer, DistanceTotals::default());
+        match bytes {
+            Some(bytes) => self.bytes.execute_traced(cmd, &bytes, rec),
+            None => search_traced(self, cmd, query.as_slice(), rec),
+        }
+    }
+
+    /// A byte query searches the byte index's budget; any other scans
+    /// the id-order prefix the budget affords, as [`LinearScan`] does.
+    fn knn_budgeted(&self, query: &Vec<f64>, k: usize, budget: SearchBudget) -> BudgetedKnn {
+        if let Some(bytes) = narrow(query) {
+            return self.bytes.knn_budgeted(&bytes, k, budget);
+        }
+        let mut meter = BudgetMeter::new(budget);
+        let mut near = KnnCollector::new(k);
+        let mut examined = 0usize;
+        self.widened(|id, row| {
+            if !meter.try_charge() {
+                return false;
+            }
+            examined += 1;
+            match self.metric.distance_within_frac(query, row, near.radius()) {
+                (Some(d), _) => {
+                    near.offer(id, d);
+                }
+                (None, work) => meter.abandon(work),
+            }
+            true
+        });
+        let estimated_recall = if !meter.exhausted() || k.min(self.len) == 0 {
+            1.0
+        } else {
+            (examined as f64 / self.len.max(1) as f64).clamp(0.0, 1.0)
+        };
+        meter.finish(near.into_sorted(), estimated_recall)
+    }
+
+    fn item(&self, id: usize) -> Option<Vec<f64>> {
+        self.bytes.item(id).as_deref().map(widen)
+    }
+
+    fn routing(&self) -> Routing {
+        self.bytes.routing()
+    }
+}
+
 /// Builds `items` with `build` — as one index when `shards == 1`,
 /// otherwise partitioned round-robin into `shards` sub-indexes answered
 /// scatter-gather — and returns it with its construction cost, summed
@@ -717,6 +910,12 @@ pub(crate) struct LoadedIndex<T> {
 /// at server start so every swap rebuilds under the same layout.
 type Loader<T> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T>> + Send + Sync>;
 
+/// Loads a snapshot as a generation serving `T` queries, under a shard
+/// count, seed and thread policy: [`load_index_typed`] for a snapshot
+/// of `T` items, [`load_byte_index`] for byte vectors served to `f64`
+/// queries.
+pub(crate) type LoadFn<T> = fn(&str, usize, u64, Threads) -> CliResult<LoadedIndex<T>>;
+
 /// Loads a snapshot generation from `path` — the one snapshot loader
 /// behind gen0, `RELOAD`/`REINDEX`, `serve-smoke` and `query --index`.
 /// Tree snapshots are opened zero-copy: the file is mapped, verified
@@ -769,6 +968,32 @@ pub(crate) fn load_index_typed<T: WireItem, M: ServeMetric<T>>(
         dims,
         structure: structure_label(info.kind),
         layout,
+    })
+}
+
+/// Loads a byte-vector snapshot through [`load_index_typed`] and serves
+/// it to `f64` queries ([`ByteServed`]).
+pub(crate) fn load_byte_index<M>(
+    path: &str,
+    shards: usize,
+    seed: u64,
+    threads: Threads,
+) -> CliResult<LoadedIndex<Vec<f64>>>
+where
+    M: ServeMetric<Vec<u8>> + BoundedMetric<[f64]>,
+{
+    let loaded = load_index_typed::<Vec<u8>, M>(path, shards, seed, threads)?;
+    let index = Box::new(ByteServed {
+        bytes: loaded.index,
+        len: loaded.items as usize,
+        metric: M::reconstruct(),
+    });
+    Ok(LoadedIndex {
+        index,
+        items: loaded.items,
+        dims: loaded.dims,
+        structure: loaded.structure,
+        layout: loaded.layout,
     })
 }
 
@@ -946,14 +1171,27 @@ pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -
             .to_string()));
         }
     }
+    let run = (path, &info, opts, out);
+    type Vector = Vec<f64>;
     match (info.item.as_str(), info.metric.as_str()) {
-        ("utf8-string", "edit") => {
-            serve_snapshot_typed::<String, Levenshtein>(path, &info, opts, out)
+        ("utf8-string", "edit") => serve_snapshot_typed::<String, Levenshtein>(
+            run,
+            load_index_typed::<String, Levenshtein>,
+        ),
+        ("f64-vector", "l2") => {
+            serve_snapshot_typed::<Vector, Euclidean>(run, load_index_typed::<Vector, Euclidean>)
         }
-        ("f64-vector", "l2") => serve_snapshot_typed::<Vec<f64>, Euclidean>(path, &info, opts, out),
-        ("f64-vector", "l1") => serve_snapshot_typed::<Vec<f64>, Manhattan>(path, &info, opts, out),
+        ("f64-vector", "l1") => {
+            serve_snapshot_typed::<Vector, Manhattan>(run, load_index_typed::<Vector, Manhattan>)
+        }
         ("f64-vector", "linf") => {
-            serve_snapshot_typed::<Vec<f64>, Chebyshev>(path, &info, opts, out)
+            serve_snapshot_typed::<Vector, Chebyshev>(run, load_index_typed::<Vector, Chebyshev>)
+        }
+        ("u8-vector", "l2") => {
+            serve_snapshot_typed::<Vector, Euclidean>(run, load_byte_index::<Euclidean>)
+        }
+        ("u8-vector", "l1") => {
+            serve_snapshot_typed::<Vector, Manhattan>(run, load_byte_index::<Manhattan>)
         }
         (item, metric) => Err(err(format!(
             "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
@@ -961,16 +1199,15 @@ pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -
     }
 }
 
+/// Serves the snapshot at `path` with generations loaded by `load`. `M`
+/// types the engine; a snapshot's metric comes from its loader.
 fn serve_snapshot_typed<T: WireItem, M: ServeMetric<T>>(
-    path: &str,
-    info: &persist::SnapshotInfo,
-    opts: ServeOptions,
-    out: &mut String,
+    (path, info, opts, out): (&str, &persist::SnapshotInfo, ServeOptions, &mut String),
+    load: LoadFn<T>,
 ) -> CliResult<()> {
     let registry = MetricsRegistry::new();
     let (shards, seed, threads) = (opts.shards, opts.seed, opts.threads);
-    let loader: Loader<T> =
-        Box::new(move |p: &str| load_index_typed::<T, M>(p, shards, seed, threads));
+    let loader: Loader<T> = Box::new(move |p: &str| load(p, shards, seed, threads));
     let load_start = Instant::now();
     let loaded = loader(path)?;
     let metrics = registry.index("serve/gen0");
@@ -1628,9 +1865,10 @@ where
         Engine::Static(engine) => {
             let guard = engine.cell.read();
             format!(
-                "OK mode=static structure={} metric={} items={} shards={} layout={} generation={} swaps={} simd={} uptime_s={} knn_scans={}",
+                "OK mode=static structure={} metric={} item={} items={} shards={} layout={} generation={} swaps={} simd={} uptime_s={} knn_scans={}",
                 guard.loaded.structure,
                 shared.metric_name,
+                engine.item_tag,
                 guard.loaded.items,
                 engine.shards,
                 guard.loaded.layout,
@@ -1644,8 +1882,9 @@ where
         Engine::Dynamic(engine) => {
             let snapshot = engine.tree.read();
             format!(
-                "OK mode=dynamic structure=mvp metric={} items={} generation={} simd={} uptime_s={} overflow={} tree_dead={}",
+                "OK mode=dynamic structure=mvp metric={} item={} items={} generation={} simd={} uptime_s={} overflow={} tree_dead={}",
                 shared.metric_name,
+                T::NAME,
                 snapshot.len(),
                 snapshot.generation(),
                 vantage_core::simd::active_name(),
@@ -1935,6 +2174,8 @@ pub(crate) fn cmd_serve_smoke(argv: &[String], out: &mut String) -> CliResult<()
         ("f64-vector", "l2") => smoke_typed::<Vec<f64>, Euclidean>(run, out),
         ("f64-vector", "l1") => smoke_typed::<Vec<f64>, Manhattan>(run, out),
         ("f64-vector", "linf") => smoke_typed::<Vec<f64>, Chebyshev>(run, out),
+        ("u8-vector", "l2") => smoke_typed::<Vec<u8>, Euclidean>(run, out),
+        ("u8-vector", "l1") => smoke_typed::<Vec<u8>, Manhattan>(run, out),
         (item, metric) => Err(err(format!(
             "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
         ))),
@@ -2119,6 +2360,23 @@ mod tests {
         assert_eq!(read_all(b"abc\nabcd\nab", 3), ["abc", "<too long>", "ab"]);
         assert_eq!(read_all(b"abcdef", 3), ["<too long>"]);
         assert_eq!(read_all(b"PING\n", usize::MAX), ["PING"]);
+    }
+
+    #[test]
+    fn only_coordinates_that_round_trip_through_a_byte_narrow() {
+        assert_eq!(narrow(&[0.0, 1.0, 255.0]), Some(vec![0, 1, 255]));
+        assert_eq!(narrow(&[]), Some(vec![]));
+        for x in [-0.0, 0.5, -1.0, 256.0, 1e300, f64::NAN, f64::INFINITY] {
+            assert_eq!(narrow(&[7.0, x]), None, "{x}");
+        }
+        assert_eq!(
+            Vec::<u8>::parse_wire("3,0.5"),
+            Err("query coordinates must be integers from 0 to 255".to_string())
+        );
+        assert_eq!(
+            Vec::<u8>::parse_wire("3,255").unwrap().format_wire(),
+            "3,255"
+        );
     }
 
     #[test]

@@ -463,7 +463,9 @@ fn dynamic_mode_serves_ingest_and_far_queries() {
 
     let info = client(&addr, "INFO");
     assert!(
-        info.contains("mode=dynamic") && info.contains("items=60"),
+        info.contains("mode=dynamic")
+            && info.contains(" item=f64-vector ")
+            && info.contains("items=60"),
         "{info}"
     );
 
@@ -1171,6 +1173,212 @@ fn finished_connection_threads_are_reaped() {
         "VmSize grew {grown_mib} MiB over 300 connections ({before} -> {after} KiB)"
     );
     for p in [&data, &snap, &addr_file] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// 64-d vectors of integers 0..=255 as CSV text, and the vectors.
+fn byte_vectors(n: usize, seed: u64) -> (String, Vec<Vec<f64>>) {
+    let vectors: Vec<Vec<f64>> = vantage_datasets::uniform_vectors(n, 64, seed)
+        .iter()
+        .map(|v| v.iter().map(|&x| (x * 255.0).round()).collect())
+        .collect();
+    let csv = vectors
+        .iter()
+        .map(|v| {
+            let row: Vec<String> = v.iter().map(|x| x.to_string()).collect();
+            row.join(",") + "\n"
+        })
+        .collect();
+    (csv, vectors)
+}
+
+fn wire(v: &[f64]) -> String {
+    let coords: Vec<String> = v.iter().map(|x| x.to_string()).collect();
+    coords.join(",")
+}
+
+/// Queries a byte snapshot must answer as the `f64` rows would: two of
+/// the data's own vectors, and vectors with a fraction, a negative
+/// coordinate, one over 255, and `-0.0`.
+fn byte_snapshot_queries(vectors: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let with = |row: usize, at: usize, x: f64| {
+        let mut v = vectors[row].clone();
+        v[at] = x;
+        v
+    };
+    vec![
+        vectors[3].clone(),
+        vectors[11].clone(),
+        with(3, 0, vectors[3][0] + 0.5),
+        with(5, 1, -7.0),
+        with(5, 2, 300.0),
+        with(9, 0, -0.0),
+    ]
+}
+
+/// `LinearScan` over the `f64` rows, formatted as a serve reply.
+fn scan_reply<M>(scan: &vantage_core::LinearScan<Vec<f64>, M>, cmd: &str, q: &Vec<f64>) -> String
+where
+    M: vantage_core::BoundedMetric<Vec<f64>>,
+{
+    use vantage_core::prelude::{FarthestIndex, MetricIndex};
+    let (verb, arg) = cmd.split_once(' ').unwrap();
+    let mut hits = match verb {
+        "RANGE" => scan.range(q, arg.parse().unwrap()),
+        "KNN" => scan.knn(q, arg.parse().unwrap()),
+        "BEYOND" => scan.range_beyond(q, arg.parse().unwrap()),
+        _ => scan.k_farthest(q, arg.parse().unwrap()),
+    };
+    if matches!(verb, "RANGE" | "BEYOND") {
+        hits.sort_unstable();
+    }
+    let mut reply = format!("OK {}", hits.len());
+    for n in hits {
+        reply.push_str(&format!(" {}:{}", n.id, n.distance));
+    }
+    reply
+}
+
+#[test]
+fn byte_snapshots_answer_every_query_as_the_f64_rows_would() {
+    use vantage_core::prelude::{Euclidean, LinearScan, Manhattan, MetricIndex};
+
+    let data = temp_path("bytes-data.csv");
+    let (csv, vectors) = byte_vectors(150, 5);
+    std::fs::write(&data, csv).unwrap();
+    let queries = byte_snapshot_queries(&vectors);
+    for (metric, structure) in [("l1", "mvp"), ("l2", "vp"), ("l1", "linear")] {
+        let snap = temp_path(&format!("bytes-{metric}-{structure}.vantage"));
+        run_ok(&[
+            "build",
+            "--data",
+            &data,
+            "--save",
+            &snap,
+            "--metric",
+            metric,
+            "--structure",
+            structure,
+            "--seed",
+            "1",
+        ]);
+        let stats = run_ok(&["stats", "--index", &snap]);
+        assert!(stats.contains("150 × u8-vector"), "{stats}");
+
+        // `query --index` prints what `query --data` prints: the same
+        // tree for a byte query, the f64 scan for any other.
+        for (i, q) in queries.iter().enumerate() {
+            let query = wire(q);
+            let reference = if i < 2 { structure } else { "linear" };
+            let radius = if metric == "l1" { "5000" } else { "750" };
+            for verb in [["--knn", "5"], ["--range", radius]] {
+                let fresh = run_ok(&[
+                    "query",
+                    "--data",
+                    &data,
+                    "--metric",
+                    metric,
+                    "--structure",
+                    reference,
+                    "--seed",
+                    "1",
+                    verb[0],
+                    verb[1],
+                    "--query",
+                    &query,
+                ]);
+                let loaded = run_ok(&[
+                    "query", "--index", &snap, verb[0], verb[1], "--query", &query,
+                ]);
+                assert_eq!(fresh, loaded, "{metric} {structure} query {i} {verb:?}");
+            }
+        }
+
+        let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+        let info = client(&addr, "INFO");
+        assert!(info.contains(" item=u8-vector "), "{info}");
+        let mut line = Line::open(&addr);
+        let l1 = LinearScan::new(vectors.clone(), Manhattan);
+        let l2 = LinearScan::new(vectors.clone(), Euclidean);
+        for (i, q) in queries.iter().enumerate() {
+            let nth = |k: usize| match metric {
+                "l1" => l1.knn(q, k)[k - 1].distance.to_string(),
+                _ => l2.knn(q, k)[k - 1].distance.to_string(),
+            };
+            let (near, far) = (nth(6), nth(140));
+            for cmd in [
+                format!("RANGE {near}"),
+                "KNN 5".to_string(),
+                format!("BEYOND {far}"),
+                "KFN 4".to_string(),
+                "KNN 0".to_string(),
+            ] {
+                let want = match metric {
+                    "l1" => scan_reply(&l1, &cmd, q),
+                    _ => scan_reply(&l2, &cmd, q),
+                };
+                let got = line.send(&format!("{cmd} {}", wire(q)));
+                assert_eq!(got, want, "{metric} {structure} query {i}: {cmd}");
+            }
+        }
+        let short = line.send("KNN 3 1,2,3");
+        assert_eq!(short, "ERR query has 3 coordinates, index has 64");
+        let nan = line.send(&format!("KNN 3 NaN{}", ",1".repeat(63)));
+        assert_eq!(nan, "ERR query coordinates must be finite numbers");
+        drop(line);
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
+        let _ = std::fs::remove_file(&snap);
+    }
+    let _ = std::fs::remove_file(&data);
+}
+
+#[test]
+fn reload_from_f64_rows_to_byte_rows_is_an_item_mismatch() {
+    let bytes = temp_path("reload-bytes.csv");
+    let fractions = temp_path("reload-fractions.csv");
+    let (csv, vectors) = byte_vectors(80, 6);
+    std::fs::write(&bytes, csv).unwrap();
+    let halves: Vec<String> = vectors
+        .iter()
+        .map(|v| wire(&v.iter().map(|x| x + 0.5).collect::<Vec<f64>>()) + "\n")
+        .collect();
+    std::fs::write(&fractions, halves.concat()).unwrap();
+    let (u8_snap, f64_snap) = (
+        temp_path("reload-u8.vantage"),
+        temp_path("reload-f64.vantage"),
+    );
+    run_ok(&[
+        "build", "--data", &bytes, "--save", &u8_snap, "--metric", "l1",
+    ]);
+    run_ok(&[
+        "build", "--data", &fractions, "--save", &f64_snap, "--metric", "l1",
+    ]);
+
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), f64_snap.clone()]);
+    let mut line = Line::open(&addr);
+    assert!(line.send("INFO").contains(" item=f64-vector "));
+    let ask = format!("KNN 3 {}", wire(&vectors[0]));
+    let before = line.send(&ask);
+    assert!(before.starts_with("OK 3 "), "{before}");
+    let reply = line.send(&format!("RELOAD {u8_snap}"));
+    assert_eq!(
+        reply,
+        "ERR snapshot items mismatch: snapshot has `u8-vector`, expected `f64-vector`"
+    );
+    assert_eq!(line.send(&ask), before, "the old generation answers");
+    assert!(line.send("INFO").contains(" generation=0 "));
+    drop(line);
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&bytes, &fractions, &u8_snap, &f64_snap] {
         let _ = std::fs::remove_file(p);
     }
 }

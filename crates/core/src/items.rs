@@ -10,26 +10,27 @@
 //!
 //! A tree owns its rows as a [`RowStore`], permuted into row order once,
 //! in place, at build time ([`RowStore::permute`]). A tree can keep a
-//! `Vec<T>`; the two item types a snapshot can hold are packed into one
-//! flat buffer each:
-//! [`F64Rows`] (every vector `d` values wide, row `i` at
+//! `Vec<T>`; the three item types a snapshot can hold are packed into
+//! one flat buffer each:
+//! [`F64Rows`] and [`U8Rows`] (every vector `d` values wide, row `i` at
 //! `data[i·d .. (i+1)·d]`) and [`StrRows`] (one text buffer plus
-//! `len + 1` byte offsets). Their borrowed views, [`FlatF64s`] and
-//! [`FlatStrs`], are exactly what the zero-copy snapshot path builds
-//! over a memory-mapped file, so a tree built in memory and a tree
-//! mapped from disk search the same rows through the same kernels.
+//! `len + 1` byte offsets). Their borrowed views, [`FlatF64s`],
+//! [`FlatU8s`] and [`FlatStrs`], are exactly what the zero-copy
+//! snapshot path builds over a memory-mapped file, so a tree built in
+//! memory and a tree mapped from disk search the same rows through the
+//! same kernels.
 //! [`ItemStore`] abstracts over every view, so a kernel is written once
 //! and answers bit-identically over either representation. The id→row
 //! table is never stored: each tree derives it from its node arena in
 //! one O(n) pass ([`id_rows`]).
 //!
-//! The flat views have an **unsized** item type (`[f64]`, `str`): they
-//! hand out sub-slices of one contiguous buffer, so there is no owned
-//! `Vec<f64>`/`String` value to return a reference to. The shipped
-//! vector and string metrics all implement `Metric<[f64]>` /
-//! `Metric<str>`, so the same metric value drives both representations.
-//! Item types with no flat encoding (images, histograms, byte strings)
-//! stay in a `Vec<T>`.
+//! The flat views have an **unsized** item type (`[f64]`, `[u8]`,
+//! `str`): they hand out sub-slices of one contiguous buffer, so there
+//! is no owned `Vec<f64>`/`String` value to return a reference to. The
+//! shipped vector and string metrics all implement `Metric<[f64]>` /
+//! `Metric<str>` (L1 and L2 also `Metric<[u8]>`), so the same metric
+//! value drives both representations. Item types with no flat encoding
+//! (images, histograms) stay in a `Vec<T>`.
 
 use crate::error::{Result, VantageError};
 
@@ -122,53 +123,69 @@ impl<S: ItemStore + ?Sized> ItemStore for &S {
     }
 }
 
-/// Borrowed flat store of `f64` vectors of one dimension `d`: row `i`
-/// is `data[i·d .. (i+1)·d]`, addressed by one multiply with no
-/// per-row offsets.
+/// Borrowed flat store of vectors of one dimension `d` over elements
+/// `E`: row `i` is `data[i·d .. (i+1)·d]`, addressed by one multiply
+/// with no per-row offsets.
 ///
 /// The snapshot loader refuses any vector section whose rows are not
 /// all `d` wide before a store is built (and covers the buffer with a
 /// section checksum), so `get` uses plain checked slicing.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatF64s<'a> {
-    data: &'a [f64],
+#[derive(Debug)]
+pub struct FlatVecs<'a, E> {
+    data: &'a [E],
     dim: usize,
     len: usize,
 }
 
-impl<'a> FlatF64s<'a> {
+/// A flat store of `f64` vectors (the `f64-vector` snapshot encoding).
+pub type FlatF64s<'a> = FlatVecs<'a, f64>;
+
+/// A flat store of byte vectors (the `u8-vector` snapshot encoding).
+pub type FlatU8s<'a> = FlatVecs<'a, u8>;
+
+// Derived `Clone`/`Copy` would demand `E: Copy`; a view copies as a
+// borrow whatever `E` is.
+impl<E> Clone for FlatVecs<'_, E> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<E> Copy for FlatVecs<'_, E> {}
+
+impl<'a, E> FlatVecs<'a, E> {
     /// Wraps `len` rows of `dim` values each.
     ///
     /// # Panics
     ///
     /// Panics if `data` does not hold exactly `len · dim` values.
-    pub fn new(data: &'a [f64], dim: usize, len: usize) -> Self {
+    pub fn new(data: &'a [E], dim: usize, len: usize) -> Self {
         assert_eq!(
             Some(data.len()),
             len.checked_mul(dim),
             "{len} rows of {dim}"
         );
-        FlatF64s { data, dim, len }
+        FlatVecs { data, dim, len }
     }
 
     /// The vector at `row`, borrowed for the buffer's lifetime rather
     /// than the store's ([`ItemStore::get`] can only lend the latter).
     #[inline]
-    pub fn row(&self, row: u32) -> &'a [f64] {
+    pub fn row(&self, row: u32) -> &'a [E] {
         let start = row as usize * self.dim;
         &self.data[start..start + self.dim]
     }
 }
 
-impl ItemStore for FlatF64s<'_> {
-    type Item = [f64];
+impl<E> ItemStore for FlatVecs<'_, E> {
+    type Item = [E];
 
     fn len(&self) -> usize {
         self.len
     }
 
     #[inline]
-    fn get(&self, row: u32) -> &[f64] {
+    fn get(&self, row: u32) -> &[E] {
         self.row(row)
     }
 }
@@ -222,11 +239,13 @@ impl ItemStore for FlatStrs<'_> {
 /// The rows a tree owns, packed from its items of type `T` and searched
 /// through a borrowed [`ItemStore`] view.
 ///
-/// `Vec<T>` is the store every tree can be built in; [`F64Rows`] and
-/// [`StrRows`] are the flat stores for `Vec<f64>` and `String` items,
-/// whose views are the ones a mapped snapshot serves.
+/// `Vec<T>` is the store every tree can be built in; [`F64Rows`],
+/// [`U8Rows`] and [`StrRows`] are the flat stores for `Vec<f64>`,
+/// `Vec<u8>` and `String` items, whose views are the ones a mapped
+/// snapshot serves.
 pub trait RowStore<T>: Sized {
-    /// The borrowed item type queries take (`T` itself, `[f64]`, `str`).
+    /// The borrowed item type queries take (`T` itself, `[f64]`, `[u8]`,
+    /// `str`).
     type Item: ?Sized;
     /// The borrowed store the search kernels read.
     type View<'a>: ItemStore<Item = Self::Item> + Copy
@@ -289,26 +308,39 @@ impl<T> RowStore<T> for Vec<T> {
     }
 }
 
-/// Owned flat store of `f64` vectors of one dimension: the heap twin of
-/// a mapped [`FlatF64s`], one `Vec<f64>` holding every row.
+/// Owned flat store of vectors of one dimension: the heap twin of a
+/// mapped [`FlatVecs`], one `Vec<E>` holding every row.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct F64Rows {
-    data: Vec<f64>,
+pub struct VecRows<E> {
+    data: Vec<E>,
     dim: usize,
     len: usize,
 }
 
-impl RowStore<Vec<f64>> for F64Rows {
-    type Item = [f64];
-    type View<'a> = FlatF64s<'a>;
+/// The owned twin of [`FlatF64s`].
+pub type F64Rows = VecRows<f64>;
 
-    fn from_items(items: Vec<Vec<f64>>) -> Result<Self> {
+/// The owned twin of [`FlatU8s`].
+pub type U8Rows = VecRows<u8>;
+
+impl<E: Copy + 'static> RowStore<Vec<E>> for VecRows<E> {
+    type Item = [E];
+    type View<'a>
+        = FlatVecs<'a, E>
+    where
+        Self: 'a;
+
+    fn from_items(items: Vec<Vec<E>>) -> Result<Self> {
         Self::from_rows(items.iter().map(Vec::as_slice))
     }
 
-    fn from_rows<'a>(mut rows: impl Iterator<Item = &'a [f64]>) -> Result<Self> {
+    fn from_rows<'a>(mut rows: impl Iterator<Item = &'a [E]>) -> Result<Self> {
         let Some(first) = rows.next() else {
-            return Ok(F64Rows::default());
+            return Ok(VecRows {
+                data: Vec::new(),
+                dim: 0,
+                len: 0,
+            });
         };
         let dim = first.len();
         let mut data = Vec::with_capacity((rows.size_hint().0 + 1) * dim);
@@ -324,14 +356,14 @@ impl RowStore<Vec<f64>> for F64Rows {
             data.extend_from_slice(row);
             len += 1;
         }
-        Ok(F64Rows { data, dim, len })
+        Ok(VecRows { data, dim, len })
     }
 
-    fn view(&self) -> FlatF64s<'_> {
-        FlatF64s::new(&self.data, self.dim, self.len)
+    fn view(&self) -> FlatVecs<'_, E> {
+        FlatVecs::new(&self.data, self.dim, self.len)
     }
 
-    fn row(&self, row: u32) -> &[f64] {
+    fn row(&self, row: u32) -> &[E] {
         let start = row as usize * self.dim;
         &self.data[start..start + self.dim]
     }
@@ -422,12 +454,21 @@ mod tests {
         owned.permute(&rows);
         let mut strs = StrRows::from_items(words).unwrap();
         strs.permute(&rows);
+        let mut bytes = U8Rows::from_items(
+            vectors
+                .iter()
+                .map(|v| v.iter().map(|&x| x as u8).collect())
+                .collect(),
+        )
+        .unwrap();
+        bytes.permute(&rows);
         let mut flat = F64Rows::from_items(vectors).unwrap();
         flat.permute(&rows);
         for (row, &id) in order.iter().enumerate() {
             assert_eq!(owned[row], format!("item{id}"));
             assert_eq!(strs.row(row as u32), format!("item{id}"));
             assert_eq!(flat.row(row as u32), &[f64::from(id); 3]);
+            assert_eq!(bytes.row(row as u32), &[id as u8; 3]);
         }
     }
 

@@ -93,7 +93,10 @@ pub use counting::{Counted, DistanceTally, DistanceTotals};
 pub use error::{Result, VantageError};
 pub use farthest::{FarthestIndex, KfnCollector};
 pub use index::{BatchIndex, MetricIndex};
-pub use items::{id_rows, F64Rows, FlatF64s, FlatStrs, ItemStore, RowStore, StrRows};
+pub use items::{
+    id_rows, F64Rows, FlatF64s, FlatStrs, FlatU8s, FlatVecs, ItemStore, RowStore, StrRows, U8Rows,
+    VecRows,
+};
 pub use knn::KnnCollector;
 pub use linear::{knn_scan, LinearScan};
 pub use metric::{BoundedMetric, DiscreteMetric, Metric};

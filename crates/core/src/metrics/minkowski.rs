@@ -9,13 +9,21 @@
 //! All Lp metrics here operate on `[f64]` slices and `Vec<f64>` and
 //! **panic on dimension mismatch** — feeding differently-shaped vectors to
 //! one index is a programming error, not a runtime condition.
+//!
+//! [`Manhattan`] and [`Euclidean`] also measure byte vectors (`[u8]`,
+//! `Vec<u8>`, e.g. 8-bit pixels) through the byte kernels with no
+//! normalization. Every term and partial sum of two byte rows is an
+//! integer well below 2⁵³, so the `f64` kernels compute it exactly too:
+//! a byte row and the same row widened to `f64` give the same distance
+//! bits, abandon decisions and work fractions
+//! (`tests/simd_dispatch.rs` pins this).
 
 use crate::metric::{BoundedMetric, Metric};
 use crate::metrics::kernels;
 use crate::simd;
 
 #[inline]
-fn check_dims(a: &[f64], b: &[f64]) {
+fn check_dims<E>(a: &[E], b: &[E]) {
     assert_eq!(
         a.len(),
         b.len(),
@@ -151,6 +159,38 @@ impl BoundedMetric<[f64]> for Euclidean {
     }
 }
 
+/// Implements L1/L2 over byte vectors through a byte kernel with no
+/// normalization (`norm = 1.0`).
+macro_rules! byte_impl {
+    ($metric:ty, $kernel:ident) => {
+        impl Metric<[u8]> for $metric {
+            #[inline]
+            fn distance(&self, a: &[u8], b: &[u8]) -> f64 {
+                check_dims(a, b);
+                simd::$kernel::<false>(simd::active(), a, b, 1.0, f64::INFINITY)
+                    .0
+                    .unwrap()
+            }
+        }
+
+        impl BoundedMetric<[u8]> for $metric {
+            #[inline]
+            fn distance_within(&self, a: &[u8], b: &[u8], bound: f64) -> Option<f64> {
+                self.distance_within_frac(a, b, bound).0
+            }
+
+            #[inline]
+            fn distance_within_frac(&self, a: &[u8], b: &[u8], bound: f64) -> (Option<f64>, f64) {
+                check_dims(a, b);
+                simd::$kernel::<true>(simd::active(), a, b, 1.0, bound)
+            }
+        }
+    };
+}
+
+byte_impl!(Manhattan, byte_l1);
+byte_impl!(Euclidean, byte_l2);
+
 impl Metric<[f64]> for Chebyshev {
     #[inline]
     fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
@@ -220,29 +260,29 @@ impl BoundedMetric<[f64]> for Minkowski {
 }
 
 macro_rules! delegate_vec_impl {
-    ($($metric:ty),+ $(,)?) => {
+    ($elem:ty: $($metric:ty),+ $(,)?) => {
         $(
-            impl Metric<Vec<f64>> for $metric {
+            impl Metric<Vec<$elem>> for $metric {
                 #[inline]
-                fn distance(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
-                    Metric::<[f64]>::distance(self, a.as_slice(), b.as_slice())
+                fn distance(&self, a: &Vec<$elem>, b: &Vec<$elem>) -> f64 {
+                    Metric::<[$elem]>::distance(self, a.as_slice(), b.as_slice())
                 }
             }
 
-            impl BoundedMetric<Vec<f64>> for $metric {
+            impl BoundedMetric<Vec<$elem>> for $metric {
                 #[inline]
-                fn distance_within(&self, a: &Vec<f64>, b: &Vec<f64>, bound: f64) -> Option<f64> {
-                    BoundedMetric::<[f64]>::distance_within(self, a.as_slice(), b.as_slice(), bound)
+                fn distance_within(&self, a: &Vec<$elem>, b: &Vec<$elem>, bound: f64) -> Option<f64> {
+                    BoundedMetric::<[$elem]>::distance_within(self, a.as_slice(), b.as_slice(), bound)
                 }
 
                 #[inline]
                 fn distance_within_frac(
                     &self,
-                    a: &Vec<f64>,
-                    b: &Vec<f64>,
+                    a: &Vec<$elem>,
+                    b: &Vec<$elem>,
                     bound: f64,
                 ) -> (Option<f64>, f64) {
-                    BoundedMetric::<[f64]>::distance_within_frac(
+                    BoundedMetric::<[$elem]>::distance_within_frac(
                         self,
                         a.as_slice(),
                         b.as_slice(),
@@ -251,15 +291,16 @@ macro_rules! delegate_vec_impl {
                 }
 
                 #[inline]
-                fn distance_x4(&self, a: &Vec<f64>, bs: [&Vec<f64>; 4]) -> Option<[f64; 4]> {
-                    BoundedMetric::<[f64]>::distance_x4(self, a.as_slice(), bs.map(Vec::as_slice))
+                fn distance_x4(&self, a: &Vec<$elem>, bs: [&Vec<$elem>; 4]) -> Option<[f64; 4]> {
+                    BoundedMetric::<[$elem]>::distance_x4(self, a.as_slice(), bs.map(Vec::as_slice))
                 }
             }
         )+
     };
 }
 
-delegate_vec_impl!(Manhattan, Euclidean, Chebyshev, Minkowski);
+delegate_vec_impl!(f64: Manhattan, Euclidean, Chebyshev, Minkowski);
+delegate_vec_impl!(u8: Manhattan, Euclidean);
 
 #[cfg(test)]
 mod tests {

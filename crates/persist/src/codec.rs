@@ -14,9 +14,10 @@ use vantage_core::{ItemStore, Result, VantageError};
 use crate::wire::Out;
 
 /// An item form that can be written to a snapshot's items section:
-/// the owned items a tree is built from (`Vec<f64>`, `String`) and the
-/// flat rows it can keep them in (`[f64]`, `str`) encode alike, so a
-/// tree writes the same bytes whichever row store holds it.
+/// the owned items a tree is built from (`Vec<f64>`, `Vec<u8>`,
+/// `String`) and the flat rows it can keep them in (`[f64]`, `[u8]`,
+/// `str`) encode alike, so a tree writes the same bytes whichever row
+/// store holds it.
 ///
 /// Items are stored as one flat column: a cumulative offset fence per
 /// item over a single shared data region (see the `layout` module), so
@@ -97,6 +98,20 @@ impl ItemCodec for [f64] {
     }
 }
 
+impl ItemCodec for [u8] {
+    const TAG: u8 = 3;
+    const NAME: &'static str = "u8-vector";
+    const FIXED_WIDTH: bool = true;
+
+    fn elems(&self) -> usize {
+        self.len()
+    }
+
+    fn put(&self, out: &mut Out) {
+        out.0.extend_from_slice(self);
+    }
+}
+
 impl ItemCodec for str {
     const TAG: u8 = 2;
     const NAME: &'static str = "utf8-string";
@@ -131,6 +146,7 @@ macro_rules! owned_codec {
 }
 
 owned_codec!(Vec<f64>, [f64]);
+owned_codec!(Vec<u8>, [u8]);
 owned_codec!(String, str);
 
 /// A metric that can be named in a snapshot header and reconstructed on

@@ -30,8 +30,12 @@
 //! points and caller-facing ids is derived from it at load in one
 //! O(n) pass and is not stored. Linear-scan snapshots keep id order.
 //!
-//! The items payload keeps one offset fence per item for both item
-//! encodings. Strings are read through their fences; vectors are read
+//! The item tag names one of three encodings: `f64` vectors (1), UTF-8
+//! strings (2) and byte vectors (3, one `u8` per coordinate). A build
+//! that predates tag 3 refuses such a file with its typed item-type
+//! mismatch. The items payload keeps one offset fence per item for
+//! every encoding. Strings are read through their fences; vectors of
+//! either width are read
 //! as **stride rows** of one width `d` (item `i` at `i·d`), so the
 //! loader takes `d` from the first fence and refuses, as
 //! [`VantageError::CorruptSnapshot`], any vector section whose fences

@@ -10,18 +10,18 @@
 //! monotonicity) are then checked by the tree crates' `validate_arena`
 //! before any search runs.
 //!
-//! ## Items payload (both item encodings)
+//! ## Items payload (every item encoding)
 //!
 //! ```text
 //! pad to 8 │ count u64 │ offsets u64 × (count+1) │ element data
 //! ```
 //!
-//! Offsets are cumulative element counts (f64s for vectors, bytes for
-//! strings): item `i` is `data[offsets[i] .. offsets[i+1]]`. The parser
-//! checks `offsets[0] == 0`, that the sequence never decreases, and
-//! that `offsets[count]` equals the data region's length exactly. The
-//! vector encoding further requires `offsets[i] = i·d` (see
-//! `F64Vectors`), since its rows are read by stride.
+//! Offsets are cumulative element counts (f64s or bytes for vectors,
+//! bytes for strings): item `i` is `data[offsets[i] .. offsets[i+1]]`.
+//! The parser checks `offsets[0] == 0`, that the sequence never
+//! decreases, and that `offsets[count]` equals the data region's length
+//! exactly. The vector encodings further require `offsets[i] = i·d`
+//! (see `F64Vectors`, `U8Vectors`), since their rows are read by stride.
 //!
 //! ## Vp-tree structure payload
 //!

@@ -89,7 +89,7 @@ pub use codec::{ItemCodec, MetricTag};
 pub use format::{IndexKind, FORMAT_VERSION, MAGIC};
 pub use mapped::{
     decode_linear_scan, decode_mvp_tree, decode_vp_tree, open_mvp_tree, open_vp_tree, F64Vectors,
-    FlatItems, MappedMvpTree, MappedVpTree, Utf8Strings,
+    FlatItems, MappedMvpTree, MappedVpTree, U8Vectors, Utf8Strings,
 };
 pub use trees::{encode_linear_scan, encode_mvp_tree, encode_vp_tree};
 
@@ -100,7 +100,7 @@ pub struct SnapshotInfo {
     pub version: u32,
     /// Index structure held by the snapshot.
     pub kind: IndexKind,
-    /// Item encoding name (e.g. `f64-vector`, `utf8-string`).
+    /// Item encoding name (`f64-vector`, `u8-vector`, `utf8-string`).
     pub item: String,
     /// Metric identifier (e.g. `l2`, `edit`).
     pub metric: String,

@@ -21,15 +21,16 @@
 //! state is the id→row table (4 bytes per item), derived from the
 //! validated arena in one O(n) pass.
 //!
-//! Item access is typed through [`FlatItems`]: [`F64Vectors`] serves
-//! `[f64]` rows of one width `d` out of the value buffer, addressed by
-//! stride (the loader refuses a ragged vector section as corrupt),
-//! [`Utf8Strings`] serves `&str` out of the text through its offsets
-//! (validated as UTF-8 once at load). These are the same views an owned
-//! tree's [`F64Rows`]/[`StrRows`] hand out, so a tree built in memory
-//! and a snapshot search the same row layout. Queries therefore take
-//! unsized borrows (`&[f64]`, `&str`) — every workspace metric
-//! implements both the sized and unsized item forms. A linear-scan
+//! Item access is typed through [`FlatItems`]: [`F64Vectors`] and
+//! [`U8Vectors`] serve `[f64]` / `[u8]` rows of one width `d` out of
+//! the value buffer, addressed by stride (the loader refuses a ragged
+//! vector section as corrupt), [`Utf8Strings`] serves `&str` out of the
+//! text through its offsets (validated as UTF-8 once at load). These
+//! are the same views an owned tree's [`F64Rows`]/[`U8Rows`]/[`StrRows`]
+//! hand out, so a tree built in memory and a snapshot search the same
+//! row layout. Queries therefore take unsized borrows (`&[f64]`,
+//! `&[u8]`, `&str`) — every workspace metric implements both the sized
+//! and unsized item forms. A linear-scan
 //! snapshot is read through the same item checks and copied out into
 //! an owned [`LinearScan`].
 
@@ -39,8 +40,8 @@ use std::path::Path;
 
 use vantage_core::{
     BoundedMetric, BudgetedKnn, BudgetedSearch, F64Rows, FarthestIndex, FlatF64s, FlatStrs,
-    ItemStore, LinearScan, Metric, MetricIndex, Neighbor, Result, RowStore, SearchBudget, StrRows,
-    VantageError,
+    FlatU8s, ItemStore, LinearScan, Metric, MetricIndex, Neighbor, Result, RowStore, SearchBudget,
+    StrRows, U8Rows, VantageError,
 };
 use vantage_mvptree::{MvpArenaView, MvpParams, MvpTreeRef};
 use vantage_vptree::{VpArenaView, VpTreeParams, VpTreeRef};
@@ -57,7 +58,7 @@ use crate::trees::{check_tags, decode_mvp_params, decode_vp_params, root_from_wi
 /// but instead of materializing owned values it builds a borrowed
 /// [`ItemStore`] over the validated offset and data spans.
 pub trait FlatItems {
-    /// Unsized item form queries borrow (`[f64]`, `str`).
+    /// Unsized item form queries borrow (`[f64]`, `[u8]`, `str`).
     type Item: ?Sized + ToOwned;
     /// The borrowed store built over snapshot spans.
     type Store<'a>: ItemStore<Item = Self::Item> + Copy;
@@ -72,7 +73,7 @@ pub trait FlatItems {
     const TAG: u8;
     /// Encoding name for mismatch errors.
     const NAME: &'static str;
-    /// Bytes per data element (8 for `f64`, 1 for UTF-8 bytes).
+    /// Bytes per data element (8 for `f64`, 1 for bytes and UTF-8).
     const ELEM: usize;
     /// Load-time validation of the raw data region beyond what the
     /// layout parser checks (e.g. UTF-8 well-formedness).
@@ -102,19 +103,8 @@ impl FlatItems for F64Vectors {
 
     fn check(_data: &[u8], offsets: &[u64]) -> Result<()> {
         // Every aligned 8-byte span is a valid f64, and the layout
-        // parser already verified sizes and fences. Rows are addressed
-        // by one stride, the first row's width, so every fence must sit
-        // at a multiple of it.
-        let dim = offsets.get(1).copied().unwrap_or(0);
-        let stride = |i: usize| (i as u64).checked_mul(dim);
-        match (1..offsets.len()).find(|&i| stride(i) != Some(offsets[i])) {
-            None => Ok(()),
-            Some(i) => Err(VantageError::corrupt(format!(
-                "ragged vector items: item {} has {} values, item 0 has {dim}",
-                i - 1,
-                offsets[i] - offsets[i - 1]
-            ))),
-        }
+        // parser already verified sizes and fences.
+        check_stride(offsets)
     }
 
     fn store<'a>(offsets: &'a [u64], data: &'a [u8]) -> FlatF64s<'a> {
@@ -125,6 +115,48 @@ impl FlatItems for F64Vectors {
 
     fn row<'a>(store: Self::Store<'a>, row: u32) -> &'a [f64] {
         store.row(row)
+    }
+}
+
+/// Marker: snapshot items are byte vectors, served as `&[u8]`.
+#[derive(Debug)]
+pub enum U8Vectors {}
+
+impl FlatItems for U8Vectors {
+    type Item = [u8];
+    type Store<'a> = FlatU8s<'a>;
+    type Rows = U8Rows;
+    const TAG: u8 = <[u8] as ItemCodec>::TAG;
+    const NAME: &'static str = <[u8] as ItemCodec>::NAME;
+    const ELEM: usize = 1;
+
+    fn check(_data: &[u8], offsets: &[u64]) -> Result<()> {
+        check_stride(offsets)
+    }
+
+    fn store<'a>(offsets: &'a [u64], data: &'a [u8]) -> FlatU8s<'a> {
+        let len = offsets.len() - 1;
+        let dim = offsets.get(1).map_or(0, |&end| end as usize);
+        FlatU8s::new(data, dim, len)
+    }
+
+    fn row<'a>(store: Self::Store<'a>, row: u32) -> &'a [u8] {
+        store.row(row)
+    }
+}
+
+/// Refuses a ragged vector section: rows are addressed by one stride,
+/// the first row's width, so every fence must sit at a multiple of it.
+fn check_stride(offsets: &[u64]) -> Result<()> {
+    let dim = offsets.get(1).copied().unwrap_or(0);
+    let stride = |i: usize| (i as u64).checked_mul(dim);
+    match (1..offsets.len()).find(|&i| stride(i) != Some(offsets[i])) {
+        None => Ok(()),
+        Some(i) => Err(VantageError::corrupt(format!(
+            "ragged vector items: item {} has {} values, item 0 has {dim}",
+            i - 1,
+            offsets[i] - offsets[i - 1]
+        ))),
     }
 }
 
@@ -496,8 +528,8 @@ fn mvp_from_storage<K: FlatItems, M: MetricTag>(storage: Storage) -> Result<Mapp
 
 /// Loads a linear-scan snapshot held in memory: the items pass the same
 /// checks as a tree's and are copied out, in id order, into an owned
-/// [`LinearScan`] (`Vec<f64>` for [`F64Vectors`], `String` for
-/// [`Utf8Strings`]).
+/// [`LinearScan`] (`Vec<f64>` for [`F64Vectors`], `Vec<u8>` for
+/// [`U8Vectors`], `String` for [`Utf8Strings`]).
 ///
 /// # Errors
 ///

@@ -26,6 +26,7 @@ use crate::wire::{Cursor, Out};
 pub(crate) fn item_tag_name(tag: u8) -> String {
     match tag {
         t if t == <Vec<f64> as ItemCodec>::TAG => <Vec<f64> as ItemCodec>::NAME.to_string(),
+        t if t == <Vec<u8> as ItemCodec>::TAG => <Vec<u8> as ItemCodec>::NAME.to_string(),
         t if t == <String as ItemCodec>::TAG => <String as ItemCodec>::NAME.to_string(),
         other => format!("unknown item tag {other}"),
     }

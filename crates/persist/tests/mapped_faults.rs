@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use vantage_core::prelude::*;
 use vantage_mvptree::{MvpParams, MvpTree};
 use vantage_persist as persist;
-use vantage_persist::{F64Vectors, Utf8Strings};
+use vantage_persist::{F64Vectors, U8Vectors, Utf8Strings};
 use vantage_vptree::{VpTree, VpTreeParams};
 
 /// Writes `bytes` to a unique temp file, runs `f` on the path, removes
@@ -50,6 +50,15 @@ fn vector_snapshot() -> Vec<u8> {
     persist::encode_mvp_tree(&tree)
 }
 
+/// An mvp-tree over 64-byte vectors: the `u8-vector` encoding.
+fn byte_snapshot() -> Vec<u8> {
+    let points: Vec<Vec<u8>> = (0..40u8)
+        .map(|i| (0..64u8).map(|j| i.wrapping_mul(37) ^ j).collect())
+        .collect();
+    let tree = MvpTree::build(points, Manhattan, MvpParams::paper(3, 8, 3).seed(2)).unwrap();
+    persist::encode_mvp_tree(&tree)
+}
+
 fn assert_typed(err: VantageError, context: &str) {
     assert!(
         matches!(
@@ -72,6 +81,14 @@ fn every_truncated_file_is_a_typed_error() {
         })
         .expect_err("truncated snapshot opened");
         assert_typed(err, &format!("open of file truncated to {len} bytes"));
+    }
+    let good = byte_snapshot();
+    for len in 0..good.len() {
+        let err = with_file("trunc-u8", &good[..len], |p| {
+            persist::open_mvp_tree::<U8Vectors, Manhattan>(p).map(|_| ())
+        })
+        .expect_err("truncated byte snapshot opened");
+        assert_typed(err, &format!("byte open truncated to {len} bytes"));
     }
 }
 
@@ -166,20 +183,32 @@ fn wrong_kind_metric_and_item_are_mismatches() {
         "{err}"
     );
     let words = word_snapshot(); // vp-tree, utf8-string, edit
-    let err = with_file("item", &words, |p| {
-        persist::open_vp_tree::<F64Vectors, Levenshtein>(p).map(|_| ())
-    })
-    .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            VantageError::SnapshotMismatch {
-                field: "item type",
-                ..
-            }
-        ),
-        "{err}"
-    );
+    let bytes = byte_snapshot(); // mvp-tree, u8-vector, l1
+    let errs = [
+        with_file("item", &words, |p| {
+            persist::open_vp_tree::<F64Vectors, Levenshtein>(p).map(|_| ())
+        }),
+        with_file("u8-as-f64", &bytes, |p| {
+            persist::open_mvp_tree::<F64Vectors, Manhattan>(p).map(|_| ())
+        }),
+        persist::decode_mvp_tree::<U8Vectors, Euclidean>(&vectors).map(|_| ()),
+        with_file("f64-as-u8", &vectors, |p| {
+            persist::open_mvp_tree::<U8Vectors, Euclidean>(p).map(|_| ())
+        }),
+    ];
+    for err in errs {
+        let err = err.unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VantageError::SnapshotMismatch {
+                    field: "item type",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -193,8 +222,8 @@ fn missing_file_is_an_io_error() {
 /// into snapshots whose checksums are all valid.
 struct LengthGap;
 
-impl Metric<Vec<f64>> for LengthGap {
-    fn distance(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+impl<E> Metric<Vec<E>> for LengthGap {
+    fn distance(&self, a: &Vec<E>, b: &Vec<E>) -> f64 {
         (a.len() as f64 - b.len() as f64).abs()
     }
 }
@@ -220,44 +249,55 @@ fn assert_corrupt<T>(result: vantage_core::Result<T>, context: &str) {
 
 #[test]
 fn ragged_vector_sections_are_refused_by_every_loader() {
-    let linear = persist::encode_linear_scan(&LinearScan::new(ragged(), LengthGap));
-    let vp = VpTree::build(ragged(), LengthGap, VpTreeParams::binary()).unwrap();
+    refuses_ragged::<F64Vectors>(ragged(), "f64");
+    let bytes = ragged().iter().map(|v| vec![7u8; v.len()]).collect();
+    refuses_ragged::<U8Vectors>(bytes, "u8");
+}
+
+/// Every loader of encoding `K` refuses a ragged section of `items`.
+fn refuses_ragged<K: persist::FlatItems>(items: Vec<<K::Item as ToOwned>::Owned>, name: &str)
+where
+    <K::Item as ToOwned>::Owned: persist::ItemCodec + Clone + Send + Sync,
+    LengthGap: Metric<<K::Item as ToOwned>::Owned>,
+    Euclidean: BoundedMetric<<K::Item as ToOwned>::Owned>,
+{
+    let linear = persist::encode_linear_scan(&LinearScan::new(items.clone(), LengthGap));
+    let vp = VpTree::build(items.clone(), LengthGap, VpTreeParams::binary()).unwrap();
     let vp = persist::encode_vp_tree(&vp);
-    let mvp = MvpTree::build(ragged(), LengthGap, MvpParams::paper(2, 4, 2)).unwrap();
+    let mvp = MvpTree::build(items, LengthGap, MvpParams::paper(2, 4, 2)).unwrap();
     let mvp = persist::encode_mvp_tree(&mvp);
     for bytes in [&linear, &vp, &mvp] {
         persist::inspect_bytes(bytes).expect("every checksum is valid");
     }
-    type Lin = LinearScan<Vec<f64>, Euclidean>;
     assert_corrupt(
-        persist::decode_linear_scan::<F64Vectors, Euclidean>(&linear),
-        "decode linear",
+        persist::decode_linear_scan::<K, Euclidean>(&linear),
+        &format!("decode {name} linear"),
     );
     assert_corrupt(
-        with_file("ragged-linear", &linear, |p| {
-            persist::load_linear_scan::<F64Vectors, Euclidean>(p).map(|s: Lin| s.len())
+        with_file(&format!("ragged-{name}-linear"), &linear, |p| {
+            persist::load_linear_scan::<K, Euclidean>(p).map(|s| s.len())
         }),
-        "load linear",
+        &format!("load {name} linear"),
     );
     assert_corrupt(
-        persist::decode_vp_tree::<F64Vectors, Euclidean>(&vp),
-        "decode vp",
+        persist::decode_vp_tree::<K, Euclidean>(&vp),
+        &format!("decode {name} vp"),
     );
     assert_corrupt(
-        with_file("ragged-vp", &vp, |p| {
-            persist::open_vp_tree::<F64Vectors, Euclidean>(p)
+        with_file(&format!("ragged-{name}-vp"), &vp, |p| {
+            persist::open_vp_tree::<K, Euclidean>(p)
         }),
-        "open vp",
+        &format!("open {name} vp"),
     );
     assert_corrupt(
-        persist::decode_mvp_tree::<F64Vectors, Euclidean>(&mvp),
-        "decode mvp",
+        persist::decode_mvp_tree::<K, Euclidean>(&mvp),
+        &format!("decode {name} mvp"),
     );
     assert_corrupt(
-        with_file("ragged-mvp", &mvp, |p| {
-            persist::open_mvp_tree::<F64Vectors, Euclidean>(p)
+        with_file(&format!("ragged-{name}-mvp"), &mvp, |p| {
+            persist::open_mvp_tree::<K, Euclidean>(p)
         }),
-        "open mvp",
+        &format!("open {name} mvp"),
     );
 }
 

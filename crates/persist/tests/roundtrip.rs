@@ -5,8 +5,8 @@
 //! in the same order for `range`, `knn` and `k_farthest`, and the same
 //! `Counted` distance-computation tally for every single query. The
 //! sweep runs over the paper's two item flavors (clustered Euclidean
-//! vectors and edit-distance words) and all three snapshot-able
-//! structures.
+//! vectors and edit-distance words), byte vectors, and all three
+//! snapshot-able structures.
 
 use std::borrow::Borrow;
 use std::fmt::Debug;
@@ -17,7 +17,7 @@ use vantage_core::prelude::*;
 use vantage_core::MetricIndex;
 use vantage_datasets::ClusteredConfig;
 use vantage_mvptree::{MvpParams, MvpTree};
-use vantage_persist::{self as persist, F64Vectors, FlatItems, Utf8Strings};
+use vantage_persist::{self as persist, F64Vectors, FlatItems, U8Vectors, Utf8Strings};
 use vantage_persist::{MappedMvpTree, MappedVpTree};
 use vantage_vptree::{VpTree, VpTreeParams};
 
@@ -238,6 +238,68 @@ fn linear_scan_round_trips_on_both_item_flavors() {
     )
     .unwrap();
     assert_eq!(fresh, sweep(&loaded, loaded.metric(), &wqueries, 3.0));
+}
+
+/// 64-byte vectors: the `u8-vector` encoding round-trips in every
+/// structure, under L1 and L2.
+#[test]
+fn byte_vector_indexes_round_trip_in_every_structure() {
+    let bytes = |n: usize, seed: u64| -> Vec<Vec<u8>> {
+        vantage_datasets::uniform_vectors(n, 64, seed)
+            .iter()
+            .map(|v| v.iter().map(|&x| (x * 255.0).round() as u8).collect())
+            .collect()
+    };
+    let (items, queries) = (bytes(300, 7), bytes(8, 8));
+    let radius = LinearScan::new(items.clone(), Manhattan).knn(&queries[0], 5)[4].distance;
+
+    let tree = VpTree::build(
+        items.clone(),
+        Counted::new(Manhattan),
+        VpTreeParams::with_order(3).leaf_capacity(6).seed(2),
+    )
+    .unwrap();
+    let fresh = sweep(&tree, tree.metric(), &queries, radius);
+    let mut path = std::env::temp_dir();
+    path.push(format!("vantage-roundtrip-u8-{}.vsnap", std::process::id()));
+    persist::save_vp_tree(&tree, &path).unwrap();
+    assert_eq!(persist::inspect(&path).unwrap().item, "u8-vector");
+    let loaded = persist::open_vp_tree::<U8Vectors, Counted<Manhattan>>(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_same_vp(&loaded, &tree);
+    let again = sweep(
+        &loaded,
+        loaded.metric(),
+        queries.iter().map(Vec::as_slice),
+        radius,
+    );
+    assert_eq!(fresh, again);
+
+    let tree = MvpTree::build(
+        items.clone(),
+        Counted::new(Manhattan),
+        MvpParams::paper(3, 20, 5).seed(9),
+    )
+    .unwrap();
+    let fresh = sweep(&tree, tree.metric(), &queries, radius);
+    let bytes = persist::encode_mvp_tree(&tree);
+    let loaded = persist::decode_mvp_tree::<U8Vectors, Counted<Manhattan>>(&bytes).unwrap();
+    assert_same_mvp(&loaded, &tree);
+    let again = sweep(
+        &loaded,
+        loaded.metric(),
+        queries.iter().map(Vec::as_slice),
+        radius,
+    );
+    assert_eq!(fresh, again);
+
+    let scan = LinearScan::new(items, Counted::new(Euclidean));
+    let fresh = sweep(&scan, scan.metric(), &queries, 300.0);
+    let loaded = persist::decode_linear_scan::<U8Vectors, Counted<Euclidean>>(
+        &persist::encode_linear_scan(&scan),
+    )
+    .unwrap();
+    assert_eq!(fresh, sweep(&loaded, loaded.metric(), &queries, 300.0));
 }
 
 #[test]

@@ -18,6 +18,11 @@
 //! strategy mixes adversarial magnitudes (1e-12 … 1e12) so any
 //! reassociation between paths would show up as a bit difference.
 //!
+//! The byte kernels with no normalization (`byte_l1`/`byte_l2`, norm
+//! 1.0) are held to the `f64` kernels (`l1`/`l2`) on the same
+//! integer-valued rows: every term and partial sum is an exact integer,
+//! so a byte store answers exactly as an `f64` store of the same data.
+//!
 //! The four-row batch kernels (`l1_x4`, `l2_x4`) are held to the
 //! single-pair kernels lane by lane: every lane equals the single-pair
 //! result on the same path and on the portable path, bit for bit, over
@@ -426,6 +431,72 @@ fn metric_layer_matches_explicit_kernels() {
         ];
         for (metric_d, kernel_d) in cases {
             assert_eq!(metric_d.to_bits(), kernel_d.to_bits(), "n={n}");
+        }
+    }
+}
+
+/// `byte_l1`/`byte_l2` with norm 1.0 equal `l1`/`l2` over the same rows
+/// widened to `f64`, on every path: value bits, abandon decisions and
+/// work-fraction bits, unbounded and at bounds that abandon at each
+/// checkpoint (64, 128, 256, …). This is what lets a snapshot hold
+/// 8-bit vectors as bytes and answer as the `f64` rows would.
+#[test]
+fn byte_kernels_match_f64_kernels_on_integer_rows() {
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(23);
+    for n in (0..=300).chain([4096]) {
+        let xs: Vec<u8> = (0..n).map(|_| rng.random_range(0..=255u8)).collect();
+        let ys: Vec<u8> = (0..n).map(|_| rng.random_range(0..=255u8)).collect();
+        let widen = |v: &[u8]| v.iter().map(|&b| f64::from(b)).collect::<Vec<f64>>();
+        let (xf, yf) = (widen(&xs), widen(&ys));
+        for l2 in [false, true] {
+            let name = if l2 { "l2" } else { "l1" };
+            let byte = |path, bound| match (l2, bound) {
+                (false, None) => simd::byte_l1::<false>(path, &xs, &ys, 1.0, f64::INFINITY),
+                (false, Some(b)) => simd::byte_l1::<true>(path, &xs, &ys, 1.0, b),
+                (true, None) => simd::byte_l2::<false>(path, &xs, &ys, 1.0, f64::INFINITY),
+                (true, Some(b)) => simd::byte_l2::<true>(path, &xs, &ys, 1.0, b),
+            };
+            let float = |path, bound| match (l2, bound) {
+                (false, None) => simd::l1::<false>(path, &xf, &yf, f64::INFINITY),
+                (false, Some(b)) => simd::l1::<true>(path, &xf, &yf, b),
+                (true, None) => simd::l2::<false>(path, &xf, &yf, f64::INFINITY),
+                (true, Some(b)) => simd::l2::<true>(path, &xf, &yf, b),
+            };
+            // The distance over the first `m` coordinates: a bound just
+            // under it abandons at checkpoint `m` (or earlier), the
+            // value itself does not abandon there.
+            let partial = |m: usize| {
+                let sum: u64 = (0..m)
+                    .map(|i| u64::from(xs[i].abs_diff(ys[i])).pow(if l2 { 2 } else { 1 }))
+                    .sum();
+                if l2 {
+                    (sum as f64).sqrt()
+                } else {
+                    sum as f64
+                }
+            };
+            let checkpoints: Vec<usize> = std::iter::successors(Some(64), |c| Some(c * 2))
+                .take_while(|&c| c <= n)
+                .collect();
+            let mut bounds = vec![f64::INFINITY, -1.0, 0.0];
+            for &c in &checkpoints {
+                bounds.extend([partial(c) - 0.5, partial(c)]);
+            }
+            bounds.extend(bounds_for(partial(n)));
+            for path in simd::test_paths() {
+                for bound in std::iter::once(None).chain(bounds.iter().copied().map(Some)) {
+                    let (got, want) = (byte(path, bound), float(path, bound));
+                    let ctx = format!("{name} via {path} (n={n}, bound={bound:?})");
+                    assert_eq!(got.0.map(f64::to_bits), want.0.map(f64::to_bits), "{ctx}");
+                    assert_eq!(got.1.to_bits(), want.1.to_bits(), "{ctx}");
+                }
+            }
+            for c in checkpoints {
+                let (value, work) = byte(SimdPath::Portable, Some(partial(c) - 0.5));
+                assert!(value.is_none(), "{name} n={n} abandons by checkpoint {c}");
+                assert!(work <= c as f64 / n as f64, "{name} n={n} checkpoint {c}");
+            }
         }
     }
 }
