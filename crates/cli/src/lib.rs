@@ -589,7 +589,7 @@ fn write_metrics_snapshot(
 /// linear scan's items copied out — and answers `ask` on it. Answers and
 /// distance counts diff clean against a fresh build. The load is
 /// recorded as [`OpKind::SnapshotLoad`] in place of a build.
-fn answer_loaded<T>(
+fn answer_loaded<T: WireItem>(
     (path, info, ask, metrics): (&str, &SnapshotInfo, &Ask, &Option<Arc<IndexMetrics>>),
     load: serve::LoadFn<T>,
     query: &T,
@@ -599,6 +599,8 @@ fn answer_loaded<T>(
     if let Some(metrics) = metrics {
         record_snapshot_load(metrics, load_start, info.bytes);
     }
+    // The Lp metrics require equal lengths: refuse here, as `serve` does.
+    serve::check_dims("query", query, loaded.dims).map_err(err)?;
     answer(&*loaded.index, loaded.items as usize, query, ask, metrics)
 }
 
@@ -937,6 +939,12 @@ fn format_profile(profile: &QueryProfile, cost: u64, n: usize, out: &mut String)
 /// The `route:` line of `explain`: which search answered the query, and
 /// for a routed kNN the calibration of its `k` bucket against β.
 fn route_line(cmd: &QueryCmd, routing: &Routing, n: usize) -> String {
+    if routing.widened > 0 {
+        return format!(
+            "route: widened scan (the query is not all bytes 0..=255, so each byte row is widened to f64; a scan costs {} distances)",
+            thousands(n as u64)
+        );
+    }
     let calibration = match *cmd {
         QueryCmd::Knn(k) => routing.buckets.iter().find(|c| c.bucket == k_bucket(k)),
         _ => None,

@@ -115,6 +115,11 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// dropped as it arrives and answered `ERR`.
 const MAX_LINE_BYTES: usize = 16 << 20;
 
+/// The capacity of a connection's read buffer (64 KiB, as vbench's
+/// client reads replies): a 4 096-d query line (~15 KB) arrives in one
+/// `read`, where the default 8 KiB buffer takes two.
+const READ_BUFFER_BYTES: usize = 64 << 10;
+
 /// An item type that can cross the wire as a single token, with the
 /// flat row encoding every index the CLI builds or loads stores it in.
 pub(crate) trait WireItem:
@@ -271,7 +276,7 @@ pub(crate) fn build_vp<T: WireItem, M: ServeMetric<T>>(
 
 /// `Err` when `item` has a different coordinate count from the served
 /// index's (`what` names the item in the reply: `query` or `item`).
-fn check_dims<T: WireItem>(
+pub(crate) fn check_dims<T: WireItem>(
     what: &str,
     item: &T,
     index: Option<usize>,
@@ -494,6 +499,9 @@ pub(crate) trait ServedQuery<T>: Send + Sync {
 pub(crate) struct Routing {
     pub(crate) tree: u64,
     pub(crate) scan: u64,
+    /// Queries of any verb a byte snapshot answered by widening every
+    /// row to `f64` ([`ByteServed`]), which bypass `tree` and `scan`.
+    pub(crate) widened: u64,
     /// Calibrated buckets in bucket order; empty for an index that is
     /// never routed.
     pub(crate) buckets: Vec<ScanCalibration>,
@@ -576,6 +584,7 @@ where
         Routing {
             tree: self.tree_answers.get(),
             scan: self.scan_answers.get(),
+            widened: 0,
             buckets: self.router.calibrated().collect(),
         }
     }
@@ -678,6 +687,7 @@ struct ByteServed<M> {
     bytes: Box<dyn ServedQuery<Vec<u8>>>,
     len: usize,
     metric: M,
+    widened_answers: ShardedCounter,
 }
 
 impl<M> ByteServed<M> {
@@ -762,7 +772,10 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
     fn execute(&self, cmd: &QueryCmd, query: &Vec<f64>) -> (Vec<Neighbor>, DistanceTotals) {
         match narrow(query) {
             Some(bytes) => self.bytes.execute(cmd, &bytes),
-            None => search(self, cmd, query.as_slice()),
+            None => {
+                self.widened_answers.incr();
+                search(self, cmd, query.as_slice())
+            }
         }
     }
 
@@ -779,7 +792,10 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
         rec.record("parse", None, timer, DistanceTotals::default());
         match bytes {
             Some(bytes) => self.bytes.execute_traced(cmd, &bytes, rec),
-            None => search_traced(self, cmd, query.as_slice(), rec),
+            None => {
+                self.widened_answers.incr();
+                search_traced(self, cmd, query.as_slice(), rec)
+            }
         }
     }
 
@@ -789,6 +805,7 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
         if let Some(bytes) = narrow(query) {
             return self.bytes.knn_budgeted(&bytes, k, budget);
         }
+        self.widened_answers.incr();
         let mut meter = BudgetMeter::new(budget);
         let mut near = KnnCollector::new(k);
         let mut examined = 0usize;
@@ -818,7 +835,10 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
     }
 
     fn routing(&self) -> Routing {
-        self.bytes.routing()
+        Routing {
+            widened: self.widened_answers.get(),
+            ..self.bytes.routing()
+        }
     }
 }
 
@@ -898,7 +918,7 @@ pub(crate) struct LoadedIndex<T> {
     pub(crate) index: Box<dyn ServedQuery<T>>,
     pub(crate) items: u64,
     /// The items' coordinate count (`None` for strings, or no items).
-    dims: Option<usize>,
+    pub(crate) dims: Option<usize>,
     structure: &'static str,
     /// How the generation holds its data: `mmap` (zero-copy file
     /// mapping), `read` (owned fallback behind the mapped API), or
@@ -987,6 +1007,7 @@ where
         bytes: loaded.index,
         len: loaded.items as usize,
         metric: M::reconstruct(),
+        widened_answers: ShardedCounter::new(),
     });
     Ok(LoadedIndex {
         index,
@@ -1088,6 +1109,32 @@ struct Shared<T: WireItem, M> {
     g_uptime: Arc<Gauge>,
     /// Request lines refused for exceeding `MAX_LINE_BYTES`.
     g_long_lines: Arc<Gauge>,
+}
+
+impl<T: WireItem, M> Shared<T, M> {
+    fn new(
+        engine: Engine<T, M>,
+        registry: MetricsRegistry,
+        metric_name: String,
+        tracer: Tracer,
+        local_addr: SocketAddr,
+    ) -> Self {
+        Shared {
+            engine,
+            metric_name,
+            shutdown: AtomicBool::new(false),
+            local_addr,
+            started: Instant::now(),
+            tracer,
+            g_generation: registry.gauge("serve/generation"),
+            g_in_flight: registry.gauge("serve/in_flight"),
+            g_swaps: registry.gauge("serve/swaps"),
+            g_connections: registry.gauge("serve/connections"),
+            g_uptime: registry.gauge("serve/uptime_s"),
+            g_long_lines: registry.gauge("serve/long_lines"),
+            registry,
+        }
+    }
 }
 
 /// Parsed command-line options common to both serving modes.
@@ -1259,6 +1306,22 @@ where
     M: ServeMetric<T>,
 {
     let registry = MetricsRegistry::new();
+    let engine = build_dynamic(items, metric, &registry, &opts)?;
+    run_server(engine, registry, metric_name, opts, out)
+}
+
+/// Builds the dynamic engine's concurrent tree over `items`, recording
+/// the build under `serve/dynamic`.
+fn build_dynamic<T, M>(
+    items: Vec<T>,
+    metric: M,
+    registry: &MetricsRegistry,
+    opts: &ServeOptions,
+) -> CliResult<Engine<T, M>>
+where
+    T: WireItem,
+    M: ServeMetric<T>,
+{
     let dims = items
         .first()
         .and_then(WireItem::dims)
@@ -1270,12 +1333,11 @@ where
         .map_err(|e| err(e.to_string()))?;
     let metrics = registry.index("serve/dynamic");
     record_build(&metrics, build_start, tree.build_distances());
-    let engine = Engine::Dynamic(DynamicEngine {
+    Ok(Engine::Dynamic(DynamicEngine {
         tree,
         metrics,
         dims,
-    });
-    run_server(engine, registry, metric_name, opts, out)
+    }))
 }
 
 fn run_server<T, M>(
@@ -1296,21 +1358,13 @@ where
         .map_err(|e| err(format!("cannot resolve bound address: {e}")))?;
     let tracer = Tracer::new(&opts)?;
     registry.gauge("serve/started_unix_ms").set(unix_ms());
-    let shared = Arc::new(Shared {
+    let shared = Arc::new(Shared::new(
         engine,
-        metric_name,
-        shutdown: AtomicBool::new(false),
-        local_addr,
-        started: Instant::now(),
-        tracer,
-        g_generation: registry.gauge("serve/generation"),
-        g_in_flight: registry.gauge("serve/in_flight"),
-        g_swaps: registry.gauge("serve/swaps"),
-        g_connections: registry.gauge("serve/connections"),
-        g_uptime: registry.gauge("serve/uptime_s"),
-        g_long_lines: registry.gauge("serve/long_lines"),
         registry,
-    });
+        metric_name,
+        tracer,
+        local_addr,
+    ));
     // Readiness signals that work before the (buffered) report is
     // printed: the bound address goes to stderr immediately, and to a
     // file when the operator (or a test) asked for one.
@@ -1361,7 +1415,18 @@ where
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
+    serve_lines(&mut reader, &mut writer, shared);
+}
+
+/// Answers request lines from `reader` until the peer closes, a write
+/// fails, a `SHUTDOWN` reply is sent or the server shuts down. Each
+/// reply reaches `writer` in one [`write_line`].
+fn serve_lines<T, M>(reader: &mut impl BufRead, writer: &mut impl IoWrite, shared: &Shared<T, M>)
+where
+    T: WireItem,
+    M: ServeMetric<T>,
+{
     // Raw bytes, decoded only once the whole line is in: a line that is
     // not UTF-8 gets an error reply instead of ending the connection.
     // Both the partial line and the skipping state survive read
@@ -1372,7 +1437,7 @@ where
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let read = read_request_line(&mut reader, &mut line, &mut skipping, MAX_LINE_BYTES);
+        let read = read_request_line(reader, &mut line, &mut skipping, MAX_LINE_BYTES);
         let (reply, close) = match read {
             Ok(LineRead::Line) => match std::str::from_utf8(&line) {
                 Ok(text) => handle_line(text.trim(), shared),
@@ -1397,18 +1462,18 @@ where
             Err(_) => break,
         };
         line.clear();
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
-        }
-        if close {
+        if write_line(writer, reply).is_err() || close {
             break;
         }
     }
+}
+
+/// Writes `line` and its newline in one `write_all`: on a `TCP_NODELAY`
+/// socket a separate newline costs a second syscall and a second
+/// segment, and wakes the peer's line reader twice.
+fn write_line(writer: &mut impl IoWrite, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// What one call of [`read_request_line`] finished.
@@ -2079,10 +2144,7 @@ impl Conn {
 
     /// Sends one command line and reads one reply line.
     pub(crate) fn send(&mut self, command: &str) -> CliResult<String> {
-        self.writer
-            .write_all(command.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+        write_line(&mut self.writer, command.to_owned())
             .map_err(|e| err(format!("send failed: {e}")))?;
         let mut reply = String::new();
         self.reader
@@ -2360,6 +2422,65 @@ mod tests {
         assert_eq!(read_all(b"abc\nabcd\nab", 3), ["abc", "<too long>", "ab"]);
         assert_eq!(read_all(b"abcdef", 3), ["<too long>"]);
         assert_eq!(read_all(b"PING\n", usize::MAX), ["PING"]);
+    }
+
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct WriteCalls(Vec<Vec<u8>>);
+
+    impl IoWrite for WriteCalls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write_of_its_line() {
+        let opts = opts(&[]).unwrap();
+        let registry = MetricsRegistry::new();
+        let items = vec![vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]];
+        let engine = build_dynamic(items, Euclidean, &registry, &opts).unwrap();
+        let tracer = Tracer::new(&opts).unwrap();
+        let addr = "127.0.0.1:0".parse().unwrap();
+        let shared = Shared::new(engine, registry, "l2".to_string(), tracer, addr);
+
+        let mut input = b"PING\nKNN 2 0,0\nFROB 1\n\xff\xfe\n".to_vec();
+        input.resize(input.len() + MAX_LINE_BYTES + 1, b'x');
+        input.extend_from_slice(b"\nRANGE 5 6,8\n");
+        let mut writes = WriteCalls::default();
+        serve_lines(&mut std::io::Cursor::new(input), &mut writes, &shared);
+
+        let replies = [
+            "OK pong\n".to_string(),
+            "OK 2 0:0 1:5\n".to_string(),
+            "ERR unknown command `FROB`\n".to_string(),
+            "ERR request line is not valid UTF-8\n".to_string(),
+            format!("ERR request line longer than {MAX_LINE_BYTES} bytes\n"),
+            "OK 2 2:0 1:5\n".to_string(),
+        ];
+        let writes: Vec<String> = writes
+            .0
+            .into_iter()
+            .map(|w| String::from_utf8(w).unwrap())
+            .collect();
+        assert_eq!(writes, replies);
+        for w in &writes {
+            assert_eq!(w.matches('\n').count(), 1, "{w:?}");
+        }
+        assert_eq!(shared.g_long_lines.get(), 1);
+    }
+
+    #[test]
+    fn a_client_command_is_one_write_of_its_line() {
+        let mut writes = WriteCalls::default();
+        write_line(&mut writes, "KNN 3 1,2,3".to_string()).unwrap();
+        write_line(&mut writes, String::new()).unwrap();
+        assert_eq!(writes.0, [b"KNN 3 1,2,3\n".to_vec(), b"\n".to_vec()]);
     }
 
     #[test]
