@@ -144,7 +144,7 @@ fn knn_layouts(c: &mut Criterion, name: &str, items: Vec<Vec<f64>>, queries: Vec
     group.bench_function("mapped_row_scan", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(view.knn_scan_traced(q, K, &mut NoTrace));
+                black_box(view.knn_scan(q, K, &mut NoTrace));
             }
         })
     });

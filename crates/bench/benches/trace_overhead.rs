@@ -32,7 +32,7 @@ fn trace_overhead_range(c: &mut Criterion) {
     group.bench_function("vpt2/no_trace_sink", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(vp.range_traced(q, r, &mut NoTrace));
+                black_box(vp.search(q, Query::Range(r), &mut NoTrace));
             }
         })
     });
@@ -40,7 +40,7 @@ fn trace_overhead_range(c: &mut Criterion) {
         b.iter(|| {
             for q in &queries {
                 let mut profile = QueryProfile::new();
-                black_box(vp.range_traced(q, r, &mut profile));
+                black_box(vp.search(q, Query::Range(r), &mut profile));
                 black_box(profile.total_distances());
             }
         })
@@ -55,7 +55,7 @@ fn trace_overhead_range(c: &mut Criterion) {
     group.bench_function("mvpt_3_80_5/no_trace_sink", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(mvp.range_traced(q, r, &mut NoTrace));
+                black_box(mvp.search(q, Query::Range(r), &mut NoTrace));
             }
         })
     });
@@ -63,7 +63,7 @@ fn trace_overhead_range(c: &mut Criterion) {
         b.iter(|| {
             for q in &queries {
                 let mut profile = QueryProfile::new();
-                black_box(mvp.range_traced(q, r, &mut profile));
+                black_box(mvp.search(q, Query::Range(r), &mut profile));
                 black_box(profile.total_distances());
             }
         })
@@ -89,7 +89,7 @@ fn trace_overhead_knn(c: &mut Criterion) {
         b.iter(|| {
             for q in &queries {
                 let mut profile = QueryProfile::new();
-                black_box(mvp.knn_traced(q, k, &mut profile));
+                black_box(mvp.search(q, Query::Knn(k), &mut profile));
                 black_box(profile.total_distances());
             }
         })

@@ -42,7 +42,7 @@ mod serve;
 pub mod vectext;
 
 use serve::{
-    load_byte_index, load_index_typed, QueryCmd, Routing, ServeMetric, ServedQuery, WireItem,
+    load_byte_index, load_index_typed, op_kind, Routing, ServeMetric, ServedQuery, WireItem,
 };
 
 /// CLI failure: a message for the user (exit code 1).
@@ -327,14 +327,14 @@ fn read_words(path: &str) -> CliResult<Vec<String>> {
 
 /// Parses `--range R` / `--knn K` into the query verb `query` and
 /// `explain` run.
-fn query_cmd(args: &Args<'_>) -> CliResult<QueryCmd> {
+fn query_cmd(args: &Args<'_>) -> CliResult<Query> {
     match (args.get("range"), args.get("knn")) {
         (Some(r), None) => match r.parse::<f64>() {
-            Ok(radius) if !radius.is_nan() => Ok(QueryCmd::Range(radius)),
+            Ok(radius) if !radius.is_nan() => Ok(Query::Range(radius)),
             _ => Err(err(format!("invalid value for --range: `{r}`"))),
         },
         (None, Some(k)) => {
-            Ok(QueryCmd::Knn(k.parse().map_err(|_| {
+            Ok(Query::Knn(k.parse().map_err(|_| {
                 err(format!("invalid value for --knn: `{k}`"))
             })?))
         }
@@ -379,7 +379,7 @@ fn structure_label(kind: IndexKind) -> &'static str {
 /// One `query` or `explain` request: the verb, `query --budget`, and
 /// whether to profile the descent (`explain`).
 struct Ask {
-    cmd: QueryCmd,
+    cmd: Query,
     budget: Option<u64>,
     explain: bool,
 }
@@ -413,9 +413,9 @@ fn answer<T>(
     let start = Instant::now();
     let mut profile = QueryProfile::new();
     let mut budget = None;
-    let (mut results, cost) = match (&ask.cmd, ask.budget) {
-        (QueryCmd::Knn(k), Some(max)) => {
-            let mut out = index.knn_budgeted(query, *k, SearchBudget::limited(max));
+    let (mut results, cost) = match (ask.cmd, ask.budget) {
+        (Query::Knn(k), Some(max)) => {
+            let mut out = index.knn_budgeted(query, k, SearchBudget::limited(max));
             let answers = (std::mem::take(&mut out.neighbors), out.cost());
             budget = Some(out);
             answers
@@ -434,7 +434,7 @@ fn answer<T>(
         (cmd, None) => index.execute(cmd, query),
     };
     if let Some(metrics) = metrics {
-        let (op, latency) = (ask.cmd.op_kind(), start.elapsed());
+        let (op, latency) = (op_kind(ask.cmd), start.elapsed());
         match &budget {
             Some(b) => {
                 metrics.record_budgeted(op, latency, cost.into(), b.exhausted, b.estimated_recall)
@@ -938,15 +938,15 @@ fn format_profile(profile: &QueryProfile, cost: u64, n: usize, out: &mut String)
 
 /// The `route:` line of `explain`: which search answered the query, and
 /// for a routed kNN the calibration of its `k` bucket against β.
-fn route_line(cmd: &QueryCmd, routing: &Routing, n: usize) -> String {
+fn route_line(cmd: Query, routing: &Routing, n: usize) -> String {
     if routing.widened > 0 {
         return format!(
             "route: widened scan (the query is not all bytes 0..=255, so each byte row is widened to f64; a scan costs {} distances)",
             thousands(n as u64)
         );
     }
-    let calibration = match *cmd {
-        QueryCmd::Knn(k) => routing.buckets.iter().find(|c| c.bucket == k_bucket(k)),
+    let calibration = match cmd {
+        Query::Knn(k) => routing.buckets.iter().find(|c| c.bucket == k_bucket(k)),
         _ => None,
     };
     let Some(c) = calibration else {
@@ -983,7 +983,7 @@ fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
     }
     let _ = writeln!(out, "--- query profile ({structure}) ---");
     let _ = writeln!(out, "simd path: {}", vantage_core::simd::active_name());
-    let _ = writeln!(out, "{}", route_line(&ask.cmd, &answer.routing, answer.n));
+    let _ = writeln!(out, "{}", route_line(ask.cmd, &answer.routing, answer.n));
     format_profile(&answer.profile, answer.cost, answer.n, out);
     if let Some(path) = args.get("metrics") {
         write_metrics_snapshot(&registry, path, out)?;

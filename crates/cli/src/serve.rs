@@ -86,8 +86,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vantage_core::prelude::*;
-use vantage_core::{RowStore, VantageError};
-use vantage_mvptree::{ConcurrentMvpTree, MvpReadSnapshot, MvpTree, ScanCalibration, ScanRouter};
+use vantage_core::{scan_budgeted, RowStore, VantageError};
+use vantage_mvptree::{ConcurrentMvpTree, MvpTree, ScanCalibration, ScanRouter};
 use vantage_persist::{
     self as persist, F64Vectors, FlatItems, IndexKind, ItemCodec, MetricTag, U8Vectors, Utf8Strings,
 };
@@ -287,73 +287,11 @@ pub(crate) fn check_dims<T: WireItem>(
     }
 }
 
-/// Dispatches a parsed query to one concrete structure's traced search
-/// variants, reporting descent events (distances, prunes, rejects) into
-/// `sink`. Results are identical to the untraced search.
-pub(crate) trait TracedSearch<T: ?Sized> {
-    fn query_traced<S: TraceSink>(&self, cmd: &QueryCmd, query: &T, sink: &mut S) -> Vec<Neighbor>;
-}
-
-/// Implements [`TracedSearch`] for an index type over query type `$q`,
-/// running the traced methods of `$searcher` (the index itself, or the
-/// borrowed view a loaded snapshot answers through).
-macro_rules! impl_traced_search {
-    ([$($g:tt)*] $index:ty, $q:ty, |$this:ident| $searcher:expr) => {
-        impl<$($g)*> TracedSearch<$q> for $index {
-            fn query_traced<Sink: TraceSink>(
-                &self,
-                cmd: &QueryCmd,
-                query: &$q,
-                sink: &mut Sink,
-            ) -> Vec<Neighbor> {
-                let $this = self;
-                let searcher = $searcher;
-                match cmd {
-                    QueryCmd::Range(radius) => {
-                        let mut v = searcher.range_traced(query, *radius, sink);
-                        v.sort_unstable();
-                        v
-                    }
-                    QueryCmd::Knn(k) => searcher.knn_traced(query, *k, sink),
-                    QueryCmd::Beyond(radius) => {
-                        let mut v = searcher.beyond_traced(query, *radius, sink);
-                        v.sort_unstable();
-                        v
-                    }
-                    QueryCmd::Kfn(k) => searcher.kfn_traced(query, *k, sink),
-                }
-            }
-        }
-    };
-}
-
-impl_traced_search!(
-    [T, S: RowStore<T>, M: BoundedMetric<S::Item>] VpTree<T, M, S>,
-    S::Item,
-    |t| t.as_view()
-);
-impl_traced_search!(
-    [T, S: RowStore<T>, M: BoundedMetric<S::Item>] MvpTree<T, M, S>,
-    S::Item,
-    |t| t.as_view()
-);
-impl_traced_search!([T, M: BoundedMetric<T>] LinearScan<T, M>, T, |t| t);
-impl_traced_search!(
-    [K: FlatItems, M: BoundedMetric<K::Item>] persist::MappedVpTree<K, M>,
-    K::Item,
-    |t| t.view()
-);
-impl_traced_search!(
-    [K: FlatItems, M: BoundedMetric<K::Item>] persist::MappedMvpTree<K, M>,
-    K::Item,
-    |t| t.view()
-);
-
 /// How a served index answers a kNN the router sends to a scan. An
 /// mvp-tree calibrates each `k` bucket on its own items and scans its own
 /// row-ordered item store; every other index is never routed and keeps
 /// its own search.
-pub(crate) trait ScanRoute<Q: ?Sized>: TracedSearch<Q> {
+pub(crate) trait ScanRoute<Q: ?Sized>: Search<Q> {
     /// The calibration of `k`'s bucket, probing the index on the
     /// bucket's first query; `None` for an index that is never routed.
     fn scan_calibration(&self, router: &ScanRouter, k: usize) -> Option<ScanCalibration> {
@@ -364,7 +302,7 @@ pub(crate) trait ScanRoute<Q: ?Sized>: TracedSearch<Q> {
     /// kNN by a scan of the index's own rows: the same answer as its
     /// search, with one candidate distance per item.
     fn knn_scan<S: TraceSink>(&self, query: &Q, k: usize, sink: &mut S) -> Vec<Neighbor> {
-        self.query_traced(&QueryCmd::Knn(k), query, sink)
+        self.search(query, Query::Knn(k), sink)
     }
 }
 
@@ -385,7 +323,7 @@ macro_rules! impl_scan_route {
                 sink: &mut Sink,
             ) -> Vec<Neighbor> {
                 let $this = self;
-                $view.knn_scan_traced(query, k, sink)
+                $view.knn_scan(query, k, sink)
             }
         }
     };
@@ -405,58 +343,37 @@ impl<T, S: RowStore<T>, M: BoundedMetric<S::Item>> ScanRoute<S::Item> for VpTree
 impl<T, M: BoundedMetric<T>> ScanRoute<T> for LinearScan<T, M> {}
 impl<K: FlatItems, M: BoundedMetric<K::Item>> ScanRoute<K::Item> for persist::MappedVpTree<K, M> {}
 
-/// The dynamic engine's pinned generation: the tree's descent plus the
-/// overflow and exhaustive scans, every distance reported to `sink`.
-impl<T, S, M> TracedSearch<S::Item> for MvpReadSnapshot<T, M, S>
-where
-    T: Borrow<S::Item>,
-    S: RowStore<T>,
-    M: BoundedMetric<S::Item>,
-{
-    fn query_traced<Sink: TraceSink>(
-        &self,
-        cmd: &QueryCmd,
-        query: &S::Item,
-        sink: &mut Sink,
-    ) -> Vec<Neighbor> {
-        match cmd {
-            QueryCmd::Range(radius) => {
-                let mut v = self.range(query, *radius, sink);
-                v.sort_unstable();
-                v
-            }
-            QueryCmd::Knn(k) => self.knn(query, *k, sink),
-            QueryCmd::Beyond(radius) => {
-                let mut v = self.range_beyond(query, *radius, sink);
-                v.sort_unstable();
-                v
-            }
-            QueryCmd::Kfn(k) => self.k_farthest(query, *k, sink),
-        }
+/// Range and beyond replies list their hits by ascending distance (ties
+/// by id), whatever order the index found them in.
+fn reply_order(query: Query, hits: &mut [Neighbor]) {
+    if matches!(query, Query::Range(_) | Query::Beyond(_)) {
+        hits.sort_unstable();
     }
 }
 
 /// Answers `cmd` on one index, counting its cost in a tally of its own.
-fn search<Q: ?Sized, I: TracedSearch<Q> + ?Sized>(
+fn search<Q: ?Sized, I: Search<Q> + ?Sized>(
     index: &I,
-    cmd: &QueryCmd,
+    cmd: Query,
     query: &Q,
 ) -> (Vec<Neighbor>, DistanceTotals) {
     let mut tally = DistanceTally::new();
-    let results = index.query_traced(cmd, query, &mut tally);
+    let mut results = index.search(query, cmd, &mut tally);
+    reply_order(cmd, &mut results);
     (results, tally.totals())
 }
 
 /// [`search`] with the descent profiled and timed as one `search` span.
-fn search_traced<Q: ?Sized, I: TracedSearch<Q> + ?Sized>(
+fn search_traced<Q: ?Sized, I: Search<Q> + ?Sized>(
     index: &I,
-    cmd: &QueryCmd,
+    cmd: Query,
     query: &Q,
     rec: &mut SpanRecorder,
 ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
     let mut sink = (QueryProfile::new(), DistanceTally::new());
     let timer = rec.begin();
-    let results = index.query_traced(cmd, query, &mut sink);
+    let mut results = index.search(query, cmd, &mut sink);
+    reply_order(cmd, &mut results);
     let (profile, tally) = sink;
     rec.record("search", None, timer, tally.totals());
     (results, profile, tally.totals())
@@ -471,13 +388,13 @@ fn search_traced<Q: ?Sized, I: TracedSearch<Q> + ?Sized>(
 /// returned cost is exactly this query's, however many run concurrently.
 pub(crate) trait ServedQuery<T>: Send + Sync {
     /// Answers `cmd` with no tracing beyond the cost tally.
-    fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals);
+    fn execute(&self, cmd: Query, query: &T) -> (Vec<Neighbor>, DistanceTotals);
     /// Answers `cmd` while recording per-phase spans (one per shard when
     /// sharded) and the descent profile. Same results and cost as
     /// [`execute`](ServedQuery::execute).
     fn execute_traced(
         &self,
-        cmd: &QueryCmd,
+        cmd: Query,
         query: &T,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals);
@@ -539,9 +456,9 @@ impl<I, Q: ?Sized> ServedSingle<I, Q> {
 
 /// The routing itself: a kNN goes to the scan when its bucket's
 /// calibration says so, everything else to the index's own search.
-impl<Q: ?Sized, I: ScanRoute<Q>> TracedSearch<Q> for ServedSingle<I, Q> {
-    fn query_traced<S: TraceSink>(&self, cmd: &QueryCmd, query: &Q, sink: &mut S) -> Vec<Neighbor> {
-        if let QueryCmd::Knn(k) = *cmd {
+impl<Q: ?Sized, I: ScanRoute<Q>> Search<Q> for ServedSingle<I, Q> {
+    fn search<S: TraceSink>(&self, query: &Q, cmd: Query, sink: &mut S) -> Vec<Neighbor> {
+        if let Query::Knn(k) = cmd {
             let calibration = self.index.scan_calibration(&self.router, k);
             if calibration.is_some_and(|c| c.scan()) {
                 self.scan_answers.incr();
@@ -549,7 +466,7 @@ impl<Q: ?Sized, I: ScanRoute<Q>> TracedSearch<Q> for ServedSingle<I, Q> {
             }
             self.tree_answers.incr();
         }
-        self.index.query_traced(cmd, query, sink)
+        self.index.search(query, cmd, sink)
     }
 }
 
@@ -559,13 +476,13 @@ where
     Q: ToOwned<Owned = T> + ?Sized,
     I: BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync,
 {
-    fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
+    fn execute(&self, cmd: Query, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
         search(self, cmd, query.borrow())
     }
 
     fn execute_traced(
         &self,
-        cmd: &QueryCmd,
+        cmd: Query,
         query: &T,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
@@ -602,67 +519,41 @@ impl<T, Q, I> ServedQuery<T> for ServedSharded<I, Q>
 where
     T: Borrow<Q> + Send + Sync,
     Q: ToOwned<Owned = T> + Sync + ?Sized,
-    I: ShardSearch<Q> + BudgetedSearch<Q> + TracedSearch<Q> + Send + Sync,
+    I: ShardSearch<Q> + BudgetedSearch<Q> + Send + Sync,
 {
-    fn execute(&self, cmd: &QueryCmd, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
-        let query = query.borrow();
-        let (mut results, tallies): (_, Vec<DistanceTally>) = match cmd {
-            QueryCmd::Range(radius) => self.index.range_per_shard(query, *radius),
-            QueryCmd::Knn(k) => self.index.knn_per_shard(query, *k),
-            QueryCmd::Beyond(radius) => self.index.beyond_per_shard(query, *radius),
-            QueryCmd::Kfn(k) => self.index.kfn_per_shard(query, *k),
-        };
-        if matches!(cmd, QueryCmd::Range(_) | QueryCmd::Beyond(_)) {
-            results.sort_unstable();
-        }
+    fn execute(&self, cmd: Query, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
+        let (mut results, tallies): (_, Vec<DistanceTally>) =
+            self.index.search_per_shard(query.borrow(), cmd);
+        reply_order(cmd, &mut results);
         (results, tallies.into_iter().sum::<DistanceTally>().totals())
     }
 
     fn execute_traced(
         &self,
-        cmd: &QueryCmd,
+        cmd: Query,
         query: &T,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
         // Sampled requests visit shards *sequentially* so each shard
         // span times its own search; each span's cost is its shard's own
-        // tally. The merges below mirror `ShardedIndex` — same remap,
-        // same canonical (distance, id) order — so replies stay
-        // byte-identical to the parallel untraced path.
+        // tally. `ShardedIndex::merge` is the parallel path's merge, so
+        // replies stay byte-identical to the untraced path.
         let query = query.borrow();
         let mut profile = QueryProfile::new();
-        let s = self.index.shard_count();
-        let mut tallies = Vec::with_capacity(s);
-        let mut all: Vec<Neighbor> = Vec::new();
+        let mut tallies = Vec::with_capacity(self.index.shard_count());
+        let mut per_shard = Vec::with_capacity(self.index.shard_count());
         for (idx, shard) in self.index.shards().iter().enumerate() {
             let timer = rec.begin();
             let mut sink = (profile, DistanceTally::new());
-            let hits = shard.query_traced(cmd, query, &mut sink);
+            per_shard.push(shard.search(query, cmd, &mut sink));
             let tally;
             (profile, tally) = sink;
             rec.record("shard", Some(idx as u32), timer, tally.totals());
             tallies.push(tally);
-            all.extend(
-                hits.into_iter()
-                    .map(|n| Neighbor::new(n.id * s + idx, n.distance)),
-            );
         }
         let timer = rec.begin();
-        match cmd {
-            QueryCmd::Range(_) | QueryCmd::Beyond(_) => all.sort_unstable(),
-            QueryCmd::Knn(k) => {
-                all.sort_unstable();
-                all.truncate(*k);
-            }
-            QueryCmd::Kfn(k) => {
-                all.sort_unstable_by(|a, b| {
-                    b.distance
-                        .total_cmp(&a.distance)
-                        .then_with(|| a.id.cmp(&b.id))
-                });
-                all.truncate(*k);
-            }
-        }
+        let mut all = self.index.merge(cmd, per_shard);
+        reply_order(cmd, &mut all);
         rec.record("merge", None, timer, DistanceTotals::default());
         let cost = tallies.into_iter().sum::<DistanceTally>().totals();
         (all, profile, cost)
@@ -691,85 +582,21 @@ struct ByteServed<M> {
 }
 
 impl<M> ByteServed<M> {
-    /// Calls `visit` with each id and its row widened to `f64`, in id
-    /// order, until `visit` returns `false`. One buffer holds each row.
-    fn widened(&self, mut visit: impl FnMut(usize, &[f64]) -> bool) {
-        let mut row = Vec::new();
-        for id in 0..self.len {
-            let Some(bytes) = self.bytes.item(id) else {
-                return;
-            };
-            row.clear();
-            row.extend(bytes.iter().map(|&b| f64::from(b)));
-            if !visit(id, &row) {
-                return;
-            }
-        }
+    /// Every `(id, row)` widened to `f64`, in id order.
+    fn widened(&self) -> impl Iterator<Item = (usize, Vec<f64>)> + '_ {
+        (0..self.len).map_while(|id| Some((id, widen(&self.bytes.item(id)?))))
     }
 }
 
-impl<M: BoundedMetric<[f64]>> TracedSearch<[f64]> for ByteServed<M> {
-    fn query_traced<S: TraceSink>(
-        &self,
-        cmd: &QueryCmd,
-        query: &[f64],
-        sink: &mut S,
-    ) -> Vec<Neighbor> {
-        let metric = &self.metric;
-        // As `LinearScan`: one leaf visit, and nothing at all for k = 0.
-        if self.len > 0 && !matches!(cmd, QueryCmd::Knn(0)) {
-            sink.enter_node(0, true);
-        }
-        let mut hits = Vec::new();
-        match *cmd {
-            QueryCmd::Range(radius) => self.widened(|id, row| {
-                sink.distance(DistanceRole::Candidate);
-                match metric.distance_within_frac(query, row, radius) {
-                    (Some(d), _) => hits.push(Neighbor::new(id, d)),
-                    (None, work) => sink.abandon(DistanceRole::Candidate, work),
-                }
-                true
-            }),
-            QueryCmd::Knn(0) => {}
-            QueryCmd::Knn(k) => {
-                let mut near = KnnCollector::new(k);
-                self.widened(|id, row| {
-                    sink.distance(DistanceRole::Candidate);
-                    match metric.distance_within_frac(query, row, near.radius()) {
-                        (Some(d), _) => {
-                            near.offer(id, d);
-                        }
-                        (None, work) => sink.abandon(DistanceRole::Candidate, work),
-                    }
-                    true
-                });
-                return near.into_sorted();
-            }
-            QueryCmd::Beyond(radius) => self.widened(|id, row| {
-                sink.distance(DistanceRole::Candidate);
-                let d = metric.distance(query, row);
-                if d >= radius {
-                    hits.push(Neighbor::new(id, d));
-                }
-                true
-            }),
-            QueryCmd::Kfn(k) => {
-                let mut far = KfnCollector::new(k);
-                self.widened(|id, row| {
-                    sink.distance(DistanceRole::Candidate);
-                    far.offer(id, metric.distance(query, row));
-                    true
-                });
-                return far.into_sorted();
-            }
-        }
-        hits.sort_unstable();
-        hits
+/// The widened rows, scanned as [`LinearScan`] scans its items.
+impl<M: BoundedMetric<[f64]>> Search<[f64]> for ByteServed<M> {
+    fn search<S: TraceSink>(&self, query: &[f64], cmd: Query, sink: &mut S) -> Vec<Neighbor> {
+        vantage_core::scan(&self.metric, query, cmd, self.widened(), sink)
     }
 }
 
 impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed<M> {
-    fn execute(&self, cmd: &QueryCmd, query: &Vec<f64>) -> (Vec<Neighbor>, DistanceTotals) {
+    fn execute(&self, cmd: Query, query: &Vec<f64>) -> (Vec<Neighbor>, DistanceTotals) {
         match narrow(query) {
             Some(bytes) => self.bytes.execute(cmd, &bytes),
             None => {
@@ -781,7 +608,7 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
 
     fn execute_traced(
         &self,
-        cmd: &QueryCmd,
+        cmd: Query,
         query: &Vec<f64>,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
@@ -806,28 +633,14 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
             return self.bytes.knn_budgeted(&bytes, k, budget);
         }
         self.widened_answers.incr();
-        let mut meter = BudgetMeter::new(budget);
-        let mut near = KnnCollector::new(k);
-        let mut examined = 0usize;
-        self.widened(|id, row| {
-            if !meter.try_charge() {
-                return false;
-            }
-            examined += 1;
-            match self.metric.distance_within_frac(query, row, near.radius()) {
-                (Some(d), _) => {
-                    near.offer(id, d);
-                }
-                (None, work) => meter.abandon(work),
-            }
-            true
-        });
-        let estimated_recall = if !meter.exhausted() || k.min(self.len) == 0 {
-            1.0
-        } else {
-            (examined as f64 / self.len.max(1) as f64).clamp(0.0, 1.0)
-        };
-        meter.finish(near.into_sorted(), estimated_recall)
+        scan_budgeted(
+            &self.metric,
+            query.as_slice(),
+            k,
+            self.len,
+            self.widened(),
+            budget,
+        )
     }
 
     fn item(&self, id: usize) -> Option<Vec<f64>> {
@@ -1591,7 +1404,7 @@ where
             let timer = rec.as_mut().map(|r| r.begin());
             let (arg, query_text) = split_arg(rest, verb)?;
             let query = T::parse_wire(query_text)?;
-            let cmd = QueryCmd::parse(verb, arg)?;
+            let cmd = parse_query(verb, arg)?;
             if let (Some(r), Some(timer)) = (rec.as_mut(), timer) {
                 r.record("parse", None, timer, DistanceTotals::default());
             }
@@ -1601,7 +1414,7 @@ where
                 origin,
                 rec,
             };
-            answer_query(shared, &cmd, &query, trace).map(Reply::Line)
+            answer_query(shared, cmd, &query, trace).map(Reply::Line)
         }
         "INSERT" => {
             let engine = dynamic_engine(shared, verb)?;
@@ -1740,36 +1553,29 @@ fn split_arg<'a>(rest: &'a str, verb: &str) -> std::result::Result<(&'a str, &'a
     }
 }
 
-/// A parsed near/far query.
-pub(crate) enum QueryCmd {
-    Range(f64),
-    Knn(usize),
-    Beyond(f64),
-    Kfn(usize),
+/// Parses a query verb and its numeric argument.
+fn parse_query(verb: &str, arg: &str) -> std::result::Result<Query, String> {
+    match verb {
+        "RANGE" => parse_radius(verb, arg).map(Query::Range),
+        "BEYOND" => parse_radius(verb, arg).map(Query::Beyond),
+        "KNN" => arg
+            .parse()
+            .map(Query::Knn)
+            .map_err(|_| format!("KNN needs an integer k, got `{arg}`")),
+        "KFN" => arg
+            .parse()
+            .map(Query::Kfn)
+            .map_err(|_| format!("KFN needs an integer k, got `{arg}`")),
+        _ => Err(format!("unknown query verb `{verb}`")),
+    }
 }
 
-impl QueryCmd {
-    fn parse(verb: &str, arg: &str) -> std::result::Result<QueryCmd, String> {
-        match verb {
-            "RANGE" => parse_radius(verb, arg).map(QueryCmd::Range),
-            "BEYOND" => parse_radius(verb, arg).map(QueryCmd::Beyond),
-            "KNN" => arg
-                .parse()
-                .map(QueryCmd::Knn)
-                .map_err(|_| format!("KNN needs an integer k, got `{arg}`")),
-            "KFN" => arg
-                .parse()
-                .map(QueryCmd::Kfn)
-                .map_err(|_| format!("KFN needs an integer k, got `{arg}`")),
-            _ => Err(format!("unknown query verb `{verb}`")),
-        }
-    }
-
-    pub(crate) fn op_kind(&self) -> OpKind {
-        match self {
-            QueryCmd::Range(_) | QueryCmd::Beyond(_) => OpKind::Range,
-            QueryCmd::Knn(_) | QueryCmd::Kfn(_) => OpKind::Knn,
-        }
+/// The operation a query is recorded as: far forms count with their
+/// near counterparts.
+pub(crate) fn op_kind(query: Query) -> OpKind {
+    match query {
+        Query::Range(_) | Query::Beyond(_) => OpKind::Range,
+        Query::Knn(_) | Query::Kfn(_) => OpKind::Knn,
     }
 }
 
@@ -1804,7 +1610,7 @@ struct RequestTrace<'a> {
 
 fn answer_query<T, M>(
     shared: &Shared<T, M>,
-    cmd: &QueryCmd,
+    cmd: Query,
     query: &T,
     trace: RequestTrace<'_>,
 ) -> std::result::Result<String, String>
@@ -1838,7 +1644,7 @@ where
                 None => guard.loaded.index.execute(cmd, query),
             };
             let elapsed = start.elapsed();
-            guard.metrics.record(cmd.op_kind(), elapsed, cost.into());
+            guard.metrics.record(op_kind(cmd), elapsed, cost.into());
             (guard.generation(), results, (start, elapsed, cost))
         }
         Engine::Dynamic(engine) => {
@@ -1859,7 +1665,7 @@ where
                 None => search(&*snapshot, cmd, query.borrow()),
             };
             let elapsed = start.elapsed();
-            engine.metrics.record(cmd.op_kind(), elapsed, cost.into());
+            engine.metrics.record(op_kind(cmd), elapsed, cost.into());
             (snapshot.generation(), results, (start, elapsed, cost))
         }
     };
@@ -1876,7 +1682,7 @@ where
 
     let tracer = &shared.tracer;
     let total_ns = origin.elapsed().as_nanos() as u64;
-    tracer.slo.record(cmd.op_kind(), total_ns, id.bits());
+    tracer.slo.record(op_kind(cmd), total_ns, id.bits());
     let slow = tracer.slow_ns > 0 && total_ns >= tracer.slow_ns;
     if sampled || slow {
         let rec = rec.unwrap_or_else(|| {
@@ -1899,7 +1705,7 @@ where
         let record = TraceRecord {
             id,
             verb: verb.to_string(),
-            op: cmd.op_kind().name().to_string(),
+            op: op_kind(cmd).name().to_string(),
             generation,
             total_ns,
             results: results.len() as u64,
@@ -2266,20 +2072,20 @@ fn smoke_typed<T: WireItem, M: ServeMetric<T>>(
     for i in 0..queries {
         let item = &items[i % items.len()];
         let (command, cmd) = match i % 4 {
-            0 | 1 => (format!("KNN 5 {}", item.format_wire()), QueryCmd::Knn(5)),
+            0 | 1 => (format!("KNN 5 {}", item.format_wire()), Query::Knn(5)),
             2 => {
                 // A radius that yields a small, non-empty answer: the
                 // distance to the item's 4th-nearest neighbor.
-                let (nn, _) = index.execute(&QueryCmd::Knn(4), item);
+                let (nn, _) = index.execute(Query::Knn(4), item);
                 let radius = nn.last().map(|n| n.distance).unwrap_or(0.0);
                 (
                     format!("RANGE {radius} {}", item.format_wire()),
-                    QueryCmd::Range(radius),
+                    Query::Range(radius),
                 )
             }
-            _ => (format!("KFN 3 {}", item.format_wire()), QueryCmd::Kfn(3)),
+            _ => (format!("KFN 3 {}", item.format_wire()), Query::Kfn(3)),
         };
-        let expected = format_neighbors(&index.execute(&cmd, item).0);
+        let expected = format_neighbors(&index.execute(cmd, item).0);
         script.push((command, expected));
     }
 

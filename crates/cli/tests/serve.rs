@@ -581,7 +581,11 @@ fn knn_zero_computes_no_distance_on_any_served_structure() {
     run_ok(&[
         "generate", "uniform", "--n", "300", "--dim", "6", "--seed", "8", "--out", &data,
     ]);
-    let knn0 = "KNN 0 0.5,0.5,0.5,0.5,0.5,0.5";
+    // `KFN` is recorded under the `knn` op, so each pair reads 2 ops.
+    let zeros = [
+        "KNN 0 0.5,0.5,0.5,0.5,0.5,0.5",
+        "KFN 0 0.5,0.5,0.5,0.5,0.5,0.5",
+    ];
     for structure in ["mvp", "vp", "linear"] {
         let snap = temp_path(&format!("knn0-{structure}.vantage"));
         run_ok(&[
@@ -603,10 +607,12 @@ fn knn_zero_computes_no_distance_on_any_served_structure() {
                 "--shards".into(),
                 shards.into(),
             ]);
-            assert_eq!(client(&addr, knn0), "OK 0", "{structure} shards={shards}");
+            for zero in zeros {
+                assert_eq!(client(&addr, zero), "OK 0", "{structure} shards={shards}");
+            }
             assert_eq!(
                 knn_ops_and_max_distances(&addr, "serve/gen0"),
-                (1, 0),
+                (2, 0),
                 "{structure} shards={shards}"
             );
             assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
@@ -622,14 +628,51 @@ fn knn_zero_computes_no_distance_on_any_served_structure() {
     let (addr, server) = spawn_server(vec!["serve".into(), "--data".into(), data.clone()]);
     assert!(client(&addr, "INSERT 9,9,9,9,9,9").starts_with("OK id=300"));
     assert!(client(&addr, "DELETE 0").starts_with("OK removed=true"));
-    assert_eq!(client(&addr, knn0), "OK 0");
-    assert_eq!(knn_ops_and_max_distances(&addr, "serve/dynamic"), (1, 0));
+    for zero in zeros {
+        assert_eq!(client(&addr, zero), "OK 0", "dynamic");
+    }
+    assert_eq!(knn_ops_and_max_distances(&addr, "serve/dynamic"), (2, 0));
     assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
     server
         .join()
         .expect("server thread panicked")
         .expect("server failed");
     let _ = std::fs::remove_file(&data);
+
+    // A byte snapshot answers a fractional query by a scan of every row
+    // widened to `f64`; its `k = 0` forms compute nothing either.
+    let (csv, vectors) = byte_vectors(40, 4);
+    let bytes = temp_path("knn0-bytes.csv");
+    let snap = temp_path("knn0-bytes.vantage");
+    std::fs::write(&bytes, csv).unwrap();
+    run_ok(&[
+        "build",
+        "--data",
+        &bytes,
+        "--save",
+        &snap,
+        "--metric",
+        "l2",
+        "--structure",
+        "mvp",
+    ]);
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+    let mut fractional = vectors[0].clone();
+    fractional[0] += 0.5;
+    for verb in ["KNN", "KFN"] {
+        let zero = format!("{verb} 0 {}", wire(&fractional));
+        assert_eq!(client(&addr, &zero), "OK 0", "byte snapshot {verb}");
+    }
+    assert_eq!(knn_ops_and_max_distances(&addr, "serve/gen0"), (2, 0));
+    assert!(client(&addr, "INFO").contains("item=u8-vector"));
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&bytes, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 /// One persistent client connection: sends a line, returns the reply.
@@ -673,6 +716,127 @@ fn await_connections(addr: &str, open: i64) {
             "serve/connections never settled at {open}"
         );
         std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The requests the reload-under-load clients cycle through: verb,
+/// argument, query.
+const RELOAD_LOAD: [(&str, &str, &str); 4] = [
+    ("KNN", "5", "0.5,0.5,0.5,0.5"),
+    ("RANGE", "0.25", "0.25,0.75,0.5,0.1"),
+    ("KNN", "1", "0.9,0.1,0.3,0.7"),
+    ("RANGE", "0.3", "0.1,0.2,0.1,0.3"),
+];
+
+/// `vantage query --index` on `snap` for one [`RELOAD_LOAD`] request,
+/// without its cost line.
+fn offline_answer(snap: &str, (verb, arg, query): (&str, &str, &str)) -> String {
+    let flag = if verb == "KNN" { "--knn" } else { "--range" };
+    let out = run_ok(&["query", "--index", snap, flag, arg, "--query", query]);
+    out.lines()
+        .take_while(|l| !l.starts_with("cost:"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// A served `OK <n> id:distance ...` reply in `vantage query`'s format.
+fn as_offline_answer(reply: &str) -> String {
+    let mut fields = reply.split(' ').skip(1);
+    let count = fields.next().expect("reply count");
+    let mut out = format!("{count} results:\n");
+    for hit in fields {
+        let (id, distance) = hit.split_once(':').expect("id:distance");
+        let distance: f64 = distance.parse().expect("distance");
+        out += &format!("  id {id:>6}  distance {distance:.6}\n");
+    }
+    out
+}
+
+#[test]
+fn rebuild_over_the_live_snapshot_then_reload_under_load() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let old = temp_path("rebuild-old.csv");
+    let new = temp_path("rebuild-new.csv");
+    let snap = temp_path("rebuild-index.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "300", "--dim", "4", "--seed", "31", "--out", &old,
+    ]);
+    run_ok(&[
+        "generate", "uniform", "--n", "280", "--dim", "4", "--seed", "32", "--out", &new,
+    ]);
+    run_ok(&["build", "--data", &old, "--save", &snap]);
+    let before: Vec<String> = RELOAD_LOAD
+        .iter()
+        .map(|&r| offline_answer(&snap, r))
+        .collect();
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+
+    // Two connections loop the requests, each reply tagged with whether
+    // its request was sent after RELOAD had answered.
+    let answered = Arc::new(AtomicUsize::new(0));
+    let swapped = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..2)
+        .map(|c| {
+            let addr = addr.clone();
+            let (answered, swapped) = (Arc::clone(&answered), Arc::clone(&swapped));
+            std::thread::spawn(move || {
+                let mut line = Line::open(&addr);
+                let mut replies = Vec::new();
+                let mut after = 0;
+                for i in c.. {
+                    let sent_after = swapped.load(Ordering::SeqCst);
+                    if after == 2 * RELOAD_LOAD.len() {
+                        break;
+                    }
+                    let which = i % RELOAD_LOAD.len();
+                    let (verb, arg, query) = RELOAD_LOAD[which];
+                    let reply = line.send(&format!("{verb} {arg} {query}"));
+                    replies.push((sent_after, which, reply));
+                    after += usize::from(sent_after);
+                    answered.fetch_add(1, Ordering::SeqCst);
+                }
+                replies
+            })
+        })
+        .collect();
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while answered.load(Ordering::SeqCst) < 40 {
+        assert!(Instant::now() < deadline, "clients made no progress");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The save renames a new file over the path the server has mapped.
+    run_ok(&["build", "--data", &new, "--save", &snap]);
+    let reload = client(&addr, &format!("RELOAD {snap}"));
+    assert!(reload.starts_with("OK generation=1 items=280"), "{reload}");
+    swapped.store(true, Ordering::SeqCst);
+
+    let after: Vec<String> = RELOAD_LOAD
+        .iter()
+        .map(|&r| offline_answer(&snap, r))
+        .collect();
+    assert_ne!(before, after, "the new data must change some answer");
+    let mut checked = 0;
+    for clientside in clients {
+        for (sent_after, which, reply) in clientside.join().expect("client panicked") {
+            assert!(reply.starts_with("OK "), "{reply}");
+            if sent_after {
+                assert_eq!(as_offline_answer(&reply), after[which], "{reply}");
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 4 * RELOAD_LOAD.len());
+    assert_eq!(client(&addr, "PING"), "OK pong");
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&old, &new, &snap] {
+        let _ = std::fs::remove_file(p);
     }
 }
 

@@ -22,6 +22,8 @@
 //!   unexplored work (so nothing unseen could improve the answer's
 //!   distances).
 
+use std::borrow::Borrow;
+
 use crate::counting::{DistanceTally, DistanceTotals};
 use crate::index::MetricIndex;
 use crate::knn::KnnCollector;
@@ -234,38 +236,57 @@ pub fn finish_budgeted(
 }
 
 impl<T, M: BoundedMetric<T>> BudgetedSearch<T> for LinearScan<T, M> {
-    /// Scans the id-order prefix the budget affords. The recall estimate
-    /// is `examined / n`: under the exchangeability assumption that the
-    /// true neighbors are equally likely to sit anywhere in insertion
-    /// order, each of them lands in the examined prefix with exactly that
-    /// probability — the estimator is unbiased for a linear scan.
+    /// [`scan_budgeted`] over the items in id order.
     fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
-        let mut meter = BudgetMeter::new(budget);
-        let mut collector = KnnCollector::new(k);
-        let n = self.len();
-        let mut examined = 0usize;
-        for (id, item) in self.items().iter().enumerate() {
-            if !meter.try_charge() {
-                break;
-            }
-            examined += 1;
-            match self
-                .metric()
-                .distance_within_frac(query, item, collector.radius())
-            {
-                (Some(d), _) => {
-                    collector.offer(id, d);
-                }
-                (None, work) => meter.abandon(work),
-            }
-        }
-        let estimated_recall = if !meter.exhausted() || k.min(n) == 0 {
-            1.0
-        } else {
-            (examined as f64 / n.max(1) as f64).clamp(0.0, 1.0)
-        };
-        meter.finish(collector.into_sorted(), estimated_recall)
+        scan_budgeted(self.metric(), query, k, self.len(), self.rows(), budget)
     }
+}
+
+/// kNN over the `n` rows of `rows` spending at most `budget` distance
+/// computations: the one budgeted exhaustive loop, behind
+/// [`LinearScan`] and a byte snapshot's scan of its rows widened to
+/// `f64`. It examines the prefix of `rows` the budget affords, each row
+/// verified through the bounded kernel with the collector's radius as
+/// [`scan`](crate::linear::scan) verifies it.
+///
+/// The recall estimate is `examined / n`: under the exchangeability
+/// assumption that the true neighbors are equally likely to sit anywhere
+/// in row order, each of them lands in the examined prefix with exactly
+/// that probability — the estimator is unbiased for a scan.
+pub fn scan_budgeted<T, M, R>(
+    metric: &M,
+    item: &T,
+    k: usize,
+    n: usize,
+    rows: impl IntoIterator<Item = (usize, R)>,
+    budget: SearchBudget,
+) -> BudgetedKnn
+where
+    T: ?Sized,
+    M: BoundedMetric<T> + ?Sized,
+    R: Borrow<T>,
+{
+    let mut meter = BudgetMeter::new(budget);
+    let mut collector = KnnCollector::new(k);
+    let mut examined = 0usize;
+    for (id, row) in rows {
+        if !meter.try_charge() {
+            break;
+        }
+        examined += 1;
+        match metric.distance_within_frac(item, row.borrow(), collector.radius()) {
+            (Some(d), _) => {
+                collector.offer(id, d);
+            }
+            (None, work) => meter.abandon(work),
+        }
+    }
+    let estimated_recall = if !meter.exhausted() || k.min(n) == 0 {
+        1.0
+    } else {
+        (examined as f64 / n.max(1) as f64).clamp(0.0, 1.0)
+    };
+    meter.finish(collector.into_sorted(), estimated_recall)
 }
 
 #[cfg(test)]

@@ -214,7 +214,7 @@ impl<T: ?Sized, M: BoundedMetric<T>> BoundedMetric<T> for Counted<M> {
 /// A [`Counted`] metric charges every evaluation to atomics shared by
 /// all its clones, so concurrent queries contend on one cache line and
 /// a before/after reading absorbs whatever ran alongside. A tally is a
-/// per-query value instead: hand a fresh one to a traced search (or one
+/// per-query value instead: hand a fresh one to a search (or one
 /// per shard, then [`sum`](Iterator::sum) them) and it reads exactly
 /// that search's cost. Searches report every evaluation to their sink,
 /// so the totals are bit-equal to the [`Counted`] delta of the same
@@ -225,7 +225,7 @@ impl<T: ?Sized, M: BoundedMetric<T>> BoundedMetric<T> for Counted<M> {
 ///
 /// let scan = LinearScan::new(vec![vec![0.0], vec![1.0]], Euclidean);
 /// let mut tally = DistanceTally::new();
-/// scan.range_traced(&vec![0.5], 10.0, &mut tally);
+/// scan.search(&vec![0.5], Query::Range(10.0), &mut tally);
 /// assert_eq!(tally.totals().computations, 2); // one per data object
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -4,6 +4,12 @@
 //! the query object. The formulation of all these queries are similar to
 //! the near neighbor query."*
 //!
+//! They are [`Query::Beyond`](crate::Query::Beyond) and
+//! [`Query::Kfn`](crate::Query::Kfn), answered through the same
+//! [`Search`](crate::Search) method as the near queries; this module
+//! holds their object-safe untraced face, [`FarthestIndex`], and the
+//! k-farthest collector.
+//!
 //! Pruning mirrors range search but uses **upper** bounds: for a
 //! spherical shell `[lo, hi]` around a vantage point at distance `d` from
 //! the query, every shell point `x` has `d(q, x) ≤ d + hi`; a subtree
@@ -15,13 +21,14 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::knn::heap_capacity;
-use crate::metric::Metric;
 use crate::query::Neighbor;
 use crate::shard::SharedLowerBound;
-use crate::trace::{DistanceRole, NoTrace, TraceSink};
 
-/// Far-neighbor query support. Implemented by
-/// [`LinearScan`](crate::linear::LinearScan) and by the vp-/mvp-trees in
+/// Far-neighbor query support: the object-safe, untraced face of
+/// [`Query::Beyond`](crate::Query::Beyond) and
+/// [`Query::Kfn`](crate::Query::Kfn). Implemented by
+/// [`LinearScan`](crate::linear::LinearScan),
+/// [`ShardedIndex`](crate::ShardedIndex) and by the vp-/mvp-trees in
 /// their own crates.
 pub trait FarthestIndex<T: ?Sized> {
     /// Returns every object at distance **at least** `radius` from
@@ -33,70 +40,6 @@ pub trait FarthestIndex<T: ?Sized> {
     /// descending distance (ties broken by id). Returns fewer than `k`
     /// only when the index holds fewer objects.
     fn k_farthest(&self, query: &T, k: usize) -> Vec<Neighbor>;
-}
-
-impl<T, M: Metric<T>> crate::linear::LinearScan<T, M> {
-    /// [`range_beyond`](FarthestIndex::range_beyond) with
-    /// instrumentation: every scanned object reports one
-    /// [`DistanceRole::Candidate`] computation into `sink`. Far queries
-    /// need exact distances for every object (there is no lower bound to
-    /// abandon against), so answers and computations are identical to
-    /// the untraced method.
-    pub fn beyond_traced<S: TraceSink>(
-        &self,
-        query: &T,
-        radius: f64,
-        sink: &mut S,
-    ) -> Vec<Neighbor> {
-        if !self.items().is_empty() {
-            sink.enter_node(0, true);
-        }
-        self.items()
-            .iter()
-            .enumerate()
-            .filter_map(|(id, item)| {
-                sink.distance(DistanceRole::Candidate);
-                let d = self.metric().distance(query, item);
-                (d >= radius).then_some(Neighbor::new(id, d))
-            })
-            .collect()
-    }
-
-    /// [`k_farthest`](FarthestIndex::k_farthest) with instrumentation;
-    /// see [`beyond_traced`](crate::linear::LinearScan::beyond_traced).
-    pub fn kfn_traced<S: TraceSink>(&self, query: &T, k: usize, sink: &mut S) -> Vec<Neighbor> {
-        let mut collector = KfnCollector::new(k);
-        self.kfn_into(&mut collector, query, sink);
-        collector.into_sorted()
-    }
-
-    /// Runs the k-farthest scan into a caller-provided collector — the
-    /// loop behind [`kfn_traced`](crate::linear::LinearScan::kfn_traced)
-    /// and the sharded scatter path.
-    pub(crate) fn kfn_into<S: TraceSink>(
-        &self,
-        collector: &mut KfnCollector,
-        query: &T,
-        sink: &mut S,
-    ) {
-        if !self.items().is_empty() {
-            sink.enter_node(0, true);
-        }
-        for (id, item) in self.items().iter().enumerate() {
-            sink.distance(DistanceRole::Candidate);
-            collector.offer(id, self.metric().distance(query, item));
-        }
-    }
-}
-
-impl<T, M: Metric<T>> FarthestIndex<T> for crate::linear::LinearScan<T, M> {
-    fn range_beyond(&self, query: &T, radius: f64) -> Vec<Neighbor> {
-        self.beyond_traced(query, radius, &mut NoTrace)
-    }
-
-    fn k_farthest(&self, query: &T, k: usize) -> Vec<Neighbor> {
-        self.kfn_traced(query, k, &mut NoTrace)
-    }
 }
 
 /// Eviction ranking for the k-farthest heap: the max-heap root is the
@@ -160,6 +103,11 @@ impl KfnCollector {
             heap: BinaryHeap::with_capacity(heap_capacity(k)),
             shared: Some(shared),
         }
+    }
+
+    /// The requested result size.
+    pub fn k(&self) -> usize {
+        self.k
     }
 
     /// This collector's own k-th largest distance, ignoring any shared

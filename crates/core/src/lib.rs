@@ -25,8 +25,12 @@
 //!   the same cost without shared state ([`counting`]);
 //! * query vocabulary: [`Neighbor`], the [`MetricIndex`] trait and kNN
 //!   collection helpers ([`query`], [`index`], [`knn`]);
-//! * the exhaustive [`LinearScan`] baseline every index is tested against
-//!   ([`linear`]);
+//! * one entry point for every query form: the [`Query`] a client asks
+//!   and the [`Search`] trait that answers it into any [`TraceSink`]
+//!   ([`search`]);
+//! * the exhaustive [`LinearScan`] baseline every index is tested
+//!   against, and the one exhaustive loop behind it and every other
+//!   scan, [`scan`] ([`linear`]);
 //! * pairwise distance statistics used to regenerate the paper's
 //!   distance-distribution histograms, Figures 4–7 ([`stats`]);
 //! * scoped fork-join parallelism — the [`Threads`] knob, order-preserving
@@ -79,6 +83,7 @@ pub mod metric;
 pub mod metrics;
 pub mod parallel;
 pub mod query;
+pub mod search;
 pub mod select;
 pub mod shard;
 pub mod simd;
@@ -88,7 +93,7 @@ pub mod swap;
 pub mod trace;
 pub mod util;
 
-pub use budget::{BudgetMeter, BudgetedKnn, BudgetedSearch, SearchBudget};
+pub use budget::{scan_budgeted, BudgetMeter, BudgetedKnn, BudgetedSearch, SearchBudget};
 pub use counting::{Counted, DistanceTally, DistanceTotals};
 pub use error::{Result, VantageError};
 pub use farthest::{FarthestIndex, KfnCollector};
@@ -98,10 +103,11 @@ pub use items::{
     VecRows,
 };
 pub use knn::KnnCollector;
-pub use linear::{knn_scan, LinearScan};
+pub use linear::{scan, scan_into, Gather, LinearScan};
 pub use metric::{BoundedMetric, DiscreteMetric, Metric};
 pub use parallel::Threads;
 pub use query::Neighbor;
+pub use search::{Query, Search};
 pub use select::VantageSelector;
 pub use shard::{ShardSearch, ShardedIndex, SharedLowerBound, SharedUpperBound};
 pub use simd::SimdPath;
@@ -133,6 +139,7 @@ pub mod prelude {
     pub use crate::metrics::weighted::WeightedLp;
     pub use crate::parallel::Threads;
     pub use crate::query::Neighbor;
+    pub use crate::search::{Query, Search};
     pub use crate::select::VantageSelector;
     pub use crate::shard::{ShardSearch, ShardedIndex, SharedLowerBound, SharedUpperBound};
     pub use crate::simd::SimdPath;

@@ -73,11 +73,11 @@ pub fn run_pruning_breakdown(scale: Scale) -> Vec<PruningSeries> {
         for (vp_point, mvp_point) in vp_points.iter_mut().zip(&mut mvp_points) {
             for q in &query_batch {
                 let mut profile = QueryProfile::new();
-                vp.range_traced(q, vp_point.range, &mut profile);
+                vp.search(q, Query::Range(vp_point.range), &mut profile);
                 vp_point.profiler.record(&profile);
 
                 let mut profile = QueryProfile::new();
-                mvp.range_traced(q, mvp_point.range, &mut profile);
+                mvp.search(q, Query::Range(mvp_point.range), &mut profile);
                 mvp_point.profiler.record(&profile);
             }
         }
@@ -166,7 +166,7 @@ mod tests {
         };
         for q in &query_batch {
             let mut profile = QueryProfile::new();
-            mvp.range_traced(q, point.range, &mut profile);
+            mvp.search(q, Query::Range(point.range), &mut profile);
             point.profiler.record(&profile);
         }
         vec![PruningSeries {

@@ -28,7 +28,7 @@ use std::borrow::Borrow;
 use std::sync::Mutex;
 
 use vantage_core::swap::{SwapCell, SwapGuard};
-use vantage_core::{BoundedMetric, Neighbor, NoTrace, Result, RowStore};
+use vantage_core::{BoundedMetric, Neighbor, NoTrace, Query, Result, RowStore, Search};
 
 use crate::dynamic::DynamicMvpTree;
 pub use crate::dynamic::MvpReadSnapshot;
@@ -131,12 +131,13 @@ where
     /// All live items within `radius` of `query` (stable ids), against
     /// the current generation.
     pub fn range(&self, query: &S::Item, radius: f64) -> Vec<Neighbor> {
-        self.read().range(query, radius, &mut NoTrace)
+        self.read()
+            .search(query, Query::Range(radius), &mut NoTrace)
     }
 
     /// The `k` nearest live items (stable ids) in the current generation.
     pub fn knn(&self, query: &S::Item, k: usize) -> Vec<Neighbor> {
-        self.read().knn(query, k, &mut NoTrace)
+        self.read().search(query, Query::Knn(k), &mut NoTrace)
     }
 
     /// Inserts an item, returning its stable id. May rebuild (amortized);

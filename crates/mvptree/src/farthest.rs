@@ -3,61 +3,30 @@
 //! arrays as range search — but with **upper** bounds: the triangle
 //! inequality gives `d(q, x) ≤ d(q, v) + d(v, x)` for every stored
 //! vantage point `v`, and the tightest of those caps what a candidate
-//! can contribute. Thin wrappers over the shared arena kernels in
-//! [`crate::kernel`].
+//! can contribute. [`Query::Beyond`] and [`Query::Kfn`] are answered
+//! through [`Search`] by the shared arena kernels in [`crate::kernel`],
+//! reporting every shell prune and leaf-filter rejection with the upper
+//! bound that justified it; kFN children abandoned by the
+//! descending-upper-bound early exit are reported as shell prunes
+//! attributed to the vantage point whose shell produced the binding
+//! (smaller) upper bound.
 
 use vantage_core::farthest::FarthestIndex;
-use vantage_core::trace::{NoTrace, TraceSink};
-use vantage_core::{Metric, Neighbor, RowStore};
+use vantage_core::{BoundedMetric, Neighbor, NoTrace, Query, RowStore, Search};
 
 use crate::tree::MvpTree;
-
-impl<T, M, S> MvpTree<T, M, S>
-where
-    S: RowStore<T>,
-    M: Metric<S::Item>,
-{
-    /// [`range_beyond`](FarthestIndex::range_beyond) with
-    /// instrumentation: reports every vantage/candidate distance, every
-    /// shell prune and leaf-filter rejection (with the upper bound that
-    /// justified it) into `sink`. Answers and distance computations are
-    /// identical to the untraced method — with [`NoTrace`] the sink
-    /// calls compile away.
-    pub fn beyond_traced<Sink: TraceSink>(
-        &self,
-        query: &S::Item,
-        radius: f64,
-        sink: &mut Sink,
-    ) -> Vec<Neighbor> {
-        self.as_view().beyond_traced(query, radius, sink)
-    }
-
-    /// [`k_farthest`](FarthestIndex::k_farthest) with instrumentation;
-    /// see [`beyond_traced`](MvpTree::beyond_traced). Children abandoned
-    /// by the descending-upper-bound early exit are reported as shell
-    /// prunes attributed to the vantage point whose shell produced the
-    /// binding (smaller) upper bound.
-    pub fn kfn_traced<Sink: TraceSink>(
-        &self,
-        query: &S::Item,
-        k: usize,
-        sink: &mut Sink,
-    ) -> Vec<Neighbor> {
-        self.as_view().kfn_traced(query, k, sink)
-    }
-}
 
 impl<T, M, S> FarthestIndex<S::Item> for MvpTree<T, M, S>
 where
     S: RowStore<T>,
-    M: Metric<S::Item>,
+    M: BoundedMetric<S::Item>,
 {
     fn range_beyond(&self, query: &S::Item, radius: f64) -> Vec<Neighbor> {
-        self.beyond_traced(query, radius, &mut NoTrace)
+        self.search(query, Query::Beyond(radius), &mut NoTrace)
     }
 
     fn k_farthest(&self, query: &S::Item, k: usize) -> Vec<Neighbor> {
-        self.kfn_traced(query, k, &mut NoTrace)
+        self.search(query, Query::Kfn(k), &mut NoTrace)
     }
 }
 

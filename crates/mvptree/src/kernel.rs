@@ -426,8 +426,9 @@ where
     }
 
     /// k-nearest-neighbor traversal into a caller-provided collector —
-    /// the shared kernel behind `knn_traced` and the sharded scatter
-    /// path (which passes a collector wired to a cross-shard bound).
+    /// the shared kernel behind kNN [`Search`](vantage_core::Search) and
+    /// the sharded scatter path (which passes a collector wired to a
+    /// cross-shard bound). `k = 0` computes nothing.
     pub fn knn_into<C: Collect, S: TraceSink>(&self, collector: &mut C, sink: &mut S)
     where
         M: BoundedMetric<T>,
@@ -799,11 +800,14 @@ where
 
     /// k-farthest traversal into a caller-provided collector, visiting
     /// the farthest-promising children first so the threshold rises
-    /// early.
+    /// early. `k = 0` computes nothing.
     pub fn kfn_into<S: TraceSink>(&self, collector: &mut KfnCollector, sink: &mut S)
     where
         M: Metric<T>,
     {
+        if collector.k() == 0 {
+            return;
+        }
         let mut path: Vec<f64> = Vec::with_capacity(self.p);
         let mut order = self.order_stack();
         if let Some(root) = self.root {

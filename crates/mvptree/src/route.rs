@@ -4,7 +4,7 @@
 //! Where distances concentrate (paper Fig 8, uniform vectors), a metric
 //! tree computes nearly every distance anyway (Pestov's lower bounds),
 //! and pays for its descent, filters and scattered rows on top. A scan
-//! of the same rows ([`MvpTreeRef::knn_scan_traced`]) then answers the
+//! of the same rows ([`MvpTreeRef::knn_scan`]) then answers the
 //! same neighbors faster. Which search is cheaper is a property of the
 //! tree and of `k`, so it is measured on the tree itself: a
 //! [`ScanRouter`] calibrates each power-of-two `k` bucket once, on the
@@ -16,7 +16,7 @@
 
 use std::sync::OnceLock;
 
-use vantage_core::{BoundedMetric, DistanceTally, ItemStore};
+use vantage_core::{BoundedMetric, DistanceTally, ItemStore, Query, Search};
 
 use crate::treeref::MvpTreeRef;
 
@@ -75,7 +75,7 @@ impl ScanCalibration {
         if n > 0 {
             for i in 0..PROBES {
                 let row = (i * n / PROBES) as u32;
-                tree.knn_traced(tree.row(row), k, &mut tally);
+                tree.search(tree.row(row), Query::Knn(k), &mut tally);
             }
         }
         ScanCalibration {

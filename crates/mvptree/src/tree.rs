@@ -2,7 +2,7 @@
 
 use std::marker::PhantomData;
 
-use vantage_core::{BoundedMetric, MetricIndex, Neighbor, NoTrace, RowStore};
+use vantage_core::{BoundedMetric, MetricIndex, Neighbor, NoTrace, Query, RowStore, Search};
 
 use crate::arena::{MvpArena, MvpArenaView};
 use crate::params::MvpParams;
@@ -112,10 +112,10 @@ where
     }
 
     fn range(&self, query: &S::Item, radius: f64) -> Vec<Neighbor> {
-        self.range_traced(query, radius, &mut NoTrace)
+        self.search(query, Query::Range(radius), &mut NoTrace)
     }
 
     fn knn(&self, query: &S::Item, k: usize) -> Vec<Neighbor> {
-        self.knn_traced(query, k, &mut NoTrace)
+        self.search(query, Query::Knn(k), &mut NoTrace)
     }
 }

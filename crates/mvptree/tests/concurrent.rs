@@ -130,7 +130,7 @@ fn pinned_snapshot_is_immutable_while_writers_churn() {
         .map(|(id, item)| (id, item.clone()))
         .collect();
     let query = pt(50.0, 50.0);
-    let before = sorted_ids(snapshot.range(&query, 30.0, &mut NoTrace));
+    let before = sorted_ids(snapshot.search(&query, Query::Range(30.0), &mut NoTrace));
 
     // Churn heavily: inserts, deletes, and forced rebuilds.
     for i in 0..64 {
@@ -144,7 +144,7 @@ fn pinned_snapshot_is_immutable_while_writers_churn() {
     // The pinned snapshot still answers from its point in time.
     assert_eq!(snapshot.len(), frozen.len());
     assert_eq!(
-        sorted_ids(snapshot.range(&query, 30.0, &mut NoTrace)),
+        sorted_ids(snapshot.search(&query, Query::Range(30.0), &mut NoTrace)),
         before
     );
     assert_eq!(before, brute_range(&frozen, &query, 30.0));
@@ -188,7 +188,7 @@ fn concurrent_readers_always_see_internally_consistent_generations() {
                     assert_eq!(snapshot.len(), live.len());
                     let query = pt(coord(&mut state), coord(&mut state));
                     assert_eq!(
-                        sorted_ids(snapshot.range(&query, 15.0, &mut NoTrace)),
+                        sorted_ids(snapshot.search(&query, Query::Range(15.0), &mut NoTrace)),
                         brute_range(&live, &query, 15.0),
                         "pinned generation disagreed with its own live set"
                     );
@@ -264,14 +264,16 @@ fn snapshot_sinks_read_the_counted_cost_of_every_query_form() {
     let snapshot = tree.read();
     let query: Vec<f64> = (0..80).map(|_| coord(&mut state)).collect();
     // Radii with a handful of answers each side.
-    let near = snapshot.knn(&query, 12, &mut NoTrace)[11].distance;
-    let far = snapshot.k_farthest(&query, 12, &mut NoTrace)[11].distance;
-    type Search<'a> = &'a dyn Fn(&mut DistanceTally) -> Vec<Neighbor>;
-    let forms: [(&str, Search); 4] = [
-        ("range", &|t| snapshot.range(&query, near, t)),
-        ("knn", &|t| snapshot.knn(&query, 5, t)),
-        ("beyond", &|t| snapshot.range_beyond(&query, far, t)),
-        ("kfn", &|t| snapshot.k_farthest(&query, 5, t)),
+    let near = snapshot.search(&query, Query::Knn(12), &mut NoTrace)[11].distance;
+    let far = snapshot.search(&query, Query::Kfn(12), &mut NoTrace)[11].distance;
+    type Run<'a> = &'a dyn Fn(&mut DistanceTally) -> Vec<Neighbor>;
+    let forms: [(&str, Run); 4] = [
+        ("range", &|t| snapshot.search(&query, Query::Range(near), t)),
+        ("knn", &|t| snapshot.search(&query, Query::Knn(5), t)),
+        ("beyond", &|t| {
+            snapshot.search(&query, Query::Beyond(far), t)
+        }),
+        ("kfn", &|t| snapshot.search(&query, Query::Kfn(5), t)),
     ];
     for (name, search) in forms {
         probe.reset();
@@ -337,7 +339,7 @@ fn far_deletes_do_not_change_a_near_knn_cost() {
     let query = vec![50.0; 4];
     let cost = || {
         let mut tally = DistanceTally::new();
-        let answer = tree.read().knn(&query, 10, &mut tally);
+        let answer = tree.read().search(&query, Query::Knn(10), &mut tally);
         (answer, tally.totals().computations)
     };
     metric.touched.lock().unwrap().clear();

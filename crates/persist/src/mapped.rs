@@ -40,8 +40,8 @@ use std::path::Path;
 
 use vantage_core::{
     BoundedMetric, BudgetedKnn, BudgetedSearch, F64Rows, FarthestIndex, FlatF64s, FlatStrs,
-    FlatU8s, ItemStore, LinearScan, Metric, MetricIndex, Neighbor, Result, RowStore, SearchBudget,
-    StrRows, U8Rows, VantageError,
+    FlatU8s, ItemStore, LinearScan, MetricIndex, Neighbor, NoTrace, Query, Result, RowStore,
+    Search, SearchBudget, StrRows, TraceSink, U8Rows, VantageError,
 };
 use vantage_mvptree::{MvpArenaView, MvpParams, MvpTreeRef};
 use vantage_vptree::{VpArenaView, VpTreeParams, VpTreeRef};
@@ -296,21 +296,32 @@ macro_rules! loaded_tree {
             }
 
             fn range(&self, query: &K::Item, radius: f64) -> Vec<Neighbor> {
-                self.view().range(query, radius)
+                self.search(query, Query::Range(radius), &mut NoTrace)
             }
 
             fn knn(&self, query: &K::Item, k: usize) -> Vec<Neighbor> {
-                self.view().knn(query, k)
+                self.search(query, Query::Knn(k), &mut NoTrace)
             }
         }
 
-        impl<K: FlatItems, M: Metric<K::Item>> FarthestIndex<K::Item> for $tree<K, M> {
+        impl<K: FlatItems, M: BoundedMetric<K::Item>> FarthestIndex<K::Item> for $tree<K, M> {
             fn range_beyond(&self, query: &K::Item, radius: f64) -> Vec<Neighbor> {
-                self.view().range_beyond(query, radius)
+                self.search(query, Query::Beyond(radius), &mut NoTrace)
             }
 
             fn k_farthest(&self, query: &K::Item, k: usize) -> Vec<Neighbor> {
-                self.view().k_farthest(query, k)
+                self.search(query, Query::Kfn(k), &mut NoTrace)
+            }
+        }
+
+        impl<K: FlatItems, M: BoundedMetric<K::Item>> Search<K::Item> for $tree<K, M> {
+            fn search<S: TraceSink>(
+                &self,
+                item: &K::Item,
+                query: Query,
+                sink: &mut S,
+            ) -> Vec<Neighbor> {
+                self.view().search(item, query, sink)
             }
         }
 
@@ -329,8 +340,8 @@ macro_rules! loaded_tree {
 /// assembles a borrowed [`VpTreeRef`] per query at pointer-arithmetic
 /// cost. Validation (container checksums, layout bounds, params, full
 /// structural invariants) ran once at load — views are built unchecked
-/// afterwards. Implements [`MetricIndex`], [`FarthestIndex`] and
-/// [`BudgetedSearch`] over the unsized item form (`[f64]`, `str`).
+/// afterwards. Implements [`Search`], [`MetricIndex`], [`FarthestIndex`]
+/// and [`BudgetedSearch`] over the unsized item form (`[f64]`, `str`).
 #[derive(Debug)]
 pub struct MappedVpTree<K: FlatItems, M> {
     storage: Storage,

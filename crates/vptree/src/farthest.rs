@@ -1,63 +1,32 @@
-//! Far-neighbor queries on vp-trees (paper §2's query variations) —
-//! thin wrappers over the shared arena kernels in [`crate::kernel`].
+//! Far-neighbor queries on vp-trees (paper §2's query variations):
+//! [`Query::Beyond`] and [`Query::Kfn`] through [`Search`], answered by
+//! the shared arena kernels in [`crate::kernel`].
 //!
 //! Pruning is the mirror image of range search: the triangle inequality
 //! gives `d(q, x) ≤ d(q, v) + d(v, x) ≤ d + hi` for every point `x` in a
 //! shell `[lo, hi]`, so a subtree is skipped when even that upper bound
-//! cannot reach the threshold.
+//! cannot reach the threshold. A shell prune carries the upper-bound
+//! margin `radius − (d+hi)` that justified it; kFN children abandoned by
+//! the descending-upper-bound early exit are reported as
+//! [`FirstShell`](vantage_core::trace::PruneReason::FirstShell) prunes
+//! carrying their upper bound.
 
 use vantage_core::farthest::FarthestIndex;
-use vantage_core::trace::{NoTrace, TraceSink};
-use vantage_core::{Metric, Neighbor, RowStore};
+use vantage_core::{BoundedMetric, Neighbor, NoTrace, Query, RowStore, Search};
 
 use crate::tree::VpTree;
-
-impl<T, M, S> VpTree<T, M, S>
-where
-    S: RowStore<T>,
-    M: Metric<S::Item>,
-{
-    /// [`range_beyond`](FarthestIndex::range_beyond) with
-    /// instrumentation: reports every vantage/candidate distance and
-    /// every shell prune (with the upper-bound margin `radius − (d+hi)`
-    /// that justified it) into `sink`. Answers and distance computations
-    /// are identical to the untraced method — with [`NoTrace`] the sink
-    /// calls compile away.
-    pub fn beyond_traced<Sink: TraceSink>(
-        &self,
-        query: &S::Item,
-        radius: f64,
-        sink: &mut Sink,
-    ) -> Vec<Neighbor> {
-        self.as_view().beyond_traced(query, radius, sink)
-    }
-
-    /// [`k_farthest`](FarthestIndex::k_farthest) with instrumentation;
-    /// see [`beyond_traced`](VpTree::beyond_traced). Children abandoned
-    /// by the descending-upper-bound early exit are reported as
-    /// [`FirstShell`](vantage_core::trace::PruneReason::FirstShell)
-    /// prunes carrying their upper bound.
-    pub fn kfn_traced<Sink: TraceSink>(
-        &self,
-        query: &S::Item,
-        k: usize,
-        sink: &mut Sink,
-    ) -> Vec<Neighbor> {
-        self.as_view().kfn_traced(query, k, sink)
-    }
-}
 
 impl<T, M, S> FarthestIndex<S::Item> for VpTree<T, M, S>
 where
     S: RowStore<T>,
-    M: Metric<S::Item>,
+    M: BoundedMetric<S::Item>,
 {
     fn range_beyond(&self, query: &S::Item, radius: f64) -> Vec<Neighbor> {
-        self.beyond_traced(query, radius, &mut NoTrace)
+        self.search(query, Query::Beyond(radius), &mut NoTrace)
     }
 
     fn k_farthest(&self, query: &S::Item, k: usize) -> Vec<Neighbor> {
-        self.kfn_traced(query, k, &mut NoTrace)
+        self.search(query, Query::Kfn(k), &mut NoTrace)
     }
 }
 

@@ -132,8 +132,9 @@ where
     }
 
     /// Best-first kNN traversal into a caller-provided collector — the
-    /// shared kernel behind `knn_traced` and the sharded scatter path
-    /// (which passes a collector wired to a cross-shard bound).
+    /// shared kernel behind kNN [`Search`](vantage_core::Search) and the
+    /// sharded scatter path (which passes a collector wired to a
+    /// cross-shard bound). `k = 0` computes nothing.
     pub fn knn_into<S: TraceSink>(&self, collector: &mut KnnCollector, sink: &mut S)
     where
         M: BoundedMetric<T>,
@@ -270,11 +271,14 @@ where
 
     /// k-farthest traversal into a caller-provided collector, visiting
     /// the farthest-promising children first so the threshold rises
-    /// early.
+    /// early. `k = 0` computes nothing.
     pub fn kfn_into<S: TraceSink>(&self, collector: &mut KfnCollector, sink: &mut S)
     where
         M: Metric<T>,
     {
+        if collector.k() == 0 {
+            return;
+        }
         if let Some(root) = self.root {
             self.kfn_node(root, collector, 0, sink);
         }

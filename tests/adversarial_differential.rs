@@ -247,12 +247,12 @@ fn traced_searches_agree_on_degenerate_inputs_too() {
                 let mut p1 = QueryProfile::new();
                 let mut p2 = QueryProfile::new();
                 assert_eq!(
-                    sorted_ids(vp.range_traced(q, r, &mut p1)),
+                    sorted_ids(vp.search(q, Query::Range(r), &mut p1)),
                     want,
                     "traced vp disagrees on '{dataset_name}' q={q:?} r={r}"
                 );
                 assert_eq!(
-                    sorted_ids(mvp.range_traced(q, r, &mut p2)),
+                    sorted_ids(mvp.search(q, Query::Range(r), &mut p2)),
                     want,
                     "traced mvp disagrees on '{dataset_name}' q={q:?} r={r}"
                 );

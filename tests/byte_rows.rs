@@ -73,19 +73,19 @@ where
     for q in queries {
         let q = q.borrow();
         let mut tally = DistanceTally::new();
-        let mut hits = tree.range_traced(q, radius, &mut tally);
+        let mut hits = tree.search(q, Query::Range(radius), &mut tally);
         hits.sort_unstable();
         out.push(record(hits, tally));
         for k in [1, 10] {
             let mut tally = DistanceTally::new();
-            out.push(record(tree.knn_traced(q, k, &mut tally), tally));
+            out.push(record(tree.search(q, Query::Knn(k), &mut tally), tally));
         }
         let mut tally = DistanceTally::new();
-        let mut far = tree.beyond_traced(q, beyond, &mut tally);
+        let mut far = tree.search(q, Query::Beyond(beyond), &mut tally);
         far.sort_unstable();
         out.push(record(far, tally));
         let mut tally = DistanceTally::new();
-        out.push(record(tree.kfn_traced(q, 5, &mut tally), tally));
+        out.push(record(tree.search(q, Query::Kfn(5), &mut tally), tally));
     }
     out
 }

@@ -11,8 +11,8 @@
 //!
 //! Each tree is queried in three forms — owned (built), decoded from
 //! snapshot bytes, and mapped from a snapshot file — through every query
-//! form: range, kNN, beyond, kFN, budgeted kNN and the `*_traced`
-//! variants. All forms must produce the same transcript of answers and
+//! form: range, kNN, beyond, kFN, budgeted kNN, and each form through
+//! `Search` into a profile. All forms must produce the same transcript of answers and
 //! `Counted` tallies, and its digest is pinned: the row order moves no
 //! visit and no distance computation, so the digests equal those of the
 //! id-ordered layout the pins were taken from.
@@ -39,7 +39,7 @@ trait Answers<Q: ?Sized> {
 }
 
 /// Implements [`Answers`] for an owned tree type through its public
-/// `MetricIndex`/`FarthestIndex`/`BudgetedSearch` and `*_traced` methods.
+/// `MetricIndex`/`FarthestIndex`/`BudgetedSearch` and `Search` methods.
 macro_rules! owned_answers {
     ($tree:ident) => {
         impl<T, M> Answers<T> for $tree<T, Counted<M>>
@@ -48,25 +48,25 @@ macro_rules! owned_answers {
         {
             fn range(&self, q: &T, r: f64, profile: Option<&mut QueryProfile>) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.range_traced(q, r, p),
+                    Some(p) => self.search(q, Query::Range(r), p),
                     None => MetricIndex::range(self, q, r),
                 }
             }
             fn knn(&self, q: &T, k: usize, profile: Option<&mut QueryProfile>) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.knn_traced(q, k, p),
+                    Some(p) => self.search(q, Query::Knn(k), p),
                     None => MetricIndex::knn(self, q, k),
                 }
             }
             fn beyond(&self, q: &T, r: f64, profile: Option<&mut QueryProfile>) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.beyond_traced(q, r, p),
+                    Some(p) => self.search(q, Query::Beyond(r), p),
                     None => self.range_beyond(q, r),
                 }
             }
             fn kfn(&self, q: &T, k: usize, profile: Option<&mut QueryProfile>) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.kfn_traced(q, k, p),
+                    Some(p) => self.search(q, Query::Kfn(k), p),
                     None => self.k_farthest(q, k),
                 }
             }
@@ -106,7 +106,7 @@ macro_rules! view_answers {
                 profile: Option<&mut QueryProfile>,
             ) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.range_traced(q, r, p),
+                    Some(p) => self.search(q, Query::Range(r), p),
                     None => $view::range(self, q, r),
                 }
             }
@@ -117,7 +117,7 @@ macro_rules! view_answers {
                 profile: Option<&mut QueryProfile>,
             ) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.knn_traced(q, k, p),
+                    Some(p) => self.search(q, Query::Knn(k), p),
                     None => $view::knn(self, q, k),
                 }
             }
@@ -128,7 +128,7 @@ macro_rules! view_answers {
                 profile: Option<&mut QueryProfile>,
             ) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.beyond_traced(q, r, p),
+                    Some(p) => self.search(q, Query::Beyond(r), p),
                     None => self.range_beyond(q, r),
                 }
             }
@@ -139,7 +139,7 @@ macro_rules! view_answers {
                 profile: Option<&mut QueryProfile>,
             ) -> Vec<Neighbor> {
                 match profile {
-                    Some(p) => self.kfn_traced(q, k, p),
+                    Some(p) => self.search(q, Query::Kfn(k), p),
                     None => self.k_farthest(q, k),
                 }
             }

@@ -147,14 +147,14 @@ fn knn_all(label: &str, trees: &Trees, q: &[f64], k: usize) -> (Vec<(usize, u64)
     let qv = q.to_vec();
     let owned = observe(&format!("{label} owned"), &|via| match via {
         Via::Untraced => trees.owned.knn(&qv, k),
-        Via::Tally(t) => trees.owned.knn_traced(&qv, k, t),
-        Via::Events(e) => trees.owned.knn_traced(&qv, k, e),
+        Via::Tally(t) => trees.owned.search(&qv, Query::Knn(k), t),
+        Via::Events(e) => trees.owned.search(&qv, Query::Knn(k), e),
     });
     let view = trees.mapped.view();
     let mapped = observe(&format!("{label} mapped"), &|via| match via {
         Via::Untraced => view.knn(q, k),
-        Via::Tally(t) => view.knn_traced(q, k, t),
-        Via::Events(e) => view.knn_traced(q, k, e),
+        Via::Tally(t) => view.search(q, Query::Knn(k), t),
+        Via::Events(e) => view.search(q, Query::Knn(k), e),
     });
     assert_eq!(mapped, owned, "{label}: mapped against owned");
 
@@ -162,8 +162,8 @@ fn knn_all(label: &str, trees: &Trees, q: &[f64], k: usize) -> (Vec<(usize, u64)
     probe.reset();
     let single = observe(&format!("{label} counted"), &|via| match via {
         Via::Untraced => trees.counted.knn(&qv, k),
-        Via::Tally(t) => trees.counted.knn_traced(&qv, k, t),
-        Via::Events(e) => trees.counted.knn_traced(&qv, k, e),
+        Via::Tally(t) => trees.counted.search(&qv, Query::Knn(k), t),
+        Via::Events(e) => trees.counted.search(&qv, Query::Knn(k), e),
     });
     // `observe` ran the search three times.
     let charged = probe.totals();

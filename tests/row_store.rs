@@ -47,8 +47,8 @@ fn record(out: &mut String, form: &str, answer: &[Neighbor], sink: Sink) {
 }
 
 /// The transcript of every query form of `$tree` over `$queries`.
-/// A macro, not a function: the four forms share method names, not a
-/// trait.
+/// A macro, not a function: the trees share method names, not a trait
+/// covering `knn_budgeted` on the views.
 macro_rules! transcript {
     ($tree:expr, $queries:expr, $plan:expr) => {{
         let (tree, plan) = (&$tree, &$plan);
@@ -56,22 +56,22 @@ macro_rules! transcript {
         for (qi, q) in $queries.enumerate() {
             for &r in &plan.radii {
                 let mut sink = Sink::default();
-                let answer = tree.range_traced(q, r, &mut sink);
+                let answer = tree.search(q, Query::Range(r), &mut sink);
                 record(&mut out, &format!("q{qi} range {r}"), &answer, sink);
             }
             for &k in &plan.ks {
                 let mut sink = Sink::default();
-                let answer = tree.knn_traced(q, k, &mut sink);
+                let answer = tree.search(q, Query::Knn(k), &mut sink);
                 record(&mut out, &format!("q{qi} knn {k}"), &answer, sink);
             }
             for &r in &plan.beyond {
                 let mut sink = Sink::default();
-                let answer = tree.beyond_traced(q, r, &mut sink);
+                let answer = tree.search(q, Query::Beyond(r), &mut sink);
                 record(&mut out, &format!("q{qi} beyond {r}"), &answer, sink);
             }
             for &k in &plan.ks {
                 let mut sink = Sink::default();
-                let answer = tree.kfn_traced(q, k, &mut sink);
+                let answer = tree.search(q, Query::Kfn(k), &mut sink);
                 record(&mut out, &format!("q{qi} kfn {k}"), &answer, sink);
             }
             for &k in &plan.ks {

@@ -2,7 +2,7 @@
 //! row-ordered item store, and the per-bucket calibration that decides
 //! when to answer that way.
 //!
-//! The scan ([`MvpTreeRef::knn_scan_traced`]) must answer every query
+//! The scan ([`MvpTreeRef::knn_scan`]) must answer every query
 //! bit for bit as the tree's descent and a `LinearScan` do — ids and
 //! distance bits — for `k` from 0 past `n`, on owned and mapped trees,
 //! with duplicate items (distance ties), with vectors of 64 dimensions
@@ -57,7 +57,7 @@ fn check_scan<S, M>(
     for (qi, query) in queries.iter().enumerate() {
         for k in ks(n) {
             let mut tally = DistanceTally::new();
-            let scanned = bits(&view.knn_scan_traced(query, k, &mut tally));
+            let scanned = bits(&view.knn_scan(query, k, &mut tally));
             let at = format!("{label}: query {qi}, k = {k}");
             assert_eq!(scanned, bits(&view.knn(query, k)), "{at}: scan vs tree");
             assert_eq!(scanned, bits(&oracle(query, k)), "{at}: scan vs LinearScan");
@@ -243,6 +243,6 @@ fn a_routed_knn_zero_computes_no_distance() {
     assert!(router.calibrate(&view, 0).scan(), "uniform k = 0 routes");
     let mut tally = DistanceTally::new();
     let query = uniform_vectors(1, 20, 42).remove(0);
-    assert!(view.knn_scan_traced(&query, 0, &mut tally).is_empty());
+    assert!(view.knn_scan(&query, 0, &mut tally).is_empty());
     assert_eq!(tally.totals(), DistanceTotals::default());
 }

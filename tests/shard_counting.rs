@@ -6,7 +6,7 @@
 //! distance charged exactly once, with no double-counting from the
 //! shared-bound fast path and no drift between the budget meter's
 //! `spent` and the metric-level tally. The per-shard [`DistanceTally`]s
-//! of a `*_per_shard` query must sum to that same total.
+//! of a `search_per_shard` query must sum to that same total.
 
 use vantage::prelude::*;
 use vantage_datasets::uniform_vectors;
@@ -154,7 +154,7 @@ fn per_shard_counters_sum_to_the_shared_query_total() {
     }
 }
 
-/// Runs every query form on `idx` through its `*_per_shard` method and
+/// Runs every query form on `idx` through `search_per_shard` and
 /// checks the answer against the untraced method and the summed
 /// per-shard tallies against the `probe` delta of the same run. Returns
 /// how many evaluations the bounded kernel abandoned along the way.
@@ -172,24 +172,24 @@ where
         for rep in 0..3 {
             let at = format!("{name} q={q:?} rep={rep}");
             probe.reset();
-            let (hits, tallies) = idx.range_per_shard(&q, 1.2);
+            let (hits, tallies) = idx.search_per_shard(&q, Query::Range(1.2));
             assert_eq!(sum(tallies), probe.totals(), "range {at}");
             abandoned += probe.totals().abandoned;
             assert_eq!(hits, idx.range(&q, 1.2), "range {at}");
 
             probe.reset();
-            let (hits, tallies) = idx.knn_per_shard(&q, 9);
+            let (hits, tallies) = idx.search_per_shard(&q, Query::Knn(9));
             assert_eq!(sum(tallies), probe.totals(), "knn {at}");
             abandoned += probe.totals().abandoned;
             assert_eq!(hits, idx.knn(&q, 9), "knn {at}");
 
             probe.reset();
-            let (hits, tallies) = idx.beyond_per_shard(&q, 2.0);
+            let (hits, tallies) = idx.search_per_shard(&q, Query::Beyond(2.0));
             assert_eq!(sum(tallies), probe.totals(), "beyond {at}");
             assert_eq!(hits, idx.range_beyond(&q, 2.0), "beyond {at}");
 
             probe.reset();
-            let (hits, tallies) = idx.kfn_per_shard(&q, 9);
+            let (hits, tallies) = idx.search_per_shard(&q, Query::Kfn(9));
             assert_eq!(sum(tallies), probe.totals(), "kfn {at}");
             assert_eq!(hits, idx.k_farthest(&q, 9), "kfn {at}");
         }

@@ -19,13 +19,7 @@ fn queries() -> Vec<Vec<f64>> {
 }
 
 /// One search form with its radius or `k`.
-#[derive(Debug, Clone, Copy)]
-enum Form {
-    Range(f64),
-    Knn(usize),
-    Beyond(f64),
-    Kfn(usize),
-}
+type Form = Query;
 
 fn forms() -> impl Iterator<Item = Form> {
     RADII
@@ -62,12 +56,7 @@ macro_rules! searches {
                 form: Form,
                 sink: &mut S,
             ) -> Option<Vec<Neighbor>> {
-                Some(match form {
-                    Form::Range(r) => self.range_traced(q, r, sink),
-                    Form::Knn(k) => self.knn_traced(q, k, sink),
-                    Form::Beyond(r) => self.beyond_traced(q, r, sink),
-                    Form::Kfn(k) => self.kfn_traced(q, k, sink),
-                })
+                Some(self.search(q, form, sink))
             }
         }
     };
@@ -257,7 +246,7 @@ fn profiles_see_pruning_on_selective_queries() {
     )
     .unwrap();
     let mut profile = QueryProfile::new();
-    tree.range_traced(&points[17], 0.05, &mut profile);
+    tree.search(&points[17], Query::Range(0.05), &mut profile);
     assert!(profile.nodes_visited() > 0);
     assert!(profile.subtrees_pruned() > 0, "no subtree was pruned");
     assert!(
@@ -297,7 +286,9 @@ fn instrumented_index_composes_with_query_profiles() {
         for r in RADII {
             let telemetered = instrumented.range(q, r);
             let mut profile = QueryProfile::new();
-            let traced = instrumented.inner().range_traced(q, r, &mut profile);
+            let traced = instrumented
+                .inner()
+                .search(q, Query::Range(r), &mut profile);
             assert_eq!(
                 telemetered, traced,
                 "instrumented range differs from traced at r={r}"
@@ -309,7 +300,7 @@ fn instrumented_index_composes_with_query_profiles() {
         for k in KS {
             let telemetered = instrumented.knn(q, k);
             let mut profile = QueryProfile::new();
-            let traced = instrumented.inner().knn_traced(q, k, &mut profile);
+            let traced = instrumented.inner().search(q, Query::Knn(k), &mut profile);
             assert_eq!(
                 telemetered, traced,
                 "instrumented knn differs from traced at k={k}"
@@ -340,7 +331,7 @@ fn event_log_captures_individual_events() {
     let points = uniform_vectors(300, 8, 5);
     let tree = VpTree::build(points.clone(), Euclidean, VpTreeParams::binary().seed(2)).unwrap();
     let mut sink = (QueryProfile::new(), EventLog::new());
-    tree.range_traced(&points[3], 0.1, &mut sink);
+    tree.search(&points[3], Query::Range(0.1), &mut sink);
     let (profile, log) = sink;
     let events = log.events();
     assert!(!events.is_empty());
