@@ -6,6 +6,8 @@
 //! checksums each section. This group times those three paths alone:
 //! the vector-text parser on one MRI query line (beside the
 //! `split`/`trim`/`str::parse` definition it must match bit for bit),
+//! the byte parser a byte-row snapshot reads the same line with (beside
+//! `parse_vector` + `narrow`, the route it replaces),
 //! `Sampler::trace_id` on the whole request line, and `crc32` over a
 //! 35 MB buffer (about an MRI snapshot's vector section).
 
@@ -13,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::fmt::Write as _;
 use std::hint::black_box;
 
-use vantage_cli::vectext::parse_vector;
+use vantage_cli::vectext::{narrow, parse_bytes, parse_vector};
 use vantage_core::Sampler;
 use vantage_datasets::{synthetic_mri_images, MriConfig};
 use vantage_persist::check::crc32;
@@ -46,6 +48,15 @@ fn wire(c: &mut Criterion) {
     group.sample_size(50);
     group.bench_function("parse_vector/mri_4096d", |b| {
         b.iter(|| black_box(parse_vector(black_box(&text)).expect("parses")))
+    });
+    group.bench_function("parse_bytes/mri_4096d", |b| {
+        b.iter(|| black_box(parse_bytes(black_box(&text)).expect("bytes")))
+    });
+    group.bench_function("parse_vector+narrow/mri_4096d", |b| {
+        b.iter(|| {
+            let vector = parse_vector(black_box(&text)).expect("parses");
+            black_box(narrow(&vector).expect("bytes"))
+        })
     });
     group.bench_function("split_trim_parse/mri_4096d", |b| {
         b.iter(|| {

@@ -42,7 +42,8 @@ mod serve;
 pub mod vectext;
 
 use serve::{
-    load_byte_index, load_index_typed, op_kind, Routing, ServeMetric, ServedQuery, WireItem,
+    load_byte_index, load_index_typed, op_kind, ByteQuery, Routing, ServeMetric, ServedQuery,
+    WireItem, WireQuery,
 };
 
 /// CLI failure: a message for the user (exit code 1).
@@ -589,7 +590,7 @@ fn write_metrics_snapshot(
 /// linear scan's items copied out — and answers `ask` on it. Answers and
 /// distance counts diff clean against a fresh build. The load is
 /// recorded as [`OpKind::SnapshotLoad`] in place of a build.
-fn answer_loaded<T: WireItem>(
+fn answer_loaded<T: WireQuery>(
     (path, info, ask, metrics): (&str, &SnapshotInfo, &Ask, &Option<Arc<IndexMetrics>>),
     load: serve::LoadFn<T>,
     query: &T,
@@ -622,7 +623,7 @@ fn check_snapshot_metric(info: &SnapshotInfo, requested: Option<&str>) -> CliRes
 
 /// Parses `--query` as a comma-separated vector of finite floats.
 fn parse_vector_query(query_text: &str) -> CliResult<Vec<f64>> {
-    serve::WireItem::parse_wire(query_text).map_err(err)
+    WireQuery::parse_wire(query_text).map_err(err)
 }
 
 /// Dispatches `query --index` / `explain --index` on a snapshot file:
@@ -652,19 +653,21 @@ fn run_snapshot(
             load_index_typed::<String, Levenshtein>,
             &query_text.to_string(),
         )?,
-        (item @ ("f64-vector" | "u8-vector"), metric) => {
+        ("f64-vector", metric @ ("l2" | "l1" | "linf")) => {
             let query = parse_vector_query(query_text)?;
-            let load: serve::LoadFn<Vec<f64>> = match (item, metric) {
-                ("f64-vector", "l2") => load_index_typed::<_, Euclidean>,
-                ("f64-vector", "l1") => load_index_typed::<_, Manhattan>,
-                ("f64-vector", "linf") => load_index_typed::<_, Chebyshev>,
-                ("u8-vector", "l2") => load_byte_index::<Euclidean>,
-                ("u8-vector", "l1") => load_byte_index::<Manhattan>,
-                _ => {
-                    return Err(err(format!(
-                        "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
-                    )))
-                }
+            let load: serve::LoadFn<Vec<f64>> = match metric {
+                "l2" => load_index_typed::<_, Euclidean>,
+                "l1" => load_index_typed::<_, Manhattan>,
+                _ => load_index_typed::<_, Chebyshev>,
+            };
+            answer_loaded(run, load, &query)?
+        }
+        ("u8-vector", metric @ ("l2" | "l1")) => {
+            // Parsed once, into the form the byte snapshot searches.
+            let query = ByteQuery::parse_wire(query_text).map_err(err)?;
+            let load: serve::LoadFn<ByteQuery> = match metric {
+                "l2" => load_byte_index::<Euclidean>,
+                _ => load_byte_index::<Manhattan>,
             };
             answer_loaded(run, load, &query)?
         }
@@ -734,14 +737,14 @@ fn build_and_save<T: WireItem, M: ServeMetric<T>>(
 /// The byte rows `build` saves L1/L2 vectors as: `Some` when the data
 /// is at least [`MIN_BYTE_DISPATCH`](vantage_core::simd::MIN_BYTE_DISPATCH)
 /// coordinates wide, where the byte kernels run, and every coordinate is
-/// a byte ([`serve::narrow`]). Byte rows give the same distances as the
+/// a byte ([`vectext::narrow`]). Byte rows give the same distances as the
 /// `f64` rows, so the snapshot answers alike at a fraction of the size.
 fn byte_rows(vectors: &[Vec<f64>]) -> Option<Vec<Vec<u8>>> {
     let dim = vectors.first()?.len();
     if dim < vantage_core::simd::MIN_BYTE_DISPATCH {
         return None;
     }
-    vectors.iter().map(|v| serve::narrow(v)).collect()
+    vectors.iter().map(|v| vectext::narrow(v)).collect()
 }
 
 fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {

@@ -31,6 +31,11 @@
 //! a bare word. A `u8-vector` snapshot takes the same float queries: one
 //! whose coordinates are all bytes searches the byte rows, any other
 //! gets the reply an `f64-vector` snapshot of the same items would send.
+//! Its queries are parsed once, into the form they are searched in
+//! ([`ByteQuery`]): a line of plain byte integers goes straight to bytes
+//! ([`parse_bytes`](crate::vectext::parse_bytes)), and any other line
+//! is parsed as `f64`s and narrowed, so `7.0` or `007` still searches
+//! the byte rows.
 //!
 //! ## Request tracing
 //!
@@ -98,7 +103,7 @@ use vantage_telemetry::{
 };
 use vantage_vptree::VpTree;
 
-use crate::vectext::VectorTextError;
+use crate::vectext::{narrow, parse_bytes, VectorTextError};
 use crate::{
     err, mvp_build_params, parse_threads, record_build, record_snapshot_load, structure_label,
     vp_build_params, Args, CliResult,
@@ -120,10 +125,21 @@ const MAX_LINE_BYTES: usize = 16 << 20;
 /// `read`, where the default 8 KiB buffer takes two.
 const READ_BUFFER_BYTES: usize = 64 << 10;
 
+/// What the text of a query (everything after the command's numeric
+/// argument) or an `INSERT` parses into.
+pub(crate) trait WireQuery: Sized + Send + Sync + 'static {
+    /// Parses the text, or says why it is refused.
+    fn parse_wire(text: &str) -> std::result::Result<Self, String>;
+    /// The coordinate count, `None` for items without one (strings).
+    /// The Lp metrics require equal lengths, so a served index checks
+    /// it before a query or insert reaches the metric.
+    fn dims(&self) -> Option<usize>;
+}
+
 /// An item type that can cross the wire as a single token, with the
 /// flat row encoding every index the CLI builds or loads stores it in.
 pub(crate) trait WireItem:
-    ItemCodec + Clone + Send + Sync + 'static + Borrow<<Self as WireItem>::Row>
+    WireQuery + ItemCodec + Clone + Borrow<<Self as WireItem>::Row>
 {
     /// The borrowed row a flat store hands out (`[f64]`, `[u8]`, `str`):
     /// what every tree, built or loaded, is queried with.
@@ -131,23 +147,16 @@ pub(crate) trait WireItem:
     /// The snapshot encoding of these items; its
     /// [`Rows`](FlatItems::Rows) hold every tree the CLI builds.
     type Flat: FlatItems<Item = Self::Row> + Send + Sync + 'static;
+    /// What a query to a snapshot of these items parses into, once: the
+    /// item itself, but [`ByteQuery`] for byte vectors.
+    type Query: WireQuery;
 
-    /// Parses the query text (everything after the command's numeric
-    /// argument) into an item.
-    fn parse_wire(text: &str) -> std::result::Result<Self, String>;
     /// Renders an item back into wire form (used by the smoke client to
     /// derive query texts from a loaded snapshot's own items).
     fn format_wire(&self) -> String;
-    /// The item's coordinate count, `None` for items without one
-    /// (strings). The Lp metrics require equal lengths, so a served
-    /// index checks it before a query or insert reaches the metric.
-    fn dims(&self) -> Option<usize>;
 }
 
-impl WireItem for Vec<f64> {
-    type Row = [f64];
-    type Flat = F64Vectors;
-
+impl WireQuery for Vec<f64> {
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
         crate::vectext::parse_vector(text).map_err(|e| match e {
             VectorTextError::NotAFloat => {
@@ -156,6 +165,16 @@ impl WireItem for Vec<f64> {
             VectorTextError::NonFinite => "query coordinates must be finite numbers".to_string(),
         })
     }
+
+    fn dims(&self) -> Option<usize> {
+        Some(self.len())
+    }
+}
+
+impl WireItem for Vec<f64> {
+    type Row = [f64];
+    type Flat = F64Vectors;
+    type Query = Self;
 
     fn format_wire(&self) -> String {
         let mut s = String::new();
@@ -167,10 +186,6 @@ impl WireItem for Vec<f64> {
         }
         s
     }
-
-    fn dims(&self) -> Option<usize> {
-        Some(self.len())
-    }
 }
 
 /// The vector form of a byte vector: its coordinates widened to `f64`.
@@ -178,31 +193,11 @@ fn widen(bytes: &[u8]) -> Vec<f64> {
     bytes.iter().map(|&b| f64::from(b)).collect()
 }
 
-/// The bytes of `vector` when every coordinate round-trips bit-exactly
-/// through `u8` (no fractions, negatives, values over 255 or `-0.0`):
-/// the vectors a byte store holds, and the queries it answers as bytes.
-pub(crate) fn narrow(vector: &[f64]) -> Option<Vec<u8>> {
-    vector
-        .iter()
-        .map(|&x| {
-            let b = x as u8;
-            (f64::from(b).to_bits() == x.to_bits()).then_some(b)
-        })
-        .collect()
-}
-
 /// Byte vectors cross the wire as the vector text of their coordinates.
-impl WireItem for Vec<u8> {
-    type Row = [u8];
-    type Flat = U8Vectors;
-
+impl WireQuery for Vec<u8> {
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
         narrow(&Vec::<f64>::parse_wire(text)?)
             .ok_or_else(|| "query coordinates must be integers from 0 to 255".to_string())
-    }
-
-    fn format_wire(&self) -> String {
-        widen(self).format_wire()
     }
 
     fn dims(&self) -> Option<usize> {
@@ -210,10 +205,50 @@ impl WireItem for Vec<u8> {
     }
 }
 
-impl WireItem for String {
-    type Row = str;
-    type Flat = Utf8Strings;
+impl WireItem for Vec<u8> {
+    type Row = [u8];
+    type Flat = U8Vectors;
+    type Query = ByteQuery;
 
+    fn format_wire(&self) -> String {
+        widen(self).format_wire()
+    }
+}
+
+/// A query to a byte-vector snapshot, parsed once into the form it is
+/// searched in: bytes when every coordinate is one, else the `f64`
+/// vector ([`ByteServed`] answers it by the widened scan).
+pub(crate) enum ByteQuery {
+    Bytes(Vec<u8>),
+    /// A vector with some coordinate that is not a byte ([`narrow`]
+    /// refuses it).
+    Floats(Vec<f64>),
+}
+
+/// A line of plain byte integers takes [`parse_bytes`]; any other line
+/// is parsed as `f64`s and narrowed, as before the byte path, so `7.0`
+/// or `007` still query the byte rows.
+impl WireQuery for ByteQuery {
+    fn parse_wire(text: &str) -> std::result::Result<Self, String> {
+        if let Some(bytes) = parse_bytes(text) {
+            return Ok(ByteQuery::Bytes(bytes));
+        }
+        let vector = Vec::<f64>::parse_wire(text)?;
+        Ok(match narrow(&vector) {
+            Some(bytes) => ByteQuery::Bytes(bytes),
+            None => ByteQuery::Floats(vector),
+        })
+    }
+
+    fn dims(&self) -> Option<usize> {
+        Some(match self {
+            ByteQuery::Bytes(bytes) => bytes.len(),
+            ByteQuery::Floats(vector) => vector.len(),
+        })
+    }
+}
+
+impl WireQuery for String {
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
         if text.is_empty() || text.contains(char::is_whitespace) {
             return Err("query must be a single word".to_string());
@@ -221,12 +256,18 @@ impl WireItem for String {
         Ok(text.to_string())
     }
 
-    fn format_wire(&self) -> String {
-        self.clone()
-    }
-
     fn dims(&self) -> Option<usize> {
         None
+    }
+}
+
+impl WireItem for String {
+    type Row = str;
+    type Flat = Utf8Strings;
+    type Query = Self;
+
+    fn format_wire(&self) -> String {
+        self.clone()
     }
 }
 
@@ -276,7 +317,7 @@ pub(crate) fn build_vp<T: WireItem, M: ServeMetric<T>>(
 
 /// `Err` when `item` has a different coordinate count from the served
 /// index's (`what` names the item in the reply: `query` or `item`).
-pub(crate) fn check_dims<T: WireItem>(
+pub(crate) fn check_dims<T: WireQuery>(
     what: &str,
     item: &T,
     index: Option<usize>,
@@ -568,12 +609,13 @@ where
     }
 }
 
-/// A byte-vector snapshot served to the `f64` queries the wire carries.
-/// A query whose coordinates are all bytes ([`narrow`]) searches the
-/// byte index. Any other query gets the reply an `f64` snapshot of the
-/// same items would send: one exhaustive loop widens each row to `f64`,
-/// calls the `f64` metric and collects as [`LinearScan`] does, so ids,
-/// distance bits and tie order match. Its cost is one distance per item.
+/// A byte-vector snapshot served to the vector queries the wire carries.
+/// A query whose coordinates are all bytes ([`ByteQuery::Bytes`])
+/// searches the byte index. Any other query gets the reply an `f64`
+/// snapshot of the same items would send: one exhaustive loop widens
+/// each row to `f64`, calls the `f64` metric and collects as
+/// [`LinearScan`] does, so ids, distance bits and tie order match. Its
+/// cost is one distance per item.
 struct ByteServed<M> {
     bytes: Box<dyn ServedQuery<Vec<u8>>>,
     len: usize,
@@ -595,13 +637,13 @@ impl<M: BoundedMetric<[f64]>> Search<[f64]> for ByteServed<M> {
     }
 }
 
-impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed<M> {
-    fn execute(&self, cmd: Query, query: &Vec<f64>) -> (Vec<Neighbor>, DistanceTotals) {
-        match narrow(query) {
-            Some(bytes) => self.bytes.execute(cmd, &bytes),
-            None => {
+impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<ByteQuery> for ByteServed<M> {
+    fn execute(&self, cmd: Query, query: &ByteQuery) -> (Vec<Neighbor>, DistanceTotals) {
+        match query {
+            ByteQuery::Bytes(bytes) => self.bytes.execute(cmd, bytes),
+            ByteQuery::Floats(vector) => {
                 self.widened_answers.incr();
-                search(self, cmd, query.as_slice())
+                search(self, cmd, vector.as_slice())
             }
         }
     }
@@ -609,33 +651,29 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
     fn execute_traced(
         &self,
         cmd: Query,
-        query: &Vec<f64>,
+        query: &ByteQuery,
         rec: &mut SpanRecorder,
     ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
-        // Narrowing reads the query into its byte form: a second
-        // `parse` span, so traces attribute it.
-        let timer = rec.begin();
-        let bytes = narrow(query);
-        rec.record("parse", None, timer, DistanceTotals::default());
-        match bytes {
-            Some(bytes) => self.bytes.execute_traced(cmd, &bytes, rec),
-            None => {
+        match query {
+            ByteQuery::Bytes(bytes) => self.bytes.execute_traced(cmd, bytes, rec),
+            ByteQuery::Floats(vector) => {
                 self.widened_answers.incr();
-                search_traced(self, cmd, query.as_slice(), rec)
+                search_traced(self, cmd, vector.as_slice(), rec)
             }
         }
     }
 
     /// A byte query searches the byte index's budget; any other scans
     /// the id-order prefix the budget affords, as [`LinearScan`] does.
-    fn knn_budgeted(&self, query: &Vec<f64>, k: usize, budget: SearchBudget) -> BudgetedKnn {
-        if let Some(bytes) = narrow(query) {
-            return self.bytes.knn_budgeted(&bytes, k, budget);
-        }
+    fn knn_budgeted(&self, query: &ByteQuery, k: usize, budget: SearchBudget) -> BudgetedKnn {
+        let vector = match query {
+            ByteQuery::Bytes(bytes) => return self.bytes.knn_budgeted(bytes, k, budget),
+            ByteQuery::Floats(vector) => vector,
+        };
         self.widened_answers.incr();
         scan_budgeted(
             &self.metric,
-            query.as_slice(),
+            vector.as_slice(),
             k,
             self.len,
             self.widened(),
@@ -643,8 +681,8 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<Vec<f64>> for ByteServed
         )
     }
 
-    fn item(&self, id: usize) -> Option<Vec<f64>> {
-        self.bytes.item(id).as_deref().map(widen)
+    fn item(&self, id: usize) -> Option<ByteQuery> {
+        self.bytes.item(id).map(ByteQuery::Bytes)
     }
 
     fn routing(&self) -> Routing {
@@ -745,8 +783,8 @@ type Loader<T> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T>> + Send + Sync>;
 
 /// Loads a snapshot as a generation serving `T` queries, under a shard
 /// count, seed and thread policy: [`load_index_typed`] for a snapshot
-/// of `T` items, [`load_byte_index`] for byte vectors served to `f64`
-/// queries.
+/// of `T` items, [`load_byte_index`] for byte vectors served to
+/// [`ByteQuery`]s.
 pub(crate) type LoadFn<T> = fn(&str, usize, u64, Threads) -> CliResult<LoadedIndex<T>>;
 
 /// Loads a snapshot generation from `path` — the one snapshot loader
@@ -805,13 +843,13 @@ pub(crate) fn load_index_typed<T: WireItem, M: ServeMetric<T>>(
 }
 
 /// Loads a byte-vector snapshot through [`load_index_typed`] and serves
-/// it to `f64` queries ([`ByteServed`]).
+/// it to byte and `f64` queries alike ([`ByteServed`]).
 pub(crate) fn load_byte_index<M>(
     path: &str,
     shards: usize,
     seed: u64,
     threads: Threads,
-) -> CliResult<LoadedIndex<Vec<f64>>>
+) -> CliResult<LoadedIndex<ByteQuery>>
 where
     M: ServeMetric<Vec<u8>> + BoundedMetric<[f64]>,
 {
@@ -865,8 +903,10 @@ struct DynamicEngine<T: WireItem, M> {
     dims: OnceLock<usize>,
 }
 
+/// A snapshot generation answers queries in the form a snapshot of `T`
+/// is queried with ([`WireItem::Query`]); the dynamic tree answers `T`.
 enum Engine<T: WireItem, M> {
-    Static(StaticEngine<T>),
+    Static(StaticEngine<T::Query>),
     Dynamic(DynamicEngine<T, M>),
 }
 
@@ -1048,10 +1088,10 @@ pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -
             serve_snapshot_typed::<Vector, Chebyshev>(run, load_index_typed::<Vector, Chebyshev>)
         }
         ("u8-vector", "l2") => {
-            serve_snapshot_typed::<Vector, Euclidean>(run, load_byte_index::<Euclidean>)
+            serve_snapshot_typed::<Vec<u8>, Euclidean>(run, load_byte_index::<Euclidean>)
         }
         ("u8-vector", "l1") => {
-            serve_snapshot_typed::<Vector, Manhattan>(run, load_byte_index::<Manhattan>)
+            serve_snapshot_typed::<Vec<u8>, Manhattan>(run, load_byte_index::<Manhattan>)
         }
         (item, metric) => Err(err(format!(
             "{path}: snapshot combination {item}/{metric} is not supported by this CLI"
@@ -1063,11 +1103,11 @@ pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -
 /// types the engine; a snapshot's metric comes from its loader.
 fn serve_snapshot_typed<T: WireItem, M: ServeMetric<T>>(
     (path, info, opts, out): (&str, &persist::SnapshotInfo, ServeOptions, &mut String),
-    load: LoadFn<T>,
+    load: LoadFn<T::Query>,
 ) -> CliResult<()> {
     let registry = MetricsRegistry::new();
     let (shards, seed, threads) = (opts.shards, opts.seed, opts.threads);
-    let loader: Loader<T> = Box::new(move |p: &str| load(p, shards, seed, threads));
+    let loader: Loader<T::Query> = Box::new(move |p: &str| load(p, shards, seed, threads));
     let load_start = Instant::now();
     let loaded = loader(path)?;
     let metrics = registry.index("serve/gen0");
@@ -1137,7 +1177,7 @@ where
 {
     let dims = items
         .first()
-        .and_then(WireItem::dims)
+        .and_then(WireQuery::dims)
         .map_or_else(OnceLock::new, OnceLock::from);
     let build_start = Instant::now();
     let params = mvp_build_params(opts.seed, opts.threads);
@@ -1396,25 +1436,17 @@ where
             // read here — no allocation, no recorder.
             let origin = Instant::now();
             let id = shared.tracer.sampler.trace_id(line);
-            let mut rec = shared
-                .tracer
-                .sampler
-                .samples(id)
-                .then(|| SpanRecorder::with_origin(origin));
-            let timer = rec.as_mut().map(|r| r.begin());
-            let (arg, query_text) = split_arg(rest, verb)?;
-            let query = T::parse_wire(query_text)?;
-            let cmd = parse_query(verb, arg)?;
-            if let (Some(r), Some(timer)) = (rec.as_mut(), timer) {
-                r.record("parse", None, timer, DistanceTotals::default());
-            }
             let trace = RequestTrace {
                 verb,
                 id,
                 origin,
-                rec,
+                rec: shared
+                    .tracer
+                    .sampler
+                    .samples(id)
+                    .then(|| SpanRecorder::with_origin(origin)),
             };
-            answer_query(shared, cmd, &query, trace).map(Reply::Line)
+            answer_query(shared, rest, trace).map(Reply::Line)
         }
         "INSERT" => {
             let engine = dynamic_engine(shared, verb)?;
@@ -1608,54 +1640,67 @@ struct RequestTrace<'a> {
     rec: Option<SpanRecorder>,
 }
 
+/// Parses a query request's text after its verb into the command and
+/// a `Q`, timed as the `parse` span of a sampled request.
+fn parse_request<Q: WireQuery>(
+    rest: &str,
+    trace: &mut RequestTrace<'_>,
+) -> std::result::Result<(Query, Q), String> {
+    let timer = trace.rec.as_mut().map(|r| r.begin());
+    let (arg, query_text) = split_arg(rest, trace.verb)?;
+    let query = Q::parse_wire(query_text)?;
+    let cmd = parse_query(trace.verb, arg)?;
+    if let (Some(r), Some(timer)) = (trace.rec.as_mut(), timer) {
+        r.record("parse", None, timer, DistanceTotals::default());
+    }
+    Ok((cmd, query))
+}
+
+/// Parses and answers one query request (`rest` follows its verb).
+/// Each engine parses the query once, into the form it searches.
 fn answer_query<T, M>(
     shared: &Shared<T, M>,
-    cmd: Query,
-    query: &T,
-    trace: RequestTrace<'_>,
+    rest: &str,
+    mut trace: RequestTrace<'_>,
 ) -> std::result::Result<String, String>
 where
     T: WireItem,
     M: ServeMetric<T>,
 {
-    let RequestTrace {
-        verb,
-        id,
-        origin,
-        mut rec,
-    } = trace;
-    let sampled = rec.is_some();
     let mut profile = None;
     let in_flight;
-    let (generation, results, measured) = match &shared.engine {
+    let (cmd, generation, results, measured) = match &shared.engine {
         Engine::Static(engine) => {
+            let (cmd, query) = parse_request::<T::Query>(rest, &mut trace)?;
             // Pin one generation: the query answers wholly against it
             // even if a RELOAD swaps mid-flight.
             let guard = engine.cell.read();
-            check_dims("query", query, guard.loaded.dims)?;
+            check_dims("query", &query, guard.loaded.dims)?;
             in_flight = GaugeHold::new(&shared.g_in_flight);
             let start = Instant::now();
-            let (results, cost) = match rec.as_mut() {
+            let (results, cost) = match trace.rec.as_mut() {
                 Some(r) => {
-                    let (results, descent, cost) = guard.loaded.index.execute_traced(cmd, query, r);
+                    let (results, descent, cost) =
+                        guard.loaded.index.execute_traced(cmd, &query, r);
                     profile = Some(descent);
                     (results, cost)
                 }
-                None => guard.loaded.index.execute(cmd, query),
+                None => guard.loaded.index.execute(cmd, &query),
             };
             let elapsed = start.elapsed();
             guard.metrics.record(op_kind(cmd), elapsed, cost.into());
-            (guard.generation(), results, (start, elapsed, cost))
+            (cmd, guard.generation(), results, (start, elapsed, cost))
         }
         Engine::Dynamic(engine) => {
+            let (cmd, query) = parse_request::<T>(rest, &mut trace)?;
             // Pin one generation, as above; its number is the one the
             // query read, whatever writes publish meanwhile. Every item
             // it holds was checked against `dims` before its insert.
             let snapshot = engine.tree.read();
-            check_dims("query", query, engine.dims.get().copied())?;
+            check_dims("query", &query, engine.dims.get().copied())?;
             in_flight = GaugeHold::new(&shared.g_in_flight);
             let start = Instant::now();
-            let (results, cost) = match rec.as_mut() {
+            let (results, cost) = match trace.rec.as_mut() {
                 Some(r) => {
                     let (results, descent, cost) =
                         search_traced(&*snapshot, cmd, query.borrow(), r);
@@ -1666,9 +1711,16 @@ where
             };
             let elapsed = start.elapsed();
             engine.metrics.record(op_kind(cmd), elapsed, cost.into());
-            (snapshot.generation(), results, (start, elapsed, cost))
+            (cmd, snapshot.generation(), results, (start, elapsed, cost))
         }
     };
+    let RequestTrace {
+        verb,
+        id,
+        origin,
+        mut rec,
+    } = trace;
+    let sampled = rec.is_some();
     let reply = match rec.as_mut() {
         Some(r) => {
             let timer = r.begin();
@@ -1856,7 +1908,7 @@ fn publish_routing(registry: &MetricsRegistry, generation: u64, routing: &Routin
 /// (readers keep answering on the current generation), swap atomically,
 /// then drain the displaced generation.
 fn reload<T, M>(
-    engine: &StaticEngine<T>,
+    engine: &StaticEngine<T::Query>,
     shared: &Shared<T, M>,
     path: &str,
 ) -> std::result::Result<Reply, String>

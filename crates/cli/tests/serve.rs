@@ -1501,6 +1501,77 @@ fn byte_snapshots_answer_every_query_as_the_f64_rows_would() {
     let _ = std::fs::remove_file(&data);
 }
 
+/// The `route:` line `explain --index` prints for one query.
+fn explain_route(snap: &str, ask: [&str; 2], query: &str) -> String {
+    let out = run_ok(&["explain", "--index", snap, ask[0], ask[1], "--query", query]);
+    out.lines()
+        .find(|l| l.starts_with("route: "))
+        .unwrap_or_else(|| panic!("no route line: {out}"))
+        .to_string()
+}
+
+#[test]
+fn a_byte_query_answers_alike_however_its_integers_are_written() {
+    let data = temp_path("spellings-data.csv");
+    let snap = temp_path("spellings.vantage");
+    let (csv, vectors) = byte_vectors(120, 8);
+    std::fs::write(&data, csv).unwrap();
+    run_ok(&[
+        "build", "--data", &data, "--save", &snap, "--metric", "l1", "--seed", "3",
+    ]);
+    let spell = |v: &[f64], f: &dyn Fn(u8) -> String| {
+        let coords: Vec<String> = v.iter().map(|&x| f(x as u8)).collect();
+        coords.join(",")
+    };
+    let widened = "route: widened scan";
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+    let mut line = Line::open(&addr);
+    for q in [&vectors[4], &vectors[77]] {
+        // Plain, with leading zeros (four digits: past the byte parser,
+        // so the general parser and `narrow` take it), with `.0`.
+        let forms = [
+            spell(q, &|b| b.to_string()),
+            spell(q, &|b| format!("{b:04}")),
+            spell(q, &|b| format!("{b}.0")),
+        ];
+        assert!(!forms[0].contains(".0"), "{}", forms[0]);
+        for cmd in ["KNN 6", "RANGE 4000", "KFN 2", "BEYOND 9000"] {
+            let replies: Vec<String> = forms
+                .iter()
+                .map(|form| line.send(&format!("{cmd} {form}")))
+                .collect();
+            assert!(replies[0].starts_with("OK "), "{}", replies[0]);
+            assert_eq!(replies[1], replies[0], "{cmd}: leading zeros");
+            assert_eq!(replies[2], replies[0], "{cmd}: `.0` coordinates");
+        }
+        // Every form searches the byte rows: none is widened.
+        for form in &forms {
+            for ask in [["--knn", "6"], ["--range", "4000"]] {
+                let route = explain_route(&snap, ask, form);
+                assert!(!route.starts_with(widened), "{ask:?} {form}: {route}");
+            }
+        }
+    }
+    // A fractional coordinate still takes the widened scan.
+    let mut fractional = vectors[4].clone();
+    fractional[0] += 0.5;
+    let text = wire(&fractional);
+    for ask in [["--knn", "6"], ["--range", "4000"]] {
+        assert!(explain_route(&snap, ask, &text).starts_with(widened));
+    }
+    let reply = line.send(&format!("KNN 6 {text}"));
+    assert!(reply.starts_with("OK 6 "), "{reply}");
+    drop(line);
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn reload_from_f64_rows_to_byte_rows_is_an_item_mismatch() {
     let bytes = temp_path("reload-bytes.csv");

@@ -525,3 +525,101 @@ fn dynamic_mode_traces_carry_a_single_search_span() {
     server.join().unwrap().unwrap();
     let _ = std::fs::remove_file(&data);
 }
+
+/// The spans of the sampled trace whose reply held `results` hits.
+fn spans_of(records: &[Json], results: u64) -> Vec<String> {
+    let record = records
+        .iter()
+        .find(|r| r.get("results").and_then(Json::as_u64) == Some(results))
+        .unwrap_or_else(|| panic!("no trace with {results} results"));
+    let spans = record.get("spans").and_then(Json::as_array).expect("spans");
+    spans
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn a_byte_snapshot_query_is_parsed_once() {
+    // 64-d integer rows: `build` saves them as a `u8-vector` snapshot.
+    let data = temp_path("bytetrace-data.csv");
+    let snap = temp_path("bytetrace.vantage");
+    let rows: Vec<String> = (0..100u32)
+        .map(|i| {
+            let row: Vec<String> = (0..64u32)
+                .map(|j| ((i * 31 + j * 7) % 256).to_string())
+                .collect();
+            row.join(",") + "\n"
+        })
+        .collect();
+    std::fs::write(&data, rows.concat()).unwrap();
+    run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l1"]);
+    let (addr, server) = spawn_server(vec![
+        "serve".into(),
+        "--index".into(),
+        snap.clone(),
+        "--trace-sample".into(),
+        "1".into(),
+        "--slow-ms".into(),
+        "0".into(),
+    ]);
+    let mut conn = Line::connect(&addr);
+    assert!(conn.send("INFO").contains(" item=u8-vector "));
+    // Plain bytes, bytes written as `.0` floats, and a fractional query
+    // (the widened scan); `k` tells their traces apart.
+    let queries = [
+        vec!["9"; 64].join(","),
+        vec!["9.0"; 64].join(","),
+        vec!["9.5"; 64].join(","),
+    ];
+    for (k, query) in (3..).zip(&queries) {
+        let reply = conn.send(&format!("KNN {k} {query}"));
+        assert!(reply.starts_with(&format!("OK {k} ")), "{reply}");
+    }
+    let slow = ok_json(&conn.send("SLOW 16"));
+    let records = slow.as_array().expect("array");
+    for k in 3..3 + queries.len() as u64 {
+        let names = spans_of(records, k);
+        let parses = names.iter().filter(|n| *n == "parse").count();
+        assert_eq!(parses, 1, "k = {k}: {names:?}");
+        assert!(names.iter().any(|n| n == "search"), "k = {k}: {names:?}");
+    }
+    assert_eq!(conn.send("SHUTDOWN"), "OK bye");
+    server.join().unwrap().unwrap();
+    for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn dynamic_mode_far_scans_report_one_leaf_visit() {
+    let data = temp_path("dynleaf-data.csv");
+    run_ok(&[
+        "generate", "uniform", "--n", "60", "--dim", "3", "--seed", "4", "--out", &data,
+    ]);
+    let (addr, server) = spawn_server(vec![
+        "serve".into(),
+        "--data".into(),
+        data.clone(),
+        "--trace-sample".into(),
+        "1".into(),
+        "--slow-ms".into(),
+        "0".into(),
+    ]);
+    let mut conn = Line::connect(&addr);
+    // Beyond and kFN scan the whole live set: one leaf visit each.
+    assert!(conn.send("KFN 2 0.5,0.5,0.5").starts_with("OK 2 "));
+    assert!(conn.send("BEYOND 0 0.5,0.5,0.5").starts_with("OK 60 "));
+    let slow = ok_json(&conn.send("SLOW 8"));
+    let records = slow.as_array().expect("array");
+    assert_eq!(records.len(), 2);
+    for record in records {
+        let profile = record.get("profile").expect("profile");
+        let leaves = profile.get("leaves_visited").and_then(Json::as_u64);
+        assert_eq!(leaves, Some(1), "{}", record.render());
+    }
+    assert_eq!(conn.send("SHUTDOWN"), "OK bye");
+    server.join().unwrap().unwrap();
+    let _ = std::fs::remove_file(&data);
+}

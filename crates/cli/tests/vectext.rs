@@ -3,9 +3,13 @@
 //! then a finiteness check. Values must agree bit for bit and errors
 //! kind for kind, over integer tokens (the fast path) and every token
 //! shape that must fall back.
+//!
+//! The byte parser is checked the same way: it takes exactly the lines
+//! of one-to-three-digit tokens worth at most 255, and what it returns
+//! equals `narrow(parse_vector(t))`.
 
 use proptest::prelude::*;
-use vantage_cli::vectext::{parse_vector, VectorTextError};
+use vantage_cli::vectext::{narrow, parse_bytes, parse_vector, VectorTextError};
 
 fn reference(text: &str) -> Result<Vec<f64>, VectorTextError> {
     let v = text
@@ -162,4 +166,122 @@ fn crlf_lines_agree_line_by_line() {
         assert_agrees(line);
     }
     assert_eq!(parse_vector("7, 8 ,9\r").unwrap(), [7.0, 8.0, 9.0]);
+}
+
+/// What `parse_bytes` must return: the bytes when every token is one to
+/// three ASCII digits worth at most 255, else `None`.
+fn byte_reference(text: &str) -> Option<Vec<u8>> {
+    text.split(',')
+        .map(|t| {
+            let plain = (1..=3).contains(&t.len()) && t.bytes().all(|b| b.is_ascii_digit());
+            plain.then(|| t.parse::<u8>().ok()).flatten()
+        })
+        .collect()
+}
+
+/// `parse_bytes` takes exactly the plain byte lines, and agrees with
+/// the general parser narrowed to bytes wherever it does.
+fn assert_bytes_agree(text: &str) {
+    let got = parse_bytes(text);
+    assert_eq!(got, byte_reference(text), "{text:?}");
+    if got.is_some() {
+        let narrowed = parse_vector(text).ok().and_then(|v| narrow(&v));
+        assert_eq!(got, narrowed, "{text:?}");
+    }
+}
+
+/// Tokens at and around the byte path's edges.
+const BYTE_SPECIAL: &[&str] = &[
+    "0", "7", "42", "255", "256", "999", "0255", "00", "007", "-0", "+7", "7.0", "", " 7", "7 ",
+    "1000", "\u{e9}", "2\u{e9}", "\u{661}", "\u{ff17}",
+];
+
+#[test]
+fn byte_parser_takes_exactly_plain_byte_lines() {
+    for t in SPECIAL.iter().chain(BYTE_SPECIAL) {
+        assert_bytes_agree(t);
+        assert_bytes_agree(&format!("1,{t}"));
+        assert_bytes_agree(&format!("{t},2"));
+        assert_bytes_agree(&format!("3,{t},"));
+        assert_bytes_agree(&format!("{}{t},9", "12,".repeat(5)));
+    }
+    for text in [",", ",,", "1,", ",1", "1,,2", "255,0,9", "1,2,3,4,5,6,7,8"] {
+        assert_bytes_agree(text);
+    }
+    assert_eq!(
+        parse_bytes("0,9,10,99,100,255"),
+        Some(vec![0, 9, 10, 99, 100, 255])
+    );
+    // `007` and `00` are taken, with the values `parse_vector` gives.
+    assert_eq!(parse_bytes("007,00"), Some(vec![7, 0]));
+    for refused in ["", "256", "0255", "-0", "+7", "7.0", " 7", "1,", "1,,2"] {
+        assert_eq!(parse_bytes(refused), None, "{refused:?}");
+    }
+}
+
+/// A line of exactly `len` bytes of byte tokens, widths drawn from
+/// `state`, so tokens and commas land on every offset.
+fn byte_line(state: &mut u64, len: usize) -> String {
+    let mut line = String::new();
+    while line.len() < len {
+        let left = len - line.len();
+        // Never leave exactly one byte: it could only be a trailing comma.
+        let widths: Vec<usize> = (1..=left.min(3)).filter(|w| left - w != 1).collect();
+        let width = widths[(next(state) % widths.len() as u64) as usize];
+        let low = [0, 10, 100][width - 1];
+        let high = [9, 99, 255][width - 1];
+        line.push_str(&(low + next(state) % (high - low + 1)).to_string());
+        if line.len() < len {
+            line.push(',');
+        }
+    }
+    line
+}
+
+#[test]
+fn byte_parser_agrees_at_every_length_and_word_edge() {
+    // Bytes of a typical query line, and some that must be refused.
+    const ALPHABET: &[&str] = &[
+        "0", "1", "2", "5", "9", ",", ",", ",", "-", ".", " ", "x", "\u{e9}",
+    ];
+    let mut state = 26;
+    for len in 0..=200 {
+        for _ in 0..8 {
+            let line = byte_line(&mut state, len);
+            assert_eq!(line.len(), len);
+            assert_bytes_agree(&line);
+            if len > 0 {
+                assert!(parse_bytes(&line).is_some(), "{line:?}");
+            }
+            // The same line with one byte replaced, anywhere in it.
+            if len > 0 {
+                let at = (next(&mut state) % len as u64) as usize;
+                let bad = ALPHABET[(next(&mut state) % ALPHABET.len() as u64) as usize];
+                let mut mutated = line.as_bytes()[..at].to_vec();
+                mutated.extend_from_slice(bad.as_bytes());
+                mutated.extend_from_slice(&line.as_bytes()[at + 1..]);
+                assert_bytes_agree(std::str::from_utf8(&mutated).unwrap());
+            }
+        }
+        let noise: String = (0..len)
+            .map(|_| ALPHABET[(next(&mut state) % ALPHABET.len() as u64) as usize])
+            .collect();
+        assert_bytes_agree(&noise);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn every_byte_vector_in_plain_decimal_takes_the_byte_path(
+        bytes in proptest::collection::vec(any::<u8>(), 1..300)
+    ) {
+        let text = bytes.iter().map(u8::to_string).collect::<Vec<_>>().join(",");
+        prop_assert_eq!(parse_bytes(&text), Some(bytes.clone()));
+        // `f64` display form, as vbench and the smoke client send it.
+        let floats: Vec<f64> = bytes.iter().map(|&b| f64::from(b)).collect();
+        let text = floats.iter().map(f64::to_string).collect::<Vec<_>>().join(",");
+        prop_assert_eq!(parse_bytes(&text), Some(bytes));
+    }
 }

@@ -46,8 +46,8 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use vantage_core::{
-    scan, scan_into, BoundedMetric, DistanceRole, ItemStore, KnnCollector, MetricIndex, Neighbor,
-    NoTrace, Query, Result, RowStore, Search, TraceSink,
+    scan, scan_into, BoundedMetric, ItemStore, KnnCollector, MetricIndex, Neighbor, NoTrace, Query,
+    Result, RowStore, Search, TraceSink,
 };
 
 use crate::kernel::Collect;
@@ -261,9 +261,10 @@ impl<T: Borrow<S::Item>, M, S: RowStore<T>> MvpReadSnapshot<T, M, S> {
 /// the k-th live distance, and the overflow scan offers its rows to the
 /// same collector. Beyond and kFN scan the whole live set: far-neighbor
 /// pruning needs the static tree's shell bounds, which the overflow
-/// items lack, so correctness wins over pruning here. The range,
-/// beyond and kFN scans report no leaf visit; the kNN overflow scan
-/// reports one. `k = 0` computes nothing.
+/// items lack, so correctness wins over pruning here. Every verb's scan
+/// (of the overflow rows, or of the live set) reports one leaf visit, as
+/// a [`LinearScan`](vantage_core::LinearScan) does. `k = 0` computes
+/// nothing.
 impl<T, M, S> Search<S::Item> for MvpReadSnapshot<T, M, S>
 where
     T: Borrow<S::Item>,
@@ -286,13 +287,7 @@ where
                         }
                     }
                 }
-                let overflow = scan(
-                    &self.metric,
-                    item,
-                    query,
-                    self.overflow_rows(),
-                    &mut NoLeaf(sink),
-                );
+                let overflow = scan(&self.metric, item, query, self.overflow_rows(), sink);
                 out.extend(
                     overflow
                         .into_iter()
@@ -322,32 +317,10 @@ where
                 }
                 out
             }
-            Query::Beyond(_) | Query::Kfn(_) => scan(
-                &self.metric,
-                item,
-                query,
-                self.live_items(),
-                &mut NoLeaf(sink),
-            ),
+            Query::Beyond(_) | Query::Kfn(_) => {
+                scan(&self.metric, item, query, self.live_items(), sink)
+            }
         }
-    }
-}
-
-/// Forwards a scan's reports except its leaf visit (a scan reports
-/// nothing but the visit, distances and abandons).
-struct NoLeaf<'a, S>(&'a mut S);
-
-impl<S: TraceSink> TraceSink for NoLeaf<'_, S> {
-    const ENABLED: bool = S::ENABLED;
-
-    #[inline]
-    fn distance(&mut self, role: DistanceRole) {
-        self.0.distance(role);
-    }
-
-    #[inline]
-    fn abandon(&mut self, role: DistanceRole, work: f64) {
-        self.0.abandon(role, work);
     }
 }
 
