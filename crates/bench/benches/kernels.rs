@@ -105,6 +105,39 @@ fn dispatch_paths(c: &mut Criterion) {
     }
 }
 
+/// One query against a slab of 64 rows laid back to back, as a routed
+/// row scan reads a tree's leaf entries: sixteen four-row `l2_x4` calls
+/// against one `l2_block` call, at the `uniform-knn` width (20) and a
+/// width with a partial last register (33), on the active path.
+fn block_rows(c: &mut Criterion) {
+    const ROWS: usize = 64;
+    let path = simd::active();
+    let mut group = c.benchmark_group("kernel/l2_rows64");
+    for dim in [20usize, 33] {
+        let query = uniform_vectors(1, dim, 7).remove(0);
+        let slab: Vec<f64> = uniform_vectors(ROWS, dim, 8).concat();
+        group.bench_function(BenchmarkId::new("x4", dim), |bench| {
+            bench.iter(|| {
+                let mut out = [0.0; ROWS];
+                for (four, rows) in out.chunks_exact_mut(4).zip(slab.chunks_exact(4 * dim)) {
+                    let row = |j: usize| &rows[j * dim..(j + 1) * dim];
+                    let ds = simd::l2_x4(path, black_box(&query), [row(0), row(1), row(2), row(3)]);
+                    four.copy_from_slice(&ds);
+                }
+                black_box(out)
+            })
+        });
+        group.bench_function(BenchmarkId::new("block", dim), |bench| {
+            bench.iter(|| {
+                let mut out = [0.0; ROWS];
+                simd::l2_block(path, black_box(&query), black_box(&slab), &mut out);
+                black_box(out)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// End-to-end wall-clock of the query paths whose leaf verification now
 /// runs through the bounded kernel.
 fn end_to_end(c: &mut Criterion) {
@@ -155,6 +188,7 @@ criterion_group!(
     vector_kernels,
     image_kernels,
     dispatch_paths,
+    block_rows,
     end_to_end
 );
 criterion_main!(benches);

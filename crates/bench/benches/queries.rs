@@ -86,9 +86,11 @@ fn knn_queries(c: &mut Criterion) {
 /// `KNN 10` on 50 000 vectors (data seed 7, as vbench's `uniform-knn`
 /// and `clustered-knn`) through mvp(3, 80, 5) held as a `Vec<Vec<f64>>`,
 /// as flat owned rows ([`F64Rows`]) and mapped from a snapshot; the row
-/// scan a routed query runs over the mapped rows; and `LinearScan`. The
-/// flat and mapped trees should take the same time, and the row scan
-/// should stay within 1.1× of `LinearScan`.
+/// scan a routed query runs, over the flat owned rows and over the
+/// mapped ones; and `LinearScan`. The flat and mapped trees should take
+/// the same time. The row scans read the leaf entries as one slab, 64
+/// rows per block kernel call, so they should run faster than
+/// `LinearScan`, whose `Vec<Vec<f64>>` rows go four at a time.
 fn knn_row_layouts(c: &mut Criterion) {
     let uniform = uniform_vectors(50_000, 20, 7);
     let uniform_queries = uniform_vectors(200, 20, 8);
@@ -138,6 +140,14 @@ fn knn_layouts(c: &mut Criterion, name: &str, items: Vec<Vec<f64>>, queries: Vec
         b.iter(|| {
             for q in &queries {
                 black_box(view.knn(q, K));
+            }
+        })
+    });
+    let flat_view = flat.as_view();
+    group.bench_function("flat_row_scan", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(flat_view.knn_scan(q, K, &mut NoTrace));
             }
         })
     });

@@ -444,6 +444,11 @@ pub(crate) trait ServedQuery<T>: Send + Sync {
     fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn;
     /// A copy of the item with original id `id`.
     fn item(&self, id: usize) -> Option<T>;
+    /// Copies the item with original id `id` into `out`, reusing its
+    /// allocation; `false`, with `out` untouched, when there is none.
+    fn item_into(&self, id: usize, out: &mut T) -> bool {
+        self.item(id).map(|item| *out = item).is_some()
+    }
     /// How this index has routed its kNN queries so far (nothing for a
     /// sharded index, which is never routed).
     fn routing(&self) -> Routing {
@@ -538,6 +543,13 @@ where
         self.index.get(id).map(ToOwned::to_owned)
     }
 
+    fn item_into(&self, id: usize, out: &mut T) -> bool {
+        self.index
+            .get(id)
+            .map(|item| item.clone_into(out))
+            .is_some()
+    }
+
     fn routing(&self) -> Routing {
         Routing {
             tree: self.tree_answers.get(),
@@ -607,15 +619,22 @@ where
     fn item(&self, id: usize) -> Option<T> {
         self.index.get(id).map(ToOwned::to_owned)
     }
+
+    fn item_into(&self, id: usize, out: &mut T) -> bool {
+        self.index
+            .get(id)
+            .map(|item| item.clone_into(out))
+            .is_some()
+    }
 }
 
 /// A byte-vector snapshot served to the vector queries the wire carries.
 /// A query whose coordinates are all bytes ([`ByteQuery::Bytes`])
 /// searches the byte index. Any other query gets the reply an `f64`
 /// snapshot of the same items would send: one exhaustive loop widens
-/// each row to `f64`, calls the `f64` metric and collects as
-/// [`LinearScan`] does, so ids, distance bits and tie order match. Its
-/// cost is one distance per item.
+/// each row into one reused `Vec<f64>` ([`Widening`]), calls the `f64`
+/// metric and collects as [`LinearScan`] does, so ids, distance bits and
+/// tie order match. Its cost is one distance per item.
 struct ByteServed<M> {
     bytes: Box<dyn ServedQuery<Vec<u8>>>,
     len: usize,
@@ -623,17 +642,77 @@ struct ByteServed<M> {
     widened_answers: ShardedCounter,
 }
 
-impl<M> ByteServed<M> {
-    /// Every `(id, row)` widened to `f64`, in id order.
-    fn widened(&self) -> impl Iterator<Item = (usize, Vec<f64>)> + '_ {
-        (0..self.len).map_while(|id| Some((id, widen(&self.bytes.item(id)?))))
+/// What the widened scan measures: the `f64` query, or the byte row
+/// with an id, which [`Widening`] widens when a distance needs it.
+enum Widened<'q> {
+    Query(&'q [f64]),
+    Row(usize),
+}
+
+/// The `f64` metric over [`Widened`] rows of one byte snapshot, for one
+/// scan: each row is copied into one reused byte buffer and widened
+/// into one reused `Vec<f64>`, so a scan allocates no buffer per row.
+/// Every call is the `f64` metric's own on the widened row, so values,
+/// abandons and work fractions are those of an `f64` snapshot.
+struct Widening<'s, M> {
+    bytes: &'s dyn ServedQuery<Vec<u8>>,
+    metric: &'s M,
+    row: std::cell::RefCell<(Vec<u8>, Vec<f64>)>,
+}
+
+impl<M> Widening<'_, M> {
+    /// Calls `f` with the query and the widened row of `a` and `b`.
+    fn with_pair<R>(&self, a: &Widened, b: &Widened, f: impl FnOnce(&[f64], &[f64]) -> R) -> R {
+        let ((Widened::Query(query), Widened::Row(id)) | (Widened::Row(id), Widened::Query(query))) =
+            (a, b)
+        else {
+            unreachable!("a widened scan measures the query against rows")
+        };
+        let mut row = self.row.borrow_mut();
+        let (bytes, wide) = &mut *row;
+        let found = self.bytes.item_into(*id, bytes);
+        assert!(found, "every id below the snapshot's length has a row");
+        wide.clear();
+        wide.extend(bytes.iter().map(|&b| f64::from(b)));
+        f(query, wide)
+    }
+}
+
+impl<M: Metric<[f64]>> Metric<Widened<'_>> for Widening<'_, M> {
+    fn distance(&self, a: &Widened, b: &Widened) -> f64 {
+        self.with_pair(a, b, |q, row| self.metric.distance(q, row))
+    }
+}
+
+impl<M: BoundedMetric<[f64]>> BoundedMetric<Widened<'_>> for Widening<'_, M> {
+    fn distance_within_frac(&self, a: &Widened, b: &Widened, bound: f64) -> (Option<f64>, f64) {
+        self.with_pair(a, b, |q, row| {
+            self.metric.distance_within_frac(q, row, bound)
+        })
     }
 }
 
 /// The widened rows, scanned as [`LinearScan`] scans its items.
 impl<M: BoundedMetric<[f64]>> Search<[f64]> for ByteServed<M> {
     fn search<S: TraceSink>(&self, query: &[f64], cmd: Query, sink: &mut S) -> Vec<Neighbor> {
-        vantage_core::scan(&self.metric, query, cmd, self.widened(), sink)
+        let query = Widened::Query(query);
+        vantage_core::scan(&self.widening(), &query, cmd, self.rows(), sink)
+    }
+}
+
+impl<M> ByteServed<M> {
+    /// The `f64` metric over this snapshot's widened rows, for one scan.
+    fn widening(&self) -> Widening<'_, M> {
+        Widening {
+            bytes: &*self.bytes,
+            metric: &self.metric,
+            row: Default::default(),
+        }
+    }
+
+    /// Every row, in id order, widened when measured.
+    fn rows<'q>(&self) -> impl Iterator<Item = (usize, Widened<'q>)> + use<'q, M> {
+        (0..self.len).map(|id| (id, Widened::Row(id)))
     }
 }
 
@@ -672,11 +751,11 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<ByteQuery> for ByteServe
         };
         self.widened_answers.incr();
         scan_budgeted(
-            &self.metric,
-            vector.as_slice(),
+            &self.widening(),
+            &Widened::Query(vector),
             k,
             self.len,
-            self.widened(),
+            self.rows(),
             budget,
         )
     }

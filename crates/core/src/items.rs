@@ -54,6 +54,17 @@ pub trait ItemStore {
 
     /// The item stored at `row`.
     fn get(&self, row: u32) -> &Self::Item;
+
+    /// Rows `first..first + count` as one item, where the store keeps
+    /// them back to back: a flat vector store lends the `count · d`
+    /// values of those rows as one slice, which a metric's block kernel
+    /// ([`BoundedMetric::distance_block`](crate::BoundedMetric::distance_block))
+    /// reads in one pass. `None` (the default) where the rows are not
+    /// one contiguous item.
+    fn slab(&self, first: u32, count: usize) -> Option<&Self::Item> {
+        let _ = (first, count);
+        None
+    }
 }
 
 /// Inverts a tree's row order — the item id stored at each row, in row
@@ -121,6 +132,10 @@ impl<S: ItemStore + ?Sized> ItemStore for &S {
     fn get(&self, row: u32) -> &S::Item {
         (**self).get(row)
     }
+
+    fn slab(&self, first: u32, count: usize) -> Option<&S::Item> {
+        (**self).slab(first, count)
+    }
 }
 
 /// Borrowed flat store of vectors of one dimension `d` over elements
@@ -187,6 +202,13 @@ impl<E> ItemStore for FlatVecs<'_, E> {
     #[inline]
     fn get(&self, row: u32) -> &[E] {
         self.row(row)
+    }
+
+    /// The `count · d` values of rows `first..first + count`.
+    #[inline]
+    fn slab(&self, first: u32, count: usize) -> Option<&[E]> {
+        let start = first as usize * self.dim;
+        Some(&self.data[start..start + count * self.dim])
     }
 }
 

@@ -103,7 +103,7 @@ pub use items::{
     VecRows,
 };
 pub use knn::KnnCollector;
-pub use linear::{scan, scan_into, Gather, LinearScan};
+pub use linear::{scan, scan_into, Gather, LinearScan, ScanRows, Slab, SlabThen, SLAB_BLOCK};
 pub use metric::{BoundedMetric, DiscreteMetric, Metric};
 pub use parallel::Threads;
 pub use query::Neighbor;

@@ -7,6 +7,7 @@ use std::borrow::Borrow;
 
 use crate::farthest::{FarthestIndex, KfnCollector};
 use crate::index::MetricIndex;
+use crate::items::ItemStore;
 use crate::knn::KnnCollector;
 use crate::metric::BoundedMetric;
 use crate::query::Neighbor;
@@ -60,10 +61,13 @@ impl<T, M: BoundedMetric<T>> Search<T> for LinearScan<T, M> {
 }
 
 /// Answers `query` about `item` by computing its distance to every
-/// `(id, row)` of `rows`: the one exhaustive loop, behind
-/// [`LinearScan`], the dynamic tree's overflow and live-set scans, a
-/// tree's scan of its own row-ordered item store, and a byte snapshot's
-/// scan of its rows widened to `f64`.
+/// row of `rows`: the one exhaustive loop, behind [`LinearScan`], the
+/// dynamic tree's overflow and live-set scans, a tree's scan of its own
+/// row-ordered item store, and a byte snapshot's scan of its rows
+/// widened to `f64`.
+///
+/// `rows` is any iterator of `(id, row)`, or a [`Slab`] of rows a store
+/// keeps back to back followed by one ([`SlabThen`]).
 ///
 /// Every row reports one [`DistanceRole::Candidate`] computation, and
 /// the whole scan one leaf visit; a `k = 0` query computes nothing.
@@ -72,26 +76,27 @@ impl<T, M: BoundedMetric<T>> Search<T> for LinearScan<T, M> {
 /// the collector's current one, `+∞` until `k` rows are held — as the
 /// bound, so a row that provably cannot qualify is abandoned early and
 /// the answer is the one full computations would give. Where the metric
-/// batches ([`BoundedMetric::distance_x4`]), kNN evaluates rows four at
-/// a time and tests each value against the radius at its own row's
-/// turn, which is the bounded call itself. The far forms have no bound
-/// to abandon against and compute every distance in full.
+/// batches, kNN evaluates a slab [`SLAB_BLOCK`] rows at a time
+/// ([`BoundedMetric::distance_block`]) and other rows four at a time
+/// ([`BoundedMetric::distance_x4`]), and tests each value against the
+/// radius at its own row's turn, which is the bounded call itself. The
+/// far forms have no bound to abandon against and compute every
+/// distance in full.
 ///
 /// Range and beyond hits come in row order. The collectors' tie-breaks
 /// are canonical, so a kNN or kFN answer does not depend on the order
 /// of `rows`.
-pub fn scan<T, M, S, R>(
+pub fn scan<'a, T, M, S>(
     metric: &M,
     item: &T,
     query: Query,
-    rows: impl IntoIterator<Item = (usize, R)>,
+    rows: impl ScanRows<'a, T>,
     sink: &mut S,
 ) -> Vec<Neighbor>
 where
-    T: ?Sized,
+    T: ?Sized + 'a,
     M: BoundedMetric<T> + ?Sized,
     S: TraceSink,
-    R: Borrow<T>,
 {
     match query {
         Query::Range(radius) => {
@@ -120,11 +125,75 @@ where
 /// [`scan`] into an answer the caller holds: a collector wired to a
 /// bound shared across shards, or one a tree's descent has already
 /// filled.
-pub fn scan_into<T, M, S, R, G>(
+pub fn scan_into<'a, T, M, S, G>(
     metric: &M,
     item: &T,
     gather: &mut G,
-    rows: impl IntoIterator<Item = (usize, R)>,
+    rows: impl ScanRows<'a, T>,
+    sink: &mut S,
+) where
+    T: ?Sized + 'a,
+    M: BoundedMetric<T> + ?Sized,
+    S: TraceSink,
+    G: Gather<T, M>,
+{
+    if !gather.takes_rows() {
+        return;
+    }
+    let (slab, mut rest) = rows.into_parts();
+    let slab = slab.filter(|slab| !slab.ids.is_empty());
+    // Pulled ahead to learn whether there is any row at all; the slab's
+    // rows still come first.
+    let group = next_four(&mut rest);
+    if slab.is_none() && group[0].is_none() {
+        return;
+    }
+    sink.enter_node(0, true);
+    if let Some(slab) = slab {
+        offer_slab(metric, item, gather, slab, sink);
+    }
+    offer_rows(metric, item, gather, group, rest, sink);
+}
+
+/// Rows per block of a slab walk: the block kernel's output buffer
+/// lives on the stack.
+pub const SLAB_BLOCK: usize = 64;
+
+/// Offers a slab's rows in order: block by block through the metric's
+/// block kernel while the store lends the block and the metric takes
+/// it, then the remaining rows one by one.
+fn offer_slab<T, M, S, G>(metric: &M, item: &T, gather: &mut G, slab: Slab<'_, T>, sink: &mut S)
+where
+    T: ?Sized,
+    M: BoundedMetric<T> + ?Sized,
+    S: TraceSink,
+    G: Gather<T, M>,
+{
+    let mut first = 0;
+    for ids in slab.ids.chunks(SLAB_BLOCK) {
+        let Some(rows) = slab.store.slab(first as u32, ids.len()) else {
+            break;
+        };
+        if !gather.offer_block(metric, item, ids, rows, sink) {
+            break;
+        }
+        first += ids.len();
+    }
+    let mut rest = (first..)
+        .zip(&slab.ids[first..])
+        .map(|(row, &id)| (id as usize, slab.store.get(row as u32)));
+    let group = next_four(&mut rest);
+    offer_rows(metric, item, gather, group, rest, sink);
+}
+
+/// Offers `group` and then `rows`, four at a time while the gather
+/// takes them so, then one at a time.
+fn offer_rows<T, M, S, G, R>(
+    metric: &M,
+    item: &T,
+    gather: &mut G,
+    mut group: [Option<(usize, R)>; 4],
+    mut rows: impl Iterator<Item = (usize, R)>,
     sink: &mut S,
 ) where
     T: ?Sized,
@@ -133,15 +202,6 @@ pub fn scan_into<T, M, S, R, G>(
     R: Borrow<T>,
     G: Gather<T, M>,
 {
-    if !gather.takes_rows() {
-        return;
-    }
-    let mut rows = rows.into_iter();
-    let mut group = next_four(&mut rows);
-    if group[0].is_none() {
-        return;
-    }
-    sink.enter_node(0, true);
     while let [Some((i0, x0)), Some((i1, x1)), Some((i2, x2)), Some((i3, x3))] = &group {
         let four = [x0.borrow(), x1.borrow(), x2.borrow(), x3.borrow()];
         if !gather.offer_four(metric, item, [*i0, *i1, *i2, *i3], four, sink) {
@@ -158,6 +218,81 @@ pub fn scan_into<T, M, S, R, G>(
 #[inline]
 fn next_four<I: Iterator>(rows: &mut I) -> [Option<I::Item>; 4] {
     [rows.next(), rows.next(), rows.next(), rows.next()]
+}
+
+/// Rows `0..ids.len()` of a store, named by `ids`: the rows a scan can
+/// read a block at a time where the store lends them back to back
+/// ([`ItemStore::slab`]) and the metric has a block kernel. A tree's
+/// leaf entries are such a slab: the first rows of its row store, in
+/// the order of its arena's entry-id column.
+#[derive(Clone, Copy)]
+pub struct Slab<'a, T: ?Sized> {
+    store: &'a dyn ItemStore<Item = T>,
+    ids: &'a [u32],
+}
+
+impl<'a, T: ?Sized> Slab<'a, T> {
+    /// Rows `0..ids.len()` of `store`, the row at `j` named `ids[j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `store` holds fewer than `ids.len()` rows.
+    pub fn new(store: &'a dyn ItemStore<Item = T>, ids: &'a [u32]) -> Self {
+        assert!(ids.len() <= store.len(), "a slab lies inside its store");
+        Slab { store, ids }
+    }
+
+    /// Then `rest`: the rows of a scan that follow the slab.
+    pub fn then<I>(self, rest: I) -> SlabThen<'a, T, I> {
+        SlabThen { slab: self, rest }
+    }
+}
+
+/// A [`Slab`], then further `(id, row)`s ([`Slab::then`]).
+pub struct SlabThen<'a, T: ?Sized, I> {
+    slab: Slab<'a, T>,
+    rest: I,
+}
+
+/// What a [`scan_into`] reads: an optional leading [`Slab`], then
+/// `(id, row)`s one by one.
+pub trait ScanRows<'a, T: ?Sized + 'a> {
+    /// The rows after the slab, as the scan borrows them.
+    type Row: Borrow<T>;
+    /// The `(id, row)`s after the slab.
+    type Rest: Iterator<Item = (usize, Self::Row)>;
+
+    /// The leading slab, if any, and the rows after it.
+    fn into_parts(self) -> (Option<Slab<'a, T>>, Self::Rest);
+}
+
+/// Any `(id, row)` iterator: rows one by one, no slab.
+impl<'a, T, R, I> ScanRows<'a, T> for I
+where
+    T: ?Sized + 'a,
+    R: Borrow<T>,
+    I: IntoIterator<Item = (usize, R)>,
+{
+    type Row = R;
+    type Rest = I::IntoIter;
+
+    fn into_parts(self) -> (Option<Slab<'a, T>>, I::IntoIter) {
+        (None, self.into_iter())
+    }
+}
+
+impl<'a, T, R, I> ScanRows<'a, T> for SlabThen<'a, T, I>
+where
+    T: ?Sized + 'a,
+    R: Borrow<T>,
+    I: IntoIterator<Item = (usize, R)>,
+{
+    type Row = R;
+    type Rest = I::IntoIter;
+
+    fn into_parts(self) -> (Option<Slab<'a, T>>, I::IntoIter) {
+        (Some(self.slab), self.rest.into_iter())
+    }
 }
 
 /// An answer a [`scan_into`] offers rows of `T` to, measured by `M`:
@@ -181,6 +316,21 @@ pub trait Gather<T: ?Sized, M: ?Sized> {
         item: &T,
         ids: [usize; 4],
         rows: [&T; 4],
+        sink: &mut S,
+    ) -> bool {
+        let _ = (metric, item, ids, rows, sink);
+        false
+    }
+
+    /// Offers `ids.len()` rows laid back to back in `rows`, evaluated
+    /// together ([`BoundedMetric::distance_block`]), or returns `false`
+    /// having computed nothing, and the rows are offered otherwise.
+    fn offer_block<S: TraceSink>(
+        &mut self,
+        metric: &M,
+        item: &T,
+        ids: &[u32],
+        rows: &T,
         sink: &mut S,
     ) -> bool {
         let _ = (metric, item, ids, rows, sink);
@@ -246,14 +396,45 @@ impl<T: ?Sized, M: BoundedMetric<T> + ?Sized> Gather<T, M> for KnnCollector {
             return false;
         };
         for (id, d) in ids.into_iter().zip(ds) {
-            sink.distance(DistanceRole::Candidate);
-            if d <= self.radius() {
-                self.offer(id, d);
-            } else {
-                sink.abandon(DistanceRole::Candidate, 1.0);
-            }
+            self.take_full(id, d, sink);
         }
         true
+    }
+
+    #[inline]
+    fn offer_block<S: TraceSink>(
+        &mut self,
+        metric: &M,
+        item: &T,
+        ids: &[u32],
+        rows: &T,
+        sink: &mut S,
+    ) -> bool {
+        let mut ds = [0.0; SLAB_BLOCK];
+        let ds = &mut ds[..ids.len()];
+        if !metric.distance_block(item, rows, ds) {
+            return false;
+        }
+        for (&id, &d) in ids.iter().zip(&*ds) {
+            self.take_full(id as usize, d, sink);
+        }
+        true
+    }
+}
+
+impl KnnCollector {
+    /// Takes a full distance computed ahead of its row's turn, as the
+    /// bounded call at the current radius would: one candidate
+    /// computation, offered within the radius, else abandoned with all
+    /// its work done.
+    #[inline]
+    fn take_full<S: TraceSink>(&mut self, id: usize, d: f64, sink: &mut S) {
+        sink.distance(DistanceRole::Candidate);
+        if d <= self.radius() {
+            self.offer(id, d);
+        } else {
+            sink.abandon(DistanceRole::Candidate, 1.0);
+        }
     }
 }
 

@@ -117,6 +117,23 @@ pub trait BoundedMetric<T: ?Sized>: Metric<T> {
         let _ = (a, bs);
         None
     }
+
+    /// Writes into `out[j]` the full distance from `a` to the `j`th of
+    /// `out.len()` rows laid back to back in `rows` (a slab an
+    /// [`ItemStore`](crate::ItemStore) lends, each row as long as `a`),
+    /// and returns `true`; or returns `false` having computed nothing.
+    ///
+    /// `true` makes the promise of [`distance_x4`](BoundedMetric::distance_x4)
+    /// for every row of the slab: the bounded kernel would never abandon
+    /// part-way, so each value tested against the radius at its row's
+    /// turn is the bounded call itself. The default declines, which is
+    /// always correct, and counting wrappers must keep it, as for
+    /// `distance_x4`.
+    #[inline]
+    fn distance_block(&self, a: &T, rows: &T, out: &mut [f64]) -> bool {
+        let _ = (a, rows, out);
+        false
+    }
 }
 
 impl<T: ?Sized, M: Metric<T> + ?Sized> Metric<T> for &M {
@@ -145,6 +162,11 @@ impl<T: ?Sized, M: BoundedMetric<T> + ?Sized> BoundedMetric<T> for &M {
     #[inline]
     fn distance_x4(&self, a: &T, bs: [&T; 4]) -> Option<[f64; 4]> {
         (**self).distance_x4(a, bs)
+    }
+
+    #[inline]
+    fn distance_block(&self, a: &T, rows: &T, out: &mut [f64]) -> bool {
+        (**self).distance_block(a, rows, out)
     }
 }
 

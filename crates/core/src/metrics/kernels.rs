@@ -181,6 +181,33 @@ pub(crate) fn sum_kernel_x4(
     std::array::from_fn(|j| finish(reduce_sum(&std::array::from_fn(|l| acc[l][j]))))
 }
 
+/// The unbounded [`sum_kernel`] from `a` to each of `out.len()` rows
+/// laid back to back in `rows`: [`sum_kernel_x4`] over each four rows,
+/// the single-pair kernel over the last `out.len() mod 4`. `out[j]` is
+/// bit-identical to `sum_kernel::<false>(a, row j, …)`.
+#[inline(always)]
+pub(crate) fn sum_kernel_block(
+    a: &[f64],
+    rows: &[f64],
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64 + Copy,
+    finish: impl Fn(f64) -> f64 + Copy,
+) {
+    let n = a.len();
+    let row = |j: usize| &rows[j * n..(j + 1) * n];
+    let mut fours = out.chunks_exact_mut(4);
+    let mut first = 0;
+    for four in &mut fours {
+        let group = [row(first), row(first + 1), row(first + 2), row(first + 3)];
+        four.copy_from_slice(&sum_kernel_x4(a, group, term, finish));
+        first += 4;
+    }
+    for (j, d) in fours.into_remainder().iter_mut().enumerate() {
+        let single = sum_kernel::<false>(a, row(first + j), |_, x, y| term(x, y), finish, 0.0);
+        *d = single.0.expect("an unbounded kernel always completes");
+    }
+}
+
 /// 16-lane max kernel over `|a[i] − b[i]|` (Chebyshev / `L_∞`).
 #[inline(always)]
 pub(crate) fn max_kernel<const BOUNDED: bool>(

@@ -81,7 +81,8 @@ impl Minkowski {
 // completes returns a value bit-identical to the plain distance — on
 // every dispatch path, by the scalar-identical contract.
 //
-// L1 and L2 also batch four candidates per call (`distance_x4`) below
+// L1 and L2 also batch four candidates per call (`distance_x4`), and
+// a slab of consecutive rows per call (`distance_block`), below
 // `FIRST_CHECK` dimensions: there the bounded kernel has no checkpoint
 // before completion, so it never abandons part-way and a full distance
 // tested against the bound is the same call.
@@ -93,6 +94,14 @@ impl Minkowski {
 #[inline]
 fn batchable(a: &[f64], bs: [&[f64]; 4]) -> bool {
     a.len() < kernels::FIRST_CHECK && bs.iter().all(|b| b.len() == a.len())
+}
+
+/// Whether a slab of `out.len()` rows can share one block kernel call
+/// with `a`: the same dimension limit as [`batchable`], and exactly
+/// `out.len()` rows as long as `a`.
+#[inline]
+fn blockable(a: &[f64], rows: &[f64], out: &[f64]) -> bool {
+    a.len() < kernels::FIRST_CHECK && Some(rows.len()) == out.len().checked_mul(a.len())
 }
 
 impl Manhattan {
@@ -125,6 +134,15 @@ impl BoundedMetric<[f64]> for Manhattan {
     fn distance_x4(&self, a: &[f64], bs: [&[f64]; 4]) -> Option<[f64; 4]> {
         batchable(a, bs).then(|| simd::l1_x4(simd::active(), a, bs))
     }
+
+    #[inline]
+    fn distance_block(&self, a: &[f64], rows: &[f64], out: &mut [f64]) -> bool {
+        let fits = blockable(a, rows, out);
+        if fits {
+            simd::l1_block(simd::active(), a, rows, out);
+        }
+        fits
+    }
 }
 
 impl Euclidean {
@@ -156,6 +174,15 @@ impl BoundedMetric<[f64]> for Euclidean {
     #[inline]
     fn distance_x4(&self, a: &[f64], bs: [&[f64]; 4]) -> Option<[f64; 4]> {
         batchable(a, bs).then(|| simd::l2_x4(simd::active(), a, bs))
+    }
+
+    #[inline]
+    fn distance_block(&self, a: &[f64], rows: &[f64], out: &mut [f64]) -> bool {
+        let fits = blockable(a, rows, out);
+        if fits {
+            simd::l2_block(simd::active(), a, rows, out);
+        }
+        fits
     }
 }
 

@@ -4,8 +4,8 @@
 //! vp/mvp pruning decision eventually bottoms out in a kernel call, and
 //! in high dimensions most of those calls run to completion. This module
 //! provides explicit `std::arch` AVX2 implementations of the hot vector
-//! kernels — L1 / L2 / L∞ (plus their weighted-Lp specializations and
-//! four-row L1 / L2 batches),
+//! kernels — L1 / L2 / L∞ (plus their weighted-Lp specializations,
+//! four-row L1 / L2 batches and L1 / L2 blocks over a slab of rows),
 //! byte-image L1/L2, histogram L1 and Hamming — selected **once** per
 //! process by runtime CPU-feature detection and consumed transparently
 //! through the existing [`Metric`](crate::Metric) /
@@ -90,6 +90,16 @@
 //!    checks lane by lane; the metric exposes it through
 //!    `BoundedMetric::distance_x4` only below `kernels::FIRST_CHECK`
 //!    dimensions, where the bounded kernel never abandons part-way.
+//!    Add its block twin too (`l1_block`/`l2_block`: one query against
+//!    a slab of rows laid back to back, a portable
+//!    `kernels::sum_kernel_block` instance and an
+//!    `avx2_sum_kernel_block!` instance that keeps the query in
+//!    registers and folds four rows' lanes with `_mm256_hadd_pd`). Each
+//!    output must equal the single-pair kernel bit for bit at every row
+//!    count; the metric exposes it through
+//!    `BoundedMetric::distance_block`, under the same dimension limit,
+//!    and the exhaustive scan (`linear::scan_into`) feeds it the slabs a
+//!    flat store lends (`ItemStore::slab`).
 
 // The one place in the crate allowed to use `unsafe`: `std::arch`
 // intrinsics, every call gated behind runtime CPU-feature detection.
@@ -377,6 +387,64 @@ pub fn l2_x4(path: SimdPath, a: &[f64], rows: [&[f64]; 4]) -> [f64; 4] {
         // SAFETY: `resolve` returns Avx2 only after runtime detection, and
         // `resolve_x4` asserted every row is as long as `a`.
         SimdPath::Avx2 => unsafe { avx2::l2_x4(a, rows) },
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        SimdPath::Avx2 => unreachable!("resolve() never selects an unsupported path"),
+    }
+}
+
+/// Sanitizes the path of a block kernel and checks its shapes: `rows`
+/// holds `out.len()` rows as long as `a`, back to back. The AVX2 twins
+/// keep the query in registers, which serves `a` shorter than
+/// `kernels::FIRST_CHECK` (the only dimensions a metric batches at);
+/// longer queries take the bit-identical portable path.
+#[inline]
+fn resolve_block(path: SimdPath, a: &[f64], rows: &[f64], out: &[f64]) -> SimdPath {
+    assert_eq!(
+        Some(rows.len()),
+        out.len().checked_mul(a.len()),
+        "simd block kernel requires out.len() rows as long as the query"
+    );
+    if a.len() >= kernels::FIRST_CHECK {
+        SimdPath::Portable
+    } else {
+        resolve(path, a.len(), 0)
+    }
+}
+
+/// L1 from `a` to each of `out.len()` rows laid back to back in `rows`:
+/// `out[j]` is bit-identical to `l1::<false>(path, a, row j, ∞)`.
+#[inline]
+pub fn l1_block(path: SimdPath, a: &[f64], rows: &[f64], out: &mut [f64]) {
+    match resolve_block(path, a, rows, out) {
+        SimdPath::Portable => kernels::sum_kernel_block(a, rows, out, |x, y| (x - y).abs(), id),
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: `resolve` returns Avx2 only after runtime detection, and
+        // `resolve_block` asserted the shapes and `a.len() < FIRST_CHECK`.
+        SimdPath::Avx2 => unsafe { avx2::l1_block(a, rows, out) },
+        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+        SimdPath::Avx2 => unreachable!("resolve() never selects an unsupported path"),
+    }
+}
+
+/// L2 from `a` to each of `out.len()` rows laid back to back in `rows`:
+/// `out[j]` is bit-identical to `l2::<false>(path, a, row j, ∞)`.
+#[inline]
+pub fn l2_block(path: SimdPath, a: &[f64], rows: &[f64], out: &mut [f64]) {
+    match resolve_block(path, a, rows, out) {
+        SimdPath::Portable => kernels::sum_kernel_block(
+            a,
+            rows,
+            out,
+            |x, y| {
+                let d = x - y;
+                d * d
+            },
+            f64::sqrt,
+        ),
+        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        // SAFETY: `resolve` returns Avx2 only after runtime detection, and
+        // `resolve_block` asserted the shapes and `a.len() < FIRST_CHECK`.
+        SimdPath::Avx2 => unsafe { avx2::l2_block(a, rows, out) },
         #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
         SimdPath::Avx2 => unreachable!("resolve() never selects an unsupported path"),
     }
@@ -776,11 +844,7 @@ mod avx2 {
         if rem >= 4 {
             _mm256_loadu_pd(p)
         } else {
-            let mask = _mm256_cmpgt_epi64(
-                _mm256_set1_epi64x(rem as i64),
-                _mm256_setr_epi64x(0, 1, 2, 3),
-            );
-            _mm256_maskload_pd(p, mask)
+            _mm256_maskload_pd(p, tail_mask(rem))
         }
     }
 
@@ -876,6 +940,143 @@ mod avx2 {
         /// L2 over four rows: `sqrt(Σ (a[i] − rows[j][i])²)` in lane `j`,
         /// square via mul+add, no FMA.
         l2_x4,
+        |av, bv| {
+            let d = _mm256_sub_pd(av, bv);
+            _mm256_mul_pd(d, d)
+        },
+        _mm256_sqrt_pd
+    );
+
+    /// Block kernels: one query against `out.len()` rows laid back to
+    /// back, the query's registers loaded once for the whole block.
+    ///
+    /// Register `k` of a row holds elements `4k..4k+3` (the last one a
+    /// masked load that zero-fills past the end), which are portable lanes `4(k mod 4)..`,
+    /// so adding registers in increasing `k` into accumulator `k mod 4`
+    /// keeps every lane's single-pair order. The register count is a
+    /// const parameter, so the query stays in registers. Each row's
+    /// accumulators fold at once: `_mm256_hadd_pd` pairs lanes
+    /// `(4r, 4r+1)` and `(4r+2, 4r+3)` of accumulators `r`, and one
+    /// `permute2f128` pair lines the halves up so one add gives the
+    /// row's `[G0, G1, G2, G3]`, `G_r = (l0 + l1) + (l2 + l3)` of group
+    /// `r`. Four rows' group vectors then fold the same way into
+    /// `(G0 + G1) + (G2 + G3)` per row, which is `reduce_sum`'s tree.
+    /// Rows go four at a time; a short last group repeats its last row
+    /// and drops the extra values.
+    macro_rules! avx2_sum_kernel_block {
+        ($(#[$doc:meta])* $name:ident,
+         |$av:ident, $bv:ident| $vterm:expr,
+         $finish:expr) => {
+            $(#[$doc])*
+            ///
+            /// # Safety
+            ///
+            /// AVX2 must be available, `a` shorter than `FIRST_CHECK`,
+            /// and `rows` exactly `out.len()` rows as long as `a`.
+            #[target_feature(enable = "avx2")]
+            pub(super) unsafe fn $name(a: &[f64], rows: &[f64], out: &mut [f64]) {
+                /// The kernel over `R = ⌈n / 4⌉` query registers.
+                #[target_feature(enable = "avx2")]
+                unsafe fn regs<const R: usize>(a: &[f64], rows: &[f64], out: &mut [f64]) {
+                    let n = a.len();
+                    let tail = tail_mask(n + 4 - 4 * R);
+                    let mut query = [_mm256_setzero_pd(); R];
+                    for (k, q) in query.iter_mut().enumerate() {
+                        *q = load_reg::<R>(a.as_ptr(), k, tail);
+                    }
+                    let count = out.len();
+                    let mut g = 0;
+                    while g < count {
+                        let mut per_row = [_mm256_setzero_pd(); 4];
+                        for (j, folded) in per_row.iter_mut().enumerate() {
+                            let row = rows.as_ptr().add((g + j).min(count - 1) * n);
+                            let mut acc = [_mm256_setzero_pd(); REGS];
+                            for (k, &$av) in query.iter().enumerate() {
+                                let $bv = load_reg::<R>(row, k, tail);
+                                acc[k % REGS] = _mm256_add_pd(acc[k % REGS], $vterm);
+                            }
+                            *folded = fold4(acc);
+                        }
+                        let mut four = [0.0f64; 4];
+                        _mm256_storeu_pd(four.as_mut_ptr(), $finish(fold4(per_row)));
+                        let take = (count - g).min(4);
+                        out[g..g + take].copy_from_slice(&four[..take]);
+                        g += 4;
+                    }
+                }
+                match a.len().div_ceil(4) {
+                    0 => regs::<0>(a, rows, out),
+                    1 => regs::<1>(a, rows, out),
+                    2 => regs::<2>(a, rows, out),
+                    3 => regs::<3>(a, rows, out),
+                    4 => regs::<4>(a, rows, out),
+                    5 => regs::<5>(a, rows, out),
+                    6 => regs::<6>(a, rows, out),
+                    7 => regs::<7>(a, rows, out),
+                    8 => regs::<8>(a, rows, out),
+                    9 => regs::<9>(a, rows, out),
+                    10 => regs::<10>(a, rows, out),
+                    11 => regs::<11>(a, rows, out),
+                    12 => regs::<12>(a, rows, out),
+                    13 => regs::<13>(a, rows, out),
+                    14 => regs::<14>(a, rows, out),
+                    15 => regs::<15>(a, rows, out),
+                    _ => regs::<16>(a, rows, out),
+                }
+            }
+        };
+    }
+
+    /// Register `k` of `R` of a row at `p`: elements `4k..4k+3`, the
+    /// last register only the lanes `tail` selects (the rest zero).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and the selected elements readable.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_reg<const R: usize>(p: *const f64, k: usize, tail: __m256i) -> __m256d {
+        if k + 1 < R {
+            _mm256_loadu_pd(p.add(4 * k))
+        } else {
+            _mm256_maskload_pd(p.add(4 * k), tail)
+        }
+    }
+
+    /// The mask selecting the first `rem` (at most 4) lanes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tail_mask(rem: usize) -> __m256i {
+        _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(rem as i64),
+            _mm256_setr_epi64x(0, 1, 2, 3),
+        )
+    }
+
+    /// Folds four registers `x_0..x_3` of lanes `[l0, l1, l2, l3]` into
+    /// `[(l0 + l1) + (l2 + l3)]` of each, in that order.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fold4(x: [__m256d; 4]) -> __m256d {
+        let h01 = _mm256_hadd_pd(x[0], x[1]);
+        let h23 = _mm256_hadd_pd(x[2], x[3]);
+        _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(h01, h23),
+            _mm256_permute2f128_pd::<0x31>(h01, h23),
+        )
+    }
+
+    avx2_sum_kernel_block!(
+        /// L1 from `a` to each row: `Σ |a[i] − row[i]|`.
+        l1_block,
+        |av, bv| abs_diff_pd(av, bv),
+        std::convert::identity
+    );
+
+    avx2_sum_kernel_block!(
+        /// L2 from `a` to each row: `sqrt(Σ (a[i] − row[i])²)`, square
+        /// via mul+add, no FMA.
+        l2_block,
         |av, bv| {
             let d = _mm256_sub_pd(av, bv);
             _mm256_mul_pd(d, d)

@@ -516,13 +516,21 @@ impl<'a> MvpArenaView<'a> {
     /// by leaf rank. Over a valid arena this names every item exactly
     /// once.
     pub fn row_order(&self) -> impl Iterator<Item = u32> + 'a {
+        self.ids.iter().copied().chain(self.vantage_order())
+    }
+
+    /// The item id stored at each vantage row, the rows after the
+    /// `ids().len()` leaf entries, in row order: the interior vantage
+    /// points `(vp1, vp2)` by internal rank, then each leaf's `vp1` and
+    /// present `vp2` by leaf rank.
+    pub fn vantage_order(&self) -> impl Iterator<Item = u32> + 'a {
         let internal = self.vp1.iter().zip(self.vp2).flat_map(|(&a, &b)| [a, b]);
         let leaves = self
             .leaf_heads
             .chunks_exact(6)
             .flat_map(|head| [head[0], head[1]])
             .filter(|&vp| vp != NO_CHILD);
-        self.ids.iter().copied().chain(internal).chain(leaves)
+        internal.chain(leaves)
     }
 
     /// The id→row table of an arena over `n` items: `rows[id]` is the

@@ -32,7 +32,12 @@ use crate::treeref::MvpTreeRef;
 /// `vbench trace --seed 1`. Where the tree prunes, each of its
 /// distances costs more (the ratio was 0.28 on the clustered data), so
 /// there the scan breaks even at a lower share and this β errs toward
-/// the tree. The measurements are in DESIGN.md, "Scan routing".
+/// the tree. Since the scan reads the leaf entries a block at a time,
+/// a scan item costs 0.35–0.38 of a tree distance on the uniform data
+/// and 0.18 on the clustered data; β stays 0.5, because a β below the
+/// clustered benchmark's probe ratio (0.208) would route a workload the
+/// tree prunes, which has not been measured under concurrent load. The
+/// measurements are in DESIGN.md, "Scan routing".
 pub const SCAN_BETA: f64 = 0.5;
 
 /// Probe searches per calibrated `k` bucket.

@@ -14,7 +14,7 @@
 
 use vantage_core::budget::{BudgetedKnn, SearchBudget};
 use vantage_core::trace::{NoTrace, TraceSink};
-use vantage_core::{BoundedMetric, ItemStore, Neighbor, Query, Search};
+use vantage_core::{BoundedMetric, ItemStore, Neighbor, Query, Search, Slab};
 
 use crate::arena::MvpArenaView;
 use crate::kernel::Kernel;
@@ -133,11 +133,16 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
     }
 
     /// kNN answered by a scan of the tree's own row-ordered item store
-    /// ([`vantage_core::scan`] over every row, each named by the id
-    /// [`MvpArenaView::row_order`] gives it) instead of a descent: `n`
+    /// ([`vantage_core::scan`] over every row) instead of a descent: `n`
     /// candidate distances, the same answer as the kNN
     /// [`search`](Search::search) (the collector's tie-break is
     /// canonical).
+    ///
+    /// The leaf entries, the first rows of the store, are one
+    /// [`Slab`](vantage_core::Slab) named by the arena's entry-id column
+    /// ([`MvpArenaView::ids`]), read a block at a time where the store
+    /// lends them back to back; the vantage rows after them are named
+    /// by [`MvpArenaView::vantage_order`].
     pub fn knn_scan<Sink: TraceSink>(
         &self,
         query: &S::Item,
@@ -147,9 +152,11 @@ impl<'a, S: ItemStore, M> MvpTreeRef<'a, S, M> {
     where
         M: BoundedMetric<S::Item>,
     {
-        let rows = (0..)
-            .zip(self.arena.row_order())
+        let entries = self.arena.ids();
+        let vantage = (entries.len() as u32..)
+            .zip(self.arena.vantage_order())
             .map(|(row, id)| (id as usize, self.store.get(row)));
+        let rows = Slab::new(&self.store, entries).then(vantage);
         vantage_core::scan(self.metric, query, Query::Knn(k), rows, sink)
     }
 

@@ -15,7 +15,7 @@
 //! for every load of the same snapshot.
 
 use vantage::prelude::*;
-use vantage_core::ItemStore;
+use vantage_core::{F64Rows, ItemStore, KnnCollector, RowStore};
 use vantage_datasets::{clustered_vectors, random_words, uniform_vectors, ClusteredConfig};
 use vantage_mvptree::route::k_bucket;
 use vantage_mvptree::{MvpTreeRef, ScanRouter};
@@ -245,4 +245,160 @@ fn a_routed_knn_zero_computes_no_distance() {
     let query = uniform_vectors(1, 20, 42).remove(0);
     assert!(view.knn_scan(&query, 0, &mut tally).is_empty());
     assert_eq!(tally.totals(), DistanceTotals::default());
+}
+
+/// One routed scan's answer bits, tally and profile.
+type Observed = (Vec<(usize, u64)>, DistanceTotals, QueryProfile);
+
+/// The routed scan of `view` for `query` and `k`.
+fn observe_scan<S, M>(view: &MvpTreeRef<'_, S, M>, query: &S::Item, k: usize) -> Observed
+where
+    S: ItemStore,
+    M: BoundedMetric<S::Item>,
+{
+    let mut sink = (QueryProfile::new(), DistanceTally::new());
+    let answer = bits(&view.knn_scan(query, k, &mut sink));
+    let (profile, tally) = sink;
+    (answer, tally.totals(), profile)
+}
+
+/// The reference per-row loop: every row in row order, one bounded
+/// call at the collector's current radius each, tallied as the scan
+/// must tally it.
+fn reference_totals<S, M>(view: &MvpTreeRef<'_, S, M>, query: &S::Item, k: usize) -> DistanceTotals
+where
+    S: ItemStore,
+    M: BoundedMetric<S::Item>,
+{
+    use vantage_core::trace::{DistanceRole, TraceSink};
+    let mut near = KnnCollector::new(k);
+    let mut tally = DistanceTally::new();
+    if k > 0 {
+        for id in view.arena().row_order() {
+            tally.distance(DistanceRole::Candidate);
+            let row = view.item(id);
+            match view
+                .metric()
+                .distance_within_frac(query, row, near.radius())
+            {
+                (Some(d), _) => {
+                    near.offer(id as usize, d);
+                }
+                (None, work) => tally.abandon(DistanceRole::Candidate, work),
+            }
+        }
+    }
+    tally.totals()
+}
+
+/// Checks every `k` of one view against the `LinearScan` oracle and the
+/// reference per-row loop.
+fn check_slab_scan<S, M>(
+    label: &str,
+    view: &MvpTreeRef<'_, S, M>,
+    queries: &[&S::Item],
+    oracle: &dyn Fn(&S::Item, usize) -> Vec<Neighbor>,
+) where
+    S: ItemStore,
+    M: BoundedMetric<S::Item>,
+{
+    let n = view.len();
+    for (qi, query) in queries.iter().enumerate() {
+        for k in [0, 1, 10, n, n + 3] {
+            let at = format!("{label}: query {qi}, k = {k}");
+            let (answer, totals, profile) = observe_scan(view, query, k);
+            assert_eq!(answer, bits(&oracle(query, k)), "{at}: scan vs LinearScan");
+            let want = reference_totals(view, query, k);
+            assert_eq!(totals.computations, want.computations, "{at}: computations");
+            assert_eq!(totals.abandoned, want.abandoned, "{at}: abandoned");
+            assert_eq!(
+                totals.abandoned_work.to_bits(),
+                want.abandoned_work.to_bits(),
+                "{at}: abandoned work"
+            );
+            let visits = u64::from(k > 0);
+            assert_eq!(profile.leaves_visited(), visits, "{at}: leaf visits");
+            assert_eq!(profile.nodes_visited(), visits, "{at}: node visits");
+        }
+    }
+}
+
+/// Whether some leaf of `view`'s arena holds a single vantage point
+/// (no `vp2`).
+fn has_leaf_without_vp2(arena: vantage_mvptree::MvpArenaView<'_>) -> bool {
+    (0..arena.len() as u32).any(|id| {
+        matches!(
+            arena.node(id),
+            vantage_mvptree::MvpNodeView::Leaf { vp2: None, .. }
+        )
+    })
+}
+
+/// The leaf-entry slab of `view` ends inside a block, so the scan takes
+/// whole blocks, a short last block and the vantage rows.
+fn assert_ragged_slab(label: &str, arena: vantage_mvptree::MvpArenaView<'_>) {
+    let entries = arena.ids().len();
+    assert!(
+        entries > vantage_core::SLAB_BLOCK && entries % vantage_core::SLAB_BLOCK != 0,
+        "{label}: {entries} leaf entries"
+    );
+}
+
+#[test]
+fn slab_scans_match_linear_scan_and_the_per_row_loop() {
+    // 20-d uniform points with every fifth one stored twice (ties), and
+    // small leaves so some hold a single vantage point.
+    let base = uniform_vectors(700, 20, 51);
+    let mut items = base.clone();
+    items.extend(base.iter().step_by(5).cloned());
+    let mut queries: Vec<Vec<f64>> = vec![items[0].clone(), items[701].clone()];
+    queries.extend(uniform_vectors(2, 20, 52));
+    let params = MvpParams::paper(3, 8, 4).seed(1);
+    let owned: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+
+    let l2 = MvpTree::<Vec<f64>, Euclidean, F64Rows>::with_rows(
+        F64Rows::from_items(items.clone()).unwrap(),
+        Euclidean,
+        params.clone(),
+    )
+    .unwrap();
+    let l2_scan = LinearScan::new(items.clone(), Euclidean);
+    assert_ragged_slab("owned l2", l2.as_view().arena());
+    assert!(has_leaf_without_vp2(l2.as_view().arena()));
+    check_slab_scan("owned l2", &l2.as_view(), &owned, &|q, k| {
+        l2_scan.knn(&q.to_vec(), k)
+    });
+
+    let l1 = MvpTree::<Vec<f64>, Manhattan, F64Rows>::with_rows(
+        F64Rows::from_items(items.clone()).unwrap(),
+        Manhattan,
+        params.clone(),
+    )
+    .unwrap();
+    let l1_scan = LinearScan::new(items.clone(), Manhattan);
+    check_slab_scan("owned l1", &l1.as_view(), &owned, &|q, k| {
+        l1_scan.knn(&q.to_vec(), k)
+    });
+
+    let tree = MvpTree::build(items.clone(), Euclidean, params).unwrap();
+    let path = temp_path("slab-mapped");
+    persist::save_mvp_tree(&tree, &path).unwrap();
+    let mapped = persist::open_mvp_tree::<F64Vectors, Euclidean>(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_ragged_slab("mapped l2", mapped.view().arena());
+    check_slab_scan("mapped l2", &mapped.view(), &owned, &|q, k| {
+        l2_scan.knn(&q.to_vec(), k)
+    });
+
+    // A counting metric declines blocks: the same slab is then offered
+    // row by row, with the same answers and tallies.
+    let counted = MvpTree::<Vec<f64>, _, F64Rows>::with_rows(
+        F64Rows::from_items(items).unwrap(),
+        Counted::new(Euclidean),
+        MvpParams::paper(3, 8, 4).seed(1),
+    )
+    .unwrap();
+    check_slab_scan("owned counted l2", &counted.as_view(), &owned, &|q, k| {
+        l2_scan.knn(&q.to_vec(), k)
+    });
 }

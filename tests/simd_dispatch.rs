@@ -27,7 +27,9 @@
 //! single-pair kernels lane by lane: every lane equals the single-pair
 //! result on the same path and on the portable path, bit for bit, over
 //! dims 0–80, NaN, ±∞, −0.0 and subnormal inputs, and rows at offsets
-//! that are not 32-byte aligned.
+//! that are not 32-byte aligned. The block kernels (`l1_block`,
+//! `l2_block`) are held to them row by row the same way, over every
+//! dimension below the first bounded checkpoint and slabs of 0–9 rows.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -357,8 +359,102 @@ fn metric_layer_batches_below_the_first_checkpoint() {
     }
 }
 
+type BlockKernel = fn(SimdPath, &[f64], &[f64], &mut [f64]);
+
+/// Every output of each block kernel over the `rows.len() / a.len()`
+/// rows of `rows` equals its single-pair kernel on the same path, and
+/// the portable single-pair value, bit for bit.
+fn check_block_kernels(a: &[f64], rows: &[f64], count: usize) -> Result<(), TestCaseError> {
+    let kernels: [(&str, BlockKernel, FloatKernel); 2] = [
+        ("l1_block", simd::l1_block, simd::l1::<false>),
+        ("l2_block", simd::l2_block, simd::l2::<false>),
+    ];
+    let n = a.len();
+    for (name, block, single) in kernels {
+        let full = |path, row| single(path, a, row, f64::INFINITY).0.unwrap();
+        for path in simd::test_paths() {
+            let mut got = vec![f64::NAN; count];
+            block(path, a, rows, &mut got);
+            for (j, &d) in got.iter().enumerate() {
+                let row = &rows[j * n..(j + 1) * n];
+                let ctx = format!("{name} via {path} (n={n}, rows={count}) row {j}");
+                for want in [full(path, row), full(SimdPath::Portable, row)] {
+                    prop_assert!(same_bits(d, want), "{}: {} != {}", &ctx, d, want);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A query and a slab of `count` rows of `n` [`special_value`]s, the
+/// slab starting `skip` elements into its buffer (so not 32-byte
+/// aligned). Returns `(query, buffer)`.
+fn block_case(rng: &mut StdRng, n: usize, count: usize, skip: usize) -> (Vec<f64>, Vec<f64>) {
+    let query = (0..n).map(|_| special_value(rng)).collect();
+    let buffer = (0..skip + n * count).map(|_| special_value(rng)).collect();
+    (query, buffer)
+}
+
+#[test]
+fn block_kernels_match_single_pair_rows_at_every_dim_and_count() {
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(28);
+    for n in 0..64 {
+        for count in 0..=9 {
+            for skip in [0, 1, 3] {
+                let (query, buffer) = block_case(&mut rng, n, count, skip);
+                check_block_kernels(&query, &buffer[skip..], count).unwrap();
+            }
+        }
+    }
+}
+
+/// The metric layer takes a slab below the first bounded checkpoint
+/// only, with the same values as the explicit kernels, and declines a
+/// slab whose length is not the row count times the query's.
+#[test]
+fn metric_layer_takes_blocks_below_the_first_checkpoint() {
+    use vantage_core::prelude::*;
+    for n in [0usize, 1, 16, 20, 33, 63, 64, 80] {
+        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let rows: Vec<f64> = (0..5 * n).map(|i| (i as f64 * 0.3).sin()).collect();
+        let (mut l1, mut l2) = (vec![0.0; 5], vec![0.0; 5]);
+        let took = (
+            Manhattan.distance_block(&a[..], &rows[..], &mut l1),
+            Euclidean.distance_block(&a[..], &rows[..], &mut l2),
+        );
+        if n < 64 {
+            assert_eq!(took, (true, true), "n={n}");
+            let (mut want1, mut want2) = (vec![0.0; 5], vec![0.0; 5]);
+            simd::l1_block(simd::active(), &a, &rows, &mut want1);
+            simd::l2_block(simd::active(), &a, &rows, &mut want2);
+            assert_eq!((l1, l2), (want1, want2), "n={n}");
+        } else {
+            assert_eq!(took, (false, false), "n={n}");
+        }
+        if n > 0 {
+            let mut four = vec![0.0; 4];
+            assert!(!Euclidean.distance_block(&a[..], &rows[..], &mut four));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn block_kernels_bit_identical_across_paths(
+        n in 0usize..64,
+        count in 0usize..=9,
+        skip in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (query, buffer) = block_case(&mut rng, n, count, skip);
+        check_block_kernels(&query, &buffer[skip..], count)?;
+    }
 
     #[test]
     fn batch_kernels_bit_identical_across_paths(
