@@ -213,36 +213,6 @@ fn saturation_metrics(metrics: &mut BTreeMap<String, f64>) {
     metrics.insert("serve/swap_p99_ns".to_string(), p99);
 }
 
-/// Scatter-gather kNN wall-clock at 1/4/8 shards: the same query set
-/// against a [`ShardedIndex`] of seeded mvp-trees, ns per query. All
-/// keys end in `_ns` (calibration-rescaled, loose wall tolerance); the
-/// 1-shard point doubles as the scatter layer's overhead floor.
-fn shard_metrics(metrics: &mut BTreeMap<String, f64>) {
-    let points = bench_vectors(N);
-    let queries = bench_queries();
-    for shards in [1usize, 4, 8] {
-        let index = ShardedIndex::build(points.clone(), shards, Threads::Auto, |s, part| {
-            MvpTree::build(
-                part,
-                Euclidean,
-                MvpParams::paper(3, 80, 5).seed(1 + s as u64),
-            )
-        })
-        .expect("sharded build");
-        let start = Instant::now();
-        for _ in 0..REPS {
-            for q in &queries {
-                std::hint::black_box(index.knn(q, KNN_K));
-            }
-        }
-        let total = (REPS * queries.len()) as f64;
-        metrics.insert(
-            format!("shard/knn_scatter_{shards}s_ns"),
-            start.elapsed().as_nanos() as f64 / total,
-        );
-    }
-}
-
 /// Distance-kernel wall-clock at the paper's hot dimensionalities: the
 /// full L1/L2/L∞ kernels plus the bounded-near variant (bound just above
 /// the true distance, so it completes and pays the full checkpoint
@@ -511,7 +481,6 @@ fn main() {
 
     let mut fresh = collect_metrics(&registry);
     saturation_metrics(&mut fresh);
-    shard_metrics(&mut fresh);
     budget_metrics(&mut fresh);
     kernel_metrics(&mut fresh);
     trace_metrics(&mut fresh);

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::fs;
 use std::sync::Arc;
@@ -32,11 +33,11 @@ use std::time::Instant;
 use vantage_core::prelude::*;
 use vantage_experiments::Scale;
 use vantage_mvptree::route::k_bucket;
-use vantage_mvptree::{MvpParams, MvpTree, SCAN_BETA};
+use vantage_mvptree::{MvpParams, SCAN_BETA};
 use vantage_persist::{self as persist, IndexKind, SnapshotInfo};
 use vantage_telemetry::export::{self, thousands};
 use vantage_telemetry::{CostDelta, IndexMetrics, MetricsRegistry, OpKind};
-use vantage_vptree::{VpTree, VpTreeParams};
+use vantage_vptree::VpTreeParams;
 
 mod serve;
 pub mod vectext;
@@ -66,14 +67,17 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Minimal `--flag value` argument map.
+/// Minimal `--flag value` argument map for one command. It records
+/// which flags the command reads, so [`Args::finish`] can refuse any
+/// flag the command would otherwise ignore.
 struct Args<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
+    command: &'static str,
+    pairs: Vec<(&'a str, &'a str, Cell<bool>)>,
 }
 
 impl<'a> Args<'a> {
-    fn parse(raw: &'a [String]) -> CliResult<Self> {
-        let mut pairs = Vec::new();
+    fn parse(command: &'static str, raw: &'a [String]) -> CliResult<Self> {
+        let mut pairs: Vec<(&str, &str, Cell<bool>)> = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             let flag = raw[i]
@@ -82,14 +86,33 @@ impl<'a> Args<'a> {
             let value = raw
                 .get(i + 1)
                 .ok_or_else(|| err(format!("flag --{flag} needs a value")))?;
-            pairs.push((flag, value.as_str()));
+            if pairs.iter().any(|(f, ..)| *f == flag) {
+                return Err(err(format!("flag --{flag} given more than once")));
+            }
+            pairs.push((flag, value.as_str(), Cell::new(false)));
             i += 2;
         }
-        Ok(Args { pairs })
+        Ok(Args { command, pairs })
     }
 
     fn get(&self, flag: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(f, _)| *f == flag).map(|(_, v)| *v)
+        let (_, value, read) = self.pairs.iter().find(|(f, ..)| *f == flag)?;
+        read.set(true);
+        Some(*value)
+    }
+
+    /// Refuses the first flag the command has not read. Each command
+    /// calls it once, after reading every flag that applies and before
+    /// doing any work, so a misspelled or inapplicable flag is an error
+    /// rather than a silent default.
+    fn finish(&self) -> CliResult<()> {
+        match self.pairs.iter().find(|(.., read)| !read.get()) {
+            Some((flag, ..)) => Err(err(format!(
+                "unknown flag --{flag} for {} (see `vantage help`)",
+                self.command
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn required(&self, flag: &str) -> CliResult<&'a str> {
@@ -124,12 +147,11 @@ USAGE:
   vantage build  --data FILE --save FILE [--metric l1|l2|linf|edit] [--structure mvp|vp|linear]
                  [--seed S] [--threads auto|N] [--metrics FILE]
   vantage query  (--data FILE | --index FILE) --query Q [--metric l1|l2|linf|edit]
-                 [--structure mvp|vp|linear] (--range R | --knn K)
-                 [--shards S] [--budget N]
-                 [--seed S] [--threads auto|N] [--metrics FILE]
+                 (--range R | --knn K) [--budget N] [--metrics FILE]
+                 [--structure mvp|vp|linear] [--seed S] [--threads auto|N]  (--data only)
   vantage explain (--data FILE | --index FILE) --query Q [--metric l1|l2|linf|edit]
-                 [--structure mvp|vp|linear] (--range R | --knn K)
-                 [--seed S] [--threads auto|N] [--metrics FILE]
+                 (--range R | --knn K) [--metrics FILE]
+                 [--structure mvp|vp|linear] [--seed S] [--threads auto|N]  (--data only)
   vantage stats  --data FILE [--metric l1|l2|linf|edit] [--bin W] [--threads auto|N]
   vantage stats  --metrics FILE [--format table|json|prom]
   vantage stats  --index FILE
@@ -138,7 +160,7 @@ USAGE:
              construction, comparators, knn, pruning, budget
   vantage serve  (--index FILE | --data FILE) [--addr HOST:PORT] [--addr-file FILE]
                  [--metric l1|l2|linf|edit] [--metrics-out FILE]
-                 [--shards S] [--seed S] [--threads auto|N]
+                 [--seed S] [--threads auto|N (--data only)]
                  [--trace-sample N] [--slow-ms MS] [--slow-log FILE] [--trace-ring N]
   vantage client --addr HOST:PORT --cmd \"COMMAND\"
   vantage trace  --addr HOST:PORT [--id HEX] [--export FILE]
@@ -190,13 +212,9 @@ trace (default: the slowest) and `--export` writes Chrome trace-event
 JSON for chrome://tracing or Perfetto. Tracing never changes answers;
 see DESIGN.md \"Request tracing & SLOs\".
 
-`--shards S` partitions the dataset round-robin across S sub-indexes and
-answers queries scatter-gather with a shared pruning bound; answers are
-bit-identical to the unsharded index (`query --data` builds sharded,
-`serve --index` rebuilds the snapshot's dataset sharded). `--budget N` on
-`query --knn` caps the search at N distance computations and reports the
-best-effort answer with its self-estimated recall; see DESIGN.md
-\"Sharding & budgeted search\".
+`--budget N` on `query --knn` caps the search at N distance computations
+and reports the best-effort answer with its self-estimated recall; see
+DESIGN.md \"Budgeted search\".
 
 `--threads` controls construction/statistics parallelism (default: auto,
 i.e. all cores, or the VANTAGE_THREADS environment variable). The worker
@@ -229,11 +247,20 @@ pub fn run(argv: &[String], out: &mut String) -> CliResult<()> {
 }
 
 fn cmd_serve(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("serve", argv)?;
     let opts = serve::ServeOptions::from_args(&args)?;
     match (args.get("data"), args.get("index")) {
-        (None, Some(snapshot)) => serve::serve_snapshot(snapshot, opts, out),
-        (Some(data), None) => serve::serve_data(data, opts, out),
+        (None, Some(snapshot)) => {
+            args.finish()?;
+            serve::serve_snapshot(snapshot, opts, out)
+        }
+        (Some(data), None) => {
+            // Only the dynamic engine builds a tree; a snapshot is
+            // served as saved.
+            let threads = parse_threads(&args)?;
+            args.finish()?;
+            serve::serve_data(data, threads, opts, out)
+        }
         _ => Err(err(
             "serve needs exactly one of --data FILE or --index FILE",
         )),
@@ -256,7 +283,7 @@ fn cmd_generate(argv: &[String], out: &mut String) -> CliResult<()> {
     let kind = argv
         .first()
         .ok_or_else(|| err("generate needs a kind: uniform | clustered | words"))?;
-    let args = Args::parse(&argv[1..])?;
+    let args = Args::parse("generate", &argv[1..])?;
     let seed: u64 = args.parsed("seed", 0)?;
     let content = match kind.as_str() {
         "uniform" => {
@@ -284,7 +311,9 @@ fn cmd_generate(argv: &[String], out: &mut String) -> CliResult<()> {
         }
         other => return Err(err(format!("unknown dataset kind `{other}`"))),
     };
-    write_or_print(args.get("out"), &content, out)
+    let path = args.get("out");
+    args.finish()?;
+    write_or_print(path, &content, out)
 }
 
 fn vectors_to_csv(vectors: &[Vec<f64>]) -> String {
@@ -459,12 +488,11 @@ struct BuildSpec<'a> {
     structure: &'a str,
     seed: u64,
     threads: Threads,
-    shards: usize,
 }
 
-/// Builds the requested structure over `items` — round-robin sharded
-/// when `spec.shards > 1` — and answers `ask` on it. The build is
-/// recorded as [`OpKind::Build`] with the cost its builders counted.
+/// Builds the requested structure over `items` and answers `ask` on it.
+/// The build is recorded as [`OpKind::Build`] with the cost its builder
+/// counted.
 fn answer_built<T: WireItem, M: ServeMetric<T>>(
     items: Vec<T>,
     metric: M,
@@ -474,30 +502,21 @@ fn answer_built<T: WireItem, M: ServeMetric<T>>(
     metrics: &Option<Arc<IndexMetrics>>,
 ) -> CliResult<Answer> {
     let n = items.len();
-    let (seed, shards, threads) = (spec.seed, spec.shards, spec.threads);
+    let (seed, threads) = (spec.seed, spec.threads);
+    let built = |e: VantageError| err(e.to_string());
     let build_start = Instant::now();
     let (index, build_cost) = match spec.structure {
-        "mvp" => serve::build_served(
-            items,
-            shards,
-            threads,
-            |part, threads| serve::build_mvp(part, metric.clone(), seed, threads),
-            MvpTree::build_distances,
-        )?,
-        "vp" => serve::build_served(
-            items,
-            shards,
-            threads,
-            |part, threads| serve::build_vp(part, metric.clone(), seed, threads),
-            VpTree::build_distances,
-        )?,
-        "linear" => serve::build_served::<T, T, _>(
-            items,
-            shards,
-            threads,
-            |part, _| Ok(LinearScan::new(part, metric.clone())),
-            |_| 0,
-        )?,
+        "mvp" => {
+            let tree = serve::build_mvp(items, metric, seed, threads).map_err(built)?;
+            let cost = tree.build_distances();
+            (serve::served(tree), cost)
+        }
+        "vp" => {
+            let tree = serve::build_vp(items, metric, seed, threads).map_err(built)?;
+            let cost = tree.build_distances();
+            (serve::served(tree), cost)
+        }
+        "linear" => (serve::served::<T, T, _>(LinearScan::new(items, metric)), 0),
         other => return Err(err(format!("unknown structure `{other}` (mvp|vp|linear)"))),
     };
     if let Some(metrics) = metrics {
@@ -543,9 +562,9 @@ fn run_data<'a>(
         structure: args.get("structure").unwrap_or("mvp"),
         seed: args.parsed("seed", 0)?,
         threads: parse_threads(args)?,
-        shards: args.parsed("shards", 1)?,
     };
     let metrics = args.get("metrics").map(|_| registry.index(spec.structure));
+    args.finish()?;
     let answer = if metric_name == "edit" {
         let words = read_words(data)?;
         let query = query_text.to_string();
@@ -596,7 +615,7 @@ fn answer_loaded<T: WireQuery>(
     query: &T,
 ) -> CliResult<Answer> {
     let load_start = Instant::now();
-    let loaded = load(path, 1, 0, Threads::SEQUENTIAL)?;
+    let loaded = load(path)?;
     if let Some(metrics) = metrics {
         record_snapshot_load(metrics, load_start, info.bytes);
     }
@@ -637,15 +656,11 @@ fn run_snapshot(
     ask: &Ask,
     registry: &MetricsRegistry,
 ) -> CliResult<(Answer, &'static str)> {
-    if args.parsed("shards", 1usize)? != 1 {
-        return Err(err(
-            "--shards needs --data (to serve a snapshot sharded, use `vantage serve --index FILE --shards S`)",
-        ));
-    }
     let info = persist::inspect(path).map_err(|e| err(format!("{path}: {e}")))?;
     check_snapshot_metric(&info, args.get("metric"))?;
     let label = structure_label(info.kind);
     let metrics = args.get("metrics").map(|_| registry.index(label));
+    args.finish()?;
     let run = (path, &info, ask, &metrics);
     let answer = match (info.item.as_str(), info.metric.as_str()) {
         ("utf8-string", "edit") => answer_loaded(
@@ -686,14 +701,14 @@ fn run_ask<'a>(
     args: &Args<'a>,
     ask: &Ask,
     registry: &MetricsRegistry,
-    command: &str,
 ) -> CliResult<(Answer, &'a str)> {
     let query_text = args.required("query")?;
     match (args.get("data"), args.get("index")) {
         (None, Some(snapshot)) => run_snapshot(snapshot, args, query_text, ask, registry),
         (Some(data), None) => run_data(data, args, query_text, ask, registry),
         _ => Err(err(format!(
-            "{command} needs exactly one of --data FILE or --index FILE"
+            "{} needs exactly one of --data FILE or --index FILE",
+            args.command
         ))),
     }
 }
@@ -748,7 +763,7 @@ fn byte_rows(vectors: &[Vec<f64>]) -> Option<Vec<Vec<u8>>> {
 }
 
 fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("build", argv)?;
     let data = args.required("data")?;
     let save = args.required("save")?;
     let metric_name = args.get("metric").unwrap_or("l2");
@@ -757,6 +772,7 @@ fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {
     let threads = parse_threads(&args)?;
     let registry = MetricsRegistry::new();
     let metrics = args.get("metrics").map(|_| registry.index(structure));
+    args.finish()?;
 
     let (cost, bytes, n) = if metric_name == "edit" {
         build_and_save(
@@ -805,7 +821,7 @@ fn cmd_build(argv: &[String], out: &mut String) -> CliResult<()> {
 }
 
 fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("query", argv)?;
     let budget: Option<u64> = match args.get("budget") {
         None => None,
         Some(v) => Some(
@@ -819,7 +835,7 @@ fn cmd_query(argv: &[String], out: &mut String) -> CliResult<()> {
         explain: false,
     };
     let registry = MetricsRegistry::new();
-    let (answer, _) = run_ask(&args, &ask, &registry, "query")?;
+    let (answer, _) = run_ask(&args, &ask, &registry)?;
 
     let (results, cost, n) = (&answer.results, answer.cost, answer.n);
     let _ = writeln!(out, "{} results:", results.len());
@@ -953,7 +969,7 @@ fn route_line(cmd: Query, routing: &Routing, n: usize) -> String {
         _ => None,
     };
     let Some(c) = calibration else {
-        return "route: search (only unsharded mvp-tree kNN queries are routed)".to_string();
+        return "route: search (only mvp-tree kNN queries are routed)".to_string();
     };
     let (route, test) = if c.scan() {
         ("scan", ">=")
@@ -971,14 +987,14 @@ fn route_line(cmd: Query, routing: &Routing, n: usize) -> String {
 }
 
 fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("explain", argv)?;
     let ask = Ask {
         cmd: query_cmd(&args)?,
         budget: None,
         explain: true,
     };
     let registry = MetricsRegistry::new();
-    let (answer, structure) = run_ask(&args, &ask, &registry, "explain")?;
+    let (answer, structure) = run_ask(&args, &ask, &registry)?;
 
     let _ = writeln!(out, "{} results:", answer.results.len());
     for r in &answer.results {
@@ -995,15 +1011,17 @@ fn cmd_explain(argv: &[String], out: &mut String) -> CliResult<()> {
 }
 
 fn cmd_stats(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("stats", argv)?;
     if let Some(path) = args.get("index") {
         // Snapshot mode: verify every checksum and print the header.
         // `stats` is the operator's integrity check, so it deliberately
         // pays the O(file) read that header-only `persist::inspect`
         // avoids on the serve path.
+        let metric = args.get("metric");
+        args.finish()?;
         let bytes = fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
         let info = persist::inspect_bytes(&bytes).map_err(|e| err(format!("{path}: {e}")))?;
-        check_snapshot_metric(&info, args.get("metric"))?;
+        check_snapshot_metric(&info, metric)?;
         let _ = writeln!(out, "snapshot: {path}");
         let _ = writeln!(out, "  format version: {}", info.version);
         let _ = writeln!(out, "  index:          {}", info.kind.name());
@@ -1017,10 +1035,12 @@ fn cmd_stats(argv: &[String], out: &mut String) -> CliResult<()> {
         // Telemetry mode: render a snapshot written by `query --metrics`
         // (or any process exporting the registry) instead of computing
         // pairwise dataset statistics.
+        let format = args.get("format").unwrap_or("table");
+        args.finish()?;
         let text = fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
         let snapshot = export::from_json(&text)
             .map_err(|e| err(format!("{path}: not a metrics snapshot: {e}")))?;
-        match args.get("format").unwrap_or("table") {
+        match format {
             "table" => out.push_str(&snapshot.render_table()),
             "json" => out.push_str(&export::to_json(&snapshot)),
             "prom" => out.push_str(&export::to_prometheus(&snapshot)),
@@ -1032,6 +1052,7 @@ fn cmd_stats(argv: &[String], out: &mut String) -> CliResult<()> {
     let metric_name = args.get("metric").unwrap_or("l2");
     let bin: f64 = args.parsed("bin", 0.05)?;
     let threads = parse_threads(&args)?;
+    args.finish()?;
 
     fn report<T, M: Metric<T> + Sync>(
         items: &[T],
@@ -1087,12 +1108,13 @@ fn cmd_experiment(argv: &[String], out: &mut String) -> CliResult<()> {
     let name = argv
         .first()
         .ok_or_else(|| err("experiment needs a name (fig04..fig11, ablation_k, ...)"))?;
-    let args = Args::parse(&argv[1..])?;
+    let args = Args::parse("experiment", &argv[1..])?;
     let scale = match args.get("scale").unwrap_or("quick") {
         "full" => Scale::Full,
         "quick" => Scale::Quick,
         other => return Err(err(format!("unknown scale `{other}` (quick|full)"))),
     };
+    args.finish()?;
     use vantage_experiments::{ablations, figures};
     let report = match name.as_str() {
         "fig04" => figures::fig04(scale),
@@ -1235,98 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_query_answers_are_bit_identical_to_unsharded() {
-        let path = temp_path("sharded.csv");
-        run_ok(&[
-            "generate", "uniform", "--n", "180", "--dim", "4", "--seed", "11", "--out", &path,
-        ]);
-        for structure in ["mvp", "vp", "linear"] {
-            for (flag, value) in [("--knn", "7"), ("--range", "0.45")] {
-                let base = run_ok(&[
-                    "query",
-                    "--data",
-                    &path,
-                    "--structure",
-                    structure,
-                    flag,
-                    value,
-                    "--query",
-                    "0.4,0.6,0.5,0.5",
-                ]);
-                for shards in ["2", "3", "7"] {
-                    let sharded = run_ok(&[
-                        "query",
-                        "--data",
-                        &path,
-                        "--structure",
-                        structure,
-                        flag,
-                        value,
-                        "--query",
-                        "0.4,0.6,0.5,0.5",
-                        "--shards",
-                        shards,
-                    ]);
-                    assert_eq!(
-                        result_lines(&base),
-                        result_lines(&sharded),
-                        "{structure} {flag} shards={shards}"
-                    );
-                }
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_linear_knn_cost_is_counted_once() {
-        // Each shard counts in a tally of its own and the query's cost is
-        // their sum; a linear-scan kNN computes each of the 120 distances
-        // exactly once whether the scan is sharded or not — any
-        // double-count from the shared-bound path would show up in the
-        // cost line.
-        let path = temp_path("sharded-cost.csv");
-        run_ok(&[
-            "generate", "uniform", "--n", "120", "--dim", "3", "--seed", "2", "--out", &path,
-        ]);
-        let cost_line = |out: &str| -> String {
-            out.lines()
-                .find(|l| l.starts_with("cost:"))
-                .expect("cost line")
-                .to_string()
-        };
-        let base = run_ok(&[
-            "query",
-            "--data",
-            &path,
-            "--structure",
-            "linear",
-            "--knn",
-            "5",
-            "--query",
-            "0.5,0.5,0.5",
-        ]);
-        for shards in ["2", "4"] {
-            let sharded = run_ok(&[
-                "query",
-                "--data",
-                &path,
-                "--structure",
-                "linear",
-                "--knn",
-                "5",
-                "--query",
-                "0.5,0.5,0.5",
-                "--shards",
-                shards,
-            ]);
-            assert_eq!(cost_line(&base), cost_line(&sharded), "shards={shards}");
-            assert!(cost_line(&base).contains("120 distance computations"));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn budgeted_query_reports_spend_and_estimated_recall() {
         let path = temp_path("budget.csv");
         run_ok(&[
@@ -1356,11 +1286,6 @@ mod tests {
         let starved = run_ok(&argv);
         assert!(starved.contains("(exhausted)"), "{starved}");
         assert!(!starved.contains("estimated recall 1.000"), "{starved}");
-        // Sharded + budgeted compose.
-        let mut argv = common.to_vec();
-        argv.extend_from_slice(&["--budget", "40", "--shards", "3"]);
-        let sharded = run_ok(&argv);
-        assert!(sharded.contains("budget: spent"), "{sharded}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1397,7 +1322,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_and_shard_flag_misuse_is_rejected() {
+    fn flag_misuse_is_rejected() {
         let data = temp_path("flag-misuse.csv");
         let snap = temp_path("flag-misuse.vantage");
         run_ok(&[
@@ -1408,14 +1333,32 @@ mod tests {
             "query", "--data", &data, "--range", "0.5", "--query", "0,0,0", "--budget", "10",
         ]);
         assert!(e.0.contains("--budget applies to --knn only"), "{e}");
-        let e = run_err(&[
-            "query", "--index", &snap, "--knn", "3", "--query", "0,0,0", "--shards", "4",
-        ]);
-        assert!(e.0.contains("--shards needs --data"), "{e}");
-        let e = run_err(&[
-            "query", "--data", &data, "--knn", "3", "--query", "0,0,0", "--shards", "0",
-        ]);
-        assert!(e.0.contains("--shards must be at least 1"), "{e}");
+        // A flag the command does not read is refused, never ignored.
+        let cases: [(&[&str], &str); 6] = [
+            (&["query", "--data", &data, "--metirc", "l1"], "--metirc"),
+            (&["query", "--index", &snap, "--seed", "1"], "--seed"),
+            (&["explain", "--data", &data, "--budget", "5"], "--budget"),
+            (
+                &["build", "--data", &data, "--save", &snap, "--bogus", "7"],
+                "--bogus",
+            ),
+            (&["stats", "--index", &snap, "--bin", "2"], "--bin"),
+            (
+                &["generate", "uniform", "--n", "3", "--dim", "2", "--k", "1"],
+                "--k",
+            ),
+        ];
+        for (argv, flag) in cases {
+            let mut argv = argv.to_vec();
+            if matches!(argv[0], "query" | "explain") {
+                argv.extend(["--knn", "3", "--query", "0,0,0"]);
+            }
+            let e = run_err(&argv);
+            let named = format!("unknown flag {flag} for {}", argv[0]);
+            assert!(e.0.contains(&named), "{argv:?}: {e}");
+        }
+        let e = run_err(&["query", "--data", &data, "--knn", "3", "--knn", "4"]);
+        assert!(e.0.contains("--knn given more than once"), "{e}");
         for p in [&data, &snap] {
             let _ = std::fs::remove_file(p);
         }

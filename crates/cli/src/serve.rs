@@ -43,9 +43,8 @@
 //! line and `--seed` (see [`Sampler`]), so the *set* of sampled requests
 //! is identical across thread counts and replays. One request in
 //! `--trace-sample` N (default 64) records per-phase spans — parse,
-//! search (one span per shard when `--shards` > 1, each carrying its
-//! shard's own distance tally), merge, reply — plus the full per-descent
-//! pruning profile. Requests slower than `--slow-ms` are always
+//! search (carrying the query's distance tally), reply — plus the full
+//! per-descent pruning profile. Requests slower than `--slow-ms` are always
 //! captured, synthesizing a search span from the latency and cost the
 //! metrics path measures anyway. Captured traces land in a bounded,
 //! never-blocking ring (`SLOW` / `TRACE`, and `vantage trace --export`
@@ -54,7 +53,7 @@
 //! answer: traced replies are byte-identical to untraced ones.
 //!
 //! Every query counts its distance computations in a [`DistanceTally`]
-//! of its own (one per shard, summed), so the cost the metrics registry
+//! of its own, so the cost the metrics registry
 //! and the trace spans record is exactly that query's, whatever queries,
 //! writes or rebuilds run concurrently — in both modes.
 //!
@@ -105,8 +104,8 @@ use vantage_vptree::VpTree;
 
 use crate::vectext::{narrow, parse_bytes, VectorTextError};
 use crate::{
-    err, mvp_build_params, parse_threads, record_build, record_snapshot_load, structure_label,
-    vp_build_params, Args, CliResult,
+    err, mvp_build_params, record_build, record_snapshot_load, structure_label, vp_build_params,
+    Args, CliResult,
 };
 
 /// How long `RELOAD` waits for the displaced generation's readers.
@@ -416,7 +415,7 @@ fn search_traced<Q: ?Sized, I: Search<Q> + ?Sized>(
     let mut results = index.search(query, cmd, &mut sink);
     reply_order(cmd, &mut results);
     let (profile, tally) = sink;
-    rec.record("search", None, timer, tally.totals());
+    rec.record("search", timer, tally.totals());
     (results, profile, tally.totals())
 }
 
@@ -430,9 +429,8 @@ fn search_traced<Q: ?Sized, I: Search<Q> + ?Sized>(
 pub(crate) trait ServedQuery<T>: Send + Sync {
     /// Answers `cmd` with no tracing beyond the cost tally.
     fn execute(&self, cmd: Query, query: &T) -> (Vec<Neighbor>, DistanceTotals);
-    /// Answers `cmd` while recording per-phase spans (one per shard when
-    /// sharded) and the descent profile. Same results and cost as
-    /// [`execute`](ServedQuery::execute).
+    /// Answers `cmd` while recording its `search` span and the descent
+    /// profile. Same results and cost as [`execute`](ServedQuery::execute).
     fn execute_traced(
         &self,
         cmd: Query,
@@ -449,11 +447,8 @@ pub(crate) trait ServedQuery<T>: Send + Sync {
     fn item_into(&self, id: usize, out: &mut T) -> bool {
         self.item(id).map(|item| *out = item).is_some()
     }
-    /// How this index has routed its kNN queries so far (nothing for a
-    /// sharded index, which is never routed).
-    fn routing(&self) -> Routing {
-        Routing::default()
-    }
+    /// How this index has routed its kNN queries so far.
+    fn routing(&self) -> Routing;
 }
 
 /// A served index's kNN routing: answers by its own search and by a
@@ -470,7 +465,7 @@ pub(crate) struct Routing {
     pub(crate) buckets: Vec<ScanCalibration>,
 }
 
-/// An unsharded index. It answers queries of type `Q`: the wire item
+/// One served index. It answers queries of type `Q`: the wire item
 /// itself, or the unsized form (`[f64]`, `str`) a loaded snapshot tree
 /// answers, which wire items are borrowed down to.
 ///
@@ -557,74 +552,6 @@ where
             widened: 0,
             buckets: self.router.calibrated().collect(),
         }
-    }
-}
-
-/// A scatter-gather index over shards answering queries of type `Q`
-/// (see [`ServedSingle`]). Each shard's search reports into a tally of
-/// its own; the query's cost is their sum.
-struct ServedSharded<I, Q: ?Sized> {
-    index: ShardedIndex<I>,
-    query: PhantomData<fn(&Q)>,
-}
-
-impl<T, Q, I> ServedQuery<T> for ServedSharded<I, Q>
-where
-    T: Borrow<Q> + Send + Sync,
-    Q: ToOwned<Owned = T> + Sync + ?Sized,
-    I: ShardSearch<Q> + BudgetedSearch<Q> + Send + Sync,
-{
-    fn execute(&self, cmd: Query, query: &T) -> (Vec<Neighbor>, DistanceTotals) {
-        let (mut results, tallies): (_, Vec<DistanceTally>) =
-            self.index.search_per_shard(query.borrow(), cmd);
-        reply_order(cmd, &mut results);
-        (results, tallies.into_iter().sum::<DistanceTally>().totals())
-    }
-
-    fn execute_traced(
-        &self,
-        cmd: Query,
-        query: &T,
-        rec: &mut SpanRecorder,
-    ) -> (Vec<Neighbor>, QueryProfile, DistanceTotals) {
-        // Sampled requests visit shards *sequentially* so each shard
-        // span times its own search; each span's cost is its shard's own
-        // tally. `ShardedIndex::merge` is the parallel path's merge, so
-        // replies stay byte-identical to the untraced path.
-        let query = query.borrow();
-        let mut profile = QueryProfile::new();
-        let mut tallies = Vec::with_capacity(self.index.shard_count());
-        let mut per_shard = Vec::with_capacity(self.index.shard_count());
-        for (idx, shard) in self.index.shards().iter().enumerate() {
-            let timer = rec.begin();
-            let mut sink = (profile, DistanceTally::new());
-            per_shard.push(shard.search(query, cmd, &mut sink));
-            let tally;
-            (profile, tally) = sink;
-            rec.record("shard", Some(idx as u32), timer, tally.totals());
-            tallies.push(tally);
-        }
-        let timer = rec.begin();
-        let mut all = self.index.merge(cmd, per_shard);
-        reply_order(cmd, &mut all);
-        rec.record("merge", None, timer, DistanceTotals::default());
-        let cost = tallies.into_iter().sum::<DistanceTally>().totals();
-        (all, profile, cost)
-    }
-
-    fn knn_budgeted(&self, query: &T, k: usize, budget: SearchBudget) -> BudgetedKnn {
-        self.index.knn_budgeted(query.borrow(), k, budget)
-    }
-
-    fn item(&self, id: usize) -> Option<T> {
-        self.index.get(id).map(ToOwned::to_owned)
-    }
-
-    fn item_into(&self, id: usize, out: &mut T) -> bool {
-        self.index
-            .get(id)
-            .map(|item| item.clone_into(out))
-            .is_some()
     }
 }
 
@@ -772,74 +699,15 @@ impl<M: BoundedMetric<[f64]> + Send + Sync> ServedQuery<ByteQuery> for ByteServe
     }
 }
 
-/// Builds `items` with `build` — as one index when `shards == 1`,
-/// otherwise partitioned round-robin into `shards` sub-indexes answered
-/// scatter-gather — and returns it with its construction cost, summed
-/// over the built indexes' `build_distances`. A single index builds
-/// under the `threads` policy; the sharded build fans one worker per
-/// shard through it and keeps each sub-build sequential, so the worker
-/// budget is not oversubscribed.
-pub(crate) fn build_served<T, Q, S>(
-    items: Vec<T>,
-    shards: usize,
-    threads: Threads,
-    build: impl Fn(Vec<T>, Threads) -> vantage_core::Result<S> + Sync,
-    build_distances: impl Fn(&S) -> u64,
-) -> CliResult<(Box<dyn ServedQuery<T>>, u64)>
+/// Serves `index` as one [`ServedSingle`]: its kNN queries routed, the
+/// rest answered by its own search.
+pub(crate) fn served<T, Q, I>(index: I) -> Box<dyn ServedQuery<T>>
 where
     T: Borrow<Q> + Send + Sync + 'static,
-    Q: ToOwned<Owned = T> + Sync + ?Sized + 'static,
-    S: ShardSearch<Q> + BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync + 'static,
-{
-    let built = |e: VantageError| err(e.to_string());
-    if shards == 0 {
-        return Err(err("--shards must be at least 1"));
-    }
-    if shards == 1 {
-        let index = build(items, threads).map_err(built)?;
-        let cost = build_distances(&index);
-        return Ok((Box::new(ServedSingle::<S, Q>::new(index)), cost));
-    }
-    let index = ShardedIndex::build(items, shards, threads, |_, part| {
-        build(part, Threads::SEQUENTIAL)
-    })
-    .map_err(built)?;
-    let cost = index.shards().iter().map(build_distances).sum();
-    let query = PhantomData;
-    Ok((Box::new(ServedSharded::<S, Q> { index, query }), cost))
-}
-
-/// Serves a loaded snapshot index: as is when `shards == 1`, otherwise
-/// re-partitioned. Sharding copies the items out of the loaded index by
-/// id and rebuilds them with `build` through [`build_served`] (the same
-/// structure under the CLI's standard build parameters). Exact
-/// scatter-gather answers are bit-identical to the unsharded index, so
-/// clients (and the smoke harness's expected replies) cannot tell the
-/// difference. Returns the index and its layout label (`layout`
-/// unsharded, `decoded` sharded).
-fn serve_loaded<T, Q, I, S>(
-    index: I,
-    layout: &'static str,
-    shards: usize,
-    threads: Threads,
-    build: impl Fn(Vec<T>, Threads) -> vantage_core::Result<S> + Sync,
-) -> CliResult<(Box<dyn ServedQuery<T>>, &'static str)>
-where
-    T: Borrow<Q> + Send + Sync + 'static,
-    Q: ToOwned<Owned = T> + Sync + ?Sized + 'static,
+    Q: ToOwned<Owned = T> + ?Sized + 'static,
     I: BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync + 'static,
-    S: ShardSearch<Q> + BudgetedSearch<Q> + ScanRoute<Q> + Send + Sync + 'static,
 {
-    if shards == 1 {
-        return Ok((Box::new(ServedSingle::<I, Q>::new(index)), layout));
-    }
-    let items = (0..index.len())
-        .filter_map(|id| index.get(id))
-        .map(ToOwned::to_owned)
-        .collect();
-    drop(index);
-    let (sharded, _) = build_served(items, shards, threads, build, |_| 0)?;
-    Ok((sharded, "decoded"))
+    Box::new(ServedSingle::<I, Q>::new(index))
 }
 
 /// One loaded generation: the boxed index and the labels `INFO`
@@ -852,35 +720,24 @@ pub(crate) struct LoadedIndex<T> {
     structure: &'static str,
     /// How the generation holds its data: `mmap` (zero-copy file
     /// mapping), `read` (owned fallback behind the mapped API), or
-    /// `decoded` (items copied out — sharded and linear layouts).
+    /// `decoded` (items copied out — the linear layout).
     layout: &'static str,
 }
 
-/// `RELOAD`'s generation loader, with the sharding/seed policy captured
-/// at server start so every swap rebuilds under the same layout.
-type Loader<T> = Box<dyn Fn(&str) -> CliResult<LoadedIndex<T>> + Send + Sync>;
-
-/// Loads a snapshot as a generation serving `T` queries, under a shard
-/// count, seed and thread policy: [`load_index_typed`] for a snapshot
-/// of `T` items, [`load_byte_index`] for byte vectors served to
-/// [`ByteQuery`]s.
-pub(crate) type LoadFn<T> = fn(&str, usize, u64, Threads) -> CliResult<LoadedIndex<T>>;
+/// Loads a snapshot as a generation serving `T` queries:
+/// [`load_index_typed`] for a snapshot of `T` items,
+/// [`load_byte_index`] for byte vectors served to [`ByteQuery`]s.
+pub(crate) type LoadFn<T> = fn(&str) -> CliResult<LoadedIndex<T>>;
 
 /// Loads a snapshot generation from `path` — the one snapshot loader
 /// behind gen0, `RELOAD`/`REINDEX`, `serve-smoke` and `query --index`.
 /// Tree snapshots are opened zero-copy: the file is mapped, verified
-/// once, and (with `shards == 1`) served in place — `open(2)` to
-/// answering queries without materializing a node. A linear scan's
-/// items are copied out.
-/// With `shards > 1` the loaded index is re-partitioned
-/// ([`serve_loaded`]) into trees over flat rows. The metric is the plain
-/// `M`: queries count their own cost ([`ServedQuery`]), so nothing
-/// wraps it.
+/// once, and served in place — `open(2)` to answering queries without
+/// materializing a node. A linear scan's items are copied out. The
+/// metric is the plain `M`: queries count their own cost
+/// ([`ServedQuery`]), so nothing wraps it.
 pub(crate) fn load_index_typed<T: WireItem, M: ServeMetric<T>>(
     path: &str,
-    shards: usize,
-    seed: u64,
-    threads: Threads,
 ) -> CliResult<LoadedIndex<T>> {
     let loaded = |e: VantageError| err(format!("{path}: {e}"));
     // O(header): decide the loading route without touching the payload.
@@ -889,26 +746,17 @@ pub(crate) fn load_index_typed<T: WireItem, M: ServeMetric<T>>(
     let (index, layout) = match info.kind {
         IndexKind::VpTree => {
             let tree = persist::open_vp_tree::<T::Flat, M>(path).map_err(loaded)?;
-            let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
-            serve_loaded(tree, layout, shards, threads, |part, threads| {
-                build_vp(part, metric.clone(), seed, threads)
-            })?
+            (served(tree), layout)
         }
         IndexKind::MvpTree => {
             let tree = persist::open_mvp_tree::<T::Flat, M>(path).map_err(loaded)?;
-            let metric = tree.metric().clone();
             let layout = storage(tree.is_mapped());
-            serve_loaded(tree, layout, shards, threads, |part, threads| {
-                build_mvp(part, metric.clone(), seed, threads)
-            })?
+            (served(tree), layout)
         }
         IndexKind::Linear => {
             let scan = persist::load_linear_scan::<T::Flat, M>(path).map_err(loaded)?;
-            let metric = scan.metric().clone();
-            serve_loaded(scan, "decoded", shards, threads, |part, _| {
-                Ok(LinearScan::new(part, metric.clone()))
-            })?
+            (served::<T, T, _>(scan), "decoded")
         }
     };
     let dims = index.item(0).and_then(|item| item.dims());
@@ -923,16 +771,11 @@ pub(crate) fn load_index_typed<T: WireItem, M: ServeMetric<T>>(
 
 /// Loads a byte-vector snapshot through [`load_index_typed`] and serves
 /// it to byte and `f64` queries alike ([`ByteServed`]).
-pub(crate) fn load_byte_index<M>(
-    path: &str,
-    shards: usize,
-    seed: u64,
-    threads: Threads,
-) -> CliResult<LoadedIndex<ByteQuery>>
+pub(crate) fn load_byte_index<M>(path: &str) -> CliResult<LoadedIndex<ByteQuery>>
 where
     M: ServeMetric<Vec<u8>> + BoundedMetric<[f64]>,
 {
-    let loaded = load_index_typed::<Vec<u8>, M>(path, shards, seed, threads)?;
+    let loaded = load_index_typed::<Vec<u8>, M>(path)?;
     let index = Box::new(ByteServed {
         bytes: loaded.index,
         len: loaded.items as usize,
@@ -962,13 +805,9 @@ struct StaticEngine<T> {
     source: Mutex<String>,
     item_tag: String,
     metric_tag: String,
-    /// Scatter-gather shard count (1 = serve the snapshot in place);
-    /// `RELOAD`/`REINDEX` rebuild new generations under the same layout.
-    shards: usize,
-    /// Builds a fresh generation from a snapshot path, capturing the
-    /// shard/seed/thread policy fixed at server start. `RELOAD` goes
+    /// Loads a fresh generation from a snapshot path. `RELOAD` goes
     /// through this so a swap takes the same zero-copy route as gen0.
-    loader: Loader<T>,
+    loader: LoadFn<T>,
 }
 
 /// Ingest-serving engine: the concurrent mvp-tree swaps internally on
@@ -1076,9 +915,6 @@ pub(crate) struct ServeOptions {
     pub metric: Option<String>,
     pub metrics_out: Option<String>,
     pub seed: u64,
-    pub threads: Threads,
-    /// Scatter-gather shard count (snapshot mode only; 1 = unsharded).
-    pub shards: usize,
     /// Head-sample one query request in N into the trace ring (0 =
     /// head sampling off; slow-query capture still applies).
     pub trace_sample: u64,
@@ -1093,10 +929,6 @@ pub(crate) struct ServeOptions {
 
 impl ServeOptions {
     pub(crate) fn from_args(args: &Args<'_>) -> CliResult<Self> {
-        let shards: usize = args.parsed("shards", 1)?;
-        if shards == 0 {
-            return Err(err("--shards must be at least 1"));
-        }
         let slow_ms: f64 = args.parsed("slow-ms", 100.0)?;
         // A NaN here would fail every `latency >= slow_ns` comparison
         // and silently disable slow-query capture; reject it (and other
@@ -1112,8 +944,6 @@ impl ServeOptions {
             metric: args.get("metric").map(str::to_string),
             metrics_out: args.get("metrics-out").map(str::to_string),
             seed: args.parsed("seed", 0)?,
-            threads: parse_threads(args)?,
-            shards,
             trace_sample: args.parsed("trace-sample", 64)?,
             slow_ms,
             slow_log: args.get("slow-log").map(str::to_string),
@@ -1133,8 +963,8 @@ fn unix_ms() -> i64 {
 /// Serves an index loaded from a `vantage-persist` snapshot. The item
 /// type and metric are decided from an **O(header)** inspection; the
 /// snapshot is then loaded exactly once, here, through
-/// [`load_index_typed`] (unsharded tree snapshots are mapped and served
-/// zero-copy, the kernel paging nodes in on demand); queries never
+/// [`load_index_typed`] (tree snapshots are mapped and served zero-copy,
+/// the kernel paging nodes in on demand); queries never
 /// touch the loader again.
 pub(crate) fn serve_snapshot(path: &str, opts: ServeOptions, out: &mut String) -> CliResult<()> {
     let info = persist::inspect(path).map_err(|e| err(format!("{path}: {e}")))?;
@@ -1185,10 +1015,8 @@ fn serve_snapshot_typed<T: WireItem, M: ServeMetric<T>>(
     load: LoadFn<T::Query>,
 ) -> CliResult<()> {
     let registry = MetricsRegistry::new();
-    let (shards, seed, threads) = (opts.shards, opts.seed, opts.threads);
-    let loader: Loader<T::Query> = Box::new(move |p: &str| load(p, shards, seed, threads));
     let load_start = Instant::now();
-    let loaded = loader(path)?;
+    let loaded = load(path)?;
     let metrics = registry.index("serve/gen0");
     record_snapshot_load(&metrics, load_start, info.bytes);
     registry.gauge("serve/gen0/loaded_unix_ms").set(unix_ms());
@@ -1197,30 +1025,29 @@ fn serve_snapshot_typed<T: WireItem, M: ServeMetric<T>>(
         source: Mutex::new(path.to_string()),
         item_tag: info.item.clone(),
         metric_tag: info.metric.clone(),
-        shards: opts.shards,
-        loader,
+        loader: load,
     });
     run_server(engine, registry, info.metric.clone(), opts, out)
 }
 
-/// Serves a dataset through the dynamic (ingest-capable) engine.
-pub(crate) fn serve_data(path: &str, opts: ServeOptions, out: &mut String) -> CliResult<()> {
-    if opts.shards != 1 {
-        // The dynamic engine's ingest path swaps one concurrent tree;
-        // sharding it is future work, so refuse rather than silently
-        // serve unsharded.
-        return Err(err("--shards is only available in snapshot (--index) mode"));
-    }
+/// Serves a dataset through the dynamic (ingest-capable) engine, built
+/// under the `threads` policy.
+pub(crate) fn serve_data(
+    path: &str,
+    threads: Threads,
+    opts: ServeOptions,
+    out: &mut String,
+) -> CliResult<()> {
     let metric_name = opts.metric.clone().unwrap_or_else(|| "l2".to_string());
     if metric_name == "edit" {
         let words = crate::read_words(path)?;
-        serve_data_typed(words, Levenshtein, metric_name, opts, out)
+        serve_data_typed(words, Levenshtein, metric_name, threads, opts, out)
     } else {
         let vectors = crate::read_vectors(path)?;
         match metric_name.as_str() {
-            "l2" => serve_data_typed(vectors, Euclidean, metric_name, opts, out),
-            "l1" => serve_data_typed(vectors, Manhattan, metric_name, opts, out),
-            "linf" => serve_data_typed(vectors, Chebyshev, metric_name, opts, out),
+            "l2" => serve_data_typed(vectors, Euclidean, metric_name, threads, opts, out),
+            "l1" => serve_data_typed(vectors, Manhattan, metric_name, threads, opts, out),
+            "linf" => serve_data_typed(vectors, Chebyshev, metric_name, threads, opts, out),
             other => Err(err(format!("unknown metric `{other}` (l1|l2|linf|edit)"))),
         }
     }
@@ -1230,6 +1057,7 @@ fn serve_data_typed<T, M>(
     items: Vec<T>,
     metric: M,
     metric_name: String,
+    threads: Threads,
     opts: ServeOptions,
     out: &mut String,
 ) -> CliResult<()>
@@ -1238,7 +1066,7 @@ where
     M: ServeMetric<T>,
 {
     let registry = MetricsRegistry::new();
-    let engine = build_dynamic(items, metric, &registry, &opts)?;
+    let engine = build_dynamic(items, metric, &registry, opts.seed, threads)?;
     run_server(engine, registry, metric_name, opts, out)
 }
 
@@ -1248,7 +1076,8 @@ fn build_dynamic<T, M>(
     items: Vec<T>,
     metric: M,
     registry: &MetricsRegistry,
-    opts: &ServeOptions,
+    seed: u64,
+    threads: Threads,
 ) -> CliResult<Engine<T, M>>
 where
     T: WireItem,
@@ -1259,7 +1088,7 @@ where
         .and_then(WireQuery::dims)
         .map_or_else(OnceLock::new, OnceLock::from);
     let build_start = Instant::now();
-    let params = mvp_build_params(opts.seed, opts.threads);
+    let params = mvp_build_params(seed, threads);
     let tree = Rows::<T>::from_items(items)
         .and_then(|rows| ConcurrentMvpTree::with_rows(rows, metric, params))
         .map_err(|e| err(e.to_string()))?;
@@ -1730,7 +1559,7 @@ fn parse_request<Q: WireQuery>(
     let query = Q::parse_wire(query_text)?;
     let cmd = parse_query(trace.verb, arg)?;
     if let (Some(r), Some(timer)) = (trace.rec.as_mut(), timer) {
-        r.record("parse", None, timer, DistanceTotals::default());
+        r.record("parse", timer, DistanceTotals::default());
     }
     Ok((cmd, query))
 }
@@ -1804,7 +1633,7 @@ where
         Some(r) => {
             let timer = r.begin();
             let reply = format_neighbors(&results);
-            r.record("reply", None, timer, DistanceTotals::default());
+            r.record("reply", timer, DistanceTotals::default());
             reply
         }
         None => format_neighbors(&results),
@@ -1824,7 +1653,6 @@ where
             let mut r = SpanRecorder::with_origin(origin);
             r.push(SpanRecord {
                 name: "search",
-                shard: None,
                 start_ns: start.saturating_duration_since(origin).as_nanos() as u64,
                 duration_ns: elapsed.as_nanos() as u64,
                 distances: cost.computations,
@@ -1867,12 +1695,11 @@ where
         Engine::Static(engine) => {
             let guard = engine.cell.read();
             format!(
-                "OK mode=static structure={} metric={} item={} items={} shards={} layout={} generation={} swaps={} simd={} uptime_s={} knn_scans={}",
+                "OK mode=static structure={} metric={} item={} items={} layout={} generation={} swaps={} simd={} uptime_s={} knn_scans={}",
                 guard.loaded.structure,
                 shared.metric_name,
                 engine.item_tag,
                 guard.loaded.items,
-                engine.shards,
                 guard.loaded.layout,
                 guard.generation(),
                 engine.cell.swaps(),
@@ -1996,8 +1823,8 @@ where
     M: ServeMetric<T>,
 {
     // O(header) routing check first; the loader then verifies checksums
-    // and structural invariants once, and for unsharded tree snapshots
-    // maps the file instead of materializing a node arena — the swap is
+    // and structural invariants once, and for tree snapshots maps the
+    // file instead of materializing a node arena — the swap is
     // near-zero-copy.
     let info = persist::inspect(path).map_err(|e| format!("{path}: {e}"))?;
     if info.metric != engine.metric_tag {
@@ -2097,9 +1924,10 @@ impl Conn {
 /// `vantage client --addr A --cmd "KNN 5 0.5,0.5"`: one command, one
 /// reply, printed.
 pub(crate) fn cmd_client(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("client", argv)?;
     let addr = args.required("addr")?;
     let command = args.required("cmd")?;
+    args.finish()?;
     let mut conn = Conn::connect_retry(addr, Duration::from_secs(5))?;
     let reply = conn.send(command)?;
     let _ = writeln!(out, "{reply}");
@@ -2110,13 +1938,15 @@ pub(crate) fn cmd_client(argv: &[String], out: &mut String) -> CliResult<()> {
 /// captured trace (by id, or the slowest when `--id` is omitted) and
 /// prints it, or exports it as Chrome trace-event JSON — load the file
 /// at `chrome://tracing` or <https://ui.perfetto.dev> to see the
-/// request's per-phase/per-shard timeline.
+/// request's per-phase timeline.
 pub(crate) fn cmd_trace(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("trace", argv)?;
     let addr = args.required("addr")?;
     let export_path = args.get("export").map(str::to_string);
+    let id = args.get("id");
+    args.finish()?;
     let mut conn = Conn::connect_retry(addr, Duration::from_secs(5))?;
-    let id = match args.get("id") {
+    let id = match id {
         Some(id) => id.to_string(),
         None => {
             let reply = conn.send("SLOW 1")?;
@@ -2154,15 +1984,15 @@ pub(crate) fn cmd_trace(argv: &[String], out: &mut String) -> CliResult<()> {
 
 /// The multi-threaded smoke client: replays a scripted query workload
 /// from N threads while issuing live `RELOAD` swaps, asserting every
-/// reply is bit-identical to a direct run against the unsharded
-/// snapshot.
+/// reply is bit-identical to a direct run against the snapshot.
 pub(crate) fn cmd_serve_smoke(argv: &[String], out: &mut String) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("serve-smoke", argv)?;
     let addr = args.required("addr")?.to_string();
     let path = args.required("index")?.to_string();
     let threads: usize = args.parsed("threads", 4)?;
     let queries: usize = args.parsed("queries", 200)?;
     let reloads: usize = args.parsed("reloads", 2)?;
+    args.finish()?;
     if threads == 0 || queries == 0 {
         return Err(err("serve-smoke needs --threads >= 1 and --queries >= 1"));
     }
@@ -2185,9 +2015,8 @@ fn smoke_typed<T: WireItem, M: ServeMetric<T>>(
     (addr, path, threads, queries, reloads): (&str, &str, usize, usize, usize),
     out: &mut String,
 ) -> CliResult<()> {
-    // The same loader the server runs, unsharded: a sharded server must
-    // match the unsharded snapshot byte for byte.
-    let loaded = load_index_typed::<T, M>(path, 1, 0, Threads::SEQUENTIAL)?;
+    // The same loader the server runs.
+    let loaded = load_index_typed::<T, M>(path)?;
     let index = loaded.index;
     let items: Vec<T> = (0..loaded.items as usize)
         .filter_map(|id| index.item(id))
@@ -2325,7 +2154,7 @@ mod tests {
 
     fn opts(argv: &[&str]) -> CliResult<ServeOptions> {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        let args = Args::parse(&argv)?;
+        let args = Args::parse("serve", &argv)?;
         ServeOptions::from_args(&args)
     }
 
@@ -2381,7 +2210,7 @@ mod tests {
         let opts = opts(&[]).unwrap();
         let registry = MetricsRegistry::new();
         let items = vec![vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]];
-        let engine = build_dynamic(items, Euclidean, &registry, &opts).unwrap();
+        let engine = build_dynamic(items, Euclidean, &registry, 0, Threads::Auto).unwrap();
         let tracer = Tracer::new(&opts).unwrap();
         let addr = "127.0.0.1:0".parse().unwrap();
         let shared = Shared::new(engine, registry, "l2".to_string(), tracer, addr);

@@ -135,30 +135,6 @@ fn observed() -> Vec<String> {
                     ),
                 );
             }
-
-            let argv = [
-                "query",
-                "--data",
-                &data,
-                "--structure",
-                structure,
-                "--seed",
-                "3",
-                flag,
-                value,
-                "--query",
-                query,
-                "--shards",
-                "2",
-                // Parallel shards tighten a shared kNN bound in whatever
-                // order they race to it; one worker visits them in turn.
-                "--threads",
-                "1",
-            ];
-            push(
-                format!("query {structure} {flag} data shards=2"),
-                lines_with(&run_ok(&argv), &["cost:"]),
-            );
         }
 
         for (source, src) in [
@@ -167,19 +143,6 @@ fn observed() -> Vec<String> {
                 vec!["--data", &data, "--structure", structure, "--seed", "3"],
             ),
             ("index", vec!["--index", &snap]),
-            (
-                "data shards=2",
-                vec![
-                    "--data",
-                    &data,
-                    "--structure",
-                    structure,
-                    "--seed",
-                    "3",
-                    "--shards",
-                    "2",
-                ],
-            ),
         ] {
             let mut argv = vec!["query"];
             argv.extend(&src);
@@ -224,7 +187,6 @@ const PINNED: &[&str] = &[
     "query mvp --knn index: metrics knn: distances=475 abandoned=298 abandoned_work=0x406059999999999a",
     "explain mvp --knn index: distance computations: 475 = 164 vantage-point (34.5%) + 311 leaf-candidate (65.5%); 39.6% of linear scan",
     "explain mvp --knn index: abandoned early:       298 = 0 vantage-point + 298 leaf-candidate (est. work ~308 full evaluations)",
-    "query mvp --knn data shards=2: cost: 913 distance computations over 1200 items (76.1% of linear scan)",
     "query mvp --range data: 36 results:",
     "query mvp --range data: cost: 486 distance computations over 1200 items (40.5% of linear scan)",
     "query mvp --range data: metrics range: distances=486 abandoned=291 abandoned_work=0x405e8ccccccccccd",
@@ -235,16 +197,12 @@ const PINNED: &[&str] = &[
     "query mvp --range index: metrics range: distances=486 abandoned=291 abandoned_work=0x405e8ccccccccccd",
     "explain mvp --range index: distance computations: 486 = 164 vantage-point (33.7%) + 322 leaf-candidate (66.3%); 40.5% of linear scan",
     "explain mvp --range index: abandoned early:       291 = 0 vantage-point + 291 leaf-candidate (est. work ~317 full evaluations)",
-    "query mvp --range data shards=2: cost: 804 distance computations over 1200 items (67.0% of linear scan)",
     "query mvp --budget 50 data: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
     "query mvp --budget 50 data: budget: spent 50 of 50 (exhausted), estimated recall 0.829",
     "query mvp --budget 50 data: metrics knn: distances=50 abandoned=16 abandoned_work=0x401b333333333333",
     "query mvp --budget 50 index: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
     "query mvp --budget 50 index: budget: spent 50 of 50 (exhausted), estimated recall 0.829",
     "query mvp --budget 50 index: metrics knn: distances=50 abandoned=16 abandoned_work=0x401b333333333333",
-    "query mvp --budget 50 data shards=2: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
-    "query mvp --budget 50 data shards=2: budget: spent 50 of 50 (exhausted), estimated recall 0.800",
-    "query mvp --budget 50 data shards=2: metrics knn: distances=50 abandoned=18 abandoned_work=0x4032000000000000",
     "build vp t=1: built vp index over 1200 items (9964 distance computations)",
     "build vp t=1: metrics build: distances=9964 abandoned=0 abandoned_work=0x0000000000000000",
     "build vp t=4: built vp index over 1200 items (9964 distance computations)",
@@ -259,7 +217,6 @@ const PINNED: &[&str] = &[
     "query vp --knn index: metrics knn: distances=573 abandoned=157 abandoned_work=0x4051733333333333",
     "explain vp --knn index: distance computations: 573 = 412 vantage-point (71.9%) + 161 leaf-candidate (28.1%); 47.8% of linear scan",
     "explain vp --knn index: abandoned early:       157 = 0 vantage-point + 157 leaf-candidate (est. work ~486 full evaluations)",
-    "query vp --knn data shards=2: cost: 689 distance computations over 1200 items (57.4% of linear scan)",
     "query vp --range data: 36 results:",
     "query vp --range data: cost: 573 distance computations over 1200 items (47.8% of linear scan)",
     "query vp --range data: metrics range: distances=573 abandoned=145 abandoned_work=0x404e19999999999a",
@@ -270,16 +227,12 @@ const PINNED: &[&str] = &[
     "query vp --range index: metrics range: distances=573 abandoned=145 abandoned_work=0x404e19999999999a",
     "explain vp --range index: distance computations: 573 = 412 vantage-point (71.9%) + 161 leaf-candidate (28.1%); 47.8% of linear scan",
     "explain vp --range index: abandoned early:       145 = 0 vantage-point + 145 leaf-candidate (est. work ~488 full evaluations)",
-    "query vp --range data shards=2: cost: 690 distance computations over 1200 items (57.5% of linear scan)",
     "query vp --budget 50 data: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
     "query vp --budget 50 data: budget: spent 50 of 50 (exhausted), estimated recall 0.871",
     "query vp --budget 50 data: metrics knn: distances=50 abandoned=4 abandoned_work=0x400199999999999a",
     "query vp --budget 50 index: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
     "query vp --budget 50 index: budget: spent 50 of 50 (exhausted), estimated recall 0.871",
     "query vp --budget 50 index: metrics knn: distances=50 abandoned=4 abandoned_work=0x400199999999999a",
-    "query vp --budget 50 data shards=2: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
-    "query vp --budget 50 data shards=2: budget: spent 50 of 50 (exhausted), estimated recall 0.861",
-    "query vp --budget 50 data shards=2: metrics knn: distances=50 abandoned=6 abandoned_work=0x4017333333333333",
     "build linear t=1: built linear index over 1200 items (0 distance computations)",
     "build linear t=1: metrics build: distances=0 abandoned=0 abandoned_work=0x0000000000000000",
     "build linear t=4: built linear index over 1200 items (0 distance computations)",
@@ -294,7 +247,6 @@ const PINNED: &[&str] = &[
     "query linear --knn index: metrics knn: distances=1200 abandoned=1188 abandoned_work=0x407ea00000000000",
     "explain linear --knn index: distance computations: 1,200 = 0 vantage-point (0.0%) + 1,200 leaf-candidate (100.0%); 100.0% of linear scan",
     "explain linear --knn index: abandoned early:       1,188 = 0 vantage-point + 1,188 leaf-candidate (est. work ~502 full evaluations)",
-    "query linear --knn data shards=2: cost: 1200 distance computations over 1200 items (100.0% of linear scan)",
     "query linear --range data: 36 results:",
     "query linear --range data: cost: 1200 distance computations over 1200 items (100.0% of linear scan)",
     "query linear --range data: metrics range: distances=1200 abandoned=1164 abandoned_work=0x407d866666666666",
@@ -305,16 +257,12 @@ const PINNED: &[&str] = &[
     "query linear --range index: metrics range: distances=1200 abandoned=1164 abandoned_work=0x407d866666666666",
     "explain linear --range index: distance computations: 1,200 = 0 vantage-point (0.0%) + 1,200 leaf-candidate (100.0%); 100.0% of linear scan",
     "explain linear --range index: abandoned early:       1,164 = 0 vantage-point + 1,164 leaf-candidate (est. work ~508 full evaluations)",
-    "query linear --range data shards=2: cost: 1200 distance computations over 1200 items (100.0% of linear scan)",
     "query linear --budget 50 data: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
     "query linear --budget 50 data: budget: spent 50 of 50 (exhausted), estimated recall 0.042",
     "query linear --budget 50 data: metrics knn: distances=50 abandoned=38 abandoned_work=0x403e000000000000",
     "query linear --budget 50 index: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
     "query linear --budget 50 index: budget: spent 50 of 50 (exhausted), estimated recall 0.042",
     "query linear --budget 50 index: metrics knn: distances=50 abandoned=38 abandoned_work=0x403e000000000000",
-    "query linear --budget 50 data shards=2: cost: 50 distance computations over 1200 items (4.2% of linear scan)",
-    "query linear --budget 50 data shards=2: budget: spent 50 of 50 (exhausted), estimated recall 0.042",
-    "query linear --budget 50 data shards=2: metrics knn: distances=50 abandoned=31 abandoned_work=0x4038666666666666",
 ];
 
 #[test]
@@ -333,7 +281,7 @@ fn cli_costs_match_the_pinned_figures() {
 }
 
 /// `KNN 0` asks for nothing, so no structure may compute a distance for
-/// it: unsharded and sharded from `--data`, and from a snapshot.
+/// it: from `--data`, and from a snapshot.
 #[test]
 fn knn_zero_computes_no_distance_on_any_structure() {
     let data = temp_path("knn0.csv");
@@ -354,9 +302,8 @@ fn knn_zero_computes_no_distance_on_any_structure() {
             "--save",
             &snap,
         ]);
-        let runs: [&[&str]; 3] = [
+        let runs: [&[&str]; 2] = [
             &["--data", &data, "--structure", structure],
-            &["--data", &data, "--structure", structure, "--shards", "2"],
             &["--index", &snap],
         ];
         for source in runs {

@@ -152,14 +152,14 @@ fn smoke_clients_stay_bit_identical_across_live_reloads() {
 }
 
 #[test]
-fn sharded_server_replies_are_bit_identical_to_the_unsharded_snapshot() {
-    let data = temp_path("shard-data.csv");
+fn info_reports_each_snapshot_structure_and_layout() {
+    let data = temp_path("layout-data.csv");
     run_ok(&[
         "generate", "uniform", "--n", "220", "--dim", "4", "--seed", "13", "--out", &data,
     ]);
 
     for structure in ["vp", "mvp", "linear"] {
-        let snap = temp_path(&format!("shard-index-{structure}.vantage"));
+        let snap = temp_path(&format!("layout-index-{structure}.vantage"));
         run_ok(&[
             "build",
             "--data",
@@ -172,8 +172,8 @@ fn sharded_server_replies_are_bit_identical_to_the_unsharded_snapshot() {
             structure,
         ]);
 
-        // Unsharded, a tree snapshot is served in place and a linear
-        // scan from its copied-out items.
+        // A tree snapshot is served in place and a linear scan from its
+        // copied-out items.
         let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
         let info = client(&addr, "INFO");
         let layout = match structure {
@@ -190,52 +190,8 @@ fn sharded_server_replies_are_bit_identical_to_the_unsharded_snapshot() {
             .join()
             .expect("server thread panicked")
             .expect("server failed");
-
-        let (addr, server) = spawn_server(vec![
-            "serve".into(),
-            "--index".into(),
-            snap.clone(),
-            "--shards".into(),
-            "4".into(),
-        ]);
-        let info = client(&addr, "INFO");
-        assert!(
-            info.contains("mode=static")
-                && info.contains("shards=4")
-                && info.contains("layout=decoded"),
-            "{structure}: {info}"
-        );
-
-        // The smoke harness computes every expected reply from a direct,
-        // *unsharded* load of the snapshot — so a passing run is exactly
-        // the bit-identity guarantee, across live RELOAD swaps (which
-        // rebuild the sharded layout) too.
-        let smoke = run_ok(&[
-            "serve-smoke",
-            "--addr",
-            &addr,
-            "--index",
-            &snap,
-            "--threads",
-            "4",
-            "--queries",
-            "120",
-            "--reloads",
-            "1",
-        ]);
-        assert!(smoke.contains("PASS"), "{structure}: {smoke}");
-
-        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
-        server
-            .join()
-            .expect("server thread panicked")
-            .expect("server failed");
         let _ = std::fs::remove_file(&snap);
     }
-
-    // The dynamic engine has no sharded mode: refuse, don't mis-serve.
-    let e = run(&["serve", "--data", &data, "--shards", "2"]).expect_err("must refuse");
-    assert!(e.contains("snapshot (--index) mode"), "{e}");
     let _ = std::fs::remove_file(&data);
 }
 
@@ -258,8 +214,8 @@ fn send_all(addr: &str, lines: &[String]) {
 fn served_query_costs_are_exact_under_concurrent_load() {
     // A linear scan computes exactly n distances per KNN, so every
     // query's recorded cost must be n however many queries run beside
-    // it — each query counts its own distances, sharded or not, and in
-    // dynamic mode whatever rebuilds run beside it.
+    // it — each query counts its own distances, and in dynamic mode
+    // whatever rebuilds run beside it.
     const N: u64 = 4000;
     const CONNECTIONS: usize = 4;
     const PER_CONNECTION: usize = 250;
@@ -281,50 +237,42 @@ fn served_query_costs_are_exact_under_concurrent_load() {
         "linear",
     ]);
 
-    for shards in ["1", "2"] {
-        let (addr, server) = spawn_server(vec![
-            "serve".into(),
-            "--index".into(),
-            snap.clone(),
-            "--shards".into(),
-            shards.into(),
-        ]);
-        let clients: Vec<_> = (0..CONNECTIONS)
-            .map(|c| {
-                let addr = addr.clone();
-                let lines: Vec<String> = (0..PER_CONNECTION)
-                    .map(|i| {
-                        let x = (c * PER_CONNECTION + i) as f64 / 1000.0;
-                        format!("KNN 5 {x},0.5,0.25,{x},0.75,0.5,{x},0.1")
-                    })
-                    .collect();
-                std::thread::spawn(move || send_all(&addr, &lines))
-            })
-            .collect();
-        for c in clients {
-            c.join().expect("client panicked");
-        }
-
-        let stats = client(&addr, "STATS");
-        let json = stats.strip_prefix("OK ").expect("STATS answers OK");
-        let snapshot = export::from_json(json).expect("STATS parses");
-        let knn = snapshot
-            .index("serve/gen0")
-            .and_then(|i| i.op(vantage_telemetry::OpKind::Knn))
-            .expect("knn recorded");
-        let count = (CONNECTIONS * PER_CONNECTION) as u64;
-        assert_eq!(knn.ops, count, "shards={shards}");
-        assert_eq!(knn.distances.count, count, "shards={shards}");
-        assert_eq!(knn.distances.min, N, "shards={shards}");
-        assert_eq!(knn.distances.max, N, "shards={shards}");
-        assert_eq!(knn.distances.sum, count * N, "shards={shards}");
-
-        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
-        server
-            .join()
-            .expect("server thread panicked")
-            .expect("server failed");
+    let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let addr = addr.clone();
+            let lines: Vec<String> = (0..PER_CONNECTION)
+                .map(|i| {
+                    let x = (c * PER_CONNECTION + i) as f64 / 1000.0;
+                    format!("KNN 5 {x},0.5,0.25,{x},0.75,0.5,{x},0.1")
+                })
+                .collect();
+            std::thread::spawn(move || send_all(&addr, &lines))
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client panicked");
     }
+
+    let stats = client(&addr, "STATS");
+    let json = stats.strip_prefix("OK ").expect("STATS answers OK");
+    let snapshot = export::from_json(json).expect("STATS parses");
+    let knn = snapshot
+        .index("serve/gen0")
+        .and_then(|i| i.op(vantage_telemetry::OpKind::Knn))
+        .expect("knn recorded");
+    let count = (CONNECTIONS * PER_CONNECTION) as u64;
+    assert_eq!(knn.ops, count);
+    assert_eq!(knn.distances.count, count);
+    assert_eq!(knn.distances.min, N);
+    assert_eq!(knn.distances.max, N);
+    assert_eq!(knn.distances.sum, count * N);
+
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
 
     // Dynamic mode: a k-farthest query scans every live item, so it too
     // costs exactly n — while a fifth connection rebuilds the tree in a
@@ -599,28 +547,20 @@ fn knn_zero_computes_no_distance_on_any_served_structure() {
             "--structure",
             structure,
         ]);
-        for shards in ["1", "2"] {
-            let (addr, server) = spawn_server(vec![
-                "serve".into(),
-                "--index".into(),
-                snap.clone(),
-                "--shards".into(),
-                shards.into(),
-            ]);
-            for zero in zeros {
-                assert_eq!(client(&addr, zero), "OK 0", "{structure} shards={shards}");
-            }
-            assert_eq!(
-                knn_ops_and_max_distances(&addr, "serve/gen0"),
-                (2, 0),
-                "{structure} shards={shards}"
-            );
-            assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
-            server
-                .join()
-                .expect("server thread panicked")
-                .expect("server failed");
+        let (addr, server) = spawn_server(vec!["serve".into(), "--index".into(), snap.clone()]);
+        for zero in zeros {
+            assert_eq!(client(&addr, zero), "OK 0", "{structure}");
         }
+        assert_eq!(
+            knn_ops_and_max_distances(&addr, "serve/gen0"),
+            (2, 0),
+            "{structure}"
+        );
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
         let _ = std::fs::remove_file(&snap);
     }
 

@@ -121,7 +121,7 @@ fn explain_names_the_widened_scan_on_a_byte_snapshot() {
     assert!(!route(["--knn", "3"], &byte).starts_with("route: widened"));
     assert_eq!(
         route(["--range", "3000"], &byte),
-        "route: search (only unsharded mvp-tree kNN queries are routed)"
+        "route: search (only mvp-tree kNN queries are routed)"
     );
     let _ = std::fs::remove_file(&snap);
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests for `vantage serve` request tracing: deterministic
 //! sampling across client thread counts, answer-neutrality of the
-//! traced path, per-shard span accounting, the slow-query log, the
+//! traced path, search-span accounting, the slow-query log, the
 //! `SLOW`/`TRACE`/`SLO` protocol surface, and the Chrome trace export.
 
 use std::io::{BufRead, BufReader, Write};
@@ -217,7 +217,7 @@ fn sampling_is_deterministic_across_client_thread_counts() {
 }
 
 #[test]
-fn traced_replies_are_byte_identical_and_shard_spans_sum_to_totals() {
+fn traced_replies_are_byte_identical_and_search_spans_match_the_profile() {
     let data = temp_path("neutral-data.csv");
     let snap = temp_path("neutral-index.vantage");
     run_ok(&[
@@ -225,15 +225,13 @@ fn traced_replies_are_byte_identical_and_shard_spans_sum_to_totals() {
     ]);
     run_ok(&["build", "--data", &data, "--save", &snap, "--metric", "l2"]);
 
-    // Every request traced (--trace-sample 1), sharded 3 ways: the smoke
-    // harness checks each reply byte-for-byte against a direct untraced,
-    // unsharded run — tracing must be answer-neutral.
+    // Every request traced (--trace-sample 1): the smoke harness checks
+    // each reply byte-for-byte against a direct untraced run — tracing
+    // must be answer-neutral.
     let (addr, server) = spawn_server(vec![
         "serve".into(),
         "--index".into(),
         snap.clone(),
-        "--shards".into(),
-        "3".into(),
         "--seed".into(),
         "13".into(),
         "--trace-sample".into(),
@@ -262,39 +260,26 @@ fn traced_replies_are_byte_identical_and_shard_spans_sum_to_totals() {
     let info = conn.send("INFO");
     assert!(info.contains("uptime_s="), "{info}");
 
-    // Pull captured traces: every sampled static-sharded trace must hold
-    // one parse span, one span per shard, a merge and a reply span.
+    // Pull captured traces: every sampled trace holds one parse span,
+    // one search span and one reply span, in that order.
     let slow = ok_json(&conn.send("SLOW 64"));
     let records = slow.as_array().expect("array");
     assert!(!records.is_empty(), "no traces captured");
-    let mut verified = 0;
     for record in records {
         let spans = record.get("spans").and_then(Json::as_array).expect("spans");
-        let shard_spans: Vec<&Json> = spans
-            .iter()
-            .filter(|s| s.get("name").and_then(Json::as_str) == Some("shard"))
-            .collect();
-        if shard_spans.is_empty() {
-            continue; // captured on a non-sharded path
-        }
-        assert_eq!(shard_spans.len(), 3, "one span per shard");
         let names: Vec<&str> = spans
             .iter()
             .filter_map(|s| s.get("name").and_then(Json::as_str))
             .collect();
-        for phase in ["parse", "merge", "reply"] {
-            assert!(names.contains(&phase), "missing {phase} span in {names:?}");
-        }
-        verified += 1;
+        assert_eq!(names, ["parse", "search", "reply"], "{record:?}");
     }
-    assert!(verified > 0, "no sharded traces verified");
 
     // With the server now quiescent (smoke connections closed, this is
     // the only client), issue one fresh query and check the acceptance
-    // contract: the tallies its shard spans carry sum exactly to the
-    // descent profile's own counts — two independent measurement
-    // channels agreeing. k=7 is unique to this query (the
-    // smoke workload uses k=5 and k=3), so its record is unambiguous.
+    // contract: the tally its search span carries equals the descent
+    // profile's own counts — two independent measurement channels
+    // agreeing. k=7 is unique to this query (the smoke workload uses
+    // k=5 and k=3), so its record is unambiguous.
     let reply = conn.send("KNN 7 0.123,0.456,0.789,0.321");
     assert!(reply.starts_with("OK "), "{reply}");
     let slow = ok_json(&conn.send("SLOW 512"));
@@ -308,19 +293,14 @@ fn traced_replies_are_byte_identical_and_shard_spans_sum_to_totals() {
         })
         .expect("freshly traced KNN 7 present in ring");
     let spans = quiet.get("spans").and_then(Json::as_array).expect("spans");
-    let shard_spans: Vec<&Json> = spans
+    let search_spans: Vec<&Json> = spans
         .iter()
-        .filter(|s| s.get("name").and_then(Json::as_str) == Some("shard"))
+        .filter(|s| s.get("name").and_then(Json::as_str) == Some("search"))
         .collect();
-    assert_eq!(shard_spans.len(), 3, "one span per shard");
-    let span_distances: u64 = shard_spans
-        .iter()
-        .filter_map(|s| s.get("distances").and_then(Json::as_u64))
-        .sum();
-    let span_abandoned: u64 = shard_spans
-        .iter()
-        .filter_map(|s| s.get("abandoned").and_then(Json::as_u64))
-        .sum();
+    assert_eq!(search_spans.len(), 1, "one search span: {quiet:?}");
+    let span_count = |key: &str| search_spans[0].get(key).and_then(Json::as_u64);
+    let span_distances = span_count("distances").expect("search span distances");
+    let span_abandoned = span_count("abandoned").expect("search span abandoned");
     let profile = quiet.get("profile").expect("sampled trace has profile");
     let sum_roles = |key: &str| -> u64 {
         profile
@@ -503,7 +483,6 @@ fn dynamic_mode_traces_carry_a_single_search_span() {
     assert!(names.contains(&"parse"), "{names:?}");
     assert!(names.contains(&"search"), "{names:?}");
     assert!(names.contains(&"reply"), "{names:?}");
-    assert!(!names.contains(&"shard"), "{names:?}");
     // The pinned generation answers through a descent sink as well: the
     // profile's per-role counts sum to the search span's own tally.
     let profile = records[0]

@@ -157,24 +157,6 @@ impl BudgetedKnn {
     pub fn cost(&self) -> DistanceTotals {
         self.tally.totals()
     }
-
-    /// A merged answer that charges what its `parts` (the per-shard
-    /// answers it was merged from) charged.
-    pub fn merged(
-        neighbors: Vec<Neighbor>,
-        estimated_recall: f64,
-        exhausted: bool,
-        parts: impl IntoIterator<Item = BudgetedKnn>,
-    ) -> BudgetedKnn {
-        let tally: DistanceTally = parts.into_iter().map(|p| p.tally).sum();
-        BudgetedKnn {
-            neighbors,
-            estimated_recall,
-            exhausted,
-            spent: tally.totals().computations,
-            tally,
-        }
-    }
 }
 
 /// Best-effort kNN under a distance-computation budget.

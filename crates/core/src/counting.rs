@@ -214,9 +214,9 @@ impl<T: ?Sized, M: BoundedMetric<T>> BoundedMetric<T> for Counted<M> {
 /// A [`Counted`] metric charges every evaluation to atomics shared by
 /// all its clones, so concurrent queries contend on one cache line and
 /// a before/after reading absorbs whatever ran alongside. A tally is a
-/// per-query value instead: hand a fresh one to a search (or one
-/// per shard, then [`sum`](Iterator::sum) them) and it reads exactly
-/// that search's cost. Searches report every evaluation to their sink,
+/// per-query value instead: hand a fresh one to a search (or one per
+/// build worker, then add them with `+=`) and it reads exactly that
+/// search's cost. Searches report every evaluation to their sink,
 /// so the totals are bit-equal to the [`Counted`] delta of the same
 /// search, abandoned work included.
 ///
@@ -265,15 +265,6 @@ impl std::ops::AddAssign for DistanceTally {
         self.computations += other.computations;
         self.abandoned += other.abandoned;
         self.abandoned_work += other.abandoned_work;
-    }
-}
-
-impl std::iter::Sum for DistanceTally {
-    fn sum<I: Iterator<Item = DistanceTally>>(iter: I) -> Self {
-        iter.fold(DistanceTally::new(), |mut acc, t| {
-            acc += t;
-            acc
-        })
     }
 }
 
@@ -416,7 +407,8 @@ mod tests {
             m.record_abandon(work);
         }
         tallies[0].distance(DistanceRole::Vantage);
-        let sum: DistanceTally = tallies.into_iter().sum();
+        let [mut sum, other] = tallies;
+        sum += other;
         let totals = sum.totals();
         assert_eq!(totals.computations, 6);
         assert_eq!(totals.abandoned, m.abandoned());

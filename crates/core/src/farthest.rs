@@ -18,18 +18,15 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::knn::heap_capacity;
 use crate::query::Neighbor;
-use crate::shard::SharedLowerBound;
 
 /// Far-neighbor query support: the object-safe, untraced face of
 /// [`Query::Beyond`](crate::Query::Beyond) and
 /// [`Query::Kfn`](crate::Query::Kfn). Implemented by
-/// [`LinearScan`](crate::linear::LinearScan),
-/// [`ShardedIndex`](crate::ShardedIndex) and by the vp-/mvp-trees in
-/// their own crates.
+/// [`LinearScan`](crate::linear::LinearScan) and by the vp-/mvp-trees
+/// in their own crates.
 pub trait FarthestIndex<T: ?Sized> {
     /// Returns every object at distance **at least** `radius` from
     /// `query` (the complement predicate of a range query, boundary
@@ -71,15 +68,12 @@ impl PartialOrd for FarRank {
 /// Tie-breaking is canonical, mirroring [`KnnCollector`](crate::knn::KnnCollector): among
 /// equidistant candidates the smaller id wins, so any index that offers
 /// every tie candidate returns *the* `(distance desc, id asc)` top `k`.
-/// Like its mirror, the collector can share a monotonically rising lower
-/// bound across shards ([`with_shared`](KfnCollector::with_shared)).
 #[derive(Debug, Clone)]
 pub struct KfnCollector {
     k: usize,
     // Max-heap under FarRank: the root is the current weakest of the
     // best (farthest) k.
     heap: BinaryHeap<FarRank>,
-    shared: Option<Arc<SharedLowerBound>>,
 }
 
 impl KfnCollector {
@@ -88,20 +82,6 @@ impl KfnCollector {
         KfnCollector {
             k,
             heap: BinaryHeap::with_capacity(heap_capacity(k)),
-            shared: None,
-        }
-    }
-
-    /// Creates a collector that additionally prunes against (and
-    /// tightens) a lower bound shared across shards. Any shard's k-th
-    /// farthest distance over its subset is a valid lower bound on the
-    /// global k-th farthest, so pruning against the shared maximum never
-    /// discards a true answer.
-    pub fn with_shared(k: usize, shared: Arc<SharedLowerBound>) -> Self {
-        KfnCollector {
-            k,
-            heap: BinaryHeap::with_capacity(heap_capacity(k)),
-            shared: Some(shared),
         }
     }
 
@@ -110,33 +90,15 @@ impl KfnCollector {
         self.k
     }
 
-    /// This collector's own k-th largest distance, ignoring any shared
-    /// bound (`-∞` while fewer than `k` candidates have been collected).
-    fn local_radius(&self) -> f64 {
+    /// Current pruning threshold: the k-th largest distance seen, or
+    /// `-∞` while fewer than `k` candidates have been collected. A
+    /// subtree whose **upper-bound** distance is below this cannot
+    /// contribute.
+    pub fn radius(&self) -> f64 {
         if self.heap.len() < self.k {
             f64::NEG_INFINITY
         } else {
             self.heap.peek().map_or(f64::NEG_INFINITY, |n| n.0.distance)
-        }
-    }
-
-    /// Current pruning threshold: the k-th largest distance seen (here
-    /// or, with a shared bound, by any collector in the group), or `-∞`
-    /// while fewer than `k` candidates have been collected. A subtree
-    /// whose **upper-bound** distance is below this cannot contribute.
-    pub fn radius(&self) -> f64 {
-        let local = self.local_radius();
-        match &self.shared {
-            Some(shared) => local.max(shared.get()),
-            None => local,
-        }
-    }
-
-    /// Publishes this collector's k-th largest distance to the shared
-    /// bound.
-    fn publish(&self) {
-        if let Some(shared) = &self.shared {
-            shared.tighten(self.local_radius());
         }
     }
 
@@ -149,9 +111,6 @@ impl KfnCollector {
         }
         if self.heap.len() < self.k {
             self.heap.push(FarRank(Neighbor::new(id, distance)));
-            if self.heap.len() == self.k {
-                self.publish();
-            }
             return true;
         }
         let weakest = *self.heap.peek().expect("heap holds k > 0 entries");
@@ -161,7 +120,6 @@ impl KfnCollector {
         if candidate < weakest {
             self.heap.pop();
             self.heap.push(candidate);
-            self.publish();
             true
         } else {
             false
@@ -286,22 +244,5 @@ mod tests {
             let ids: Vec<usize> = c.into_sorted().iter().map(|n| n.id).collect();
             assert_eq!(ids, vec![1, 3], "order {order:?}");
         }
-    }
-
-    #[test]
-    fn shared_bound_tightens_the_radius_and_is_published() {
-        let shared = Arc::new(SharedLowerBound::new());
-        let mut a = KfnCollector::with_shared(1, Arc::clone(&shared));
-        let mut b = KfnCollector::with_shared(1, Arc::clone(&shared));
-        a.offer(0, 2.0);
-        assert_eq!(shared.get(), 2.0);
-        // b benefits from a's k-th farthest before collecting anything.
-        assert_eq!(b.radius(), 2.0);
-        b.offer(1, 6.0);
-        assert_eq!(shared.get(), 6.0);
-        // The shared bound never loosens b's own threshold…
-        assert_eq!(b.radius(), 6.0);
-        // …and raises a's.
-        assert_eq!(a.radius(), 6.0);
     }
 }

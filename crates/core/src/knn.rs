@@ -1,10 +1,8 @@
 //! Bounded best-`k` collection for nearest-neighbor search.
 
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::query::Neighbor;
-use crate::shard::SharedUpperBound;
 
 /// Most heap slots a collector reserves up front. `k` comes from the
 /// client, so reserving `k + 1` slots outright lets one request abort
@@ -28,22 +26,14 @@ pub(crate) fn heap_capacity(k: usize) -> usize {
 ///
 /// Tie-breaking is **canonical**: among equidistant candidates the smaller
 /// id wins, so every index that offers all tie candidates returns *the*
-/// `(distance, id)`-lexicographic top `k` — the property the sharded
-/// scatter-gather merge ([`ShardedIndex`](crate::shard::ShardedIndex))
-/// relies on for bit-identical answers.
-///
-/// A collector may optionally share an upper bound with concurrent
-/// searches over other shards of the same dataset
-/// ([`with_shared`](KnnCollector::with_shared)): the radius then reflects
-/// the tightest k-th distance published by *any* shard, and this
-/// collector's own k-th distance is published on every improvement.
+/// `(distance, id)`-lexicographic top `k`, whatever order it visits
+/// the data in.
 #[derive(Debug, Clone)]
 pub struct KnnCollector {
     k: usize,
     // Max-heap on (distance, id): the root is the current worst of the
     // best k, ties resolved toward larger ids so the canonical set wins.
     heap: BinaryHeap<Neighbor>,
-    shared: Option<Arc<SharedUpperBound>>,
 }
 
 impl KnnCollector {
@@ -52,20 +42,6 @@ impl KnnCollector {
         KnnCollector {
             k,
             heap: BinaryHeap::with_capacity(heap_capacity(k)),
-            shared: None,
-        }
-    }
-
-    /// Creates a collector that additionally prunes against (and
-    /// tightens) a bound shared across shards. Correctness under any
-    /// interleaving: the shared value is always some shard's k-th best
-    /// over a *subset* of the data, hence an upper bound on the global
-    /// k-th distance — pruning against it never discards a true answer.
-    pub fn with_shared(k: usize, shared: Arc<SharedUpperBound>) -> Self {
-        KnnCollector {
-            k,
-            heap: BinaryHeap::with_capacity(heap_capacity(k)),
-            shared: Some(shared),
         }
     }
 
@@ -84,35 +60,16 @@ impl KnnCollector {
         self.heap.is_empty()
     }
 
-    /// This collector's own k-th best distance, ignoring any shared
-    /// bound (`+∞` while fewer than `k` neighbors have been collected).
-    fn local_radius(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap.peek().map_or(f64::INFINITY, |n| n.distance)
-        }
-    }
-
-    /// Current pruning radius: the k-th best distance seen (by this
-    /// collector, or — when sharing a bound — by any collector in the
-    /// group), or `+∞` while fewer than `k` neighbors have been
-    /// collected anywhere.
+    /// Current pruning radius: the k-th best distance seen, or `+∞`
+    /// while fewer than `k` neighbors have been collected.
     ///
     /// A candidate subtree whose lower-bound distance exceeds this radius
     /// cannot contribute to the answer and may be pruned.
     pub fn radius(&self) -> f64 {
-        let local = self.local_radius();
-        match &self.shared {
-            Some(shared) => local.min(shared.get()),
-            None => local,
-        }
-    }
-
-    /// Publishes this collector's k-th best distance to the shared bound.
-    fn publish(&self) {
-        if let Some(shared) = &self.shared {
-            shared.tighten(self.local_radius());
+        if self.heap.len() < self.k {
+            f64::INFINITY
+        } else {
+            self.heap.peek().map_or(f64::INFINITY, |n| n.distance)
         }
     }
 
@@ -127,16 +84,12 @@ impl KnnCollector {
         }
         if self.heap.len() < self.k {
             self.heap.push(Neighbor::new(id, distance));
-            if self.heap.len() == self.k {
-                self.publish();
-            }
             return true;
         }
         let worst = *self.heap.peek().expect("heap holds k > 0 entries");
         if Neighbor::new(id, distance) < worst {
             self.heap.pop();
             self.heap.push(Neighbor::new(id, distance));
-            self.publish();
             true
         } else {
             false
@@ -224,26 +177,5 @@ mod tests {
         c.offer(0, 1.0);
         assert_eq!(c.len(), 1);
         assert_eq!(c.into_sorted().len(), 1);
-    }
-
-    #[test]
-    fn shared_bound_tightens_the_radius_and_is_published() {
-        let shared = Arc::new(SharedUpperBound::new());
-        let mut a = KnnCollector::with_shared(1, Arc::clone(&shared));
-        let mut b = KnnCollector::with_shared(1, Arc::clone(&shared));
-        assert_eq!(a.radius(), f64::INFINITY);
-        a.offer(0, 4.0);
-        // a's k-th best was published; b sees it before collecting anything.
-        assert_eq!(shared.get(), 4.0);
-        assert_eq!(b.radius(), 4.0);
-        b.offer(1, 1.0);
-        assert_eq!(shared.get(), 1.0);
-        // The shared bound never loosens a collector's own radius…
-        assert_eq!(b.radius(), 1.0);
-        // …but tightens the other shard's.
-        assert_eq!(a.radius(), 1.0);
-        // Local acceptance still follows the local heap, not the bound.
-        assert!(a.offer(2, 3.0));
-        assert_eq!(shared.get(), 1.0);
     }
 }

@@ -85,7 +85,6 @@ pub mod parallel;
 pub mod query;
 pub mod search;
 pub mod select;
-pub mod shard;
 pub mod simd;
 pub mod span;
 pub mod stats;
@@ -109,7 +108,6 @@ pub use parallel::Threads;
 pub use query::Neighbor;
 pub use search::{Query, Search};
 pub use select::VantageSelector;
-pub use shard::{ShardSearch, ShardedIndex, SharedLowerBound, SharedUpperBound};
 pub use simd::SimdPath;
 pub use span::{Sampler, SpanRecord, SpanRecorder, SpanTimer, TraceId};
 pub use stats::DistanceHistogram;
@@ -141,7 +139,6 @@ pub mod prelude {
     pub use crate::query::Neighbor;
     pub use crate::search::{Query, Search};
     pub use crate::select::VantageSelector;
-    pub use crate::shard::{ShardSearch, ShardedIndex, SharedLowerBound, SharedUpperBound};
     pub use crate::simd::SimdPath;
     pub use crate::span::{Sampler, SpanRecord, SpanRecorder, SpanTimer, TraceId};
     pub use crate::stats::DistanceHistogram;

@@ -122,9 +122,8 @@ where
     }
 }
 
-/// [`scan`] into an answer the caller holds: a collector wired to a
-/// bound shared across shards, or one a tree's descent has already
-/// filled.
+/// [`scan`] into an answer the caller holds, such as a collector a
+/// tree's descent has already filled.
 pub fn scan_into<'a, T, M, S, G>(
     metric: &M,
     item: &T,

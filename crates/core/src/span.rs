@@ -13,7 +13,7 @@
 //!   (slow-query tail sampling is layered on top by the caller, which
 //!   knows the latency only after the fact);
 //! * [`SpanRecord`] / [`SpanRecorder`] — named wall-clock intervals
-//!   (parse → lookup → per-shard search → merge → reply) annotated with
+//!   (parse → search → reply) annotated with
 //!   the [`DistanceTotals`] delta each interval consumed, bridging the
 //!   request timeline to the per-descent
 //!   [`TraceSink`](crate::trace::TraceSink) profiles the indexes already
@@ -172,16 +172,12 @@ impl Sampler {
 /// parsed), so spans from one trace lay out on a common timeline;
 /// `distances`/`abandoned`/`abandoned_work` are the
 /// [`Counted`](crate::counting::Counted) deltas bracketed around the
-/// interval —
-/// summing them across a trace's search spans reproduces the query's
-/// probe totals exactly.
+/// interval, so a trace's search span carries the query's whole
+/// distance total.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Phase name (`"parse"`, `"lookup"`, `"search"`, `"shard"`,
-    /// `"merge"`, `"reply"`).
+    /// Phase name (`"parse"`, `"search"`, `"reply"`).
     pub name: &'static str,
-    /// Shard index for per-shard scatter spans, `None` elsewhere.
-    pub shard: Option<u32>,
     /// Offset of the span start from the request origin, nanoseconds.
     pub start_ns: u64,
     /// Span duration, nanoseconds.
@@ -245,13 +241,7 @@ impl SpanRecorder {
     /// Closes `timer` as a span named `name`, charging it the distance
     /// delta `cost` (pass [`DistanceTotals::default`] for phases that
     /// compute no distances).
-    pub fn record(
-        &mut self,
-        name: &'static str,
-        shard: Option<u32>,
-        timer: SpanTimer,
-        cost: DistanceTotals,
-    ) {
+    pub fn record(&mut self, name: &'static str, timer: SpanTimer, cost: DistanceTotals) {
         let start_ns = timer
             .start
             .saturating_duration_since(self.origin)
@@ -259,7 +249,6 @@ impl SpanRecorder {
         let duration_ns = timer.start.elapsed().as_nanos() as u64;
         self.push(SpanRecord {
             name,
-            shard,
             start_ns,
             duration_ns,
             distances: cost.computations,
@@ -386,7 +375,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         rec.record(
             "search",
-            Some(1),
             t,
             DistanceTotals {
                 computations: 42,
@@ -395,15 +383,14 @@ mod tests {
             },
         );
         let t = rec.begin();
-        rec.record("merge", None, t, DistanceTotals::default());
+        rec.record("reply", t, DistanceTotals::default());
         let spans = rec.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "search");
-        assert_eq!(spans[0].shard, Some(1));
         assert_eq!(spans[0].distances, 42);
         assert_eq!(spans[0].abandoned, 5);
         assert!(spans[0].duration_ns >= 1_000_000);
-        // The merge span starts after the search span started.
+        // The reply span starts after the search span started.
         assert!(spans[1].start_ns >= spans[0].start_ns);
         assert_eq!(spans[1].distances, 0);
     }
@@ -413,7 +400,7 @@ mod tests {
         let mut rec = SpanRecorder::new();
         for _ in 0..(MAX_SPANS + 10) {
             let t = rec.begin();
-            rec.record("search", None, t, DistanceTotals::default());
+            rec.record("search", t, DistanceTotals::default());
         }
         assert_eq!(rec.spans().len(), MAX_SPANS);
         assert_eq!(rec.dropped(), 10);

@@ -426,9 +426,8 @@ where
     }
 
     /// k-nearest-neighbor traversal into a caller-provided collector —
-    /// the shared kernel behind kNN [`Search`](vantage_core::Search) and
-    /// the sharded scatter path (which passes a collector wired to a
-    /// cross-shard bound). `k = 0` computes nothing.
+    /// the kernel behind kNN [`Search`](vantage_core::Search) and the
+    /// dynamic tree's live-entry search. `k = 0` computes nothing.
     pub fn knn_into<C: Collect, S: TraceSink>(&self, collector: &mut C, sink: &mut S)
     where
         M: BoundedMetric<T>,
@@ -550,10 +549,9 @@ where
     ///
     /// The collector's radius never grows during a sweep: offered
     /// candidate distances are never NaN (a bounded distance is returned
-    /// only when it is `≤` the bound), so the local k-th best only
-    /// shrinks, and a shared cross-shard bound only tightens. An entry
-    /// dropped at the start of the block would therefore have failed at
-    /// its turn too, and each survivor is tested exactly where a
+    /// only when it is `≤` the bound), so the k-th best only shrinks.
+    /// An entry dropped at the start of the block would therefore have
+    /// failed at its turn too, and each survivor is tested exactly where a
     /// one-entry-at-a-time loop would test it: the same distances are
     /// computed with the same bounds and offered in the same order.
     /// Tracing sinks see the same events in the same order as well —

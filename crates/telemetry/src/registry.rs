@@ -2,7 +2,7 @@
 //!
 //! One [`MetricsRegistry`] serves a whole process (or one test): it hands
 //! out [`IndexMetrics`] handles keyed by an index *label* (e.g. `"mvp"`,
-//! `"vp/shard-3"`). Label registration is the only code path that takes a
+//! `"serve/gen2"`). Label registration is the only code path that takes a
 //! lock, and it happens once per index at startup; the record path —
 //! [`IndexMetrics::record`] — touches only sharded atomic counters and
 //! atomic histogram buckets, so any number of serving threads can report

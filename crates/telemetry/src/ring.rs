@@ -88,9 +88,6 @@ impl TraceRecord {
             .map(|s| {
                 let mut span = std::collections::BTreeMap::new();
                 span.insert("name".into(), Json::Str(s.name.into()));
-                if let Some(shard) = s.shard {
-                    span.insert("shard".into(), Json::Num(f64::from(shard)));
-                }
                 span.insert("start_ns".into(), Json::Num(s.start_ns as f64));
                 span.insert("duration_ns".into(), Json::Num(s.duration_ns as f64));
                 span.insert("distances".into(), Json::Num(s.distances as f64));
@@ -200,8 +197,7 @@ fn bound_stats_json(count: u64, min: f64, max: f64, mean: f64) -> Json {
 /// Converts a trace JSON object (as produced by
 /// [`TraceRecord::to_json`]) into Chrome trace-event format, loadable in
 /// `chrome://tracing` / Perfetto. Each span becomes a complete (`"X"`)
-/// event; per-shard spans land on their own `tid` rows so the scatter
-/// fans out visually.
+/// event on the request's one `tid` row.
 pub fn chrome_from_trace_json(trace: &Json) -> Json {
     let mut events: Vec<Json> = Vec::new();
     let id = trace.get("id").and_then(Json::as_str).unwrap_or("unknown");
@@ -209,12 +205,7 @@ pub fn chrome_from_trace_json(trace: &Json) -> Json {
         for span in spans {
             let mut ev = std::collections::BTreeMap::new();
             let name = span.get("name").and_then(Json::as_str).unwrap_or("span");
-            let shard = span.get("shard").and_then(Json::as_u64);
-            let display = match shard {
-                Some(s) => format!("{name}[{s}]"),
-                None => name.to_string(),
-            };
-            ev.insert("name".into(), Json::Str(display));
+            ev.insert("name".into(), Json::Str(name.into()));
             ev.insert("cat".into(), Json::Str("vantage".into()));
             ev.insert("ph".into(), Json::Str("X".into()));
             let start_ns = span.get("start_ns").and_then(Json::as_f64).unwrap_or(0.0);
@@ -225,11 +216,7 @@ pub fn chrome_from_trace_json(trace: &Json) -> Json {
             ev.insert("ts".into(), Json::Num(start_ns / 1000.0));
             ev.insert("dur".into(), Json::Num(dur_ns / 1000.0));
             ev.insert("pid".into(), Json::Num(1.0));
-            // tid 0 is the request thread; shard s fans out to row s+1.
-            ev.insert(
-                "tid".into(),
-                Json::Num(shard.map_or(0.0, |s| s as f64 + 1.0)),
-            );
+            ev.insert("tid".into(), Json::Num(0.0));
             let mut args = std::collections::BTreeMap::new();
             for key in ["distances", "abandoned", "abandoned_work"] {
                 if let Some(v) = span.get(key) {
@@ -371,7 +358,6 @@ mod tests {
             slow: false,
             spans: vec![SpanRecord {
                 name: "search",
-                shard: Some(0),
                 start_ns: 100,
                 duration_ns: total_ns.saturating_sub(200),
                 distances: 42,
@@ -431,14 +417,11 @@ mod tests {
         let chrome = chrome_from_trace_json(&reparsed);
         let events = chrome.get("traceEvents").and_then(Json::as_array).unwrap();
         assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].get("name").and_then(Json::as_str),
-            Some("search[0]")
-        );
+        assert_eq!(events[0].get("name").and_then(Json::as_str), Some("search"));
         assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("X"));
         // 100ns start → 0.1µs timestamp.
         assert_eq!(events[0].get("ts").and_then(Json::as_f64), Some(0.1));
-        assert_eq!(events[0].get("tid").and_then(Json::as_u64), Some(1));
+        assert_eq!(events[0].get("tid").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

@@ -21,11 +21,10 @@ fn coherent_record(seed: u64) -> TraceRecord {
         results: seed,
         sampled: true,
         slow: false,
-        spans: (0..(seed % 7) as u32)
+        spans: (0..seed % 7)
             .map(|i| SpanRecord {
-                name: "shard",
-                shard: Some(i),
-                start_ns: seed,
+                name: "search",
+                start_ns: seed + i,
                 duration_ns: seed,
                 distances: seed,
                 abandoned: 0,
@@ -45,7 +44,7 @@ fn assert_coherent(record: &TraceRecord) {
     assert_eq!(record.results, seed, "torn results");
     assert_eq!(record.spans.len(), (seed % 7) as usize, "torn span vec");
     for (i, span) in record.spans.iter().enumerate() {
-        assert_eq!(span.shard, Some(i as u32), "torn span order");
+        assert_eq!(span.start_ns, seed + i as u64, "torn span order");
         assert_eq!(span.distances, seed, "torn span payload");
     }
 }

@@ -132,9 +132,8 @@ where
     }
 
     /// Best-first kNN traversal into a caller-provided collector — the
-    /// shared kernel behind kNN [`Search`](vantage_core::Search) and the
-    /// sharded scatter path (which passes a collector wired to a
-    /// cross-shard bound). `k = 0` computes nothing.
+    /// kernel behind kNN [`Search`](vantage_core::Search). `k = 0`
+    /// computes nothing.
     pub fn knn_into<S: TraceSink>(&self, collector: &mut KnnCollector, sink: &mut S)
     where
         M: BoundedMetric<T>,

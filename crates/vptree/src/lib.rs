@@ -41,7 +41,6 @@ mod build;
 mod farthest;
 mod kernel;
 mod search;
-mod shard;
 mod stats;
 mod tree;
 mod treeref;

@@ -1,6 +1,5 @@
 //! Property tests for budgeted (best-effort) kNN across every
-//! [`BudgetedSearch`] implementation: linear scan, vp-tree, mvp-tree and
-//! the sharded composition of all three.
+//! [`BudgetedSearch`] implementation: linear scan, vp-tree and mvp-tree.
 //!
 //! The contract under test (see `vantage_core::budget`):
 //!
@@ -14,7 +13,7 @@
 use proptest::prelude::*;
 use vantage::prelude::*;
 
-/// Cases per property: each case builds four index structures, so keep
+/// Cases per property: each case builds three index structures, so keep
 /// the datasets small rather than the case count.
 const CASES: u32 = 96;
 
@@ -50,15 +49,6 @@ fn budgeted_indexes(points: &[Vec<f64>]) -> Vec<NamedBudgeted> {
                     Euclidean,
                     MvpParams::paper(2, 5, 2).seed(5),
                 )
-                .unwrap(),
-            ),
-        ),
-        (
-            "sharded vpt",
-            Box::new(
-                ShardedIndex::build(points.to_vec(), 3, Threads::SEQUENTIAL, |s, part| {
-                    VpTree::build(part, Euclidean, VpTreeParams::binary().seed(s as u64))
-                })
                 .unwrap(),
             ),
         ),
@@ -145,29 +135,49 @@ proptest! {
             }
         }
     }
+}
 
-    #[test]
-    fn sharded_budget_split_is_deterministic(
-        points in points_strategy(),
-        q in query_strategy(),
-        k in 1usize..6,
-        budget in 0u64..48,
-        shards in 1usize..5,
-    ) {
-        let build = |threads: Threads| {
-            ShardedIndex::build(points.clone(), shards, threads, |s, part| {
-                VpTree::build(part, Euclidean, VpTreeParams::binary().seed(s as u64))
-            })
-            .unwrap()
+#[test]
+fn budget_meter_spend_matches_the_metric_tally() {
+    // The budget counts the paper's cost model — metric distance
+    // evaluations, exactly what `Counted` tallies. The meter's `spent`
+    // and the probe's delta must agree for every structure and budget.
+    let points: Vec<Vec<f64>> = (0..80)
+        .map(|i| vec![(i % 5) as f64, (i % 3) as f64])
+        .collect();
+    let q = vec![1.7, 0.9];
+    for budget in [0u64, 5, 17, 60, 200, u64::MAX] {
+        let b = if budget == u64::MAX {
+            SearchBudget::UNLIMITED
+        } else {
+            SearchBudget::limited(budget)
         };
-        let seq = build(Threads::SEQUENTIAL);
-        let par = build(Threads::Fixed(4));
-        let a = seq.knn_budgeted(&q, k, SearchBudget::limited(budget));
-        let b = seq.knn_budgeted(&q, k, SearchBudget::limited(budget));
-        // Budgeted sharded search shares no cross-shard bound, so results
-        // are identical run-to-run *and* independent of scatter threading.
-        let c = par.knn_budgeted(&q, k, SearchBudget::limited(budget));
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &c);
+
+        let counted = Counted::new(Euclidean);
+        let probe = counted.clone();
+        let scan = LinearScan::new(points.clone(), counted.clone());
+        probe.reset();
+        let out = scan.knn_budgeted(&q, 6, b);
+        assert_eq!(probe.take(), out.spent, "linear budget={budget}");
+
+        let tree = VpTree::build(
+            points.clone(),
+            counted.clone(),
+            VpTreeParams::binary().seed(9),
+        )
+        .unwrap();
+        probe.reset();
+        let out = tree.knn_budgeted(&q, 6, b);
+        assert_eq!(probe.take(), out.spent, "vpt budget={budget}");
+
+        let tree = MvpTree::build(
+            points.clone(),
+            counted.clone(),
+            MvpParams::paper(2, 5, 2).seed(9),
+        )
+        .unwrap();
+        probe.reset();
+        let out = tree.knn_budgeted(&q, 6, b);
+        assert_eq!(probe.take(), out.spent, "mvpt budget={budget}");
     }
 }

@@ -1,8 +1,7 @@
 //! Pins what the exhaustive scans answer and report, form by form.
 //!
-//! Three structures answer by scanning rows rather than descending a
-//! tree: [`LinearScan`], a [`ShardedIndex`] of two `LinearScan`s (each
-//! shard reporting into a sink of its own), and the dynamic tree's
+//! Two structures answer by scanning rows rather than descending a
+//! tree: [`LinearScan`] and the dynamic tree's
 //! [`MvpReadSnapshot`], whose tombstoned tree and overflow buffer are
 //! both populated here. For every query form — range and beyond at
 //! several radii, kNN and kFN at `k ∈ {1, 5, n + 3}` — one line records
@@ -120,14 +119,6 @@ fn linear(index: &Scan, q: &Vec<f64>, form: Form) -> (Vec<Neighbor>, Vec<QueryPr
     (answer, vec![p])
 }
 
-fn sharded(
-    index: &ShardedIndex<Scan>,
-    q: &Vec<f64>,
-    form: Form,
-) -> (Vec<Neighbor>, Vec<QueryProfile>) {
-    index.search_per_shard(q, form.query())
-}
-
 fn dynamic(
     snapshot: &MvpReadSnapshot<Vec<f64>, Euclidean>,
     q: &Vec<f64>,
@@ -174,25 +165,6 @@ fn linear_scan_answers_and_reports_are_pinned() {
             0x52dc46e4194e3069,
             0x9e346087ce5328c2,
             0x3861e5b59f53338d,
-        ],
-    );
-}
-
-#[test]
-fn two_shard_linear_scan_answers_and_reports_are_pinned() {
-    let index = ShardedIndex::build(points(N, 0), 2, Threads::SEQUENTIAL, |_, part| {
-        Ok(LinearScan::new(part, Euclidean))
-    })
-    .unwrap();
-    let got = FORMS.map(|name| pin(name, N, |q, form| sharded(&index, q, form)));
-    check(
-        "sharded",
-        got,
-        [
-            0x8061da4e01f19d4e,
-            0x4e0bbe3fa1baac82,
-            0xa798c2fdb4ad3b3c,
-            0x9bb28abf1fd03824,
         ],
     );
 }
