@@ -1572,7 +1572,7 @@ mod tests {
         ]);
         assert!(out.contains("metrics snapshot written"), "{out}");
 
-        // The instrumented run answers identically to the bare run.
+        // The recorded run answers identically to the bare run.
         let bare = run_ok(&[
             "query",
             "--data",

@@ -98,8 +98,8 @@ pub fn query_cost_rows(series: &[QueryCostSeries]) -> Vec<Vec<String>> {
 /// Extracts a flat `metric name → value` map from a report's CSV: every
 /// numeric cell becomes `"<column header>@<row label>"` (e.g.
 /// `"mvpt(3,80)@0.1500"`). Non-numeric cells are skipped, so the same
-/// conversion works for every report layout. This is the format the CI
-/// perf gate and dashboards consume.
+/// conversion works for every report layout. This is the format
+/// dashboards consume.
 pub fn csv_metrics(csv: &str) -> Vec<(String, f64)> {
     // Structure names like `mvpt(3,80)` embed commas, and the CSV writer
     // does not quote; commas inside parentheses are not separators.

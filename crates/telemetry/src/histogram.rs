@@ -141,7 +141,7 @@ impl AtomicHistogram {
 
 /// A frozen histogram: sparse `(bucket index, count)` pairs plus summary
 /// statistics. Supports merge and nearest-rank percentiles; serialized by
-/// the exporters and compared by the perf-regression gate.
+/// the exporters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total recorded observations (sum of bucket counts).

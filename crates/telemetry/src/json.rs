@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline and vendors no serialization crate (see
 //! DESIGN.md, "Offline dependency policy"), so the telemetry exporters
-//! and the perf-regression gate carry their own ~200-line JSON layer. It supports the full
+//! carry their own ~200-line JSON layer. It supports the full
 //! JSON grammar with the one usual Rust simplification: numbers are `f64`
 //! (integers round-trip exactly up to 2^53, far beyond any counter this
 //! workspace emits in practice).

@@ -13,17 +13,10 @@
 //! * [`AtomicHistogram`] — an HDR-style log-linear histogram over `u64`
 //!   (1920 buckets, ≤3.2% relative error) used for both latency in
 //!   nanoseconds and distance-computation counts per operation.
-//! * [`Instrumented`] — a [`MetricIndex`](vantage_core::MetricIndex)
-//!   wrapper that times every `build`/`range`/`knn`/batch operation and
-//!   attributes distance-cost deltas via a [`CostProbe`] (a clone of the
-//!   index's [`Counted`](vantage_core::Counted) metric). Answers are
-//!   bit-identical to the bare index.
 //! * [`RegistrySnapshot`] — a frozen, mergeable view with a
 //!   human-readable table ([`RegistrySnapshot::render_table`]), plus
 //!   lossless JSON ([`export::to_json`]/[`export::from_json`]) and
 //!   Prometheus text ([`export::to_prometheus`]) exporters.
-//! * [`gate`] — the CI perf-regression comparison: fresh quick-scale
-//!   medians against committed `BENCH_*.json` baselines.
 //! * [`TraceRing`] — a bounded, never-blocking ring of sampled request
 //!   traces ([`TraceRecord`]) backing the serve protocol's `SLOW` /
 //!   `TRACE` commands and the Chrome trace-event exporter
@@ -31,17 +24,18 @@
 //! * [`SloSurface`] — windowed p50/p99/p999 latency per operation kind
 //!   with exemplar trace IDs, recorded lock-free on the request path.
 //!
-//! See `vantage stats --metrics`, `vantage query --metrics`, and the
-//! `perf-gate` binary in the bench crate for the CLI surface.
+//! The serving layer records into the registry directly: each search
+//! counts its own cost in a per-query sink, so concurrent queries never
+//! read each other's counts. See `vantage serve` (`STATS`, `SLO`,
+//! `TRACE`, `--metrics-out`), `vantage query`/`explain --metrics` and
+//! `vantage stats --metrics` for the CLI surface.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counter;
 pub mod export;
-pub mod gate;
 pub mod histogram;
-pub mod instrument;
 pub mod json;
 pub mod registry;
 pub mod ring;
@@ -50,7 +44,6 @@ pub mod snapshot;
 
 pub use counter::ShardedCounter;
 pub use histogram::{AtomicHistogram, HistogramSnapshot};
-pub use instrument::{CostProbe, Instrumented, NoProbe};
 pub use json::Json;
 pub use registry::{CostDelta, Gauge, IndexMetrics, MetricsRegistry, OpKind, RECALL_SCALE};
 pub use ring::{chrome_from_trace_json, profile_to_json, TraceRecord, TraceRing};

@@ -18,6 +18,8 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
 
+use vantage_core::DistanceTotals;
+
 use crate::counter::ShardedCounter;
 use crate::histogram::{AtomicHistogram, HistogramSnapshot};
 use crate::snapshot::{GaugeSnapshot, IndexSnapshot, OpSnapshot, RegistrySnapshot};
@@ -31,27 +33,21 @@ pub enum OpKind {
     Range = 1,
     /// A single k-nearest-neighbor query.
     Knn = 2,
-    /// A batch of range queries answered as one operation.
-    BatchRange = 3,
-    /// A batch of kNN queries answered as one operation.
-    BatchKnn = 4,
     /// A snapshot loaded from disk in place of a build. The "distances"
     /// histogram carries the snapshot size in **bytes** for this kind —
     /// a load performs no metric evaluations, and the byte count is the
     /// load's natural cost currency.
-    SnapshotLoad = 5,
+    SnapshotLoad = 3,
 }
 
 impl OpKind {
     /// Number of distinct kinds.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 4;
     /// Every kind, in counter order.
     pub const ALL: [OpKind; Self::COUNT] = [
         OpKind::Build,
         OpKind::Range,
         OpKind::Knn,
-        OpKind::BatchRange,
-        OpKind::BatchKnn,
         OpKind::SnapshotLoad,
     ];
 
@@ -61,8 +57,6 @@ impl OpKind {
             OpKind::Build => "build",
             OpKind::Range => "range",
             OpKind::Knn => "knn",
-            OpKind::BatchRange => "batch_range",
-            OpKind::BatchKnn => "batch_knn",
             OpKind::SnapshotLoad => "snapshot_load",
         }
     }
@@ -73,8 +67,10 @@ impl OpKind {
     }
 }
 
-/// The distance-computation cost of one operation, as a *delta* between
-/// two monotonic [`Counted`](vantage_core::Counted) readings.
+/// The distance-computation cost of one operation: the totals of the
+/// [`DistanceTally`](vantage_core::DistanceTally) the operation counted
+/// into, or the change between two [`Counted`](vantage_core::Counted)
+/// readings.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostDelta {
     /// Metric evaluations performed (the paper's cost measure).
@@ -84,6 +80,16 @@ pub struct CostDelta {
     /// Estimated arithmetic done by the abandoned evaluations, in units
     /// of one full evaluation.
     pub abandoned_work: f64,
+}
+
+impl From<DistanceTotals> for CostDelta {
+    fn from(d: DistanceTotals) -> CostDelta {
+        CostDelta {
+            computations: d.computations,
+            abandoned: d.abandoned,
+            abandoned_work: d.abandoned_work,
+        }
+    }
 }
 
 /// Fixed-point scale for accumulating fractional work in an atomic

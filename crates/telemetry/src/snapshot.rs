@@ -2,9 +2,8 @@
 //! stats table.
 //!
 //! A [`RegistrySnapshot`] is a plain data structure — no atomics, no
-//! `Arc`s — so it can be merged across processes or scrape intervals,
-//! serialized by the exporters ([`export`](crate::export)), and diffed by
-//! the perf-regression gate ([`gate`](crate::gate)).
+//! `Arc`s — so it can be merged across processes or scrape intervals and
+//! serialized by the exporters ([`export`](crate::export)).
 
 use std::fmt::Write as _;
 

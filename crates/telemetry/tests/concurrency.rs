@@ -9,7 +9,7 @@ use std::time::Duration;
 use vantage_telemetry::{CostDelta, MetricsRegistry, OpKind};
 
 const THREADS: usize = 8;
-// Divisible by OpKind::COUNT (6) and by 3, so the per-kind round-robin
+// Divisible by OpKind::COUNT (4) and by 3, so the per-kind round-robin
 // and the `i % 3` abandonment pattern below come out exact.
 const OPS_PER_THREAD: u64 = 5_004;
 

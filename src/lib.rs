@@ -17,10 +17,10 @@
 //!   AESA/LAESA;
 //! * [`datasets`] — seeded workload generators
 //!   reproducing the paper's datasets;
-//! * [`telemetry`] — always-on serving telemetry: the
-//!   [`Instrumented`] index wrapper, a lock-free
-//!   [`MetricsRegistry`] of latency/distance histograms, and JSON +
-//!   Prometheus exporters (see DESIGN.md §Telemetry);
+//! * [`telemetry`] — always-on serving telemetry: a lock-free
+//!   [`MetricsRegistry`] of latency/distance histograms that `vantage
+//!   serve`, `query` and `explain` record into, and JSON + Prometheus
+//!   exporters (see DESIGN.md §Telemetry);
 //! * [`persist`] — versioned, checksummed on-disk
 //!   snapshots of built indexes: save with `vantage build --save`, reload
 //!   with `--index` for bit-identical query behavior without paying the
@@ -88,7 +88,7 @@ pub use vantage_core::{
     Result, SearchProfiler, Threads, TraceSink, VantageError, VantageSelector,
 };
 pub use vantage_mvptree::{DynamicMvpTree, MvpParams, MvpTree, MvpTreeStats, SecondVantage};
-pub use vantage_telemetry::{Instrumented, MetricsRegistry, OpKind, RegistrySnapshot};
+pub use vantage_telemetry::{MetricsRegistry, OpKind, RegistrySnapshot};
 pub use vantage_vptree::{VpTree, VpTreeParams, VpTreeStats};
 
 /// One-stop imports for applications.
@@ -98,6 +98,6 @@ pub mod prelude {
     };
     pub use vantage_core::prelude::*;
     pub use vantage_mvptree::{DynamicMvpTree, MvpParams, MvpTree, MvpTreeStats, SecondVantage};
-    pub use vantage_telemetry::{Instrumented, MetricsRegistry, OpKind, RegistrySnapshot};
+    pub use vantage_telemetry::{MetricsRegistry, OpKind, RegistrySnapshot};
     pub use vantage_vptree::{VpTree, VpTreeParams, VpTreeStats};
 }

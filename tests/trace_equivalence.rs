@@ -261,71 +261,6 @@ fn profiles_see_pruning_on_selective_queries() {
     assert_eq!(by_level, profile.nodes_visited());
 }
 
-/// Telemetry and tracing observe the same queries without interfering:
-/// an [`Instrumented`] index answers bit-identically to the traced path,
-/// and the per-role `QueryProfile` counts (vantage-point + leaf-candidate)
-/// sum exactly to the telemetry distance-histogram totals, op for op.
-#[test]
-fn instrumented_index_composes_with_query_profiles() {
-    let metric = Counted::new(Euclidean);
-    let probe = metric.clone();
-    let tree = MvpTree::build(
-        uniform_vectors(400, 8, 1),
-        metric,
-        MvpParams::paper(3, 20, 5).seed(7),
-    )
-    .unwrap();
-    let registry = MetricsRegistry::new();
-    let instrumented = Instrumented::with_probe(tree, registry.index("mvp"), probe);
-
-    let mut range_role_sum = 0u64;
-    let mut knn_trace_sum = 0u64;
-    let mut range_ops = 0u64;
-    let mut knn_ops = 0u64;
-    for q in &queries() {
-        for r in RADII {
-            let telemetered = instrumented.range(q, r);
-            let mut profile = QueryProfile::new();
-            let traced = instrumented
-                .inner()
-                .search(q, Query::Range(r), &mut profile);
-            assert_eq!(
-                telemetered, traced,
-                "instrumented range differs from traced at r={r}"
-            );
-            range_role_sum += profile.distances(DistanceRole::Vantage)
-                + profile.distances(DistanceRole::Candidate);
-            range_ops += 1;
-        }
-        for k in KS {
-            let telemetered = instrumented.knn(q, k);
-            let mut profile = QueryProfile::new();
-            let traced = instrumented.inner().search(q, Query::Knn(k), &mut profile);
-            assert_eq!(
-                telemetered, traced,
-                "instrumented knn differs from traced at k={k}"
-            );
-            knn_trace_sum += profile.total_distances();
-            knn_ops += 1;
-        }
-    }
-
-    let snapshot = registry.snapshot();
-    let mvp = snapshot.index("mvp").expect("mvp metrics recorded");
-    let range = mvp.op(OpKind::Range).expect("range op recorded");
-    assert_eq!(range.ops, range_ops);
-    assert_eq!(
-        range.distances.sum, range_role_sum,
-        "per-role trace counts must sum to the telemetry distance total"
-    );
-    let knn = mvp.op(OpKind::Knn).expect("knn op recorded");
-    assert_eq!(knn.ops, knn_ops);
-    assert_eq!(
-        knn.distances.sum, knn_trace_sum,
-        "trace totals must sum to the telemetry distance total"
-    );
-}
-
 #[test]
 fn event_log_captures_individual_events() {
     let points = uniform_vectors(300, 8, 5);
